@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +31,12 @@ from . import __version__
 from .channel import Distances, Modulation, PathLossModel, SystemConfig
 from .cltapprox import w_stats
 from .correlation import AngleSpread, CorrelationConfig, simulate_scheme_rates
-from .errors import ConfigError, IrsLinkError, NumericalConsistencyError, UnsupportedShapeError
+from .errors import ConfigError, NumericalConsistencyError, UnsupportedShapeError
 from .metrics import (asymptotic_outage, asymptotic_ser, outage_probability,
                       quantized_rate_bounds, rate_bounds, ser_upper_bound)
-from .montecarlo import (SimPlan, empirical_ber, empirical_cdf, empirical_outage,
+from .montecarlo import (Estimate, SimPlan, empirical_ber, empirical_cdf, empirical_outage,
                          empirical_rate, simulate_snr_samples)
-from .snrdist import SnrCdfParams, envelope_pdf, snr_cdf
+from .snrdist import SnrCdfParams, snr_cdf
 
 CSV_HEADER = ["x_unit", "x", "analytic", "asymptotic", "mc", "mc_ci_low", "mc_ci_high"]
 
@@ -188,14 +189,6 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _write_curve(path: Path, x_unit: str, rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([x_unit, _fmt(row[0])] + [_fmt(v) for v in row[1:]])
-
-
 def _curve_rows(x, analytic=None, asymptotic=None, mc=None, lo=None, hi=None):
     def pick(seq, i):
         return None if seq is None else seq[i]
@@ -203,13 +196,17 @@ def _curve_rows(x, analytic=None, asymptotic=None, mc=None, lo=None, hi=None):
             for i, xi in enumerate(x)]
 
 
+@functools.cache
 def _git_describe() -> str:
+    # Resolved from the package's own directory, so the id names the sources
+    # that ran whatever the working directory; once per process.
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=Path(__file__).resolve().parent,
                              capture_output=True, text=True, timeout=5)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return f"irslink-{__version__}"
 
@@ -218,6 +215,34 @@ def _gamma_sweep(spec: ExperimentSpec):
     if spec.sweep_variable != "gamma_bar_db":
         raise ConfigError([f"{spec.kind}: sweep variable must be gamma_bar_db"])
     return list(spec.sweep_values)
+
+
+def _gamma_bar(db: float) -> float:
+    return 10.0 ** (db / 10.0)
+
+
+def _unit_snr_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
+    """SNR samples at gamma_bar = 1 (0 dB).  The draws do not depend on gamma_bar
+    and the kernel multiplies by it last, so ``gamma_bar * samples`` equals the
+    samples simulated at that gamma_bar bit for bit: one draw serves a sweep."""
+    return simulate_snr_samples(cfg.with_gamma_bar_db(0.0), plan)
+
+
+def _mc_columns(estimates) -> dict:
+    return {"mc": [e.value for e in estimates], "lo": [e.ci_low for e in estimates],
+            "hi": [e.ci_high for e in estimates]}
+
+
+def _mc_sweep(sweep, unit_samples: np.ndarray, estimator) -> dict:
+    """MC columns of ``estimator(gamma_bar * unit_samples)`` over the dB sweep."""
+    return _mc_columns([estimator(_gamma_bar(db) * unit_samples) for db in sweep])
+
+
+def _asymptote_column(evaluator, sweep, extras: dict) -> list:
+    """High-SNR floor per sweep point; blank where it exceeds the double range."""
+    values = [evaluator(_gamma_bar(db)) for db in sweep]
+    extras["asymptotic_blank_points"] = sum(not math.isfinite(v) for v in values)
+    return [v if math.isfinite(v) else None for v in values]
 
 
 def _run_wdist(spec: ExperimentSpec, files: dict, extras: dict) -> None:
@@ -238,10 +263,8 @@ def _run_wdist(spec: ExperimentSpec, files: dict, extras: dict) -> None:
         mc_pdf = np.interp(grid, centers, hist)
         mc_cdf = empirical_cdf(samples)(grid)
         extras["mc_trials"] = spec.plan.trials
-    files["wdist_pdf"] = _emit(spec, "wdist_pdf.csv", "w",
-                               _curve_rows(grid, analytic=pdf, mc=mc_pdf))
-    files["wdist_cdf"] = _emit(spec, "wdist_cdf.csv", "w",
-                               _curve_rows(grid, analytic=cdf, mc=mc_cdf))
+    _emit(spec, files, "wdist_pdf", "w", _curve_rows(grid, analytic=pdf, mc=mc_pdf))
+    _emit(spec, files, "wdist_cdf", "w", _curve_rows(grid, analytic=cdf, mc=mc_cdf))
     extras["mu_bar"], extras["sigma2_bar"], extras["xi"] = tn.mu_bar, tn.sigma2_bar, tn.xi
 
 
@@ -270,112 +293,73 @@ def _run_snrcdf(spec: ExperimentSpec, files: dict, extras: dict) -> None:
         samples = simulate_snr_samples(cfg, spec.plan)
         mc = empirical_cdf(samples)(y)
         extras["ks_distance"] = float(np.max(np.abs(mc - analytic)))
-    files["snrcdf"] = _emit(spec, "snrcdf.csv", "gamma_db",
-                            _curve_rows(grid_db, analytic=analytic, mc=mc))
+    _emit(spec, files, "snrcdf", "gamma_db", _curve_rows(grid_db, analytic=analytic, mc=mc))
 
 
 def _run_outage(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    cfg = spec.config
     gamma_th = 10 ** (spec.gamma_th_db / 10)
-    sweep = _gamma_sweep(spec)
-    analytic, asymptote = [], []
-    result, evaluator = asymptotic_outage(cfg, gamma_th)
+    result, evaluator = asymptotic_outage(spec.config, gamma_th)
     extras["diversity_order"] = result.g_d
     extras["log10_omega_op"] = result.log_omega_op / math.log(10)
-    for db in sweep:
-        c = cfg.with_gamma_bar_db(db)
-        analytic.append(outage_probability(gamma_th, SnrCdfParams.from_config(c)))
-        asymptote.append(evaluator(c.gamma_bar))
-    files["outage_analytic"] = _emit(spec, "outage_analytic.csv", "gamma_bar_db",
-                                     _curve_rows(sweep, analytic=analytic))
-    files["outage_asymptotic"] = _emit(spec, "outage_asymptotic.csv", "gamma_bar_db",
-                                       _curve_rows(sweep, asymptotic=asymptote))
-    if spec.use_mc:
-        mc, lo, hi = [], [], []
-        for db in sweep:
-            est = empirical_outage(
-                simulate_snr_samples(cfg.with_gamma_bar_db(db), spec.plan), gamma_th)
-            mc.append(est.value)
-            lo.append(est.ci_low)
-            hi.append(est.ci_high)
-        files["outage_mc"] = _emit(spec, "outage_mc.csv", "gamma_bar_db",
-                                   _curve_rows(sweep, mc=mc, lo=lo, hi=hi))
+    _floor_curves(spec, files, extras, "outage", "analytic",
+                  lambda c: outage_probability(gamma_th, SnrCdfParams.from_config(c)),
+                  evaluator, lambda snr: empirical_outage(snr, gamma_th))
 
 
 def _run_rate(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    cfg = spec.config
-    sweep = _gamma_sweep(spec)
-    lbs, ubs = [], []
-    for db in sweep:
-        b = rate_bounds(cfg.with_gamma_bar_db(db))
-        lbs.append(b.lower)
-        ubs.append(b.upper)
-    files["rate_lower"] = _emit(spec, "rate_lower.csv", "gamma_bar_db",
-                                _curve_rows(sweep, analytic=lbs))
-    files["rate_upper"] = _emit(spec, "rate_upper.csv", "gamma_bar_db",
-                                _curve_rows(sweep, analytic=ubs))
-    if spec.use_mc:
-        mc, lo, hi = [], [], []
-        for db in sweep:
-            est = empirical_rate(simulate_snr_samples(cfg.with_gamma_bar_db(db), spec.plan))
-            mc.append(est.value)
-            lo.append(est.ci_low)
-            hi.append(est.ci_high)
-        files["rate_mc"] = _emit(spec, "rate_mc.csv", "gamma_bar_db",
-                                 _curve_rows(sweep, mc=mc, lo=lo, hi=hi))
+    _rate_curves(spec, files, "rate", _gamma_sweep(spec))
 
 
 def _run_ser(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    cfg = spec.config
-    sweep = _gamma_sweep(spec)
-    bound = [ser_upper_bound(cfg.with_gamma_bar_db(db)) for db in sweep]
-    result, evaluator = asymptotic_ser(cfg)
-    asym = [evaluator(10 ** (db / 10)) for db in sweep]
+    result, evaluator = asymptotic_ser(spec.config)
     extras["diversity_order"] = result.g_d
     extras["coding_gain"] = result.g_c
-    files["ser_bound"] = _emit(spec, "ser_bound.csv", "gamma_bar_db",
-                               _curve_rows(sweep, analytic=bound))
-    files["ser_asymptotic"] = _emit(spec, "ser_asymptotic.csv", "gamma_bar_db",
-                                    _curve_rows(sweep, asymptotic=asym))
+    mod = spec.config.modulation
+    _floor_curves(spec, files, extras, "ser", "bound", ser_upper_bound, evaluator,
+                  lambda snr: empirical_ber(snr, mod.alpha, mod.beta))
+
+
+def _floor_curves(spec: ExperimentSpec, files: dict, extras: dict, kind: str, name: str,
+                  analytic, evaluator, estimator) -> None:
+    """Curves of one metric over the gamma_bar sweep: ``analytic(config)`` at
+    each point, the high-SNR floor ``evaluator(gamma_bar)`` and the MC estimate."""
+    sweep = _gamma_sweep(spec)
+    closed = [analytic(spec.config.with_gamma_bar_db(db)) for db in sweep]
+    curves = {name: _curve_rows(sweep, analytic=closed),
+              "asymptotic": _curve_rows(sweep, asymptotic=_asymptote_column(evaluator, sweep,
+                                                                             extras))}
     if spec.use_mc:
-        mod = cfg.modulation
-        mc, lo, hi = [], [], []
-        for db in sweep:
-            est = empirical_ber(simulate_snr_samples(cfg.with_gamma_bar_db(db), spec.plan),
-                                mod.alpha, mod.beta)
-            mc.append(est.value)
-            lo.append(est.ci_low)
-            hi.append(est.ci_high)
-        files["ser_mc"] = _emit(spec, "ser_mc.csv", "gamma_bar_db",
-                                _curve_rows(sweep, mc=mc, lo=lo, hi=hi))
+        curves["mc"] = _curve_rows(sweep, **_mc_sweep(
+            sweep, _unit_snr_samples(spec.config, spec.plan), estimator))
+    for suffix, rows in curves.items():
+        _emit(spec, files, f"{kind}_{suffix}", "gamma_bar_db", rows)
+
+
+def _rate_percent(snr_pair: np.ndarray) -> Estimate:
+    """Quantized rate as a percentage of the unquantized one; the CI is the
+    quantized rate's CI width over the unquantized mean, centred on the ratio."""
+    plain, quant = empirical_rate(snr_pair[0]), empirical_rate(snr_pair[1])
+    pct = 100.0 * quant.value / plain.value
+    width = 100.0 * (quant.ci_high - quant.ci_low) / plain.value
+    return Estimate(pct, pct - width / 2, pct + width / 2)
 
 
 def _run_quantization(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     sweep = _gamma_sweep(spec)
     for n in spec.quantization_n:
         cfg_n = spec.config.with_n_elements(n)
+        plain = _unit_snr_samples(cfg_n, spec.plan) if spec.use_mc else None
         for bits in spec.quantization_bits:
-            analytic, mc, lo, hi = [], None, None, None
+            analytic, mc = [], {}
             for db in sweep:
                 c = cfg_n.with_gamma_bar_db(db)
                 qb, cb = quantized_rate_bounds(c, bits), rate_bounds(c)
                 analytic.append(100.0 * (qb.lower + qb.upper) / (cb.lower + cb.upper))
             if spec.use_mc:
-                mc, lo, hi = [], [], []
-                for db in sweep:
-                    c = cfg_n.with_gamma_bar_db(db)
-                    plain = empirical_rate(simulate_snr_samples(c, spec.plan))
-                    quant = empirical_rate(simulate_snr_samples(
-                        c, SimPlan(trials=spec.plan.trials, seed=spec.plan.seed,
-                                   workers=spec.plan.workers, quantization_bits=bits)))
-                    pct = 100.0 * quant.value / plain.value
-                    width = 100.0 * (quant.ci_high - quant.ci_low) / plain.value
-                    mc.append(pct)
-                    lo.append(pct - width / 2)
-                    hi.append(pct + width / 2)
-            name = f"quantization_b{bits}_n{n}"
-            files[name] = _emit(spec, f"{name}.csv", "gamma_bar_db",
-                                _curve_rows(sweep, analytic=analytic, mc=mc, lo=lo, hi=hi))
+                quant = _unit_snr_samples(cfg_n, replace(spec.plan, quantization_bits=bits))
+                mc = _mc_sweep(sweep, np.stack([plain, quant]), _rate_percent)
+            _emit(spec, files, f"quantization_b{bits}_n{n}", "gamma_bar_db",
+                  _curve_rows(sweep, analytic=analytic, **mc))
 
 
 def _correlation_config(resolved: dict, n: int) -> CorrelationConfig:
@@ -394,53 +378,46 @@ def _correlation_config(resolved: dict, n: int) -> CorrelationConfig:
 
 def _run_correlation(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     n_values = [int(v) for v in spec.resolved["correlation"]["n_values"]]
-    curves = {1: ([], [], []), 2: ([], [], [])}
-    for n in n_values:
-        cfg_n = spec.config.with_n_elements(n)
-        corr = _correlation_config(spec.resolved, n)
-        rates = simulate_scheme_rates(cfg_n, corr, spec.plan)
-        for s in (1, 2):
-            curves[s][0].append(rates[s].value)
-            curves[s][1].append(rates[s].ci_low)
-            curves[s][2].append(rates[s].ci_high)
+    rates = [simulate_scheme_rates(spec.config.with_n_elements(n),
+                                   _correlation_config(spec.resolved, n), spec.plan)
+             for n in n_values]
     for s in (1, 2):
-        name = f"correlation_scheme{s}"
-        files[name] = _emit(spec, f"{name}.csv", "n_elements",
-                            _curve_rows(n_values, mc=curves[s][0],
-                                        lo=curves[s][1], hi=curves[s][2]))
+        _emit(spec, files, f"correlation_scheme{s}", "n_elements",
+              _curve_rows(n_values, **_mc_columns([r[s] for r in rates])))
 
 
 def _run_sweep(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    cfg = spec.config
-    sweep = list(spec.sweep_values)
-    lbs, ubs, mc, lo, hi = [], [], [], [], []
-    for value in sweep:
-        if spec.sweep_variable == "gamma_bar_db":
-            c = cfg.with_gamma_bar_db(value)
-        else:
-            c = cfg.with_n_elements(int(value))
-        b = rate_bounds(c)
-        lbs.append(b.lower)
-        ubs.append(b.upper)
-        if spec.use_mc:
-            est = empirical_rate(simulate_snr_samples(c, spec.plan))
-            mc.append(est.value)
-            lo.append(est.ci_low)
-            hi.append(est.ci_high)
-    unit = spec.sweep_variable
-    files["sweep_rate_lower"] = _emit(spec, "sweep_rate_lower.csv", unit,
-                                      _curve_rows(sweep, analytic=lbs))
-    files["sweep_rate_upper"] = _emit(spec, "sweep_rate_upper.csv", unit,
-                                      _curve_rows(sweep, analytic=ubs))
+    _rate_curves(spec, files, "sweep_rate", list(spec.sweep_values))
+
+
+def _rate_curves(spec: ExperimentSpec, files: dict, prefix: str, sweep: list) -> None:
+    """Jensen rate bounds and the MC rate over the sweep (gamma_bar_db or n_elements)."""
+    cfg, unit = spec.config, spec.sweep_variable
+    if unit == "gamma_bar_db":
+        configs = [cfg.with_gamma_bar_db(value) for value in sweep]
+    else:
+        configs = [cfg.with_n_elements(int(value)) for value in sweep]
+    bounds = [rate_bounds(c) for c in configs]
+    for side in ("lower", "upper"):
+        _emit(spec, files, f"{prefix}_{side}", unit,
+              _curve_rows(sweep, analytic=[getattr(b, side) for b in bounds]))
     if spec.use_mc:
-        files["sweep_rate_mc"] = _emit(spec, "sweep_rate_mc.csv", unit,
-                                       _curve_rows(sweep, mc=mc, lo=lo, hi=hi))
+        if unit == "gamma_bar_db":
+            mc = _mc_sweep(sweep, _unit_snr_samples(cfg, spec.plan), empirical_rate)
+        else:
+            mc = _mc_columns([empirical_rate(simulate_snr_samples(c, spec.plan))
+                              for c in configs])
+        _emit(spec, files, f"{prefix}_mc", unit, _curve_rows(sweep, **mc))
 
 
-def _emit(spec: ExperimentSpec, name: str, x_unit: str, rows) -> str:
-    path = spec.output_dir / name
-    _write_curve(path, x_unit, rows)
-    return name
+def _emit(spec: ExperimentSpec, files: dict, name: str, x_unit: str, rows) -> None:
+    """Write curve ``name`` to ``<name>.csv`` and list it in the manifest's files."""
+    files[name] = f"{name}.csv"
+    with (spec.output_dir / files[name]).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for row in rows:
+            writer.writerow([x_unit, _fmt(row[0])] + [_fmt(v) for v in row[1:]])
 
 
 _RUNNERS = {

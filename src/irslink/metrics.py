@@ -61,10 +61,15 @@ class AsymptoticResult:
 
     @property
     def omega_op(self) -> float:
-        try:
-            return math.exp(self.log_omega_op)
-        except OverflowError:
-            return math.inf
+        return _exp_or_inf(self.log_omega_op)
+
+
+def _exp_or_inf(log_value: float) -> float:
+    """exp of a log-space quantity; inf where it exceeds the float64 range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def _log_omega_op(cfg: SystemConfig) -> tuple[float, float]:
@@ -106,7 +111,10 @@ def _log_omega_op(cfg: SystemConfig) -> tuple[float, float]:
 
 def asymptotic_outage(cfg: SystemConfig, gamma_th: float
                       ) -> tuple[AsymptoticResult, Callable[[float], float]]:
-    """High-SNR outage floor; returns the constants and an evaluator in gamma_bar."""
+    """High-SNR outage floor; returns the constants and an evaluator in gamma_bar.
+
+    The evaluator returns inf where the floor exceeds the float64 range.
+    """
     if gamma_th <= 0:
         raise ValueError("gamma_th must be positive")
     log_om, g_d = _log_omega_op(cfg)
@@ -115,7 +123,7 @@ def asymptotic_outage(cfg: SystemConfig, gamma_th: float
     result = AsymptoticResult(g_d=g_d, log_omega_op=log_om, o_c=o_c, g_c=g_c)
 
     def evaluator(gamma_bar: float) -> float:
-        return math.exp(log_om + g_d * (math.log(gamma_th) - math.log(gamma_bar)))
+        return _exp_or_inf(log_om + g_d * (math.log(gamma_th) - math.log(gamma_bar)))
 
     return result, evaluator
 
@@ -130,7 +138,10 @@ def _coding_gain(cfg: SystemConfig, log_om: float, g_d: float) -> float:
 
 def asymptotic_ser(cfg: SystemConfig
                    ) -> tuple[AsymptoticResult, Callable[[float], float]]:
-    """High-SNR average-SER floor (G_c * gamma_bar)^-G_d with shared G_d."""
+    """High-SNR average-SER floor (G_c * gamma_bar)^-G_d with shared G_d.
+
+    The evaluator returns inf where the floor exceeds the float64 range.
+    """
     log_om, g_d = _log_omega_op(cfg)
     g_c = _coding_gain(cfg, log_om, g_d)
     # Array gain is threshold-specific; report it at unit threshold.
@@ -139,7 +150,7 @@ def asymptotic_ser(cfg: SystemConfig
     log_gc = math.log(g_c)
 
     def evaluator(gamma_bar: float) -> float:
-        return math.exp(-g_d * (log_gc + math.log(gamma_bar)))
+        return _exp_or_inf(-g_d * (log_gc + math.log(gamma_bar)))
 
     return result, evaluator
 

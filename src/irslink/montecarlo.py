@@ -41,7 +41,6 @@ class SimPlan:
     seed: int = 0
     workers: int = 1
     quantization_bits: int | None = None
-    correlation: object | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -98,15 +97,23 @@ def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) ->
     v = np.sqrt(rng.gamma(cfg.v.m, cfg.v.zeta, count))
     if n == 0:
         return cfg.gamma_bar * v**2
-    g = np.sqrt(rng.gamma(cfg.g.m, np.broadcast_to(cfg.zeta_g, (count, n))))
-    h = np.sqrt(rng.gamma(cfg.h.m, np.broadcast_to(cfg.zeta_h, (count, n))))
-    prod = g * h * cfg.eta
+    # In place on (count, n) buffers: at most three are alive per chunk.
+    prod = rng.gamma(cfg.g.m, np.broadcast_to(cfg.zeta_g, (count, n)))
+    np.sqrt(prod, out=prod)
+    h = rng.gamma(cfg.h.m, np.broadcast_to(cfg.zeta_h, (count, n)))
+    prod *= np.sqrt(h, out=h)
+    del h
+    prod *= cfg.eta
     if plan.quantization_bits is None:
         return cfg.gamma_bar * (v + prod.sum(axis=1)) ** 2
     tau = math.pi / 2**plan.quantization_bits
     eps = rng.uniform(-tau, tau, (count, n))
-    w_re = (prod * np.cos(eps)).sum(axis=1)
-    w_im = (prod * np.sin(eps)).sum(axis=1)
+    trig = np.cos(eps)
+    trig *= prod
+    w_re = trig.sum(axis=1)
+    trig = np.sin(eps, out=trig)
+    trig *= prod
+    w_im = trig.sum(axis=1)
     return cfg.gamma_bar * ((v + w_re) ** 2 + w_im**2)
 
 

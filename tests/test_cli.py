@@ -1,0 +1,194 @@
+import contextlib
+import csv
+import io
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+import irslink.cli as cli
+import irslink.montecarlo as montecarlo
+from irslink.montecarlo import (SimPlan, empirical_ber, empirical_outage, empirical_rate,
+                                simulate_snr_samples)
+
+SWEEP = [0.0, 12.0, 24.0, 45.0]
+
+
+def run_cli(tmp_path, kind, config, *flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([kind, "--config", str(path), "--out", str(out), *flags])
+    return code, out
+
+
+def read_csv(path):
+    with path.open(newline="") as fh:
+        return fh.read()
+
+
+def oracle_csv(x_unit, xs, estimates):
+    """The MC curve file as the per-point loop wrote it: one fresh simulation
+    per sweep point, columns x, mc, mc_ci_low, mc_ci_high."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(cli.CSV_HEADER)
+    for x, est in zip(xs, estimates):
+        writer.writerow([x_unit, format(float(x), ".12g"), "", ""]
+                        + [format(float(v), ".12g") for v in est])
+    return text.getvalue()
+
+
+def per_point(cfg, plan, estimator, xs):
+    for db in xs:
+        est = estimator(simulate_snr_samples(cfg.with_gamma_bar_db(db), plan))
+        yield est.value, est.ci_low, est.ci_high
+
+
+def quantized_percent(cfg, plan, bits, xs):
+    for db in xs:
+        c = cfg.with_gamma_bar_db(db)
+        plain = empirical_rate(simulate_snr_samples(c, plan))
+        quant = empirical_rate(simulate_snr_samples(
+            c, SimPlan(trials=plan.trials, seed=plan.seed, workers=plan.workers,
+                       quantization_bits=bits)))
+        pct = 100.0 * quant.value / plain.value
+        width = 100.0 * (quant.ci_high - quant.ci_low) / plain.value
+        yield pct, pct - width / 2, pct + width / 2
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # several chunks from a few thousand trials, so two workers really split them
+    monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: 1024)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestMonteCarloColumnsMatchPerPointOracle:
+    def config(self, workers, **extra):
+        return {"n_elements": 8, "trials": 3000, "seed": 5, "workers": workers,
+                "sweep": {"values": SWEEP}, **extra}
+
+    def expect(self, tmp_path, kind, config, name, x_unit, oracle):
+        code, out = run_cli(tmp_path, kind, config)
+        assert code == 0
+        assert read_csv(out / name) == oracle_csv(x_unit, config["sweep"]["values"], oracle)
+
+    def spec(self, kind, config):
+        cfg, _ = cli.validate_config(config, kind)
+        return cfg, SimPlan(trials=config["trials"], seed=config["seed"],
+                            workers=config["workers"])
+
+    def test_outage(self, tmp_path, small_chunks, workers):
+        config = self.config(workers)
+        cfg, plan = self.spec("outage", config)
+        gamma_th = 10.0
+        self.expect(tmp_path, "outage", config, "outage_mc.csv", "gamma_bar_db",
+                    per_point(cfg, plan, lambda s: empirical_outage(s, gamma_th), SWEEP))
+
+    def test_rate(self, tmp_path, small_chunks, workers):
+        config = self.config(workers)
+        cfg, plan = self.spec("rate", config)
+        self.expect(tmp_path, "rate", config, "rate_mc.csv", "gamma_bar_db",
+                    per_point(cfg, plan, empirical_rate, SWEEP))
+
+    def test_ser(self, tmp_path, small_chunks, workers):
+        config = self.config(workers)
+        cfg, plan = self.spec("ser", config)
+        self.expect(tmp_path, "ser", config, "ser_mc.csv", "gamma_bar_db",
+                    per_point(cfg, plan, lambda s: empirical_ber(s, 1.0, 2.0), SWEEP))
+
+    def test_sweep_over_gamma_bar(self, tmp_path, small_chunks, workers):
+        config = self.config(workers)
+        cfg, plan = self.spec("sweep", config)
+        self.expect(tmp_path, "sweep", config, "sweep_rate_mc.csv", "gamma_bar_db",
+                    per_point(cfg, plan, empirical_rate, SWEEP))
+
+    def test_sweep_over_n_elements(self, tmp_path, small_chunks, workers):
+        config = self.config(workers, sweep={"variable": "n_elements", "values": [2, 8]})
+        cfg, plan = self.spec("sweep", config)
+        oracle = []
+        for n in (2, 8):
+            est = empirical_rate(simulate_snr_samples(cfg.with_n_elements(n), plan))
+            oracle.append((est.value, est.ci_low, est.ci_high))
+        self.expect(tmp_path, "sweep", config, "sweep_rate_mc.csv", "n_elements", oracle)
+
+    def test_quantization(self, tmp_path, small_chunks, workers):
+        config = self.config(workers, quantization={"bits": [1, 3], "n_values": [4, 8]})
+        cfg, plan = self.spec("quantization", config)
+        code, out = run_cli(tmp_path, "quantization", config)
+        assert code == 0
+        for n in (4, 8):
+            for bits in (1, 3):
+                rows = list(csv.reader(io.StringIO(
+                    read_csv(out / f"quantization_b{bits}_n{n}.csv"))))
+                oracle = list(csv.reader(io.StringIO(oracle_csv(
+                    "gamma_bar_db", SWEEP,
+                    quantized_percent(cfg.with_n_elements(n), plan, bits, SWEEP)))))
+                # the analytic column is not the oracle's concern
+                assert [r[:2] + r[3:] for r in rows] == [r[:2] + r[3:] for r in oracle]
+
+
+def count_draws(monkeypatch):
+    calls = []
+
+    def counted(cfg, plan):
+        calls.append(plan)
+        return simulate_snr_samples(cfg, plan)
+
+    monkeypatch.setattr(cli, "simulate_snr_samples", counted)
+    return calls
+
+
+def test_gamma_sweep_draws_once(tmp_path, monkeypatch):
+    calls = count_draws(monkeypatch)
+    code, _ = run_cli(tmp_path, "rate", {"trials": 2000})
+    assert code == 0
+    assert len(cli.DEFAULT_CONFIG["sweep"]["values"]) == 16
+    assert len(calls) == 1
+
+
+def test_quantization_draws_baseline_once_per_n(tmp_path, monkeypatch):
+    calls = count_draws(monkeypatch)
+    code, _ = run_cli(tmp_path, "quantization",
+                      {"trials": 2000, "sweep": {"values": [0.0, 20.0]},
+                       "quantization": {"bits": [1, 3], "n_values": [8]}})
+    assert code == 0
+    assert sorted(str(p.quantization_bits) for p in calls) == ["1", "3", "None"]
+
+
+def test_ser_floor_beyond_float_range_is_left_blank(tmp_path):
+    code, out = run_cli(tmp_path, "ser", {"n_elements": 64, "sweep": {"values": [0.0, 15.0]}},
+                        "--no-mc")
+    assert code == 0
+    rows = list(csv.DictReader((out / "ser_asymptotic.csv").open()))
+    assert rows[0]["asymptotic"] == ""
+    assert math.isfinite(float(rows[1]["asymptotic"]))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["extras"]["asymptotic_blank_points"] == 1
+
+
+def test_build_id_is_resolved_once_from_the_package(tmp_path, monkeypatch):
+    seen = []
+
+    class Done:
+        returncode, stdout = 0, "abc1234\n"
+
+    def fake_run(argv, **kwargs):
+        seen.append(kwargs.get("cwd"))
+        return Done()
+
+    cli._git_describe.cache_clear()
+    monkeypatch.setattr(cli.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    try:
+        for _ in range(2):
+            code, out = run_cli(tmp_path, "rate", {"trials": 100}, "--no-mc")
+            assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+    finally:
+        cli._git_describe.cache_clear()
+    assert manifest["artifact"]["build"] == "abc1234"
+    assert seen == [Path(cli.__file__).resolve().parent]

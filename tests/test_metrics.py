@@ -202,6 +202,13 @@ class TestAsymptoticSer:
         slope = fit_loglog_slope(curve, (35.0, 45.0))
         assert slope == pytest.approx(-17.0, rel=1e-9)
 
+    def test_floor_beyond_float_range_is_inf(self):
+        cfg = figure_config(64, 2.0, 3.0, 4.0)
+        _, ser = asymptotic_ser(cfg)
+        _, outage = asymptotic_outage(cfg, 10.0)
+        assert ser(1.0) == math.inf and outage(1e-3) == math.inf
+        assert 0.0 < ser(10.0 ** 1.5) < math.inf and 0.0 < outage(1.0) < math.inf
+
     def test_floor_matches_exact_single_element_ser(self):
         # exact oracle: double quadrature over the direct Rayleigh leg and
         # the exact product density; the floor constant must attach to it

@@ -6,9 +6,9 @@ from scipy.stats import gamma as gamma_dist
 
 from irslink.channel import LinkParams, SystemConfig
 from irslink.cltapprox import w_mean_var, w_stats
-from irslink.montecarlo import (CurveResult, SimPlan, empirical_ber, empirical_cdf,
-                                empirical_outage, empirical_rate, fit_loglog_slope,
-                                simulate_snr_samples)
+from irslink.montecarlo import (CurveResult, SimPlan, _simulate_chunk, chunk_rng,
+                                empirical_ber, empirical_cdf, empirical_outage,
+                                empirical_rate, fit_loglog_slope, simulate_snr_samples)
 from irslink.specfun import gaussian_q
 
 
@@ -18,7 +18,32 @@ def unit_config(n, m_v=1.0, m_g=1.0, m_h=2.0, eta=0.9, gamma_bar_db=0.0):
                         gamma_bar_db=gamma_bar_db)
 
 
+def reference_chunk(cfg, plan, index, count):
+    """The chunk kernel written as plain expressions, one array per term."""
+    rng = chunk_rng(plan.seed, index)
+    n = cfg.n_elements
+    v = np.sqrt(rng.gamma(cfg.v.m, cfg.v.zeta, count))
+    g = np.sqrt(rng.gamma(cfg.g.m, np.broadcast_to(cfg.zeta_g, (count, n))))
+    h = np.sqrt(rng.gamma(cfg.h.m, np.broadcast_to(cfg.zeta_h, (count, n))))
+    prod = g * h * cfg.eta
+    if plan.quantization_bits is None:
+        return cfg.gamma_bar * (v + prod.sum(axis=1)) ** 2
+    tau = math.pi / 2**plan.quantization_bits
+    eps = rng.uniform(-tau, tau, (count, n))
+    w_re = (prod * np.cos(eps)).sum(axis=1)
+    w_im = (prod * np.sin(eps)).sum(axis=1)
+    return cfg.gamma_bar * ((v + w_re) ** 2 + w_im**2)
+
+
 class TestSimulation:
+    @pytest.mark.parametrize("bits", [None, 1, 3])
+    def test_chunk_kernel_equals_plain_expressions(self, bits):
+        cfg = SystemConfig(n_elements=9, eta=np.linspace(0.5, 1.0, 9), v=LinkParams(1.5, 0.7),
+                           g=LinkParams(2.0, 0.3), h=LinkParams(3.0, 0.2), gamma_bar_db=7.0)
+        plan = SimPlan(trials=1, seed=13, quantization_bits=bits)
+        np.testing.assert_array_equal(_simulate_chunk(cfg, plan, 2, 700),
+                                      reference_chunk(cfg, plan, 2, 700))
+
     def test_deterministic_across_worker_counts(self):
         cfg = unit_config(6)
         plans = [SimPlan(trials=30_000, seed=99, workers=w) for w in (1, 2, 4, 7)]

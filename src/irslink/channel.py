@@ -170,18 +170,25 @@ class SystemConfig:
         return replace(self, n_elements=n, eta=eta, zeta_g=None, zeta_h=None)
 
 
-def nakagami_sample(m: float, zeta: float, rng: np.random.Generator, size=None):
+def nakagami_sample(m: float, zeta, rng: np.random.Generator, size=None):
     """Nakagami-m amplitude draw(s) with E[X^2] = m * zeta.
 
     The square of the amplitude is Gamma(shape m, scale zeta), which is the
     Gamma identity the analytic moments rely on; sampling through it avoids
-    rejection entirely.
+    rejection entirely.  The power is drawn as a standard Gamma variate and
+    then scaled, which is how numpy forms ``rng.gamma(m, zeta)``: the stream
+    is the same bit for bit, without broadcasting the scale through the draw.
+    ``zeta`` may be an array (per-element gains) broadcasting against ``size``.
     """
     if m < 0.5:
         raise ValueError(f"Nakagami shape must satisfy m >= 0.5, got {m}")
     if np.any(np.asarray(zeta) <= 0):
         raise ValueError("zeta must be positive")
-    return np.sqrt(rng.gamma(m, zeta, size))
+    if size is None and np.ndim(zeta) == 0:
+        return np.sqrt(rng.standard_gamma(m) * zeta)
+    power = rng.standard_gamma(m, np.shape(zeta) if size is None else size)
+    power *= zeta
+    return np.sqrt(power, out=power)
 
 
 def rician_to_nakagami(k_factor: float) -> float:

@@ -18,6 +18,7 @@ import csv
 import functools
 import json
 import math
+import platform
 import subprocess
 import sys
 import time
@@ -25,17 +26,19 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__
-from .channel import Distances, Modulation, PathLossModel, SystemConfig
+from .channel import Distances, Modulation, PathLossModel, SystemConfig, nakagami_sample
 from .cltapprox import w_stats
 from .correlation import AngleSpread, CorrelationConfig, simulate_scheme_rates
 from .errors import ConfigError, NumericalConsistencyError, UnsupportedShapeError
 from .metrics import (asymptotic_outage, asymptotic_ser, outage_probability,
                       quantized_rate_bounds, rate_bounds, ser_upper_bound)
-from .montecarlo import (Estimate, SimPlan, empirical_ber, empirical_cdf, empirical_outage,
-                         empirical_rate, simulate_snr_samples)
+from .montecarlo import (Estimate, SimPlan, _chunk_size, chunk_rng, empirical_ber,
+                         empirical_cdf, empirical_outage, empirical_rate, map_chunks,
+                         simulate_snr_samples)
 from .snrdist import SnrCdfParams, snr_cdf
 
 CSV_HEADER = ["x_unit", "x", "analytic", "asymptotic", "mc", "mc_ci_low", "mc_ci_high"]
@@ -95,6 +98,10 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
 def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig, dict]:
     """Resolve the raw mapping against defaults; aggregate every violation."""
     if raw is None:
@@ -118,7 +125,7 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
             return None
         return value
 
-    n = grab("n_elements", int, lambda v: v >= 0, "must be >= 0")
+    n = grab("n_elements", int, lambda v: v >= 1, "must be >= 1")
     eta = grab("eta", float, lambda v: 0 < v <= 1.0, "eta_n must lie in (0, 1]")
     m_v = grab("fading.m_v", float, lambda v: v >= 0.5, "Nakagami shape must be >= 0.5")
     m_g = grab("fading.m_g", float, lambda v: v >= 0.5, "Nakagami shape must be >= 0.5")
@@ -135,15 +142,20 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
     trials = grab("trials", int, lambda v: v >= 1, "trials must be >= 1")
     seed = grab("seed", int)
     workers = grab("workers", int, lambda v: v >= 1, "workers must be >= 1")
-    values = grab("sweep.values", list, lambda v: len(v) > 0, "sweep values must be nonempty")
+    values = grab("sweep.values", _floats, lambda v: len(v) > 0, "sweep values must be nonempty")
     variable = grab("sweep.variable", str,
                     lambda v: v in ("gamma_bar_db", "n_elements"),
                     "sweep variable must be gamma_bar_db or n_elements")
 
+    for path in ("quantization.bits", "quantization.n_values", "correlation.n_values"):
+        grab(path, _floats, lambda v: len(v) > 0 and min(v) >= 1,
+             "must be a nonempty list of values >= 1")
+
     if values is not None:
-        vals = [float(v) for v in values]
-        if any(b <= a for a, b in zip(vals, vals[1:])):
+        if any(b <= a for a, b in zip(values, values[1:])):
             errors.append("sweep.values: must be strictly increasing")
+        if variable == "n_elements" and min(values) < 1:
+            errors.append("sweep.values: element counts must be >= 1")
 
     if kind in ("snrcdf", "outage") and m_v is not None:
         if abs(2 * m_v - round(2 * m_v)) > 1e-12:
@@ -269,16 +281,15 @@ def _run_wdist(spec: ExperimentSpec, files: dict, extras: dict) -> None:
 
 
 def _reflected_sum_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
-    from .montecarlo import _chunk_size, chunk_rng
-    size = _chunk_size(cfg.n_elements)
-    parts = []
-    for index, start in enumerate(range(0, plan.trials, size)):
-        count = min(size, plan.trials - start)
+    """Samples of the co-phased reflected sum W (no direct link is drawn)."""
+    def chunk(index: int, count: int) -> np.ndarray:
         rng = chunk_rng(plan.seed, index)
-        g = np.sqrt(rng.gamma(cfg.g.m, np.broadcast_to(cfg.zeta_g, (count, cfg.n_elements))))
-        h = np.sqrt(rng.gamma(cfg.h.m, np.broadcast_to(cfg.zeta_h, (count, cfg.n_elements))))
-        parts.append((g * h * cfg.eta).sum(axis=1))
-    return np.concatenate(parts)
+        shape = (count, cfg.n_elements)
+        prod = nakagami_sample(cfg.g.m, cfg.zeta_g, rng, shape)
+        prod *= nakagami_sample(cfg.h.m, cfg.zeta_h, rng, shape)
+        prod *= cfg.eta
+        return prod.sum(axis=1)
+    return map_chunks(chunk, plan.trials, _chunk_size(cfg.n_elements), plan.workers)
 
 
 def _run_snrcdf(spec: ExperimentSpec, files: dict, extras: dict) -> None:
@@ -296,11 +307,26 @@ def _run_snrcdf(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     _emit(spec, files, "snrcdf", "gamma_db", _curve_rows(grid_db, analytic=analytic, mc=mc))
 
 
+def _asymptote(extras: dict, fit, **report):
+    """Evaluator of the high-SNR floor ``fit() -> (result, evaluator)``, with
+    ``report`` (manifest key -> function of the result) added to the extras.
+    Where the floor's constants are undefined (m_g == m_h, or m_b - m_a <= 1/2)
+    the reported keys are null, the reason is recorded, and the evaluator
+    returns inf, which leaves the asymptotic column blank."""
+    try:
+        result, evaluator = fit()
+    except ConfigError as exc:
+        extras.update(dict.fromkeys(report), asymptote_unavailable=str(exc))
+        return lambda gamma_bar: math.inf
+    extras.update({key: get(result) for key, get in report.items()})
+    return evaluator
+
+
 def _run_outage(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     gamma_th = 10 ** (spec.gamma_th_db / 10)
-    result, evaluator = asymptotic_outage(spec.config, gamma_th)
-    extras["diversity_order"] = result.g_d
-    extras["log10_omega_op"] = result.log_omega_op / math.log(10)
+    evaluator = _asymptote(extras, lambda: asymptotic_outage(spec.config, gamma_th),
+                           diversity_order=lambda r: r.g_d,
+                           log10_omega_op=lambda r: r.log_omega_op / math.log(10))
     _floor_curves(spec, files, extras, "outage", "analytic",
                   lambda c: outage_probability(gamma_th, SnrCdfParams.from_config(c)),
                   evaluator, lambda snr: empirical_outage(snr, gamma_th))
@@ -311,9 +337,8 @@ def _run_rate(spec: ExperimentSpec, files: dict, extras: dict) -> None:
 
 
 def _run_ser(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    result, evaluator = asymptotic_ser(spec.config)
-    extras["diversity_order"] = result.g_d
-    extras["coding_gain"] = result.g_c
+    evaluator = _asymptote(extras, lambda: asymptotic_ser(spec.config),
+                           diversity_order=lambda r: r.g_d, coding_gain=lambda r: r.g_c)
     mod = spec.config.modulation
     _floor_curves(spec, files, extras, "ser", "bound", ser_upper_bound, evaluator,
                   lambda snr: empirical_ber(snr, mod.alpha, mod.beta))
@@ -346,18 +371,20 @@ def _rate_percent(snr_pair: np.ndarray) -> Estimate:
 
 def _run_quantization(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     sweep = _gamma_sweep(spec)
+    widths = spec.quantization_bits
     for n in spec.quantization_n:
         cfg_n = spec.config.with_n_elements(n)
-        plain = _unit_snr_samples(cfg_n, spec.plan) if spec.use_mc else None
-        for bits in spec.quantization_bits:
+        if spec.use_mc:
+            # one draw per N: row 0 with continuous phases, row k at widths[k-1]
+            rows = _unit_snr_samples(cfg_n, replace(spec.plan, quantization_bits=widths))
+        for k, bits in enumerate(widths, 1):
             analytic, mc = [], {}
             for db in sweep:
                 c = cfg_n.with_gamma_bar_db(db)
                 qb, cb = quantized_rate_bounds(c, bits), rate_bounds(c)
                 analytic.append(100.0 * (qb.lower + qb.upper) / (cb.lower + cb.upper))
             if spec.use_mc:
-                quant = _unit_snr_samples(cfg_n, replace(spec.plan, quantization_bits=bits))
-                mc = _mc_sweep(sweep, np.stack([plain, quant]), _rate_percent)
+                mc = _mc_sweep(sweep, rows[[0, k]], _rate_percent)
             _emit(spec, files, f"quantization_b{bits}_n{n}", "gamma_bar_db",
                   _curve_rows(sweep, analytic=analytic, **mc))
 
@@ -445,7 +472,10 @@ def run_experiment(spec: ExperimentSpec) -> Path:
             "config": spec.resolved,
             "no_mc": not spec.use_mc,
         },
-        "artifact": {"build": _git_describe(), "version": __version__},
+        # MC columns are byte-identical only under the same numpy (gamma, sin, cos)
+        "artifact": {"build": _git_describe(), "version": __version__,
+                     "python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__},
         "wall_clock_seconds": round(time.time() - started, 3),
         "files": files,
         "extras": extras,

@@ -27,7 +27,6 @@ __all__ = [
     "w_mean_var",
     "w_moment",
     "quantized_w_stats",
-    "truncated_normal_sample",
 ]
 
 
@@ -156,15 +155,3 @@ def quantized_w_stats(cfg: SystemConfig, bits: int) -> QuantizedWStats:
         mean_sq_sum=mean_sq_sum,
     )
 
-
-def truncated_normal_sample(tn: TruncatedNormal, rng: np.random.Generator, size: int):
-    """Rejection sampler used as a test oracle; fine while z_bar < 0."""
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        need = size - filled
-        draw = rng.normal(tn.mu_bar, tn.sigma_bar, int(need * 1.6) + 16)
-        draw = draw[draw >= 0.0][:need]
-        out[filled:filled + draw.size] = draw
-        filled += draw.size
-    return out

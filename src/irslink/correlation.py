@@ -14,13 +14,14 @@ the misalignment penalty.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import SystemConfig, nakagami_sample
-from .montecarlo import Estimate, SimPlan, _mean_estimate, chunk_rng
+from .montecarlo import Estimate, SimPlan, _mean_estimate, chunk_rng, map_chunks
 
 __all__ = [
     "AngleSpread",
@@ -29,7 +30,6 @@ __all__ = [
     "corr_matrix_azimuth",
     "corr_matrix_elevation",
     "build_correlation",
-    "correlated_snr",
     "simulate_scheme_rates",
 ]
 
@@ -137,33 +137,47 @@ def build_correlation(cfg: CorrelationConfig) -> CorrelationMatrices:
                                r_d_sqrt=_hermitian_sqrt(r_d))
 
 
-def correlated_snr(v_amp: float, phi_v: float, g_vec: np.ndarray, h_vec: np.ndarray,
-                   matrices: CorrelationMatrices, scheme: int,
-                   eta: np.ndarray, gamma_bar: float) -> float:
-    """Received SNR of one realization under the chosen phase-control scheme.
+def _chunk_size(n_elements: int) -> int:
+    # the streams depend on it: chunk i draws from chunk_rng(seed, i)
+    return max(256, (1 << 20) // max(n_elements, 1))
 
-    ``g_vec`` / ``h_vec`` are i.i.d. complex draws; correlation enters
-    through the square-root matrices.  Scheme 2 cancels the full correlated
-    phases; scheme 1 only the phases of the uncorrelated draws.
+
+def _cophased_leg(m: float, zeta, rng: np.random.Generator, shape,
+                  root: np.ndarray) -> np.ndarray:
+    """One leg drawn i.i.d. as rows ``x = a * u`` (Nakagami amplitude a, unit
+    phasor u), correlated as ``x @ root`` and turned back by ``conj(u)``."""
+    amp = nakagami_sample(m, zeta, rng, shape)
+    x = 1j * rng.uniform(-math.pi, math.pi, shape)
+    np.exp(x, out=x)
+    x *= amp
+    rows = x @ root
+    np.conjugate(x, out=x)
+    x /= amp                                 # conj(u), |u| = 1
+    rows *= x
+    return rows
+
+
+def _scheme_snr_chunk(cfg: SystemConfig, mats: CorrelationMatrices, seed: int,
+                      index: int, count: int) -> np.ndarray:
+    """Received SNRs of one chunk, rows (scheme 1, scheme 2).
+
+    Scheme 1 turns element n by phi_v - arg g_n - arg h_n of the i.i.d.
+    draws.  The direct-link phase phi_v is common to every term and cancels
+    in |.|^2, so it is drawn only to keep the stream; what is left is the sum
+    of g~_n conj(u_g,n) h~_n conj(u_h,n).  Scheme 2 co-phases every term, so
+    its SNR takes the moduli of the same terms.
     """
-    if g_vec.shape != h_vec.shape:
-        raise ValueError("channel vectors must have equal length")
-    g_t = g_vec @ matrices.r_d_sqrt          # row convention: g~^T = g^T R_D^(1/2)
-    h_t = matrices.r_a_sqrt @ h_vec
-    if scheme == 2:
-        theta = phi_v - (np.angle(g_t) + np.angle(h_t))
-    elif scheme == 1:
-        theta = phi_v - (np.angle(g_vec) + np.angle(h_vec))
-    else:
-        raise ValueError("scheme must be 1 or 2")
-    reflected = np.sum(g_t * eta * np.exp(1j * theta) * h_t)
-    return float(gamma_bar * np.abs(v_amp * np.exp(1j * phi_v) + reflected) ** 2)
-
-
-def _complex_nakagami(m: float, zeta, rng: np.random.Generator, shape) -> np.ndarray:
-    amp = nakagami_sample(m, np.broadcast_to(zeta, shape), rng)
-    phase = rng.uniform(-math.pi, math.pi, shape)
-    return amp * np.exp(1j * phase)
+    rng = chunk_rng(seed, index)
+    shape = (count, cfg.n_elements)
+    v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
+    rng.uniform(-math.pi, math.pi, count)   # phi_v
+    terms = _cophased_leg(cfg.g.m, cfg.zeta_g, rng, shape, mats.r_d_sqrt)
+    # rows h^T -> (R_A^(1/2) h)^T
+    terms *= _cophased_leg(cfg.h.m, cfg.zeta_h, rng, shape, mats.r_a_sqrt.T)
+    snr = np.empty((2, count))
+    snr[0] = cfg.gamma_bar * np.abs(v + terms @ cfg.eta) ** 2
+    snr[1] = cfg.gamma_bar * (v + np.abs(terms) @ cfg.eta) ** 2
+    return snr
 
 
 def simulate_scheme_rates(cfg: SystemConfig, corr: CorrelationConfig,
@@ -172,25 +186,7 @@ def simulate_scheme_rates(cfg: SystemConfig, corr: CorrelationConfig,
     if corr.n_total != cfg.n_elements:
         raise ValueError("correlation grid size must match n_elements")
     mats = build_correlation(corr)
-    n = cfg.n_elements
-    rates = {1: [], 2: []}
-    size = max(256, (1 << 20) // max(n, 1))
-    for index, start in enumerate(range(0, plan.trials, size)):
-        count = min(size, plan.trials - start)
-        rng = chunk_rng(plan.seed, index)
-        v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
-        phi_v = rng.uniform(-math.pi, math.pi, count)
-        g = _complex_nakagami(cfg.g.m, cfg.zeta_g, rng, (count, n))
-        h = _complex_nakagami(cfg.h.m, cfg.zeta_h, rng, (count, n))
-        g_t = g @ mats.r_d_sqrt
-        h_t = h @ mats.r_a_sqrt.T            # rows h^T -> (R_A^(1/2) h)^T
-        # scheme 2: perfect co-phasing of the correlated entries
-        refl2 = np.abs(g_t * h_t) @ cfg.eta
-        snr2 = cfg.gamma_bar * (v + refl2) ** 2
-        # scheme 1: phases from the uncorrelated draws
-        theta = phi_v[:, None] - (np.angle(g) + np.angle(h))
-        refl1 = ((g_t * h_t * np.exp(1j * theta)) @ cfg.eta)
-        snr1 = cfg.gamma_bar * np.abs(v * np.exp(1j * phi_v) + refl1) ** 2
-        rates[1].append(np.log2(1.0 + snr1))
-        rates[2].append(np.log2(1.0 + snr2))
-    return {s: _mean_estimate(np.concatenate(parts)) for s, parts in rates.items()}
+    snr = map_chunks(functools.partial(_scheme_snr_chunk, cfg, mats, plan.seed), plan.trials,
+                     _chunk_size(cfg.n_elements), plan.workers)
+    rates = np.log2(1.0 + snr)
+    return {1: _mean_estimate(rates[0]), 2: _mean_estimate(rates[1])}

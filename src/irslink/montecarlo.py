@@ -7,6 +7,7 @@ bit-identical for any worker count and chunks can run on a thread pool.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import SystemConfig
+from .channel import SystemConfig, nakagami_sample
 from .specfun import gaussian_q
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "CurveResult",
     "Estimate",
     "chunk_rng",
+    "map_chunks",
     "simulate_snr_samples",
     "empirical_cdf",
     "empirical_outage",
@@ -35,20 +37,24 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 @dataclass(frozen=True)
 class SimPlan:
-    """How to run one simulation: size, reproducibility, parallelism."""
+    """How to run one simulation: size, reproducibility, parallelism.
+
+    ``quantization_bits`` lists the phase-quantization widths simulated
+    beside continuous (ideal) phases, all from the same amplitude draws.
+    """
 
     trials: int
     seed: int = 0
     workers: int = 1
-    quantization_bits: int | None = None
+    quantization_bits: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.quantization_bits is not None and self.quantization_bits < 1:
-            raise ValueError("quantization_bits must be >= 1 when set")
+        if any(bits < 1 for bits in self.quantization_bits):
+            raise ValueError("quantization_bits must be >= 1")
 
 
 @dataclass
@@ -91,48 +97,68 @@ def _chunk_size(n_elements: int) -> int:
     return max(1024, (1 << 22) // max(n_elements, 1))
 
 
+def map_chunks(kernel: Callable[[int, int], np.ndarray], trials: int, size: int,
+               workers: int) -> np.ndarray:
+    """``kernel(index, count)`` over consecutive chunks of ``size`` trials,
+    joined along the last axis.  Chunk ``index`` draws from
+    ``chunk_rng(seed, index)``, so the result does not depend on ``workers``;
+    with more than one worker the chunks run on a thread pool."""
+    bounds = [(i, min(size, trials - start)) for i, start in enumerate(range(0, trials, size))]
+    if workers == 1 or len(bounds) == 1:
+        parts = [kernel(i, c) for i, c in bounds]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda bound: kernel(*bound), bounds))
+    return np.concatenate(parts, axis=-1)
+
+
 def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) -> np.ndarray:
+    """SNR samples of one chunk: one row for continuous phases, then one per
+    quantization width; flat when no width is set."""
     rng = chunk_rng(plan.seed, index)
     n = cfg.n_elements
-    v = np.sqrt(rng.gamma(cfg.v.m, cfg.v.zeta, count))
+    widths = plan.quantization_bits
+    rows = np.empty((1 + len(widths), count))
+    v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
     if n == 0:
-        return cfg.gamma_bar * v**2
-    # In place on (count, n) buffers: at most three are alive per chunk.
-    prod = rng.gamma(cfg.g.m, np.broadcast_to(cfg.zeta_g, (count, n)))
-    np.sqrt(prod, out=prod)
-    h = rng.gamma(cfg.h.m, np.broadcast_to(cfg.zeta_h, (count, n)))
-    prod *= np.sqrt(h, out=h)
-    del h
-    prod *= cfg.eta
-    if plan.quantization_bits is None:
-        return cfg.gamma_bar * (v + prod.sum(axis=1)) ** 2
-    tau = math.pi / 2**plan.quantization_bits
-    eps = rng.uniform(-tau, tau, (count, n))
-    trig = np.cos(eps)
-    trig *= prod
-    w_re = trig.sum(axis=1)
-    trig = np.sin(eps, out=trig)
-    trig *= prod
-    w_im = trig.sum(axis=1)
-    return cfg.gamma_bar * ((v + w_re) ** 2 + w_im**2)
+        rows[:] = cfg.gamma_bar * v**2
+    else:
+        # In place on (count, n) buffers: at most three are alive per chunk.
+        prod = nakagami_sample(cfg.g.m, cfg.zeta_g, rng, (count, n))
+        prod *= nakagami_sample(cfg.h.m, cfg.zeta_h, rng, (count, n))
+        prod *= cfg.eta
+        rows[0] = cfg.gamma_bar * (v + prod.sum(axis=1)) ** 2
+        # Every width draws its phase errors from the state that follows the
+        # amplitude draws, as a separate simulation of that width would.
+        after_amplitudes = rng.bit_generator.state
+        trig = None
+        for row, bits in enumerate(widths, 1):
+            rng.bit_generator.state = after_amplitudes
+            tau = math.pi / 2**bits
+            eps = rng.uniform(-tau, tau, (count, n))
+            trig = np.cos(eps, out=trig)
+            trig *= prod
+            w_re = trig.sum(axis=1)
+            trig = np.sin(eps, out=trig)
+            del eps
+            trig *= prod
+            w_im = trig.sum(axis=1)
+            rows[row] = cfg.gamma_bar * ((v + w_re) ** 2 + w_im**2)
+    return rows if widths else rows[0]
 
 
 def simulate_snr_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
-    """Exact optimized-SNR samples (optionally with quantized phases).
+    """Exact optimized-SNR samples, with continuous and quantized phases.
 
-    Every trial draws fresh leg amplitudes; with quantization set, each
-    element additionally gets a phase error uniform on [-tau, tau).
+    Every trial draws fresh leg amplitudes.  Without quantization widths the
+    result is the (trials,) continuous-phase sample.  With widths ``bits`` it
+    is a (1 + len(bits), trials) array: row 0 with continuous phases, row k
+    with phases quantized to ``bits[k-1]``, where each element gets a phase
+    error uniform on [-tau, tau), tau = pi / 2**bits.  Each row equals bit for
+    bit the row of a run with that width alone.
     """
-    size = _chunk_size(cfg.n_elements)
-    bounds = [(i, min(size, plan.trials - start))
-              for i, start in enumerate(range(0, plan.trials, size))]
-    if plan.workers == 1 or len(bounds) == 1:
-        parts = [_simulate_chunk(cfg, plan, i, c) for i, c in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            futures = [pool.submit(_simulate_chunk, cfg, plan, i, c) for i, c in bounds]
-            parts = [f.result() for f in futures]
-    return np.concatenate(parts)
+    return map_chunks(functools.partial(_simulate_chunk, cfg, plan), plan.trials,
+                      _chunk_size(cfg.n_elements), plan.workers)
 
 
 def empirical_cdf(samples: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

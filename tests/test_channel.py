@@ -79,6 +79,15 @@ class TestNakagamiSampling:
         with pytest.raises(ValueError):
             nakagami_sample(0.3, 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("zeta,size", [(0.7, None), (0.7, 1000),
+                                           (np.linspace(0.2, 2.0, 7), (300, 7)),
+                                           (np.full((300, 7), 0.4), None)])
+    def test_stream_equals_gamma_with_scale(self, zeta, size):
+        # a standard Gamma draw scaled by zeta is how numpy forms gamma(m, zeta)
+        drawn = nakagami_sample(2.5, zeta, np.random.default_rng(3), size)
+        np.testing.assert_array_equal(
+            drawn, np.sqrt(np.random.default_rng(3).gamma(2.5, zeta, size)))
+
 
 class TestRicianMap:
     def test_rayleigh_limit(self):

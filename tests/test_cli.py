@@ -3,14 +3,19 @@ import csv
 import io
 import json
 import math
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 import irslink.cli as cli
 import irslink.montecarlo as montecarlo
-from irslink.montecarlo import (SimPlan, empirical_ber, empirical_outage, empirical_rate,
-                                simulate_snr_samples)
+from irslink.metrics import outage_probability
+from irslink.montecarlo import (SimPlan, chunk_rng, empirical_ber, empirical_outage,
+                                empirical_rate, simulate_snr_samples)
+from irslink.snrdist import SnrCdfParams
 
 SWEEP = [0.0, 12.0, 24.0, 45.0]
 
@@ -53,7 +58,7 @@ def quantized_percent(cfg, plan, bits, xs):
         plain = empirical_rate(simulate_snr_samples(c, plan))
         quant = empirical_rate(simulate_snr_samples(
             c, SimPlan(trials=plan.trials, seed=plan.seed, workers=plan.workers,
-                       quantization_bits=bits)))
+                       quantization_bits=(bits,)))[1])
         pct = 100.0 * quant.value / plain.value
         width = 100.0 * (quant.ci_high - quant.ci_low) / plain.value
         yield pct, pct - width / 2, pct + width / 2
@@ -156,7 +161,8 @@ def test_quantization_draws_baseline_once_per_n(tmp_path, monkeypatch):
                       {"trials": 2000, "sweep": {"values": [0.0, 20.0]},
                        "quantization": {"bits": [1, 3], "n_values": [8]}})
     assert code == 0
-    assert sorted(str(p.quantization_bits) for p in calls) == ["1", "3", "None"]
+    # one draw serves the continuous baseline and both widths
+    assert [p.quantization_bits for p in calls] == [(1, 3)]
 
 
 def test_ser_floor_beyond_float_range_is_left_blank(tmp_path):
@@ -192,3 +198,67 @@ def test_build_id_is_resolved_once_from_the_package(tmp_path, monkeypatch):
         cli._git_describe.cache_clear()
     assert manifest["artifact"]["build"] == "abc1234"
     assert seen == [Path(cli.__file__).resolve().parent]
+
+
+def test_wdist_samples_keep_their_stream_for_any_worker_count(monkeypatch):
+    monkeypatch.setattr(cli, "_chunk_size", lambda n: 1024)
+    cfg, _ = cli.validate_config({"n_elements": 8})
+    runs = [cli._reflected_sum_samples(cfg, SimPlan(trials=3000, seed=4, workers=w))
+            for w in (1, 2)]
+    expected = []
+    for index, start in enumerate(range(0, 3000, 1024)):
+        count, rng = min(1024, 3000 - start), chunk_rng(4, index)
+        g = np.sqrt(rng.gamma(cfg.g.m, np.broadcast_to(cfg.zeta_g, (count, 8))))
+        h = np.sqrt(rng.gamma(cfg.h.m, np.broadcast_to(cfg.zeta_h, (count, 8))))
+        expected.append((g * h * cfg.eta).sum(axis=1))
+    for run in runs:
+        np.testing.assert_array_equal(run, np.concatenate(expected))
+
+
+@pytest.mark.parametrize("kind,config,field", [
+    ("rate", {"n_elements": 0}, "n_elements"),
+    ("outage", {"n_elements": 0}, "n_elements"),
+    ("sweep", {"n_elements": -2}, "n_elements"),
+    ("sweep", {"sweep": {"variable": "n_elements", "values": [0, 4]}}, "sweep.values"),
+    ("quantization", {"quantization": {"n_values": [0, 8]}}, "quantization.n_values"),
+    ("correlation", {"correlation": {"n_values": [0]}}, "correlation.n_values"),
+])
+def test_element_counts_below_one_are_config_errors(tmp_path, capsys, kind, config, field):
+    code, _ = run_cli(tmp_path, kind, {**config, "trials": 100})
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,fading", [("outage", {"m_g": 3.0, "m_h": 3.0}),
+                                         ("ser", {"m_g": 3.0, "m_h": 3.0}),
+                                         ("outage", {"m_g": 3.0, "m_h": 3.25})])
+def test_undefined_asymptote_is_left_blank(tmp_path, kind, fading):
+    config = {"fading": fading, "trials": 2000, "seed": 3, "sweep": {"values": [0.0, 20.0]}}
+    code, out = run_cli(tmp_path, kind, config)
+    assert code == 0
+    rows = list(csv.DictReader((out / f"{kind}_asymptotic.csv").open()))
+    assert [r["asymptotic"] for r in rows] == ["", ""]
+    extras = json.loads((out / "manifest.json").read_text())["extras"]
+    assert extras["diversity_order"] is None
+    assert "constants" in extras["asymptote_unavailable"]
+    assert extras["asymptotic_blank_points"] == 2
+    if kind == "outage":
+        # the closed-form and MC curves are written as for any other shapes
+        cfg, _ = cli.validate_config(config, kind)
+        analytic = [outage_probability(10.0, SnrCdfParams.from_config(cfg.with_gamma_bar_db(db)))
+                    for db in (0.0, 20.0)]
+        assert [float(r["analytic"]) for r in csv.DictReader(
+            (out / "outage_analytic.csv").open())] == [float(format(a, ".12g")) for a in analytic]
+        plan = SimPlan(trials=2000, seed=3)
+        assert read_csv(out / "outage_mc.csv") == oracle_csv(
+            "gamma_bar_db", [0.0, 20.0],
+            per_point(cfg, plan, lambda s: empirical_outage(s, 10.0), [0.0, 20.0]))
+
+
+def test_manifest_records_the_numeric_stack(tmp_path):
+    code, out = run_cli(tmp_path, "rate", {"trials": 100}, "--no-mc")
+    assert code == 0
+    artifact = json.loads((out / "manifest.json").read_text())["artifact"]
+    assert artifact["python"] == platform.python_version()
+    assert artifact["numpy"] == np.__version__
+    assert artifact["scipy"] == scipy.__version__

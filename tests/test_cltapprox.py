@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from irslink.channel import LinkParams, SystemConfig
-from irslink.cltapprox import (TruncatedNormal, gamma_ratio_t, quantized_w_stats,
-                               truncated_normal_sample, w_mean_var, w_moment, w_stats)
+from irslink.cltapprox import (TruncatedNormal, gamma_ratio_t, quantized_w_stats, w_mean_var,
+                               w_moment, w_stats)
 from irslink.montecarlo import chunk_rng
+from oracles import truncated_normal_sample
 
 
 def unit_config(n, m_g, m_h, eta=1.0, kappa_g=None, kappa_h=None):

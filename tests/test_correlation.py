@@ -1,15 +1,40 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import irslink.correlation as correlation
 from irslink.channel import LinkParams, SystemConfig, nakagami_sample
 from irslink.correlation import (AngleSpread, CorrelationConfig, CorrelationMatrices,
-                                 build_correlation, corr_matrix_azimuth,
-                                 corr_matrix_elevation, correlated_snr,
-                                 simulate_scheme_rates)
-from irslink.montecarlo import SimPlan
+                                 _scheme_snr_chunk, build_correlation, corr_matrix_azimuth,
+                                 corr_matrix_elevation, simulate_scheme_rates)
+from irslink.montecarlo import SimPlan, chunk_rng
 from irslink.snrdist import optimal_snr
+
+
+def correlated_snr(v_amp: float, phi_v: float, g_vec: np.ndarray, h_vec: np.ndarray,
+                   matrices: CorrelationMatrices, scheme: int,
+                   eta: np.ndarray, gamma_bar: float) -> float:
+    """Received SNR of one realization under the chosen phase-control scheme.
+
+    The per-realization oracle, written from the scheme definitions:
+    ``g_vec`` / ``h_vec`` are i.i.d. complex draws; correlation enters
+    through the square-root matrices.  Scheme 2 cancels the full correlated
+    phases; scheme 1 only the phases of the uncorrelated draws.
+    """
+    if g_vec.shape != h_vec.shape:
+        raise ValueError("channel vectors must have equal length")
+    g_t = g_vec @ matrices.r_d_sqrt          # row convention: g~^T = g^T R_D^(1/2)
+    h_t = matrices.r_a_sqrt @ h_vec
+    if scheme == 2:
+        theta = phi_v - (np.angle(g_t) + np.angle(h_t))
+    elif scheme == 1:
+        theta = phi_v - (np.angle(g_vec) + np.angle(h_vec))
+    else:
+        raise ValueError("scheme must be 1 or 2")
+    reflected = np.sum(g_t * eta * np.exp(1j * theta) * h_t)
+    return float(gamma_bar * np.abs(v_amp * np.exp(1j * phi_v) + reflected) ** 2)
 
 
 def spread(mean_az=0.6, std_az=0.1, mean_el=0.9, std_el=0.08):
@@ -143,16 +168,48 @@ class TestCorrelatedSnr:
                            mats, 3, np.ones(2), 1.0)
 
 
+def unit_cfg(n):
+    return SystemConfig(n_elements=n, eta=0.9, v=LinkParams(1.8, 0.02),
+                        g=LinkParams(16.0 / 7.0, 0.05), h=LinkParams(25.0 / 9.0, 0.05),
+                        gamma_bar_db=10.0)
+
+
+class TestSchemeKernel:
+    def test_matches_the_oracle_per_realization(self):
+        corr = small_corr()
+        n, mats = corr.n_total, build_correlation(corr)
+        cfg = replace(unit_cfg(n), eta=np.linspace(0.5, 1.0, n))
+        seed, index, count = 23, 2, 400
+        snr = _scheme_snr_chunk(cfg, mats, seed, index, count)
+        # the chunk's draws, in stream order, as scaled Gamma and uniform variates
+        rng = chunk_rng(seed, index)
+        v = np.sqrt(rng.gamma(cfg.v.m, cfg.v.zeta, count))
+        phi_v = rng.uniform(-np.pi, np.pi, count)
+
+        def leg(m, zeta):
+            amp = np.sqrt(rng.gamma(m, np.broadcast_to(zeta, (count, n))))
+            return amp * np.exp(1j * rng.uniform(-np.pi, np.pi, (count, n)))
+
+        g, h = leg(cfg.g.m, cfg.zeta_g), leg(cfg.h.m, cfg.zeta_h)
+        for scheme in (1, 2):
+            oracle = [correlated_snr(v[r], phi_v[r], g[r], h[r], mats, scheme, cfg.eta,
+                                     cfg.gamma_bar) for r in range(count)]
+            np.testing.assert_allclose(snr[scheme - 1], oracle, rtol=1e-12, atol=0)
+
+
 class TestSchemeRates:
-    def unit_cfg(self, n):
-        return SystemConfig(n_elements=n, eta=0.9, v=LinkParams(1.8, 0.02),
-                            g=LinkParams(16.0 / 7.0, 0.05), h=LinkParams(25.0 / 9.0, 0.05),
-                            gamma_bar_db=10.0)
+    def test_estimates_do_not_depend_on_workers(self, monkeypatch):
+        monkeypatch.setattr(correlation, "_chunk_size", lambda n: 512)
+        corr = small_corr()
+        runs = [simulate_scheme_rates(unit_cfg(corr.n_total), corr,
+                                      SimPlan(trials=1800, seed=5, workers=w))
+                for w in (1, 2, 3)]  # four chunks
+        assert runs[0] == runs[1] == runs[2]
 
     def test_vectorized_dominance_and_separation(self):
         n = 64
         corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
-        rates = simulate_scheme_rates(self.unit_cfg(n), corr, SimPlan(trials=20_000, seed=11))
+        rates = simulate_scheme_rates(unit_cfg(n), corr, SimPlan(trials=20_000, seed=11))
         # scheme 2 beats scheme 1 at 3-sigma on a dense packed surface
         gap = rates[2].value - rates[1].value
         noise = ((rates[2].ci_high - rates[2].ci_low)
@@ -163,7 +220,7 @@ class TestSchemeRates:
         gaps = []
         for n in (16, 64, 144):
             corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
-            rates = simulate_scheme_rates(self.unit_cfg(n), corr,
+            rates = simulate_scheme_rates(unit_cfg(n), corr,
                                           SimPlan(trials=8_000, seed=13))
             gaps.append(rates[2].value - rates[1].value)
         assert gaps[0] < gaps[-1]
@@ -171,4 +228,4 @@ class TestSchemeRates:
     def test_grid_size_mismatch_rejected(self):
         corr = CorrelationConfig.square_surface(16, 1.0, 0.1, spread(), spread())
         with pytest.raises(ValueError):
-            simulate_scheme_rates(self.unit_cfg(9), corr, SimPlan(trials=10, seed=1))
+            simulate_scheme_rates(unit_cfg(9), corr, SimPlan(trials=10, seed=1))

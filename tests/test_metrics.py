@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from irslink.channel import Distances, LinkParams, Modulation, PathLossModel, SystemConfig
-from irslink.cltapprox import truncated_normal_sample
 from irslink.errors import ConfigError
 from irslink.metrics import (asymptotic_outage, asymptotic_rate, asymptotic_ser,
                              outage_probability, quantized_rate_bounds, rate_bounds,
@@ -13,6 +12,7 @@ from irslink.metrics import (asymptotic_outage, asymptotic_rate, asymptotic_ser,
 from irslink.montecarlo import (CurveResult, SimPlan, empirical_ber, empirical_outage,
                                 empirical_rate, fit_loglog_slope, simulate_snr_samples)
 from irslink.snrdist import ProductPdfParams, SnrCdfParams, product_pdf
+from oracles import truncated_normal_sample
 
 
 def unit_config(n, m_v, m_g, m_h, eta=0.9, gamma_bar_db=0.0, alpha=1.0, beta=2.0):
@@ -258,7 +258,7 @@ class TestQuantizedRateBounds:
         cfg = figure_config(32, 2.0, 3.0, 4.0)
         q = quantized_rate_bounds(cfg, 2)
         est = empirical_rate(simulate_snr_samples(
-            cfg, SimPlan(trials=2 * 10**5, seed=9, quantization_bits=2)))
+            cfg, SimPlan(trials=2 * 10**5, seed=9, quantization_bits=(2,)))[1])
         slack = (est.ci_high - est.ci_low) / 2.0
         assert q.lower - slack <= est.value <= q.upper + slack
 

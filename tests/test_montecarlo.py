@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 
+import irslink.montecarlo as montecarlo
 from irslink.channel import LinkParams, SystemConfig
 from irslink.cltapprox import w_mean_var, w_stats
 from irslink.montecarlo import (CurveResult, SimPlan, _simulate_chunk, chunk_rng,
@@ -26,9 +28,10 @@ def reference_chunk(cfg, plan, index, count):
     g = np.sqrt(rng.gamma(cfg.g.m, np.broadcast_to(cfg.zeta_g, (count, n))))
     h = np.sqrt(rng.gamma(cfg.h.m, np.broadcast_to(cfg.zeta_h, (count, n))))
     prod = g * h * cfg.eta
-    if plan.quantization_bits is None:
+    if not plan.quantization_bits:
         return cfg.gamma_bar * (v + prod.sum(axis=1)) ** 2
-    tau = math.pi / 2**plan.quantization_bits
+    (bits,) = plan.quantization_bits
+    tau = math.pi / 2**bits
     eps = rng.uniform(-tau, tau, (count, n))
     w_re = (prod * np.cos(eps)).sum(axis=1)
     w_im = (prod * np.sin(eps)).sum(axis=1)
@@ -40,9 +43,22 @@ class TestSimulation:
     def test_chunk_kernel_equals_plain_expressions(self, bits):
         cfg = SystemConfig(n_elements=9, eta=np.linspace(0.5, 1.0, 9), v=LinkParams(1.5, 0.7),
                            g=LinkParams(2.0, 0.3), h=LinkParams(3.0, 0.2), gamma_bar_db=7.0)
-        plan = SimPlan(trials=1, seed=13, quantization_bits=bits)
-        np.testing.assert_array_equal(_simulate_chunk(cfg, plan, 2, 700),
+        plan = SimPlan(trials=1, seed=13, quantization_bits=() if bits is None else (bits,))
+        chunk = _simulate_chunk(cfg, plan, 2, 700)
+        np.testing.assert_array_equal(chunk if bits is None else chunk[1],
                                       reference_chunk(cfg, plan, 2, 700))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_draw_rows_equal_single_setting_runs(self, monkeypatch, workers):
+        monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: 1024)
+        cfg = unit_config(12, gamma_bar_db=5.0)
+        plan = SimPlan(trials=3000, seed=17, workers=workers)  # three chunks
+        rows = simulate_snr_samples(cfg, replace(plan, quantization_bits=(1, 3, 2)))
+        assert rows.shape == (4, 3000)
+        np.testing.assert_array_equal(rows[0], simulate_snr_samples(cfg, plan))
+        for row, bits in zip(rows[1:], (1, 3, 2)):
+            np.testing.assert_array_equal(
+                row, simulate_snr_samples(cfg, replace(plan, quantization_bits=(bits,)))[1])
 
     def test_deterministic_across_worker_counts(self):
         cfg = unit_config(6)
@@ -71,14 +87,14 @@ class TestSimulation:
         cfg = unit_config(5)
         base = simulate_snr_samples(cfg, SimPlan(trials=20_000, seed=4))
         again = simulate_snr_samples(cfg, SimPlan(trials=20_000, seed=4,
-                                                  quantization_bits=None))
+                                                  quantization_bits=()))
         np.testing.assert_array_equal(base, again)
 
     def test_quantized_path_lowers_snr(self):
         cfg = unit_config(32)
         base = simulate_snr_samples(cfg, SimPlan(trials=50_000, seed=4))
         rough = simulate_snr_samples(cfg, SimPlan(trials=50_000, seed=4,
-                                                  quantization_bits=1))
+                                                  quantization_bits=(1,)))[1]
         assert rough.mean() < base.mean()
 
     def test_reflected_mean_matches_truncation_model(self):
@@ -160,7 +176,9 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             SimPlan(trials=10, workers=0)
         with pytest.raises(ValueError):
-            SimPlan(trials=10, quantization_bits=0)
+            SimPlan(trials=10, quantization_bits=(0,))
+        with pytest.raises(ValueError):
+            SimPlan(trials=10, quantization_bits=(2, 0))
 
     def test_curve_length_mismatch(self):
         with pytest.raises(ValueError):

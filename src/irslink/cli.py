@@ -1,9 +1,9 @@
 """Experiment runner: figure-style sweeps to CSV plus a JSON manifest.
 
-Subcommands: wdist, snrcdf, outage, rate, ser, quantization, correlation,
-sweep.  Output is data only (one CSV per curve, fixed column schema), never
-rendered plots.  Exit codes: 0 success, 2 configuration error, 3 numerical
-consistency failure.
+Kinds (the one positional argument): wdist, snrcdf, outage, rate, ser,
+quantization, correlation, sweep.  Output is data only (one CSV per curve,
+fixed column schema), never rendered plots.  Exit codes: 0 success, 2
+configuration error, 3 numerical consistency failure.
 
 Configuration is a nested YAML file; dB quantities carry a ``_db`` key
 suffix.  An empty (or missing) file yields the documented default
@@ -327,8 +327,12 @@ def _run_outage(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     evaluator = _asymptote(extras, lambda: asymptotic_outage(spec.config, gamma_th),
                            diversity_order=lambda r: r.g_d,
                            log10_omega_op=lambda r: r.log_omega_op / math.log(10))
+    # P(gamma_bar R^2 <= gamma_th) is the CDF at 0 dB (gamma_bar exactly 1) of
+    # gamma_th / gamma_bar: one array evaluation serves the sweep, bit for bit
+    unit = SnrCdfParams.from_config(spec.config.with_gamma_bar_db(0.0))
     _floor_curves(spec, files, extras, "outage", "analytic",
-                  lambda c: outage_probability(gamma_th, SnrCdfParams.from_config(c)),
+                  lambda sweep: outage_probability(
+                      gamma_th / np.array([_gamma_bar(db) for db in sweep]), unit),
                   evaluator, lambda snr: empirical_outage(snr, gamma_th))
 
 
@@ -340,16 +344,19 @@ def _run_ser(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     evaluator = _asymptote(extras, lambda: asymptotic_ser(spec.config),
                            diversity_order=lambda r: r.g_d, coding_gain=lambda r: r.g_c)
     mod = spec.config.modulation
-    _floor_curves(spec, files, extras, "ser", "bound", ser_upper_bound, evaluator,
-                  lambda snr: empirical_ber(snr, mod.alpha, mod.beta))
+    _floor_curves(spec, files, extras, "ser", "bound",
+                  lambda sweep: [ser_upper_bound(spec.config.with_gamma_bar_db(db))
+                                 for db in sweep],
+                  evaluator, lambda snr: empirical_ber(snr, mod.alpha, mod.beta))
 
 
 def _floor_curves(spec: ExperimentSpec, files: dict, extras: dict, kind: str, name: str,
                   analytic, evaluator, estimator) -> None:
-    """Curves of one metric over the gamma_bar sweep: ``analytic(config)`` at
-    each point, the high-SNR floor ``evaluator(gamma_bar)`` and the MC estimate."""
+    """Curves of one metric over the gamma_bar sweep: ``analytic(sweep)``, the
+    values at every point, the high-SNR floor ``evaluator(gamma_bar)`` and the
+    MC estimate."""
     sweep = _gamma_sweep(spec)
-    closed = [analytic(spec.config.with_gamma_bar_db(db)) for db in sweep]
+    closed = analytic(sweep)
     curves = {name: _curve_rows(sweep, analytic=closed),
               "asymptotic": _curve_rows(sweep, asymptotic=_asymptote_column(evaluator, sweep,
                                                                              extras))}
@@ -494,7 +501,8 @@ def load_config_file(path: str | None) -> dict:
     text = Path(path).read_text()
     if not text.strip():
         return {}
-    data = yaml.safe_load(text)
+    # libyaml's parser where PyYAML was built with it; same safe constructors
+    data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if not isinstance(data, dict):
         raise ConfigError(["configuration root must be a mapping"])
     if "experiment" in data and isinstance(data["experiment"], dict):
@@ -506,16 +514,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irslink",
         description="Analytic + Monte-Carlo performance curves for a surface-aided link")
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run the {kind} experiment")
-        p.add_argument("--config", help="YAML config (or a manifest.json to reproduce)")
-        p.add_argument("--seed", type=int, help="override the RNG seed")
-        p.add_argument("--trials", type=int, help="override the Monte-Carlo trial count")
-        p.add_argument("--workers", type=int, help="override the worker count")
-        p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--no-mc", action="store_true",
-                       help="emit analytic curves only, leaving MC columns empty")
+    parser.add_argument("kind", choices=KINDS, help="experiment to run")
+    parser.add_argument("--config", help="YAML config (or a manifest.json to reproduce)")
+    parser.add_argument("--seed", type=int, help="override the RNG seed")
+    parser.add_argument("--trials", type=int, help="override the Monte-Carlo trial count")
+    parser.add_argument("--workers", type=int, help="override the worker count")
+    parser.add_argument("--out", default="out", help="output directory (default: ./out)")
+    parser.add_argument("--no-mc", action="store_true",
+                        help="emit analytic curves only, leaving MC columns empty")
     return parser
 
 

@@ -39,11 +39,15 @@ __all__ = [
 ]
 
 
-def outage_probability(gamma_th: float, p: SnrCdfParams, method: str = "closed") -> float:
-    """P(optimized SNR <= gamma_th), via the closed-form SNR CDF."""
-    if gamma_th <= 0:
+def outage_probability(gamma_th, p: SnrCdfParams, method: str = "closed"):
+    """P(optimized SNR <= gamma_th), via the closed-form SNR CDF.
+
+    ``gamma_th`` may be an array of thresholds; a float comes back for a scalar.
+    """
+    gamma_th = np.asarray(gamma_th, dtype=float)
+    if np.any(gamma_th <= 0):
         raise ValueError("gamma_th must be positive")
-    return float(snr_cdf(gamma_th, p, method=method))
+    return snr_cdf(gamma_th, p, method=method)
 
 
 @dataclass(frozen=True)
@@ -212,28 +216,32 @@ def asymptotic_rate(cfg: SystemConfig, energy_scaled_snr: float) -> float:
     return math.log2(1.0 + energy_scaled_snr * mu_inf_sq)
 
 
-def _ser_log_objective(theta: float, cfg: SystemConfig, tn: TruncatedNormal) -> float:
-    """Log of the single-angle integrand whose maximum gives the SER bound."""
+def _ser_log_objective(theta, cfg: SystemConfig, tn: TruncatedNormal):
+    """Log of the single-angle integrand whose maximum gives the SER bound;
+    ``theta`` may be an array of angles."""
     beta_gb = cfg.modulation.beta * cfg.gamma_bar
     m_v, kappa_v = cfg.v.m, cfg.v.kappa
     s2 = tn.sigma2_bar
-    u1 = m_v / kappa_v + beta_gb / (2.0 * math.sin(theta) ** 2)
-    z1 = 0.5 / s2 + beta_gb / (2.0 * math.cos(theta) ** 2)
+    u1 = m_v / kappa_v + beta_gb / (2.0 * np.sin(theta) ** 2)
+    z1 = 0.5 / s2 + beta_gb / (2.0 * np.cos(theta) ** 2)
     z2 = tn.mu_bar / (2.0 * s2)
-    return (z2 * z2 / z1 - m_v * math.log(u1) - 0.5 * math.log(z1)
-            + float(log_gaussian_q(-z2 * math.sqrt(2.0 / z1))))
+    return (z2 * z2 / z1 - m_v * np.log(u1) - 0.5 * np.log(z1)
+            + log_gaussian_q(-z2 * np.sqrt(2.0 / z1)))
 
 
 def _maximize_objective(fun, lo: float, hi: float, grid: int = 2048,
                         tol: float = 1e-10) -> float:
-    """Grid scan then golden-section refinement of a smooth 1-D maximum."""
+    """Grid scan then golden-section refinement of a smooth 1-D maximum.
+
+    ``fun`` takes an array (the whole scan grid in one call) or a scalar.
+    """
     xs = np.linspace(lo, hi, grid)
-    vals = np.array([fun(x) for x in xs])
+    vals = fun(xs)
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("SER bound objective is not finite on the scan grid")
     i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, grid - 1)]
+    a = float(xs[max(i - 1, 0)])
+    b = float(xs[min(i + 1, grid - 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
@@ -264,7 +272,7 @@ def ser_upper_bound(cfg: SystemConfig) -> float:
                  + cfg.v.m * math.log(cfg.v.m / cfg.v.kappa)
                  - 0.5 * math.log(2.0 * s2)
                  - tn.mu_bar**2 / (2.0 * s2)
-                 + _ser_log_objective(theta_u, cfg, tn))
+                 + float(_ser_log_objective(theta_u, cfg, tn)))
     return min(math.exp(log_bound), 1.0)
 
 

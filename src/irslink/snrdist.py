@@ -142,12 +142,12 @@ def envelope_pdf(r, p: SnrCdfParams):
     return out if out.shape else float(out)
 
 
-def _cdf_below_mean(r: float, p: SnrCdfParams) -> float:
+def _cdf_below_mean(r: np.ndarray, p: SnrCdfParams) -> np.ndarray:
     # Integrate the standardized envelope density from r up to the
     # reflected mean: each k-term is a finite-interval tail difference.
     mtv = p.m_tilde_v
     jp = p.j_params
-    z_r = -p.standardized(r)          # in (0, z_0]
+    z_r = -p.standardized(r)          # in [0, z_0)
     z_0 = -p.standardized(0.0)
     total = 0.0
     for k in range(mtv + 1):
@@ -157,7 +157,7 @@ def _cdf_below_mean(r: float, p: SnrCdfParams) -> float:
     return math.exp(p.log_lam) * scale * total
 
 
-def _cdf_above_mean(r: float, p: SnrCdfParams) -> float:
+def _cdf_above_mean(r: np.ndarray, p: SnrCdfParams) -> np.ndarray:
     # One minus the upper tail; the even-k boundary term integrates the
     # complete-gamma part of the density, the cal_j term the rest.
     mtv = p.m_tilde_v
@@ -187,32 +187,37 @@ def _envelope_cdf_quadrature(r: float, p: SnrCdfParams) -> float:
     return head + tail
 
 
-def _check_probability(raw: float, where: str) -> float:
-    if raw < -_CDF_ERROR or raw > 1.0 + _CDF_ERROR or math.isnan(raw):
+def _check_probability(raw: np.ndarray, where: str) -> np.ndarray:
+    bad = (raw < -_CDF_ERROR) | (raw > 1.0 + _CDF_ERROR) | np.isnan(raw)
+    if bad.any():
         raise NumericalConsistencyError(
-            f"{where} evaluated to {raw!r}, outside [0,1] beyond the 1e-6 slack")
-    return min(max(raw, 0.0), 1.0)
+            f"{where} evaluated to {float(raw[bad].flat[0])!r}, outside [0,1] "
+            "beyond the 1e-6 slack")
+    return np.clip(raw, 0.0, 1.0)
 
 
 def envelope_cdf(r, p: SnrCdfParams, method: str = "closed"):
     """CDF of the envelope; ``method`` picks the cal_j path ("closed") or
-    direct quadrature of the closed-form PDF ("quadrature")."""
+    direct quadrature of the closed-form PDF ("quadrature").
+
+    The closed path evaluates the pieces below and above the reflected mean
+    over the whole array of r at once, one ``cal_j`` call per k and piece.
+    """
     if method not in ("closed", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    mu = p.tn.mu_bar
-    for idx in np.ndindex(r.shape):
-        ri = r[idx]
-        if ri <= 0:
-            continue
-        if method == "quadrature":
-            raw = _envelope_cdf_quadrature(ri, p)
-        elif ri <= mu:
-            raw = _cdf_below_mean(ri, p)
-        else:
-            raw = _cdf_above_mean(ri, p)
-        out[idx] = _check_probability(raw, "envelope_cdf")
+    raw = np.zeros(r.shape)
+    positive = ~(r <= 0)              # NaN stays in, and fails the check
+    if method == "quadrature":
+        raw[positive] = [_envelope_cdf_quadrature(ri, p) for ri in r[positive]]
+    else:
+        below = positive & (r <= p.tn.mu_bar)
+        above = positive & ~below
+        if below.any():
+            raw[below] = _cdf_below_mean(r[below], p)
+        if above.any():
+            raw[above] = _cdf_above_mean(r[above], p)
+    out = _check_probability(raw, "envelope_cdf")
     return out if out.shape else float(out)
 
 

@@ -12,11 +12,13 @@ metrics) is assembled from the functions here:
 
 ``cal_j`` carries two evaluation paths.  The reference path is adaptive
 Gauss-Kronrod quadrature of the defining integral (abs tol 1e-12, rel tol
-1e-10, semi-infinite range mapped internally).  The fast path uses the
-closed forms obtained by expanding the incomplete gamma factor (odd k) or
-integrating by parts (even k); it is enabled only when every factorial and
-summation index it needs is a nonnegative integer, and it is validated
-against the quadrature path in the test-suite.
+1e-10, semi-infinite range mapped internally).  The default path is closed
+form and takes an array of lower limits: odd k expands the incomplete gamma
+factor into a finite exponential sum; even k with odd mt integrates by
+parts; even k with even mt (half-integer m_v) splits Gamma(k/2 + 1/2, t^2)
+into an erfc term, reduced by parts to Owen's T function, plus a finite
+exponential sum.  Quadrature runs only for negative lower limits or on
+request; the test-suite checks each closed form against it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,16 @@ __all__ = [
 # Quadrature tolerances used for every reference-path integral.
 _QUAD_EPSABS = 1e-12
 _QUAD_EPSREL = 1e-10
+
+# libm's exp, elementwise.  numpy's own exp (and pow) kernels depend on the
+# SIMD level the host dispatches and can differ from libm in the last bit;
+# the closed forms difference nearby tails, which lifts such a bit into the
+# printed digits, so they take exp from libm and powers from float_power.
+_libm_exp = np.frompyfunc(math.exp, 1, 1)
+
+
+def _exp(x):
+    return np.asarray(_libm_exp(x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -73,13 +85,23 @@ class JParams:
         return cls(m_tilde_v=m_tilde_v, delta=delta, scale=delta + 1.0)
 
 
-def gamma_upper(q: float, z: float) -> float:
-    """Upper incomplete gamma integral over [z, inf) of t^(q-1) e^-t."""
+def gamma_upper(q: float, z):
+    """Upper incomplete gamma integral over [z, inf) of t^(q-1) e^-t.
+
+    ``z`` may be an array; a float comes back for a scalar.
+    """
     if q <= 0:
         raise ValueError(f"gamma_upper requires q > 0, got q={q}")
-    if z < 0:
-        raise ValueError(f"gamma_upper requires z >= 0, got z={z}")
-    return float(sc.gammaincc(q, z) * sc.gamma(q))
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
+        raise ValueError(f"gamma_upper requires z >= 0, got z={z.min()}")
+    out = _gamma_tail(q, z)
+    return out if out.ndim else float(out)
+
+
+def _gamma_tail(q: float, z):
+    # gamma_upper without the argument checks, for the closed forms
+    return sc.gammaincc(q, z) * sc.gamma(q)
 
 
 def gamma_lower(q: float, z: float) -> float:
@@ -136,65 +158,123 @@ def _cal_j_quad(k: int, lo: float, hi: float, p: JParams) -> float:
     return val
 
 
-def _cal_j_odd(k: int, z: float, p: JParams) -> float:
+def _cal_j_odd(k: int, z, p: JParams):
     # Expand Gamma((k+1)/2, t^2) as a finite exponential sum; needs
     # (k+1)/2 to be a positive integer, i.e. odd k.
     d_o = (k + 1) // 2
     d_e = (p.m_tilde_v - k + 1) / 2.0  # may be half-integer; only an exponent
+    x = p.scale * z * z
     total = 0.0
     for i in range(d_o):
-        total += gamma_upper(d_e + i, p.scale * z * z) / (math.factorial(i) * p.scale ** (d_e + i))
+        total += _gamma_tail(d_e + i, x) / (math.factorial(i) * p.scale ** (d_e + i))
     return math.factorial(d_o - 1) / 2.0 * total
 
 
-def _cal_j_even(k: int, z: float, p: JParams) -> float:
+def _cal_j_even(k: int, z, p: JParams):
     # Integration by parts against the antiderivative of t^(mt-k) e^{-d t^2};
-    # needs (mt - k + 1)/2 to be a positive integer.
+    # needs (mt - k + 1)/2 to be a positive integer, i.e. odd mt.
     d_e = (p.m_tilde_v - k + 1) // 2
     kp = (k + 1) / 2.0
+    decay = _exp(-p.delta * z * z)
+    head = _gamma_tail(kp, z * z)
+    x = p.scale * z * z
     total = 0.0
     for j in range(d_e):
-        boundary = z ** (2 * j) * math.exp(-p.delta * z * z) * gamma_upper(kp, z * z)
-        tail = gamma_upper(kp + j, p.scale * z * z) / p.scale ** (kp + j)
+        boundary = np.float_power(z, 2 * j) * decay * head
+        tail = _gamma_tail(kp + j, x) / p.scale ** (kp + j)
         total += (boundary - tail) / (p.delta ** (d_e - j) * math.factorial(j))
     return math.factorial(d_e - 1) / 2.0 * total
 
 
-def _closed_form_available(k: int, z: float, p: JParams) -> bool:
-    if z < 0:
-        return False
-    if k % 2 == 1:
-        return True
-    return (p.m_tilde_v - k + 1) % 2 == 0 and (p.m_tilde_v - k + 1) // 2 >= 1
+def _erfc_moment(n: int, z, p: JParams):
+    """E_n(z) = integral of t^(2n) e^{-delta t^2} erfc(t) over [z, inf).
 
-
-def cal_j(k: int, z: float, p: JParams, force_quadrature: bool = False) -> float:
-    """Tail integral of t^(mt-k) e^{-delta t^2} Gamma((k+1)/2, t^2) on [z, inf).
-
-    Uses the closed form when its index conditions hold, otherwise falls
-    back to quadrature; never raises on an index mismatch.
+    E_0(z) = 2 sqrt(pi/delta) [Q(h)/2 - T(h, 1/sqrt(delta))] with
+    h = z sqrt(2 delta) and T Owen's T function; integration by parts
+    against t e^{-delta t^2} steps up from E_{j-1} to E_j.
     """
+    d, s = p.delta, p.scale
+    h = z * math.sqrt(2.0 * d)
+    e = 2.0 * math.sqrt(math.pi / d) * (0.5 * gaussian_q(h) - sc.owens_t(h, 1.0 / math.sqrt(d)))
+    edge = sc.erfc(z) * _exp(-d * z * z) / (2.0 * d)
+    x = s * z * z
+    for j in range(1, n + 1):
+        e = (np.float_power(z, 2 * j - 1) * edge + (2 * j - 1) / (2.0 * d) * e
+             - _gamma_tail(j, x) / (2.0 * d * math.sqrt(math.pi) * s ** j))
+    return e
+
+
+def _cal_j_erfc(k: int, z, p: JParams):
+    # Even k = 2q with even mt = 2n + k (half-integer m_v):
+    # Gamma(q+1/2, t^2) = Gamma(q+1/2) erfc(t)
+    #                     + e^{-t^2} sum_{i<q} Gamma(q+1/2)/Gamma(i+3/2) t^(2i+1),
+    # which leaves E_n(z) plus Gamma tails of t^(2n+2i+1) e^{-scale t^2}.
+    q, n = k // 2, (p.m_tilde_v - k) // 2
+    g = sc.gamma(q + 0.5)
+    x = p.scale * z * z
+    total = g * _erfc_moment(n, z, p)
+    for i in range(q):
+        total += (g / sc.gamma(i + 1.5) * 0.5 * _gamma_tail(n + i + 1, x)
+                  / p.scale ** (n + i + 1))
+    return total
+
+
+def _closed_tail(k: int, p: JParams):
+    """The closed form of ``cal_j(k, .)`` on z >= 0."""
+    if k % 2 == 1:
+        return _cal_j_odd
+    return _cal_j_even if p.m_tilde_v % 2 == 1 else _cal_j_erfc
+
+
+def _checked_order(k, p: JParams) -> int:
     if k < 0 or k != int(k):
         raise ValueError(f"cal_j requires integer k >= 0, got {k}")
-    k = int(k)
     if k > p.m_tilde_v:
         raise ValueError(f"cal_j requires k <= m_tilde_v, got k={k} > {p.m_tilde_v}")
-    if not force_quadrature and _closed_form_available(k, z, p):
-        return _cal_j_odd(k, z, p) if k % 2 == 1 else _cal_j_even(k, z, p)
-    return _cal_j_quad(k, z, np.inf, p)
+    return int(k)
 
 
-def cal_j_between(k: int, z_lo: float, z_hi: float, p: JParams,
-                  force_quadrature: bool = False) -> float:
-    """``cal_j(k, z_lo) - cal_j(k, z_hi)`` evaluated without cancellation.
+def _integral(k: int, lo: np.ndarray, hi, p: JParams, force_quadrature: bool, closed):
+    """Integral of the ``cal_j(k)`` integrand over [lo, hi], elementwise over
+    the broadcast of lo and hi (hi >= lo): ``closed(lo, hi)`` where lo >= 0,
+    quadrature where lo < 0 or under ``force_quadrature``."""
+    by_quad = (lo < 0) | force_quadrature
+    if not by_quad.any():
+        out = closed(lo, hi)
+        return out if np.ndim(out) else float(out)
+    shape = np.broadcast_shapes(lo.shape, np.shape(hi))
+    by_quad = np.broadcast_to(by_quad, shape)
+    out = np.array(np.broadcast_to(closed(np.maximum(lo, 0.0), np.maximum(hi, 0.0)), shape))
+    los, his = np.broadcast_arrays(lo, hi)
+    out[by_quad] = [_cal_j_quad(k, a, b, p) for a, b in zip(los[by_quad], his[by_quad])]
+    return out if out.ndim else float(out)
 
-    The closed forms difference accurately; the quadrature fallback
-    integrates the finite interval [z_lo, z_hi] directly instead of
-    subtracting two semi-infinite tails.
+
+def cal_j(k: int, z, p: JParams, force_quadrature: bool = False):
+    """Tail integral of t^(mt-k) e^{-delta t^2} Gamma((k+1)/2, t^2) on [z, inf).
+
+    ``z`` may be an array; a float comes back for a scalar.  Every (k, mt)
+    has a closed form on z >= 0; quadrature runs only for z < 0 or under
+    ``force_quadrature`` (the reference path).
     """
-    if z_hi < z_lo:
+    k = _checked_order(k, p)
+    tail = _closed_tail(k, p)
+    return _integral(k, np.asarray(z, dtype=float), np.inf, p, force_quadrature,
+                     lambda lo, hi: tail(k, lo, p))
+
+
+def cal_j_between(k: int, z_lo, z_hi, p: JParams, force_quadrature: bool = False):
+    """``cal_j(k, z_lo) - cal_j(k, z_hi)``, the integral over [z_lo, z_hi].
+
+    ``z_lo`` and ``z_hi`` broadcast against each other.  The closed forms
+    subtract two tails, so the difference keeps their absolute accuracy but
+    loses relative accuracy where it is small against them; the quadrature
+    path integrates the finite interval directly.
+    """
+    k = _checked_order(k, p)
+    z_lo, z_hi = np.asarray(z_lo, dtype=float), np.asarray(z_hi, dtype=float)
+    if np.any(z_hi < z_lo):
         raise ValueError("cal_j_between requires z_lo <= z_hi")
-    if not force_quadrature and _closed_form_available(k, z_lo, p):
-        f = _cal_j_odd if k % 2 == 1 else _cal_j_even
-        return f(k, z_lo, p) - f(k, z_hi, p)
-    return _cal_j_quad(k, z_lo, z_hi, p)
+    tail = _closed_tail(k, p)
+    return _integral(k, z_lo, z_hi, p, force_quadrature,
+                     lambda lo, hi: tail(k, lo, p) - tail(k, hi, p))

@@ -1,8 +1,13 @@
-"""Independent samplers the tests check the library against."""
+"""Independent samplers and scalar reference evaluations the tests check the
+library against."""
+
+import math
 
 import numpy as np
 
-from irslink.cltapprox import TruncatedNormal
+from irslink.channel import SystemConfig
+from irslink.cltapprox import TruncatedNormal, w_stats
+from irslink.specfun import log_gaussian_q
 
 
 def truncated_normal_sample(tn: TruncatedNormal, rng: np.random.Generator, size: int):
@@ -16,3 +21,43 @@ def truncated_normal_sample(tn: TruncatedNormal, rng: np.random.Generator, size:
         out[filled:filled + draw.size] = draw
         filled += draw.size
     return out
+
+
+def ser_upper_bound_scalar(cfg: SystemConfig) -> float:
+    """The SER bound by a scalar scan: the objective written with ``math``,
+    the 2048-angle grid evaluated one angle at a time, then golden-section
+    refinement of the best grid bracket."""
+    tn = w_stats(cfg)
+    beta_gb = cfg.modulation.beta * cfg.gamma_bar
+    m_v, kappa_v, s2 = cfg.v.m, cfg.v.kappa, tn.sigma2_bar
+
+    def objective(theta):
+        u1 = m_v / kappa_v + beta_gb / (2.0 * math.sin(theta) ** 2)
+        z1 = 0.5 / s2 + beta_gb / (2.0 * math.cos(theta) ** 2)
+        z2 = tn.mu_bar / (2.0 * s2)
+        return (z2 * z2 / z1 - m_v * math.log(u1) - 0.5 * math.log(z1)
+                + float(log_gaussian_q(-z2 * math.sqrt(2.0 / z1))))
+
+    grid, tol, eps = 2048, 1e-10, 1e-9
+    xs = np.linspace(eps, math.pi / 2.0 - eps, grid)
+    vals = [objective(x) for x in xs]
+    if not all(math.isfinite(v) for v in vals):
+        raise ArithmeticError("SER bound objective is not finite on the scan grid")
+    i = int(np.argmax(vals))
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, grid - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = objective(d)
+    log_bound = (math.log(cfg.modulation.alpha / 2.0) + math.log(tn.xi)
+                 + m_v * math.log(m_v / kappa_v) - 0.5 * math.log(2.0 * s2)
+                 - tn.mu_bar**2 / (2.0 * s2) + objective(0.5 * (a + b)))
+    return min(math.exp(log_bound), 1.0)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+import yaml
 
 import irslink.cli as cli
 import irslink.montecarlo as montecarlo
@@ -262,3 +263,56 @@ def test_manifest_records_the_numeric_stack(tmp_path):
     assert artifact["python"] == platform.python_version()
     assert artifact["numpy"] == np.__version__
     assert artifact["scipy"] == scipy.__version__
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_every_kind_parses_with_options_before_and_after_it(kind):
+    parser = cli.build_parser()
+    before = parser.parse_args(["--seed", "5", "--no-mc", "--out", "x", kind])
+    after = parser.parse_args([kind, "--seed", "5", "--no-mc", "--out", "x"])
+    split = parser.parse_args(["--seed", "5", kind, "--no-mc", "--out", "x"])
+    assert vars(before) == vars(after) == vars(split) == {
+        "kind": kind, "config": None, "seed": 5, "trials": None, "workers": None,
+        "out": "x", "no_mc": True}
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["--seed", "3"], ["rate", "ser"]])
+def test_unknown_or_missing_kind_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "usage: irslink" in capsys.readouterr().err
+
+
+def test_help_exits_0_and_names_every_kind(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(kind in out for kind in cli.KINDS) and "--no-mc" in out
+
+
+def _loads_like_safe_load(path: Path):
+    assert cli.load_config_file(str(path)) == yaml.safe_load(path.read_text())
+
+
+def test_config_loader_matches_safe_load(tmp_path):
+    as_yaml, as_json = tmp_path / "config.yaml", tmp_path / "config.json"
+    as_yaml.write_text(yaml.safe_dump(cli.DEFAULT_CONFIG))
+    as_json.write_text(json.dumps(cli.DEFAULT_CONFIG, indent=2))
+    _loads_like_safe_load(as_yaml)
+    _loads_like_safe_load(as_json)
+    assert cli.load_config_file(str(as_yaml)) == cli.DEFAULT_CONFIG
+    scalars = tmp_path / "scalars.yaml"
+    scalars.write_text("eta: .5\ngamma_bar_db: 1e1\ngamma_th_db: 1.0e1\n"
+                       "fading: {m_v: 2, m_g: .75}\nsweep:\n  values: [.5, 1e1, 2.]\n")
+    _loads_like_safe_load(scalars)
+
+
+def test_config_loader_reingests_a_manifest(tmp_path):
+    code, out = run_cli(tmp_path, "rate", {"n_elements": 8, "eta": 0.75}, "--no-mc")
+    assert code == 0
+    manifest = out / "manifest.json"
+    expected = yaml.safe_load(manifest.read_text())["experiment"]["config"]
+    assert cli.load_config_file(str(manifest)) == expected
+    assert expected["n_elements"] == 8 and expected["eta"] == 0.75

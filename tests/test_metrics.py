@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from irslink.metrics import (asymptotic_outage, asymptotic_rate, asymptotic_ser,
 from irslink.montecarlo import (CurveResult, SimPlan, empirical_ber, empirical_outage,
                                 empirical_rate, fit_loglog_slope, simulate_snr_samples)
 from irslink.snrdist import ProductPdfParams, SnrCdfParams, product_pdf
-from oracles import truncated_normal_sample
+from oracles import ser_upper_bound_scalar, truncated_normal_sample
 
 
 def unit_config(n, m_v, m_g, m_h, eta=0.9, gamma_bar_db=0.0, alpha=1.0, beta=2.0):
@@ -178,6 +179,22 @@ class TestSerBound:
         vals = [ser_upper_bound(figure_config(16, 1.0, 1.0, 2.0, gamma_bar_db=db))
                 for db in np.linspace(-10, 40, 26)]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("m_v", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    def test_matches_scalar_scan(self, m_v, n):
+        for db in (0.0, 15.0, 30.0, 45.0):
+            cfg = figure_config(n, m_v, 3.0, 4.0, gamma_bar_db=db)
+            assert ser_upper_bound(cfg) == pytest.approx(ser_upper_bound_scalar(cfg),
+                                                         rel=1e-12), db
+
+    def test_non_finite_scan_grid_raises(self):
+        # a NaN beta passes the Modulation check and poisons the objective
+        cfg = replace(figure_config(16, 1.0, 3.0, 4.0), modulation=Modulation(1.0, math.nan))
+        with pytest.raises(ArithmeticError):
+            ser_upper_bound(cfg)
+        with pytest.raises(ArithmeticError):
+            ser_upper_bound_scalar(cfg)
 
     def test_zero_snr_cap(self):
         cfg = figure_config(16, 2.0, 3.0, 4.0, gamma_bar_db=-80.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+from irslink import specfun
 from irslink.specfun import (JParams, bessel_k, cal_i, cal_j, cal_j_between,
                              gamma_lower, gamma_upper, gaussian_q, log_gaussian_q)
 
@@ -21,6 +22,12 @@ class TestGammaPair:
     def test_against_quadrature(self):
         val, _ = quad(lambda t: t**1.5 * math.exp(-t), 1.3, np.inf)
         assert gamma_upper(2.5, 1.3) == pytest.approx(val, rel=1e-10)
+
+    def test_array_argument(self):
+        z = np.array([0.0, 0.4, 3.0])
+        np.testing.assert_array_equal(gamma_upper(2.5, z), [gamma_upper(2.5, zi) for zi in z])
+        with pytest.raises(ValueError):
+            gamma_upper(2.5, np.array([1.0, -0.1]))
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -121,6 +128,10 @@ def _j_quad(k, z, p):
     return val
 
 
+def _no_quadrature(*args):
+    raise AssertionError("the closed form fell back to quadrature")
+
+
 class TestJParams:
     def test_invariants(self):
         p = JParams.from_delta(3, 2.0)
@@ -179,9 +190,31 @@ class TestCalJ:
             ref = cal_j_between(k, 0.2, 0.9, p, force_quadrature=True)
             assert cal_j_between(k, 0.2, 0.9, p) == pytest.approx(ref, rel=1e-8)
 
-    def test_half_integer_shape_falls_back(self):
-        # m_tilde even (half-odd-integer shape): even k has no closed form,
-        # cal_j must silently use quadrature and still match the integral
+    def test_half_integer_even_k_closed_form(self, monkeypatch):
+        # m_tilde even (half-odd-integer shape): even k takes the erfc /
+        # Owen's T closed form, without quadrature, and matches the integral
+        monkeypatch.setattr(specfun, "_cal_j_quad", _no_quadrature)
         p = JParams.from_delta(4, 2.0)  # m_v = 2.5
         for k in (0, 2, 4):
             assert cal_j(k, 0.5, p) == pytest.approx(_j_quad(k, 0.5, p), rel=1e-8)
+
+    @pytest.mark.parametrize("m_tilde", [0, 1, 4, 5])
+    def test_arrays_equal_elementwise_calls(self, m_tilde):
+        # negative limits take the quadrature path inside the same array
+        p = JParams.from_delta(m_tilde, 2.5)
+        z = np.array([-0.4, 0.0, 0.2, 0.9, 3.0])
+        for k in range(m_tilde + 1):
+            np.testing.assert_array_equal(cal_j(k, z, p), [cal_j(k, zi, p) for zi in z])
+            np.testing.assert_array_equal(cal_j_between(k, z, 3.5, p),
+                                          [cal_j_between(k, zi, 3.5, p) for zi in z])
+            grid = z[1:].reshape(2, 2)
+            np.testing.assert_array_equal(cal_j_between(k, 0.1, grid + 0.1, p),
+                                          [[cal_j_between(k, 0.1, zi + 0.1, p) for zi in row]
+                                           for row in grid])
+        assert isinstance(cal_j(0, 0.5, p), float)
+        assert isinstance(cal_j_between(0, 0.5, 0.7, p), float)
+
+    def test_between_rejects_reversed_limits(self):
+        p = JParams.from_delta(2, 1.0)
+        with pytest.raises(ValueError):
+            cal_j_between(0, np.array([0.1, 0.8]), 0.5, p)

@@ -17,8 +17,8 @@ from .metrics import (AsymptoticResult, RateBounds, asymptotic_outage, asymptoti
                       asymptotic_ser, outage_probability, quantized_rate_bounds,
                       rate_bounds, ser_upper_bound)
 from .montecarlo import (CurveResult, Estimate, SimPlan, empirical_ber, empirical_cdf,
-                         empirical_outage, empirical_rate, fit_loglog_slope,
-                         simulate_snr_samples)
+                         empirical_outage, empirical_rate, empirical_rate_ratio,
+                         fit_loglog_slope, simulate_snr_samples)
 from .snrdist import (ProductPdfParams, SnrCdfParams, envelope_pdf, optimal_phases,
                       optimal_snr, product_pdf, snr_cdf, snr_pdf)
 from .specfun import (JParams, bessel_k, cal_i, cal_j, gamma_lower, gamma_upper,

@@ -36,9 +36,9 @@ from .correlation import AngleSpread, CorrelationConfig, simulate_scheme_rates
 from .errors import ConfigError, NumericalConsistencyError, UnsupportedShapeError
 from .metrics import (asymptotic_outage, asymptotic_ser, outage_probability,
                       quantized_rate_bounds, rate_bounds, ser_upper_bound)
-from .montecarlo import (Estimate, SimPlan, _chunk_size, chunk_rng, empirical_ber,
-                         empirical_cdf, empirical_outage, empirical_rate, map_chunks,
-                         simulate_snr_samples)
+from .montecarlo import (BIT_GENERATOR, Estimate, SimPlan, _chunk_size, chunk_rng,
+                         empirical_ber, empirical_cdf, empirical_outage, empirical_rate,
+                         empirical_rate_ratio, map_chunks, simulate_snr_samples)
 from .snrdist import SnrCdfParams, snr_cdf
 
 CSV_HEADER = ["x_unit", "x", "analytic", "asymptotic", "mc", "mc_ci_low", "mc_ci_high"]
@@ -233,11 +233,32 @@ def _gamma_bar(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def _unit_snr_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
+def _timed_mc(extras: dict, sampler, cfg: SystemConfig, *args):
+    """``sampler(cfg, *args)``, whose last argument is the SimPlan, with its
+    trials, chunks and seconds added to the manifest's ``extras.mc``."""
+    plan = args[-1]
+    started = time.perf_counter()
+    result = sampler(cfg, *args)
+    seconds = time.perf_counter() - started
+    chunk_trials = _chunk_size(cfg.n_elements)
+    chunks = -(-plan.trials // chunk_trials)
+    mc = extras.setdefault("mc", {"workers": plan.workers, "trials": 0, "chunks": 0,
+                                  "seconds": 0.0, "runs": []})
+    mc["runs"].append({"n_elements": cfg.n_elements, "trials": plan.trials,
+                       "chunk_trials": chunk_trials, "chunks": chunks,
+                       "seconds": round(seconds, 4)})
+    mc["trials"] += plan.trials
+    mc["chunks"] += chunks
+    mc["seconds"] = round(mc["seconds"] + seconds, 4)
+    mc["trials_per_s"] = round(mc["trials"] / mc["seconds"]) if mc["seconds"] else None
+    return result
+
+
+def _unit_snr_samples(cfg: SystemConfig, plan: SimPlan, extras: dict) -> np.ndarray:
     """SNR samples at gamma_bar = 1 (0 dB).  The draws do not depend on gamma_bar
     and the kernel multiplies by it last, so ``gamma_bar * samples`` equals the
     samples simulated at that gamma_bar bit for bit: one draw serves a sweep."""
-    return simulate_snr_samples(cfg.with_gamma_bar_db(0.0), plan)
+    return _timed_mc(extras, simulate_snr_samples, cfg.with_gamma_bar_db(0.0), plan)
 
 
 def _mc_columns(estimates) -> dict:
@@ -268,7 +289,7 @@ def _run_wdist(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     cdf = 1.0 - tn.xi * gaussian_q((grid - tn.mu_bar) / sd)
     mc_pdf = mc_cdf = None
     if spec.use_mc:
-        samples = _reflected_sum_samples(cfg, spec.plan)
+        samples = _timed_mc(extras, _reflected_sum_samples, cfg, spec.plan)
         hist, edges = np.histogram(samples, bins=80,
                                    range=(float(grid[0]), float(grid[-1])), density=True)
         centers = 0.5 * (edges[1:] + edges[:-1])
@@ -289,7 +310,7 @@ def _reflected_sum_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
         prod *= nakagami_sample(cfg.h.m, cfg.zeta_h, rng, shape)
         prod *= cfg.eta
         return prod.sum(axis=1)
-    return map_chunks(chunk, plan.trials, _chunk_size(cfg.n_elements), plan.workers)
+    return map_chunks(chunk, plan.trials, cfg.n_elements, plan.workers)
 
 
 def _run_snrcdf(spec: ExperimentSpec, files: dict, extras: dict) -> None:
@@ -301,7 +322,7 @@ def _run_snrcdf(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     analytic = snr_cdf(y, params)
     mc = None
     if spec.use_mc:
-        samples = simulate_snr_samples(cfg, spec.plan)
+        samples = _timed_mc(extras, simulate_snr_samples, cfg, spec.plan)
         mc = empirical_cdf(samples)(y)
         extras["ks_distance"] = float(np.max(np.abs(mc - analytic)))
     _emit(spec, files, "snrcdf", "gamma_db", _curve_rows(grid_db, analytic=analytic, mc=mc))
@@ -337,7 +358,7 @@ def _run_outage(spec: ExperimentSpec, files: dict, extras: dict) -> None:
 
 
 def _run_rate(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    _rate_curves(spec, files, "rate", _gamma_sweep(spec))
+    _rate_curves(spec, files, extras, "rate", _gamma_sweep(spec))
 
 
 def _run_ser(spec: ExperimentSpec, files: dict, extras: dict) -> None:
@@ -362,18 +383,16 @@ def _floor_curves(spec: ExperimentSpec, files: dict, extras: dict, kind: str, na
                                                                              extras))}
     if spec.use_mc:
         curves["mc"] = _curve_rows(sweep, **_mc_sweep(
-            sweep, _unit_snr_samples(spec.config, spec.plan), estimator))
+            sweep, _unit_snr_samples(spec.config, spec.plan, extras), estimator))
     for suffix, rows in curves.items():
         _emit(spec, files, f"{kind}_{suffix}", "gamma_bar_db", rows)
 
 
 def _rate_percent(snr_pair: np.ndarray) -> Estimate:
-    """Quantized rate as a percentage of the unquantized one; the CI is the
-    quantized rate's CI width over the unquantized mean, centred on the ratio."""
-    plain, quant = empirical_rate(snr_pair[0]), empirical_rate(snr_pair[1])
-    pct = 100.0 * quant.value / plain.value
-    width = 100.0 * (quant.ci_high - quant.ci_low) / plain.value
-    return Estimate(pct, pct - width / 2, pct + width / 2)
+    """Quantized rate as a percentage of the unquantized one, from the paired
+    rows (continuous, quantized) of one draw."""
+    ratio = empirical_rate_ratio(snr_pair[1], snr_pair[0])
+    return Estimate(100.0 * ratio.value, 100.0 * ratio.ci_low, 100.0 * ratio.ci_high)
 
 
 def _run_quantization(spec: ExperimentSpec, files: dict, extras: dict) -> None:
@@ -383,7 +402,7 @@ def _run_quantization(spec: ExperimentSpec, files: dict, extras: dict) -> None:
         cfg_n = spec.config.with_n_elements(n)
         if spec.use_mc:
             # one draw per N: row 0 with continuous phases, row k at widths[k-1]
-            rows = _unit_snr_samples(cfg_n, replace(spec.plan, quantization_bits=widths))
+            rows = _unit_snr_samples(cfg_n, replace(spec.plan, quantization_bits=widths), extras)
         for k, bits in enumerate(widths, 1):
             analytic, mc = [], {}
             for db in sweep:
@@ -412,8 +431,8 @@ def _correlation_config(resolved: dict, n: int) -> CorrelationConfig:
 
 def _run_correlation(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     n_values = [int(v) for v in spec.resolved["correlation"]["n_values"]]
-    rates = [simulate_scheme_rates(spec.config.with_n_elements(n),
-                                   _correlation_config(spec.resolved, n), spec.plan)
+    rates = [_timed_mc(extras, simulate_scheme_rates, spec.config.with_n_elements(n),
+                       _correlation_config(spec.resolved, n), spec.plan)
              for n in n_values]
     for s in (1, 2):
         _emit(spec, files, f"correlation_scheme{s}", "n_elements",
@@ -421,10 +440,11 @@ def _run_correlation(spec: ExperimentSpec, files: dict, extras: dict) -> None:
 
 
 def _run_sweep(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    _rate_curves(spec, files, "sweep_rate", list(spec.sweep_values))
+    _rate_curves(spec, files, extras, "sweep_rate", list(spec.sweep_values))
 
 
-def _rate_curves(spec: ExperimentSpec, files: dict, prefix: str, sweep: list) -> None:
+def _rate_curves(spec: ExperimentSpec, files: dict, extras: dict, prefix: str,
+                 sweep: list) -> None:
     """Jensen rate bounds and the MC rate over the sweep (gamma_bar_db or n_elements)."""
     cfg, unit = spec.config, spec.sweep_variable
     if unit == "gamma_bar_db":
@@ -437,9 +457,10 @@ def _rate_curves(spec: ExperimentSpec, files: dict, prefix: str, sweep: list) ->
               _curve_rows(sweep, analytic=[getattr(b, side) for b in bounds]))
     if spec.use_mc:
         if unit == "gamma_bar_db":
-            mc = _mc_sweep(sweep, _unit_snr_samples(cfg, spec.plan), empirical_rate)
+            mc = _mc_sweep(sweep, _unit_snr_samples(cfg, spec.plan, extras), empirical_rate)
         else:
-            mc = _mc_columns([empirical_rate(simulate_snr_samples(c, spec.plan))
+            mc = _mc_columns([empirical_rate(_timed_mc(extras, simulate_snr_samples, c,
+                                                       spec.plan))
                               for c in configs])
         _emit(spec, files, f"{prefix}_mc", unit, _curve_rows(sweep, **mc))
 
@@ -479,10 +500,12 @@ def run_experiment(spec: ExperimentSpec) -> Path:
             "config": spec.resolved,
             "no_mc": not spec.use_mc,
         },
-        # MC columns are byte-identical only under the same numpy (gamma, sin, cos)
+        # MC columns are byte-identical only under the same bit generator and
+        # the same numpy (its gamma, sin and cos kernels)
         "artifact": {"build": _git_describe(), "version": __version__,
                      "python": platform.python_version(), "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+                     "scipy": scipy.__version__,
+                     "bit_generator": BIT_GENERATOR.__name__},
         "wall_clock_seconds": round(time.time() - started, 3),
         "files": files,
         "extras": extras,

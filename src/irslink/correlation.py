@@ -4,7 +4,11 @@ The surface is a planar grid of elements; arrival and departure angles are
 Gaussian around their means in both azimuth and elevation, which yields
 separable correlation: a Kronecker product of an azimuth factor and an
 elevation factor, each with unit diagonal.  Channels are correlated by
-multiplying i.i.d. vectors with the Hermitian square roots.
+multiplying i.i.d. vectors with the Hermitian square roots, and the root of
+a Kronecker product is the Kronecker product of the factors' roots.  Only
+the small factor roots are kept: a row vector is correlated as two small
+matrix products on its (azimuth x elevation) grid, never through an N x N
+matrix.
 
 Scheme-2 co-phases against the correlated entries (the phases the
 correlation square roots contribute included), achieving the per-element
@@ -26,6 +30,7 @@ from .montecarlo import Estimate, SimPlan, _mean_estimate, chunk_rng, map_chunks
 __all__ = [
     "AngleSpread",
     "CorrelationConfig",
+    "KroneckerRoot",
     "CorrelationMatrices",
     "corr_matrix_azimuth",
     "corr_matrix_elevation",
@@ -112,14 +117,6 @@ def corr_matrix_azimuth(cfg: CorrelationConfig, spread: AngleSpread) -> np.ndarr
     return a3 ** (-0.5) * damp * np.exp(1j * a1 * math.cos(omega) / a3)
 
 
-@dataclass(frozen=True)
-class CorrelationMatrices:
-    r_a: np.ndarray
-    r_d: np.ndarray
-    r_a_sqrt: np.ndarray
-    r_d_sqrt: np.ndarray
-
-
 def _hermitian_sqrt(r: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(r)
     if np.min(vals) < _EIG_CLIP * max(1.0, float(np.max(np.abs(vals)))):
@@ -128,32 +125,53 @@ def _hermitian_sqrt(r: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+@dataclass(frozen=True)
+class KroneckerRoot:
+    """Hermitian root ``kron(az, el)`` of one side's correlation, kept as the
+    Hermitian roots of its azimuth and elevation factors."""
+
+    az: np.ndarray
+    el: np.ndarray
+
+
+@dataclass(frozen=True)
+class CorrelationMatrices:
+    """Roots of the arrival (R_A) and departure (R_D) correlation."""
+
+    arrival: KroneckerRoot
+    departure: KroneckerRoot
+
+
 def build_correlation(cfg: CorrelationConfig) -> CorrelationMatrices:
-    """Kronecker-assembled correlation matrices and their Hermitian roots."""
-    r_a = np.kron(corr_matrix_azimuth(cfg, cfg.aoa), corr_matrix_elevation(cfg, cfg.aoa))
-    r_d = np.kron(corr_matrix_azimuth(cfg, cfg.aod), corr_matrix_elevation(cfg, cfg.aod))
-    return CorrelationMatrices(r_a=r_a, r_d=r_d,
-                               r_a_sqrt=_hermitian_sqrt(r_a),
-                               r_d_sqrt=_hermitian_sqrt(r_d))
+    """Hermitian roots of the azimuth and elevation factors of R_A and R_D."""
+    return CorrelationMatrices(*(
+        KroneckerRoot(az=_hermitian_sqrt(corr_matrix_azimuth(cfg, spread)),
+                      el=_hermitian_sqrt(corr_matrix_elevation(cfg, spread)))
+        for spread in (cfg.aoa, cfg.aod)))
 
 
-def _chunk_size(n_elements: int) -> int:
-    # the streams depend on it: chunk i draws from chunk_rng(seed, i)
-    return max(256, (1 << 20) // max(n_elements, 1))
+def _kron_right(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``x @ kron(p, q)`` for the rows of ``x``, written over ``x``: each row,
+    laid out as its (len(p) x len(q)) grid X, becomes p^T X q, two small
+    matrix products."""
+    grid = x.reshape(x.shape[0], p.shape[0], q.shape[0])
+    np.matmul(p.T, grid @ q, out=grid)
+    return grid.reshape(x.shape)
 
 
-def _cophased_leg(m: float, zeta, rng: np.random.Generator, shape,
-                  root: np.ndarray) -> np.ndarray:
+def _cophased_leg(m: float, zeta, rng: np.random.Generator, shape, p: np.ndarray,
+                  q: np.ndarray) -> np.ndarray:
     """One leg drawn i.i.d. as rows ``x = a * u`` (Nakagami amplitude a, unit
-    phasor u), correlated as ``x @ root`` and turned back by ``conj(u)``."""
+    phasor u), correlated as ``x @ kron(p, q)`` and turned back by ``conj(u)``."""
     amp = nakagami_sample(m, zeta, rng, shape)
-    x = 1j * rng.uniform(-math.pi, math.pi, shape)
-    np.exp(x, out=x)
-    x *= amp
-    rows = x @ root
-    np.conjugate(x, out=x)
-    x /= amp                                 # conj(u), |u| = 1
-    rows *= x
+    phase = rng.uniform(-math.pi, math.pi, shape)
+    u = np.empty(shape, dtype=complex)
+    np.cos(phase, out=u.real)
+    np.sin(phase, out=u.imag)
+    x = u * amp
+    del amp, phase  # keeps at most four (count x N) buffers per leg alive
+    rows = _kron_right(x, p, q)
+    rows *= np.conjugate(u, out=u)
     return rows
 
 
@@ -163,20 +181,22 @@ def _scheme_snr_chunk(cfg: SystemConfig, mats: CorrelationMatrices, seed: int,
 
     Scheme 1 turns element n by phi_v - arg g_n - arg h_n of the i.i.d.
     draws.  The direct-link phase phi_v is common to every term and cancels
-    in |.|^2, so it is drawn only to keep the stream; what is left is the sum
-    of g~_n conj(u_g,n) h~_n conj(u_h,n).  Scheme 2 co-phases every term, so
-    its SNR takes the moduli of the same terms.
+    in |.|^2, so it is not drawn; what is left is the sum of
+    g~_n conj(u_g,n) h~_n conj(u_h,n).  Scheme 2 co-phases every term, so its
+    SNR takes the moduli of the same terms.
     """
     rng = chunk_rng(seed, index)
     shape = (count, cfg.n_elements)
     v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
-    rng.uniform(-math.pi, math.pi, count)   # phi_v
-    terms = _cophased_leg(cfg.g.m, cfg.zeta_g, rng, shape, mats.r_d_sqrt)
-    # rows h^T -> (R_A^(1/2) h)^T
-    terms *= _cophased_leg(cfg.h.m, cfg.zeta_h, rng, shape, mats.r_a_sqrt.T)
+    dep, arr = mats.departure, mats.arrival
+    # rows g^T -> g^T R_D^(1/2)
+    terms = _cophased_leg(cfg.g.m, cfg.zeta_g, rng, shape, dep.az, dep.el)
+    # rows h^T -> (R_A^(1/2) h)^T = h^T kron(az, el)^T
+    terms *= _cophased_leg(cfg.h.m, cfg.zeta_h, rng, shape, arr.az.T, arr.el.T)
+    terms *= cfg.eta
     snr = np.empty((2, count))
-    snr[0] = cfg.gamma_bar * np.abs(v + terms @ cfg.eta) ** 2
-    snr[1] = cfg.gamma_bar * (v + np.abs(terms) @ cfg.eta) ** 2
+    snr[0] = cfg.gamma_bar * np.abs(v + terms.sum(axis=1)) ** 2
+    snr[1] = cfg.gamma_bar * (v + np.abs(terms).sum(axis=1)) ** 2
     return snr
 
 
@@ -187,6 +207,6 @@ def simulate_scheme_rates(cfg: SystemConfig, corr: CorrelationConfig,
         raise ValueError("correlation grid size must match n_elements")
     mats = build_correlation(corr)
     snr = map_chunks(functools.partial(_scheme_snr_chunk, cfg, mats, plan.seed), plan.trials,
-                     _chunk_size(cfg.n_elements), plan.workers)
+                     cfg.n_elements, plan.workers)
     rates = np.log2(1.0 + snr)
     return {1: _mean_estimate(rates[0]), 2: _mean_estimate(rates[1])}

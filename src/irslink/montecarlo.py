@@ -1,8 +1,10 @@
 """Monte-Carlo oracle: exact-SNR simulation and plug-in metric estimators.
 
-Sampling is organized in fixed-size chunks whose random streams are derived
-from (seed, chunk index) through counter-based generators, so results are
-bit-identical for any worker count and chunks can run on a thread pool.
+Sampling is organized in fixed-size chunks of trials.  Chunk ``i`` draws
+from its own generator, seeded by ``(seed, i)`` alone, and the chunk size
+depends only on the element count, so which thread runs a chunk, and how many
+workers there are, never changes a draw: results are bit-identical for any
+worker count and chunks can run on a thread pool.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .channel import SystemConfig, nakagami_sample
 from .specfun import gaussian_q
 
 __all__ = [
+    "BIT_GENERATOR",
     "SimPlan",
     "CurveResult",
     "Estimate",
@@ -28,6 +31,7 @@ __all__ = [
     "empirical_cdf",
     "empirical_outage",
     "empirical_rate",
+    "empirical_rate_ratio",
     "empirical_ber",
     "fit_loglog_slope",
 ]
@@ -86,23 +90,37 @@ class Estimate:
     ci_high: float
 
 
+# The bit generator of every chunk stream; the manifest names it.
+BIT_GENERATOR = np.random.SFC64
+
+
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """Counter-based generator for one chunk, independent of scheduling."""
+    """Generator of chunk ``chunk_index``: a ``BIT_GENERATOR`` stream seeded
+    by ``SeedSequence(seed, spawn_key=(chunk_index,))``.
+
+    The spawn key gives every chunk a statistically independent stream that
+    depends on nothing but (seed, chunk index), never on the thread or the
+    order in which chunks run.
+    """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(BIT_GENERATOR(ss))
 
 
 def _chunk_size(n_elements: int) -> int:
-    # keep per-chunk scratch arrays around 32 MB regardless of N
-    return max(1024, (1 << 22) // max(n_elements, 1))
+    """Trials per chunk: each (trials x N) float64 buffer is about 2 MB, so a
+    chunk's buffers stay cache-sized and a run splits into many chunks that
+    the workers share evenly.  The streams depend on it."""
+    return max(256, (1 << 18) // max(n_elements, 1))
 
 
-def map_chunks(kernel: Callable[[int, int], np.ndarray], trials: int, size: int,
+def map_chunks(kernel: Callable[[int, int], np.ndarray], trials: int, n_elements: int,
                workers: int) -> np.ndarray:
-    """``kernel(index, count)`` over consecutive chunks of ``size`` trials,
-    joined along the last axis.  Chunk ``index`` draws from
-    ``chunk_rng(seed, index)``, so the result does not depend on ``workers``;
-    with more than one worker the chunks run on a thread pool."""
+    """``kernel(index, count)`` over consecutive chunks of
+    ``_chunk_size(n_elements)`` trials, joined along the last axis.  Chunk
+    ``index`` draws from ``chunk_rng(seed, index)``, so the result does not
+    depend on ``workers``; with more than one worker the chunks run on a
+    thread pool."""
+    size = _chunk_size(n_elements)
     bounds = [(i, min(size, trials - start)) for i, start in enumerate(range(0, trials, size))]
     if workers == 1 or len(bounds) == 1:
         parts = [kernel(i, c) for i, c in bounds]
@@ -123,27 +141,29 @@ def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) ->
     if n == 0:
         rows[:] = cfg.gamma_bar * v**2
     else:
-        # In place on (count, n) buffers: at most three are alive per chunk.
+        # In place on (count, n) buffers: at most four are alive per chunk.
         prod = nakagami_sample(cfg.g.m, cfg.zeta_g, rng, (count, n))
         prod *= nakagami_sample(cfg.h.m, cfg.zeta_h, rng, (count, n))
         prod *= cfg.eta
         rows[0] = cfg.gamma_bar * (v + prod.sum(axis=1)) ** 2
-        # Every width draws its phase errors from the state that follows the
-        # amplitude draws, as a separate simulation of that width would.
-        after_amplitudes = rng.bit_generator.state
-        trig = None
-        for row, bits in enumerate(widths, 1):
-            rng.bit_generator.state = after_amplitudes
-            tau = math.pi / 2**bits
-            eps = rng.uniform(-tau, tau, (count, n))
-            trig = np.cos(eps, out=trig)
-            trig *= prod
-            w_re = trig.sum(axis=1)
-            trig = np.sin(eps, out=trig)
-            del eps
-            trig *= prod
-            w_im = trig.sum(axis=1)
-            rows[row] = cfg.gamma_bar * ((v + w_re) ** 2 + w_im**2)
+        if widths:
+            # One draw at the widest interval serves every width:
+            # uniform(-tau, tau) is -tau + 2 tau u with tau = pi / 2**bits, so
+            # scaling by a power of two gives bit for bit the draw a run with
+            # that width alone makes after the amplitude draws.
+            base = min(widths)
+            tau = math.pi / 2**base
+            widest = rng.uniform(-tau, tau, (count, n))
+            eps, trig = np.empty_like(widest), np.empty_like(widest)
+            for row, bits in enumerate(widths, 1):
+                np.multiply(widest, 2.0 ** (base - bits), out=eps)
+                np.cos(eps, out=trig)
+                trig *= prod
+                w_re = trig.sum(axis=1)
+                np.sin(eps, out=trig)
+                trig *= prod
+                w_im = trig.sum(axis=1)
+                rows[row] = cfg.gamma_bar * ((v + w_re) ** 2 + w_im**2)
     return rows if widths else rows[0]
 
 
@@ -158,7 +178,7 @@ def simulate_snr_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
     bit the row of a run with that width alone.
     """
     return map_chunks(functools.partial(_simulate_chunk, cfg, plan), plan.trials,
-                      _chunk_size(cfg.n_elements), plan.workers)
+                      cfg.n_elements, plan.workers)
 
 
 def empirical_cdf(samples: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -200,12 +220,36 @@ def empirical_rate(samples: np.ndarray) -> Estimate:
     return _mean_estimate(np.log2(1.0 + samples))
 
 
+def empirical_rate_ratio(samples: np.ndarray, reference: np.ndarray) -> Estimate:
+    """Ratio of the mean rates log2(1 + snr) of two paired samples.
+
+    Trial i of ``samples`` and of ``reference`` share their draws, so the
+    interval is the delta-method one of a ratio of paired means:
+    R = mean(y) / mean(x) with variance var(y - R x) / (n mean(x)^2).
+    Identical samples give R = 1 with a zero-width interval.
+    """
+    y = np.log2(1.0 + np.asarray(samples, dtype=float))
+    x = np.log2(1.0 + np.asarray(reference, dtype=float))
+    if x.size == 0 or x.shape != y.shape:
+        raise ValueError("empirical_rate_ratio requires two nonempty samples of one shape")
+    mean_x = float(x.mean())
+    ratio = float(y.mean()) / mean_x
+    n = x.size
+    half = (_Z95 * float((y - ratio * x).std(ddof=1)) / (math.sqrt(n) * mean_x)
+            if n > 1 else 0.0)
+    return Estimate(ratio, ratio - half, ratio + half)
+
+
 def empirical_ber(samples: np.ndarray, alpha: float, beta: float) -> Estimate:
-    """Mean conditional symbol error alpha*Q(sqrt(beta*snr)) over the trials."""
+    """Mean conditional symbol error alpha*Q(sqrt(beta*snr)) over the trials.
+
+    Every term lies in [0, alpha], so the normal interval is clipped to it.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("empirical_ber requires a nonempty sample")
-    return _mean_estimate(alpha * gaussian_q(np.sqrt(beta * samples)))
+    est = _mean_estimate(alpha * gaussian_q(np.sqrt(beta * samples)))
+    return Estimate(est.value, max(est.ci_low, 0.0), min(est.ci_high, alpha))
 
 
 def fit_loglog_slope(curve: CurveResult, window: tuple[float, float]) -> float:

@@ -29,7 +29,7 @@ from scipy.integrate import quad
 from .channel import LinkParams, SystemConfig
 from .cltapprox import TruncatedNormal, w_stats
 from .errors import NumericalConsistencyError, UnsupportedShapeError
-from .specfun import JParams, cal_i, cal_j, cal_j_between, gamma_upper
+from .specfun import JParams, _exp, cal_i, cal_j, cal_j_between, gamma_upper
 
 __all__ = [
     "SnrCdfParams",
@@ -126,19 +126,16 @@ class SnrCdfParams:
 
 
 def envelope_pdf(r, p: SnrCdfParams):
-    """Closed-form PDF of the received envelope R = v + W."""
+    """Closed-form PDF of the received envelope R = v + W (zero for r <= 0)."""
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
+    inside = ~(r <= 0)  # NaN stays NaN
+    z = p.standardized(r[inside])
     mtv = p.m_tilde_v
-    for idx in np.ndindex(r.shape):
-        ri = r[idx]
-        if ri <= 0:
-            continue
-        z = p.standardized(ri)
-        total = 0.0
-        for k in range(mtv + 1):
-            total += math.comb(mtv, k) * z ** (mtv - k) * cal_i(k, -z)
-        out[idx] = 2.0 * math.exp(p.log_lam - p.delta * z * z) * total
+    total = 0.0
+    for k in range(mtv + 1):
+        total += math.comb(mtv, k) * np.float_power(z, mtv - k) * cal_i(k, -z)
+    out[inside] = 2.0 * _exp(p.log_lam - p.delta * z * z) * total
     return out if out.shape else float(out)
 
 

@@ -131,20 +131,29 @@ def bessel_k(nu: float, x: float):
     return sc.kv(nu, x)
 
 
-def cal_i(k: int, x: float) -> float:
+def cal_i(k: int, x):
     """Gaussian-weighted monomial tail: integral of t^k e^{-t^2}, t in [x, inf).
 
     For x >= 0 this is half an upper incomplete gamma; for x < 0 the part
     left of the origin folds back with sign (-1)^k through the lower
     incomplete gamma, so both branches match continuously at x = 0.
+    ``x`` may be an array; a float comes back for a scalar.
     """
     if k < 0 or k != int(k):
         raise ValueError(f"cal_i requires integer k >= 0, got {k}")
     k = int(k)
     q = (k + 1) / 2.0
-    if x >= 0:
-        return 0.5 * gamma_upper(q, x * x)
-    return 0.5 * sc.gamma(q) + 0.5 * (-1.0) ** k * gamma_lower(q, x * x)
+    if isinstance(x, (float, int)):
+        # the moment code calls with scalars, where 0-d array arithmetic
+        # would cost several times the evaluation itself
+        if x >= 0:
+            return 0.5 * float(_gamma_tail(q, x * x))
+        return 0.5 * sc.gamma(q) + 0.5 * (-1.0) ** k * gamma_lower(q, x * x)
+    x = np.asarray(x, dtype=float)
+    xx = x * x
+    out = np.where(x >= 0, 0.5 * _gamma_tail(q, xx),
+                   0.5 * sc.gamma(q) + 0.5 * (-1.0) ** k * (sc.gammainc(q, xx) * sc.gamma(q)))
+    return out if out.ndim else float(out)
 
 
 def _cal_j_integrand(t, k, p: JParams):

@@ -4,9 +4,11 @@ library against."""
 import math
 
 import numpy as np
+from scipy import special as sc
 
 from irslink.channel import SystemConfig
 from irslink.cltapprox import TruncatedNormal, w_stats
+from irslink.snrdist import SnrCdfParams
 from irslink.specfun import log_gaussian_q
 
 
@@ -61,3 +63,28 @@ def ser_upper_bound_scalar(cfg: SystemConfig) -> float:
                  + m_v * math.log(m_v / kappa_v) - 0.5 * math.log(2.0 * s2)
                  - tn.mu_bar**2 / (2.0 * s2) + objective(0.5 * (a + b)))
     return min(math.exp(log_bound), 1.0)
+
+
+def cal_i_scalar(k: int, x: float) -> float:
+    """``specfun.cal_i`` at one point, branching on the sign of x."""
+    q = (k + 1) / 2.0
+    if x >= 0:
+        return 0.5 * float(sc.gammaincc(q, x * x) * sc.gamma(q))
+    return 0.5 * sc.gamma(q) + 0.5 * (-1.0) ** k * float(sc.gammainc(q, x * x) * sc.gamma(q))
+
+
+def envelope_pdf_scalar(r, p: SnrCdfParams):
+    """``snrdist.envelope_pdf`` evaluated point by point with scalar ``cal_i``."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    mtv = p.m_tilde_v
+    for idx in np.ndindex(r.shape):
+        ri = r[idx]
+        if ri <= 0:
+            continue
+        z = p.standardized(ri)
+        total = 0.0
+        for k in range(mtv + 1):
+            total += math.comb(mtv, k) * z ** (mtv - k) * cal_i_scalar(k, -z)
+        out[idx] = 2.0 * math.exp(p.log_lam - p.delta * z * z) * total
+    return out if out.shape else float(out)

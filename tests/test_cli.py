@@ -54,15 +54,17 @@ def per_point(cfg, plan, estimator, xs):
 
 
 def quantized_percent(cfg, plan, bits, xs):
+    """Percentage of the paired mean rates, with the delta-method interval of
+    a ratio of paired means."""
     for db in xs:
         c = cfg.with_gamma_bar_db(db)
-        plain = empirical_rate(simulate_snr_samples(c, plan))
-        quant = empirical_rate(simulate_snr_samples(
+        x = np.log2(1.0 + simulate_snr_samples(c, plan))
+        y = np.log2(1.0 + simulate_snr_samples(
             c, SimPlan(trials=plan.trials, seed=plan.seed, workers=plan.workers,
                        quantization_bits=(bits,)))[1])
-        pct = 100.0 * quant.value / plain.value
-        width = 100.0 * (quant.ci_high - quant.ci_low) / plain.value
-        yield pct, pct - width / 2, pct + width / 2
+        ratio = y.mean() / x.mean()
+        half = 1.959963984540054 * (y - ratio * x).std(ddof=1) / (math.sqrt(x.size) * x.mean())
+        yield 100.0 * ratio, 100.0 * (ratio - half), 100.0 * (ratio + half)
 
 
 @pytest.fixture
@@ -202,7 +204,7 @@ def test_build_id_is_resolved_once_from_the_package(tmp_path, monkeypatch):
 
 
 def test_wdist_samples_keep_their_stream_for_any_worker_count(monkeypatch):
-    monkeypatch.setattr(cli, "_chunk_size", lambda n: 1024)
+    monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: 1024)
     cfg, _ = cli.validate_config({"n_elements": 8})
     runs = [cli._reflected_sum_samples(cfg, SimPlan(trials=3000, seed=4, workers=w))
             for w in (1, 2)]
@@ -263,6 +265,47 @@ def test_manifest_records_the_numeric_stack(tmp_path):
     assert artifact["python"] == platform.python_version()
     assert artifact["numpy"] == np.__version__
     assert artifact["scipy"] == scipy.__version__
+    assert artifact["bit_generator"] == "SFC64"
+
+
+@pytest.mark.parametrize("kind,config,runs", [
+    ("wdist", {}, [16]),
+    ("snrcdf", {}, [16]),
+    ("outage", {}, [16]),
+    ("rate", {}, [16]),
+    ("ser", {}, [16]),
+    ("sweep", {"sweep": {"variable": "n_elements", "values": [4, 64]}}, [4, 64]),
+    ("quantization", {"quantization": {"bits": [1], "n_values": [8, 32]}}, [8, 32]),
+    ("correlation", {"correlation": {"n_values": [16, 64]}}, [16, 64]),
+])
+def test_manifest_records_the_monte_carlo_runs(tmp_path, kind, config, runs):
+    code, out = run_cli(tmp_path, kind, {"trials": 5000, "workers": 2,
+                                         "sweep": {"values": [0.0, 20.0]}, **config})
+    assert code == 0
+    mc = json.loads((out / "manifest.json").read_text())["extras"]["mc"]
+    assert [run["n_elements"] for run in mc["runs"]] == runs
+    for run in mc["runs"]:
+        assert run["trials"] == 5000
+        assert run["chunk_trials"] == montecarlo._chunk_size(run["n_elements"])
+        assert run["chunks"] == math.ceil(5000 / run["chunk_trials"])
+    assert mc["workers"] == 2
+    assert mc["trials"] == 5000 * len(runs)
+    assert mc["chunks"] == sum(run["chunks"] for run in mc["runs"])
+    assert mc["seconds"] > 0
+    assert mc["trials_per_s"] == round(mc["trials"] / mc["seconds"])
+
+
+def test_no_mc_run_records_no_monte_carlo(tmp_path):
+    code, out = run_cli(tmp_path, "ser", {"trials": 100}, "--no-mc")
+    assert code == 0
+    assert "mc" not in json.loads((out / "manifest.json").read_text())["extras"]
+
+
+def test_ser_interval_stays_inside_the_term_range(tmp_path):
+    code, out = run_cli(tmp_path, "ser", {"sweep": {"values": [30.0]}})
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(read_csv(out / "ser_mc.csv"))))[0]
+    assert 0.0 == float(row["mc_ci_low"]) <= float(row["mc"]) <= float(row["mc_ci_high"]) <= 1.0
 
 
 @pytest.mark.parametrize("kind", cli.KINDS)

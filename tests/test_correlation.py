@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import irslink.correlation as correlation
+import irslink.montecarlo as montecarlo
 from irslink.channel import LinkParams, SystemConfig, nakagami_sample
 from irslink.correlation import (AngleSpread, CorrelationConfig, CorrelationMatrices,
-                                 _scheme_snr_chunk, build_correlation, corr_matrix_azimuth,
-                                 corr_matrix_elevation, simulate_scheme_rates)
+                                 KroneckerRoot, _kron_right, _scheme_snr_chunk,
+                                 build_correlation, corr_matrix_azimuth, corr_matrix_elevation,
+                                 simulate_scheme_rates)
 from irslink.montecarlo import SimPlan, chunk_rng
 from irslink.snrdist import optimal_snr
 
@@ -25,8 +26,9 @@ def correlated_snr(v_amp: float, phi_v: float, g_vec: np.ndarray, h_vec: np.ndar
     """
     if g_vec.shape != h_vec.shape:
         raise ValueError("channel vectors must have equal length")
-    g_t = g_vec @ matrices.r_d_sqrt          # row convention: g~^T = g^T R_D^(1/2)
-    h_t = matrices.r_a_sqrt @ h_vec
+    dep, arr = matrices.departure, matrices.arrival
+    g_t = g_vec @ np.kron(dep.az, dep.el)    # row convention: g~^T = g^T R_D^(1/2)
+    h_t = np.kron(arr.az, arr.el) @ h_vec
     if scheme == 2:
         theta = phi_v - (np.angle(g_t) + np.angle(h_t))
     elif scheme == 1:
@@ -106,14 +108,31 @@ class TestBuildCorrelation:
     def test_kronecker_shape(self):
         cfg = small_corr(n_az=5, n_el=3)
         mats = build_correlation(cfg)
-        assert mats.r_a.shape == (15, 15)
-        assert mats.r_d.shape == (15, 15)
+        for side in (mats.arrival, mats.departure):
+            assert side.az.shape == (5, 5) and side.el.shape == (3, 3)
+            assert np.kron(side.az, side.el).shape == (15, 15)
 
     def test_sqrt_reconstruction(self):
-        mats = build_correlation(small_corr())
-        for r, s in ((mats.r_a, mats.r_a_sqrt), (mats.r_d, mats.r_d_sqrt)):
-            err = np.linalg.norm(s @ s - r) / np.linalg.norm(r)
+        cfg = small_corr(n_az=5, n_el=3)
+        mats = build_correlation(cfg)
+        for spread, side in ((cfg.aoa, mats.arrival), (cfg.aod, mats.departure)):
+            r = np.kron(corr_matrix_azimuth(cfg, spread), corr_matrix_elevation(cfg, spread))
+            root = np.kron(side.az, side.el)
+            np.testing.assert_allclose(root, root.conj().T, atol=1e-14)
+            err = np.linalg.norm(root @ root - r) / np.linalg.norm(r)
             assert err < 1e-10
+
+    @pytest.mark.parametrize("n", [16, 36, 64, 100, 144])
+    def test_factored_leg_equals_full_root_product(self, n):
+        corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
+        mats = build_correlation(corr)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((300, n)) + 1j * rng.standard_normal((300, n))
+        for side in (mats.arrival, mats.departure):
+            for p, q in ((side.az, side.el), (side.az.T, side.el.T)):
+                full = x @ np.kron(p, q)
+                np.testing.assert_allclose(_kron_right(x.copy(), p, q), full,
+                                           rtol=1e-12, atol=1e-12 * np.abs(full).max())
 
     def test_square_surface_factorization(self):
         cfg = CorrelationConfig.square_surface(36, 1.0, 0.1, spread(), spread())
@@ -125,8 +144,8 @@ class TestBuildCorrelation:
 
 
 def identity_matrices(n):
-    eye = np.eye(n, dtype=complex)
-    return CorrelationMatrices(r_a=eye, r_d=eye, r_a_sqrt=eye, r_d_sqrt=eye)
+    eye = KroneckerRoot(az=np.eye(n, dtype=complex), el=np.eye(1, dtype=complex))
+    return CorrelationMatrices(arrival=eye, departure=eye)
 
 
 class TestCorrelatedSnr:
@@ -181,10 +200,11 @@ class TestSchemeKernel:
         cfg = replace(unit_cfg(n), eta=np.linspace(0.5, 1.0, n))
         seed, index, count = 23, 2, 400
         snr = _scheme_snr_chunk(cfg, mats, seed, index, count)
-        # the chunk's draws, in stream order, as scaled Gamma and uniform variates
+        # the chunk's draws, in stream order, as scaled Gamma and uniform
+        # variates; the direct-link phase cancels, so the kernel draws none
         rng = chunk_rng(seed, index)
         v = np.sqrt(rng.gamma(cfg.v.m, cfg.v.zeta, count))
-        phi_v = rng.uniform(-np.pi, np.pi, count)
+        phi_v = np.random.default_rng(1).uniform(-np.pi, np.pi, count)
 
         def leg(m, zeta):
             amp = np.sqrt(rng.gamma(m, np.broadcast_to(zeta, (count, n))))
@@ -199,7 +219,7 @@ class TestSchemeKernel:
 
 class TestSchemeRates:
     def test_estimates_do_not_depend_on_workers(self, monkeypatch):
-        monkeypatch.setattr(correlation, "_chunk_size", lambda n: 512)
+        monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: 512)
         corr = small_corr()
         runs = [simulate_scheme_rates(unit_cfg(corr.n_total), corr,
                                       SimPlan(trials=1800, seed=5, workers=w))

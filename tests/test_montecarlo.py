@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 
+import irslink.cli as cli
+import irslink.correlation as correlation
 import irslink.montecarlo as montecarlo
 from irslink.channel import LinkParams, SystemConfig
 from irslink.cltapprox import w_mean_var, w_stats
-from irslink.montecarlo import (CurveResult, SimPlan, _simulate_chunk, chunk_rng,
-                                empirical_ber, empirical_cdf, empirical_outage,
-                                empirical_rate, fit_loglog_slope, simulate_snr_samples)
+from irslink.correlation import simulate_scheme_rates
+from irslink.montecarlo import (CurveResult, Estimate, SimPlan, _chunk_size, _simulate_chunk,
+                                chunk_rng, empirical_ber, empirical_cdf, empirical_outage,
+                                empirical_rate, empirical_rate_ratio, fit_loglog_slope,
+                                simulate_snr_samples)
 from irslink.specfun import gaussian_q
 
 
@@ -53,10 +57,11 @@ class TestSimulation:
         monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: 1024)
         cfg = unit_config(12, gamma_bar_db=5.0)
         plan = SimPlan(trials=3000, seed=17, workers=workers)  # three chunks
-        rows = simulate_snr_samples(cfg, replace(plan, quantization_bits=(1, 3, 2)))
-        assert rows.shape == (4, 3000)
+        widths = (3, 1, 8, 2)  # the widest interval (1 bit) is not the first
+        rows = simulate_snr_samples(cfg, replace(plan, quantization_bits=widths))
+        assert rows.shape == (5, 3000)
         np.testing.assert_array_equal(rows[0], simulate_snr_samples(cfg, plan))
-        for row, bits in zip(rows[1:], (1, 3, 2)):
+        for row, bits in zip(rows[1:], widths):
             np.testing.assert_array_equal(
                 row, simulate_snr_samples(cfg, replace(plan, quantization_bits=(bits,)))[1])
 
@@ -107,6 +112,62 @@ class TestSimulation:
         assert observed == pytest.approx(mu_w, rel=0.005)
 
 
+def correlation_config(n):
+    resolved = cli.validate_config({})[1]
+    return cli._correlation_config(resolved, n)
+
+
+# The three chunk kernels, each as (cfg, plan) -> an output compared with ==.
+KERNELS = {
+    "snr": lambda cfg, plan: simulate_snr_samples(cfg, replace(plan, quantization_bits=(1, 3))),
+    "wdist": cli._reflected_sum_samples,
+    "correlation": lambda cfg, plan: simulate_scheme_rates(
+        cfg, correlation_config(cfg.n_elements), plan),
+}
+
+
+class TestChunkLayout:
+    def test_chunk_stream_is_pinned(self):
+        # SFC64 streams are stable across numpy versions; a change here
+        # changes every Monte-Carlo column
+        assert [int(v) for v in chunk_rng(0, 0).bit_generator.random_raw(4)] == [
+            10116541783505607535, 7467812998635031247,
+            16408170688587494076, 8359172907132646958]
+        assert [int(v) for v in chunk_rng(12345, 7).bit_generator.random_raw(4)] == [
+            8639067809840361249, 18085651635250726842,
+            6269875958123251405, 7539138899335912499]
+
+    def test_chunk_buffers_are_about_two_megabytes(self):
+        for n in (1, 16, 64, 128, 144, 1024):
+            assert _chunk_size(n) * n * 8 <= 2 * 2**20
+            assert _chunk_size(n) * n * 8 > 2**20 or _chunk_size(n) == 256
+        assert _chunk_size(4096) == 256
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_every_kernel_chunks_by_the_shared_size(self, monkeypatch, kernel):
+        asked, drawn = [], []
+        monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: asked.append(n) or 100)
+        for module in (montecarlo, cli, correlation):
+            monkeypatch.setattr(module, "chunk_rng",
+                                lambda seed, index: drawn.append(index) or chunk_rng(seed, index))
+        cfg, _ = cli.validate_config({"n_elements": 16})
+        KERNELS[kernel](cfg, SimPlan(trials=250, seed=3))
+        assert asked == [16]
+        assert sorted(drawn) == [0, 1, 2]
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_every_kernel_is_identical_for_any_worker_count(self, kernel):
+        cfg, _ = cli.validate_config({"n_elements": 64, "gamma_bar_db": 0.0})
+        trials = 3 * _chunk_size(64) + 100  # four chunks of the real size
+        runs = [KERNELS[kernel](cfg, SimPlan(trials=trials, seed=29, workers=w))
+                for w in (1, 2, 3)]
+        for other in runs[1:]:
+            if kernel == "correlation":
+                assert other == runs[0]
+            else:
+                np.testing.assert_array_equal(other, runs[0])
+
+
 class TestEstimators:
     def test_constant_sample_point_values(self):
         samples = np.full(1000, 4.0)
@@ -117,6 +178,39 @@ class TestEstimators:
         assert rate.ci_low == rate.ci_high == rate.value
         ber = empirical_ber(samples, 1.0, 2.0)
         assert ber.value == pytest.approx(float(gaussian_q(math.sqrt(8.0))), rel=1e-12)
+
+    def test_ber_interval_is_clipped_to_the_term_range(self):
+        # one trial near 0 dB among many deep in the tail: the normal interval
+        # reaches below 0
+        samples = np.concatenate([[0.0], np.full(999, 1e4)])
+        est = empirical_ber(samples, 1.0, 2.0)
+        assert est.value == pytest.approx(0.5 / 1000, rel=1e-9)
+        assert est.ci_low == 0.0
+        assert est.value < est.ci_high < 1.0
+        half = 1.959963984540054 * float(np.std(0.5 * (samples == 0.0), ddof=1)) / math.sqrt(1000)
+        assert est.ci_high == pytest.approx(est.value + half, rel=1e-12)
+
+    def test_rate_ratio_matches_the_delta_method_by_hand(self):
+        # rates log2(1 + snr): reference 1, 2, 3, 4; paired sample 1, 1, 2, 3
+        reference = np.array([1.0, 3.0, 7.0, 15.0])
+        samples = np.array([1.0, 1.0, 3.0, 7.0])
+        est = empirical_rate_ratio(samples, reference)
+        # R = 1.75 / 2.5 = 0.7; y - R x = 0.3, -0.4, -0.1, 0.2, whose sample
+        # variance is 0.3 / 3 = 0.1; se = sqrt(0.1 / 4) / 2.5
+        half = 1.959963984540054 * math.sqrt(0.1 / 4) / 2.5
+        assert est.value == pytest.approx(0.7, rel=1e-14)
+        assert est.ci_low == pytest.approx(0.7 - half, rel=1e-12)
+        assert est.ci_high == pytest.approx(0.7 + half, rel=1e-12)
+
+    def test_rate_ratio_of_identical_rows_has_zero_width(self):
+        rows = simulate_snr_samples(unit_config(8), SimPlan(trials=5000, seed=2))
+        assert empirical_rate_ratio(rows, rows.copy()) == Estimate(1.0, 1.0, 1.0)
+
+    def test_rate_ratio_rejects_unpaired_samples(self):
+        with pytest.raises(ValueError):
+            empirical_rate_ratio(np.ones(3), np.ones(4))
+        with pytest.raises(ValueError):
+            empirical_rate_ratio(np.array([]), np.array([]))
 
     def test_outage_below_sample_minimum(self):
         samples = np.linspace(1.0, 2.0, 100)

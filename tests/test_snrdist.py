@@ -12,6 +12,7 @@ from irslink.errors import NumericalConsistencyError, UnsupportedShapeError
 from irslink.montecarlo import SimPlan, simulate_snr_samples
 from irslink.snrdist import (ProductPdfParams, SnrCdfParams, envelope_cdf, envelope_pdf,
                              optimal_phases, optimal_snr, product_pdf, snr_cdf, snr_pdf)
+from oracles import envelope_pdf_scalar
 
 
 def unit_config(n, m_v, m_g, m_h, eta=0.9, gamma_bar_db=0.0):
@@ -124,6 +125,20 @@ class TestEnvelopePdf:
                 * math.exp(-(r - u - tn.mu_bar) ** 2 / (2 * tn.sigma2_bar)),
                 0, r, limit=300)
             assert envelope_pdf(r, params_234) == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("m_v", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_array_equals_point_by_point(self, m_v, n):
+        params = SnrCdfParams.from_config(validate_config({"n_elements": n,
+                                                           "fading": {"m_v": m_v}})[0])
+        mu = params.tn.mu_bar
+        grid = np.concatenate([[-1.0, 0.0, mu, np.nan], np.linspace(1e-9, 3 * mu, 996)])
+        np.testing.assert_array_equal(envelope_pdf(grid, params),
+                                      envelope_pdf_scalar(grid, params))
+        np.testing.assert_array_equal(envelope_pdf(grid.reshape(4, 250), params),
+                                      envelope_pdf_scalar(grid, params).reshape(4, 250))
+        assert envelope_pdf(0.5 * mu, params) == envelope_pdf_scalar(0.5 * mu, params)
+        assert envelope_pdf(-1.0, params) == 0.0
 
     def test_rejects_non_half_integer_shape(self):
         with pytest.raises(UnsupportedShapeError):

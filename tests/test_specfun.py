@@ -10,6 +10,7 @@ from scipy.special import gamma as gamma_fn
 from irslink import specfun
 from irslink.specfun import (JParams, bessel_k, cal_i, cal_j, cal_j_between,
                              gamma_lower, gamma_upper, gaussian_q, log_gaussian_q)
+from oracles import cal_i_scalar
 
 
 class TestGammaPair:
@@ -119,6 +120,17 @@ class TestCalI:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             cal_i(-1, 0.0)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
+    def test_array_equals_point_by_point(self, k):
+        xs = np.concatenate([[-40.0, -1e-12, 0.0, 1e-12], np.linspace(-6.0, 6.0, 301)])
+        expected = [cal_i_scalar(k, x) for x in xs]
+        np.testing.assert_array_equal(cal_i(k, xs), expected)
+        np.testing.assert_array_equal([cal_i(k, float(x)) for x in xs], expected)
+        np.testing.assert_array_equal([cal_i(k, np.asarray(x)) for x in xs], expected)
+        np.testing.assert_array_equal(cal_i(k, xs.reshape(5, 61)),
+                                      np.reshape(expected, (5, 61)))
+        assert isinstance(cal_i(k, -1.1), float) and isinstance(cal_i(k, 1.1), float)
 
 
 def _j_quad(k, z, p):

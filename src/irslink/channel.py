@@ -74,8 +74,9 @@ class Distances:
 class PathLossModel:
     """Log-distance model; the dB loss at distance d is zeta0_db + 10*exponent*log10(d).
 
-    Figure-reproduction configs pass a negative ``zeta0_db`` so the
-    reference term acts as a net gain offset; see README.
+    Figure-reproduction configs pass a negative ``zeta0_db``, a net gain at 1 m,
+    so that the mean received SNR falls inside the swept transmit SNRs; a
+    physical reference loss of 30-40 dB would move every curve 72-82 dB right.
     """
 
     zeta0_db: float = -42.0

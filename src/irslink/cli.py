@@ -5,10 +5,10 @@ quantization, correlation, sweep.  Output is data only (one CSV per curve,
 fixed column schema), never rendered plots.  Exit codes: 0 success, 2
 configuration error, 3 numerical consistency failure.
 
-Configuration is a nested YAML file; dB quantities carry a ``_db`` key
-suffix.  An empty (or missing) file yields the documented default
-configuration; a previously written manifest can be passed back through
-``--config`` to reproduce a run byte-for-byte.
+Configuration is a nested YAML file, validated by :mod:`irslink.config`.
+An empty (or missing) file yields the documented default configuration; a
+previously written manifest can be passed back through ``--config`` to
+reproduce a run byte-for-byte.
 """
 
 from __future__ import annotations
@@ -27,51 +27,25 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import yaml
 
 from . import __version__
-from .channel import Distances, Modulation, PathLossModel, SystemConfig, nakagami_sample
+from .channel import SystemConfig
+from .config import DEFAULT_CONFIG, load_config_file, validate_config  # noqa: F401
 from .cltapprox import w_stats
 from .correlation import AngleSpread, CorrelationConfig, simulate_scheme_rates
 from .errors import ConfigError, NumericalConsistencyError, UnsupportedShapeError
 from .metrics import (asymptotic_outage, asymptotic_ser, outage_probability,
                       quantized_rate_bounds, rate_bounds, ser_upper_bound)
-from .montecarlo import (BIT_GENERATOR, Estimate, SimPlan, _chunk_size, chunk_rng,
-                         empirical_ber, empirical_cdf, empirical_outage, empirical_rate,
-                         empirical_rate_ratio, map_chunks, simulate_snr_samples)
+from .montecarlo import (BIT_GENERATOR, Estimate, SimPlan, _chunk_size, empirical_ber,
+                         empirical_cdf, empirical_outage, empirical_rate, empirical_rate_ratio,
+                         simulate_snr_samples)
+from .montecarlo import reflected_sum_samples as _reflected_sum_samples
 from .snrdist import SnrCdfParams, snr_cdf
+from .specfun import gaussian_q
 
 CSV_HEADER = ["x_unit", "x", "analytic", "asymptotic", "mc", "mc_ci_low", "mc_ci_high"]
 
 KINDS = ("wdist", "snrcdf", "outage", "rate", "ser", "quantization", "correlation", "sweep")
-
-# Documented defaults: the standard geometry (source-destination 100 m,
-# surface legs 60 m each), shapes (2, 3, 4), eta 0.9, BPSK, 20 dB transmit
-# SNR, 10 dB outage threshold.  The reference path-loss offset enters as a
-# gain, hence the negative zeta0_db; see README.
-DEFAULT_CONFIG = {
-    "n_elements": 16,
-    "eta": 0.9,
-    "fading": {"m_v": 2.0, "m_g": 3.0, "m_h": 4.0},
-    "distances": {"d_sd_m": 100.0, "d_si_m": 60.0, "d_di_m": 60.0},
-    "pathloss": {"zeta0_db": -42.0, "exponent": 3.5},
-    "gamma_bar_db": 20.0,
-    "gamma_th_db": 10.0,
-    "modulation": {"alpha": 1.0, "beta": 2.0},
-    "trials": 100_000,
-    "seed": 1,
-    "workers": 1,
-    "sweep": {"variable": "gamma_bar_db", "values": [float(x) for x in range(0, 46, 3)]},
-    "quantization": {"bits": [1, 2, 4], "n_values": [32, 64, 128]},
-    "correlation": {
-        "surface_side_m": 1.0,
-        "wavelength_m": 0.1,
-        "n_values": [16, 36, 64, 100, 144],
-        "aoa": {"mean_az_deg": 45.0, "std_az_deg": 5.7, "mean_el_deg": 60.0, "std_el_deg": 5.7},
-        "aod": {"mean_az_deg": -30.0, "std_az_deg": 5.7, "mean_el_deg": 75.0, "std_el_deg": 5.7},
-    },
-}
-
 
 @dataclass
 class ExperimentSpec:
@@ -86,96 +60,6 @@ class ExperimentSpec:
     quantization_n: tuple = (32, 64, 128)
     output_dir: Path = Path("out")
     use_mc: bool = True
-
-
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = val
-    return out
-
-
-def _floats(values) -> list[float]:
-    return [float(v) for v in values]
-
-
-def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig, dict]:
-    """Resolve the raw mapping against defaults; aggregate every violation."""
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(["configuration root must be a mapping"])
-    resolved = _merge(DEFAULT_CONFIG, raw)
-    errors = []
-
-    def grab(path, cast, check=None, message=None):
-        node = resolved
-        try:
-            for part in path.split("."):
-                node = node[part]
-            value = cast(node)
-        except (KeyError, TypeError, ValueError):
-            errors.append(f"{path}: missing or malformed")
-            return None
-        if check is not None and not check(value):
-            errors.append(f"{path}: {message}")
-            return None
-        return value
-
-    n = grab("n_elements", int, lambda v: v >= 1, "must be >= 1")
-    eta = grab("eta", float, lambda v: 0 < v <= 1.0, "eta_n must lie in (0, 1]")
-    m_v = grab("fading.m_v", float, lambda v: v >= 0.5, "Nakagami shape must be >= 0.5")
-    m_g = grab("fading.m_g", float, lambda v: v >= 0.5, "Nakagami shape must be >= 0.5")
-    m_h = grab("fading.m_h", float, lambda v: v >= 0.5, "Nakagami shape must be >= 0.5")
-    d_sd = grab("distances.d_sd_m", float, lambda v: v > 0, "distance must be positive")
-    d_si = grab("distances.d_si_m", float, lambda v: v > 0, "distance must be positive")
-    d_di = grab("distances.d_di_m", float, lambda v: v > 0, "distance must be positive")
-    zeta0 = grab("pathloss.zeta0_db", float)
-    ple = grab("pathloss.exponent", float, lambda v: v > 0, "exponent must be positive")
-    gbar_db = grab("gamma_bar_db", float)
-    gth_db = grab("gamma_th_db", float)
-    alpha = grab("modulation.alpha", float, lambda v: v > 0, "alpha must be positive")
-    beta = grab("modulation.beta", float, lambda v: v > 0, "beta must be positive")
-    trials = grab("trials", int, lambda v: v >= 1, "trials must be >= 1")
-    seed = grab("seed", int)
-    workers = grab("workers", int, lambda v: v >= 1, "workers must be >= 1")
-    values = grab("sweep.values", _floats, lambda v: len(v) > 0, "sweep values must be nonempty")
-    variable = grab("sweep.variable", str,
-                    lambda v: v in ("gamma_bar_db", "n_elements"),
-                    "sweep variable must be gamma_bar_db or n_elements")
-
-    for path in ("quantization.bits", "quantization.n_values", "correlation.n_values"):
-        grab(path, _floats, lambda v: len(v) > 0 and min(v) >= 1,
-             "must be a nonempty list of values >= 1")
-
-    if values is not None:
-        if any(b <= a for a, b in zip(values, values[1:])):
-            errors.append("sweep.values: must be strictly increasing")
-        if variable == "n_elements" and min(values) < 1:
-            errors.append("sweep.values: element counts must be >= 1")
-
-    if kind in ("snrcdf", "outage") and m_v is not None:
-        if abs(2 * m_v - round(2 * m_v)) > 1e-12:
-            errors.append(
-                f"fading.m_v: {m_v} has no closed-form SNR distribution; use a "
-                "multiple of 1/2 (0.5, 1, 1.5, ...) or run Monte-Carlo sweeps only")
-
-    if errors:
-        raise ConfigError(errors)
-
-    cfg = SystemConfig.from_geometry(
-        n_elements=n, m_v=m_v, m_g=m_g, m_h=m_h,
-        distances=Distances(d_sd=d_sd, d_si=d_si, d_di=d_di),
-        pathloss=PathLossModel(zeta0_db=zeta0, exponent=ple),
-        eta=eta, gamma_bar_db=gbar_db,
-        modulation=Modulation(alpha=alpha, beta=beta),
-    )
-    resolved["gamma_th_db"] = gth_db
-    resolved["trials"], resolved["seed"], resolved["workers"] = trials, seed, workers
-    return cfg, resolved
 
 
 def _spec_from_resolved(kind: str, resolved: dict, out_dir: Path,
@@ -233,6 +117,11 @@ def _gamma_bar(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def _gamma_bars(sweep) -> np.ndarray:
+    """The transmit SNRs of a dB sweep, each as ``SystemConfig.gamma_bar`` has it."""
+    return np.array([_gamma_bar(db) for db in sweep])
+
+
 def _timed_mc(extras: dict, sampler, cfg: SystemConfig, *args):
     """``sampler(cfg, *args)``, whose last argument is the SimPlan, with its
     trials, chunks and seconds added to the manifest's ``extras.mc``."""
@@ -285,7 +174,6 @@ def _run_wdist(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     grid = np.linspace(max(1e-9, tn.mu_bar - 5 * sd), tn.mu_bar + 5 * sd, 201)
     xi_phi = tn.xi / math.sqrt(2 * math.pi * tn.sigma2_bar)
     pdf = xi_phi * np.exp(-((grid - tn.mu_bar) ** 2) / (2 * tn.sigma2_bar))
-    from .specfun import gaussian_q
     cdf = 1.0 - tn.xi * gaussian_q((grid - tn.mu_bar) / sd)
     mc_pdf = mc_cdf = None
     if spec.use_mc:
@@ -299,18 +187,6 @@ def _run_wdist(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     _emit(spec, files, "wdist_pdf", "w", _curve_rows(grid, analytic=pdf, mc=mc_pdf))
     _emit(spec, files, "wdist_cdf", "w", _curve_rows(grid, analytic=cdf, mc=mc_cdf))
     extras["mu_bar"], extras["sigma2_bar"], extras["xi"] = tn.mu_bar, tn.sigma2_bar, tn.xi
-
-
-def _reflected_sum_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
-    """Samples of the co-phased reflected sum W (no direct link is drawn)."""
-    def chunk(index: int, count: int) -> np.ndarray:
-        rng = chunk_rng(plan.seed, index)
-        shape = (count, cfg.n_elements)
-        prod = nakagami_sample(cfg.g.m, cfg.zeta_g, rng, shape)
-        prod *= nakagami_sample(cfg.h.m, cfg.zeta_h, rng, shape)
-        prod *= cfg.eta
-        return prod.sum(axis=1)
-    return map_chunks(chunk, plan.trials, cfg.n_elements, plan.workers)
 
 
 def _run_snrcdf(spec: ExperimentSpec, files: dict, extras: dict) -> None:
@@ -332,11 +208,12 @@ def _asymptote(extras: dict, fit, **report):
     """Evaluator of the high-SNR floor ``fit() -> (result, evaluator)``, with
     ``report`` (manifest key -> function of the result) added to the extras.
     Where the floor's constants are undefined (m_g == m_h, or m_b - m_a <= 1/2)
-    the reported keys are null, the reason is recorded, and the evaluator
-    returns inf, which leaves the asymptotic column blank."""
+    or leave the float64 range, the reported keys are null, the reason is
+    recorded, and the evaluator returns inf, which leaves the asymptotic
+    column blank."""
     try:
         result, evaluator = fit()
-    except ConfigError as exc:
+    except (ConfigError, NumericalConsistencyError) as exc:
         extras.update(dict.fromkeys(report), asymptote_unavailable=str(exc))
         return lambda gamma_bar: math.inf
     extras.update({key: get(result) for key, get in report.items()})
@@ -352,8 +229,7 @@ def _run_outage(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     # gamma_th / gamma_bar: one array evaluation serves the sweep, bit for bit
     unit = SnrCdfParams.from_config(spec.config.with_gamma_bar_db(0.0))
     _floor_curves(spec, files, extras, "outage", "analytic",
-                  lambda sweep: outage_probability(
-                      gamma_th / np.array([_gamma_bar(db) for db in sweep]), unit),
+                  lambda sweep: outage_probability(gamma_th / _gamma_bars(sweep), unit),
                   evaluator, lambda snr: empirical_outage(snr, gamma_th))
 
 
@@ -366,8 +242,7 @@ def _run_ser(spec: ExperimentSpec, files: dict, extras: dict) -> None:
                            diversity_order=lambda r: r.g_d, coding_gain=lambda r: r.g_c)
     mod = spec.config.modulation
     _floor_curves(spec, files, extras, "ser", "bound",
-                  lambda sweep: [ser_upper_bound(spec.config.with_gamma_bar_db(db))
-                                 for db in sweep],
+                  lambda sweep: ser_upper_bound(spec.config, _gamma_bars(sweep)),
                   evaluator, lambda snr: empirical_ber(snr, mod.alpha, mod.beta))
 
 
@@ -397,18 +272,16 @@ def _rate_percent(snr_pair: np.ndarray) -> Estimate:
 
 def _run_quantization(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     sweep = _gamma_sweep(spec)
-    widths = spec.quantization_bits
+    gamma_bars, widths = _gamma_bars(sweep), spec.quantization_bits
     for n in spec.quantization_n:
         cfg_n = spec.config.with_n_elements(n)
         if spec.use_mc:
             # one draw per N: row 0 with continuous phases, row k at widths[k-1]
             rows = _unit_snr_samples(cfg_n, replace(spec.plan, quantization_bits=widths), extras)
+        cb = rate_bounds(cfg_n, gamma_bars)
         for k, bits in enumerate(widths, 1):
-            analytic, mc = [], {}
-            for db in sweep:
-                c = cfg_n.with_gamma_bar_db(db)
-                qb, cb = quantized_rate_bounds(c, bits), rate_bounds(c)
-                analytic.append(100.0 * (qb.lower + qb.upper) / (cb.lower + cb.upper))
+            qb, mc = quantized_rate_bounds(cfg_n, bits, gamma_bars), {}
+            analytic = 100.0 * (qb.lower + qb.upper) / (cb.lower + cb.upper)
             if spec.use_mc:
                 mc = _mc_sweep(sweep, rows[[0, k]], _rate_percent)
             _emit(spec, files, f"quantization_b{bits}_n{n}", "gamma_bar_db",
@@ -448,13 +321,13 @@ def _rate_curves(spec: ExperimentSpec, files: dict, extras: dict, prefix: str,
     """Jensen rate bounds and the MC rate over the sweep (gamma_bar_db or n_elements)."""
     cfg, unit = spec.config, spec.sweep_variable
     if unit == "gamma_bar_db":
-        configs = [cfg.with_gamma_bar_db(value) for value in sweep]
+        bounds = [rate_bounds(cfg, _gamma_bars(sweep))]
     else:
         configs = [cfg.with_n_elements(int(value)) for value in sweep]
-    bounds = [rate_bounds(c) for c in configs]
+        bounds = [rate_bounds(c, cfg.gamma_bar) for c in configs]
     for side in ("lower", "upper"):
         _emit(spec, files, f"{prefix}_{side}", unit,
-              _curve_rows(sweep, analytic=[getattr(b, side) for b in bounds]))
+              _curve_rows(sweep, analytic=np.hstack([getattr(b, side) for b in bounds])))
     if spec.use_mc:
         if unit == "gamma_bar_db":
             mc = _mc_sweep(sweep, _unit_snr_samples(cfg, spec.plan, extras), empirical_rate)
@@ -475,16 +348,7 @@ def _emit(spec: ExperimentSpec, files: dict, name: str, x_unit: str, rows) -> No
             writer.writerow([x_unit, _fmt(row[0])] + [_fmt(v) for v in row[1:]])
 
 
-_RUNNERS = {
-    "wdist": _run_wdist,
-    "snrcdf": _run_snrcdf,
-    "outage": _run_outage,
-    "rate": _run_rate,
-    "ser": _run_ser,
-    "quantization": _run_quantization,
-    "correlation": _run_correlation,
-    "sweep": _run_sweep,
-}
+_RUNNERS = {kind: globals()[f"_run_{kind}"] for kind in KINDS}
 
 
 def run_experiment(spec: ExperimentSpec) -> Path:
@@ -517,22 +381,6 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     return path
 
 
-def load_config_file(path: str | None) -> dict:
-    """YAML config or a previously written JSON manifest (re-ingestion)."""
-    if path is None:
-        return {}
-    text = Path(path).read_text()
-    if not text.strip():
-        return {}
-    # libyaml's parser where PyYAML was built with it; same safe constructors
-    data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    if not isinstance(data, dict):
-        raise ConfigError(["configuration root must be a mapping"])
-    if "experiment" in data and isinstance(data["experiment"], dict):
-        return data["experiment"].get("config", {})
-    return data
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irslink",
@@ -562,7 +410,9 @@ def main(argv=None) -> int:
     except (ConfigError, UnsupportedShapeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except NumericalConsistencyError as exc:
+    except (NumericalConsistencyError, OverflowError) as exc:
+        # OverflowError: a float64 power or factorial of the analytic
+        # expressions overflowed, e.g. for very large m_v or leg gains
         print(f"numerical consistency failure: {exc}", file=sys.stderr)
         return 3
     print(manifest)

@@ -4,8 +4,8 @@ The sum W of the per-element amplitude products eta_n * g_n * h_n is
 approximated, for moderate-to-large element counts, by a normal
 distribution truncated to [0, inf).  This module computes the pre-truncation
 parameters (mu_bar, sigma2_bar) from the leg shapes and spreads, the
-post-truncation mean/variance/moments, and the variant statistics induced
-by uniformly distributed phase-quantization error.
+post-truncation mean/variance/moments, and the statistics of the real and
+imaginary parts under uniformly distributed phase-quantization error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from scipy import special as sc
 
 from .channel import SystemConfig
+from .errors import NumericalConsistencyError
 from .specfun import cal_i, gaussian_q
 
 __all__ = [
@@ -40,16 +41,17 @@ class TruncatedNormal:
     """Normal(mu_bar, sigma2_bar) restricted to [0, inf).
 
     ``z_bar`` is the standardized truncation point and ``xi`` the mass
-    renormalizer 1/Q(z_bar); both are derived, keeping the invariant
-    xi * Q(z_bar) = 1 exact by construction.
+    renormalizer 1/Q(z_bar); both are derived, so xi * Q(z_bar) = 1 holds
+    exactly by construction.
     """
 
     mu_bar: float
     sigma2_bar: float
 
     def __post_init__(self):
-        if self.sigma2_bar <= 0:
-            raise ValueError(f"sigma2_bar must be positive, got {self.sigma2_bar}")
+        if not (math.isfinite(self.mu_bar) and 0 < self.sigma2_bar < math.inf):
+            raise NumericalConsistencyError(f"reflected-sum statistics out of the float64 "
+                                            f"range: {self.mu_bar}, {self.sigma2_bar}")
 
     @property
     def sigma_bar(self) -> float:
@@ -73,32 +75,24 @@ def w_stats(cfg: SystemConfig) -> TruncatedNormal:
     return TruncatedNormal(mu_bar=mu, sigma2_bar=s2)
 
 
-def _phi(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
 def w_mean_var(tn: TruncatedNormal) -> tuple[float, float]:
     """Mean and variance after truncation to [0, inf)."""
-    h = tn.xi * _phi(tn.z_bar)
+    h = tn.xi * (math.exp(-0.5 * tn.z_bar * tn.z_bar) / math.sqrt(2.0 * math.pi))
     mu_w = tn.mu_bar + tn.sigma_bar * h
     sigma2_w = tn.sigma2_bar * (1.0 + tn.z_bar * h - h * h)
     return mu_w, sigma2_w
-
-
-def _raw_moment(tn: TruncatedNormal, alpha: int) -> float:
-    z = -tn.mu_bar / math.sqrt(2.0 * tn.sigma2_bar)
-    total = 0.0
-    for i in range(alpha + 1):
-        total += (math.comb(alpha, i) * (2.0 * tn.sigma2_bar) ** (i / 2.0)
-                  * tn.mu_bar ** (alpha - i) * cal_i(i, z))
-    return tn.xi / math.sqrt(math.pi) * total
 
 
 def w_moment(tn: TruncatedNormal, alpha: int) -> float:
     """Raw moment E[W^alpha] of the truncated normal, alpha in 1..4."""
     if alpha not in (1, 2, 3, 4):
         raise ValueError(f"w_moment supports alpha in 1..4, got {alpha}")
-    return _raw_moment(tn, alpha)
+    z = -tn.mu_bar / math.sqrt(2.0 * tn.sigma2_bar)
+    total = 0.0
+    for i in range(alpha + 1):
+        total += (math.comb(alpha, i) * (2.0 * tn.sigma2_bar) ** (i / 2.0)
+                  * tn.mu_bar ** (alpha - i) * cal_i(i, z))
+    return tn.xi / math.sqrt(math.pi) * total
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,202 @@
+"""Configuration: the documented defaults and the validator of a raw config.
+
+A config is a nested mapping, read from YAML (or from a manifest written
+earlier), merged over ``DEFAULT_CONFIG`` and checked field by field; every
+violation is collected into one :class:`ConfigError`.  dB quantities carry a
+``_db`` key suffix.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+import yaml
+
+from .channel import Distances, Modulation, PathLossModel, SystemConfig, path_loss
+from .errors import ConfigError
+
+# Largest element count a config may ask for: per-element arrays stay small,
+# and a count beyond it is a typo rather than a surface.
+MAX_ELEMENTS = 1_000_000
+
+# Documented defaults: the standard geometry (source-destination 100 m, surface legs
+# 60 m each), shapes (2, 3, 4), eta 0.9, BPSK, 20 dB transmit SNR, 10 dB outage
+# threshold.  zeta0_db is negative, a 42 dB gain at 1 m: the legs lose 20 dB (60 m)
+# and 28 dB (100 m), the mean reflected SNR of the default surface is about
+# gamma_bar - 7 dB, and so the 0-45 dB sweep crosses the outage threshold.
+DEFAULT_CONFIG = {
+    "n_elements": 16,
+    "eta": 0.9,
+    "fading": {"m_v": 2.0, "m_g": 3.0, "m_h": 4.0},
+    "distances": {"d_sd_m": 100.0, "d_si_m": 60.0, "d_di_m": 60.0},
+    "pathloss": {"zeta0_db": -42.0, "exponent": 3.5},
+    "gamma_bar_db": 20.0,
+    "gamma_th_db": 10.0,
+    "modulation": {"alpha": 1.0, "beta": 2.0},
+    "trials": 100_000,
+    "seed": 1,
+    "workers": 1,
+    "sweep": {"variable": "gamma_bar_db", "values": [float(x) for x in range(0, 46, 3)]},
+    "quantization": {"bits": [1, 2, 4], "n_values": [32, 64, 128]},
+    "correlation": {
+        "surface_side_m": 1.0,
+        "wavelength_m": 0.1,
+        "n_values": [16, 36, 64, 100, 144],
+        "aoa": {"mean_az_deg": 45.0, "std_az_deg": 5.7, "mean_el_deg": 60.0, "std_el_deg": 5.7},
+        "aod": {"mean_az_deg": -30.0, "std_az_deg": 5.7, "mean_el_deg": 75.0, "std_el_deg": 5.7},
+    },
+}
+
+
+def _merge(base: dict, override: dict) -> dict:
+    out = dict(base)
+    for key, val in override.items():
+        if isinstance(val, dict) and isinstance(out.get(key), dict):
+            out[key] = _merge(out[key], val)
+        else:
+            out[key] = val
+    return out
+
+
+def _real(value) -> float:
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return out
+
+
+def _integer(value) -> int:
+    if isinstance(value, int):
+        return value
+    out = _real(value)
+    if not out.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(out)
+
+
+def _positive_float(compute) -> bool:
+    """Whether ``compute()`` gives a positive finite float (False on overflow)."""
+    try:
+        return 0.0 < compute() < math.inf
+    except OverflowError:
+        return False
+
+
+def _count(n: int) -> bool:
+    return 1 <= n <= MAX_ELEMENTS
+
+
+def _linear(db: float) -> bool:
+    return _positive_float(lambda: 10.0 ** (db / 10.0))
+
+
+_COUNT_RULE = f"element counts must lie in 1..{MAX_ELEMENTS}"
+_LINEAR_RULE = "10^(dB/10) must be a positive finite float"
+
+
+def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig, dict]:
+    """Resolve the raw mapping against defaults; aggregate every violation."""
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(["configuration root must be a mapping"])
+    resolved = _merge(DEFAULT_CONFIG, raw)
+    errors = []
+
+    def grab(path, cast, check=None, message=None, many=False):
+        node = resolved
+        try:
+            for part in path.split("."):
+                node = node[part]
+            value = [cast(v) for v in node] if many else cast(node)
+        except (KeyError, TypeError):
+            errors.append(f"{path}: missing or malformed")
+            return None
+        except ValueError as exc:
+            errors.append(f"{path}: {exc}")
+            return None
+        if check is not None and not check(value):
+            errors.append(f"{path}: {message}")
+            return None
+        return value
+
+    n = grab("n_elements", _integer, _count, _COUNT_RULE)
+    eta = grab("eta", _real, lambda v: 0 < v <= 1.0, "eta_n must lie in (0, 1]")
+    m_v = grab("fading.m_v", _real, lambda v: v >= 0.5, "Nakagami shape must be >= 0.5")
+    m_g = grab("fading.m_g", _real, lambda v: v >= 0.5, "Nakagami shape must be >= 0.5")
+    m_h = grab("fading.m_h", _real, lambda v: v >= 0.5, "Nakagami shape must be >= 0.5")
+    d_sd = grab("distances.d_sd_m", _real, lambda v: v > 0, "distance must be positive")
+    d_si = grab("distances.d_si_m", _real, lambda v: v > 0, "distance must be positive")
+    d_di = grab("distances.d_di_m", _real, lambda v: v > 0, "distance must be positive")
+    zeta0 = grab("pathloss.zeta0_db", _real)
+    ple = grab("pathloss.exponent", _real, lambda v: v > 0, "exponent must be positive")
+    gbar_db = grab("gamma_bar_db", _real, _linear, _LINEAR_RULE)
+    gth_db = grab("gamma_th_db", _real, _linear, _LINEAR_RULE)
+    alpha = grab("modulation.alpha", _real, lambda v: v > 0, "alpha must be positive")
+    beta = grab("modulation.beta", _real, lambda v: v > 0, "beta must be positive")
+    trials = grab("trials", _integer, lambda v: v >= 1, "trials must be >= 1")
+    seed = grab("seed", _integer, lambda v: v >= 0, "seed must be >= 0")
+    workers = grab("workers", _integer, lambda v: v >= 1, "workers must be >= 1")
+    variable = grab("sweep.variable", str,
+                    lambda v: v in ("gamma_bar_db", "n_elements"),
+                    "sweep variable must be gamma_bar_db or n_elements")
+    values = grab("sweep.values", _integer if variable == "n_elements" else _real,
+                  lambda v: len(v) > 0, "sweep values must be nonempty", many=True)
+
+    # 2^-64 of a half turn is far below the float resolution of a phase
+    grab("quantization.bits", _integer, lambda v: len(v) > 0 and all(1 <= b <= 64 for b in v),
+         "must be a nonempty list of widths in 1..64", many=True)
+    for path in ("quantization.n_values", "correlation.n_values"):
+        grab(path, _integer, lambda v: len(v) > 0 and all(map(_count, v)),
+             f"must be a nonempty list of {_COUNT_RULE}", many=True)
+
+    if values is not None:
+        if any(b <= a for a, b in zip(values, values[1:])):
+            errors.append("sweep.values: must be strictly increasing")
+        if variable == "n_elements" and not all(map(_count, values)):
+            errors.append(f"sweep.values: {_COUNT_RULE}")
+        if variable == "gamma_bar_db" and not all(map(_linear, values)):
+            errors.append(f"sweep.values: {_LINEAR_RULE}")
+
+    if None not in (zeta0, ple):
+        for path, d in (("d_sd_m", d_sd), ("d_si_m", d_si), ("d_di_m", d_di)):
+            if d is not None and not _positive_float(lambda: path_loss(d, zeta0, ple)):
+                errors.append(f"distances.{path}: the leg gain at {d} m under pathloss "
+                              f"(zeta0_db={zeta0}, exponent={ple}) leaves the float range")
+
+    if kind in ("snrcdf", "outage") and m_v is not None:
+        if not math.isfinite(2 * m_v) or abs(2 * m_v - round(2 * m_v)) > 1e-12:
+            errors.append(
+                f"fading.m_v: {m_v} has no closed-form SNR distribution; use a "
+                "multiple of 1/2 (0.5, 1, 1.5, ...) or run Monte-Carlo sweeps only")
+
+    if errors:
+        raise ConfigError(errors)
+
+    cfg = SystemConfig.from_geometry(
+        n_elements=n, m_v=m_v, m_g=m_g, m_h=m_h,
+        distances=Distances(d_sd=d_sd, d_si=d_si, d_di=d_di),
+        pathloss=PathLossModel(zeta0_db=zeta0, exponent=ple),
+        eta=eta, gamma_bar_db=gbar_db,
+        modulation=Modulation(alpha=alpha, beta=beta),
+    )
+    resolved["gamma_th_db"] = gth_db
+    resolved["trials"], resolved["seed"], resolved["workers"] = trials, seed, workers
+    return cfg, resolved
+
+
+def load_config_file(path: str | None) -> dict:
+    """YAML config or a previously written JSON manifest (re-ingestion)."""
+    if path is None:
+        return {}
+    text = Path(path).read_text()
+    if not text.strip():
+        return {}
+    # libyaml's parser where PyYAML was built with it; same safe constructors
+    data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    if not isinstance(data, dict):
+        raise ConfigError(["configuration root must be a mapping"])
+    if "experiment" in data and isinstance(data["experiment"], dict):
+        return data["experiment"].get("config", {})
+    return data

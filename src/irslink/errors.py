@@ -21,5 +21,5 @@ class UnsupportedShapeError(IrsLinkError):
 
 
 class NumericalConsistencyError(IrsLinkError):
-    """A numerically evaluated probability left [0, 1] by more than the
-    allowed slack, indicating a broken parameterization."""
+    """A numerically evaluated probability left [0, 1] beyond the slack, or a
+    statistic or bound is not a finite float: float64 cannot carry the setup."""

@@ -20,11 +20,11 @@ import numpy as np
 from scipy import special as sc
 
 from .channel import SystemConfig
-from .cltapprox import (QuantizedWStats, TruncatedNormal, gamma_ratio_t,
-                        quantized_w_stats, w_mean_var, w_moment, w_stats)
-from .errors import ConfigError
+from .cltapprox import (TruncatedNormal, gamma_ratio_t, quantized_w_stats, w_mean_var,
+                        w_moment, w_stats)
+from .errors import ConfigError, NumericalConsistencyError
 from .snrdist import SnrCdfParams, snr_cdf
-from .specfun import log_gaussian_q
+from .specfun import _exp, log_gaussian_q
 
 __all__ = [
     "AsymptoticResult",
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-def outage_probability(gamma_th, p: SnrCdfParams, method: str = "closed"):
+def outage_probability(gamma_th, p: SnrCdfParams):
     """P(optimized SNR <= gamma_th), via the closed-form SNR CDF.
 
     ``gamma_th`` may be an array of thresholds; a float comes back for a scalar.
@@ -47,7 +47,7 @@ def outage_probability(gamma_th, p: SnrCdfParams, method: str = "closed"):
     gamma_th = np.asarray(gamma_th, dtype=float)
     if np.any(gamma_th <= 0):
         raise ValueError("gamma_th must be positive")
-    return snr_cdf(gamma_th, p, method=method)
+    return snr_cdf(gamma_th, p)
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,8 @@ def _log_omega_op(cfg: SystemConfig) -> tuple[float, float]:
                  - sc.gammaln(m_v) - m_v * math.log(kappa_v))
     # Per-element coefficient of the product-amplitude transform tail.
     kgkh = cfg.kappa_g * cfg.kappa_h
+    if not np.all((cfg.eta * cfg.eta * kgkh > 0) & np.isfinite(kgkh)):
+        raise NumericalConsistencyError("eta^2 kappa_g kappa_h leaves the float64 range")
     k_min = kgkh  # kappa product is symmetric in which leg is weaker
     m_c = 0.5 * (m_a + m_b)
     for eta, kk in zip(cfg.eta, k_min):
@@ -151,6 +153,8 @@ def asymptotic_ser(cfg: SystemConfig
     # Array gain is threshold-specific; report it at unit threshold.
     o_c = math.exp(-log_om / g_d)
     result = AsymptoticResult(g_d=g_d, log_omega_op=log_om, o_c=o_c, g_c=g_c)
+    if not 0.0 < g_c < math.inf:
+        raise NumericalConsistencyError(f"coding gain {g_c} leaves the float64 range")
     log_gc = math.log(g_c)
 
     def evaluator(gamma_bar: float) -> float:
@@ -161,12 +165,19 @@ def asymptotic_ser(cfg: SystemConfig
 
 @dataclass(frozen=True)
 class RateBounds:
-    lower: float
-    upper: float
+    """Jensen bounds on the average rate; floats, or arrays over gamma_bar."""
+
+    lower: float | np.ndarray
+    upper: float | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.lower <= self.upper:
-            raise ValueError(f"rate bounds out of order: {self.lower} > {self.upper}")
+        if not np.all((0.0 <= self.lower) & (self.lower <= self.upper)):
+            raise NumericalConsistencyError(
+                f"rate bounds out of order: {self.lower} > {self.upper}")
+
+
+# libm's log2 elementwise, for the reason specfun takes exp from libm
+_libm_log2 = np.frompyfunc(math.log2, 1, 1)
 
 
 def _direct_moment(cfg: SystemConfig, alpha: int) -> float:
@@ -174,27 +185,34 @@ def _direct_moment(cfg: SystemConfig, alpha: int) -> float:
     return math.exp(sc.gammaln(m + alpha / 2.0) - sc.gammaln(m)) * (kappa / m) ** (alpha / 2.0)
 
 
-def _jensen_bounds(cfg: SystemConfig, e_w: list[float]) -> RateBounds:
-    """Rate bounds from the first four moments of the reflected sum.
+def _truncated_moments(tn: TruncatedNormal) -> list[float]:
+    """E[W^j] for j = 0..4 of the truncated normal ``tn``."""
+    mu, s2 = w_mean_var(tn)
+    return [1.0, mu, mu**2 + s2, w_moment(tn, 3), w_moment(tn, 4)]
 
-    ``e_w[j]`` must hold E[W^j] for j = 0..4 of whatever reflected-sum model
-    is in force (continuous or quantized phases).
-    """
+
+def _moment_bounds(cfg: SystemConfig, e_r: list[float], s2_i: float, gamma_bar) -> RateBounds:
+    """Jensen bounds log2(1 + E[snr]^3 / E[snr^2]) <= E[log2(1 + snr)] <= log2(1 + E[snr])
+    for snr/gamma_bar = (v + W_R)^2 + W_I^2, from E[W_R^j] = ``e_r[j]`` (j = 0..4)
+    and W_I zero-mean normal of variance ``s2_i``, all independent.  Continuous
+    phases are W_R = W and s2_i = 0, which leaves the W_I terms exactly 0."""
     e_v = [1.0] + [_direct_moment(cfg, j) for j in (1, 2, 3, 4)]
-    gb = cfg.gamma_bar
-    mean_snr = gb * (e_v[2] + 2.0 * e_v[1] * e_w[1] + e_w[2])
-    mean_sq = gb * gb * sum(math.comb(4, j) * e_v[j] * e_w[4 - j] for j in range(5))
-    lower = math.log2(1.0 + mean_snr**3 / mean_sq)
-    upper = math.log2(1.0 + mean_snr)
+    e_vr2 = e_v[2] + 2.0 * e_v[1] * e_r[1] + e_r[2]
+    e_vr4 = sum(math.comb(4, j) * e_v[j] * e_r[4 - j] for j in range(5))
+    gb = np.asarray(gamma_bar, dtype=float)
+    mean_snr = gb * (e_vr2 + s2_i)
+    mean_sq = gb * gb * (e_vr4 + 2.0 * e_vr2 * s2_i + 3.0 * s2_i**2)
+    lower = np.asarray(_libm_log2(1.0 + np.float_power(mean_snr, 3) / mean_sq), dtype=float)
+    upper = np.asarray(_libm_log2(1.0 + mean_snr), dtype=float)
+    if not gb.ndim:
+        lower, upper = float(lower), float(upper)
     return RateBounds(lower=lower, upper=upper)
 
 
-def rate_bounds(cfg: SystemConfig) -> RateBounds:
-    """Jensen lower/upper bounds on the average achievable rate."""
-    tn = w_stats(cfg)
-    mu_w, s2_w = w_mean_var(tn)
-    e_w = [1.0, mu_w, mu_w**2 + s2_w, w_moment(tn, 3), w_moment(tn, 4)]
-    return _jensen_bounds(cfg, e_w)
+def rate_bounds(cfg: SystemConfig, gamma_bar) -> RateBounds:
+    """Jensen lower/upper bounds on the average achievable rate at the
+    transmit SNR(s) ``gamma_bar``, a float or an array."""
+    return _moment_bounds(cfg, _truncated_moments(w_stats(cfg)), 0.0, gamma_bar)
 
 
 def asymptotic_rate(cfg: SystemConfig, energy_scaled_snr: float) -> float:
@@ -216,10 +234,9 @@ def asymptotic_rate(cfg: SystemConfig, energy_scaled_snr: float) -> float:
     return math.log2(1.0 + energy_scaled_snr * mu_inf_sq)
 
 
-def _ser_log_objective(theta, cfg: SystemConfig, tn: TruncatedNormal):
+def _ser_log_objective(theta, beta_gb, cfg: SystemConfig, tn: TruncatedNormal):
     """Log of the single-angle integrand whose maximum gives the SER bound;
-    ``theta`` may be an array of angles."""
-    beta_gb = cfg.modulation.beta * cfg.gamma_bar
+    ``theta`` and ``beta_gb`` (beta * gamma_bar) broadcast against each other."""
     m_v, kappa_v = cfg.v.m, cfg.v.kappa
     s2 = tn.sigma2_bar
     u1 = m_v / kappa_v + beta_gb / (2.0 * np.sin(theta) ** 2)
@@ -229,90 +246,62 @@ def _ser_log_objective(theta, cfg: SystemConfig, tn: TruncatedNormal):
             + log_gaussian_q(-z2 * np.sqrt(2.0 / z1)))
 
 
-def _maximize_objective(fun, lo: float, hi: float, grid: int = 2048,
-                        tol: float = 1e-10) -> float:
-    """Grid scan then golden-section refinement of a smooth 1-D maximum.
-
-    ``fun`` takes an array (the whole scan grid in one call) or a scalar.
-    """
+def _maximize_objective(fun, params: np.ndarray, lo: float, hi: float, grid: int = 2048,
+                        tol: float = 1e-10) -> np.ndarray:
+    """Maximizers over [lo, hi] of ``fun(theta, p)`` for every entry p of
+    ``params``: a grid scan of all entries as one (entries x grid) array, then
+    golden-section refinement of each entry's best bracket.  All entries step
+    together; each keeps the midpoint of the first bracket within ``tol``."""
     xs = np.linspace(lo, hi, grid)
-    vals = fun(xs)
+    vals = fun(xs, params[:, None])
     if not np.all(np.isfinite(vals)):
-        raise ArithmeticError("SER bound objective is not finite on the scan grid")
-    i = int(np.argmax(vals))
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, grid - 1)])
+        raise NumericalConsistencyError("SER bound objective is not finite on the scan grid")
+    i = np.argmax(vals, axis=1)
+    a, b = xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, grid - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+    fc, fd = fun(c, params), fun(d, params)
+    theta = np.where(b - a > tol, np.nan, 0.5 * (a + b))
+    while np.isnan(theta).any():
+        left = fc > fd  # drop [d, b]; else drop [a, c]
+        b, a = np.where(left, d, b), np.where(left, a, c)
+        width = b - a
+        x = np.where(left, b - invphi * width, a + invphi * width)
+        fx = fun(x, params)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        theta = np.where(np.isnan(theta) & (width <= tol), 0.5 * (a + b), theta)
+    return theta
 
 
-def ser_upper_bound(cfg: SystemConfig) -> float:
-    """Single-point upper bound on the average symbol error rate.
+def ser_upper_bound(cfg: SystemConfig, gamma_bar):
+    """Single-point upper bound on the average symbol error rate at the
+    transmit SNR(s) ``gamma_bar``, a float or an array.
 
     Bounds the exact half-axis angular integral of the SER by the peak of
     its integrand; exact at zero SNR where the bound equals alpha/2.
     """
     tn = w_stats(cfg)
+    gb = np.asarray(gamma_bar, dtype=float)
+    beta_gb = cfg.modulation.beta * gb.reshape(-1)
     eps = 1e-9
-    theta_u = _maximize_objective(lambda t: _ser_log_objective(t, cfg, tn),
-                                  eps, math.pi / 2.0 - eps)
+    theta_u = _maximize_objective(lambda theta, bg: _ser_log_objective(theta, bg, cfg, tn),
+                                  beta_gb, eps, math.pi / 2.0 - eps)
     s2 = tn.sigma2_bar
     log_bound = (math.log(cfg.modulation.alpha / 2.0) + math.log(tn.xi)
                  + cfg.v.m * math.log(cfg.v.m / cfg.v.kappa)
                  - 0.5 * math.log(2.0 * s2)
                  - tn.mu_bar**2 / (2.0 * s2)
-                 + float(_ser_log_objective(theta_u, cfg, tn)))
-    return min(math.exp(log_bound), 1.0)
+                 + _ser_log_objective(theta_u, beta_gb, cfg, tn))
+    # min(exp(x), 1) as exp(min(x, 0)): equal, and it cannot overflow
+    bound = _exp(np.minimum(log_bound, 0.0)).reshape(gb.shape)
+    return bound if bound.ndim else float(bound)
 
 
-def _quantized_moments(qs: QuantizedWStats, variant: str) -> tuple[list[float], list[float]]:
-    """Raw moments (orders 0..4) of the real part and even moments of the
-    imaginary part under the selected evaluation variant."""
-    re, im = qs.real_part, qs.imag_part
-    if variant == "exact":
-        mu_r, s2_r = w_mean_var(re)
-        e_r = [1.0, mu_r, mu_r**2 + s2_r, w_moment(re, 3), w_moment(re, 4)]
-    elif variant == "large_n":
-        # Truncation ignored: plain normal moments.
-        mu, s2 = re.mu_bar, re.sigma2_bar
-        e_r = [1.0, mu, mu**2 + s2, mu**3 + 3.0 * mu * s2,
-               mu**4 + 6.0 * mu**2 * s2 + 3.0 * s2**2]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    s2_i = im.sigma2_bar
-    e_i = [1.0, 0.0, s2_i, 0.0, 3.0 * s2_i**2]
-    return e_r, e_i
-
-
-def quantized_rate_bounds(cfg: SystemConfig, bits: int,
-                          variant: str = "exact") -> RateBounds:
-    """Jensen rate bounds under b-bit phase quantization.
-
-    ``variant="exact"`` keeps the truncated-normal moments of the real
-    part; ``variant="large_n"`` drops the truncation corrections, the
-    simplification appropriate when the element count is large.
-    """
+def quantized_rate_bounds(cfg: SystemConfig, bits: int, gamma_bar) -> RateBounds:
+    """Jensen rate bounds under b-bit phase quantization at the transmit
+    SNR(s) ``gamma_bar``, a float or an array: W_R keeps the truncated-normal
+    moments, W_I is the zero-mean normal of ``quantized_w_stats``."""
     qs = quantized_w_stats(cfg, bits)
-    e_r, e_i = _quantized_moments(qs, variant)
-    e_v = [1.0] + [_direct_moment(cfg, j) for j in (1, 2, 3, 4)]
-    gb = cfg.gamma_bar
-
-    # snr/gb = (v + W_R)^2 + W_I^2 with all three factors independent.
-    e_vr2 = e_v[2] + 2.0 * e_v[1] * e_r[1] + e_r[2]
-    mean_snr = gb * (e_vr2 + e_i[2])
-    e_vr4 = sum(math.comb(4, j) * e_v[j] * e_r[4 - j] for j in range(5))
-    mean_sq = gb * gb * (e_vr4 + 2.0 * e_vr2 * e_i[2] + e_i[4])
-    lower = math.log2(1.0 + mean_snr**3 / mean_sq)
-    upper = math.log2(1.0 + mean_snr)
-    return RateBounds(lower=lower, upper=upper)
+    return _moment_bounds(cfg, _truncated_moments(qs.real_part), qs.imag_part.sigma2_bar,
+                          gamma_bar)

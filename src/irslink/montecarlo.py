@@ -28,6 +28,7 @@ __all__ = [
     "chunk_rng",
     "map_chunks",
     "simulate_snr_samples",
+    "reflected_sum_samples",
     "empirical_cdf",
     "empirical_outage",
     "empirical_rate",
@@ -130,6 +131,21 @@ def map_chunks(kernel: Callable[[int, int], np.ndarray], trials: int, n_elements
     return np.concatenate(parts, axis=-1)
 
 
+def _reflected_products(cfg: SystemConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, N) per-element amplitude products eta_n g_n h_n of one chunk."""
+    prod = nakagami_sample(cfg.g.m, cfg.zeta_g, rng, (count, cfg.n_elements))
+    prod *= nakagami_sample(cfg.h.m, cfg.zeta_h, rng, (count, cfg.n_elements))
+    prod *= cfg.eta
+    return prod
+
+
+def reflected_sum_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
+    """Samples of the co-phased reflected sum W; no direct link is drawn."""
+    def chunk(index: int, count: int) -> np.ndarray:
+        return _reflected_products(cfg, chunk_rng(plan.seed, index), count).sum(axis=1)
+    return map_chunks(chunk, plan.trials, cfg.n_elements, plan.workers)
+
+
 def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) -> np.ndarray:
     """SNR samples of one chunk: one row for continuous phases, then one per
     quantization width; flat when no width is set."""
@@ -142,9 +158,7 @@ def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) ->
         rows[:] = cfg.gamma_bar * v**2
     else:
         # In place on (count, n) buffers: at most four are alive per chunk.
-        prod = nakagami_sample(cfg.g.m, cfg.zeta_g, rng, (count, n))
-        prod *= nakagami_sample(cfg.h.m, cfg.zeta_h, rng, (count, n))
-        prod *= cfg.eta
+        prod = _reflected_products(cfg, rng, count)
         rows[0] = cfg.gamma_bar * (v + prod.sum(axis=1)) ** 2
         if widths:
             # One draw at the widest interval serves every width:

@@ -6,7 +6,8 @@ normal reflected sum, and the SNR into gamma_bar * R^2.  This module holds:
 
 * the co-phasing rule and the resulting maximum SNR,
 * the closed-form envelope PDF of R (piecewise around the reflected mean),
-* the piecewise envelope/SNR CDF assembled from ``cal_i`` / ``cal_j``,
+* the piecewise envelope/SNR CDF assembled from ``cal_i`` / ``cal_j``, one
+  array evaluation per piece and order, with no numerical integration,
 * the change-of-variables SNR PDF,
 * the exact PDF of a single scaled amplitude product, used as the N = 1
   oracle for the truncated-normal approximation.
@@ -14,7 +15,8 @@ normal reflected sum, and the SNR into gamma_bar * R^2.  This module holds:
 The closed-form CDF is only available when the direct-link shape is a
 multiple of 1/2 (so the binomial expansion has an integer degree); other
 shapes raise :class:`UnsupportedShapeError` and must be estimated by
-Monte-Carlo.
+Monte-Carlo.  The quadrature of the PDF that the tests compare the CDF
+against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sc
-from scipy.integrate import quad
 
 from .channel import LinkParams, SystemConfig
 from .cltapprox import TruncatedNormal, w_stats
@@ -86,12 +87,12 @@ class SnrCdfParams:
                 "use the Monte-Carlo path for other shapes")
         if self.gamma_bar <= 0:
             raise ValueError("gamma_bar must be positive")
+        if not 0 < self.delta < math.inf:  # direct and reflected spreads too far apart
+            raise NumericalConsistencyError(f"SNR decay rate {self.delta} is not a positive float")
 
     @classmethod
-    def from_config(cls, cfg: SystemConfig, tn: TruncatedNormal | None = None) -> "SnrCdfParams":
-        return cls(m_v=cfg.v.m, kappa_v=cfg.v.kappa,
-                   tn=tn if tn is not None else w_stats(cfg),
-                   gamma_bar=cfg.gamma_bar)
+    def from_config(cls, cfg: SystemConfig) -> "SnrCdfParams":
+        return cls(m_v=cfg.v.m, kappa_v=cfg.v.kappa, tn=w_stats(cfg), gamma_bar=cfg.gamma_bar)
 
     @property
     def m_tilde_v(self) -> int:
@@ -111,10 +112,6 @@ class SnrCdfParams:
         return (self.m_v * math.log(self.m_v) + math.log(tn.xi)
                 - sc.gammaln(self.m_v) - self.m_v * math.log(self.kappa_v)
                 - self.m_v * math.log(self.a) - 0.5 * math.log(2.0 * math.pi * tn.sigma2_bar))
-
-    @property
-    def lam(self) -> float:
-        return math.exp(self.log_lam)
 
     @property
     def j_params(self) -> JParams:
@@ -173,17 +170,6 @@ def _cdf_above_mean(r: np.ndarray, p: SnrCdfParams) -> np.ndarray:
     return 1.0 - math.exp(p.log_lam) * scale * total
 
 
-def _envelope_cdf_quadrature(r: float, p: SnrCdfParams) -> float:
-    mu = p.tn.mu_bar
-    f = lambda t: envelope_pdf(t, p)
-    if r <= mu:
-        val, _ = quad(f, 0.0, r, epsabs=1e-12, epsrel=1e-10, limit=300)
-        return val
-    head, _ = quad(f, 0.0, mu, epsabs=1e-12, epsrel=1e-10, limit=300)
-    tail, _ = quad(f, mu, r, epsabs=1e-12, epsrel=1e-10, limit=300)
-    return head + tail
-
-
 def _check_probability(raw: np.ndarray, where: str) -> np.ndarray:
     bad = (raw < -_CDF_ERROR) | (raw > 1.0 + _CDF_ERROR) | np.isnan(raw)
     if bad.any():
@@ -193,36 +179,27 @@ def _check_probability(raw: np.ndarray, where: str) -> np.ndarray:
     return np.clip(raw, 0.0, 1.0)
 
 
-def envelope_cdf(r, p: SnrCdfParams, method: str = "closed"):
-    """CDF of the envelope; ``method`` picks the cal_j path ("closed") or
-    direct quadrature of the closed-form PDF ("quadrature").
-
-    The closed path evaluates the pieces below and above the reflected mean
-    over the whole array of r at once, one ``cal_j`` call per k and piece.
-    """
-    if method not in ("closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
+def envelope_cdf(r, p: SnrCdfParams):
+    """CDF of the envelope, evaluated over the whole array of r at once: one
+    ``cal_j`` call per k for the pieces below and above the reflected mean."""
     r = np.asarray(r, dtype=float)
     raw = np.zeros(r.shape)
     positive = ~(r <= 0)              # NaN stays in, and fails the check
-    if method == "quadrature":
-        raw[positive] = [_envelope_cdf_quadrature(ri, p) for ri in r[positive]]
-    else:
-        below = positive & (r <= p.tn.mu_bar)
-        above = positive & ~below
-        if below.any():
-            raw[below] = _cdf_below_mean(r[below], p)
-        if above.any():
-            raw[above] = _cdf_above_mean(r[above], p)
+    below = positive & (r <= p.tn.mu_bar)
+    above = positive & ~below
+    if below.any():
+        raw[below] = _cdf_below_mean(r[below], p)
+    if above.any():
+        raw[above] = _cdf_above_mean(r[above], p)
     out = _check_probability(raw, "envelope_cdf")
     return out if out.shape else float(out)
 
 
-def snr_cdf(y, p: SnrCdfParams, method: str = "closed"):
+def snr_cdf(y, p: SnrCdfParams):
     """CDF of the optimized SNR at threshold(s) y."""
     y = np.asarray(y, dtype=float)
     r = np.sqrt(np.maximum(y, 0.0) / p.gamma_bar)
-    return envelope_cdf(r, p, method=method)
+    return envelope_cdf(r, p)
 
 
 def snr_pdf(y, p: SnrCdfParams):

@@ -10,15 +10,14 @@ metrics) is assembled from the functions here:
 * ``cal_j(k, z)``  = integral of t^(mt-k) exp(-Delta t^2) Gamma((k+1)/2, t^2)
   over [z, inf), parameterized by :class:`JParams`.
 
-``cal_j`` carries two evaluation paths.  The reference path is adaptive
-Gauss-Kronrod quadrature of the defining integral (abs tol 1e-12, rel tol
-1e-10, semi-infinite range mapped internally).  The default path is closed
-form and takes an array of lower limits: odd k expands the incomplete gamma
-factor into a finite exponential sum; even k with odd mt integrates by
-parts; even k with even mt (half-integer m_v) splits Gamma(k/2 + 1/2, t^2)
-into an erfc term, reduced by parts to Owen's T function, plus a finite
-exponential sum.  Quadrature runs only for negative lower limits or on
-request; the test-suite checks each closed form against it.
+Every ``cal_j`` order has a closed form on z >= 0, evaluated over an array of
+lower limits: odd k expands the incomplete gamma factor into a finite
+exponential sum; even k with odd mt integrates by parts; even k with even mt
+(half-integer m_v) splits Gamma(k/2 + 1/2, t^2) into an erfc term, reduced by
+parts to Owen's T function, plus a finite exponential sum.  Negative lower
+limits are rejected: the SNR distribution never integrates across the
+origin.  The test-suite checks each closed form against adaptive quadrature
+of the defining integral (``tests/test_specfun.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sc
-from scipy.integrate import quad
 
 __all__ = [
     "JParams",
@@ -41,10 +39,6 @@ __all__ = [
     "cal_j",
     "cal_j_between",
 ]
-
-# Quadrature tolerances used for every reference-path integral.
-_QUAD_EPSABS = 1e-12
-_QUAD_EPSREL = 1e-10
 
 # libm's exp, elementwise.  numpy's own exp (and pow) kernels depend on the
 # SIMD level the host dispatches and can differ from libm in the last bit;
@@ -143,28 +137,11 @@ def cal_i(k: int, x):
         raise ValueError(f"cal_i requires integer k >= 0, got {k}")
     k = int(k)
     q = (k + 1) / 2.0
-    if isinstance(x, (float, int)):
-        # the moment code calls with scalars, where 0-d array arithmetic
-        # would cost several times the evaluation itself
-        if x >= 0:
-            return 0.5 * float(_gamma_tail(q, x * x))
-        return 0.5 * sc.gamma(q) + 0.5 * (-1.0) ** k * gamma_lower(q, x * x)
     x = np.asarray(x, dtype=float)
     xx = x * x
     out = np.where(x >= 0, 0.5 * _gamma_tail(q, xx),
                    0.5 * sc.gamma(q) + 0.5 * (-1.0) ** k * (sc.gammainc(q, xx) * sc.gamma(q)))
     return out if out.ndim else float(out)
-
-
-def _cal_j_integrand(t, k, p: JParams):
-    q = (k + 1) / 2.0
-    return t ** (p.m_tilde_v - k) * np.exp(-p.delta * t * t) * sc.gammaincc(q, t * t) * sc.gamma(q)
-
-
-def _cal_j_quad(k: int, lo: float, hi: float, p: JParams) -> float:
-    val, _ = quad(_cal_j_integrand, lo, hi, args=(k, p),
-                  epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=300)
-    return val
 
 
 def _cal_j_odd(k: int, z, p: JParams):
@@ -235,55 +212,32 @@ def _closed_tail(k: int, p: JParams):
     return _cal_j_even if p.m_tilde_v % 2 == 1 else _cal_j_erfc
 
 
-def _checked_order(k, p: JParams) -> int:
-    if k < 0 or k != int(k):
-        raise ValueError(f"cal_j requires integer k >= 0, got {k}")
-    if k > p.m_tilde_v:
-        raise ValueError(f"cal_j requires k <= m_tilde_v, got k={k} > {p.m_tilde_v}")
-    return int(k)
-
-
-def _integral(k: int, lo: np.ndarray, hi, p: JParams, force_quadrature: bool, closed):
-    """Integral of the ``cal_j(k)`` integrand over [lo, hi], elementwise over
-    the broadcast of lo and hi (hi >= lo): ``closed(lo, hi)`` where lo >= 0,
-    quadrature where lo < 0 or under ``force_quadrature``."""
-    by_quad = (lo < 0) | force_quadrature
-    if not by_quad.any():
-        out = closed(lo, hi)
-        return out if np.ndim(out) else float(out)
-    shape = np.broadcast_shapes(lo.shape, np.shape(hi))
-    by_quad = np.broadcast_to(by_quad, shape)
-    out = np.array(np.broadcast_to(closed(np.maximum(lo, 0.0), np.maximum(hi, 0.0)), shape))
-    los, his = np.broadcast_arrays(lo, hi)
-    out[by_quad] = [_cal_j_quad(k, a, b, p) for a, b in zip(los[by_quad], his[by_quad])]
-    return out if out.ndim else float(out)
-
-
-def cal_j(k: int, z, p: JParams, force_quadrature: bool = False):
+def cal_j(k: int, z, p: JParams):
     """Tail integral of t^(mt-k) e^{-delta t^2} Gamma((k+1)/2, t^2) on [z, inf).
 
-    ``z`` may be an array; a float comes back for a scalar.  Every (k, mt)
-    has a closed form on z >= 0; quadrature runs only for z < 0 or under
-    ``force_quadrature`` (the reference path).
+    ``z`` may be an array of limits z >= 0; a float comes back for a scalar.
     """
-    k = _checked_order(k, p)
-    tail = _closed_tail(k, p)
-    return _integral(k, np.asarray(z, dtype=float), np.inf, p, force_quadrature,
-                     lambda lo, hi: tail(k, lo, p))
+    return cal_j_between(k, z, None, p)
 
 
-def cal_j_between(k: int, z_lo, z_hi, p: JParams, force_quadrature: bool = False):
-    """``cal_j(k, z_lo) - cal_j(k, z_hi)``, the integral over [z_lo, z_hi].
+def cal_j_between(k: int, z_lo, z_hi, p: JParams):
+    """``cal_j(k, z_lo) - cal_j(k, z_hi)``, the integral over [z_lo, z_hi];
+    ``z_hi=None`` leaves the tail ``cal_j(k, z_lo)``.
 
     ``z_lo`` and ``z_hi`` broadcast against each other.  The closed forms
     subtract two tails, so the difference keeps their absolute accuracy but
-    loses relative accuracy where it is small against them; the quadrature
-    path integrates the finite interval directly.
+    loses relative accuracy where it is small against them.
     """
-    k = _checked_order(k, p)
-    z_lo, z_hi = np.asarray(z_lo, dtype=float), np.asarray(z_hi, dtype=float)
-    if np.any(z_hi < z_lo):
-        raise ValueError("cal_j_between requires z_lo <= z_hi")
+    if k < 0 or k != int(k) or k > p.m_tilde_v:
+        raise ValueError(f"cal_j requires an integer k in 0..{p.m_tilde_v}, got {k}")
+    k, z_lo = int(k), np.asarray(z_lo, dtype=float)
+    if np.any(z_lo < 0):
+        raise ValueError(f"cal_j requires lower limits z >= 0, got z={z_lo.min()}")
     tail = _closed_tail(k, p)
-    return _integral(k, z_lo, z_hi, p, force_quadrature,
-                     lambda lo, hi: tail(k, lo, p) - tail(k, hi, p))
+    out = tail(k, z_lo, p)
+    if z_hi is not None:
+        z_hi = np.asarray(z_hi, dtype=float)
+        if np.any(z_hi < z_lo):
+            raise ValueError("cal_j_between requires z_lo <= z_hi")
+        out = out - tail(k, z_hi, p)
+    return out if np.ndim(out) else float(out)

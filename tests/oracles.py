@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 from scipy import special as sc
+from scipy.integrate import quad
 
 from irslink.channel import SystemConfig
 from irslink.cltapprox import TruncatedNormal, w_stats
-from irslink.snrdist import SnrCdfParams
+from irslink.snrdist import SnrCdfParams, envelope_pdf
 from irslink.specfun import log_gaussian_q
+
 
 
 def truncated_normal_sample(tn: TruncatedNormal, rng: np.random.Generator, size: int):
@@ -87,4 +89,16 @@ def envelope_pdf_scalar(r, p: SnrCdfParams):
         for k in range(mtv + 1):
             total += math.comb(mtv, k) * z ** (mtv - k) * cal_i_scalar(k, -z)
         out[idx] = 2.0 * math.exp(p.log_lam - p.delta * z * z) * total
+    return out if out.shape else float(out)
+
+
+def snr_cdf_quadrature(y, p: SnrCdfParams):
+    """``snrdist.snr_cdf`` by quadrature of the closed-form envelope PDF from 0
+    to sqrt(y / gamma_bar), split at the reflected mean; not clipped."""
+    r = np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0) / p.gamma_bar)
+    out, mu = np.zeros(r.shape), p.tn.mu_bar
+    for idx in np.ndindex(r.shape):
+        out[idx] = sum(quad(lambda t: envelope_pdf(t, p), lo, hi, epsabs=1e-12, epsrel=1e-10,
+                            limit=300)[0]
+                       for lo, hi in ((0.0, min(r[idx], mu)), (mu, r[idx])) if hi > lo)
     return out if out.shape else float(out)

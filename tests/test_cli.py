@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import scipy
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import irslink.cli as cli
 import irslink.montecarlo as montecarlo
@@ -359,3 +361,93 @@ def test_config_loader_reingests_a_manifest(tmp_path):
     expected = yaml.safe_load(manifest.read_text())["experiment"]["config"]
     assert cli.load_config_file(str(manifest)) == expected
     assert expected["n_elements"] == 8 and expected["eta"] == 0.75
+
+
+def counted(monkeypatch, *names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        def wrapper(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("kind,name", [("rate", "rate_bounds"), ("ser", "ser_upper_bound")])
+def test_gamma_sweep_evaluates_the_bound_once(tmp_path, monkeypatch, kind, name):
+    calls = counted(monkeypatch, name)
+    assert run_cli(tmp_path, kind, {}, "--no-mc")[0] == 0
+    assert calls == {name: 1}
+
+
+def test_quantization_evaluates_bounds_once_per_n_and_width(tmp_path, monkeypatch):
+    calls = counted(monkeypatch, "rate_bounds", "quantized_rate_bounds")
+    assert run_cli(tmp_path, "quantization", {}, "--no-mc")[0] == 0
+    assert calls == {"rate_bounds": 3, "quantized_rate_bounds": 9}
+
+
+def run_yaml(tmp_path, kind, config):
+    """``cli.main`` on ``config`` written as YAML (NaN as .nan), without MC."""
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main([kind, "--config", str(path), "--out", str(tmp_path / "out"), "--no-mc"])
+
+
+@pytest.mark.parametrize("kind,config,code", [
+    ("rate", {"sweep": {"values": [math.nan]}}, 2),
+    ("ser", {"sweep": {"values": [math.nan]}}, 2),
+    ("ser", {"sweep": {"values": [0.0, math.inf]}}, 2),
+    ("outage", {"gamma_th_db": -math.inf}, 2),
+    ("rate", {"eta": math.nan}, 2),
+    ("rate", {"fading": {"m_g": math.inf}}, 2),
+    ("rate", {"pathloss": {"zeta0_db": 1e6}}, 2),
+    ("rate", {"pathloss": {"zeta0_db": -1e6}}, 2),
+    ("rate", {"gamma_bar_db": 1e6}, 2),
+    ("ser", {"modulation": {"beta": 1e308}}, 3),
+    ("sweep", {"sweep": {"variable": "n_elements", "values": [1.5, 2.5]}}, 2),
+    ("rate", {"n_elements": 16.5}, 2),
+    ("rate", {"n_elements": 10**7}, 2),
+    ("rate", {"trials": 100.5}, 2),
+    ("rate", {"seed": 1.5}, 2),
+    ("rate", {"seed": -3}, 2),
+    ("rate", {"workers": 1.5}, 2),
+    ("quantization", {"quantization": {"bits": [1.5]}}, 2),
+    ("quantization", {"quantization": {"bits": [2000]}}, 2),
+    ("quantization", {"quantization": {"n_values": [8.5]}}, 2),
+    ("correlation", {"correlation": {"n_values": [16.5]}}, 2),
+    ("rate", {"n_elements": 16.0, "seed": 2.0}, 0),
+])
+def test_hostile_configs_exit_cleanly(tmp_path, kind, config, code):
+    assert run_yaml(tmp_path, kind, config) == code
+
+
+_NUMBERS = st.one_of(st.floats(), st.integers(-10, 10**6),
+                     st.sampled_from([0.5, 1.5, 5e-324, 1e-308, 1e308, -1e308]))
+_LEAVES = ("n_elements", "eta", "fading.m_v", "fading.m_g", "fading.m_h", "distances.d_sd_m",
+           "distances.d_si_m", "distances.d_di_m", "pathloss.zeta0_db", "pathloss.exponent",
+           "gamma_bar_db", "gamma_th_db", "modulation.alpha", "modulation.beta", "seed")
+
+
+def _nest(leaves: dict) -> dict:
+    config = {}
+    for path, value in leaves.items():
+        *parents, last = path.split(".")
+        node = config
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[last] = value
+    return config
+
+
+@given(kind=st.sampled_from([k for k in cli.KINDS if k != "correlation"]),
+       leaves=st.dictionaries(st.sampled_from(_LEAVES), _NUMBERS, min_size=1, max_size=3),
+       values=st.none() | st.lists(_NUMBERS, min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_numeric_config_leaves_never_raise(tmp_path, kind, leaves, values):
+    # correlation always simulates, so it is left to the listed configs above
+    config = {**_nest(leaves), "quantization": {"n_values": [4, 8]}}
+    if values is not None:
+        config["sweep"] = {"values": values}
+    assert run_yaml(tmp_path, kind, config) in (0, 2, 3)

@@ -147,7 +147,7 @@ class TestChunkLayout:
     def test_every_kernel_chunks_by_the_shared_size(self, monkeypatch, kernel):
         asked, drawn = [], []
         monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: asked.append(n) or 100)
-        for module in (montecarlo, cli, correlation):
+        for module in (montecarlo, correlation):
             monkeypatch.setattr(module, "chunk_rng",
                                 lambda seed, index: drawn.append(index) or chunk_rng(seed, index))
         cfg, _ = cli.validate_config({"n_elements": 16})

@@ -12,7 +12,7 @@ from irslink.errors import NumericalConsistencyError, UnsupportedShapeError
 from irslink.montecarlo import SimPlan, simulate_snr_samples
 from irslink.snrdist import (ProductPdfParams, SnrCdfParams, envelope_cdf, envelope_pdf,
                              optimal_phases, optimal_snr, product_pdf, snr_cdf, snr_pdf)
-from oracles import envelope_pdf_scalar
+from oracles import envelope_pdf_scalar, snr_cdf_quadrature
 
 
 def unit_config(n, m_v, m_g, m_h, eta=0.9, gamma_bar_db=0.0):
@@ -149,7 +149,7 @@ def _closed_against_quadrature(m_v, n, fractions):
     params = SnrCdfParams.from_config(unit_config(n, m_v, 2.0, 3.0))
     ys = np.array(fractions) * params.gamma_bar * params.tn.mu_bar**2
     closed = snr_cdf(ys, params)
-    reference = snr_cdf(ys, params, method="quadrature")
+    reference = snr_cdf_quadrature(ys, params)
     assert closed == pytest.approx(reference, abs=1e-6, rel=1e-6)
 
 
@@ -171,7 +171,7 @@ class TestSnrCdf:
         for frac in (0.05, 0.4, 0.8, 1.0, 1.2, 2.0):
             y = frac * mean_snr
             closed = snr_cdf(y, params_234)
-            reference = snr_cdf(y, params_234, method="quadrature")
+            reference = snr_cdf_quadrature(y, params_234)
             assert closed == pytest.approx(reference, abs=1e-6, rel=1e-6)
 
     @pytest.mark.parametrize("m_v", [0.5, 1.5, 2.5])

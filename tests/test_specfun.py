@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from irslink import specfun
 from irslink.specfun import (JParams, bessel_k, cal_i, cal_j, cal_j_between,
                              gamma_lower, gamma_upper, gaussian_q, log_gaussian_q)
 from oracles import cal_i_scalar
@@ -133,15 +132,12 @@ class TestCalI:
         assert isinstance(cal_i(k, -1.1), float) and isinstance(cal_i(k, 1.1), float)
 
 
-def _j_quad(k, z, p):
+def _j_quad(k, z, p, hi=np.inf):
+    """``cal_j_between(k, z, hi, p)`` by quadrature of its defining integrand."""
     q = (k + 1) / 2.0
     val, _ = quad(lambda t: t ** (p.m_tilde_v - k) * math.exp(-p.delta * t * t)
-                  * gamma_upper(q, t * t), z, np.inf, limit=300)
+                  * gamma_upper(q, t * t), z, hi, epsabs=1e-12, epsrel=1e-10, limit=300)
     return val
-
-
-def _no_quadrature(*args):
-    raise AssertionError("the closed form fell back to quadrature")
 
 
 class TestJParams:
@@ -168,7 +164,7 @@ class TestCalJ:
         s2a = 1.9  # scale = 2*sigma2*a
         p = JParams.from_delta(3, s2a - 1.0)  # m_v = 2
         closed = cal_j(2, 0.7, p)
-        ref = cal_j(2, 0.7, p, force_quadrature=True)
+        ref = _j_quad(2, 0.7, p)
         assert closed == pytest.approx(ref, rel=1e-8)
 
     @pytest.mark.parametrize("m_tilde", [0, 1, 3, 4, 5])
@@ -177,7 +173,7 @@ class TestCalJ:
         p = JParams.from_delta(m_tilde, delta)
         for k in range(m_tilde + 1):
             for z in (0.0, 0.35, 1.1):
-                ref = cal_j(k, z, p, force_quadrature=True)
+                ref = _j_quad(k, z, p)
                 val = cal_j(k, z, p)
                 assert val == pytest.approx(ref, rel=2e-8, abs=1e-13), (k, z)
 
@@ -199,27 +195,30 @@ class TestCalJ:
         for k in range(4):
             diff = cal_j(k, 0.2, p) - cal_j(k, 0.9, p)
             assert cal_j_between(k, 0.2, 0.9, p) == pytest.approx(diff, rel=1e-9)
-            ref = cal_j_between(k, 0.2, 0.9, p, force_quadrature=True)
+            ref = _j_quad(k, 0.2, p, hi=0.9)
             assert cal_j_between(k, 0.2, 0.9, p) == pytest.approx(ref, rel=1e-8)
 
-    def test_half_integer_even_k_closed_form(self, monkeypatch):
+    def test_half_integer_even_k_closed_form(self):
         # m_tilde even (half-odd-integer shape): even k takes the erfc /
-        # Owen's T closed form, without quadrature, and matches the integral
-        monkeypatch.setattr(specfun, "_cal_j_quad", _no_quadrature)
+        # Owen's T closed form and matches the integral
         p = JParams.from_delta(4, 2.0)  # m_v = 2.5
         for k in (0, 2, 4):
             assert cal_j(k, 0.5, p) == pytest.approx(_j_quad(k, 0.5, p), rel=1e-8)
 
     @pytest.mark.parametrize("m_tilde", [0, 1, 4, 5])
     def test_arrays_equal_elementwise_calls(self, m_tilde):
-        # negative limits take the quadrature path inside the same array
         p = JParams.from_delta(m_tilde, 2.5)
-        z = np.array([-0.4, 0.0, 0.2, 0.9, 3.0])
+        z = np.array([0.0, 0.2, 0.9, 3.0])
         for k in range(m_tilde + 1):
             np.testing.assert_array_equal(cal_j(k, z, p), [cal_j(k, zi, p) for zi in z])
             np.testing.assert_array_equal(cal_j_between(k, z, 3.5, p),
                                           [cal_j_between(k, zi, 3.5, p) for zi in z])
-            grid = z[1:].reshape(2, 2)
+            # a negative lower limit has no closed form and is rejected
+            with pytest.raises(ValueError):
+                cal_j(k, np.array([-0.4, 0.2]), p)
+            with pytest.raises(ValueError):
+                cal_j_between(k, -0.4, 3.5, p)
+            grid = z.reshape(2, 2)
             np.testing.assert_array_equal(cal_j_between(k, 0.1, grid + 0.1, p),
                                           [[cal_j_between(k, 0.1, zi + 0.1, p) for zi in row]
                                            for row in grid])

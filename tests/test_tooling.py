@@ -1,0 +1,36 @@
+"""The benchmark tracer's targets and the import path of the CLI."""
+
+import importlib
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import irslink
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracing_targets():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return [name for _, names, _ in module.TARGETS for name in names]
+
+
+@pytest.mark.parametrize("dotted", _tracing_targets())
+def test_every_traced_name_resolves(dotted):
+    # the tracer getattr's each name; a missing one breaks every traced round
+    module_name, name = dotted.rsplit(".", 1)
+    assert callable(getattr(importlib.import_module(module_name), name))
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    src = Path(irslink.__file__).resolve().parents[1]
+    probe = "import sys, irslink.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

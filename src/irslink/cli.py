@@ -107,6 +107,19 @@ def _git_describe() -> str:
     return f"irslink-{__version__}"
 
 
+@functools.cache
+def _trig_dispatch() -> str | None:
+    """CPU dispatch target of numpy's float32 sin and cos loops (e.g.
+    ``X86_V4``), which evaluate the MC phasors; None where numpy predates
+    ``numpy.lib.introspect``.  Once per process."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    info = opt_func_info(func_name="^(sin|cos)$", signature="float32")
+    return "/".join(sorted({loop["current"] for func in info.values() for loop in func.values()}))
+
+
 def _gamma_sweep(spec: ExperimentSpec):
     if spec.sweep_variable != "gamma_bar_db":
         raise ConfigError([f"{spec.kind}: sweep variable must be gamma_bar_db"])
@@ -306,10 +319,10 @@ def _run_correlation(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     n_values = [int(v) for v in spec.resolved["correlation"]["n_values"]]
     rates = [_timed_mc(extras, simulate_scheme_rates, spec.config.with_n_elements(n),
                        _correlation_config(spec.resolved, n), spec.plan)
-             for n in n_values]
+             for n in n_values] if spec.use_mc else []
     for s in (1, 2):
-        _emit(spec, files, f"correlation_scheme{s}", "n_elements",
-              _curve_rows(n_values, **_mc_columns([r[s] for r in rates])))
+        mc = _mc_columns([r[s] for r in rates]) if spec.use_mc else {}
+        _emit(spec, files, f"correlation_scheme{s}", "n_elements", _curve_rows(n_values, **mc))
 
 
 def _run_sweep(spec: ExperimentSpec, files: dict, extras: dict) -> None:
@@ -364,12 +377,14 @@ def run_experiment(spec: ExperimentSpec) -> Path:
             "config": spec.resolved,
             "no_mc": not spec.use_mc,
         },
-        # MC columns are byte-identical only under the same bit generator and
-        # the same numpy (its gamma, sin and cos kernels)
+        # MC columns are byte-identical only under the same bit generator,
+        # the same numpy (its gamma, sin and cos kernels) and the same CPU
+        # dispatch level of its float32 sin and cos SIMD loops
         "artifact": {"build": _git_describe(), "version": __version__,
                      "python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__,
-                     "bit_generator": BIT_GENERATOR.__name__},
+                     "bit_generator": BIT_GENERATOR.__name__,
+                     "trig_dispatch": _trig_dispatch()},
         "wall_clock_seconds": round(time.time() - started, 3),
         "files": files,
         "extras": extras,

@@ -162,12 +162,17 @@ def _kron_right(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _cophased_leg(m: float, zeta, rng: np.random.Generator, shape, p: np.ndarray,
                   q: np.ndarray) -> np.ndarray:
     """One leg drawn i.i.d. as rows ``x = a * u`` (Nakagami amplitude a, unit
-    phasor u), correlated as ``x @ kron(p, q)`` and turned back by ``conj(u)``."""
+    phasor u), correlated as ``x @ kron(p, q)`` and turned back by ``conj(u)``.
+
+    u is evaluated at float32 precision (numpy's float32 SIMD cos/sin, widened
+    into the complex128 buffer), which is equivalent to perturbing each phase
+    by at most about 2**-22 rad; draws and products stay float64, and results
+    stay identical for any worker count."""
     amp = nakagami_sample(m, zeta, rng, shape)
     phase = rng.uniform(-math.pi, math.pi, shape)
     u = np.empty(shape, dtype=complex)
-    np.cos(phase, out=u.real)
-    np.sin(phase, out=u.imag)
+    np.cos(phase, out=u.real, dtype=np.float32, casting="same_kind")
+    np.sin(phase, out=u.imag, dtype=np.float32, casting="same_kind")
     x = u * amp
     del amp, phase  # keeps at most four (count x N) buffers per leg alive
     rows = _kron_right(x, p, q)

@@ -13,6 +13,22 @@ from irslink.snrdist import SnrCdfParams, envelope_pdf
 from irslink.specfun import log_gaussian_q
 
 
+# Bound on each component of |float32 phasor - float64 phasor| for a float64
+# phase in [-pi, pi): rounding the phase to float32 moves it by at most half
+# a float32 spacing, 2**-23 below 4, and cos and sin have slope at most 1;
+# numpy's float32 cos and sin are accurate to 1.5 ulp, and an ulp is 2**-24
+# below 1 in magnitude.  Widening to float64 is exact.  Together: below 2**-22.
+PHASOR_ERROR = 2.0**-22
+
+
+def float32_trig_bound(gamma_bar, v, reach, per_term):
+    """Bound on the change of ``gamma_bar |v + S|^2`` when every term of the
+    sum S moves by at most ``per_term`` times its bound and those bounds
+    sum to ``reach`` (so |S| <= reach):
+    |d |v + S|^2| <= 2 |v + S| |dS| + |dS|^2 <= (2 e + e^2) (v + reach)^2,
+    with e = ``per_term``."""
+    return gamma_bar * (2.0 * per_term + per_term**2) * (v + reach) ** 2
+
 
 def truncated_normal_sample(tn: TruncatedNormal, rng: np.random.Generator, size: int):
     """Rejection sampler of the normal truncated to [0, inf); fine while z_bar < 0."""

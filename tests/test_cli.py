@@ -268,6 +268,9 @@ def test_manifest_records_the_numeric_stack(tmp_path):
     assert artifact["numpy"] == np.__version__
     assert artifact["scipy"] == scipy.__version__
     assert artifact["bit_generator"] == "SFC64"
+    # the CPU level of numpy's float32 sin/cos loops, which the MC phasors use
+    assert artifact["trig_dispatch"] == cli._trig_dispatch()
+    assert artifact["trig_dispatch"]
 
 
 @pytest.mark.parametrize("kind,config,runs", [
@@ -301,6 +304,17 @@ def test_no_mc_run_records_no_monte_carlo(tmp_path):
     code, out = run_cli(tmp_path, "ser", {"trials": 100}, "--no-mc")
     assert code == 0
     assert "mc" not in json.loads((out / "manifest.json").read_text())["extras"]
+
+
+def test_correlation_without_mc_runs_no_simulation(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "simulate_scheme_rates", lambda *args: pytest.fail("simulated"))
+    code, out = run_cli(tmp_path, "correlation", {"correlation": {"n_values": [16, 64]}},
+                        "--no-mc")
+    assert code == 0
+    assert "mc" not in json.loads((out / "manifest.json").read_text())["extras"]
+    for s in (1, 2):
+        assert read_csv(out / f"correlation_scheme{s}.csv").splitlines() == [
+            ",".join(cli.CSV_HEADER), "n_elements,16,,,,,", "n_elements,64,,,,,"]
 
 
 def test_ser_interval_stays_inside_the_term_range(tmp_path):
@@ -440,13 +454,13 @@ def _nest(leaves: dict) -> dict:
     return config
 
 
-@given(kind=st.sampled_from([k for k in cli.KINDS if k != "correlation"]),
+@given(kind=st.sampled_from(cli.KINDS),
        leaves=st.dictionaries(st.sampled_from(_LEAVES), _NUMBERS, min_size=1, max_size=3),
        values=st.none() | st.lists(_NUMBERS, min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_numeric_config_leaves_never_raise(tmp_path, kind, leaves, values):
-    # correlation always simulates, so it is left to the listed configs above
+    # --no-mc runs of every kind, correlation included: no kind simulates
     config = {**_nest(leaves), "quantization": {"n_values": [4, 8]}}
     if values is not None:
         config["sweep"] = {"values": values}

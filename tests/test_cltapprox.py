@@ -6,7 +6,7 @@ import pytest
 from irslink.channel import LinkParams, SystemConfig
 from irslink.cltapprox import (TruncatedNormal, gamma_ratio_t, quantized_w_stats, w_mean_var,
                                w_moment, w_stats)
-from irslink.montecarlo import chunk_rng
+from irslink.montecarlo import SimPlan, reflected_sum_samples
 from oracles import truncated_normal_sample
 
 
@@ -19,15 +19,7 @@ def unit_config(n, m_g, m_h, eta=1.0, kappa_g=None, kappa_h=None):
 
 
 def reflected_sums(cfg, trials, seed=0):
-    rng = chunk_rng(seed, 0)
-    total = np.zeros(trials)
-    step = max(1, 10**7 // max(cfg.n_elements, 1))
-    for start in range(0, trials, step):
-        count = min(step, trials - start)
-        g = np.sqrt(rng.gamma(cfg.g.m, np.broadcast_to(cfg.zeta_g, (count, cfg.n_elements))))
-        h = np.sqrt(rng.gamma(cfg.h.m, np.broadcast_to(cfg.zeta_h, (count, cfg.n_elements))))
-        total[start:start + count] = (g * h * cfg.eta).sum(axis=1)
-    return total
+    return reflected_sum_samples(cfg, SimPlan(trials, seed, workers=2))
 
 
 class TestWStats:

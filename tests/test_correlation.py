@@ -12,6 +12,7 @@ from irslink.correlation import (AngleSpread, CorrelationConfig, CorrelationMatr
                                  simulate_scheme_rates)
 from irslink.montecarlo import SimPlan, chunk_rng
 from irslink.snrdist import optimal_snr
+from oracles import PHASOR_ERROR, float32_trig_bound
 
 
 def correlated_snr(v_amp: float, phi_v: float, g_vec: np.ndarray, h_vec: np.ndarray,
@@ -193,6 +194,25 @@ def unit_cfg(n):
                         gamma_bar_db=10.0)
 
 
+def chunk_draws(cfg, seed, index, count, trig_dtype=np.float32):
+    """The draws of one scheme chunk in stream order, as scaled Gamma and
+    uniform variates: v, then (amplitude, unit phasor) of each leg with the
+    phasor evaluated in ``trig_dtype``.  The direct-link phase cancels, so
+    the kernel draws none."""
+    rng = chunk_rng(seed, index)
+    shape = (count, cfg.n_elements)
+    v = np.sqrt(rng.gamma(cfg.v.m, cfg.v.zeta, count))
+
+    def leg(m, zeta):
+        amp = np.sqrt(rng.gamma(m, np.broadcast_to(zeta, shape)))
+        phase = rng.uniform(-np.pi, np.pi, shape)
+        u = np.empty(shape, dtype=complex)
+        u.real, u.imag = np.cos(phase, dtype=trig_dtype), np.sin(phase, dtype=trig_dtype)
+        return amp, u
+
+    return v, leg(cfg.g.m, cfg.zeta_g), leg(cfg.h.m, cfg.zeta_h)
+
+
 class TestSchemeKernel:
     def test_matches_the_oracle_per_realization(self):
         corr = small_corr()
@@ -200,21 +220,40 @@ class TestSchemeKernel:
         cfg = replace(unit_cfg(n), eta=np.linspace(0.5, 1.0, n))
         seed, index, count = 23, 2, 400
         snr = _scheme_snr_chunk(cfg, mats, seed, index, count)
-        # the chunk's draws, in stream order, as scaled Gamma and uniform
-        # variates; the direct-link phase cancels, so the kernel draws none
-        rng = chunk_rng(seed, index)
-        v = np.sqrt(rng.gamma(cfg.v.m, cfg.v.zeta, count))
+        v, (a_g, u_g), (a_h, u_h) = chunk_draws(cfg, seed, index, count)
+        g, h = a_g * u_g, a_h * u_h
+        # the kernel turns each term back by conj(u_g) conj(u_h); rounded to
+        # float32, u is unit-modulus only to about 2**-24, and the oracle
+        # turns by exact unit phasors, so that gain enters through eta
+        eta = cfg.eta * np.abs(u_g) * np.abs(u_h)
         phi_v = np.random.default_rng(1).uniform(-np.pi, np.pi, count)
-
-        def leg(m, zeta):
-            amp = np.sqrt(rng.gamma(m, np.broadcast_to(zeta, (count, n))))
-            return amp * np.exp(1j * rng.uniform(-np.pi, np.pi, (count, n)))
-
-        g, h = leg(cfg.g.m, cfg.zeta_g), leg(cfg.h.m, cfg.zeta_h)
         for scheme in (1, 2):
-            oracle = [correlated_snr(v[r], phi_v[r], g[r], h[r], mats, scheme, cfg.eta,
+            oracle = [correlated_snr(v[r], phi_v[r], g[r], h[r], mats, scheme, eta[r],
                                      cfg.gamma_bar) for r in range(count)]
             np.testing.assert_allclose(snr[scheme - 1], oracle, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [16, 144])
+    def test_float32_phasors_stay_within_their_ulp_bound(self, n):
+        corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
+        cfg, mats = replace(unit_cfg(n), eta=np.linspace(0.5, 1.0, n)), build_correlation(corr)
+        seed, index, count = 23, 0, 300
+        fast = _scheme_snr_chunk(cfg, mats, seed, index, count)
+        v, (a_g, u_g), (a_h, u_h) = chunk_draws(cfg, seed, index, count, np.float64)
+        dep = np.kron(mats.departure.az, mats.departure.el)
+        arr = np.kron(mats.arrival.az, mats.arrival.el).T
+        terms = cfg.eta * ((a_g * u_g) @ dep * u_g.conj()) * ((a_h * u_h) @ arr * u_h.conj())
+        exact = cfg.gamma_bar * np.array([np.abs(v + terms.sum(axis=1)) ** 2,
+                                          (v + np.abs(terms).sum(axis=1)) ** 2])
+        # A leg term l_n = (x @ K)_n conj(u_n), x_k = a_k u_k, is bounded by
+        # A_n = (a @ |K|)_n.  Each phasor moves by at most e = sqrt(2)
+        # PHASOR_ERROR, so l_n by at most e A_n (1 + e) + A_n e = e_l A_n with
+        # e_l = e (2 + e), and a term eta_n l_g,n l_h,n by at most
+        # e_l (2 + e_l) eta_n A_g,n A_h,n; a modulus moves no more than its term.
+        reach = (cfg.eta * (a_g @ np.abs(dep)) * (a_h @ np.abs(arr))).sum(axis=1)
+        e = math.sqrt(2.0) * PHASOR_ERROR
+        e_l = e * (2.0 + e)
+        bound = float32_trig_bound(cfg.gamma_bar, v, reach, e_l * (2.0 + e_l))
+        assert np.all(np.abs(fast - exact) <= bound)
 
 
 class TestSchemeRates:

@@ -16,6 +16,7 @@ from irslink.montecarlo import (CurveResult, Estimate, SimPlan, _chunk_size, _si
                                 empirical_rate, empirical_rate_ratio, fit_loglog_slope,
                                 simulate_snr_samples)
 from irslink.specfun import gaussian_q
+from oracles import PHASOR_ERROR, float32_trig_bound
 
 
 def unit_config(n, m_v=1.0, m_g=1.0, m_h=2.0, eta=0.9, gamma_bar_db=0.0):
@@ -24,21 +25,30 @@ def unit_config(n, m_v=1.0, m_g=1.0, m_h=2.0, eta=0.9, gamma_bar_db=0.0):
                         gamma_bar_db=gamma_bar_db)
 
 
-def reference_chunk(cfg, plan, index, count):
-    """The chunk kernel written as plain expressions, one array per term."""
+def reference_draws(cfg, plan, index, count):
+    """The draws of one chunk in stream order: direct amplitudes v, products
+    eta g h, and the phase errors at the one width of ``plan`` (None
+    without a width)."""
     rng = chunk_rng(plan.seed, index)
     n = cfg.n_elements
     v = np.sqrt(rng.gamma(cfg.v.m, cfg.v.zeta, count))
     g = np.sqrt(rng.gamma(cfg.g.m, np.broadcast_to(cfg.zeta_g, (count, n))))
     h = np.sqrt(rng.gamma(cfg.h.m, np.broadcast_to(cfg.zeta_h, (count, n))))
-    prod = g * h * cfg.eta
     if not plan.quantization_bits:
-        return cfg.gamma_bar * (v + prod.sum(axis=1)) ** 2
+        return v, g * h * cfg.eta, None
     (bits,) = plan.quantization_bits
     tau = math.pi / 2**bits
-    eps = rng.uniform(-tau, tau, (count, n))
-    w_re = (prod * np.cos(eps)).sum(axis=1)
-    w_im = (prod * np.sin(eps)).sum(axis=1)
+    return v, g * h * cfg.eta, rng.uniform(-tau, tau, (count, n))
+
+
+def reference_chunk(cfg, plan, index, count, trig_dtype=np.float32):
+    """The chunk kernel written as plain expressions, one array per term;
+    the phase-error cos and sin are evaluated in ``trig_dtype``."""
+    v, prod, eps = reference_draws(cfg, plan, index, count)
+    if eps is None:
+        return cfg.gamma_bar * (v + prod.sum(axis=1)) ** 2
+    w_re = (prod * np.cos(eps, dtype=trig_dtype)).sum(axis=1)
+    w_im = (prod * np.sin(eps, dtype=trig_dtype)).sum(axis=1)
     return cfg.gamma_bar * ((v + w_re) ** 2 + w_im**2)
 
 
@@ -51,6 +61,19 @@ class TestSimulation:
         chunk = _simulate_chunk(cfg, plan, 2, 700)
         np.testing.assert_array_equal(chunk if bits is None else chunk[1],
                                       reference_chunk(cfg, plan, 2, 700))
+
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_float32_phasors_stay_within_their_ulp_bound(self, bits):
+        cfg = unit_config(128, gamma_bar_db=15.0)
+        plan = SimPlan(trials=1, seed=31, quantization_bits=(bits,))
+        fast = _simulate_chunk(cfg, plan, 0, 2000)[1]
+        exact = reference_chunk(cfg, plan, 0, 2000, trig_dtype=np.float64)
+        v, prod, _ = reference_draws(cfg, plan, 0, 2000)
+        # each phasor moves by at most sqrt(2) PHASOR_ERROR, so the sum
+        # S = sum prod_n u_n by at most that times sum prod_n
+        bound = float32_trig_bound(cfg.gamma_bar, v, prod.sum(axis=1),
+                                   math.sqrt(2.0) * PHASOR_ERROR)
+        assert np.all(np.abs(fast - exact) <= bound)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_draw_rows_equal_single_setting_runs(self, monkeypatch, workers):

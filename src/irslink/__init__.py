@@ -7,8 +7,8 @@ expression is validated against.
 
 __version__ = "0.1.0"
 
-from .channel import (Distances, LinkParams, Modulation, PathLossModel, SystemConfig,
-                      nakagami_sample, path_loss, rician_to_nakagami)
+from .channel import (LinkParams, Modulation, SystemConfig, nakagami_sample, path_loss,
+                      rician_to_nakagami)
 from .cltapprox import (QuantizedWStats, TruncatedNormal, quantized_w_stats, w_mean_var,
                         w_moment, w_stats)
 from .errors import (ConfigError, IrsLinkError, NumericalConsistencyError,
@@ -16,10 +16,9 @@ from .errors import (ConfigError, IrsLinkError, NumericalConsistencyError,
 from .metrics import (AsymptoticResult, RateBounds, asymptotic_outage, asymptotic_rate,
                       asymptotic_ser, outage_probability, quantized_rate_bounds,
                       rate_bounds, ser_upper_bound)
-from .montecarlo import (CurveResult, Estimate, SimPlan, empirical_ber, empirical_cdf,
-                         empirical_outage, empirical_rate, empirical_rate_ratio,
-                         fit_loglog_slope, simulate_snr_samples)
+from .montecarlo import (Estimate, SimPlan, empirical_ber, empirical_cdf, empirical_outage,
+                         empirical_rate, empirical_rate_ratio, fit_loglog_slope,
+                         simulate_snr_samples)
 from .snrdist import (ProductPdfParams, SnrCdfParams, envelope_pdf, optimal_phases,
                       optimal_snr, product_pdf, snr_cdf, snr_pdf)
-from .specfun import (JParams, bessel_k, cal_i, cal_j, gamma_lower, gamma_upper,
-                      gaussian_q)
+from .specfun import JParams, cal_i, cal_j, gamma_upper, gaussian_q

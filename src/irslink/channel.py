@@ -19,8 +19,6 @@ from .errors import ConfigError
 __all__ = [
     "LinkParams",
     "Modulation",
-    "Distances",
-    "PathLossModel",
     "SystemConfig",
     "path_loss",
     "nakagami_sample",
@@ -58,31 +56,6 @@ class Modulation:
             raise ValueError("modulation parameters must be positive")
 
 
-@dataclass(frozen=True)
-class Distances:
-    d_sd: float
-    d_si: float
-    d_di: float
-
-    def __post_init__(self):
-        for name in ("d_sd", "d_si", "d_di"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"distance {name} must be positive")
-
-
-@dataclass(frozen=True)
-class PathLossModel:
-    """Log-distance model; the dB loss at distance d is zeta0_db + 10*exponent*log10(d).
-
-    Figure-reproduction configs pass a negative ``zeta0_db``, a net gain at 1 m,
-    so that the mean received SNR falls inside the swept transmit SNRs; a
-    physical reference loss of 30-40 dB would move every curve 72-82 dB right.
-    """
-
-    zeta0_db: float = -42.0
-    exponent: float = 3.5
-
-
 def path_loss(d: float, zeta0_db: float, exponent: float) -> float:
     """Linear channel-power gain 10^(-(zeta0 + 10*exponent*log10 d)/10)."""
     if d <= 0:
@@ -96,7 +69,9 @@ class SystemConfig:
 
     ``eta`` is the per-element amplitude attenuation vector (length
     ``n_elements``).  ``zeta_g`` / ``zeta_h`` are per-element large-scale
-    gains; the homogeneous constructor fills them from the distances.
+    gains, filled from the legs' ``zeta`` where not given.
+    :func:`irslink.config.validate_config` builds the homogeneous link of a
+    config, with leg gains from :func:`path_loss` of its geometry.
     """
 
     n_elements: int
@@ -106,8 +81,6 @@ class SystemConfig:
     h: LinkParams
     gamma_bar_db: float = 20.0
     modulation: Modulation = field(default_factory=Modulation)
-    distances: Distances | None = None
-    pathloss: PathLossModel | None = None
     zeta_g: np.ndarray | None = None
     zeta_h: np.ndarray | None = None
 
@@ -125,27 +98,6 @@ class SystemConfig:
             if np.any(z <= 0):
                 raise ValueError(f"{name} entries must be positive")
             object.__setattr__(self, name, z)
-
-    @classmethod
-    def from_geometry(cls, n_elements: int, m_v: float, m_g: float, m_h: float,
-                      distances: Distances, pathloss: PathLossModel,
-                      eta: float | np.ndarray = 0.9, gamma_bar_db: float = 20.0,
-                      modulation: Modulation | None = None) -> "SystemConfig":
-        """Homogeneous config with leg gains from the log-distance model."""
-        zv = path_loss(distances.d_sd, pathloss.zeta0_db, pathloss.exponent)
-        zg = path_loss(distances.d_si, pathloss.zeta0_db, pathloss.exponent)
-        zh = path_loss(distances.d_di, pathloss.zeta0_db, pathloss.exponent)
-        return cls(
-            n_elements=n_elements,
-            eta=eta,
-            v=LinkParams(m_v, zv),
-            g=LinkParams(m_g, zg),
-            h=LinkParams(m_h, zh),
-            gamma_bar_db=gamma_bar_db,
-            modulation=modulation or Modulation(),
-            distances=distances,
-            pathloss=pathloss,
-        )
 
     @property
     def gamma_bar(self) -> float:

@@ -5,10 +5,12 @@ quantization, correlation, sweep.  Output is data only (one CSV per curve,
 fixed column schema), never rendered plots.  Exit codes: 0 success, 2
 configuration error, 3 numerical consistency failure.
 
-Configuration is a nested YAML file, validated by :mod:`irslink.config`.
-An empty (or missing) file yields the documented default configuration; a
-previously written manifest can be passed back through ``--config`` to
-reproduce a run byte-for-byte.
+Configuration is a nested YAML file.  :mod:`irslink.config` is its one
+reader: it checks every field and returns the link plus the resolved mapping
+with each value cast, which the runners read as it stands.  An empty (or
+missing) file yields the documented default configuration; a previously
+written manifest can be passed back through ``--config`` to reproduce a run
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import platform
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,34 +51,15 @@ KINDS = ("wdist", "snrcdf", "outage", "rate", "ser", "quantization", "correlatio
 
 @dataclass
 class ExperimentSpec:
+    """One run: ``resolved`` is the checked config mapping that ``config`` (the
+    link) and ``plan`` were built from."""
+
     kind: str
     config: SystemConfig
     plan: SimPlan
-    resolved: dict = field(default_factory=dict)
-    sweep_variable: str = "gamma_bar_db"
-    sweep_values: tuple = ()
-    gamma_th_db: float = 10.0
-    quantization_bits: tuple = (1, 2, 4)
-    quantization_n: tuple = (32, 64, 128)
-    output_dir: Path = Path("out")
-    use_mc: bool = True
-
-
-def _spec_from_resolved(kind: str, resolved: dict, out_dir: Path,
-                        use_mc: bool = True) -> ExperimentSpec:
-    cfg, resolved = validate_config(resolved, kind)
-    plan = SimPlan(trials=int(resolved["trials"]), seed=int(resolved["seed"]),
-                   workers=int(resolved["workers"]))
-    quant = resolved["quantization"]
-    return ExperimentSpec(
-        kind=kind, config=cfg, plan=plan, resolved=resolved,
-        sweep_variable=resolved["sweep"]["variable"],
-        sweep_values=tuple(float(v) for v in resolved["sweep"]["values"]),
-        gamma_th_db=float(resolved["gamma_th_db"]),
-        quantization_bits=tuple(int(b) for b in quant["bits"]),
-        quantization_n=tuple(int(v) for v in quant["n_values"]),
-        output_dir=out_dir, use_mc=use_mc,
-    )
+    resolved: dict
+    output_dir: Path
+    use_mc: bool
 
 
 def _fmt(x) -> str:
@@ -118,12 +101,6 @@ def _trig_dispatch() -> str | None:
         return None
     info = opt_func_info(func_name="^(sin|cos)$", signature="float32")
     return "/".join(sorted({loop["current"] for func in info.values() for loop in func.values()}))
-
-
-def _gamma_sweep(spec: ExperimentSpec):
-    if spec.sweep_variable != "gamma_bar_db":
-        raise ConfigError([f"{spec.kind}: sweep variable must be gamma_bar_db"])
-    return list(spec.sweep_values)
 
 
 def _gamma_bar(db: float) -> float:
@@ -234,7 +211,7 @@ def _asymptote(extras: dict, fit, **report):
 
 
 def _run_outage(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    gamma_th = 10 ** (spec.gamma_th_db / 10)
+    gamma_th = 10 ** (spec.resolved["gamma_th_db"] / 10)
     evaluator = _asymptote(extras, lambda: asymptotic_outage(spec.config, gamma_th),
                            diversity_order=lambda r: r.g_d,
                            log10_omega_op=lambda r: r.log_omega_op / math.log(10))
@@ -247,7 +224,7 @@ def _run_outage(spec: ExperimentSpec, files: dict, extras: dict) -> None:
 
 
 def _run_rate(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    _rate_curves(spec, files, extras, "rate", _gamma_sweep(spec))
+    _rate_curves(spec, files, extras, "rate")
 
 
 def _run_ser(spec: ExperimentSpec, files: dict, extras: dict) -> None:
@@ -264,7 +241,7 @@ def _floor_curves(spec: ExperimentSpec, files: dict, extras: dict, kind: str, na
     """Curves of one metric over the gamma_bar sweep: ``analytic(sweep)``, the
     values at every point, the high-SNR floor ``evaluator(gamma_bar)`` and the
     MC estimate."""
-    sweep = _gamma_sweep(spec)
+    sweep = spec.resolved["sweep"]["values"]
     closed = analytic(sweep)
     curves = {name: _curve_rows(sweep, analytic=closed),
               "asymptotic": _curve_rows(sweep, asymptotic=_asymptote_column(evaluator, sweep,
@@ -284,9 +261,9 @@ def _rate_percent(snr_pair: np.ndarray) -> Estimate:
 
 
 def _run_quantization(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    sweep = _gamma_sweep(spec)
-    gamma_bars, widths = _gamma_bars(sweep), spec.quantization_bits
-    for n in spec.quantization_n:
+    sweep, quant = spec.resolved["sweep"]["values"], spec.resolved["quantization"]
+    gamma_bars, widths = _gamma_bars(sweep), tuple(quant["bits"])
+    for n in quant["n_values"]:
         cfg_n = spec.config.with_n_elements(n)
         if spec.use_mc:
             # one draw per N: row 0 with continuous phases, row k at widths[k-1]
@@ -304,19 +281,14 @@ def _run_quantization(spec: ExperimentSpec, files: dict, extras: dict) -> None:
 def _correlation_config(resolved: dict, n: int) -> CorrelationConfig:
     cc = resolved["correlation"]
     def spread(block):
-        return AngleSpread(
-            mean_az=math.radians(float(block["mean_az_deg"])),
-            std_az=math.radians(float(block["std_az_deg"])),
-            mean_el=math.radians(float(block["mean_el_deg"])),
-            std_el=math.radians(float(block["std_el_deg"])),
-        )
-    return CorrelationConfig.square_surface(
-        n, float(cc["surface_side_m"]), float(cc["wavelength_m"]),
-        aoa=spread(cc["aoa"]), aod=spread(cc["aod"]))
+        return AngleSpread(*(math.radians(block[f"{stat}_deg"])
+                             for stat in ("mean_az", "std_az", "mean_el", "std_el")))
+    return CorrelationConfig.square_surface(n, cc["surface_side_m"], cc["wavelength_m"],
+                                            aoa=spread(cc["aoa"]), aod=spread(cc["aod"]))
 
 
 def _run_correlation(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    n_values = [int(v) for v in spec.resolved["correlation"]["n_values"]]
+    n_values = spec.resolved["correlation"]["n_values"]
     rates = [_timed_mc(extras, simulate_scheme_rates, spec.config.with_n_elements(n),
                        _correlation_config(spec.resolved, n), spec.plan)
              for n in n_values] if spec.use_mc else []
@@ -326,17 +298,17 @@ def _run_correlation(spec: ExperimentSpec, files: dict, extras: dict) -> None:
 
 
 def _run_sweep(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    _rate_curves(spec, files, extras, "sweep_rate", list(spec.sweep_values))
+    _rate_curves(spec, files, extras, "sweep_rate")
 
 
-def _rate_curves(spec: ExperimentSpec, files: dict, extras: dict, prefix: str,
-                 sweep: list) -> None:
+def _rate_curves(spec: ExperimentSpec, files: dict, extras: dict, prefix: str) -> None:
     """Jensen rate bounds and the MC rate over the sweep (gamma_bar_db or n_elements)."""
-    cfg, unit = spec.config, spec.sweep_variable
+    cfg, sweep = spec.config, spec.resolved["sweep"]
+    unit, sweep = sweep["variable"], sweep["values"]
     if unit == "gamma_bar_db":
         bounds = [rate_bounds(cfg, _gamma_bars(sweep))]
     else:
-        configs = [cfg.with_n_elements(int(value)) for value in sweep]
+        configs = [cfg.with_n_elements(n) for n in sweep]
         bounds = [rate_bounds(c, cfg.gamma_bar) for c in configs]
     for side in ("lower", "upper"):
         _emit(spec, files, f"{prefix}_{side}", unit,
@@ -419,9 +391,11 @@ def main(argv=None) -> int:
                          ("workers", args.workers)):
             if val is not None:
                 raw[key] = val
-        spec = _spec_from_resolved(args.kind, raw, Path(args.out),
-                                   use_mc=not args.no_mc)
-        manifest = run_experiment(spec)
+        cfg, resolved = validate_config(raw, args.kind)
+        plan = SimPlan(trials=resolved["trials"], seed=resolved["seed"],
+                       workers=resolved["workers"])
+        manifest = run_experiment(ExperimentSpec(args.kind, cfg, plan, resolved,
+                                                 Path(args.out), not args.no_mc))
     except (ConfigError, UnsupportedShapeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,19 +1,22 @@
-"""Configuration: the documented defaults and the validator of a raw config.
+"""Configuration: the documented defaults and the one reader of a raw config.
 
 A config is a nested mapping, read from YAML (or from a manifest written
 earlier), merged over ``DEFAULT_CONFIG`` and checked field by field; every
-violation is collected into one :class:`ConfigError`.  dB quantities carry a
-``_db`` key suffix.
+violation is collected into one :class:`ConfigError`.  Every field a run
+reads is checked here and written back cast (integers as ``int``, reals as
+``float``), so the runners read the resolved mapping as it stands.  dB
+quantities carry a ``_db`` key suffix, angles a ``_deg`` one.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from pathlib import Path
 
 import yaml
 
-from .channel import Distances, Modulation, PathLossModel, SystemConfig, path_loss
+from .channel import LinkParams, Modulation, SystemConfig, path_loss
 from .errors import ConfigError
 
 # Largest element count a config may ask for: per-element arrays stay small,
@@ -24,7 +27,8 @@ MAX_ELEMENTS = 1_000_000
 # 60 m each), shapes (2, 3, 4), eta 0.9, BPSK, 20 dB transmit SNR, 10 dB outage
 # threshold.  zeta0_db is negative, a 42 dB gain at 1 m: the legs lose 20 dB (60 m)
 # and 28 dB (100 m), the mean reflected SNR of the default surface is about
-# gamma_bar - 7 dB, and so the 0-45 dB sweep crosses the outage threshold.
+# gamma_bar - 7 dB, and so the 0-45 dB sweep crosses the outage threshold.  A
+# physical reference loss of 30-40 dB would move every curve 72-82 dB right.
 DEFAULT_CONFIG = {
     "n_elements": 16,
     "eta": 0.9,
@@ -75,12 +79,14 @@ def _integer(value) -> int:
     return int(out)
 
 
-def _positive_float(compute) -> bool:
-    """Whether ``compute()`` gives a positive finite float (False on overflow)."""
+def _positive_float(compute) -> float | None:
+    """``compute()`` where it is a positive finite float; None otherwise,
+    overflow included."""
     try:
-        return 0.0 < compute() < math.inf
+        value = compute()
     except OverflowError:
-        return False
+        return None
+    return value if 0.0 < value < math.inf else None
 
 
 def _count(n: int) -> bool:
@@ -88,7 +94,7 @@ def _count(n: int) -> bool:
 
 
 def _linear(db: float) -> bool:
-    return _positive_float(lambda: 10.0 ** (db / 10.0))
+    return _positive_float(lambda: 10.0 ** (db / 10.0)) is not None
 
 
 _COUNT_RULE = f"element counts must lie in 1..{MAX_ELEMENTS}"
@@ -96,20 +102,26 @@ _LINEAR_RULE = "10^(dB/10) must be a positive finite float"
 
 
 def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig, dict]:
-    """Resolve the raw mapping against defaults; aggregate every violation."""
+    """The link of ``raw`` merged over the defaults, and the resolved mapping.
+
+    Every field a run of ``kind`` reads is checked and written back cast into
+    the resolved mapping, a deep copy that shares nothing with ``raw`` or
+    ``DEFAULT_CONFIG``; every violation is aggregated into one ConfigError.
+    """
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(["configuration root must be a mapping"])
-    resolved = _merge(DEFAULT_CONFIG, raw)
+    resolved = copy.deepcopy(_merge(DEFAULT_CONFIG, raw))
     errors = []
 
     def grab(path, cast, check=None, message=None, many=False):
+        *parents, leaf = path.split(".")
         node = resolved
         try:
-            for part in path.split("."):
+            for part in parents:
                 node = node[part]
-            value = [cast(v) for v in node] if many else cast(node)
+            value = [cast(v) for v in node[leaf]] if many else cast(node[leaf])
         except (KeyError, TypeError):
             errors.append(f"{path}: missing or malformed")
             return None
@@ -119,6 +131,7 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
         if check is not None and not check(value):
             errors.append(f"{path}: {message}")
             return None
+        node[leaf] = value
         return value
 
     n = grab("n_elements", _integer, _count, _COUNT_RULE)
@@ -132,12 +145,12 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
     zeta0 = grab("pathloss.zeta0_db", _real)
     ple = grab("pathloss.exponent", _real, lambda v: v > 0, "exponent must be positive")
     gbar_db = grab("gamma_bar_db", _real, _linear, _LINEAR_RULE)
-    gth_db = grab("gamma_th_db", _real, _linear, _LINEAR_RULE)
+    grab("gamma_th_db", _real, _linear, _LINEAR_RULE)
     alpha = grab("modulation.alpha", _real, lambda v: v > 0, "alpha must be positive")
     beta = grab("modulation.beta", _real, lambda v: v > 0, "beta must be positive")
-    trials = grab("trials", _integer, lambda v: v >= 1, "trials must be >= 1")
-    seed = grab("seed", _integer, lambda v: v >= 0, "seed must be >= 0")
-    workers = grab("workers", _integer, lambda v: v >= 1, "workers must be >= 1")
+    grab("trials", _integer, lambda v: v >= 1, "trials must be >= 1")
+    grab("seed", _integer, lambda v: v >= 0, "seed must be >= 0")
+    grab("workers", _integer, lambda v: v >= 1, "workers must be >= 1")
     variable = grab("sweep.variable", str,
                     lambda v: v in ("gamma_bar_db", "n_elements"),
                     "sweep variable must be gamma_bar_db or n_elements")
@@ -147,9 +160,17 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
     # 2^-64 of a half turn is far below the float resolution of a phase
     grab("quantization.bits", _integer, lambda v: len(v) > 0 and all(1 <= b <= 64 for b in v),
          "must be a nonempty list of widths in 1..64", many=True)
-    for path in ("quantization.n_values", "correlation.n_values"):
-        grab(path, _integer, lambda v: len(v) > 0 and all(map(_count, v)),
-             f"must be a nonempty list of {_COUNT_RULE}", many=True)
+    grab("quantization.n_values", _integer, lambda v: len(v) > 0 and all(map(_count, v)),
+         f"must be a nonempty list of {_COUNT_RULE}", many=True)
+    corr_n = grab("correlation.n_values", _integer, lambda v: len(v) > 0 and all(map(_count, v)),
+                  f"must be a nonempty list of {_COUNT_RULE}", many=True)
+    side = grab("correlation.surface_side_m", _real, lambda v: v > 0, "must be positive")
+    wavelength = grab("correlation.wavelength_m", _real, lambda v: v > 0, "must be positive")
+    for side_name in ("aoa", "aod"):
+        for axis in ("az", "el"):
+            grab(f"correlation.{side_name}.mean_{axis}_deg", _real)
+            grab(f"correlation.{side_name}.std_{axis}_deg", _real, lambda v: v >= 0,
+                 "angle spread must be >= 0")
 
     if values is not None:
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -158,12 +179,23 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
             errors.append(f"sweep.values: {_COUNT_RULE}")
         if variable == "gamma_bar_db" and not all(map(_linear, values)):
             errors.append(f"sweep.values: {_LINEAR_RULE}")
+    # only the sweep kind runs over n_elements
+    if kind in ("outage", "rate", "ser", "quantization") and variable == "n_elements":
+        errors.append(f"sweep.variable: {kind} sweeps gamma_bar_db only")
 
-    if None not in (zeta0, ple):
-        for path, d in (("d_sd_m", d_sd), ("d_si_m", d_si), ("d_di_m", d_di)):
-            if d is not None and not _positive_float(lambda: path_loss(d, zeta0, ple)):
+    zeta = {}
+    for path, d in (("d_sd_m", d_sd), ("d_si_m", d_si), ("d_di_m", d_di)):
+        if None not in (d, zeta0, ple):
+            zeta[path] = _positive_float(lambda: path_loss(d, zeta0, ple))
+            if zeta[path] is None:
                 errors.append(f"distances.{path}: the leg gain at {d} m under pathloss "
                               f"(zeta0_db={zeta0}, exponent={ple}) leaves the float range")
+
+    # the finest element spacing in wavelengths; 0 where a tiny surface meets a
+    # long wavelength (an infinite one leaves the correlation factors non-finite)
+    if None not in (side, wavelength, corr_n) and not side / max(corr_n) / wavelength > 0:
+        errors.append("correlation.surface_side_m: the element spacing in wavelengths "
+                      "underflows to 0")
 
     if kind in ("snrcdf", "outage") and m_v is not None:
         if not math.isfinite(2 * m_v) or abs(2 * m_v - round(2 * m_v)) > 1e-12:
@@ -174,15 +206,14 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
     if errors:
         raise ConfigError(errors)
 
-    cfg = SystemConfig.from_geometry(
-        n_elements=n, m_v=m_v, m_g=m_g, m_h=m_h,
-        distances=Distances(d_sd=d_sd, d_si=d_si, d_di=d_di),
-        pathloss=PathLossModel(zeta0_db=zeta0, exponent=ple),
-        eta=eta, gamma_bar_db=gbar_db,
+    cfg = SystemConfig(
+        n_elements=n, eta=eta,
+        v=LinkParams(m_v, zeta["d_sd_m"]),
+        g=LinkParams(m_g, zeta["d_si_m"]),
+        h=LinkParams(m_h, zeta["d_di_m"]),
+        gamma_bar_db=gbar_db,
         modulation=Modulation(alpha=alpha, beta=beta),
     )
-    resolved["gamma_th_db"] = gth_db
-    resolved["trials"], resolved["seed"], resolved["workers"] = trials, seed, workers
     return cfg, resolved
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig, nakagami_sample
+from .errors import NumericalConsistencyError
 from .montecarlo import Estimate, SimPlan, _mean_estimate, chunk_rng, map_chunks
 
 __all__ = [
@@ -118,9 +119,14 @@ def corr_matrix_azimuth(cfg: CorrelationConfig, spread: AngleSpread) -> np.ndarr
 
 
 def _hermitian_sqrt(r: np.ndarray) -> np.ndarray:
+    """Hermitian root of a correlation factor; a factor float64 cannot carry
+    (non-finite entries, or clearly negative eigenvalues) is an error."""
+    if not np.all(np.isfinite(r)):
+        raise NumericalConsistencyError("correlation factor has non-finite entries")
     vals, vecs = np.linalg.eigh(r)
     if np.min(vals) < _EIG_CLIP * max(1.0, float(np.max(np.abs(vals)))):
-        raise ValueError(f"correlation matrix is not PSD: min eigenvalue {np.min(vals):.3e}")
+        raise NumericalConsistencyError(
+            f"correlation factor is not PSD: min eigenvalue {np.min(vals):.3e}")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 

@@ -54,18 +54,14 @@ def outage_probability(gamma_th, p: SnrCdfParams):
 class AsymptoticResult:
     """Diversity order plus the gain constants of the high-SNR floor.
 
-    ``omega_op`` can overflow float64 for large element counts; the exact
-    natural log is kept alongside and is what the evaluators use.
+    Omega_op is kept as its natural log: it can overflow float64 for large
+    element counts.
     """
 
     g_d: float
     log_omega_op: float
     o_c: float
     g_c: float
-
-    @property
-    def omega_op(self) -> float:
-        return _exp_or_inf(self.log_omega_op)
 
 
 def _exp_or_inf(log_value: float) -> float:

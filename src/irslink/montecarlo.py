@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +28,6 @@ from .specfun import gaussian_q
 __all__ = [
     "BIT_GENERATOR",
     "SimPlan",
-    "CurveResult",
     "Estimate",
     "chunk_rng",
     "map_chunks",
@@ -65,26 +64,6 @@ class SimPlan:
             raise ValueError("workers must be >= 1")
         if any(bits < 1 for bits in self.quantization_bits):
             raise ValueError("quantization_bits must be >= 1")
-
-
-@dataclass
-class CurveResult:
-    """One metric curve over a sweep axis, with 95% confidence bands."""
-
-    x: np.ndarray
-    y: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        self.ci_low = np.asarray(self.ci_low, dtype=float)
-        self.ci_high = np.asarray(self.ci_high, dtype=float)
-        n = self.x.size
-        if not (self.y.size == self.ci_low.size == self.ci_high.size == n):
-            raise ValueError("curve vectors must have equal length")
 
 
 @dataclass(frozen=True)
@@ -278,18 +257,19 @@ def empirical_ber(samples: np.ndarray, alpha: float, beta: float) -> Estimate:
     return Estimate(est.value, max(est.ci_low, 0.0), min(est.ci_high, alpha))
 
 
-def fit_loglog_slope(curve: CurveResult, window: tuple[float, float]) -> float:
-    """Least-squares slope of log10(y) against gamma_bar_dB / 10.
+def fit_loglog_slope(x, y, window: tuple[float, float]) -> float:
+    """Least-squares slope of log10(y) against x / 10, for x in dB (gamma_bar_db).
 
-    The window is an inclusive x-range (same units as curve.x, i.e. dB);
-    at least three strictly positive points must fall inside it.
+    The window is an inclusive x-range; at least three strictly positive
+    points must fall inside it.
     """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     lo, hi = window
-    mask = (curve.x >= lo) & (curve.x <= hi)
+    mask = (x >= lo) & (x <= hi)
     if np.count_nonzero(mask) < 3:
         raise ValueError("slope window must contain at least 3 points")
-    y = curve.y[mask]
+    y = y[mask]
     if np.any(y <= 0):
         raise ValueError("slope fit requires positive y values in the window")
-    slope, _ = np.polyfit(curve.x[mask] / 10.0, np.log10(y), 1)
+    slope, _ = np.polyfit(x[mask] / 10.0, np.log10(y), 1)
     return float(slope)

@@ -115,7 +115,7 @@ class SnrCdfParams:
 
     @property
     def j_params(self) -> JParams:
-        return JParams.from_delta(self.m_tilde_v, self.delta)
+        return JParams(self.m_tilde_v, self.delta)
 
     def standardized(self, r: float) -> float:
         """(r - mu_bar) / (2 sigma2_bar sqrt(a)), the CDF/PDF argument scale."""

@@ -3,9 +3,8 @@
 Everything downstream (envelope/SNR distributions, rate and error-rate
 metrics) is assembled from the functions here:
 
-* incomplete-gamma pair ``gamma_upper`` / ``gamma_lower``,
+* the upper incomplete gamma integral ``gamma_upper``,
 * the Gaussian tail probability ``gaussian_q`` (and its stable log),
-* the modified Bessel function of the second kind ``bessel_k``,
 * ``cal_i(k, x)``  = integral of t^k exp(-t^2) over [x, inf),
 * ``cal_j(k, z)``  = integral of t^(mt-k) exp(-Delta t^2) Gamma((k+1)/2, t^2)
   over [z, inf), parameterized by :class:`JParams`.
@@ -31,10 +30,8 @@ from scipy import special as sc
 __all__ = [
     "JParams",
     "gamma_upper",
-    "gamma_lower",
     "gaussian_q",
     "log_gaussian_q",
-    "bessel_k",
     "cal_i",
     "cal_j",
     "cal_j_between",
@@ -56,27 +53,23 @@ class JParams:
     """Fixed parameters of the tail integral family ``cal_j``.
 
     ``m_tilde_v`` is the polynomial degree budget (2*m_v - 1 of the
-    direct-link shape), ``scale`` the total Gaussian decay rate, and
-    ``delta = scale - 1`` the decay rate left after splitting off the
-    incomplete-gamma factor.  ``scale > 1`` is required so that ``delta``
-    stays positive.
+    direct-link shape) and ``delta`` the Gaussian decay rate left after
+    splitting off the incomplete-gamma factor; the total decay rate is
+    ``scale = delta + 1``, which must exceed 1.
     """
 
     m_tilde_v: int
     delta: float
-    scale: float
 
     def __post_init__(self):
         if self.m_tilde_v < 0 or self.m_tilde_v != int(self.m_tilde_v):
             raise ValueError(f"m_tilde_v must be a nonnegative integer, got {self.m_tilde_v}")
         if not self.scale > 1.0:
-            raise ValueError(f"scale must exceed 1, got {self.scale}")
-        if not math.isclose(self.delta, self.scale - 1.0, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError("delta must equal scale - 1")
+            raise ValueError(f"scale = delta + 1 must exceed 1, got {self.scale}")
 
-    @classmethod
-    def from_delta(cls, m_tilde_v: int, delta: float) -> "JParams":
-        return cls(m_tilde_v=m_tilde_v, delta=delta, scale=delta + 1.0)
+    @property
+    def scale(self) -> float:
+        return self.delta + 1.0
 
 
 def gamma_upper(q: float, z):
@@ -98,15 +91,6 @@ def _gamma_tail(q: float, z):
     return sc.gammaincc(q, z) * sc.gamma(q)
 
 
-def gamma_lower(q: float, z: float) -> float:
-    """Lower incomplete gamma integral over [0, z]."""
-    if q <= 0:
-        raise ValueError(f"gamma_lower requires q > 0, got q={q}")
-    if z < 0:
-        raise ValueError(f"gamma_lower requires z >= 0, got z={z}")
-    return float(sc.gammainc(q, z) * sc.gamma(q))
-
-
 def gaussian_q(x):
     """Standard normal tail probability P(Z > x)."""
     return 0.5 * sc.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
@@ -115,14 +99,6 @@ def gaussian_q(x):
 def log_gaussian_q(x):
     """log of ``gaussian_q``, stable far into both tails."""
     return sc.log_ndtr(-np.asarray(x, dtype=float))
-
-
-def bessel_k(nu: float, x: float):
-    """Modified Bessel function of the second kind; symmetric in nu."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("bessel_k requires x > 0")
-    return sc.kv(nu, x)
 
 
 def cal_i(k: int, x):

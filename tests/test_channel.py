@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from irslink.channel import (Distances, LinkParams, Modulation, PathLossModel,
-                             SystemConfig, nakagami_sample, path_loss,
+from irslink.channel import (LinkParams, Modulation, SystemConfig, nakagami_sample, path_loss,
                              rician_to_nakagami)
+from irslink.config import validate_config
 
 
 class TestPathLoss:
@@ -104,10 +104,12 @@ class TestRicianMap:
 
 class TestSystemConfig:
     def test_geometry_constructor(self):
-        cfg = SystemConfig.from_geometry(
-            8, 2.0, 3.0, 4.0, Distances(100.0, 60.0, 60.0), PathLossModel(-42.0, 3.5))
+        # the default geometry: 100 m direct leg, 60 m surface legs, zeta0 -42 dB, exponent 3.5
+        cfg, _ = validate_config({"n_elements": 8})
         assert cfg.eta.shape == (8,)
-        assert cfg.v.zeta == pytest.approx(path_loss(100.0, -42.0, 3.5))
+        assert (cfg.v.m, cfg.g.m, cfg.h.m) == (2.0, 3.0, 4.0)
+        assert cfg.v.zeta == path_loss(100.0, -42.0, 3.5)
+        assert cfg.h.zeta == cfg.g.zeta == path_loss(60.0, -42.0, 3.5)
         assert np.allclose(cfg.kappa_g, 3.0 * path_loss(60.0, -42.0, 3.5))
 
     def test_eta_bounds_enforced(self):

@@ -1,5 +1,7 @@
 import contextlib
+import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -431,16 +433,94 @@ def run_yaml(tmp_path, kind, config):
     ("quantization", {"quantization": {"n_values": [8.5]}}, 2),
     ("correlation", {"correlation": {"n_values": [16.5]}}, 2),
     ("rate", {"n_elements": 16.0, "seed": 2.0}, 0),
+    ("correlation", {"correlation": {"wavelength_m": 0}}, 2),
+    ("correlation", {"correlation": {"surface_side_m": -1}}, 2),
+    ("correlation", {"correlation": {"aoa": {"std_az_deg": -3}}}, 2),
+    ("correlation", {"correlation": {"wavelength_m": "x"}}, 2),
+    ("correlation", {"correlation": {"aod": None}}, 2),
+    ("correlation", {"correlation": {"wavelength_m": math.nan}}, 2),
+    ("correlation", {"correlation": {"surface_side_m": 5e-324, "wavelength_m": 1e300}}, 2),
+    ("rate", {"sweep": {"variable": "n_elements", "values": [4, 8]}}, 2),
 ])
 def test_hostile_configs_exit_cleanly(tmp_path, kind, config, code):
     assert run_yaml(tmp_path, kind, config) == code
+
+
+@pytest.mark.parametrize("correlation", [{"wavelength_m": 1e-300},
+                                         {"aoa": {"std_el_deg": 1e308}}])
+def test_correlation_factors_beyond_the_float_range_exit_3(tmp_path, capsys, correlation):
+    # valid fields whose factor entries overflow: only the simulation meets them
+    config = {"trials": 300, "correlation": {"n_values": [16], **correlation}}
+    assert run_cli(tmp_path, "correlation", config, "--no-mc")[0] == 0
+    assert run_cli(tmp_path, "correlation", config)[0] == 3
+    assert "correlation factor has non-finite entries" in capsys.readouterr().err
+
+
+# the benchmark's config shapes, the default config and a sweep over n_elements
+_CONFIG_SHAPES = [
+    ("rate", {}),
+    ("ser", {"seed": 7, "trials": 25_000}),
+    ("snrcdf", {"n_elements": 4, "fading": {"m_v": 2.5}, "seed": 3}),
+    ("ser", {"n_elements": 64, "fading": {"m_v": 1.0}, "sweep": {"values": [0.0, 15.0, 30.0]}}),
+    ("outage", {"fading": {"m_g": 3.0, "m_h": 3.0}}),
+    ("quantization", {"trials": 70_000, "workers": 2, "sweep": {"values": [15.0]},
+                      "quantization": {"bits": [1, 3], "n_values": [128]}}),
+    ("correlation", {"trials": 20_000, "workers": 2, "correlation": {"n_values": [64, 144]}}),
+    ("sweep", {"n_elements": 8.0, "eta": 1, "sweep": {"variable": "n_elements",
+                                                      "values": [2.0, 8, 32]}}),
+]
+
+
+@pytest.mark.parametrize("kind,raw", _CONFIG_SHAPES)
+def test_validation_leaves_the_defaults_and_the_input_alone(kind, raw):
+    defaults, before = copy.deepcopy(cli.DEFAULT_CONFIG), copy.deepcopy(raw)
+    _, resolved = cli.validate_config(raw, kind)
+    # every nested block and list of the result is its own: wiping them all
+    # touches neither input
+    stack = [resolved]
+    while stack:
+        node = stack.pop()
+        for key, value in list(node.items()):
+            if isinstance(value, dict):
+                stack.append(value)
+            elif isinstance(value, list):
+                value.clear()
+            node[key] = None
+    # repr tells 8 from 8.0, which == does not
+    assert repr(raw) == repr(before)
+    assert repr(cli.DEFAULT_CONFIG) == repr(defaults)
+
+
+@pytest.mark.parametrize("kind,raw", _CONFIG_SHAPES)
+def test_validation_of_its_own_output_changes_nothing(kind, raw):
+    cfg, resolved = cli.validate_config(raw, kind)
+    again, resolved_again = cli.validate_config(resolved, kind)
+    assert repr(resolved_again) == repr(resolved)
+    for field in dataclasses.fields(cfg):
+        a, b = getattr(cfg, field.name), getattr(again, field.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+
+
+def test_validation_writes_the_cast_values_back():
+    _, resolved = cli.validate_config(
+        {"n_elements": 8.0, "eta": 1, "trials": 1e3, "fading": {"m_v": 2},
+         "sweep": {"variable": "n_elements", "values": [2.0, 8]},
+         "correlation": {"wavelength_m": 1, "aoa": {"std_az_deg": 0}}})
+    assert repr([resolved["n_elements"], resolved["eta"], resolved["trials"],
+                 resolved["fading"]["m_v"], resolved["sweep"]["values"],
+                 resolved["correlation"]["wavelength_m"],
+                 resolved["correlation"]["aoa"]["std_az_deg"]]) == repr(
+        [8, 1.0, 1000, 2.0, [2, 8], 1.0, 0.0])
 
 
 _NUMBERS = st.one_of(st.floats(), st.integers(-10, 10**6),
                      st.sampled_from([0.5, 1.5, 5e-324, 1e-308, 1e308, -1e308]))
 _LEAVES = ("n_elements", "eta", "fading.m_v", "fading.m_g", "fading.m_h", "distances.d_sd_m",
            "distances.d_si_m", "distances.d_di_m", "pathloss.zeta0_db", "pathloss.exponent",
-           "gamma_bar_db", "gamma_th_db", "modulation.alpha", "modulation.beta", "seed")
+           "gamma_bar_db", "gamma_th_db", "modulation.alpha", "modulation.beta", "seed",
+           "correlation.surface_side_m", "correlation.wavelength_m",
+           *(f"correlation.{side}.{stat}_{axis}_deg" for side in ("aoa", "aod")
+             for stat in ("mean", "std") for axis in ("az", "el")))
 
 
 def _nest(leaves: dict) -> dict:

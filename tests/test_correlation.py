@@ -7,9 +7,10 @@ import pytest
 import irslink.montecarlo as montecarlo
 from irslink.channel import LinkParams, SystemConfig, nakagami_sample
 from irslink.correlation import (AngleSpread, CorrelationConfig, CorrelationMatrices,
-                                 KroneckerRoot, _kron_right, _scheme_snr_chunk,
+                                 KroneckerRoot, _hermitian_sqrt, _kron_right, _scheme_snr_chunk,
                                  build_correlation, corr_matrix_azimuth, corr_matrix_elevation,
                                  simulate_scheme_rates)
+from irslink.errors import NumericalConsistencyError
 from irslink.montecarlo import SimPlan, chunk_rng
 from irslink.snrdist import optimal_snr
 from oracles import PHASOR_ERROR, float32_trig_bound
@@ -122,6 +123,22 @@ class TestBuildCorrelation:
             np.testing.assert_allclose(root, root.conj().T, atol=1e-14)
             err = np.linalg.norm(root @ root - r) / np.linalg.norm(r)
             assert err < 1e-10
+
+    @pytest.mark.parametrize("factor", [
+        [[1.0, math.nan], [math.nan, 1.0]],
+        [[1.0, math.inf], [math.inf, 1.0]],
+        [[1.0, 2.0], [2.0, 1.0]],  # eigenvalues 3 and -1
+    ])
+    def test_factor_without_a_root_is_a_numerical_error(self, factor):
+        with pytest.raises(NumericalConsistencyError):
+            _hermitian_sqrt(np.array(factor, dtype=complex))
+
+    def test_spread_beyond_the_float_range_is_a_numerical_error(self):
+        # (std_el * u)^2 overflows, which leaves NaN in the azimuth factor
+        cfg = replace(small_corr(), aoa=spread(std_el=1e306))
+        assert not np.all(np.isfinite(corr_matrix_azimuth(cfg, cfg.aoa)))
+        with pytest.raises(NumericalConsistencyError):
+            build_correlation(cfg)
 
     @pytest.mark.parametrize("n", [16, 36, 64, 100, 144])
     def test_factored_leg_equals_full_root_product(self, n):

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from irslink.channel import Distances, LinkParams, Modulation, PathLossModel, SystemConfig
+from irslink.channel import LinkParams, Modulation, SystemConfig, path_loss
 from irslink import metrics
 from irslink.cltapprox import quantized_w_stats
 from irslink.errors import ConfigError, NumericalConsistencyError
 from irslink.metrics import (asymptotic_outage, asymptotic_rate, asymptotic_ser,
                              outage_probability, quantized_rate_bounds, rate_bounds,
                              ser_upper_bound)
-from irslink.montecarlo import (CurveResult, SimPlan, empirical_ber, empirical_outage,
-                                empirical_rate, fit_loglog_slope, simulate_snr_samples)
+from irslink.montecarlo import (SimPlan, empirical_ber, empirical_outage, empirical_rate,
+                                fit_loglog_slope, simulate_snr_samples)
 from irslink.snrdist import ProductPdfParams, SnrCdfParams, product_pdf
 from oracles import ser_upper_bound_scalar, truncated_normal_sample
 
@@ -25,9 +25,11 @@ def unit_config(n, m_v, m_g, m_h, eta=0.9, gamma_bar_db=0.0, alpha=1.0, beta=2.0
 
 
 def figure_config(n, m_v, m_g, m_h, d_si=60.0, gamma_bar_db=20.0):
-    return SystemConfig.from_geometry(
-        n, m_v, m_g, m_h, Distances(100.0, d_si, d_si), PathLossModel(-42.0, 3.5),
-        eta=0.9, gamma_bar_db=gamma_bar_db)
+    # the default geometry (zeta0 -42 dB, exponent 3.5), surface legs of d_si each
+    def leg(m, d):
+        return LinkParams(m, path_loss(d, -42.0, 3.5))
+    return SystemConfig(n_elements=n, eta=0.9, v=leg(m_v, 100.0), g=leg(m_g, d_si),
+                        h=leg(m_h, d_si), gamma_bar_db=gamma_bar_db)
 
 
 class TestOutage:
@@ -216,9 +218,7 @@ class TestAsymptoticSer:
         cfg = figure_config(16, 1.0, 1.0, 2.0)
         _, ev = asymptotic_ser(cfg)
         xs = np.linspace(35.0, 45.0, 11)
-        curve = CurveResult(x=xs, y=[ev(10 ** (x / 10)) for x in xs],
-                            ci_low=np.zeros(11), ci_high=np.zeros(11))
-        slope = fit_loglog_slope(curve, (35.0, 45.0))
+        slope = fit_loglog_slope(xs, [ev(10 ** (x / 10)) for x in xs], (35.0, 45.0))
         assert slope == pytest.approx(-17.0, rel=1e-9)
 
     def test_floor_beyond_float_range_is_inf(self):

@@ -11,7 +11,7 @@ import irslink.montecarlo as montecarlo
 from irslink.channel import LinkParams, SystemConfig
 from irslink.cltapprox import w_mean_var, w_stats
 from irslink.correlation import simulate_scheme_rates
-from irslink.montecarlo import (CurveResult, Estimate, SimPlan, _chunk_size, _simulate_chunk,
+from irslink.montecarlo import (Estimate, SimPlan, _chunk_size, _simulate_chunk,
                                 chunk_rng, empirical_ber, empirical_cdf, empirical_outage,
                                 empirical_rate, empirical_rate_ratio, fit_loglog_slope,
                                 simulate_snr_samples)
@@ -265,25 +265,20 @@ class TestSlopeFit:
     def test_exact_power_law(self):
         xs = np.linspace(10.0, 40.0, 13)
         ys = 2.7 * (10 ** (xs / 10)) ** -5.0
-        curve = CurveResult(x=xs, y=ys, ci_low=ys, ci_high=ys)
-        assert fit_loglog_slope(curve, (10.0, 40.0)) == pytest.approx(-5.0, abs=1e-9)
+        assert fit_loglog_slope(xs, ys, (10.0, 40.0)) == pytest.approx(-5.0, abs=1e-9)
 
     def test_window_restriction(self):
         xs = np.linspace(0.0, 40.0, 41)
         ys = np.where(xs < 20, 1e-1, 1.0) * (10 ** (xs / 10)) ** -3.0
-        curve = CurveResult(x=xs, y=ys, ci_low=ys, ci_high=ys)
-        assert fit_loglog_slope(curve, (21.0, 40.0)) == pytest.approx(-3.0, abs=1e-9)
+        assert fit_loglog_slope(xs, ys, (21.0, 40.0)) == pytest.approx(-3.0, abs=1e-9)
 
     def test_insufficient_points(self):
-        curve = CurveResult(x=[1.0, 2.0], y=[1.0, 0.5], ci_low=[1, 0.5], ci_high=[1, 0.5])
         with pytest.raises(ValueError):
-            fit_loglog_slope(curve, (0.0, 3.0))
+            fit_loglog_slope([1.0, 2.0], [1.0, 0.5], (0.0, 3.0))
 
     def test_rejects_nonpositive_values(self):
-        curve = CurveResult(x=[1.0, 2.0, 3.0], y=[1.0, 0.0, 0.5],
-                            ci_low=[0] * 3, ci_high=[1] * 3)
         with pytest.raises(ValueError):
-            fit_loglog_slope(curve, (0.0, 4.0))
+            fit_loglog_slope([1.0, 2.0, 3.0], [1.0, 0.0, 0.5], (0.0, 4.0))
 
 
 class TestPlanValidation:
@@ -296,7 +291,3 @@ class TestPlanValidation:
             SimPlan(trials=10, quantization_bits=(0,))
         with pytest.raises(ValueError):
             SimPlan(trials=10, quantization_bits=(2, 0))
-
-    def test_curve_length_mismatch(self):
-        with pytest.raises(ValueError):
-            CurveResult(x=[1.0, 2.0], y=[1.0], ci_low=[0.0], ci_high=[1.0])

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, gammainc
 
-from irslink.specfun import (JParams, bessel_k, cal_i, cal_j, cal_j_between,
-                             gamma_lower, gamma_upper, gaussian_q, log_gaussian_q)
+from irslink.specfun import (JParams, cal_i, cal_j, cal_j_between, gamma_upper, gaussian_q,
+                             log_gaussian_q)
 from oracles import cal_i_scalar
 
 
@@ -32,13 +32,11 @@ class TestGammaPair:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             gamma_upper(0.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_lower(-1.0, 1.0)
 
     @given(q=st.floats(0.25, 50.0), z=st.floats(0.0, 200.0))
     @settings(max_examples=200, deadline=None)
     def test_partition_identity(self, q, z):
-        total = gamma_upper(q, z) + gamma_lower(q, z)
+        total = gamma_upper(q, z) + gammainc(q, z) * gamma_fn(q)
         assert total == pytest.approx(float(gamma_fn(q)), rel=1e-12)
 
 
@@ -67,34 +65,6 @@ class TestGaussianQ:
     def test_log_tail(self):
         assert log_gaussian_q(10.0) == pytest.approx(math.log(gaussian_q(10.0)), rel=1e-10)
         assert np.isfinite(log_gaussian_q(60.0))
-
-
-class TestBesselK:
-    def test_half_order_closed_form(self):
-        # K_{1/2}(x) = sqrt(pi/(2x)) e^-x
-        assert bessel_k(0.5, 2.0) == pytest.approx(math.sqrt(math.pi / 4.0) * math.exp(-2.0),
-                                                   rel=1e-12)
-
-    def test_integral_representation(self):
-        # K_0(x) = int_0^inf exp(-x cosh t) dt
-        val, _ = quad(lambda t: math.exp(-1.0 * math.cosh(t)), 0, 30)
-        assert bessel_k(0.0, 1.0) == pytest.approx(val, rel=1e-9)
-        assert bessel_k(0.0, 1.0) == pytest.approx(0.421024, abs=1e-6)
-
-    def test_order_symmetry(self):
-        for x in (0.3, 1.0, 4.2):
-            assert bessel_k(-1.5, x) == pytest.approx(float(bessel_k(1.5, x)), rel=1e-14)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            bessel_k(1.0, 0.0)
-
-    def test_decreasing_and_log_convex(self):
-        xs = np.linspace(0.1, 6.0, 120)
-        for nu in (0.0, 1.0, 2.5):
-            vals = np.asarray(bessel_k(nu, xs))
-            assert np.all(np.diff(vals) < 0)
-            assert np.all(np.diff(np.log(vals), 2) > -1e-12)
 
 
 class TestCalI:
@@ -142,27 +112,25 @@ def _j_quad(k, z, p, hi=np.inf):
 
 class TestJParams:
     def test_invariants(self):
-        p = JParams.from_delta(3, 2.0)
+        p = JParams(3, 2.0)
         assert p.scale == pytest.approx(3.0)
         with pytest.raises(ValueError):
-            JParams(m_tilde_v=-1, delta=1.0, scale=2.0)
+            JParams(m_tilde_v=-1, delta=1.0)
         with pytest.raises(ValueError):
-            JParams(m_tilde_v=1, delta=0.0, scale=1.0)   # scale must exceed 1
-        with pytest.raises(ValueError):
-            JParams(m_tilde_v=1, delta=0.5, scale=2.0)   # delta != scale - 1
+            JParams(m_tilde_v=1, delta=0.0)   # scale must exceed 1
 
 
 class TestCalJ:
     def test_basic_quadrature_value(self):
         # k=0, m_tilde=1, delta=1: int_0^inf t e^{-t^2} Gamma(1/2, t^2) dt
-        p = JParams.from_delta(1, 1.0)
+        p = JParams(1, 1.0)
         expected = _j_quad(0, 0.0, p)
         assert cal_j(0, 0.0, p) == pytest.approx(expected, rel=1e-8)
 
     def test_even_closed_form_agrees(self):
         # even k with integer index: closed form vs quadrature to 1e-8
         s2a = 1.9  # scale = 2*sigma2*a
-        p = JParams.from_delta(3, s2a - 1.0)  # m_v = 2
+        p = JParams(3, s2a - 1.0)  # m_v = 2
         closed = cal_j(2, 0.7, p)
         ref = _j_quad(2, 0.7, p)
         assert closed == pytest.approx(ref, rel=1e-8)
@@ -170,7 +138,7 @@ class TestCalJ:
     @pytest.mark.parametrize("m_tilde", [0, 1, 3, 4, 5])
     @pytest.mark.parametrize("delta", [0.4, 3.0, 14.0])
     def test_closed_forms_match_quadrature(self, m_tilde, delta):
-        p = JParams.from_delta(m_tilde, delta)
+        p = JParams(m_tilde, delta)
         for k in range(m_tilde + 1):
             for z in (0.0, 0.35, 1.1):
                 ref = _j_quad(k, z, p)
@@ -178,7 +146,7 @@ class TestCalJ:
                 assert val == pytest.approx(ref, rel=2e-8, abs=1e-13), (k, z)
 
     def test_tail_vanishes(self):
-        p = JParams.from_delta(4, 2.5)
+        p = JParams(4, 2.5)
         k = p.m_tilde_v
         z = 10.0 / math.sqrt(p.delta)
         bound = (math.exp(-p.delta * z * z) * gamma_fn((k + 1) / 2.0)
@@ -186,12 +154,12 @@ class TestCalJ:
         assert cal_j(k, z, p) <= bound
 
     def test_k_exceeding_degree_rejected(self):
-        p = JParams.from_delta(2, 1.0)
+        p = JParams(2, 1.0)
         with pytest.raises(ValueError):
             cal_j(3, 0.0, p)
 
     def test_between_matches_difference(self):
-        p = JParams.from_delta(3, 5.0)
+        p = JParams(3, 5.0)
         for k in range(4):
             diff = cal_j(k, 0.2, p) - cal_j(k, 0.9, p)
             assert cal_j_between(k, 0.2, 0.9, p) == pytest.approx(diff, rel=1e-9)
@@ -201,13 +169,13 @@ class TestCalJ:
     def test_half_integer_even_k_closed_form(self):
         # m_tilde even (half-odd-integer shape): even k takes the erfc /
         # Owen's T closed form and matches the integral
-        p = JParams.from_delta(4, 2.0)  # m_v = 2.5
+        p = JParams(4, 2.0)  # m_v = 2.5
         for k in (0, 2, 4):
             assert cal_j(k, 0.5, p) == pytest.approx(_j_quad(k, 0.5, p), rel=1e-8)
 
     @pytest.mark.parametrize("m_tilde", [0, 1, 4, 5])
     def test_arrays_equal_elementwise_calls(self, m_tilde):
-        p = JParams.from_delta(m_tilde, 2.5)
+        p = JParams(m_tilde, 2.5)
         z = np.array([0.0, 0.2, 0.9, 3.0])
         for k in range(m_tilde + 1):
             np.testing.assert_array_equal(cal_j(k, z, p), [cal_j(k, zi, p) for zi in z])
@@ -226,6 +194,6 @@ class TestCalJ:
         assert isinstance(cal_j_between(0, 0.5, 0.7, p), float)
 
     def test_between_rejects_reversed_limits(self):
-        p = JParams.from_delta(2, 1.0)
+        p = JParams(2, 1.0)
         with pytest.raises(ValueError):
             cal_j_between(0, np.array([0.1, 0.8]), 0.5, p)

@@ -137,7 +137,7 @@ def _unit_snr_samples(cfg: SystemConfig, plan: SimPlan, extras: dict) -> np.ndar
     """SNR samples at gamma_bar = 1 (0 dB).  The draws do not depend on gamma_bar
     and the kernel multiplies by it last, so ``gamma_bar * samples`` equals the
     samples simulated at that gamma_bar bit for bit: one draw serves a sweep."""
-    return _timed_mc(extras, simulate_snr_samples, cfg.with_gamma_bar_db(0.0), plan)
+    return _timed_mc(extras, simulate_snr_samples, replace(cfg, gamma_bar_db=0.0), plan)
 
 
 def _mc_columns(estimates) -> dict:
@@ -217,7 +217,7 @@ def _run_outage(spec: ExperimentSpec, files: dict, extras: dict) -> None:
                            log10_omega_op=lambda r: r.log_omega_op / math.log(10))
     # P(gamma_bar R^2 <= gamma_th) is the CDF at 0 dB (gamma_bar exactly 1) of
     # gamma_th / gamma_bar: one array evaluation serves the sweep, bit for bit
-    unit = SnrCdfParams.from_config(spec.config.with_gamma_bar_db(0.0))
+    unit = SnrCdfParams.from_config(replace(spec.config, gamma_bar_db=0.0))
     _floor_curves(spec, files, extras, "outage", "analytic",
                   lambda sweep: outage_probability(gamma_th / _gamma_bars(sweep), unit),
                   evaluator, lambda snr: empirical_outage(snr, gamma_th))
@@ -264,7 +264,7 @@ def _run_quantization(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     sweep, quant = spec.resolved["sweep"]["values"], spec.resolved["quantization"]
     gamma_bars, widths = _gamma_bars(sweep), tuple(quant["bits"])
     for n in quant["n_values"]:
-        cfg_n = spec.config.with_n_elements(n)
+        cfg_n = replace(spec.config, n_elements=n)
         if spec.use_mc:
             # one draw per N: row 0 with continuous phases, row k at widths[k-1]
             rows = _unit_snr_samples(cfg_n, replace(spec.plan, quantization_bits=widths), extras)
@@ -289,7 +289,7 @@ def _correlation_config(resolved: dict, n: int) -> CorrelationConfig:
 
 def _run_correlation(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     n_values = spec.resolved["correlation"]["n_values"]
-    rates = [_timed_mc(extras, simulate_scheme_rates, spec.config.with_n_elements(n),
+    rates = [_timed_mc(extras, simulate_scheme_rates, replace(spec.config, n_elements=n),
                        _correlation_config(spec.resolved, n), spec.plan)
              for n in n_values] if spec.use_mc else []
     for s in (1, 2):
@@ -308,7 +308,7 @@ def _rate_curves(spec: ExperimentSpec, files: dict, extras: dict, prefix: str) -
     if unit == "gamma_bar_db":
         bounds = [rate_bounds(cfg, _gamma_bars(sweep))]
     else:
-        configs = [cfg.with_n_elements(n) for n in sweep]
+        configs = [replace(cfg, n_elements=n) for n in sweep]
         bounds = [rate_bounds(c, cfg.gamma_bar) for c in configs]
     for side in ("lower", "upper"):
         _emit(spec, files, f"{prefix}_{side}", unit,

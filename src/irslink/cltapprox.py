@@ -1,11 +1,12 @@
 """Truncated-normal statistics of the co-phased reflected sum.
 
-The sum W of the per-element amplitude products eta_n * g_n * h_n is
-approximated, for moderate-to-large element counts, by a normal
+The sum W of the amplitude products eta * g_n * h_n of N identical elements
+is approximated, for moderate-to-large element counts, by a normal
 distribution truncated to [0, inf).  This module computes the pre-truncation
-parameters (mu_bar, sigma2_bar) from the leg shapes and spreads, the
-post-truncation mean/variance/moments, and the statistics of the real and
-imaginary parts under uniformly distributed phase-quantization error.
+parameters (mu_bar, sigma2_bar), each N times the moment of one product, from
+the leg shapes and spreads, the post-truncation mean/variance/moments, and the
+statistics of the real and imaginary parts under uniformly distributed
+phase-quantization error.
 """
 
 from __future__ import annotations
@@ -68,10 +69,11 @@ class TruncatedNormal:
 
 def w_stats(cfg: SystemConfig) -> TruncatedNormal:
     """Pre-truncation mean and variance of the reflected amplitude sum."""
+    n, eta = cfg.n_elements, cfg.eta
     t = gamma_ratio_t(cfg.g.m, cfg.h.m, 0.5)
-    kgkh = cfg.kappa_g * cfg.kappa_h
-    mu = float(np.sum(cfg.eta * np.sqrt(kgkh / (cfg.g.m * cfg.h.m))) * t)
-    s2 = float(np.sum(cfg.eta**2 * kgkh) * (1.0 - t * t / (cfg.g.m * cfg.h.m)))
+    kgkh = cfg.g.kappa * cfg.h.kappa
+    mu = n * (eta * math.sqrt(kgkh / (cfg.g.m * cfg.h.m))) * t
+    s2 = n * (eta * eta * kgkh) * (1.0 - t * t / (cfg.g.m * cfg.h.m))
     return TruncatedNormal(mu_bar=mu, sigma2_bar=s2)
 
 
@@ -100,18 +102,15 @@ class QuantizedWStats:
     """Statistics of the reflected sum under b-bit phase quantization.
 
     The real part keeps a lower-truncated normal model; the imaginary part
-    is zero-mean with the degenerate truncation point, xi = 2.  The total
-    per-element power budget and the sum of squared per-element means are
-    retained so the variance split can be audited:
-    sigma2_R + sigma2_I + mean_sq_sum == power_budget exactly.
+    is zero-mean with the degenerate truncation point, xi = 2.  The two
+    variances split the power budget N eta^2 kappa_g kappa_h less the N squared
+    element means: sigma2_R + sigma2_I + mu_R^2 / N equals the budget.
     """
 
     real_part: TruncatedNormal
     imag_part: TruncatedNormal
     tau: float
     bits: int
-    power_budget: float
-    mean_sq_sum: float
 
     def __post_init__(self):
         if self.imag_part.mu_bar != 0.0:
@@ -127,25 +126,22 @@ def quantized_w_stats(cfg: SystemConfig, bits: int) -> QuantizedWStats:
     cos2_mean = 0.5 + math.sin(2.0 * tau) / (4.0 * tau)
     sin2_mean = 0.5 - math.sin(2.0 * tau) / (4.0 * tau)
 
+    n, eta = cfg.n_elements, cfg.eta
     t = gamma_ratio_t(cfg.g.m, cfg.h.m, 0.5)
-    kgkh = cfg.kappa_g * cfg.kappa_h
-    per_mu = cfg.eta * np.sqrt(kgkh / (cfg.g.m * cfg.h.m)) * t * cos_mean
-    power = float(np.sum(cfg.eta**2 * kgkh))
-    mean_sq_sum = float(np.sum(per_mu**2))
+    kgkh = cfg.g.kappa * cfg.h.kappa
+    per_mu = eta * math.sqrt(kgkh / (cfg.g.m * cfg.h.m)) * t * cos_mean
+    power = n * (eta * eta * kgkh)
 
-    mu_r = float(np.sum(per_mu))
     # Per-element variance subtraction; subtracting the squared *sum* of
     # means would go negative for every N > 1.
-    s2_r = cos2_mean * power - mean_sq_sum
+    s2_r = cos2_mean * power - n * per_mu**2
     # sin(2 tau)/(4 tau) rounds to exactly 1/2 once tau^2 is below the
     # float epsilon; keep the degenerate imaginary spread representable
     s2_i = max(sin2_mean * power, np.finfo(float).tiny)
     return QuantizedWStats(
-        real_part=TruncatedNormal(mu_bar=mu_r, sigma2_bar=s2_r),
+        real_part=TruncatedNormal(mu_bar=n * per_mu, sigma2_bar=s2_r),
         imag_part=TruncatedNormal(mu_bar=0.0, sigma2_bar=s2_i),
         tau=tau,
         bits=bits,
-        power_budget=power,
-        mean_sq_sum=mean_sq_sum,
     )
 

@@ -135,7 +135,7 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
         return value
 
     n = grab("n_elements", _integer, _count, _COUNT_RULE)
-    eta = grab("eta", _real, lambda v: 0 < v <= 1.0, "eta_n must lie in (0, 1]")
+    eta = grab("eta", _real, lambda v: 0 < v <= 1.0, "eta must lie in (0, 1]")
     m_v = grab("fading.m_v", _real, lambda v: v >= 0.5, "Nakagami shape must be >= 0.5")
     m_g = grab("fading.m_g", _real, lambda v: v >= 0.5, "Nakagami shape must be >= 0.5")
     m_h = grab("fading.m_h", _real, lambda v: v >= 0.5, "Nakagami shape must be >= 0.5")

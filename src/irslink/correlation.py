@@ -150,10 +150,13 @@ class CorrelationMatrices:
 
 def build_correlation(cfg: CorrelationConfig) -> CorrelationMatrices:
     """Hermitian roots of the azimuth and elevation factors of R_A and R_D."""
-    return CorrelationMatrices(*(
-        KroneckerRoot(az=_hermitian_sqrt(corr_matrix_azimuth(cfg, spread)),
-                      el=_hermitian_sqrt(corr_matrix_elevation(cfg, spread)))
-        for spread in (cfg.aoa, cfg.aod)))
+    # a factor beyond the float64 range has non-finite entries, which
+    # _hermitian_sqrt rejects
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return CorrelationMatrices(*(
+            KroneckerRoot(az=_hermitian_sqrt(corr_matrix_azimuth(cfg, spread)),
+                          el=_hermitian_sqrt(corr_matrix_elevation(cfg, spread)))
+            for spread in (cfg.aoa, cfg.aod)))
 
 
 def _kron_right(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -165,7 +168,7 @@ def _kron_right(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return grid.reshape(x.shape)
 
 
-def _cophased_leg(m: float, zeta, rng: np.random.Generator, shape, p: np.ndarray,
+def _cophased_leg(m: float, zeta: float, rng: np.random.Generator, shape, p: np.ndarray,
                   q: np.ndarray) -> np.ndarray:
     """One leg drawn i.i.d. as rows ``x = a * u`` (Nakagami amplitude a, unit
     phasor u), correlated as ``x @ kron(p, q)`` and turned back by ``conj(u)``.
@@ -201,9 +204,9 @@ def _scheme_snr_chunk(cfg: SystemConfig, mats: CorrelationMatrices, seed: int,
     v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
     dep, arr = mats.departure, mats.arrival
     # rows g^T -> g^T R_D^(1/2)
-    terms = _cophased_leg(cfg.g.m, cfg.zeta_g, rng, shape, dep.az, dep.el)
+    terms = _cophased_leg(cfg.g.m, cfg.g.zeta, rng, shape, dep.az, dep.el)
     # rows h^T -> (R_A^(1/2) h)^T = h^T kron(az, el)^T
-    terms *= _cophased_leg(cfg.h.m, cfg.zeta_h, rng, shape, arr.az.T, arr.el.T)
+    terms *= _cophased_leg(cfg.h.m, cfg.h.zeta, rng, shape, arr.az.T, arr.el.T)
     terms *= cfg.eta
     snr = np.empty((2, count))
     snr[0] = cfg.gamma_bar * np.abs(v + terms.sum(axis=1)) ** 2

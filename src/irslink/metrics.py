@@ -92,18 +92,17 @@ def _log_omega_op(cfg: SystemConfig) -> tuple[float, float]:
     # Direct-link density coefficient near the origin.
     log_total = (math.log(2.0) + sc.gammaln(2.0 * m_v) + m_v * math.log(m_v)
                  - sc.gammaln(m_v) - m_v * math.log(kappa_v))
-    # Per-element coefficient of the product-amplitude transform tail.
-    kgkh = cfg.kappa_g * cfg.kappa_h
-    if not np.all((cfg.eta * cfg.eta * kgkh > 0) & np.isfinite(kgkh)):
+    # Coefficient of one element's product-amplitude transform tail; the
+    # kappa product is symmetric in which leg is weaker.
+    eta, kk = cfg.eta, cfg.g.kappa * cfg.h.kappa
+    if not (eta * eta * kk > 0 and math.isfinite(kk)):
         raise NumericalConsistencyError("eta^2 kappa_g kappa_h leaves the float64 range")
-    k_min = kgkh  # kappa product is symmetric in which leg is weaker
     m_c = 0.5 * (m_a + m_b)
-    for eta, kk in zip(cfg.eta, k_min):
-        log_psi = (math.log(4.0) + m_c * math.log(m_a * m_b)
-                   - m_c * math.log(eta * eta * kk)
-                   - sc.gammaln(m_a) - sc.gammaln(m_b))
-        tau = 2.0 * math.sqrt(m_a * m_b / (kk * eta * eta))
-        log_total += (0.5 * math.log(math.pi) + log_psi
+    log_psi = (math.log(4.0) + m_c * math.log(m_a * m_b)
+               - m_c * math.log(eta * eta * kk)
+               - sc.gammaln(m_a) - sc.gammaln(m_b))
+    tau = 2.0 * math.sqrt(m_a * m_b / (kk * eta * eta))
+    log_total += n * (0.5 * math.log(math.pi) + log_psi
                       + (m_a - m_b) * math.log(2.0 * tau)
                       + sc.gammaln(2.0 * m_a) + sc.gammaln(2.0 * m_b - 2.0 * m_a)
                       - sc.gammaln(m_b - m_a + 0.5))
@@ -215,18 +214,13 @@ def asymptotic_rate(cfg: SystemConfig, energy_scaled_snr: float) -> float:
     """Large-array rate limit under transmit power scaled down by N^2.
 
     ``energy_scaled_snr`` is the element-count-free SNR gamma_bar * N^2 held
-    fixed along the scaling; the limit depends only on per-element leg
-    statistics and requires a homogeneous surface.
+    fixed along the scaling; the limit depends only on the statistics of one
+    element.
     """
     if energy_scaled_snr < 0:
         raise ValueError("energy_scaled_snr must be nonnegative")
-    if cfg.n_elements and (np.ptp(cfg.eta) or np.ptp(cfg.zeta_g) or np.ptp(cfg.zeta_h)):
-        raise ConfigError("asymptotic rate assumes homogeneous elements")
-    eta = float(cfg.eta[0]) if cfg.n_elements else 0.9
-    kg = float(cfg.kappa_g[0]) if cfg.n_elements else cfg.g.kappa
-    kh = float(cfg.kappa_h[0]) if cfg.n_elements else cfg.h.kappa
     t = gamma_ratio_t(cfg.g.m, cfg.h.m, 0.5)
-    mu_inf_sq = eta**2 * kg * kh * t * t / (cfg.g.m * cfg.h.m)
+    mu_inf_sq = cfg.eta**2 * cfg.g.kappa * cfg.h.kappa * t * t / (cfg.g.m * cfg.h.m)
     return math.log2(1.0 + energy_scaled_snr * mu_inf_sq)
 
 
@@ -279,10 +273,12 @@ def ser_upper_bound(cfg: SystemConfig, gamma_bar):
     """
     tn = w_stats(cfg)
     gb = np.asarray(gamma_bar, dtype=float)
-    beta_gb = cfg.modulation.beta * gb.reshape(-1)
     eps = 1e-9
-    theta_u = _maximize_objective(lambda theta, bg: _ser_log_objective(theta, bg, cfg, tn),
-                                  beta_gb, eps, math.pi / 2.0 - eps)
+    # the scan rejects an objective that is not finite on its grid
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        beta_gb = cfg.modulation.beta * gb.reshape(-1)
+        theta_u = _maximize_objective(lambda theta, bg: _ser_log_objective(theta, bg, cfg, tn),
+                                      beta_gb, eps, math.pi / 2.0 - eps)
     s2 = tn.sigma2_bar
     log_bound = (math.log(cfg.modulation.alpha / 2.0) + math.log(tn.xi)
                  + cfg.v.m * math.log(cfg.v.m / cfg.v.kappa)

@@ -95,7 +95,7 @@ def _chunk_size(n_elements: int) -> int:
     """Trials per chunk: each (trials x N) float64 buffer is about 2 MB, so a
     chunk's buffers stay cache-sized and a run splits into many chunks that
     the workers share evenly.  The streams depend on it."""
-    return max(256, (1 << 18) // max(n_elements, 1))
+    return max(256, (1 << 18) // n_elements)
 
 
 def map_chunks(kernel: Callable[[int, int], np.ndarray], trials: int, n_elements: int,
@@ -116,9 +116,9 @@ def map_chunks(kernel: Callable[[int, int], np.ndarray], trials: int, n_elements
 
 
 def _reflected_products(cfg: SystemConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, N) per-element amplitude products eta_n g_n h_n of one chunk."""
-    prod = nakagami_sample(cfg.g.m, cfg.zeta_g, rng, (count, cfg.n_elements))
-    prod *= nakagami_sample(cfg.h.m, cfg.zeta_h, rng, (count, cfg.n_elements))
+    """(count, N) per-element amplitude products eta g_n h_n of one chunk."""
+    prod = nakagami_sample(cfg.g.m, cfg.g.zeta, rng, (count, cfg.n_elements))
+    prod *= nakagami_sample(cfg.h.m, cfg.h.zeta, rng, (count, cfg.n_elements))
     prod *= cfg.eta
     return prod
 
@@ -138,34 +138,30 @@ def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) ->
     which take the float64 errors in small cast blocks and widen the result
     into the float64 buffer, so no (count x N) float32 array is allocated."""
     rng = chunk_rng(plan.seed, index)
-    n = cfg.n_elements
     widths = plan.quantization_bits
     rows = np.empty((1 + len(widths), count))
     v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
-    if n == 0:
-        rows[:] = cfg.gamma_bar * v**2
-    else:
-        # In place on (count, n) buffers: at most four are alive per chunk.
-        prod = _reflected_products(cfg, rng, count)
-        rows[0] = cfg.gamma_bar * (v + prod.sum(axis=1)) ** 2
-        if widths:
-            # One draw at the widest interval serves every width:
-            # uniform(-tau, tau) is -tau + 2 tau u with tau = pi / 2**bits, so
-            # scaling by a power of two gives bit for bit the draw a run with
-            # that width alone makes after the amplitude draws.
-            base = min(widths)
-            tau = math.pi / 2**base
-            widest = rng.uniform(-tau, tau, (count, n))
-            eps, trig = np.empty_like(widest), np.empty_like(widest)
-            for row, bits in enumerate(widths, 1):
-                np.multiply(widest, 2.0 ** (base - bits), out=eps)
-                np.cos(eps, out=trig, dtype=np.float32, casting="same_kind")
-                trig *= prod
-                w_re = trig.sum(axis=1)
-                np.sin(eps, out=trig, dtype=np.float32, casting="same_kind")
-                trig *= prod
-                w_im = trig.sum(axis=1)
-                rows[row] = cfg.gamma_bar * ((v + w_re) ** 2 + w_im**2)
+    # In place on (count, N) buffers: at most four are alive per chunk.
+    prod = _reflected_products(cfg, rng, count)
+    rows[0] = cfg.gamma_bar * (v + prod.sum(axis=1)) ** 2
+    if widths:
+        # One draw at the widest interval serves every width:
+        # uniform(-tau, tau) is -tau + 2 tau u with tau = pi / 2**bits, so
+        # scaling by a power of two gives bit for bit the draw a run with
+        # that width alone makes after the amplitude draws.
+        base = min(widths)
+        tau = math.pi / 2**base
+        widest = rng.uniform(-tau, tau, (count, cfg.n_elements))
+        eps, trig = np.empty_like(widest), np.empty_like(widest)
+        for row, bits in enumerate(widths, 1):
+            np.multiply(widest, 2.0 ** (base - bits), out=eps)
+            np.cos(eps, out=trig, dtype=np.float32, casting="same_kind")
+            trig *= prod
+            w_re = trig.sum(axis=1)
+            np.sin(eps, out=trig, dtype=np.float32, casting="same_kind")
+            trig *= prod
+            w_im = trig.sum(axis=1)
+            rows[row] = cfg.gamma_bar * ((v + w_re) ** 2 + w_im**2)
     return rows if widths else rows[0]
 
 

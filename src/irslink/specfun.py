@@ -210,10 +210,13 @@ def cal_j_between(k: int, z_lo, z_hi, p: JParams):
     if np.any(z_lo < 0):
         raise ValueError(f"cal_j requires lower limits z >= 0, got z={z_lo.min()}")
     tail = _closed_tail(k, p)
-    out = tail(k, z_lo, p)
-    if z_hi is not None:
-        z_hi = np.asarray(z_hi, dtype=float)
-        if np.any(z_hi < z_lo):
-            raise ValueError("cal_j_between requires z_lo <= z_hi")
-        out = out - tail(k, z_hi, p)
+    # far outside the float64 range the closed forms overflow to inf or nan,
+    # which the probability checks of the callers turn into errors
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = tail(k, z_lo, p)
+        if z_hi is not None:
+            z_hi = np.asarray(z_hi, dtype=float)
+            if np.any(z_hi < z_lo):
+                raise ValueError("cal_j_between requires z_lo <= z_hi")
+            out = out - tail(k, z_hi, p)
     return out if np.ndim(out) else float(out)

@@ -79,9 +79,7 @@ class TestNakagamiSampling:
         with pytest.raises(ValueError):
             nakagami_sample(0.3, 1.0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("zeta,size", [(0.7, None), (0.7, 1000),
-                                           (np.linspace(0.2, 2.0, 7), (300, 7)),
-                                           (np.full((300, 7), 0.4), None)])
+    @pytest.mark.parametrize("zeta,size", [(0.7, None), (0.7, 1000)])
     def test_stream_equals_gamma_with_scale(self, zeta, size):
         # a standard Gamma draw scaled by zeta is how numpy forms gamma(m, zeta)
         drawn = nakagami_sample(2.5, zeta, np.random.default_rng(3), size)
@@ -106,23 +104,21 @@ class TestSystemConfig:
     def test_geometry_constructor(self):
         # the default geometry: 100 m direct leg, 60 m surface legs, zeta0 -42 dB, exponent 3.5
         cfg, _ = validate_config({"n_elements": 8})
-        assert cfg.eta.shape == (8,)
+        assert (cfg.n_elements, cfg.eta) == (8, 0.9)
         assert (cfg.v.m, cfg.g.m, cfg.h.m) == (2.0, 3.0, 4.0)
         assert cfg.v.zeta == path_loss(100.0, -42.0, 3.5)
         assert cfg.h.zeta == cfg.g.zeta == path_loss(60.0, -42.0, 3.5)
-        assert np.allclose(cfg.kappa_g, 3.0 * path_loss(60.0, -42.0, 3.5))
+        assert cfg.g.kappa == 3.0 * path_loss(60.0, -42.0, 3.5)
 
     def test_eta_bounds_enforced(self):
         with pytest.raises(ValueError):
             SystemConfig(n_elements=2, eta=1.2, v=LinkParams(1, 1),
                          g=LinkParams(1, 1), h=LinkParams(1, 1))
 
-    def test_heterogeneous_zetas(self):
-        zg = np.array([0.1, 0.2, 0.3])
-        cfg = SystemConfig(n_elements=3, eta=0.9, v=LinkParams(1, 1),
-                           g=LinkParams(2, 1), h=LinkParams(1, 1), zeta_g=zg)
-        assert np.allclose(cfg.kappa_g, 2.0 * zg)
-        assert np.allclose(cfg.kappa_h, 1.0)
+    def test_surface_needs_an_element(self):
+        with pytest.raises(ValueError):
+            SystemConfig(n_elements=0, eta=0.9, v=LinkParams(1, 1),
+                         g=LinkParams(1, 1), h=LinkParams(1, 1))
 
     def test_gamma_bar_conversion(self):
         cfg = SystemConfig(n_elements=1, eta=0.5, v=LinkParams(1, 1),

@@ -163,12 +163,6 @@ class TestAsymptoticRate:
         assert abs(b.upper - limits) < 0.05
         assert abs(b.lower - limits) < 0.05
 
-    def test_rejects_heterogeneous(self):
-        cfg = SystemConfig(n_elements=3, eta=np.array([0.5, 0.9, 1.0]),
-                           v=LinkParams(1, 1), g=LinkParams(1, 1), h=LinkParams(2, 1))
-        with pytest.raises(ConfigError):
-            asymptotic_rate(cfg, 1.0)
-
 
 class TestSerBound:
     def test_dominates_monte_carlo(self):

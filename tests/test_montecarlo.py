@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import gamma as gamma_dist
 
 import irslink.cli as cli
 import irslink.correlation as correlation
@@ -32,8 +31,8 @@ def reference_draws(cfg, plan, index, count):
     rng = chunk_rng(plan.seed, index)
     n = cfg.n_elements
     v = np.sqrt(rng.gamma(cfg.v.m, cfg.v.zeta, count))
-    g = np.sqrt(rng.gamma(cfg.g.m, np.broadcast_to(cfg.zeta_g, (count, n))))
-    h = np.sqrt(rng.gamma(cfg.h.m, np.broadcast_to(cfg.zeta_h, (count, n))))
+    g = np.sqrt(rng.gamma(cfg.g.m, cfg.g.zeta, (count, n)))
+    h = np.sqrt(rng.gamma(cfg.h.m, cfg.h.zeta, (count, n)))
     if not plan.quantization_bits:
         return v, g * h * cfg.eta, None
     (bits,) = plan.quantization_bits
@@ -55,7 +54,7 @@ def reference_chunk(cfg, plan, index, count, trig_dtype=np.float32):
 class TestSimulation:
     @pytest.mark.parametrize("bits", [None, 1, 3])
     def test_chunk_kernel_equals_plain_expressions(self, bits):
-        cfg = SystemConfig(n_elements=9, eta=np.linspace(0.5, 1.0, 9), v=LinkParams(1.5, 0.7),
+        cfg = SystemConfig(n_elements=9, eta=0.75, v=LinkParams(1.5, 0.7),
                            g=LinkParams(2.0, 0.3), h=LinkParams(3.0, 0.2), gamma_bar_db=7.0)
         plan = SimPlan(trials=1, seed=13, quantization_bits=() if bits is None else (bits,))
         chunk = _simulate_chunk(cfg, plan, 2, 700)
@@ -100,16 +99,6 @@ class TestSimulation:
         a = simulate_snr_samples(cfg, SimPlan(trials=1000, seed=1))
         b = simulate_snr_samples(cfg, SimPlan(trials=1000, seed=2))
         assert not np.array_equal(a, b)
-
-    def test_no_surface_reduces_to_direct_gamma(self):
-        cfg = unit_config(0, m_v=2.0, gamma_bar_db=3.0)
-        snr = simulate_snr_samples(cfg, SimPlan(trials=200_000, seed=8))
-        # snr / gamma_bar is Gamma(m_v, zeta_v)
-        scaled = snr / cfg.gamma_bar
-        grid = np.quantile(scaled, np.linspace(0.05, 0.95, 19))
-        ecdf = empirical_cdf(scaled)(grid)
-        truth = gamma_dist.cdf(grid, 2.0, scale=0.5)
-        assert np.max(np.abs(ecdf - truth)) < 0.005
 
     def test_unquantized_identity_when_bits_absent(self):
         cfg = unit_config(5)

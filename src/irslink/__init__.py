@@ -7,8 +7,8 @@ expression is validated against.
 
 __version__ = "0.1.0"
 
-from .channel import (LinkParams, Modulation, SystemConfig, nakagami_sample, path_loss,
-                      rician_to_nakagami)
+from .channel import (LinkParams, Modulation, SystemConfig, db_to_linear, nakagami_sample,
+                      path_loss, rician_to_nakagami)
 from .cltapprox import (QuantizedWStats, TruncatedNormal, quantized_w_stats, w_mean_var,
                         w_moment, w_stats)
 from .errors import (ConfigError, IrsLinkError, NumericalConsistencyError,
@@ -17,8 +17,6 @@ from .metrics import (AsymptoticResult, RateBounds, asymptotic_outage, asymptoti
                       asymptotic_ser, outage_probability, quantized_rate_bounds,
                       rate_bounds, ser_upper_bound)
 from .montecarlo import (Estimate, SimPlan, empirical_ber, empirical_cdf, empirical_outage,
-                         empirical_rate, empirical_rate_ratio, fit_loglog_slope,
-                         simulate_snr_samples)
-from .snrdist import (ProductPdfParams, SnrCdfParams, envelope_pdf, optimal_phases,
-                      optimal_snr, product_pdf, snr_cdf, snr_pdf)
+                         empirical_rate, empirical_rate_ratio, simulate_snr_samples)
+from .snrdist import SnrCdfParams, envelope_pdf, optimal_phases, snr_cdf, snr_pdf
 from .specfun import JParams, cal_i, cal_j, gamma_upper, gaussian_q

@@ -18,6 +18,7 @@ __all__ = [
     "LinkParams",
     "Modulation",
     "SystemConfig",
+    "db_to_linear",
     "path_loss",
     "nakagami_sample",
     "rician_to_nakagami",
@@ -54,11 +55,16 @@ class Modulation:
             raise ValueError("modulation parameters must be positive")
 
 
+def db_to_linear(db: float) -> float:
+    """10^(db/10) by libm's power: the one conversion of every dB value."""
+    return 10.0 ** (db / 10.0)
+
+
 def path_loss(d: float, zeta0_db: float, exponent: float) -> float:
     """Linear channel-power gain 10^(-(zeta0 + 10*exponent*log10 d)/10)."""
     if d <= 0:
         raise ValueError(f"path_loss requires d > 0, got {d}")
-    return 10.0 ** (-(zeta0_db + 10.0 * exponent * math.log10(d)) / 10.0)
+    return db_to_linear(-(zeta0_db + 10.0 * exponent * math.log10(d)))
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,8 @@ class SystemConfig:
     the amplitude by ``eta`` and seeing the leg gains ``g.zeta`` and
     ``h.zeta``, so every sum over the elements is N times one term.
     :func:`irslink.config.validate_config` builds the link of a config, with
-    leg gains from :func:`path_loss` of its geometry.
+    leg gains from :func:`path_loss` of its geometry.  ``gamma_bar_db`` is the
+    operating point of the runs that do not sweep it; no law or sampler reads it.
     """
 
     n_elements: int
@@ -88,7 +95,7 @@ class SystemConfig:
 
     @property
     def gamma_bar(self) -> float:
-        return 10.0 ** (self.gamma_bar_db / 10.0)
+        return db_to_linear(self.gamma_bar_db)
 
 
 def nakagami_sample(m: float, zeta: float, rng: np.random.Generator, size=None):

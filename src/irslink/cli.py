@@ -31,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .channel import SystemConfig
+from .channel import SystemConfig, db_to_linear
 from .config import DEFAULT_CONFIG, load_config_file, validate_config  # noqa: F401
 from .cltapprox import w_stats
 from .correlation import AngleSpread, CorrelationConfig, simulate_scheme_rates
@@ -103,13 +103,9 @@ def _trig_dispatch() -> str | None:
     return "/".join(sorted({loop["current"] for func in info.values() for loop in func.values()}))
 
 
-def _gamma_bar(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
 def _gamma_bars(sweep) -> np.ndarray:
     """The transmit SNRs of a dB sweep, each as ``SystemConfig.gamma_bar`` has it."""
-    return np.array([_gamma_bar(db) for db in sweep])
+    return np.array([db_to_linear(db) for db in sweep])
 
 
 def _timed_mc(extras: dict, sampler, cfg: SystemConfig, *args):
@@ -133,26 +129,19 @@ def _timed_mc(extras: dict, sampler, cfg: SystemConfig, *args):
     return result
 
 
-def _unit_snr_samples(cfg: SystemConfig, plan: SimPlan, extras: dict) -> np.ndarray:
-    """SNR samples at gamma_bar = 1 (0 dB).  The draws do not depend on gamma_bar
-    and the kernel multiplies by it last, so ``gamma_bar * samples`` equals the
-    samples simulated at that gamma_bar bit for bit: one draw serves a sweep."""
-    return _timed_mc(extras, simulate_snr_samples, replace(cfg, gamma_bar_db=0.0), plan)
-
-
 def _mc_columns(estimates) -> dict:
     return {"mc": [e.value for e in estimates], "lo": [e.ci_low for e in estimates],
             "hi": [e.ci_high for e in estimates]}
 
 
-def _mc_sweep(sweep, unit_samples: np.ndarray, estimator) -> dict:
-    """MC columns of ``estimator(gamma_bar * unit_samples)`` over the dB sweep."""
-    return _mc_columns([estimator(_gamma_bar(db) * unit_samples) for db in sweep])
+def _mc_sweep(gamma_bars: np.ndarray, unit_samples: np.ndarray, estimator) -> dict:
+    """MC columns of ``estimator(gamma_bar * unit_samples)`` at each transmit SNR."""
+    return _mc_columns([estimator(gb * unit_samples) for gb in gamma_bars])
 
 
-def _asymptote_column(evaluator, sweep, extras: dict) -> list:
+def _asymptote_column(evaluator, gamma_bars: np.ndarray, extras: dict) -> list:
     """High-SNR floor per sweep point; blank where it exceeds the double range."""
-    values = [evaluator(_gamma_bar(db)) for db in sweep]
+    values = [evaluator(gb) for gb in gamma_bars]
     extras["asymptotic_blank_points"] = sum(not math.isfinite(v) for v in values)
     return [v if math.isfinite(v) else None for v in values]
 
@@ -185,10 +174,10 @@ def _run_snrcdf(spec: ExperimentSpec, files: dict, extras: dict) -> None:
     mean_db = 10 * math.log10(cfg.gamma_bar * (params.tn.mu_bar**2 + 1e-300))
     grid_db = np.linspace(mean_db - 12.0, mean_db + 6.0, 121)
     y = 10 ** (grid_db / 10)
-    analytic = snr_cdf(y, params)
+    analytic = snr_cdf(y / cfg.gamma_bar, params)
     mc = None
     if spec.use_mc:
-        samples = _timed_mc(extras, simulate_snr_samples, cfg, spec.plan)
+        samples = cfg.gamma_bar * _timed_mc(extras, simulate_snr_samples, cfg, spec.plan)
         mc = empirical_cdf(samples)(y)
         extras["ks_distance"] = float(np.max(np.abs(mc - analytic)))
     _emit(spec, files, "snrcdf", "gamma_db", _curve_rows(grid_db, analytic=analytic, mc=mc))
@@ -211,20 +200,13 @@ def _asymptote(extras: dict, fit, **report):
 
 
 def _run_outage(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    gamma_th = 10 ** (spec.resolved["gamma_th_db"] / 10)
+    gamma_th = db_to_linear(spec.resolved["gamma_th_db"])
     evaluator = _asymptote(extras, lambda: asymptotic_outage(spec.config, gamma_th),
                            diversity_order=lambda r: r.g_d,
                            log10_omega_op=lambda r: r.log_omega_op / math.log(10))
-    # P(gamma_bar R^2 <= gamma_th) is the CDF at 0 dB (gamma_bar exactly 1) of
-    # gamma_th / gamma_bar: one array evaluation serves the sweep, bit for bit
-    unit = SnrCdfParams.from_config(replace(spec.config, gamma_bar_db=0.0))
     _floor_curves(spec, files, extras, "outage", "analytic",
-                  lambda sweep: outage_probability(gamma_th / _gamma_bars(sweep), unit),
+                  lambda gamma_bars: outage_probability(spec.config, gamma_th, gamma_bars),
                   evaluator, lambda snr: empirical_outage(snr, gamma_th))
-
-
-def _run_rate(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    _rate_curves(spec, files, extras, "rate")
 
 
 def _run_ser(spec: ExperimentSpec, files: dict, extras: dict) -> None:
@@ -232,23 +214,23 @@ def _run_ser(spec: ExperimentSpec, files: dict, extras: dict) -> None:
                            diversity_order=lambda r: r.g_d, coding_gain=lambda r: r.g_c)
     mod = spec.config.modulation
     _floor_curves(spec, files, extras, "ser", "bound",
-                  lambda sweep: ser_upper_bound(spec.config, _gamma_bars(sweep)),
-                  evaluator, lambda snr: empirical_ber(snr, mod.alpha, mod.beta))
+                  functools.partial(ser_upper_bound, spec.config), evaluator,
+                  lambda snr: empirical_ber(snr, mod.alpha, mod.beta))
 
 
 def _floor_curves(spec: ExperimentSpec, files: dict, extras: dict, kind: str, name: str,
                   analytic, evaluator, estimator) -> None:
-    """Curves of one metric over the gamma_bar sweep: ``analytic(sweep)``, the
-    values at every point, the high-SNR floor ``evaluator(gamma_bar)`` and the
-    MC estimate."""
+    """Curves of one metric over the gamma_bar sweep: ``analytic(gamma_bars)``,
+    the values at every point, the high-SNR floor ``evaluator(gamma_bar)`` and
+    the MC estimate."""
     sweep = spec.resolved["sweep"]["values"]
-    closed = analytic(sweep)
-    curves = {name: _curve_rows(sweep, analytic=closed),
-              "asymptotic": _curve_rows(sweep, asymptotic=_asymptote_column(evaluator, sweep,
-                                                                             extras))}
+    gamma_bars = _gamma_bars(sweep)
+    curves = {name: _curve_rows(sweep, analytic=analytic(gamma_bars)),
+              "asymptotic": _curve_rows(sweep, asymptotic=_asymptote_column(
+                  evaluator, gamma_bars, extras))}
     if spec.use_mc:
-        curves["mc"] = _curve_rows(sweep, **_mc_sweep(
-            sweep, _unit_snr_samples(spec.config, spec.plan, extras), estimator))
+        curves["mc"] = _curve_rows(sweep, **_mc_sweep(gamma_bars, _timed_mc(
+            extras, simulate_snr_samples, spec.config, spec.plan), estimator))
     for suffix, rows in curves.items():
         _emit(spec, files, f"{kind}_{suffix}", "gamma_bar_db", rows)
 
@@ -267,13 +249,14 @@ def _run_quantization(spec: ExperimentSpec, files: dict, extras: dict) -> None:
         cfg_n = replace(spec.config, n_elements=n)
         if spec.use_mc:
             # one draw per N: row 0 with continuous phases, row k at widths[k-1]
-            rows = _unit_snr_samples(cfg_n, replace(spec.plan, quantization_bits=widths), extras)
+            rows = _timed_mc(extras, simulate_snr_samples, cfg_n,
+                             replace(spec.plan, quantization_bits=widths))
         cb = rate_bounds(cfg_n, gamma_bars)
         for k, bits in enumerate(widths, 1):
             qb, mc = quantized_rate_bounds(cfg_n, bits, gamma_bars), {}
             analytic = 100.0 * (qb.lower + qb.upper) / (cb.lower + cb.upper)
             if spec.use_mc:
-                mc = _mc_sweep(sweep, rows[[0, k]], _rate_percent)
+                mc = _mc_sweep(gamma_bars, rows[[0, k]], _rate_percent)
             _emit(spec, files, f"quantization_b{bits}_n{n}", "gamma_bar_db",
                   _curve_rows(sweep, analytic=analytic, **mc))
 
@@ -297,30 +280,27 @@ def _run_correlation(spec: ExperimentSpec, files: dict, extras: dict) -> None:
         _emit(spec, files, f"correlation_scheme{s}", "n_elements", _curve_rows(n_values, **mc))
 
 
-def _run_sweep(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    _rate_curves(spec, files, extras, "sweep_rate")
-
-
 def _rate_curves(spec: ExperimentSpec, files: dict, extras: dict, prefix: str) -> None:
     """Jensen rate bounds and the MC rate over the sweep (gamma_bar_db or n_elements)."""
     cfg, sweep = spec.config, spec.resolved["sweep"]
     unit, sweep = sweep["variable"], sweep["values"]
-    if unit == "gamma_bar_db":
-        bounds = [rate_bounds(cfg, _gamma_bars(sweep))]
-    else:
-        configs = [replace(cfg, n_elements=n) for n in sweep]
-        bounds = [rate_bounds(c, cfg.gamma_bar) for c in configs]
+    # (link, its transmit SNRs): one link over a gamma_bar sweep, or one per N
+    points = ([(cfg, _gamma_bars(sweep))] if unit == "gamma_bar_db"
+              else [(replace(cfg, n_elements=n), cfg.gamma_bar) for n in sweep])
+    bounds = [rate_bounds(c, gamma_bars) for c, gamma_bars in points]
     for side in ("lower", "upper"):
         _emit(spec, files, f"{prefix}_{side}", unit,
               _curve_rows(sweep, analytic=np.hstack([getattr(b, side) for b in bounds])))
     if spec.use_mc:
-        if unit == "gamma_bar_db":
-            mc = _mc_sweep(sweep, _unit_snr_samples(cfg, spec.plan, extras), empirical_rate)
-        else:
-            mc = _mc_columns([empirical_rate(_timed_mc(extras, simulate_snr_samples, c,
-                                                       spec.plan))
-                              for c in configs])
-        _emit(spec, files, f"{prefix}_mc", unit, _curve_rows(sweep, **mc))
+        estimates = []
+        for c, gamma_bars in points:
+            unit_samples = _timed_mc(extras, simulate_snr_samples, c, spec.plan)
+            estimates += [empirical_rate(gb * unit_samples) for gb in np.atleast_1d(gamma_bars)]
+        _emit(spec, files, f"{prefix}_mc", unit, _curve_rows(sweep, **_mc_columns(estimates)))
+
+
+_run_rate = functools.partial(_rate_curves, prefix="rate")
+_run_sweep = functools.partial(_rate_curves, prefix="sweep_rate")
 
 
 def _emit(spec: ExperimentSpec, files: dict, name: str, x_unit: str, rows) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .channel import LinkParams, Modulation, SystemConfig, path_loss
+from .channel import LinkParams, Modulation, SystemConfig, db_to_linear, path_loss
 from .errors import ConfigError
 
 # Largest element count a config may ask for: per-element arrays stay small,
@@ -94,7 +94,7 @@ def _count(n: int) -> bool:
 
 
 def _linear(db: float) -> bool:
-    return _positive_float(lambda: 10.0 ** (db / 10.0)) is not None
+    return _positive_float(lambda: db_to_linear(db)) is not None
 
 
 _COUNT_RULE = f"element counts must lie in 1..{MAX_ELEMENTS}"

@@ -191,7 +191,7 @@ def _cophased_leg(m: float, zeta: float, rng: np.random.Generator, shape, p: np.
 
 def _scheme_snr_chunk(cfg: SystemConfig, mats: CorrelationMatrices, seed: int,
                       index: int, count: int) -> np.ndarray:
-    """Received SNRs of one chunk, rows (scheme 1, scheme 2).
+    """Received SNRs per unit transmit SNR of one chunk, rows (scheme 1, scheme 2).
 
     Scheme 1 turns element n by phi_v - arg g_n - arg h_n of the i.i.d.
     draws.  The direct-link phase phi_v is common to every term and cancels
@@ -208,19 +208,16 @@ def _scheme_snr_chunk(cfg: SystemConfig, mats: CorrelationMatrices, seed: int,
     # rows h^T -> (R_A^(1/2) h)^T = h^T kron(az, el)^T
     terms *= _cophased_leg(cfg.h.m, cfg.h.zeta, rng, shape, arr.az.T, arr.el.T)
     terms *= cfg.eta
-    snr = np.empty((2, count))
-    snr[0] = cfg.gamma_bar * np.abs(v + terms.sum(axis=1)) ** 2
-    snr[1] = cfg.gamma_bar * (v + np.abs(terms).sum(axis=1)) ** 2
-    return snr
+    return np.stack([np.abs(v + terms.sum(axis=1)) ** 2, (v + np.abs(terms).sum(axis=1)) ** 2])
 
 
 def simulate_scheme_rates(cfg: SystemConfig, corr: CorrelationConfig,
                           plan: SimPlan) -> dict[int, Estimate]:
-    """Average achievable rate of both schemes over shared channel draws."""
+    """Average rate of both schemes at ``cfg.gamma_bar`` over shared channel draws."""
     if corr.n_total != cfg.n_elements:
         raise ValueError("correlation grid size must match n_elements")
     mats = build_correlation(corr)
     snr = map_chunks(functools.partial(_scheme_snr_chunk, cfg, mats, plan.seed), plan.trials,
                      cfg.n_elements, plan.workers)
-    rates = np.log2(1.0 + snr)
+    rates = np.log2(1.0 + cfg.gamma_bar * snr)
     return {1: _mean_estimate(rates[0]), 2: _mean_estimate(rates[1])}

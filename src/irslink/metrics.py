@@ -39,15 +39,13 @@ __all__ = [
 ]
 
 
-def outage_probability(gamma_th, p: SnrCdfParams):
-    """P(optimized SNR <= gamma_th), via the closed-form SNR CDF.
-
-    ``gamma_th`` may be an array of thresholds; a float comes back for a scalar.
-    """
-    gamma_th = np.asarray(gamma_th, dtype=float)
-    if np.any(gamma_th <= 0):
-        raise ValueError("gamma_th must be positive")
-    return snr_cdf(gamma_th, p)
+def outage_probability(cfg: SystemConfig, gamma_th, gamma_bar):
+    """P(optimized SNR <= gamma_th) at the transmit SNR(s) ``gamma_bar``, a
+    float or an array: the closed-form CDF of R^2 at gamma_th / gamma_bar."""
+    gamma_th, gamma_bar = np.asarray(gamma_th, dtype=float), np.asarray(gamma_bar, dtype=float)
+    if np.any(gamma_th <= 0) or np.any(gamma_bar <= 0):
+        raise ValueError("gamma_th and gamma_bar must be positive")
+    return snr_cdf(gamma_th / gamma_bar, SnrCdfParams.from_config(cfg))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ __all__ = [
     "empirical_rate",
     "empirical_rate_ratio",
     "empirical_ber",
-    "fit_loglog_slope",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -131,8 +130,8 @@ def reflected_sum_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
 
 
 def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) -> np.ndarray:
-    """SNR samples of one chunk: one row for continuous phases, then one per
-    quantization width; flat when no width is set.
+    """SNR samples per unit transmit SNR of one chunk: (v + W)^2 with continuous
+    phases, then (v + W_R)^2 + W_I^2 per quantization width; flat without widths.
 
     The cos and sin of the phase errors run in numpy's float32 SIMD loops,
     which take the float64 errors in small cast blocks and widen the result
@@ -143,7 +142,7 @@ def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) ->
     v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
     # In place on (count, N) buffers: at most four are alive per chunk.
     prod = _reflected_products(cfg, rng, count)
-    rows[0] = cfg.gamma_bar * (v + prod.sum(axis=1)) ** 2
+    rows[0] = (v + prod.sum(axis=1)) ** 2
     if widths:
         # One draw at the widest interval serves every width:
         # uniform(-tau, tau) is -tau + 2 tau u with tau = pi / 2**bits, so
@@ -161,12 +160,13 @@ def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) ->
             np.sin(eps, out=trig, dtype=np.float32, casting="same_kind")
             trig *= prod
             w_im = trig.sum(axis=1)
-            rows[row] = cfg.gamma_bar * ((v + w_re) ** 2 + w_im**2)
+            rows[row] = (v + w_re) ** 2 + w_im**2
     return rows if widths else rows[0]
 
 
 def simulate_snr_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
-    """Exact optimized-SNR samples, with continuous and quantized phases.
+    """Exact optimized-SNR samples per unit transmit SNR, snr / gamma_bar, with
+    continuous and quantized phases: no draw reads gamma_bar.
 
     Every trial draws fresh leg amplitudes.  Without quantization widths the
     result is the (trials,) continuous-phase sample.  With widths ``bits`` it
@@ -203,12 +203,16 @@ def _mean_estimate(values: np.ndarray) -> Estimate:
 
 
 def empirical_outage(samples: np.ndarray, gamma_th: float) -> Estimate:
-    """Proportion of trials below threshold, with a binomial 95% CI."""
+    """Proportion of trials below threshold, with a binomial 95% CI: the normal
+    one, or at 0 or n of n trials the Clopper-Pearson end of the two-sided one."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("empirical_outage requires a nonempty sample")
     n = samples.size
-    p = float(np.count_nonzero(samples <= gamma_th)) / n
+    k = np.count_nonzero(samples <= gamma_th)
+    p, end = float(k) / n, math.log(0.025) / n  # 0.025**(1/n) = exp(end)
+    if k in (0, n):
+        return Estimate(p, 0.0, -math.expm1(end)) if k == 0 else Estimate(p, math.exp(end), 1.0)
     half = _Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
     return Estimate(p, max(p - half, 0.0), min(p + half, 1.0))
 
@@ -251,21 +255,3 @@ def empirical_ber(samples: np.ndarray, alpha: float, beta: float) -> Estimate:
         raise ValueError("empirical_ber requires a nonempty sample")
     est = _mean_estimate(alpha * gaussian_q(np.sqrt(beta * samples)))
     return Estimate(est.value, max(est.ci_low, 0.0), min(est.ci_high, alpha))
-
-
-def fit_loglog_slope(x, y, window: tuple[float, float]) -> float:
-    """Least-squares slope of log10(y) against x / 10, for x in dB (gamma_bar_db).
-
-    The window is an inclusive x-range; at least three strictly positive
-    points must fall inside it.
-    """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    lo, hi = window
-    mask = (x >= lo) & (x <= hi)
-    if np.count_nonzero(mask) < 3:
-        raise ValueError("slope window must contain at least 3 points")
-    y = y[mask]
-    if np.any(y <= 0):
-        raise ValueError("slope fit requires positive y values in the window")
-    slope, _ = np.polyfit(x[mask] / 10.0, np.log10(y), 1)
-    return float(slope)

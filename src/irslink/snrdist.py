@@ -1,22 +1,21 @@
-"""Distribution of the phase-optimized received SNR.
+"""Distribution of the phase-optimized received SNR per unit transmit SNR.
 
 Co-phasing every reflected element with the direct channel turns the
 received envelope into R = v + W, the direct amplitude plus the truncated
-normal reflected sum, and the SNR into gamma_bar * R^2.  This module holds:
+normal reflected sum.  The SNR is gamma_bar * R^2; gamma_bar only scales it,
+so the laws here are of R and of R^2 = snr / gamma_bar.  This module holds:
 
-* the co-phasing rule and the resulting maximum SNR,
+* the co-phasing rule,
 * the closed-form envelope PDF of R (piecewise around the reflected mean),
-* the piecewise envelope/SNR CDF assembled from ``cal_i`` / ``cal_j``, one
+* the piecewise CDF of R and of R^2 assembled from ``cal_i`` / ``cal_j``, one
   array evaluation per piece and order, with no numerical integration,
-* the change-of-variables SNR PDF,
-* the exact PDF of a single scaled amplitude product, used as the N = 1
-  oracle for the truncated-normal approximation.
+* the change-of-variables PDF of R^2.
 
 The closed-form CDF is only available when the direct-link shape is a
 multiple of 1/2 (so the binomial expansion has an integer degree); other
 shapes raise :class:`UnsupportedShapeError` and must be estimated by
 Monte-Carlo.  The quadrature of the PDF that the tests compare the CDF
-against lives in ``tests/oracles.py``.
+against, and the exact N = 1 product law, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,21 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .channel import LinkParams, SystemConfig
+from .channel import SystemConfig
 from .cltapprox import TruncatedNormal, w_stats
 from .errors import NumericalConsistencyError, UnsupportedShapeError
 from .specfun import JParams, _exp, cal_i, cal_j, cal_j_between, gamma_upper
 
 __all__ = [
     "SnrCdfParams",
-    "ProductPdfParams",
     "optimal_phases",
-    "optimal_snr",
     "envelope_pdf",
     "envelope_cdf",
     "snr_cdf",
     "snr_pdf",
-    "product_pdf",
 ]
 
 # Numerical slack on CDF values: clamp within it, error beyond it.
@@ -59,40 +55,25 @@ def optimal_phases(phi_v: float, phi_g, phi_h):
     return -np.mod(-theta + math.pi, 2.0 * math.pi) + math.pi
 
 
-def optimal_snr(v_amp: float, g_amp, h_amp, eta, gamma_bar: float) -> float:
-    """Maximum received SNR under co-phasing: gamma_bar*(v + sum eta*g*h)^2."""
-    g_amp = np.atleast_1d(np.asarray(g_amp, dtype=float))
-    h_amp = np.atleast_1d(np.asarray(h_amp, dtype=float))
-    eta = np.broadcast_to(np.asarray(eta, dtype=float), g_amp.shape)
-    if g_amp.shape != h_amp.shape:
-        raise ValueError("amplitude vectors must have equal length")
-    if gamma_bar <= 0:
-        raise ValueError("gamma_bar must be positive")
-    return float(gamma_bar * (v_amp + np.sum(eta * g_amp * h_amp)) ** 2)
-
-
 @dataclass(frozen=True)
 class SnrCdfParams:
-    """Derived constants of the closed-form SNR distribution."""
+    """Derived constants of the closed-form laws of R and R^2 = snr / gamma_bar."""
 
     m_v: float
     kappa_v: float
     tn: TruncatedNormal
-    gamma_bar: float
 
     def __post_init__(self):
         if abs(2.0 * self.m_v - round(2.0 * self.m_v)) > 1e-12:
             raise UnsupportedShapeError(
                 f"closed-form SNR distribution needs 2*m_v integer, got m_v={self.m_v}; "
                 "use the Monte-Carlo path for other shapes")
-        if self.gamma_bar <= 0:
-            raise ValueError("gamma_bar must be positive")
         if not 0 < self.delta < math.inf:  # direct and reflected spreads too far apart
             raise NumericalConsistencyError(f"SNR decay rate {self.delta} is not a positive float")
 
     @classmethod
     def from_config(cls, cfg: SystemConfig) -> "SnrCdfParams":
-        return cls(m_v=cfg.v.m, kappa_v=cfg.v.kappa, tn=w_stats(cfg), gamma_bar=cfg.gamma_bar)
+        return cls(m_v=cfg.v.m, kappa_v=cfg.v.kappa, tn=w_stats(cfg))
 
     @property
     def m_tilde_v(self) -> int:
@@ -196,52 +177,17 @@ def envelope_cdf(r, p: SnrCdfParams):
 
 
 def snr_cdf(y, p: SnrCdfParams):
-    """CDF of the optimized SNR at threshold(s) y."""
+    """CDF of R^2 = snr / gamma_bar at y: P(snr <= t) is the CDF at t / gamma_bar."""
     y = np.asarray(y, dtype=float)
-    r = np.sqrt(np.maximum(y, 0.0) / p.gamma_bar)
-    return envelope_cdf(r, p)
+    return envelope_cdf(np.sqrt(np.maximum(y, 0.0)), p)
 
 
 def snr_pdf(y, p: SnrCdfParams):
-    """PDF of the optimized SNR: envelope density carried through r = sqrt(y/gb)."""
+    """PDF of R^2 at y = snr / gamma_bar, the envelope density carried through
+    r = sqrt(y); the SNR has density ``snr_pdf(snr / gamma_bar) / gamma_bar``."""
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise ValueError("snr_pdf requires y > 0")
-    r = np.sqrt(y / p.gamma_bar)
-    val = envelope_pdf(r, p) / (2.0 * np.sqrt(y * p.gamma_bar))
-    return val if val.shape else float(val)
-
-
-@dataclass(frozen=True)
-class ProductPdfParams:
-    """Exact distribution of one scaled product eta * g * h."""
-
-    g: LinkParams
-    h: LinkParams
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.eta <= 1:
-            raise ValueError("eta must lie in (0, 1]")
-
-    @property
-    def tau_n(self) -> float:
-        return 2.0 * math.sqrt(self.g.m * self.h.m / (self.g.kappa * self.h.kappa * self.eta**2))
-
-    @property
-    def log_psi(self) -> float:
-        mc = 0.5 * (self.g.m + self.h.m)
-        return (math.log(4.0) + mc * math.log(self.g.m * self.h.m)
-                - mc * math.log(self.eta**2 * self.g.kappa * self.h.kappa)
-                - sc.gammaln(self.g.m) - sc.gammaln(self.h.m))
-
-
-def product_pdf(w, p: ProductPdfParams):
-    """PDF of the product of two independent Nakagami amplitudes times eta."""
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("product_pdf requires w > 0")
-    order = p.g.m - p.h.m
-    val = (np.exp(p.log_psi + (p.g.m + p.h.m - 1.0) * np.log(w))
-           * sc.kv(order, w * p.tau_n))
+    r = np.sqrt(y)
+    val = envelope_pdf(r, p) / (2.0 * r)
     return val if val.shape else float(val)

@@ -1,13 +1,14 @@
 """Independent samplers and scalar reference evaluations the tests check the
-library against."""
+library against, and reference laws no curve of the library uses."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sc
 from scipy.integrate import quad
 
-from irslink.channel import SystemConfig
+from irslink.channel import LinkParams, SystemConfig
 from irslink.cltapprox import TruncatedNormal, w_stats
 from irslink.snrdist import SnrCdfParams, envelope_pdf
 from irslink.specfun import log_gaussian_q
@@ -21,13 +22,79 @@ from irslink.specfun import log_gaussian_q
 PHASOR_ERROR = 2.0**-22
 
 
-def float32_trig_bound(gamma_bar, v, reach, per_term):
-    """Bound on the change of ``gamma_bar |v + S|^2`` when every term of the
-    sum S moves by at most ``per_term`` times its bound and those bounds
+def float32_trig_bound(v, reach, per_term):
+    """Bound on the change of the unit-SNR ``|v + S|^2`` when every term of
+    the sum S moves by at most ``per_term`` times its bound and those bounds
     sum to ``reach`` (so |S| <= reach):
     |d |v + S|^2| <= 2 |v + S| |dS| + |dS|^2 <= (2 e + e^2) (v + reach)^2,
     with e = ``per_term``."""
-    return gamma_bar * (2.0 * per_term + per_term**2) * (v + reach) ** 2
+    return (2.0 * per_term + per_term**2) * (v + reach) ** 2
+
+
+def optimal_snr(v_amp: float, g_amp, h_amp, eta, gamma_bar: float) -> float:
+    """Maximum received SNR under co-phasing: gamma_bar*(v + sum eta*g*h)^2."""
+    g_amp = np.atleast_1d(np.asarray(g_amp, dtype=float))
+    h_amp = np.atleast_1d(np.asarray(h_amp, dtype=float))
+    eta = np.broadcast_to(np.asarray(eta, dtype=float), g_amp.shape)
+    if g_amp.shape != h_amp.shape:
+        raise ValueError("amplitude vectors must have equal length")
+    if gamma_bar <= 0:
+        raise ValueError("gamma_bar must be positive")
+    return float(gamma_bar * (v_amp + np.sum(eta * g_amp * h_amp)) ** 2)
+
+
+@dataclass(frozen=True)
+class ProductPdfParams:
+    """Exact distribution of one scaled product eta * g * h, the N = 1 law
+    the truncated-normal approximation is checked against."""
+
+    g: LinkParams
+    h: LinkParams
+    eta: float = 1.0
+
+    def __post_init__(self):
+        if not 0 < self.eta <= 1:
+            raise ValueError("eta must lie in (0, 1]")
+
+    @property
+    def tau_n(self) -> float:
+        return 2.0 * math.sqrt(self.g.m * self.h.m / (self.g.kappa * self.h.kappa * self.eta**2))
+
+    @property
+    def log_psi(self) -> float:
+        mc = 0.5 * (self.g.m + self.h.m)
+        return (math.log(4.0) + mc * math.log(self.g.m * self.h.m)
+                - mc * math.log(self.eta**2 * self.g.kappa * self.h.kappa)
+                - sc.gammaln(self.g.m) - sc.gammaln(self.h.m))
+
+
+def product_pdf(w, p: ProductPdfParams):
+    """PDF of the product of two independent Nakagami amplitudes times eta."""
+    w = np.asarray(w, dtype=float)
+    if np.any(w <= 0):
+        raise ValueError("product_pdf requires w > 0")
+    order = p.g.m - p.h.m
+    val = (np.exp(p.log_psi + (p.g.m + p.h.m - 1.0) * np.log(w))
+           * sc.kv(order, w * p.tau_n))
+    return val if val.shape else float(val)
+
+
+def fit_loglog_slope(x, y, window: tuple[float, float]) -> float:
+    """Least-squares slope of log10(y) against x / 10, for x in dB (gamma_bar_db).
+
+    The window is an inclusive x-range; at least three strictly positive
+    points must fall inside it.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    lo, hi = window
+    mask = (x >= lo) & (x <= hi)
+    if np.count_nonzero(mask) < 3:
+        raise ValueError("slope window must contain at least 3 points")
+    y = y[mask]
+    if np.any(y <= 0):
+        raise ValueError("slope fit requires positive y values in the window")
+    slope, _ = np.polyfit(x[mask] / 10.0, np.log10(y), 1)
+    return float(slope)
 
 
 def truncated_normal_sample(tn: TruncatedNormal, rng: np.random.Generator, size: int):
@@ -110,8 +177,8 @@ def envelope_pdf_scalar(r, p: SnrCdfParams):
 
 def snr_cdf_quadrature(y, p: SnrCdfParams):
     """``snrdist.snr_cdf`` by quadrature of the closed-form envelope PDF from 0
-    to sqrt(y / gamma_bar), split at the reflected mean; not clipped."""
-    r = np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0) / p.gamma_bar)
+    to sqrt(y), y = snr / gamma_bar, split at the reflected mean; not clipped."""
+    r = np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0))
     out, mu = np.zeros(r.shape), p.tn.mu_bar
     for idx in np.ndindex(r.shape):
         out[idx] = sum(quad(lambda t: envelope_pdf(t, p), lo, hi, epsabs=1e-12, epsrel=1e-10,

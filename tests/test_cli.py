@@ -20,7 +20,6 @@ import irslink.montecarlo as montecarlo
 from irslink.metrics import outage_probability
 from irslink.montecarlo import (SimPlan, chunk_rng, empirical_ber, empirical_outage,
                                 empirical_rate, simulate_snr_samples)
-from irslink.snrdist import SnrCdfParams
 
 SWEEP = [0.0, 12.0, 24.0, 45.0]
 
@@ -51,9 +50,14 @@ def oracle_csv(x_unit, xs, estimates):
     return text.getvalue()
 
 
+def snr_samples(cfg, plan):
+    """A fresh simulation of the SNRs at the link's own transmit SNR."""
+    return cfg.gamma_bar * simulate_snr_samples(cfg, plan)
+
+
 def per_point(cfg, plan, estimator, xs):
     for db in xs:
-        est = estimator(simulate_snr_samples(dataclasses.replace(cfg, gamma_bar_db=db), plan))
+        est = estimator(snr_samples(dataclasses.replace(cfg, gamma_bar_db=db), plan))
         yield est.value, est.ci_low, est.ci_high
 
 
@@ -62,8 +66,8 @@ def quantized_percent(cfg, plan, bits, xs):
     a ratio of paired means."""
     for db in xs:
         c = dataclasses.replace(cfg, gamma_bar_db=db)
-        x = np.log2(1.0 + simulate_snr_samples(c, plan))
-        y = np.log2(1.0 + simulate_snr_samples(
+        x = np.log2(1.0 + snr_samples(c, plan))
+        y = np.log2(1.0 + snr_samples(
             c, SimPlan(trials=plan.trials, seed=plan.seed, workers=plan.workers,
                        quantization_bits=(bits,)))[1])
         ratio = y.mean() / x.mean()
@@ -124,7 +128,7 @@ class TestMonteCarloColumnsMatchPerPointOracle:
         oracle = []
         for n in (2, 8):
             cfg_n = dataclasses.replace(cfg, n_elements=n)
-            est = empirical_rate(simulate_snr_samples(cfg_n, plan))
+            est = empirical_rate(snr_samples(cfg_n, plan))
             oracle.append((est.value, est.ci_low, est.ci_high))
         self.expect(tmp_path, "sweep", config, "sweep_rate_mc.csv", "n_elements", oracle)
 
@@ -253,8 +257,8 @@ def test_undefined_asymptote_is_left_blank(tmp_path, kind, fading):
     if kind == "outage":
         # the closed-form and MC curves are written as for any other shapes
         cfg, _ = cli.validate_config(config, kind)
-        analytic = [outage_probability(10.0, SnrCdfParams.from_config(
-                        dataclasses.replace(cfg, gamma_bar_db=db))) for db in (0.0, 20.0)]
+        analytic = [outage_probability(cfg, 10.0, dataclasses.replace(cfg, gamma_bar_db=db)
+                                       .gamma_bar) for db in (0.0, 20.0)]
         rows = csv.DictReader(io.StringIO(read_csv(out / "outage_analytic.csv")))
         assert [float(r["analytic"]) for r in rows] == [float(format(a, ".12g")) for a in analytic]
         plan = SimPlan(trials=2000, seed=3)

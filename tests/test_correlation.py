@@ -12,8 +12,7 @@ from irslink.correlation import (AngleSpread, CorrelationConfig, CorrelationMatr
                                  simulate_scheme_rates)
 from irslink.errors import NumericalConsistencyError
 from irslink.montecarlo import SimPlan, chunk_rng
-from irslink.snrdist import optimal_snr
-from oracles import PHASOR_ERROR, float32_trig_bound
+from oracles import PHASOR_ERROR, float32_trig_bound, optimal_snr
 
 
 def correlated_snr(v_amp: float, phi_v: float, g_vec: np.ndarray, h_vec: np.ndarray,
@@ -245,9 +244,9 @@ class TestSchemeKernel:
         # turns by exact unit phasors, so that gain enters through eta
         eta = cfg.eta * np.abs(u_g) * np.abs(u_h)
         phi_v = np.random.default_rng(1).uniform(-np.pi, np.pi, count)
-        for scheme in (1, 2):
-            oracle = [correlated_snr(v[r], phi_v[r], g[r], h[r], mats, scheme, eta[r],
-                                     cfg.gamma_bar) for r in range(count)]
+        for scheme in (1, 2):  # the kernel's rows are at unit transmit SNR
+            oracle = [correlated_snr(v[r], phi_v[r], g[r], h[r], mats, scheme, eta[r], 1.0)
+                      for r in range(count)]
             np.testing.assert_allclose(snr[scheme - 1], oracle, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n", [16, 144])
@@ -260,8 +259,8 @@ class TestSchemeKernel:
         dep = np.kron(mats.departure.az, mats.departure.el)
         arr = np.kron(mats.arrival.az, mats.arrival.el).T
         terms = cfg.eta * ((a_g * u_g) @ dep * u_g.conj()) * ((a_h * u_h) @ arr * u_h.conj())
-        exact = cfg.gamma_bar * np.array([np.abs(v + terms.sum(axis=1)) ** 2,
-                                          (v + np.abs(terms).sum(axis=1)) ** 2])
+        exact = np.array([np.abs(v + terms.sum(axis=1)) ** 2,
+                          (v + np.abs(terms).sum(axis=1)) ** 2])
         # A leg term l_n = (x @ K)_n conj(u_n), x_k = a_k u_k, is bounded by
         # A_n = (a @ |K|)_n.  Each phasor moves by at most e = sqrt(2)
         # PHASOR_ERROR, so l_n by at most e A_n (1 + e) + A_n e = e_l A_n with
@@ -270,7 +269,7 @@ class TestSchemeKernel:
         reach = (cfg.eta * (a_g @ np.abs(dep)) * (a_h @ np.abs(arr))).sum(axis=1)
         e = math.sqrt(2.0) * PHASOR_ERROR
         e_l = e * (2.0 + e)
-        bound = float32_trig_bound(cfg.gamma_bar, v, reach, e_l * (2.0 + e_l))
+        bound = float32_trig_bound(v, reach, e_l * (2.0 + e_l))
         assert np.all(np.abs(fast - exact) <= bound)
 
 

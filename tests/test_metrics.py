@@ -13,9 +13,10 @@ from irslink.metrics import (asymptotic_outage, asymptotic_rate, asymptotic_ser,
                              outage_probability, quantized_rate_bounds, rate_bounds,
                              ser_upper_bound)
 from irslink.montecarlo import (SimPlan, empirical_ber, empirical_outage, empirical_rate,
-                                fit_loglog_slope, simulate_snr_samples)
-from irslink.snrdist import ProductPdfParams, SnrCdfParams, product_pdf
-from oracles import ser_upper_bound_scalar, truncated_normal_sample
+                                simulate_snr_samples)
+from irslink.snrdist import SnrCdfParams, snr_cdf
+from oracles import (ProductPdfParams, fit_loglog_slope, product_pdf, ser_upper_bound_scalar,
+                     truncated_normal_sample)
 
 
 def unit_config(n, m_v, m_g, m_h, eta=0.9, gamma_bar_db=0.0, alpha=1.0, beta=2.0):
@@ -34,10 +35,21 @@ def figure_config(n, m_v, m_g, m_h, d_si=60.0, gamma_bar_db=20.0):
 
 class TestOutage:
     def test_vanishes_at_zero_threshold(self):
-        p = SnrCdfParams.from_config(figure_config(16, 2.0, 2.0, 3.0))
-        assert outage_probability(1e-14, p) == pytest.approx(0.0, abs=1e-9)
+        cfg = figure_config(16, 2.0, 2.0, 3.0)
+        assert outage_probability(cfg, 1e-14, cfg.gamma_bar) == pytest.approx(0.0, abs=1e-9)
         with pytest.raises(ValueError):
-            outage_probability(0.0, p)
+            outage_probability(cfg, 0.0, cfg.gamma_bar)
+        with pytest.raises(ValueError):
+            outage_probability(cfg, 10.0, np.array([100.0, 0.0]))
+
+    def test_gamma_bar_array_is_the_points_and_the_unit_law(self):
+        cfg = figure_config(16, 2.0, 2.0, 3.0)
+        gamma_bars = 10 ** (np.linspace(15.0, 30.0, 16) / 10)
+        curve = outage_probability(cfg, 10.0, gamma_bars)
+        assert curve.shape == (16,)
+        assert list(curve) == [outage_probability(cfg, 10.0, gb) for gb in gamma_bars]
+        law = SnrCdfParams.from_config(cfg)
+        np.testing.assert_array_equal(curve, snr_cdf(10.0 / gamma_bars, law))
 
     def test_matches_model_monte_carlo_within_binomial_ci(self):
         # sampling the truncated-normal reflected-sum model directly checks
@@ -45,7 +57,7 @@ class TestOutage:
         cfg = figure_config(16, 2.0, 2.0, 3.0, gamma_bar_db=22.0)
         p = SnrCdfParams.from_config(cfg)
         gamma_th = 10.0
-        analytic = outage_probability(gamma_th, p)
+        analytic = outage_probability(cfg, gamma_th, cfg.gamma_bar)
         assert 1e-3 < analytic < 2e-2  # meaningful operating point
         rng = np.random.default_rng(5)
         trials = 10**6
@@ -59,11 +71,10 @@ class TestOutage:
         # against the exact channel the truncated-normal model carries an
         # absolute CDF error budget of the same order the KS criteria allow
         cfg = figure_config(16, 2.0, 2.0, 3.0, gamma_bar_db=22.0)
-        p = SnrCdfParams.from_config(cfg)
         gamma_th = 10.0
-        analytic = outage_probability(gamma_th, p)
-        est = empirical_outage(simulate_snr_samples(cfg, SimPlan(trials=10**6, seed=5)),
-                               gamma_th)
+        analytic = outage_probability(cfg, gamma_th, cfg.gamma_bar)
+        est = empirical_outage(cfg.gamma_bar * simulate_snr_samples(
+            cfg, SimPlan(trials=10**6, seed=5)), gamma_th)
         assert abs(analytic - est.value) <= 0.02
 
 
@@ -135,7 +146,8 @@ class TestRateBounds:
             for db in (0.0, 10.0, 20.0, 30.0):
                 cfg = figure_config(n, 2.0, 3.0, 4.0, gamma_bar_db=db)
                 b = rate_bounds(cfg, cfg.gamma_bar)
-                est = empirical_rate(simulate_snr_samples(cfg, SimPlan(trials=10**5, seed=n)))
+                est = empirical_rate(cfg.gamma_bar * simulate_snr_samples(
+                    cfg, SimPlan(trials=10**5, seed=n)))
                 slack = (est.ci_high - est.ci_low) / 2.0
                 assert b.lower - slack <= est.value <= b.upper + slack, (n, db)
 
@@ -169,8 +181,8 @@ class TestSerBound:
         for db in (0.0, 10.0, 20.0, 30.0, 40.0):
             cfg = figure_config(16, 1.0, 1.0, 2.0, d_si=140.0, gamma_bar_db=db)
             bound = ser_upper_bound(cfg, cfg.gamma_bar)
-            est = empirical_ber(simulate_snr_samples(cfg, SimPlan(trials=10**5, seed=77)),
-                                1.0, 2.0)
+            est = empirical_ber(cfg.gamma_bar * simulate_snr_samples(
+                cfg, SimPlan(trials=10**5, seed=77)), 1.0, 2.0)
             assert bound >= est.value, db
 
     def test_monotone_in_snr(self):
@@ -270,7 +282,7 @@ class TestQuantizedRateBounds:
     def test_brackets_quantized_monte_carlo(self):
         cfg = figure_config(32, 2.0, 3.0, 4.0)
         q = quantized_rate_bounds(cfg, 2, cfg.gamma_bar)
-        est = empirical_rate(simulate_snr_samples(
+        est = empirical_rate(cfg.gamma_bar * simulate_snr_samples(
             cfg, SimPlan(trials=2 * 10**5, seed=9, quantization_bits=(2,)))[1])
         slack = (est.ci_high - est.ci_low) / 2.0
         assert q.lower - slack <= est.value <= q.upper + slack

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
 import irslink.cli as cli
 import irslink.correlation as correlation
@@ -12,10 +13,10 @@ from irslink.cltapprox import w_mean_var, w_stats
 from irslink.correlation import simulate_scheme_rates
 from irslink.montecarlo import (Estimate, SimPlan, _chunk_size, _simulate_chunk,
                                 chunk_rng, empirical_ber, empirical_cdf, empirical_outage,
-                                empirical_rate, empirical_rate_ratio, fit_loglog_slope,
-                                simulate_snr_samples)
+                                empirical_rate, empirical_rate_ratio, simulate_snr_samples)
+from irslink.snrdist import SnrCdfParams
 from irslink.specfun import gaussian_q
-from oracles import PHASOR_ERROR, float32_trig_bound
+from oracles import PHASOR_ERROR, fit_loglog_slope, float32_trig_bound
 
 
 def unit_config(n, m_v=1.0, m_g=1.0, m_h=2.0, eta=0.9, gamma_bar_db=0.0):
@@ -41,14 +42,14 @@ def reference_draws(cfg, plan, index, count):
 
 
 def reference_chunk(cfg, plan, index, count, trig_dtype=np.float32):
-    """The chunk kernel written as plain expressions, one array per term;
-    the phase-error cos and sin are evaluated in ``trig_dtype``."""
+    """The chunk kernel written as plain expressions, one array per term, at
+    unit transmit SNR; the phase-error cos and sin are evaluated in ``trig_dtype``."""
     v, prod, eps = reference_draws(cfg, plan, index, count)
     if eps is None:
-        return cfg.gamma_bar * (v + prod.sum(axis=1)) ** 2
+        return (v + prod.sum(axis=1)) ** 2
     w_re = (prod * np.cos(eps, dtype=trig_dtype)).sum(axis=1)
     w_im = (prod * np.sin(eps, dtype=trig_dtype)).sum(axis=1)
-    return cfg.gamma_bar * ((v + w_re) ** 2 + w_im**2)
+    return (v + w_re) ** 2 + w_im**2
 
 
 class TestSimulation:
@@ -70,8 +71,7 @@ class TestSimulation:
         v, prod, _ = reference_draws(cfg, plan, 0, 2000)
         # each phasor moves by at most sqrt(2) PHASOR_ERROR, so the sum
         # S = sum prod_n u_n by at most that times sum prod_n
-        bound = float32_trig_bound(cfg.gamma_bar, v, prod.sum(axis=1),
-                                   math.sqrt(2.0) * PHASOR_ERROR)
+        bound = float32_trig_bound(v, prod.sum(axis=1), math.sqrt(2.0) * PHASOR_ERROR)
         assert np.all(np.abs(fast - exact) <= bound)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -120,7 +120,7 @@ class TestSimulation:
         mu_w, _ = w_mean_var(tn)
         snr = simulate_snr_samples(cfg, SimPlan(trials=400_000, seed=21))
         e_v = math.exp(math.lgamma(1.5)) * math.sqrt(1.0)  # Rayleigh direct mean
-        observed = np.mean(np.sqrt(snr / cfg.gamma_bar)) - e_v
+        observed = np.mean(np.sqrt(snr)) - e_v
         assert observed == pytest.approx(mu_w, rel=0.005)
 
 
@@ -184,7 +184,8 @@ class TestEstimators:
     def test_constant_sample_point_values(self):
         samples = np.full(1000, 4.0)
         out = empirical_outage(samples, 5.0)
-        assert (out.value, out.ci_low, out.ci_high) == (1.0, 1.0, 1.0)
+        assert (out.value, out.ci_high) == (1.0, 1.0)
+        assert out.ci_low == pytest.approx(0.025 ** (1 / 1000), rel=1e-12)
         rate = empirical_rate(samples)
         assert rate.value == pytest.approx(math.log2(5.0), rel=1e-12)
         assert rate.ci_low == rate.ci_high == rate.value
@@ -228,6 +229,25 @@ class TestEstimators:
         samples = np.linspace(1.0, 2.0, 100)
         assert empirical_outage(samples, 0.5).value == 0.0
 
+    @pytest.mark.parametrize("n", [1, 1000, 25_000, 100_000])
+    def test_outage_interval_at_no_and_every_trial_is_clopper_pearson(self, n):
+        # the two-sided 95% Clopper-Pearson ends: Beta(0.975; 1, n) above 0
+        # of n, Beta(0.025; n, 1) below n of n
+        samples = np.linspace(1.0, 2.0, n)
+        none, every = empirical_outage(samples, 0.5), empirical_outage(samples, 2.0)
+        assert (none.value, none.ci_low) == (0.0, 0.0)
+        assert none.ci_high == pytest.approx(beta.ppf(0.975, 1, n), rel=1e-12)
+        assert (every.value, every.ci_high) == (1.0, 1.0)
+        assert every.ci_low == pytest.approx(beta.ppf(0.025, n, 1), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 137, 500, 999])
+    def test_outage_interval_between_is_the_normal_one(self, k):
+        samples = np.linspace(1.0, 2.0, 1000)
+        p = float(k) / 1000
+        half = 1.959963984540054 * math.sqrt(max(p * (1.0 - p), 0.0) / 1000)
+        assert empirical_outage(samples, samples[k - 1]) == Estimate(
+            p, max(p - half, 0.0), min(p + half, 1.0))
+
     def test_empty_sample_errors(self):
         empty = np.array([])
         for fn in (lambda: empirical_outage(empty, 1.0),
@@ -248,6 +268,35 @@ class TestEstimators:
         cdf = empirical_cdf(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(cdf(np.array([0.5, 1.0, 2.5, 9.0])),
                                    [0.0, 1 / 3, 2 / 3, 1.0])
+
+
+class TestUnitTransmitSnr:
+    """Samplers and laws describe snr / gamma_bar: two links that differ only in
+    gamma_bar_db give the same bits."""
+
+    @pytest.fixture
+    def links(self):
+        cfg, _ = cli.validate_config({"n_elements": 16})
+        return cfg, replace(cfg, gamma_bar_db=37.0)
+
+    @pytest.mark.parametrize("widths", [(), (1, 3)])
+    def test_snr_samples(self, links, widths):
+        plan = SimPlan(trials=3000, seed=8, workers=2, quantization_bits=widths)
+        first, second = (simulate_snr_samples(cfg, plan) for cfg in links)
+        assert first.tobytes() == second.tobytes()
+
+    def test_reflected_sums(self, links):
+        first, second = (cli._reflected_sum_samples(cfg, SimPlan(trials=3000, seed=8))
+                         for cfg in links)
+        assert first.tobytes() == second.tobytes()
+
+    def test_correlation_scheme_rows(self, links):
+        mats = correlation.build_correlation(correlation_config(16))
+        first, second = (correlation._scheme_snr_chunk(cfg, mats, 8, 1, 700) for cfg in links)
+        assert first.tobytes() == second.tobytes()
+
+    def test_snr_law(self, links):
+        assert SnrCdfParams.from_config(links[0]) == SnrCdfParams.from_config(links[1])
 
 
 class TestSlopeFit:

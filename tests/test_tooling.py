@@ -28,9 +28,11 @@ def test_every_traced_name_resolves(dotted):
     assert callable(getattr(importlib.import_module(module_name), name))
 
 
-def test_cli_import_leaves_scipy_integrate_out():
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.stats", "scipy.optimize"])
+def test_cli_import_leaves_scipy_module_out(module):
+    # each of them would add to the start-up time of every run
     src = Path(irslink.__file__).resolve().parents[1]
-    probe = "import sys, irslink.cli; print('scipy.integrate' in sys.modules)"
+    probe = f"import sys, irslink.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"

@@ -8,7 +8,7 @@ expression is validated against.
 __version__ = "0.1.0"
 
 from .channel import (LinkParams, Modulation, SystemConfig, db_to_linear, nakagami_sample,
-                      path_loss, rician_to_nakagami)
+                      path_loss)
 from .cltapprox import (QuantizedWStats, TruncatedNormal, quantized_w_stats, w_mean_var,
                         w_moment, w_stats)
 from .errors import (ConfigError, IrsLinkError, NumericalConsistencyError,

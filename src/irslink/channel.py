@@ -21,7 +21,6 @@ __all__ = [
     "db_to_linear",
     "path_loss",
     "nakagami_sample",
-    "rician_to_nakagami",
 ]
 
 
@@ -117,9 +116,3 @@ def nakagami_sample(m: float, zeta: float, rng: np.random.Generator, size=None):
     power *= zeta
     return np.sqrt(power, out=power)
 
-
-def rician_to_nakagami(k_factor: float) -> float:
-    """Shape of the Nakagami approximation to Rician fading with factor K."""
-    if k_factor < 0:
-        raise ValueError("Rician K-factor must be nonnegative")
-    return (k_factor + 1.0) ** 2 / (2.0 * k_factor + 1.0)

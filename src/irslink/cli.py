@@ -11,12 +11,17 @@ with each value cast, which the runners read as it stands.  An empty (or
 missing) file yields the documented default configuration; a previously
 written manifest can be passed back through ``--config`` to reproduce a run
 byte-for-byte.
+
+Every CSV has the header ``CSV_HEADER`` and one row per sweep point; cells are
+comma-separated and lines end in CRLF.  The ``x_unit`` cell names the sweep
+variable, every other cell is a number written with ``%.12g``, and a value
+that is absent (a column the run does not produce, or a blank asymptote) is
+an empty cell.  No cell needs quoting.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -24,7 +29,7 @@ import platform
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,19 +65,9 @@ class ExperimentSpec:
     resolved: dict
     output_dir: Path
     use_mc: bool
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".12g")
-
-
-def _curve_rows(x, analytic=None, asymptotic=None, mc=None, lo=None, hi=None):
-    def pick(seq, i):
-        return None if seq is None else seq[i]
-    return [(xi, pick(analytic, i), pick(asymptotic, i), pick(mc, i), pick(lo, i), pick(hi, i))
-            for i, xi in enumerate(x)]
+    # seconds per stage for the manifest's extras.timings: config_s is set by
+    # the caller, write_s sums the CSV writes
+    timings: dict = field(default_factory=lambda: {"config_s": 0.0, "write_s": 0.0})
 
 
 @functools.cache
@@ -163,8 +158,8 @@ def _run_wdist(spec: ExperimentSpec, files: dict, extras: dict) -> None:
         mc_pdf = np.interp(grid, centers, hist)
         mc_cdf = empirical_cdf(samples)(grid)
         extras["mc_trials"] = spec.plan.trials
-    _emit(spec, files, "wdist_pdf", "w", _curve_rows(grid, analytic=pdf, mc=mc_pdf))
-    _emit(spec, files, "wdist_cdf", "w", _curve_rows(grid, analytic=cdf, mc=mc_cdf))
+    _emit(spec, files, "wdist_pdf", "w", grid, analytic=pdf, mc=mc_pdf)
+    _emit(spec, files, "wdist_cdf", "w", grid, analytic=cdf, mc=mc_cdf)
     extras["mu_bar"], extras["sigma2_bar"], extras["xi"] = tn.mu_bar, tn.sigma2_bar, tn.xi
 
 
@@ -180,7 +175,7 @@ def _run_snrcdf(spec: ExperimentSpec, files: dict, extras: dict) -> None:
         samples = cfg.gamma_bar * _timed_mc(extras, simulate_snr_samples, cfg, spec.plan)
         mc = empirical_cdf(samples)(y)
         extras["ks_distance"] = float(np.max(np.abs(mc - analytic)))
-    _emit(spec, files, "snrcdf", "gamma_db", _curve_rows(grid_db, analytic=analytic, mc=mc))
+    _emit(spec, files, "snrcdf", "gamma_db", grid_db, analytic=analytic, mc=mc)
 
 
 def _asymptote(extras: dict, fit, **report):
@@ -225,14 +220,14 @@ def _floor_curves(spec: ExperimentSpec, files: dict, extras: dict, kind: str, na
     the MC estimate."""
     sweep = spec.resolved["sweep"]["values"]
     gamma_bars = _gamma_bars(sweep)
-    curves = {name: _curve_rows(sweep, analytic=analytic(gamma_bars)),
-              "asymptotic": _curve_rows(sweep, asymptotic=_asymptote_column(
-                  evaluator, gamma_bars, extras))}
+    # the column keywords of each curve file, by file-name suffix
+    curves = {name: {"analytic": analytic(gamma_bars)},
+              "asymptotic": {"asymptotic": _asymptote_column(evaluator, gamma_bars, extras)}}
     if spec.use_mc:
-        curves["mc"] = _curve_rows(sweep, **_mc_sweep(gamma_bars, _timed_mc(
-            extras, simulate_snr_samples, spec.config, spec.plan), estimator))
-    for suffix, rows in curves.items():
-        _emit(spec, files, f"{kind}_{suffix}", "gamma_bar_db", rows)
+        curves["mc"] = _mc_sweep(gamma_bars, _timed_mc(
+            extras, simulate_snr_samples, spec.config, spec.plan), estimator)
+    for suffix, columns in curves.items():
+        _emit(spec, files, f"{kind}_{suffix}", "gamma_bar_db", sweep, **columns)
 
 
 def _rate_percent(snr_pair: np.ndarray) -> Estimate:
@@ -257,8 +252,8 @@ def _run_quantization(spec: ExperimentSpec, files: dict, extras: dict) -> None:
             analytic = 100.0 * (qb.lower + qb.upper) / (cb.lower + cb.upper)
             if spec.use_mc:
                 mc = _mc_sweep(gamma_bars, rows[[0, k]], _rate_percent)
-            _emit(spec, files, f"quantization_b{bits}_n{n}", "gamma_bar_db",
-                  _curve_rows(sweep, analytic=analytic, **mc))
+            _emit(spec, files, f"quantization_b{bits}_n{n}", "gamma_bar_db", sweep,
+                  analytic=analytic, **mc)
 
 
 def _correlation_config(resolved: dict, n: int) -> CorrelationConfig:
@@ -277,7 +272,7 @@ def _run_correlation(spec: ExperimentSpec, files: dict, extras: dict) -> None:
              for n in n_values] if spec.use_mc else []
     for s in (1, 2):
         mc = _mc_columns([r[s] for r in rates]) if spec.use_mc else {}
-        _emit(spec, files, f"correlation_scheme{s}", "n_elements", _curve_rows(n_values, **mc))
+        _emit(spec, files, f"correlation_scheme{s}", "n_elements", n_values, **mc)
 
 
 def _rate_curves(spec: ExperimentSpec, files: dict, extras: dict, prefix: str) -> None:
@@ -289,28 +284,41 @@ def _rate_curves(spec: ExperimentSpec, files: dict, extras: dict, prefix: str) -
               else [(replace(cfg, n_elements=n), cfg.gamma_bar) for n in sweep])
     bounds = [rate_bounds(c, gamma_bars) for c, gamma_bars in points]
     for side in ("lower", "upper"):
-        _emit(spec, files, f"{prefix}_{side}", unit,
-              _curve_rows(sweep, analytic=np.hstack([getattr(b, side) for b in bounds])))
+        _emit(spec, files, f"{prefix}_{side}", unit, sweep,
+              analytic=np.hstack([getattr(b, side) for b in bounds]))
     if spec.use_mc:
         estimates = []
         for c, gamma_bars in points:
             unit_samples = _timed_mc(extras, simulate_snr_samples, c, spec.plan)
             estimates += [empirical_rate(gb * unit_samples) for gb in np.atleast_1d(gamma_bars)]
-        _emit(spec, files, f"{prefix}_mc", unit, _curve_rows(sweep, **_mc_columns(estimates)))
+        _emit(spec, files, f"{prefix}_mc", unit, sweep, **_mc_columns(estimates))
 
 
 _run_rate = functools.partial(_rate_curves, prefix="rate")
 _run_sweep = functools.partial(_rate_curves, prefix="sweep_rate")
 
 
-def _emit(spec: ExperimentSpec, files: dict, name: str, x_unit: str, rows) -> None:
-    """Write curve ``name`` to ``<name>.csv`` and list it in the manifest's files."""
+_HEADER_LINE = ",".join(CSV_HEADER)
+
+
+def _cells(values) -> list[str]:
+    return ["" if v is None else "%.12g" % v for v in values]
+
+
+def _emit(spec: ExperimentSpec, files: dict, name: str, x_unit: str, x, analytic=None,
+          asymptotic=None, mc=None, lo=None, hi=None) -> None:
+    """Write curve ``name`` to ``<name>.csv`` in the format of the module
+    docstring, one row per entry of ``x``, and list it in the manifest's files.
+    A column left None is blank in every row."""
+    started = time.perf_counter()
     files[name] = f"{name}.csv"
-    with (spec.output_dir / files[name]).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([x_unit, _fmt(row[0])] + [_fmt(v) for v in row[1:]])
+    blank = [""] * len(x)
+    columns = [[x_unit] * len(x), _cells(x)] + [
+        blank if col is None else _cells(col) for col in (analytic, asymptotic, mc, lo, hi)]
+    rows = [",".join(row) for row in zip(*columns)]
+    (spec.output_dir / files[name]).write_text("\r\n".join([_HEADER_LINE, *rows, ""]),
+                                              newline="")
+    spec.timings["write_s"] += time.perf_counter() - started
 
 
 _RUNNERS = {kind: globals()[f"_run_{kind}"] for kind in KINDS}
@@ -322,7 +330,12 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     started = time.time()
     files: dict[str, str] = {}
     extras: dict[str, object] = {}
+    spec.timings["write_s"] = 0.0
+    run_started = time.perf_counter()
     _RUNNERS[spec.kind](spec, files, extras)
+    compute_s = time.perf_counter() - run_started - spec.timings["write_s"]
+    extras["timings"] = {key: round(seconds, 4)
+                         for key, seconds in {**spec.timings, "compute_s": compute_s}.items()}
     manifest = {
         "experiment": {
             "kind": spec.kind,
@@ -342,12 +355,11 @@ def run_experiment(spec: ExperimentSpec) -> Path:
         "extras": extras,
     }
     path = spec.output_dir / "manifest.json"
-    with path.open("w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=float) + "\n")
     return path
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irslink",
@@ -366,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        started = time.perf_counter()
         raw = load_config_file(args.config)
         for key, val in (("seed", args.seed), ("trials", args.trials),
                          ("workers", args.workers)):
@@ -374,8 +387,9 @@ def main(argv=None) -> int:
         cfg, resolved = validate_config(raw, args.kind)
         plan = SimPlan(trials=resolved["trials"], seed=resolved["seed"],
                        workers=resolved["workers"])
-        manifest = run_experiment(ExperimentSpec(args.kind, cfg, plan, resolved,
-                                                 Path(args.out), not args.no_mc))
+        spec = ExperimentSpec(args.kind, cfg, plan, resolved, Path(args.out), not args.no_mc)
+        spec.timings["config_s"] = time.perf_counter() - started
+        manifest = run_experiment(spec)
     except (ConfigError, UnsupportedShapeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -238,28 +238,22 @@ def _maximize_objective(fun, params: np.ndarray, lo: float, hi: float, grid: int
                         tol: float = 1e-10) -> np.ndarray:
     """Maximizers over [lo, hi] of ``fun(theta, p)`` for every entry p of
     ``params``: a grid scan of all entries as one (entries x grid) array, then
-    golden-section refinement of each entry's best bracket.  All entries step
-    together; each keeps the midpoint of the first bracket within ``tol``."""
+    rescans of each entry's best bracket [x[i-1], x[i+1]] on 64 nodes, all
+    entries in one (entries x 64) array per level, until every bracket is at
+    most ``tol`` wide (about 5 levels from the scan).  Returns the midpoints
+    of the last brackets."""
     xs = np.linspace(lo, hi, grid)
     vals = fun(xs, params[:, None])
     if not np.all(np.isfinite(vals)):
         raise NumericalConsistencyError("SER bound objective is not finite on the scan grid")
     i = np.argmax(vals, axis=1)
     a, b = xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, grid - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = fun(c, params), fun(d, params)
-    theta = np.where(b - a > tol, np.nan, 0.5 * (a + b))
-    while np.isnan(theta).any():
-        left = fc > fd  # drop [d, b]; else drop [a, c]
-        b, a = np.where(left, d, b), np.where(left, a, c)
-        width = b - a
-        x = np.where(left, b - invphi * width, a + invphi * width)
-        fx = fun(x, params)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-        theta = np.where(np.isnan(theta) & (width <= tol), 0.5 * (a + b), theta)
-    return theta
+    nodes, rows = np.linspace(0.0, 1.0, 64), np.arange(params.size)
+    while np.any(b - a > tol):
+        xs = a[:, None] + (b - a)[:, None] * nodes
+        i = np.argmax(fun(xs, params[:, None]), axis=1)
+        a, b = xs[rows, np.maximum(i - 1, 0)], xs[rows, np.minimum(i + 1, nodes.size - 1)]
+    return 0.5 * (a + b)
 
 
 def ser_upper_bound(cfg: SystemConfig, gamma_bar):

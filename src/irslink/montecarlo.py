@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import betaincinv
 
 from .channel import SystemConfig, nakagami_sample
 from .specfun import gaussian_q
@@ -203,18 +204,17 @@ def _mean_estimate(values: np.ndarray) -> Estimate:
 
 
 def empirical_outage(samples: np.ndarray, gamma_th: float) -> Estimate:
-    """Proportion of trials below threshold, with a binomial 95% CI: the normal
-    one, or at 0 or n of n trials the Clopper-Pearson end of the two-sided one."""
+    """Proportion of the k of n trials below threshold, with the exact
+    (Clopper-Pearson) two-sided 95% binomial CI: the 2.5% and 97.5% quantiles
+    of Beta(k, n-k+1) and Beta(k+1, n-k), with 0 at k = 0 and 1 at k = n."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("empirical_outage requires a nonempty sample")
     n = samples.size
     k = np.count_nonzero(samples <= gamma_th)
-    p, end = float(k) / n, math.log(0.025) / n  # 0.025**(1/n) = exp(end)
-    if k in (0, n):
-        return Estimate(p, 0.0, -math.expm1(end)) if k == 0 else Estimate(p, math.exp(end), 1.0)
-    half = _Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
-    return Estimate(p, max(p - half, 0.0), min(p + half, 1.0))
+    low = float(betaincinv(k, n - k + 1, 0.025)) if k > 0 else 0.0
+    high = float(betaincinv(k + 1, n - k, 0.975)) if k < n else 1.0
+    return Estimate(float(k) / n, low, high)
 
 
 def empirical_rate(samples: np.ndarray) -> Estimate:

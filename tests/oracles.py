@@ -22,6 +22,13 @@ from irslink.specfun import log_gaussian_q
 PHASOR_ERROR = 2.0**-22
 
 
+def rician_to_nakagami(k_factor: float) -> float:
+    """Shape of the Nakagami approximation to Rician fading with factor K."""
+    if k_factor < 0:
+        raise ValueError("Rician K-factor must be nonnegative")
+    return (k_factor + 1.0) ** 2 / (2.0 * k_factor + 1.0)
+
+
 def float32_trig_bound(v, reach, per_term):
     """Bound on the change of the unit-SNR ``|v + S|^2`` when every term of
     the sum S moves by at most ``per_term`` times its bound and those bounds

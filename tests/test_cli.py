@@ -6,6 +6,8 @@ import io
 import json
 import math
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +282,22 @@ def test_manifest_records_the_numeric_stack(tmp_path):
     assert artifact["trig_dispatch"]
 
 
+def test_manifest_records_where_the_time_went(tmp_path):
+    code, out = run_cli(tmp_path, "outage", {"trials": 2000, "sweep": {"values": [0.0, 20.0]}})
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    timings = manifest["extras"]["timings"]
+    assert sorted(timings) == ["compute_s", "config_s", "write_s"]
+    assert all(value >= 0 and value == round(value, 4) for value in timings.values())
+    # the timings are extras: the manifest still reproduces the run's config
+    assert cli.load_config_file(str(out / "manifest.json")) == manifest["experiment"]["config"]
+    (tmp_path / "again").mkdir()
+    code, again = run_cli(tmp_path / "again", "outage", manifest["experiment"]["config"])
+    assert code == 0
+    assert (json.loads((again / "manifest.json").read_text())["experiment"]
+            == manifest["experiment"])
+
+
 @pytest.mark.parametrize("kind,config,runs", [
     ("wdist", {}, [16]),
     ("snrcdf", {}, [16]),
@@ -329,6 +347,73 @@ def test_ser_interval_stays_inside_the_term_range(tmp_path):
     assert code == 0
     row = list(csv.DictReader(io.StringIO(read_csv(out / "ser_mc.csv"))))[0]
     assert 0.0 == float(row["mc_ci_low"]) <= float(row["mc"]) <= float(row["mc_ci_high"]) <= 1.0
+
+
+def _csv_writer_oracle(path, x_unit, rows):
+    """The CSV writer the runner used before it wrote whole columns: one
+    ``csv.writer`` row per point, each value through format(float(v), ".12g")."""
+    def fmt(v):
+        return "" if v is None else format(float(v), ".12g")
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cli.CSV_HEADER)
+        for row in rows:
+            writer.writerow([x_unit] + [fmt(v) for v in row])
+
+
+def test_emit_writes_the_bytes_of_the_csv_writer(tmp_path):
+    values = [None, 0.0, -0.0, 1e-300, 1e300, np.float64(0.1) / 3, np.int64(-7), 12,
+              10**15 + 1, 1.0 / 3.0, np.float64(2.5e-17), math.inf, -math.inf]
+    x = np.arange(len(values), dtype=float) * 1.5 - 3.0
+    columns = {"analytic": values, "asymptotic": None, "mc": values[::-1],
+               "lo": [v if v is None else -v for v in values], "hi": np.asarray(values[1:] + [1])}
+    spec = cli.ExperimentSpec("rate", None, None, {}, tmp_path, False)
+    files = {}
+    cli._emit(spec, files, "curve", "gamma_bar_db", x, **columns)
+    assert files == {"curve": "curve.csv"}
+    _csv_writer_oracle(tmp_path / "oracle.csv", "gamma_bar_db",
+                       zip(x, columns["analytic"], [None] * len(x), columns["mc"],
+                           columns["lo"], columns["hi"]))
+    written = (tmp_path / "curve.csv").read_bytes()
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+    assert written.startswith(b"x_unit,x,analytic,asymptotic,mc,mc_ci_low,mc_ci_high\r\n")
+    # None is an empty cell, and -0.0 keeps its sign
+    assert b"\r\ngamma_bar_db,-3,,,-inf,,0\r\ngamma_bar_db,-1.5,0,,inf,-0,-0\r\n" in written
+    # no points: the header alone
+    cli._emit(spec, files, "empty", "n_elements", [])
+    _csv_writer_oracle(tmp_path / "oracle.csv", "n_elements", [])
+    assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def _fresh_process_outputs(argv) -> dict:
+    """The files ``irslink argv`` writes when run in a process of its own."""
+    src = Path(cli.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-m", "irslink.cli", *argv], cwd=src, check=True,
+                   capture_output=True)
+    return _run_outputs(Path(argv[argv.index("--out") + 1]))
+
+
+def _run_outputs(out: Path) -> dict:
+    """A run's CSV bytes plus its manifest without the time and build fields."""
+    outputs = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+    manifest = json.loads((out / "manifest.json").read_text())
+    outputs["manifest"] = (manifest["experiment"], manifest["files"],
+                           sorted(manifest["extras"]))
+    return outputs
+
+
+@pytest.mark.parametrize("first", [["--no-mc"], ["--seed", "5"]])
+def test_each_call_parses_its_own_options(tmp_path, first):
+    # one process, two calls: no option of the first carries into the second
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trials": 2000, "sweep": {"values": [0.0, 15.0]}}))
+    for i, flags in enumerate((first, [])):
+        argv = ["ser", "--config", str(config), *flags]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--out", str(tmp_path / f"in{i}")]) == 0
+        fresh = _fresh_process_outputs([*argv, "--out", str(tmp_path / f"fresh{i}")])
+        assert _run_outputs(tmp_path / f"in{i}") == fresh
+    assert _run_outputs(tmp_path / "in0") != _run_outputs(tmp_path / "in1")
 
 
 @pytest.mark.parametrize("kind", cli.KINDS)

@@ -241,12 +241,32 @@ class TestEstimators:
         assert every.ci_low == pytest.approx(beta.ppf(0.025, n, 1), rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 137, 500, 999])
-    def test_outage_interval_between_is_the_normal_one(self, k):
+    def test_outage_interval_between_is_clopper_pearson(self, k):
+        # Beta(0.025; k, n-k+1) and Beta(0.975; k+1, n-k) at k of n trials
         samples = np.linspace(1.0, 2.0, 1000)
-        p = float(k) / 1000
-        half = 1.959963984540054 * math.sqrt(max(p * (1.0 - p), 0.0) / 1000)
-        assert empirical_outage(samples, samples[k - 1]) == Estimate(
-            p, max(p - half, 0.0), min(p + half, 1.0))
+        est = empirical_outage(samples, samples[k - 1])
+        assert est.value == float(k) / 1000
+        assert est.ci_low == pytest.approx(beta.ppf(0.025, k, 1000 - k + 1), rel=1e-12)
+        assert est.ci_high == pytest.approx(beta.ppf(0.975, k + 1, 1000 - k), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [25_000, 100_000])
+    def test_outage_interval_ends_rise_with_the_count(self, n):
+        # one more trial below the threshold never lowers either end
+        samples = np.arange(1.0, n + 1.0)
+        ests = [empirical_outage(samples, k + 0.5) for k in range(6)]
+        assert [e.value for e in ests] == [k / n for k in range(6)]
+        for prev, est in zip(ests, ests[1:]):
+            assert prev.ci_low < est.ci_low and prev.ci_high < est.ci_high
+        for est in ests:
+            assert est.ci_low <= est.value <= est.ci_high
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    def test_outage_interval_contains_the_proportion(self, n):
+        samples = np.arange(1.0, n + 1.0)
+        for k in range(n + 1):
+            est = empirical_outage(samples, k + 0.5)
+            assert 0.0 <= est.ci_low <= k / n == est.value <= est.ci_high <= 1.0
+            assert est.ci_low < est.ci_high
 
     def test_empty_sample_errors(self):
         empty = np.array([])

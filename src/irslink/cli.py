@@ -355,7 +355,8 @@ def run_experiment(spec: ExperimentSpec) -> Path:
         "extras": extras,
     }
     path = spec.output_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=float) + "\n")
+    # one line: without indent, json.dumps runs the C encoder
+    path.write_text(json.dumps(manifest, sort_keys=True, default=float) + "\n")
     return path
 
 

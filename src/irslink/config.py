@@ -10,7 +10,6 @@ quantities carry a ``_db`` key suffix, angles a ``_deg`` one.
 
 from __future__ import annotations
 
-import copy
 import math
 from pathlib import Path
 
@@ -53,13 +52,25 @@ DEFAULT_CONFIG = {
 }
 
 
+def _copy(value):
+    """``value`` with every dict and list in it rebuilt; YAML leaves are
+    immutable scalars, so nothing else needs a copy."""
+    if isinstance(value, dict):
+        return {key: _copy(val) for key, val in value.items()}
+    if isinstance(value, list):
+        return [_copy(val) for val in value]
+    return value
+
+
 def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
+    """``override`` merged over ``base``, in base's key order, built of new
+    dicts and lists as it goes: the result shares no container with either."""
+    out = {}
+    for key, val in {**base, **override}.items():
+        if key in override and isinstance(val, dict) and isinstance(base.get(key), dict):
+            out[key] = _merge(base[key], val)
         else:
-            out[key] = val
+            out[key] = _copy(val)
     return out
 
 
@@ -105,14 +116,19 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
     """The link of ``raw`` merged over the defaults, and the resolved mapping.
 
     Every field a run of ``kind`` reads is checked and written back cast into
-    the resolved mapping, a deep copy that shares nothing with ``raw`` or
-    ``DEFAULT_CONFIG``; every violation is aggregated into one ConfigError.
+    the resolved mapping, whose dicts and lists are all new, so it shares no
+    container with ``raw`` or ``DEFAULT_CONFIG``; every violation is
+    aggregated into one ConfigError.
     """
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(["configuration root must be a mapping"])
-    resolved = copy.deepcopy(_merge(DEFAULT_CONFIG, raw))
+    try:
+        resolved = _merge(DEFAULT_CONFIG, raw)
+    except RecursionError:
+        # a YAML alias can put a node inside itself
+        raise ConfigError(["configuration contains itself or nests too deeply"]) from None
     errors = []
 
     def grab(path, cast, check=None, message=None, many=False):

@@ -14,6 +14,13 @@ Scheme-2 co-phases against the correlated entries (the phases the
 correlation square roots contribute included), achieving the per-element
 modulus sum; Scheme-1 reuses the phases of the uncorrelated draws and pays
 the misalignment penalty.
+
+A Monte-Carlo chunk draws its amplitudes and phases whole, in stream order,
+then evaluates them in blocks of ``montecarlo._BLOCK_ROWS`` trials: the
+phasors, correlated legs and terms of a block live in block-sized buffers,
+so a thread holds the chunk's four draw buffers and at most about 5.5
+(trials x N) float64 buffers in all.  Each SNR is a sum over one row, the
+same reduction on a block as on the whole chunk, so blocking changes no bit.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ import numpy as np
 
 from .channel import SystemConfig, nakagami_sample
 from .errors import NumericalConsistencyError
-from .montecarlo import Estimate, SimPlan, _mean_estimate, chunk_rng, map_chunks
+from .montecarlo import (_BLOCK_ROWS, Estimate, SimPlan, _mean_estimate, chunk_rng,
+                         map_chunks)
 
 __all__ = [
     "AngleSpread",
@@ -168,23 +176,18 @@ def _kron_right(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return grid.reshape(x.shape)
 
 
-def _cophased_leg(m: float, zeta: float, rng: np.random.Generator, shape, p: np.ndarray,
-                  q: np.ndarray) -> np.ndarray:
-    """One leg drawn i.i.d. as rows ``x = a * u`` (Nakagami amplitude a, unit
-    phasor u), correlated as ``x @ kron(p, q)`` and turned back by ``conj(u)``.
+def _turned_leg(u: np.ndarray, amp: np.ndarray, phase: np.ndarray, p: np.ndarray,
+                q: np.ndarray) -> np.ndarray:
+    """Rows ``x = amp * u`` of one leg, u the unit phasors of ``phase``,
+    correlated as ``x @ kron(p, q)`` and turned back by ``conj(u)``.
 
-    u is evaluated at float32 precision (numpy's float32 SIMD cos/sin, widened
-    into the complex128 buffer), which is equivalent to perturbing each phase
-    by at most about 2**-22 rad; draws and products stay float64, and results
-    stay identical for any worker count."""
-    amp = nakagami_sample(m, zeta, rng, shape)
-    phase = rng.uniform(-math.pi, math.pi, shape)
-    u = np.empty(shape, dtype=complex)
+    u is evaluated at float32 precision (numpy's float32 SIMD cos/sin) into
+    the complex64 scratch ``u``, which holds it exactly, and widened where it
+    multiplies; that is equivalent to perturbing each phase by at most about
+    2**-22 rad, while draws and products stay float64."""
     np.cos(phase, out=u.real, dtype=np.float32, casting="same_kind")
     np.sin(phase, out=u.imag, dtype=np.float32, casting="same_kind")
-    x = u * amp
-    del amp, phase  # keeps at most four (count x N) buffers per leg alive
-    rows = _kron_right(x, p, q)
+    rows = _kron_right(u * amp, p, q)
     rows *= np.conjugate(u, out=u)
     return rows
 
@@ -202,13 +205,24 @@ def _scheme_snr_chunk(cfg: SystemConfig, mats: CorrelationMatrices, seed: int,
     rng = chunk_rng(seed, index)
     shape = (count, cfg.n_elements)
     v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
+    amp_g = nakagami_sample(cfg.g.m, cfg.g.zeta, rng, shape)
+    phase_g = rng.uniform(-math.pi, math.pi, shape)
+    amp_h = nakagami_sample(cfg.h.m, cfg.h.zeta, rng, shape)
+    phase_h = rng.uniform(-math.pi, math.pi, shape)
     dep, arr = mats.departure, mats.arrival
-    # rows g^T -> g^T R_D^(1/2)
-    terms = _cophased_leg(cfg.g.m, cfg.g.zeta, rng, shape, dep.az, dep.el)
-    # rows h^T -> (R_A^(1/2) h)^T = h^T kron(az, el)^T
-    terms *= _cophased_leg(cfg.h.m, cfg.h.zeta, rng, shape, arr.az.T, arr.el.T)
-    terms *= cfg.eta
-    return np.stack([np.abs(v + terms.sum(axis=1)) ** 2, (v + np.abs(terms).sum(axis=1)) ** 2])
+    snr = np.empty((2, count))
+    phasor = np.empty((min(count, _BLOCK_ROWS), cfg.n_elements), dtype=np.complex64)
+    for start in range(0, count, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        u = phasor[:min(count - start, _BLOCK_ROWS)]
+        # rows g^T -> g^T R_D^(1/2)
+        terms = _turned_leg(u, amp_g[block], phase_g[block], dep.az, dep.el)
+        # rows h^T -> (R_A^(1/2) h)^T = h^T kron(az, el)^T
+        terms *= _turned_leg(u, amp_h[block], phase_h[block], arr.az.T, arr.el.T)
+        terms *= cfg.eta
+        snr[0, block] = np.abs(v[block] + terms.sum(axis=1)) ** 2
+        snr[1, block] = (v[block] + np.abs(terms).sum(axis=1)) ** 2
+    return snr
 
 
 def simulate_scheme_rates(cfg: SystemConfig, corr: CorrelationConfig,

@@ -6,6 +6,13 @@ depends only on the element count, so which thread runs a chunk, and how many
 workers there are, never changes a draw: results are bit-identical for any
 worker count and chunks can run on a thread pool.
 
+A chunk is drawn whole, in stream order, and a kernel with phases then
+evaluates it in blocks of ``_BLOCK_ROWS`` trials, reusing block-sized scratch.
+Every per-trial sum is over one row, the same reduction on a block as on the
+whole chunk, so blocking changes no bit, and a thread holds little beyond the
+chunk's draws: with quantization widths, at most 2.5 (trials x N) float64
+buffers.
+
 Unit phasors (the cos and sin of a phase) are evaluated at float32 precision
 and widened into float64 buffers; every draw, product and sum stays float64.
 That is equivalent to perturbing each phase by at most about 2**-22 rad, and
@@ -93,9 +100,15 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _chunk_size(n_elements: int) -> int:
     """Trials per chunk: each (trials x N) float64 buffer is about 2 MB, so a
-    chunk's buffers stay cache-sized and a run splits into many chunks that
-    the workers share evenly.  The streams depend on it."""
+    chunk's draws stay a few MB per thread and a run splits into many chunks
+    that the workers share evenly.  The streams depend on it."""
     return max(256, (1 << 18) // n_elements)
+
+
+# Trials per evaluation block of a chunk: a block's scratch is a small part
+# of the chunk's buffers and stays in cache while its rows are evaluated.
+# Outputs do not depend on it.
+_BLOCK_ROWS = 256
 
 
 def map_chunks(kernel: Callable[[int, int], np.ndarray], trials: int, n_elements: int,
@@ -134,14 +147,15 @@ def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) ->
     """SNR samples per unit transmit SNR of one chunk: (v + W)^2 with continuous
     phases, then (v + W_R)^2 + W_I^2 per quantization width; flat without widths.
 
-    The cos and sin of the phase errors run in numpy's float32 SIMD loops,
-    which take the float64 errors in small cast blocks and widen the result
-    into the float64 buffer, so no (count x N) float32 array is allocated."""
+    The phase errors are evaluated in blocks of ``_BLOCK_ROWS`` trials: per
+    block and width, the scaled errors and their cos, then sin, go through
+    two block-sized float64 scratch buffers.  The cos and sin run in numpy's
+    float32 SIMD loops, which take the float64 errors in small cast blocks and
+    widen the result into the float64 scratch."""
     rng = chunk_rng(plan.seed, index)
     widths = plan.quantization_bits
     rows = np.empty((1 + len(widths), count))
     v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
-    # In place on (count, N) buffers: at most four are alive per chunk.
     prod = _reflected_products(cfg, rng, count)
     rows[0] = (v + prod.sum(axis=1)) ** 2
     if widths:
@@ -152,16 +166,21 @@ def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) ->
         base = min(widths)
         tau = math.pi / 2**base
         widest = rng.uniform(-tau, tau, (count, cfg.n_elements))
-        eps, trig = np.empty_like(widest), np.empty_like(widest)
-        for row, bits in enumerate(widths, 1):
-            np.multiply(widest, 2.0 ** (base - bits), out=eps)
-            np.cos(eps, out=trig, dtype=np.float32, casting="same_kind")
-            trig *= prod
-            w_re = trig.sum(axis=1)
-            np.sin(eps, out=trig, dtype=np.float32, casting="same_kind")
-            trig *= prod
-            w_im = trig.sum(axis=1)
-            rows[row] = (v + w_re) ** 2 + w_im**2
+        eps = np.empty((min(count, _BLOCK_ROWS), cfg.n_elements))
+        trig = np.empty_like(eps)
+        for start in range(0, count, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            size = min(count - start, _BLOCK_ROWS)
+            e, t = eps[:size], trig[:size]
+            for row, bits in enumerate(widths, 1):
+                np.multiply(widest[block], 2.0 ** (base - bits), out=e)
+                np.cos(e, out=t, dtype=np.float32, casting="same_kind")
+                t *= prod[block]
+                w_re = t.sum(axis=1)
+                np.sin(e, out=t, dtype=np.float32, casting="same_kind")
+                t *= prod[block]
+                w_im = t.sum(axis=1)
+                rows[row, block] = (v[block] + w_re) ** 2 + w_im**2
     return rows if widths else rows[0]
 
 

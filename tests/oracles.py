@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from irslink.channel import LinkParams, SystemConfig
 from irslink.cltapprox import TruncatedNormal, w_stats
+from irslink.montecarlo import _BLOCK_ROWS
 from irslink.snrdist import SnrCdfParams, envelope_pdf
 from irslink.specfun import log_gaussian_q
 
@@ -20,6 +21,10 @@ from irslink.specfun import log_gaussian_q
 # numpy's float32 cos and sin are accurate to 1.5 ulp, and an ulp is 2**-24
 # below 1 in magnitude.  Widening to float64 is exact.  Together: below 2**-22.
 PHASOR_ERROR = 2.0**-22
+
+# Chunk sizes at which a blocked kernel must equal its full-chunk expressions:
+# one trial, each side of one block, and chunks that end in a partial block.
+BLOCK_EDGE_COUNTS = [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 700, 1820]
 
 
 def rician_to_nakagami(k_factor: float) -> float:

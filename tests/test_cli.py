@@ -243,6 +243,18 @@ def test_element_counts_below_one_are_config_errors(tmp_path, capsys, kind, conf
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["quantization:\n  bits: &a [1, *a]\n",
+                                  "notes: &a {again: *a}\n"], ids=["checked", "unchecked"])
+def test_a_config_that_contains_itself_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "config.yaml"
+    path.write_text(text)  # a YAML alias inside the node it names
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["quantization", "--no-mc", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "contains itself" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind,fading", [("outage", {"m_g": 3.0, "m_h": 3.0}),
                                          ("ser", {"m_g": 3.0, "m_h": 3.0}),
                                          ("outage", {"m_g": 3.0, "m_h": 3.25})])

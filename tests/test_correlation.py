@@ -12,7 +12,7 @@ from irslink.correlation import (AngleSpread, CorrelationConfig, CorrelationMatr
                                  simulate_scheme_rates)
 from irslink.errors import NumericalConsistencyError
 from irslink.montecarlo import SimPlan, chunk_rng
-from oracles import PHASOR_ERROR, float32_trig_bound, optimal_snr
+from oracles import BLOCK_EDGE_COUNTS, PHASOR_ERROR, float32_trig_bound, optimal_snr
 
 
 def correlated_snr(v_amp: float, phi_v: float, g_vec: np.ndarray, h_vec: np.ndarray,
@@ -230,7 +230,42 @@ def chunk_draws(cfg, seed, index, count, trig_dtype=np.float32):
     return v, leg(cfg.g.m, cfg.g.zeta), leg(cfg.h.m, cfg.h.zeta)
 
 
+def full_chunk_snr(cfg, mats, seed, index, count):
+    """The scheme kernel as plain expressions on the whole chunk at once:
+    each leg is one (count x N) complex128 array, drawn, correlated and
+    turned back as the blocked kernel does it block by block.  The complex
+    products stay in place where the kernel's are: numpy's complex multiply
+    can round the last bit differently in place than into a new array."""
+    rng = chunk_rng(seed, index)
+    shape = (count, cfg.n_elements)
+    v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
+
+    def leg(m, zeta, p, q):
+        amp = nakagami_sample(m, zeta, rng, shape)
+        phase = rng.uniform(-math.pi, math.pi, shape)
+        u = np.empty(shape, dtype=complex)
+        np.cos(phase, out=u.real, dtype=np.float32, casting="same_kind")
+        np.sin(phase, out=u.imag, dtype=np.float32, casting="same_kind")
+        rows = _kron_right(u * amp, p, q)
+        rows *= np.conjugate(u)
+        return rows
+
+    dep, arr = mats.departure, mats.arrival
+    terms = leg(cfg.g.m, cfg.g.zeta, dep.az, dep.el)
+    terms *= leg(cfg.h.m, cfg.h.zeta, arr.az.T, arr.el.T)
+    terms *= cfg.eta
+    return np.stack([np.abs(v + terms.sum(axis=1)) ** 2, (v + np.abs(terms).sum(axis=1)) ** 2])
+
+
 class TestSchemeKernel:
+    @pytest.mark.parametrize("n", [15, 144])
+    @pytest.mark.parametrize("count", BLOCK_EDGE_COUNTS)
+    def test_blocked_rows_equal_the_full_chunk_expressions(self, count, n):
+        corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
+        cfg, mats = unit_cfg(n), build_correlation(corr)
+        np.testing.assert_array_equal(_scheme_snr_chunk(cfg, mats, 23, 1, count),
+                                      full_chunk_snr(cfg, mats, 23, 1, count))
+
     def test_matches_the_oracle_per_realization(self):
         corr = small_corr()
         n, mats = corr.n_total, build_correlation(corr)

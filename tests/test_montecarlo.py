@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from irslink.montecarlo import (Estimate, SimPlan, _chunk_size, _simulate_chunk,
                                 empirical_rate, empirical_rate_ratio, simulate_snr_samples)
 from irslink.snrdist import SnrCdfParams
 from irslink.specfun import gaussian_q
-from oracles import PHASOR_ERROR, fit_loglog_slope, float32_trig_bound
+from oracles import BLOCK_EDGE_COUNTS, PHASOR_ERROR, fit_loglog_slope, float32_trig_bound
 
 
 def unit_config(n, m_v=1.0, m_g=1.0, m_h=2.0, eta=0.9, gamma_bar_db=0.0):
@@ -61,6 +62,17 @@ class TestSimulation:
         chunk = _simulate_chunk(cfg, plan, 2, 700)
         np.testing.assert_array_equal(chunk if bits is None else chunk[1],
                                       reference_chunk(cfg, plan, 2, 700))
+
+    @pytest.mark.parametrize("n", [9, 128])
+    @pytest.mark.parametrize("count", BLOCK_EDGE_COUNTS)
+    def test_blocked_rows_equal_the_full_chunk_expressions(self, count, n):
+        cfg = unit_config(n, m_v=1.5, m_g=2.0, m_h=3.0, eta=0.75)
+        plan = SimPlan(trials=1, seed=13)
+        rows = _simulate_chunk(cfg, replace(plan, quantization_bits=(1, 3)), 2, count)
+        np.testing.assert_array_equal(rows[0], reference_chunk(cfg, plan, 2, count))
+        for row, bits in zip(rows[1:], (1, 3)):
+            np.testing.assert_array_equal(
+                row, reference_chunk(cfg, replace(plan, quantization_bits=(bits,)), 2, count))
 
     @pytest.mark.parametrize("bits", [1, 3])
     def test_float32_phasors_stay_within_their_ulp_bound(self, bits):
@@ -178,6 +190,40 @@ class TestChunkLayout:
                 assert other == runs[0]
             else:
                 np.testing.assert_array_equal(other, runs[0])
+
+
+def traced_peak(run) -> int:
+    """Peak bytes allocated during ``run()`` beyond those held before it, as
+    tracemalloc sees them (numpy reports its buffers to it), after one
+    untraced call."""
+    run()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# (kernel, N, most (chunk x N) float64 buffers alive at once in one chunk)
+WORKING_SETS = [("correlation", 64, 5.5), ("correlation", 144, 5.5),
+                ("quantized", 128, 2.5), ("continuous", 128, 2.2)]
+
+
+@pytest.mark.parametrize("kernel,n,bound", WORKING_SETS)
+def test_chunk_working_set_stays_within_its_bound(kernel, n, bound):
+    cfg, _ = cli.validate_config({"n_elements": n})
+    count = _chunk_size(n)
+    if kernel == "correlation":
+        mats = correlation.build_correlation(correlation_config(n))
+        peak = traced_peak(lambda: correlation._scheme_snr_chunk(cfg, mats, 7, 0, count))
+    else:
+        plan = SimPlan(trials=count, seed=7,
+                       quantization_bits=(1, 3) if kernel == "quantized" else ())
+        peak = traced_peak(lambda: _simulate_chunk(cfg, plan, 0, count))
+    assert peak <= bound * count * n * 8
 
 
 class TestEstimators:

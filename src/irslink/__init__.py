@@ -1,8 +1,8 @@
 """Performance analysis of a reflective-surface-aided link over Nakagami-m fading.
 
-Closed-form SNR distribution, outage/rate/SER metrics with high-SNR
-asymptotics, and a deterministic Monte-Carlo oracle that every analytic
-expression is validated against.
+The SNR law of the truncated-normal model, outage/rate/SER metrics with
+high-SNR asymptotics, and a deterministic Monte-Carlo oracle that every
+analytic expression is validated against.
 """
 
 __version__ = "0.1.0"
@@ -11,12 +11,11 @@ from .channel import (LinkParams, Modulation, SystemConfig, db_to_linear, nakaga
                       path_loss)
 from .cltapprox import (QuantizedWStats, TruncatedNormal, quantized_w_stats, w_mean_var,
                         w_moment, w_stats)
-from .errors import (ConfigError, IrsLinkError, NumericalConsistencyError,
-                     UnsupportedShapeError)
+from .errors import ConfigError, IrsLinkError, NumericalConsistencyError
 from .metrics import (AsymptoticResult, RateBounds, asymptotic_outage, asymptotic_rate,
                       asymptotic_ser, outage_probability, quantized_rate_bounds,
                       rate_bounds, ser_upper_bound)
 from .montecarlo import (Estimate, SimPlan, empirical_ber, empirical_cdf, empirical_outage,
                          empirical_rate, empirical_rate_ratio, simulate_snr_samples)
-from .snrdist import SnrCdfParams, envelope_pdf, optimal_phases, snr_cdf, snr_pdf
-from .specfun import JParams, cal_i, cal_j, gamma_upper, gaussian_q
+from .snrdist import SnrCdfParams, envelope_pdf, snr_cdf, snr_pdf
+from .specfun import cal_i, gaussian_q

@@ -75,7 +75,9 @@ class SystemConfig:
     ``h.zeta``, so every sum over the elements is N times one term.
     :func:`irslink.config.validate_config` builds the link of a config, with
     leg gains from :func:`path_loss` of its geometry.  ``gamma_bar_db`` is the
-    operating point of the runs that do not sweep it; no law or sampler reads it.
+    operating point of the runs that do not sweep it.  The SNR law and the
+    Monte-Carlo samplers of :mod:`irslink.montecarlo` work per unit transmit
+    SNR; :func:`irslink.correlation.simulate_scheme_rates` reads it.
     """
 
     n_elements: int

@@ -40,7 +40,7 @@ from .channel import SystemConfig, db_to_linear
 from .config import DEFAULT_CONFIG, load_config_file, validate_config  # noqa: F401
 from .cltapprox import w_stats
 from .correlation import AngleSpread, CorrelationConfig, simulate_scheme_rates
-from .errors import ConfigError, NumericalConsistencyError, UnsupportedShapeError
+from .errors import ConfigError, NumericalConsistencyError
 from .metrics import (asymptotic_outage, asymptotic_ser, outage_probability,
                       quantized_rate_bounds, rate_bounds, ser_upper_bound)
 from .montecarlo import (BIT_GENERATOR, Estimate, SimPlan, _chunk_size, empirical_ber,
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
         spec = ExperimentSpec(args.kind, cfg, plan, resolved, Path(args.out), not args.no_mc)
         spec.timings["config_s"] = time.perf_counter() - started
         manifest = run_experiment(spec)
-    except (ConfigError, UnsupportedShapeError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NumericalConsistencyError, OverflowError) as exc:

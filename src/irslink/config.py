@@ -213,12 +213,6 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
         errors.append("correlation.surface_side_m: the element spacing in wavelengths "
                       "underflows to 0")
 
-    if kind in ("snrcdf", "outage") and m_v is not None:
-        if not math.isfinite(2 * m_v) or abs(2 * m_v - round(2 * m_v)) > 1e-12:
-            errors.append(
-                f"fading.m_v: {m_v} has no closed-form SNR distribution; use a "
-                "multiple of 1/2 (0.5, 1, 1.5, ...) or run Monte-Carlo sweeps only")
-
     if errors:
         raise ConfigError(errors)
 

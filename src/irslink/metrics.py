@@ -41,7 +41,7 @@ __all__ = [
 
 def outage_probability(cfg: SystemConfig, gamma_th, gamma_bar):
     """P(optimized SNR <= gamma_th) at the transmit SNR(s) ``gamma_bar``, a
-    float or an array: the closed-form CDF of R^2 at gamma_th / gamma_bar."""
+    float or an array: the CDF of R^2 (``snrdist.snr_cdf``) at gamma_th / gamma_bar."""
     gamma_th, gamma_bar = np.asarray(gamma_th, dtype=float), np.asarray(gamma_bar, dtype=float)
     if np.any(gamma_th <= 0) or np.any(gamma_bar <= 0):
         raise ValueError("gamma_th and gamma_bar must be positive")

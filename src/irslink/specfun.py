@@ -1,11 +1,11 @@
 """Numerically robust special functions and custom Gaussian-tail integrals.
 
-Everything downstream (envelope/SNR distributions, rate and error-rate
-metrics) is assembled from the functions here:
+The metrics use the Gaussian tail probability ``gaussian_q`` (and its stable
+log) and ``cal_i(k, x)``, the integral of t^k exp(-t^2) over [x, inf), for
+the truncated-normal moments.  The rest builds the paper's closed form of the
+SNR law, which the tests use as the reference for ``irslink.snrdist``:
 
 * the upper incomplete gamma integral ``gamma_upper``,
-* the Gaussian tail probability ``gaussian_q`` (and its stable log),
-* ``cal_i(k, x)``  = integral of t^k exp(-t^2) over [x, inf),
 * ``cal_j(k, z)``  = integral of t^(mt-k) exp(-Delta t^2) Gamma((k+1)/2, t^2)
   over [z, inf), parameterized by :class:`JParams`.
 
@@ -14,9 +14,8 @@ lower limits: odd k expands the incomplete gamma factor into a finite
 exponential sum; even k with odd mt integrates by parts; even k with even mt
 (half-integer m_v) splits Gamma(k/2 + 1/2, t^2) into an erfc term, reduced by
 parts to Owen's T function, plus a finite exponential sum.  Negative lower
-limits are rejected: the SNR distribution never integrates across the
-origin.  The test-suite checks each closed form against adaptive quadrature
-of the defining integral (``tests/test_specfun.py``).
+limits are rejected.  The test-suite checks each closed form against adaptive
+quadrature of the defining integral (``tests/test_specfun.py``).
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ from scipy.integrate import quad
 from irslink.channel import LinkParams, SystemConfig
 from irslink.cltapprox import TruncatedNormal, w_stats
 from irslink.montecarlo import _BLOCK_ROWS
-from irslink.snrdist import SnrCdfParams, envelope_pdf
-from irslink.specfun import log_gaussian_q
+from irslink.errors import NumericalConsistencyError
+from irslink.snrdist import SnrCdfParams, _check_probability, envelope_pdf
+from irslink.specfun import (JParams, _exp, cal_i, cal_j, cal_j_between, gamma_upper,
+                             log_gaussian_q)
 
 
 # Bound on each component of |float32 phasor - float64 phasor| for a float64
@@ -41,6 +43,17 @@ def float32_trig_bound(v, reach, per_term):
     |d |v + S|^2| <= 2 |v + S| |dS| + |dS|^2 <= (2 e + e^2) (v + reach)^2,
     with e = ``per_term``."""
     return (2.0 * per_term + per_term**2) * (v + reach) ** 2
+
+
+def optimal_phases(phi_v: float, phi_g, phi_h):
+    """Per-element reflection phases that co-phase everything with the direct path."""
+    phi_g = np.asarray(phi_g, dtype=float)
+    phi_h = np.asarray(phi_h, dtype=float)
+    if phi_g.shape != phi_h.shape:
+        raise ValueError("phase vectors must have equal length")
+    theta = phi_v - (phi_h + phi_g)
+    # wrap into (-pi, pi]
+    return -np.mod(-theta + math.pi, 2.0 * math.pi) + math.pi
 
 
 def optimal_snr(v_amp: float, g_amp, h_amp, eta, gamma_bar: float) -> float:
@@ -170,30 +183,135 @@ def cal_i_scalar(k: int, x: float) -> float:
     return 0.5 * sc.gamma(q) + 0.5 * (-1.0) ** k * float(sc.gammainc(q, x * x) * sc.gamma(q))
 
 
-def envelope_pdf_scalar(r, p: SnrCdfParams):
-    """``snrdist.envelope_pdf`` evaluated point by point with scalar ``cal_i``."""
+@dataclass(frozen=True)
+class ClosedForm:
+    """Constants of the paper's piecewise closed form of the law of R = v + W.
+
+    It convolves v with the *untruncated* normal for W, scaled by xi, so its
+    mass is xi rather than 1, and its binomial expansion needs 2 m_v to be an
+    integer.  Where xi - 1 is below the float resolution it is the library
+    law (``irslink.snrdist``), and the tests compare the two there.
+    """
+
+    law: SnrCdfParams
+
+    def __post_init__(self):
+        if abs(2.0 * self.law.m_v - round(2.0 * self.law.m_v)) > 1e-12:
+            raise ValueError(f"the closed form needs 2*m_v integer, got m_v={self.law.m_v}")
+        if not 0 < self.delta < math.inf:  # direct and reflected spreads too far apart
+            raise NumericalConsistencyError(f"SNR decay rate {self.delta} is not a positive float")
+
+    @property
+    def m_tilde_v(self) -> int:
+        return int(round(2.0 * self.law.m_v - 1.0))
+
+    @property
+    def a(self) -> float:
+        return self.law.m_v / self.law.kappa_v + 0.5 / self.law.tn.sigma2_bar
+
+    @property
+    def delta(self) -> float:
+        return 2.0 * self.law.tn.sigma2_bar * self.a - 1.0
+
+    @property
+    def log_lam(self) -> float:
+        m_v, kappa_v, tn = self.law.m_v, self.law.kappa_v, self.law.tn
+        return (m_v * math.log(m_v) + math.log(tn.xi) - sc.gammaln(m_v) - m_v * math.log(kappa_v)
+                - m_v * math.log(self.a) - 0.5 * math.log(2.0 * math.pi * tn.sigma2_bar))
+
+    @property
+    def j_params(self) -> JParams:
+        return JParams(self.m_tilde_v, self.delta)
+
+    def standardized(self, r):
+        """(r - mu_bar) / (2 sigma2_bar sqrt(a)), the CDF/PDF argument scale."""
+        tn = self.law.tn
+        return (r - tn.mu_bar) / (2.0 * tn.sigma2_bar * math.sqrt(self.a))
+
+
+def closed_envelope_pdf(r, c: ClosedForm):
+    """The paper's closed-form PDF of the envelope (zero for r <= 0)."""
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
-    mtv = p.m_tilde_v
+    inside = ~(r <= 0)  # NaN stays NaN
+    z = c.standardized(r[inside])
+    mtv = c.m_tilde_v
+    total = 0.0
+    for k in range(mtv + 1):
+        total += math.comb(mtv, k) * np.float_power(z, mtv - k) * cal_i(k, -z)
+    out[inside] = 2.0 * _exp(c.log_lam - c.delta * z * z) * total
+    return out if out.shape else float(out)
+
+
+def _closed_cdf_below_mean(r, c: ClosedForm):
+    # Integrate the standardized envelope density from r up to the
+    # reflected mean: each k-term is a finite-interval tail difference.
+    mtv, jp = c.m_tilde_v, c.j_params
+    z_r, z_0 = -c.standardized(r), -c.standardized(0.0)
+    total = 0.0
+    for k in range(mtv + 1):
+        total += math.comb(mtv, k) * (-1.0) ** (mtv - k) * cal_j_between(k, z_r, z_0, jp)
+    return math.exp(c.log_lam) * 2.0 * math.sqrt(c.a) * c.law.tn.sigma2_bar * total
+
+
+def _closed_cdf_above_mean(r, c: ClosedForm):
+    # One minus the upper tail; the even-k boundary term integrates the
+    # complete-gamma part of the density, the cal_j term the rest.
+    mtv, jp = c.m_tilde_v, c.j_params
+    z = c.standardized(r)
+    total = 0.0
+    for k in range(mtv + 1):
+        if k % 2 == 0:
+            q = (mtv - k + 1) / 2.0
+            boundary = (sc.gamma((k + 1) / 2.0) * c.delta ** (-q)
+                        * gamma_upper(q, c.delta * z * z))
+        else:
+            boundary = 0.0
+        total += math.comb(mtv, k) * (boundary - (-1.0) ** k * cal_j(k, z, jp))
+    return 1.0 - math.exp(c.log_lam) * 2.0 * math.sqrt(c.a) * c.law.tn.sigma2_bar * total
+
+
+def closed_snr_cdf(y, c: ClosedForm):
+    """The paper's piecewise closed-form CDF of R^2 = snr / gamma_bar: below
+    the reflected mean the integral from 0, above it one minus the upper tail;
+    clipped to [0, 1] within the 1e-6 slack."""
+    r = np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0))
+    raw = np.zeros(r.shape)
+    below = (r > 0) & (r <= c.law.tn.mu_bar)
+    above = r > c.law.tn.mu_bar
+    if below.any():
+        raw[below] = _closed_cdf_below_mean(r[below], c)
+    if above.any():
+        raw[above] = _closed_cdf_above_mean(r[above], c)
+    out = _check_probability(raw, "closed_snr_cdf")
+    return out if out.shape else float(out)
+
+
+def closed_envelope_pdf_scalar(r, c: ClosedForm):
+    """``closed_envelope_pdf`` evaluated point by point with scalar ``cal_i``."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    mtv = c.m_tilde_v
     for idx in np.ndindex(r.shape):
         ri = r[idx]
         if ri <= 0:
             continue
-        z = p.standardized(ri)
+        z = c.standardized(ri)
         total = 0.0
         for k in range(mtv + 1):
             total += math.comb(mtv, k) * z ** (mtv - k) * cal_i_scalar(k, -z)
-        out[idx] = 2.0 * math.exp(p.log_lam - p.delta * z * z) * total
+        out[idx] = 2.0 * math.exp(c.log_lam - c.delta * z * z) * total
     return out if out.shape else float(out)
 
 
 def snr_cdf_quadrature(y, p: SnrCdfParams):
-    """``snrdist.snr_cdf`` by quadrature of the closed-form envelope PDF from 0
-    to sqrt(y), y = snr / gamma_bar, split at the reflected mean; not clipped."""
+    """``snrdist.snr_cdf`` by adaptive quadrature of the library's envelope
+    density from 0 to sqrt(y), y = snr / gamma_bar, split at the reflected
+    mean; relative accuracy only (``epsabs=0``), not clipped."""
     r = np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0))
     out, mu = np.zeros(r.shape), p.tn.mu_bar
     for idx in np.ndindex(r.shape):
-        out[idx] = sum(quad(lambda t: envelope_pdf(t, p), lo, hi, epsabs=1e-12, epsrel=1e-10,
+        out[idx] = sum(quad(lambda t: envelope_pdf(t, p), lo, hi, epsabs=0.0, epsrel=1e-11,
                             limit=300)[0]
                        for lo, hi in ((0.0, min(r[idx], mu)), (mu, r[idx])) if hi > lo)
     return out if out.shape else float(out)

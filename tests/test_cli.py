@@ -281,6 +281,43 @@ def test_undefined_asymptote_is_left_blank(tmp_path, kind, fading):
             per_point(cfg, plan, lambda s: empirical_outage(s, 10.0), [0.0, 20.0]))
 
 
+def analytic_column(out, name):
+    rows = csv.DictReader(io.StringIO(read_csv(out / f"{name}.csv")))
+    return np.array([float(r["analytic"]) for r in rows])
+
+
+@pytest.mark.parametrize("m_v", [120.0, 150.0, 1000.0, 1e12])
+def test_large_direct_link_shapes_give_a_valid_law(tmp_path, m_v):
+    # the closed form overflowed from m_v = 120 (exit 3); the law is checked up to 1e12
+    config = {"fading": {"m_v": m_v}}
+    code, out = run_cli(tmp_path, "snrcdf", config, "--no-mc")
+    assert code == 0
+    cdf = analytic_column(out, "snrcdf")
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= 0.0)
+    code, out = run_cli(tmp_path, "outage", config, "--no-mc")
+    assert code == 0
+    outage = analytic_column(out, "outage_analytic")
+    assert np.all((outage >= 0.0) & (outage <= 1.0)) and np.all(np.diff(outage) <= 0.0)
+
+
+@pytest.mark.parametrize("kind", ["snrcdf", "outage"])
+def test_shapes_past_the_checked_range_exit_3(tmp_path, kind):
+    assert run_cli(tmp_path, kind, {"fading": {"m_v": 1e13}}, "--no-mc")[0] == 3
+
+
+@pytest.mark.parametrize("kind", ["snrcdf", "outage", "rate", "ser"])
+def test_no_analytic_kind_runs_the_closed_form(tmp_path, monkeypatch, kind):
+    # the paper's closed form is a test reference only: one law serves every run
+    def closed_form(*args, **kwargs):
+        raise AssertionError("the closed form ran")
+
+    for name in ("cal_j", "cal_j_between", "cal_i"):
+        monkeypatch.setattr(f"irslink.snrdist.{name}", closed_form)
+    for m_v in (2.0, 2.5, 0.75):
+        config = {"n_elements": 8, "fading": {"m_v": m_v}}
+        assert run_cli(tmp_path, kind, config, "--no-mc")[0] == 0
+
+
 def test_manifest_records_the_numeric_stack(tmp_path):
     code, out = run_cli(tmp_path, "rate", {"trials": 100}, "--no-mc")
     assert code == 0

@@ -3,18 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, ndtr
 
 from irslink.channel import LinkParams, SystemConfig
 from irslink.cli import validate_config
 from irslink.cltapprox import TruncatedNormal, w_stats
-from irslink.errors import NumericalConsistencyError, UnsupportedShapeError
+from irslink.errors import NumericalConsistencyError
 from irslink.montecarlo import SimPlan, simulate_snr_samples
-from irslink.snrdist import (SnrCdfParams, envelope_cdf, envelope_pdf, optimal_phases, snr_cdf,
-                             snr_pdf)
-from oracles import (ProductPdfParams, envelope_pdf_scalar, optimal_snr, product_pdf,
-                     snr_cdf_quadrature)
+from irslink.snrdist import SnrCdfParams, envelope_cdf, envelope_pdf, snr_cdf, snr_pdf
+from oracles import (ClosedForm, ProductPdfParams, closed_envelope_pdf,
+                     closed_envelope_pdf_scalar, closed_snr_cdf,
+                     optimal_phases, optimal_snr, product_pdf, snr_cdf_quadrature)
 
 
 def unit_config(n, m_v, m_g, m_h, eta=0.9, gamma_bar_db=0.0):
@@ -29,20 +31,20 @@ def nakagami_pdf(x, m, kappa):
 
 
 def convolution_cdf(r, m_v, kappa_v, tn):
-    """Independent oracle: P(v + W <= r) by direct double quadrature."""
-    xi_norm = tn.xi / math.sqrt(2 * math.pi * tn.sigma2_bar)
+    """Independent oracle: P(v + W <= r) by adaptive quadrature (``epsabs=0``)
+    of f_v(x) F_W(r - x) over [0, r], with F_W the truncated normal CDF from
+    ``scipy.special.ndtr`` and breakpoints about the reflected mean."""
+    log_c = math.log(2.0) + m_v * math.log(m_v / kappa_v) - gammaln(m_v)
+    below, mass = ndtr(tn.z_bar), ndtr(-tn.z_bar)
 
-    def w_cdf(w):
-        if w <= 0:
-            return 0.0
-        val, _ = quad(lambda t: xi_norm * math.exp(-(t - tn.mu_bar) ** 2
-                                                   / (2 * tn.sigma2_bar)), 0.0, w,
-                      epsabs=1e-13, epsrel=1e-11, limit=200)
-        return val
+    def integrand(x):
+        cdf_w = (ndtr((r - x - tn.mu_bar) / tn.sigma_bar) - below) / mass
+        return math.exp(log_c + (2.0 * m_v - 1.0) * math.log(x) - m_v * x * x / kappa_v) * cdf_w
 
-    val, _ = quad(lambda u: nakagami_pdf(u, m_v, kappa_v) * w_cdf(r - u), 0.0, r,
-                  epsabs=1e-13, epsrel=1e-11, limit=200)
-    return val
+    points = [x for x in (r - tn.mu_bar - tn.sigma_bar, r - tn.mu_bar,
+                          r - tn.mu_bar + tn.sigma_bar) if 0.0 < x < r]
+    return quad(integrand, 0.0, r, points=points or None, epsabs=0.0, epsrel=1e-12,
+                limit=400)[0]
 
 
 class TestOptimalPhases:
@@ -137,20 +139,40 @@ class TestEnvelopePdf:
     @pytest.mark.parametrize("m_v", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
     @pytest.mark.parametrize("n", [1, 16, 64])
     def test_array_equals_point_by_point(self, m_v, n):
-        params = SnrCdfParams.from_config(validate_config({"n_elements": n,
-                                                           "fading": {"m_v": m_v}})[0])
-        mu = params.tn.mu_bar
+        # the closed-form reference, as arrays and with scalar cal_i
+        closed = ClosedForm(SnrCdfParams.from_config(
+            validate_config({"n_elements": n, "fading": {"m_v": m_v}})[0]))
+        mu = closed.law.tn.mu_bar
         grid = np.concatenate([[-1.0, 0.0, mu, np.nan], np.linspace(1e-9, 3 * mu, 996)])
-        np.testing.assert_array_equal(envelope_pdf(grid, params),
-                                      envelope_pdf_scalar(grid, params))
-        np.testing.assert_array_equal(envelope_pdf(grid.reshape(4, 250), params),
-                                      envelope_pdf_scalar(grid, params).reshape(4, 250))
-        assert envelope_pdf(0.5 * mu, params) == envelope_pdf_scalar(0.5 * mu, params)
-        assert envelope_pdf(-1.0, params) == 0.0
+        np.testing.assert_array_equal(closed_envelope_pdf(grid, closed),
+                                      closed_envelope_pdf_scalar(grid, closed))
+        np.testing.assert_array_equal(closed_envelope_pdf(grid.reshape(4, 250), closed),
+                                      closed_envelope_pdf_scalar(grid, closed).reshape(4, 250))
+        assert (closed_envelope_pdf(0.5 * mu, closed)
+                == closed_envelope_pdf_scalar(0.5 * mu, closed))
+        assert closed_envelope_pdf(-1.0, closed) == 0.0
+        # the library's density keeps the same contract
+        law = closed.law
+        points = np.array([envelope_pdf(r, law) for r in grid])
+        assert np.isnan(points[3]) and np.all(points[:2] == 0.0) and np.all(points[4:] >= 0.0)
+        np.testing.assert_array_equal(envelope_pdf(grid, law), points)
+        np.testing.assert_array_equal(envelope_pdf(grid.reshape(4, 250), law),
+                                      points.reshape(4, 250))
+        assert isinstance(envelope_pdf(0.5 * mu, law), float)
 
-    def test_rejects_non_half_integer_shape(self):
-        with pytest.raises(UnsupportedShapeError):
-            SnrCdfParams.from_config(unit_config(8, 0.75, 1.0, 1.0))
+    def test_shapes_off_the_half_integers_give_a_valid_law(self):
+        for m_v in (0.75, 1.7):
+            params = SnrCdfParams.from_config(unit_config(8, m_v, 1.0, 1.0))
+            mu = params.tn.mu_bar
+            head, _ = quad(lambda r: envelope_pdf(r, params), 0, mu, limit=300)
+            tail, _ = quad(lambda r: envelope_pdf(r, params), mu, np.inf, limit=300)
+            assert head + tail == pytest.approx(1.0, abs=1e-9)
+            grid = np.linspace(0.0, 4.0 * mu, 400)
+            cdf = envelope_cdf(grid, params)
+            assert cdf[0] == 0.0 and np.all(np.diff(cdf) >= 0.0) and cdf[-1] <= 1.0
+            for frac in (0.5, 1.0, 1.5):
+                oracle = convolution_cdf(frac * mu, m_v, params.kappa_v, params.tn)
+                assert envelope_cdf(frac * mu, params) == pytest.approx(oracle, abs=2e-6)
 
 
 def _closed_against_quadrature(m_v, n, fractions):
@@ -188,12 +210,7 @@ class TestSnrCdf:
         _closed_against_quadrature(m_v, n, [0.05, 0.4, 0.8, 1.0])
 
     @pytest.mark.parametrize("m_v", [0.5, 1.5, 2.5])
-    @pytest.mark.parametrize("n", [
-        pytest.param(4, marks=pytest.mark.xfail(
-            strict=True, reason="known defect: the envelope density omits the truncation "
-            "of W, so above the mean 1 - upper tail and the integral from 0 differ by "
-            "about xi - 1 = 1.5e-5 here")),
-        16, 64])
+    @pytest.mark.parametrize("n", [4, 16, 64])
     def test_half_integer_closed_matches_quadrature_method_above_mean(self, m_v, n):
         _closed_against_quadrature(m_v, n, [1.2, 2.0])
 
@@ -209,20 +226,22 @@ class TestSnrCdf:
         assert isinstance(snr_cdf(1.0, params_153), float)
 
     @pytest.mark.parametrize("m_v", [2.0, 2.5, 3.0])
-    def test_single_element_still_fails_the_probability_check(self, m_v):
-        # known defect: the density omits the truncation of W, so its mass is
-        # xi, not 1, and at N=1 in the default geometry the CDF leaves [0, 1]
-        # beyond the slack on the snrcdf grid
+    def test_single_element_is_a_valid_law(self, m_v):
+        # at N=1 in the default geometry W is far from normal and xi - 1 is
+        # 5.8e-3; the law still has mass 1, and the closed form (mass xi)
+        # leaves [0, 1] beyond the slack on the same grid
         cfg, _ = validate_config({"n_elements": 1, "fading": {"m_v": m_v}}, "snrcdf")
         params = SnrCdfParams.from_config(cfg)
-        mean_db = 10 * math.log10(cfg.gamma_bar * params.tn.mu_bar**2)
-        ys = 10 ** (np.linspace(mean_db - 12.0, mean_db + 6.0, 121) / 10)
+        ys = snrcdf_grid(cfg, params)
+        cdf = snr_cdf(ys, params)
+        assert np.all(cdf > 0.0) and np.all(np.diff(cdf) > 0.0) and cdf[-1] < 1.0
+        assert snr_cdf(1e6 * ys[-1], params) == pytest.approx(1.0, abs=1e-12)
+        for y in ys[::40]:
+            oracle = convolution_cdf(math.sqrt(y), m_v, params.kappa_v, params.tn)
+            assert snr_cdf(y, params) == pytest.approx(oracle, rel=1e-9, abs=0.0)
         with pytest.raises(NumericalConsistencyError):
-            snr_cdf(ys / cfg.gamma_bar, params)
+            closed_snr_cdf(ys, ClosedForm(params))
 
-    @pytest.mark.xfail(strict=True, reason="known defect: below the reflected mean the CDF "
-                       "is the difference of two closed-form tails, so deep in the lower tail "
-                       "a 1-ulp change of sigma2_bar moves it by 2.4e-2 relative")
     def test_deep_lower_tail_is_stable_under_one_ulp_of_sigma2(self):
         # the default geometry at m_v=2.5, N=64: gamma_th 10 dB against gamma_bar 42 dB;
         # the jump shows on one side of sigma2_bar or the other, so step both ways
@@ -270,16 +289,126 @@ class TestSnrCdf:
         # independent convolution oracle to 1e-8
         cfg = unit_config(16, 0.5, 2.0, 3.0)
         params = SnrCdfParams.from_config(cfg)
+        assert envelope_cdf(5e-324, params) == 0.0  # a node below the float range
         for frac in (0.4, 0.8, 1.0, 1.3):
             r = frac * params.tn.mu_bar
             oracle = convolution_cdf(r, 0.5, cfg.v.kappa, params.tn)
             assert envelope_cdf(r, params) == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize("m_v", [1e6, 1e10, 1e12])
+    def test_large_shapes_tend_to_a_fixed_direct_amplitude(self, m_v):
+        # at fixed kappa_v, v concentrates at E v = sqrt(kappa_v) (1 - 1/(8 m_v)
+        # + 1/(128 m_v^2) + ...) with variance kappa_v / (4 m_v) + O(m_v^-2), so
+        # the CDF at E v + w is F_W(w) + f_W'(w) kappa_v / (8 m_v) up to O(m_v^-2)
+        p = replace(default_law(4, 2.0)[1], m_v=m_v)
+        tn = p.tn
+        mean_v = math.sqrt(p.kappa_v) * (1.0 - 1.0 / (8.0 * m_v) + 1.0 / (128.0 * m_v**2))
+        for a in (-3.0, -1.0, 0.0, 1.0, 3.0):
+            density_w = math.exp(-0.5 * a * a) / (math.sqrt(2.0 * math.pi) * tn.sigma_bar
+                                                  * ndtr(-tn.z_bar))
+            expected = ((ndtr(a) - ndtr(tn.z_bar)) / ndtr(-tn.z_bar)
+                        - density_w * a / tn.sigma_bar * p.kappa_v / (8.0 * m_v))
+            r = mean_v + tn.mu_bar + a * tn.sigma_bar
+            assert envelope_cdf(r, p) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_consistency_guard_raises(self):
         params = SnrCdfParams.from_config(unit_config(8, 1.0, 1.0, 2.0))
         object.__setattr__(params, "kappa_v", -0.3)  # poison the parameter pack
         with pytest.raises((NumericalConsistencyError, ValueError)):
             snr_cdf(np.array([1.0]), params)
+
+
+def default_law(n, m_v, **fading):
+    cfg, _ = validate_config({"n_elements": n, "fading": {"m_v": m_v, **fading}})
+    return cfg, SnrCdfParams.from_config(cfg)
+
+
+def snrcdf_grid(cfg, params):
+    """The y = snr / gamma_bar points of the ``snrcdf`` curve of ``cfg``."""
+    mean_db = 10 * math.log10(cfg.gamma_bar * params.tn.mu_bar**2)
+    return 10 ** (np.linspace(mean_db - 12.0, mean_db + 6.0, 121) / 10) / cfg.gamma_bar
+
+
+def envelope_scale(params):
+    """A scale of R: the reflected mean plus the RMS direct amplitude."""
+    return params.tn.mu_bar + math.sqrt(params.kappa_v)
+
+
+class TestLawAgainstClosedForm:
+
+    @pytest.mark.parametrize("m_v", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("n,m_g,m_h", [(16, 3.0, 4.0), (64, 3.0, 4.0), (16, 3.0, 3.0),
+                                           (64, 3.0, 3.0), (64, 1.0, 2.0)])
+    def test_equals_the_closed_form_where_the_models_coincide(self, m_v, n, m_g, m_h):
+        # where xi - 1 is below the float resolution the closed form is the
+        # same law; it takes the difference of two tails of order one, so it
+        # carries an absolute error of some 1e-17 next to the law's 1e-12 relative
+        cfg, params = default_law(n, m_v, m_g=m_g, m_h=m_h)
+        assert params.tn.xi - 1.0 < 1e-15
+        ys = snrcdf_grid(cfg, params)
+        closed = closed_snr_cdf(ys, ClosedForm(params))
+        body = (closed >= 1e-6) & (closed <= 1.0 - 1e-6)
+        assert body.sum() >= 10
+        np.testing.assert_allclose(snr_cdf(ys, params)[body], closed[body], rtol=1e-12,
+                                   atol=1e-16)
+
+    @pytest.mark.parametrize("m_v,gamma_bar_db,expected", [
+        (2.5, 42.0, "2.22405406677061e-92"),
+        (3.0, 21.0, "1.49004524665817e-68"),
+    ])
+    def test_deep_lower_tail_equals_mpmath(self, m_v, gamma_bar_db, expected):
+        # outage at a 10 dB threshold, N=64, deep below the reflected mean: the
+        # closed form reads 3.58e-92 (the normal's mass below w = 0) and
+        # 1.49004529e-68 (cancellation) here
+        mp = pytest.importorskip("mpmath")
+        _, p = default_law(64, m_v)
+        y = 10 ** ((10.0 - gamma_bar_db) / 10)
+        with mp.workdps(30):
+            m, kappa, mu, sigma, r = (mp.mpf(v) for v in (p.m_v, p.kappa_v, p.tn.mu_bar,
+                                                          p.tn.sigma_bar, math.sqrt(y)))
+            c = 2 * (m / kappa) ** m / mp.gamma(m)
+            below = mp.ncdf(-mu / sigma)
+            value = mp.quad(lambda x: c * x ** (2 * m - 1) * mp.exp(-m * x * x / kappa)
+                            * (mp.ncdf((r - x - mu) / sigma) - below),
+                            mp.linspace(0, r, 101)) / mp.ncdf(mu / sigma)
+        assert float(value) == pytest.approx(float(expected), rel=1e-12)
+        assert snr_cdf(y, p) == pytest.approx(float(value), rel=1e-9, abs=0.0)
+
+
+_SHAPES = [round(0.5 + 0.2 * k, 1) for k in range(13)] + [3.0]
+_LAW_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+class TestLawProperties:
+
+    @given(n=st.sampled_from([1, 2, 4, 16]), m_v=st.sampled_from(_SHAPES))
+    @_LAW_SETTINGS
+    def test_cdf_is_monotone_with_mass_one(self, n, m_v):
+        _, params = default_law(n, m_v)
+        r = np.linspace(0.0, 4.0 * envelope_scale(params), 500)
+        cdf = envelope_cdf(r, params)
+        assert cdf[0] == 0.0 and np.all((cdf >= 0.0) & (cdf <= 1.0))
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert envelope_cdf(1e3 * envelope_scale(params), params) == pytest.approx(1.0,
+                                                                                  abs=1e-12)
+
+    @given(n=st.sampled_from([1, 2, 4]), m_v=st.sampled_from(_SHAPES),
+           frac=st.floats(0.05, 2.5))
+    @_LAW_SETTINGS
+    def test_equals_adaptive_quadrature(self, n, m_v, frac):
+        _, params = default_law(n, m_v)
+        r = frac * envelope_scale(params)
+        oracle = convolution_cdf(r, m_v, params.kappa_v, params.tn)
+        assert envelope_cdf(r, params) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+    @given(n=st.sampled_from([1, 2, 4, 16]), m_v=st.sampled_from(_SHAPES),
+           frac=st.floats(0.05, 2.5))
+    @_LAW_SETTINGS
+    def test_density_integrates_to_the_cdf(self, n, m_v, frac):
+        _, params = default_law(n, m_v)
+        r = frac * envelope_scale(params)
+        assert snr_cdf_quadrature(r * r, params) == pytest.approx(envelope_cdf(r, params),
+                                                                  rel=1e-9, abs=1e-15)
 
 
 class TestSnrPdf:

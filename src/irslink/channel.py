@@ -5,6 +5,9 @@ gain ``zeta``; the spread parameter is always the derived product
 ``kappa = m * zeta`` and is never entered independently.  Amplitudes are
 sampled as the square root of a Gamma variate with shape ``m`` and scale
 ``zeta``, so the second moment of the amplitude equals ``kappa`` exactly.
+An integer shape up to ``ERLANG_MAX_SHAPE`` draws that Gamma power as
+-log of a product of ``m`` uniforms (an Erlang draw); every other shape
+takes numpy's Gamma sampler (see :func:`nakagami_sample`).
 """
 
 from __future__ import annotations
@@ -20,8 +23,20 @@ __all__ = [
     "SystemConfig",
     "db_to_linear",
     "path_loss",
+    "nakagami_draw",
     "nakagami_sample",
+    "ERLANG_MAX_SHAPE",
 ]
+
+# The largest integer shape drawn as -log of a product of uniforms: up to
+# it, that draw is faster than ``rng.standard_gamma``'s rejection sampler
+# (CHANGES.md has the per-shape timing).  The MC streams depend on it.
+ERLANG_MAX_SHAPE = 4
+
+# Elements per block of an Erlang draw: the uniform scratch is at most
+# ERLANG_MAX_SHAPE x 8192 float64s, 256 KB, and stays in cache while its
+# products, logs and roots are formed.  Outputs do not depend on it.
+_ERLANG_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -99,22 +114,56 @@ class SystemConfig:
         return db_to_linear(self.gamma_bar_db)
 
 
+def nakagami_draw(m: float) -> str:
+    """The draw :func:`nakagami_sample` takes at shape ``m``: ``"erlang"``
+    for an integer 1 <= m <= ``ERLANG_MAX_SHAPE``, ``"gamma"`` otherwise."""
+    return "erlang" if float(m).is_integer() and 1 <= m <= ERLANG_MAX_SHAPE else "gamma"
+
+
 def nakagami_sample(m: float, zeta: float, rng: np.random.Generator, size=None):
     """Nakagami-m amplitude draw(s) with E[X^2] = m * zeta.
 
-    The square of the amplitude is Gamma(shape m, scale zeta), which is the
-    Gamma identity the analytic moments rely on; sampling through it avoids
-    rejection entirely.  The power is drawn as a standard Gamma variate and
-    then scaled, which is how numpy forms ``rng.gamma(m, zeta)``: the stream
-    is the same bit for bit.
+    The square of the amplitude, the power, is Gamma(shape m, scale zeta),
+    which is the Gamma identity the analytic moments rely on.
+
+    - An integer shape 1 <= m <= ``ERLANG_MAX_SHAPE`` (``nakagami_draw(m) ==
+      "erlang"``) draws the power as -zeta log(U_1 ... U_m), with the U_j
+      uniform on (0, 1] as ``1 - rng.random()`` and the product taken left
+      to right.  Each -log U_j is a unit exponential and a sum of m
+      independent ones is Gamma(m, 1) exactly (Devroye, *Non-Uniform Random
+      Variate Generation*, 1986, ch. IX), so the draw is exact in
+      distribution and needs no rejection.  The stream is element-major:
+      each element takes m consecutive uniforms, which is the stream of
+      ``rng.random(size + (m,))``.  The draw runs over blocks of
+      ``_ERLANG_BLOCK`` elements, so its scratch stays in cache; the block
+      changes no bit.  This is not ``rng.gamma``'s stream.
+    - Every other shape draws a standard Gamma variate and scales it by
+      zeta, which is how numpy forms ``rng.gamma(m, zeta)``: that stream is
+      ``rng.gamma``'s bit for bit.
     """
     if m < 0.5:
         raise ValueError(f"Nakagami shape must satisfy m >= 0.5, got {m}")
     if zeta <= 0:
         raise ValueError("zeta must be positive")
-    if size is None:
-        return np.sqrt(rng.standard_gamma(m) * zeta)
-    power = rng.standard_gamma(m, size)
-    power *= zeta
-    return np.sqrt(power, out=power)
-
+    if nakagami_draw(m) == "gamma":
+        if size is None:
+            return np.sqrt(rng.standard_gamma(m) * zeta)
+        power = rng.standard_gamma(m, size)
+        power *= zeta
+        return np.sqrt(power, out=power)
+    k = int(m)
+    power = np.empty(() if size is None else size)
+    flat = power.reshape(-1)
+    uniforms = np.empty((min(flat.size, _ERLANG_BLOCK), k))
+    for start in range(0, flat.size, _ERLANG_BLOCK):
+        block = flat[start:start + _ERLANG_BLOCK]
+        u = uniforms[:block.size]
+        rng.random(out=u)
+        np.subtract(1.0, u, out=u)
+        np.copyto(block, u[:, 0])
+        for j in range(1, k):
+            block *= u[:, j]
+        np.log(block, out=block)
+        block *= -zeta
+        np.sqrt(block, out=block)
+    return power if size is not None else power[()]

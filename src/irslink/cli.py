@@ -36,7 +36,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .channel import SystemConfig, db_to_linear
+from .channel import SystemConfig, db_to_linear, nakagami_draw
 from .config import DEFAULT_CONFIG, load_config_file, validate_config  # noqa: F401
 from .cltapprox import w_stats
 from .correlation import AngleSpread, CorrelationConfig, simulate_scheme_rates
@@ -86,16 +86,23 @@ def _git_describe() -> str:
 
 
 @functools.cache
-def _trig_dispatch() -> str | None:
-    """CPU dispatch target of numpy's float32 sin and cos loops (e.g.
-    ``X86_V4``), which evaluate the MC phasors; None where numpy predates
-    ``numpy.lib.introspect``.  Once per process."""
+def _simd_dispatch() -> dict:
+    """CPU dispatch targets (e.g. ``X86_V4``) of the numpy loops whose bits
+    the MC columns depend on: ``trig_dispatch``, the float32 sin and cos of
+    the phasors, and ``log_dispatch``, the float64 log of the Erlang draws.
+    Both None where numpy predates ``numpy.lib.introspect``.  One
+    ``opt_func_info`` call per process."""
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:
-        return None
-    info = opt_func_info(func_name="^(sin|cos)$", signature="float32")
-    return "/".join(sorted({loop["current"] for func in info.values() for loop in func.values()}))
+        return {"trig_dispatch": None, "log_dispatch": None}
+    info = opt_func_info(func_name="^(sin|cos|log)$", signature="^(float32|float64)$")
+
+    def targets(funcs, signature):
+        return "/".join(sorted({info[func][signature]["current"] for func in funcs}))
+
+    return {"trig_dispatch": targets(("sin", "cos"), "ff"),
+            "log_dispatch": targets(("log",), "dd")}
 
 
 def _gamma_bars(sweep) -> np.ndarray:
@@ -114,8 +121,11 @@ def _timed_mc(extras: dict, sampler, cfg: SystemConfig, *args):
     chunks = -(-plan.trials // chunk_trials)
     mc = extras.setdefault("mc", {"workers": plan.workers, "trials": 0, "chunks": 0,
                                   "seconds": 0.0, "runs": []})
+    # the W sampler draws no direct link
+    legs = ("g", "h") if sampler is _reflected_sum_samples else ("v", "g", "h")
     mc["runs"].append({"n_elements": cfg.n_elements, "trials": plan.trials,
                        "chunk_trials": chunk_trials, "chunks": chunks,
+                       "draws": {leg: nakagami_draw(getattr(cfg, leg).m) for leg in legs},
                        "seconds": round(seconds, 4)})
     mc["trials"] += plan.trials
     mc["chunks"] += chunks
@@ -343,13 +353,14 @@ def run_experiment(spec: ExperimentSpec) -> Path:
             "no_mc": not spec.use_mc,
         },
         # MC columns are byte-identical only under the same bit generator,
-        # the same numpy (its gamma, sin and cos kernels) and the same CPU
-        # dispatch level of its float32 sin and cos SIMD loops
+        # the same numpy (its Gamma sampler, log, sin and cos kernels), the
+        # same draw per leg shape (extras.mc.runs) and the same CPU dispatch
+        # level of its float32 sin and cos and float64 log SIMD loops
         "artifact": {"build": _git_describe(), "version": __version__,
                      "python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "bit_generator": BIT_GENERATOR.__name__,
-                     "trig_dispatch": _trig_dispatch()},
+                     **_simd_dispatch()},
         "wall_clock_seconds": round(time.time() - started, 3),
         "files": files,
         "extras": extras,

@@ -149,9 +149,11 @@ def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) ->
 
     The phase errors are evaluated in blocks of ``_BLOCK_ROWS`` trials: per
     block and width, the scaled errors and their cos, then sin, go through
-    two block-sized float64 scratch buffers.  The cos and sin run in numpy's
-    float32 SIMD loops, which take the float64 errors in small cast blocks and
-    widen the result into the float64 scratch."""
+    two block-sized float64 scratch buffers.  The fewest bits, the drawn
+    interval, scale by 1, so their cos and sin read the drawn block itself.
+    The cos and sin run in numpy's float32 SIMD loops, which take the float64
+    errors in small cast blocks and widen the result into the float64
+    scratch."""
     rng = chunk_rng(plan.seed, index)
     widths = plan.quantization_bits
     rows = np.empty((1 + len(widths), count))
@@ -171,9 +173,13 @@ def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) ->
         for start in range(0, count, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             size = min(count - start, _BLOCK_ROWS)
-            e, t = eps[:size], trig[:size]
+            t = trig[:size]
             for row, bits in enumerate(widths, 1):
-                np.multiply(widest[block], 2.0 ** (base - bits), out=e)
+                if bits == base:  # the scale is 2**0: the drawn block itself
+                    e = widest[block]
+                else:
+                    e = eps[:size]
+                    np.multiply(widest[block], 2.0 ** (base - bits), out=e)
                 np.cos(e, out=t, dtype=np.float32, casting="same_kind")
                 t *= prod[block]
                 w_re = t.sum(axis=1)

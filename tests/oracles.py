@@ -8,7 +8,7 @@ import numpy as np
 from scipy import special as sc
 from scipy.integrate import quad
 
-from irslink.channel import LinkParams, SystemConfig
+from irslink.channel import ERLANG_MAX_SHAPE, LinkParams, SystemConfig
 from irslink.cltapprox import TruncatedNormal, w_stats
 from irslink.montecarlo import _BLOCK_ROWS
 from irslink.errors import NumericalConsistencyError
@@ -43,6 +43,21 @@ def float32_trig_bound(v, reach, per_term):
     |d |v + S|^2| <= 2 |v + S| |dS| + |dS|^2 <= (2 e + e^2) (v + reach)^2,
     with e = ``per_term``."""
     return (2.0 * per_term + per_term**2) * (v + reach) ** 2
+
+
+def nakagami_reference(m: float, zeta: float, rng: np.random.Generator, size=None):
+    """Nakagami-m amplitudes in the stream of ``irslink.channel.nakagami_sample``,
+    written without blocks: for an integer 1 <= m <= ERLANG_MAX_SHAPE, the root
+    of -zeta log of the left-to-right product over the last axis of
+    ``1 - rng.random(size + (m,))``; otherwise ``sqrt(rng.gamma(m, zeta, size))``."""
+    if not (float(m).is_integer() and 1 <= m <= ERLANG_MAX_SHAPE):
+        return np.sqrt(rng.gamma(m, zeta, size))
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    u = 1.0 - rng.random(shape + (int(m),))
+    product = u[..., 0]
+    for j in range(1, int(m)):
+        product = product * u[..., j]
+    return np.sqrt(-np.log(product) * zeta)
 
 
 def optimal_phases(phi_v: float, phi_g, phi_h):

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import gammaln
 
-from irslink.channel import LinkParams, Modulation, SystemConfig, nakagami_sample, path_loss
+import irslink.channel as channel
+from irslink.channel import (ERLANG_MAX_SHAPE, LinkParams, Modulation, SystemConfig,
+                             nakagami_draw, nakagami_sample, path_loss)
 from irslink.config import validate_config
-from oracles import rician_to_nakagami
+from irslink.montecarlo import chunk_rng
+from oracles import nakagami_reference, rician_to_nakagami
+
+ERLANG_SHAPES = range(1, ERLANG_MAX_SHAPE + 1)
 
 
 class TestPathLoss:
@@ -79,12 +85,65 @@ class TestNakagamiSampling:
         with pytest.raises(ValueError):
             nakagami_sample(0.3, 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("m", [2.5, ERLANG_MAX_SHAPE + 1])
     @pytest.mark.parametrize("zeta,size", [(0.7, None), (0.7, 1000)])
-    def test_stream_equals_gamma_with_scale(self, zeta, size):
+    def test_stream_equals_gamma_with_scale(self, m, zeta, size):
         # a standard Gamma draw scaled by zeta is how numpy forms gamma(m, zeta)
-        drawn = nakagami_sample(2.5, zeta, np.random.default_rng(3), size)
+        drawn = nakagami_sample(m, zeta, np.random.default_rng(3), size)
         np.testing.assert_array_equal(
-            drawn, np.sqrt(np.random.default_rng(3).gamma(2.5, zeta, size)))
+            drawn, np.sqrt(np.random.default_rng(3).gamma(m, zeta, size)))
+
+    @pytest.mark.parametrize("m,draw", [(0.5, "gamma"), (1, "erlang"), (2.0, "erlang"),
+                                        (ERLANG_MAX_SHAPE, "erlang"),
+                                        (ERLANG_MAX_SHAPE + 1, "gamma"), (2.5, "gamma"),
+                                        (math.inf, "gamma")])
+    def test_integer_shapes_up_to_the_bound_take_the_erlang_draw(self, m, draw):
+        assert nakagami_draw(m) == draw
+
+    @pytest.mark.parametrize("m", ERLANG_SHAPES)
+    @pytest.mark.parametrize("size", [None, 1, 7, (3000, 7)])
+    def test_erlang_stream_equals_its_unblocked_reference(self, monkeypatch, m, size):
+        # blocks of 5 elements split every size above into several blocks,
+        # the last one partial; the real block size must give the same bits
+        for block in (5, channel._ERLANG_BLOCK):
+            monkeypatch.setattr(channel, "_ERLANG_BLOCK", block)
+            drawn = nakagami_sample(m, 0.3, chunk_rng(5, 1), size)
+            np.testing.assert_array_equal(drawn, nakagami_reference(m, 0.3, chunk_rng(5, 1), size))
+            assert np.shape(drawn) == np.shape(np.empty(() if size is None else size))
+
+    def test_erlang_draw_reads_m_uniforms_per_element(self):
+        rng = chunk_rng(9, 0)
+        nakagami_sample(3, 1.0, rng, (100, 4))
+        again = chunk_rng(9, 0)
+        again.random(100 * 4 * 3)
+        assert rng.random() == again.random()
+
+    @pytest.mark.parametrize("m", ERLANG_SHAPES)
+    def test_erlang_power_is_gamma_distributed(self, m):
+        zeta, n = 0.4, 10**6
+        power = nakagami_sample(m, zeta, chunk_rng(100 + m, 0), n) ** 2
+        law = stats.gamma(m, scale=zeta)
+        assert stats.kstest(power, law.cdf).pvalue > 1e-3
+        # within 3 standard errors: Var(sample variance) ~ (mu_4 - sigma^4) / n,
+        # with the central fourth moment mu_4 = 3 m (m + 2) zeta^4 of Gamma(m, zeta)
+        assert abs(power.mean() - law.mean()) <= 3.0 * math.sqrt(law.var() / n)
+        spread = math.sqrt((3 * m * (m + 2) - m**2) * zeta**4 / n)
+        assert abs(power.var() - law.var()) <= 3.0 * spread
+
+    @pytest.mark.parametrize("m", ERLANG_SHAPES)
+    @pytest.mark.parametrize("uniform", [0.0, 1.0 - 2.0**-53])
+    def test_erlang_power_stays_finite_at_the_uniform_ends(self, m, uniform):
+        class ConstantUniforms:
+            def random(self, size=None, out=None):
+                out[...] = uniform
+                return out
+
+        power = nakagami_sample(m, 1.0, ConstantUniforms(), 10) ** 2
+        assert np.all(np.isfinite(power))
+        # 1 - u lies in (0, 1]: u = 0 gives -log 1 = 0, the largest u gives
+        # the largest power, -m log 2**-53
+        expected = 0.0 if uniform == 0.0 else m * 53 * math.log(2.0)
+        np.testing.assert_allclose(power, expected, rtol=1e-15, atol=0)
 
 
 class TestRicianMap:

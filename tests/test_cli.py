@@ -6,6 +6,7 @@ import io
 import json
 import math
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +20,11 @@ from hypothesis import strategies as st
 
 import irslink.cli as cli
 import irslink.montecarlo as montecarlo
+from irslink.channel import ERLANG_MAX_SHAPE
 from irslink.metrics import outage_probability
 from irslink.montecarlo import (SimPlan, chunk_rng, empirical_ber, empirical_outage,
                                 empirical_rate, simulate_snr_samples)
+from oracles import nakagami_reference
 
 SWEEP = [0.0, 12.0, 24.0, 45.0]
 
@@ -222,8 +225,8 @@ def test_wdist_samples_keep_their_stream_for_any_worker_count(monkeypatch):
     expected = []
     for index, start in enumerate(range(0, 3000, 1024)):
         count, rng = min(1024, 3000 - start), chunk_rng(4, index)
-        g = np.sqrt(rng.gamma(cfg.g.m, cfg.g.zeta, (count, 8)))
-        h = np.sqrt(rng.gamma(cfg.h.m, cfg.h.zeta, (count, 8)))
+        g = nakagami_reference(cfg.g.m, cfg.g.zeta, rng, (count, 8))
+        h = nakagami_reference(cfg.h.m, cfg.h.zeta, rng, (count, 8))
         expected.append((g * h * cfg.eta).sum(axis=1))
     for run in runs:
         np.testing.assert_array_equal(run, np.concatenate(expected))
@@ -326,9 +329,28 @@ def test_manifest_records_the_numeric_stack(tmp_path):
     assert artifact["numpy"] == np.__version__
     assert artifact["scipy"] == scipy.__version__
     assert artifact["bit_generator"] == "SFC64"
-    # the CPU level of numpy's float32 sin/cos loops, which the MC phasors use
-    assert artifact["trig_dispatch"] == cli._trig_dispatch()
-    assert artifact["trig_dispatch"]
+    # the CPU level of numpy's float32 sin/cos loops, which the MC phasors use,
+    # and of its float64 log loop, which the Erlang draws use
+    for key in ("trig_dispatch", "log_dispatch"):
+        assert artifact[key] == cli._simd_dispatch()[key]
+        assert artifact[key]
+
+
+_ERLANG = {"v": "erlang", "g": "erlang", "h": "erlang"}
+
+
+@pytest.mark.parametrize("kind,fading,draws", [
+    ("rate", {}, _ERLANG),
+    ("rate", {"m_g": 2.5}, {**_ERLANG, "g": "gamma"}),
+    ("wdist", {"m_g": 2.5}, {"g": "gamma", "h": "erlang"}),  # W draws no direct link
+])
+def test_manifest_names_the_draw_of_each_leg(tmp_path, kind, fading, draws):
+    code, out = run_cli(tmp_path, kind, {"trials": 500, "fading": fading,
+                                         "sweep": {"values": [0.0]}})
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifact"]["log_dispatch"] == cli._simd_dispatch()["log_dispatch"]
+    assert [run["draws"] for run in manifest["extras"]["mc"]["runs"]] == [draws]
 
 
 def test_manifest_records_where_the_time_went(tmp_path):
@@ -541,12 +563,14 @@ def test_quantization_evaluates_bounds_once_per_n_and_width(tmp_path, monkeypatc
     assert calls == {"rate_bounds": 3, "quantized_rate_bounds": 9}
 
 
-def run_yaml(tmp_path, kind, config):
-    """``cli.main`` on ``config`` written as YAML (NaN as .nan), without MC."""
+def run_yaml(tmp_path, kind, config, mc=False):
+    """``cli.main`` on ``config`` written as YAML (NaN as .nan), without MC
+    unless ``mc``."""
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(config))
+    flags = [] if mc else ["--no-mc"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main([kind, "--config", str(path), "--out", str(tmp_path / "out"), "--no-mc"])
+        return cli.main([kind, "--config", str(path), "--out", str(tmp_path / "out"), *flags])
 
 
 @pytest.mark.parametrize("kind,config,code", [
@@ -683,3 +707,31 @@ def test_numeric_config_leaves_never_raise(tmp_path, kind, leaves, values):
     if values is not None:
         config["sweep"] = {"values": values}
     assert run_yaml(tmp_path, kind, config) in (0, 2, 3)
+
+
+# shapes of both Nakagami draws: Erlang (integers up to ERLANG_MAX_SHAPE) and
+# numpy's Gamma sampler (the rest)
+_SHAPES = st.sampled_from([0.5, 1.0, 2.0, 4.0, ERLANG_MAX_SHAPE + 1.0, 2.5])
+
+
+@given(kind=st.sampled_from(cli.KINDS), m_v=_SHAPES, m_g=_SHAPES, m_h=_SHAPES,
+       leaves=st.dictionaries(st.sampled_from([leaf for leaf in _LEAVES
+                                               if not leaf.startswith("fading.")]),
+                              _NUMBERS, max_size=2))
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_monte_carlo_runs_over_both_draws_stay_finite(tmp_path, kind, m_v, m_g, m_h, leaves):
+    config = {**_nest(leaves), "trials": 300, "fading": {"m_v": m_v, "m_g": m_g, "m_h": m_h},
+              "sweep": {"values": [0.0, 20.0]},
+              "quantization": {"bits": [1, 3], "n_values": [4, 8]}}
+    config.setdefault("correlation", {})["n_values"] = [4, 9]
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    code = run_yaml(tmp_path, kind, config, mc=True)
+    assert code in (0, 2, 3)
+    if code == 0:
+        cells = [row[name] for path in out.glob("*.csv")
+                 for row in csv.DictReader(io.StringIO(read_csv(path)))
+                 for name in ("mc", "mc_ci_low", "mc_ci_high")]
+        assert any(cells)
+        assert all(math.isfinite(float(cell)) for cell in cells if cell)

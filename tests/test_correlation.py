@@ -12,7 +12,8 @@ from irslink.correlation import (AngleSpread, CorrelationConfig, CorrelationMatr
                                  simulate_scheme_rates)
 from irslink.errors import NumericalConsistencyError
 from irslink.montecarlo import SimPlan, chunk_rng
-from oracles import BLOCK_EDGE_COUNTS, PHASOR_ERROR, float32_trig_bound, optimal_snr
+from oracles import (BLOCK_EDGE_COUNTS, PHASOR_ERROR, float32_trig_bound, nakagami_reference,
+                     optimal_snr)
 
 
 def correlated_snr(v_amp: float, phi_v: float, g_vec: np.ndarray, h_vec: np.ndarray,
@@ -205,23 +206,24 @@ class TestCorrelatedSnr:
                            mats, 3, np.ones(2), 1.0)
 
 
-def unit_cfg(n):
-    return SystemConfig(n_elements=n, eta=0.9, v=LinkParams(1.8, 0.02),
-                        g=LinkParams(16.0 / 7.0, 0.05), h=LinkParams(25.0 / 9.0, 0.05),
+def unit_cfg(n, shapes=(1.8, 16.0 / 7.0, 25.0 / 9.0)):
+    m_v, m_g, m_h = shapes
+    return SystemConfig(n_elements=n, eta=0.9, v=LinkParams(m_v, 0.02),
+                        g=LinkParams(m_g, 0.05), h=LinkParams(m_h, 0.05),
                         gamma_bar_db=10.0)
 
 
 def chunk_draws(cfg, seed, index, count, trig_dtype=np.float32):
-    """The draws of one scheme chunk in stream order, as scaled Gamma and
-    uniform variates: v, then (amplitude, unit phasor) of each leg with the
-    phasor evaluated in ``trig_dtype``.  The direct-link phase cancels, so
-    the kernel draws none."""
+    """The draws of one scheme chunk in stream order, as the reference
+    Nakagami amplitudes and uniform variates: v, then (amplitude, unit
+    phasor) of each leg with the phasor evaluated in ``trig_dtype``.  The
+    direct-link phase cancels, so the kernel draws none."""
     rng = chunk_rng(seed, index)
     shape = (count, cfg.n_elements)
-    v = np.sqrt(rng.gamma(cfg.v.m, cfg.v.zeta, count))
+    v = nakagami_reference(cfg.v.m, cfg.v.zeta, rng, count)
 
     def leg(m, zeta):
-        amp = np.sqrt(rng.gamma(m, zeta, shape))
+        amp = nakagami_reference(m, zeta, rng, shape)
         phase = rng.uniform(-np.pi, np.pi, shape)
         u = np.empty(shape, dtype=complex)
         u.real, u.imag = np.cos(phase, dtype=trig_dtype), np.sin(phase, dtype=trig_dtype)
@@ -266,10 +268,12 @@ class TestSchemeKernel:
         np.testing.assert_array_equal(_scheme_snr_chunk(cfg, mats, 23, 1, count),
                                       full_chunk_snr(cfg, mats, 23, 1, count))
 
-    def test_matches_the_oracle_per_realization(self):
+    @pytest.mark.parametrize("shapes", [(1.8, 16.0 / 7.0, 25.0 / 9.0), (2.0, 3.0, 4.0)],
+                             ids=["gamma", "erlang"])
+    def test_matches_the_oracle_per_realization(self, shapes):
         corr = small_corr()
         n, mats = corr.n_total, build_correlation(corr)
-        cfg = unit_cfg(n)
+        cfg = unit_cfg(n, shapes)
         seed, index, count = 23, 2, 400
         snr = _scheme_snr_chunk(cfg, mats, seed, index, count)
         v, (a_g, u_g), (a_h, u_h) = chunk_draws(cfg, seed, index, count)

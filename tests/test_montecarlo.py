@@ -17,7 +17,8 @@ from irslink.montecarlo import (Estimate, SimPlan, _chunk_size, _simulate_chunk,
                                 empirical_rate, empirical_rate_ratio, simulate_snr_samples)
 from irslink.snrdist import SnrCdfParams
 from irslink.specfun import gaussian_q
-from oracles import BLOCK_EDGE_COUNTS, PHASOR_ERROR, fit_loglog_slope, float32_trig_bound
+from oracles import (BLOCK_EDGE_COUNTS, PHASOR_ERROR, fit_loglog_slope, float32_trig_bound,
+                     nakagami_reference)
 
 
 def unit_config(n, m_v=1.0, m_g=1.0, m_h=2.0, eta=0.9, gamma_bar_db=0.0):
@@ -32,9 +33,9 @@ def reference_draws(cfg, plan, index, count):
     without a width)."""
     rng = chunk_rng(plan.seed, index)
     n = cfg.n_elements
-    v = np.sqrt(rng.gamma(cfg.v.m, cfg.v.zeta, count))
-    g = np.sqrt(rng.gamma(cfg.g.m, cfg.g.zeta, (count, n)))
-    h = np.sqrt(rng.gamma(cfg.h.m, cfg.h.zeta, (count, n)))
+    v = nakagami_reference(cfg.v.m, cfg.v.zeta, rng, count)
+    g = nakagami_reference(cfg.g.m, cfg.g.zeta, rng, (count, n))
+    h = nakagami_reference(cfg.h.m, cfg.h.zeta, rng, (count, n))
     if not plan.quantization_bits:
         return v, g * h * cfg.eta, None
     (bits,) = plan.quantization_bits

@@ -120,8 +120,8 @@ def nakagami_draw(m: float) -> str:
     return "erlang" if float(m).is_integer() and 1 <= m <= ERLANG_MAX_SHAPE else "gamma"
 
 
-def nakagami_sample(m: float, zeta: float, rng: np.random.Generator, size=None):
-    """Nakagami-m amplitude draw(s) with E[X^2] = m * zeta.
+def nakagami_sample(m: float, zeta: float, rng: np.random.Generator, size) -> np.ndarray:
+    """Nakagami-m amplitude draws with E[X^2] = m * zeta, an array of shape ``size``.
 
     The square of the amplitude, the power, is Gamma(shape m, scale zeta),
     which is the Gamma identity the analytic moments rely on.
@@ -146,13 +146,11 @@ def nakagami_sample(m: float, zeta: float, rng: np.random.Generator, size=None):
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     if nakagami_draw(m) == "gamma":
-        if size is None:
-            return np.sqrt(rng.standard_gamma(m) * zeta)
         power = rng.standard_gamma(m, size)
         power *= zeta
         return np.sqrt(power, out=power)
     k = int(m)
-    power = np.empty(() if size is None else size)
+    power = np.empty(size)
     flat = power.reshape(-1)
     uniforms = np.empty((min(flat.size, _ERLANG_BLOCK), k))
     for start in range(0, flat.size, _ERLANG_BLOCK):
@@ -166,4 +164,4 @@ def nakagami_sample(m: float, zeta: float, rng: np.random.Generator, size=None):
         np.log(block, out=block)
         block *= -zeta
         np.sqrt(block, out=block)
-    return power if size is not None else power[()]
+    return power

@@ -12,6 +12,15 @@ missing) file yields the documented default configuration; a previously
 written manifest can be passed back through ``--config`` to reproduce a run
 byte-for-byte.
 
+Each kind's runner, ``_run_<kind>(spec, extras)``, computes its curves and
+returns them as ``{name: (x_unit, x, columns)}``, adding what it reports to
+the manifest's ``extras``; no runner writes a file.  :func:`run_experiment`
+is the one writer: once the runner has returned it writes each curve to
+``<name>.csv``, then the manifest, which lists them, so a run that fails
+writes no CSV and no manifest.  ``extras.timings`` has ``config_s`` (reading
+and checking the config), ``compute_s`` (the runner: closed forms and
+Monte-Carlo) and ``write_s`` (the CSVs).
+
 Every CSV has the header ``CSV_HEADER`` and one row per sweep point; cells are
 comma-separated and lines end in CRLF.  The ``x_unit`` cell names the sweep
 variable, every other cell is a number written with ``%.12g``, and a value
@@ -29,7 +38,7 @@ import platform
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +74,8 @@ class ExperimentSpec:
     resolved: dict
     output_dir: Path
     use_mc: bool
-    # seconds per stage for the manifest's extras.timings: config_s is set by
-    # the caller, write_s sums the CSV writes
-    timings: dict = field(default_factory=lambda: {"config_s": 0.0, "write_s": 0.0})
+    # seconds spent reading and checking the config, for extras.timings
+    config_s: float = 0.0
 
 
 @functools.cache
@@ -144,14 +152,7 @@ def _mc_sweep(gamma_bars: np.ndarray, unit_samples: np.ndarray, estimator) -> di
     return _mc_columns([estimator(gb * unit_samples) for gb in gamma_bars])
 
 
-def _asymptote_column(evaluator, gamma_bars: np.ndarray, extras: dict) -> list:
-    """High-SNR floor per sweep point; blank where it exceeds the double range."""
-    values = [evaluator(gb) for gb in gamma_bars]
-    extras["asymptotic_blank_points"] = sum(not math.isfinite(v) for v in values)
-    return [v if math.isfinite(v) else None for v in values]
-
-
-def _run_wdist(spec: ExperimentSpec, files: dict, extras: dict) -> None:
+def _run_wdist(spec: ExperimentSpec, extras: dict) -> dict:
     cfg = spec.config
     tn = w_stats(cfg)
     sd = tn.sigma_bar
@@ -167,13 +168,12 @@ def _run_wdist(spec: ExperimentSpec, files: dict, extras: dict) -> None:
         centers = 0.5 * (edges[1:] + edges[:-1])
         mc_pdf = np.interp(grid, centers, hist)
         mc_cdf = empirical_cdf(samples)(grid)
-        extras["mc_trials"] = spec.plan.trials
-    _emit(spec, files, "wdist_pdf", "w", grid, analytic=pdf, mc=mc_pdf)
-    _emit(spec, files, "wdist_cdf", "w", grid, analytic=cdf, mc=mc_cdf)
     extras["mu_bar"], extras["sigma2_bar"], extras["xi"] = tn.mu_bar, tn.sigma2_bar, tn.xi
+    return {"wdist_pdf": ("w", grid, {"analytic": pdf, "mc": mc_pdf}),
+            "wdist_cdf": ("w", grid, {"analytic": cdf, "mc": mc_cdf})}
 
 
-def _run_snrcdf(spec: ExperimentSpec, files: dict, extras: dict) -> None:
+def _run_snrcdf(spec: ExperimentSpec, extras: dict) -> dict:
     cfg = spec.config
     params = SnrCdfParams.from_config(cfg)
     mean_db = 10 * math.log10(cfg.gamma_bar * (params.tn.mu_bar**2 + 1e-300))
@@ -185,59 +185,54 @@ def _run_snrcdf(spec: ExperimentSpec, files: dict, extras: dict) -> None:
         samples = cfg.gamma_bar * _timed_mc(extras, simulate_snr_samples, cfg, spec.plan)
         mc = empirical_cdf(samples)(y)
         extras["ks_distance"] = float(np.max(np.abs(mc - analytic)))
-    _emit(spec, files, "snrcdf", "gamma_db", grid_db, analytic=analytic, mc=mc)
+    return {"snrcdf": ("gamma_db", grid_db, {"analytic": analytic, "mc": mc})}
 
 
-def _asymptote(extras: dict, fit, **report):
-    """Evaluator of the high-SNR floor ``fit() -> (result, evaluator)``, with
-    ``report`` (manifest key -> function of the result) added to the extras.
-    Where the floor's constants are undefined (m_g == m_h, or m_b - m_a <= 1/2)
-    or leave the float64 range, the reported keys are null, the reason is
-    recorded, and the evaluator returns inf, which leaves the asymptotic
-    column blank."""
-    try:
-        result, evaluator = fit()
-    except (ConfigError, NumericalConsistencyError) as exc:
-        extras.update(dict.fromkeys(report), asymptote_unavailable=str(exc))
-        return lambda gamma_bar: math.inf
-    extras.update({key: get(result) for key, get in report.items()})
-    return evaluator
+def _run_outage(spec: ExperimentSpec, extras: dict) -> dict:
+    cfg, gamma_th = spec.config, db_to_linear(spec.resolved["gamma_th_db"])
+    return _floor_curves(spec, extras, "outage", "analytic",
+                         lambda gamma_bars: outage_probability(cfg, gamma_th, gamma_bars),
+                         lambda gamma_bars: asymptotic_outage(cfg, gamma_th, gamma_bars),
+                         lambda snr: empirical_outage(snr, gamma_th),
+                         diversity_order=lambda r: r.g_d,
+                         log10_omega_op=lambda r: r.log_omega_op / math.log(10))
 
 
-def _run_outage(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    gamma_th = db_to_linear(spec.resolved["gamma_th_db"])
-    evaluator = _asymptote(extras, lambda: asymptotic_outage(spec.config, gamma_th),
-                           diversity_order=lambda r: r.g_d,
-                           log10_omega_op=lambda r: r.log_omega_op / math.log(10))
-    _floor_curves(spec, files, extras, "outage", "analytic",
-                  lambda gamma_bars: outage_probability(spec.config, gamma_th, gamma_bars),
-                  evaluator, lambda snr: empirical_outage(snr, gamma_th))
+def _run_ser(spec: ExperimentSpec, extras: dict) -> dict:
+    cfg, mod = spec.config, spec.config.modulation
+    return _floor_curves(spec, extras, "ser", "bound",
+                         lambda gamma_bars: ser_upper_bound(cfg, gamma_bars),
+                         lambda gamma_bars: asymptotic_ser(cfg, gamma_bars),
+                         lambda snr: empirical_ber(snr, mod.alpha, mod.beta),
+                         diversity_order=lambda r: r.g_d, coding_gain=lambda r: r.g_c)
 
 
-def _run_ser(spec: ExperimentSpec, files: dict, extras: dict) -> None:
-    evaluator = _asymptote(extras, lambda: asymptotic_ser(spec.config),
-                           diversity_order=lambda r: r.g_d, coding_gain=lambda r: r.g_c)
-    mod = spec.config.modulation
-    _floor_curves(spec, files, extras, "ser", "bound",
-                  functools.partial(ser_upper_bound, spec.config), evaluator,
-                  lambda snr: empirical_ber(snr, mod.alpha, mod.beta))
-
-
-def _floor_curves(spec: ExperimentSpec, files: dict, extras: dict, kind: str, name: str,
-                  analytic, evaluator, estimator) -> None:
+def _floor_curves(spec: ExperimentSpec, extras: dict, kind: str, name: str,
+                  analytic, floor, estimator, **report) -> dict:
     """Curves of one metric over the gamma_bar sweep: ``analytic(gamma_bars)``,
-    the values at every point, the high-SNR floor ``evaluator(gamma_bar)`` and
-    the MC estimate."""
+    the high-SNR floor ``floor(gamma_bars) -> (result, values)`` and the MC
+    estimate; ``report`` maps manifest keys to functions of the floor's result.
+    The floor is blank where it exceeds the float64 range, and everywhere, with
+    the reported keys null and the reason recorded, where its constants are
+    undefined (m_g == m_h, or m_b - m_a <= 1/2) or leave the float64 range."""
     sweep = spec.resolved["sweep"]["values"]
     gamma_bars = _gamma_bars(sweep)
-    # the column keywords of each curve file, by file-name suffix
-    curves = {name: {"analytic": analytic(gamma_bars)},
-              "asymptotic": {"asymptotic": _asymptote_column(evaluator, gamma_bars, extras)}}
+    try:
+        result, values = floor(gamma_bars)
+    except (ConfigError, NumericalConsistencyError) as exc:
+        extras.update(dict.fromkeys(report), asymptote_unavailable=str(exc))
+        values = np.full(len(gamma_bars), math.inf)
+    else:
+        extras.update({key: get(result) for key, get in report.items()})
+    finite = np.isfinite(values)
+    extras["asymptotic_blank_points"] = int(np.count_nonzero(~finite))
+    curves = {f"{kind}_{name}": ("gamma_bar_db", sweep, {"analytic": analytic(gamma_bars)}),
+              f"{kind}_asymptotic": ("gamma_bar_db", sweep, {
+                  "asymptotic": [v if ok else None for v, ok in zip(values, finite)]})}
     if spec.use_mc:
-        curves["mc"] = _mc_sweep(gamma_bars, _timed_mc(
-            extras, simulate_snr_samples, spec.config, spec.plan), estimator)
-    for suffix, columns in curves.items():
-        _emit(spec, files, f"{kind}_{suffix}", "gamma_bar_db", sweep, **columns)
+        curves[f"{kind}_mc"] = ("gamma_bar_db", sweep, _mc_sweep(gamma_bars, _timed_mc(
+            extras, simulate_snr_samples, spec.config, spec.plan), estimator))
+    return curves
 
 
 def _rate_percent(snr_pair: np.ndarray) -> Estimate:
@@ -247,9 +242,10 @@ def _rate_percent(snr_pair: np.ndarray) -> Estimate:
     return Estimate(100.0 * ratio.value, 100.0 * ratio.ci_low, 100.0 * ratio.ci_high)
 
 
-def _run_quantization(spec: ExperimentSpec, files: dict, extras: dict) -> None:
+def _run_quantization(spec: ExperimentSpec, extras: dict) -> dict:
     sweep, quant = spec.resolved["sweep"]["values"], spec.resolved["quantization"]
     gamma_bars, widths = _gamma_bars(sweep), tuple(quant["bits"])
+    curves = {}
     for n in quant["n_values"]:
         cfg_n = replace(spec.config, n_elements=n)
         if spec.use_mc:
@@ -262,8 +258,9 @@ def _run_quantization(spec: ExperimentSpec, files: dict, extras: dict) -> None:
             analytic = 100.0 * (qb.lower + qb.upper) / (cb.lower + cb.upper)
             if spec.use_mc:
                 mc = _mc_sweep(gamma_bars, rows[[0, k]], _rate_percent)
-            _emit(spec, files, f"quantization_b{bits}_n{n}", "gamma_bar_db", sweep,
-                  analytic=analytic, **mc)
+            curves[f"quantization_b{bits}_n{n}"] = ("gamma_bar_db", sweep,
+                                                     {"analytic": analytic, **mc})
+    return curves
 
 
 def _correlation_config(resolved: dict, n: int) -> CorrelationConfig:
@@ -275,17 +272,17 @@ def _correlation_config(resolved: dict, n: int) -> CorrelationConfig:
                                             aoa=spread(cc["aoa"]), aod=spread(cc["aod"]))
 
 
-def _run_correlation(spec: ExperimentSpec, files: dict, extras: dict) -> None:
+def _run_correlation(spec: ExperimentSpec, extras: dict) -> dict:
     n_values = spec.resolved["correlation"]["n_values"]
     rates = [_timed_mc(extras, simulate_scheme_rates, replace(spec.config, n_elements=n),
                        _correlation_config(spec.resolved, n), spec.plan)
              for n in n_values] if spec.use_mc else []
-    for s in (1, 2):
-        mc = _mc_columns([r[s] for r in rates]) if spec.use_mc else {}
-        _emit(spec, files, f"correlation_scheme{s}", "n_elements", n_values, **mc)
+    return {f"correlation_scheme{s}": ("n_elements", n_values,
+                                       _mc_columns([r[s] for r in rates]) if spec.use_mc else {})
+            for s in (1, 2)}
 
 
-def _rate_curves(spec: ExperimentSpec, files: dict, extras: dict, prefix: str) -> None:
+def _rate_curves(spec: ExperimentSpec, extras: dict, prefix: str) -> dict:
     """Jensen rate bounds and the MC rate over the sweep (gamma_bar_db or n_elements)."""
     cfg, sweep = spec.config, spec.resolved["sweep"]
     unit, sweep = sweep["variable"], sweep["values"]
@@ -293,15 +290,15 @@ def _rate_curves(spec: ExperimentSpec, files: dict, extras: dict, prefix: str) -
     points = ([(cfg, _gamma_bars(sweep))] if unit == "gamma_bar_db"
               else [(replace(cfg, n_elements=n), cfg.gamma_bar) for n in sweep])
     bounds = [rate_bounds(c, gamma_bars) for c, gamma_bars in points]
-    for side in ("lower", "upper"):
-        _emit(spec, files, f"{prefix}_{side}", unit, sweep,
-              analytic=np.hstack([getattr(b, side) for b in bounds]))
+    curves = {f"{prefix}_{side}": (unit, sweep, {
+        "analytic": np.hstack([getattr(b, side) for b in bounds])}) for side in ("lower", "upper")}
     if spec.use_mc:
         estimates = []
         for c, gamma_bars in points:
             unit_samples = _timed_mc(extras, simulate_snr_samples, c, spec.plan)
             estimates += [empirical_rate(gb * unit_samples) for gb in np.atleast_1d(gamma_bars)]
-        _emit(spec, files, f"{prefix}_mc", unit, sweep, **_mc_columns(estimates))
+        curves[f"{prefix}_mc"] = (unit, sweep, _mc_columns(estimates))
+    return curves
 
 
 _run_rate = functools.partial(_rate_curves, prefix="rate")
@@ -315,37 +312,35 @@ def _cells(values) -> list[str]:
     return ["" if v is None else "%.12g" % v for v in values]
 
 
-def _emit(spec: ExperimentSpec, files: dict, name: str, x_unit: str, x, analytic=None,
-          asymptotic=None, mc=None, lo=None, hi=None) -> None:
-    """Write curve ``name`` to ``<name>.csv`` in the format of the module
-    docstring, one row per entry of ``x``, and list it in the manifest's files.
-    A column left None is blank in every row."""
-    started = time.perf_counter()
-    files[name] = f"{name}.csv"
+def _emit(path: Path, x_unit: str, x, analytic=None, asymptotic=None, mc=None, lo=None,
+          hi=None) -> None:
+    """Write one curve to ``path`` in the format of the module docstring, one
+    row per entry of ``x``.  A column left None is blank in every row."""
     blank = [""] * len(x)
     columns = [[x_unit] * len(x), _cells(x)] + [
         blank if col is None else _cells(col) for col in (analytic, asymptotic, mc, lo, hi)]
     rows = [",".join(row) for row in zip(*columns)]
-    (spec.output_dir / files[name]).write_text("\r\n".join([_HEADER_LINE, *rows, ""]),
-                                              newline="")
-    spec.timings["write_s"] += time.perf_counter() - started
+    path.write_text("\r\n".join([_HEADER_LINE, *rows, ""]), newline="")
 
 
 _RUNNERS = {kind: globals()[f"_run_{kind}"] for kind in KINDS}
 
 
 def run_experiment(spec: ExperimentSpec) -> Path:
-    """Execute one experiment; returns the manifest path."""
-    spec.output_dir.mkdir(parents=True, exist_ok=True)
+    """Execute one experiment: run its runner, then write its CSVs and the
+    manifest; returns the manifest path."""
     started = time.time()
-    files: dict[str, str] = {}
     extras: dict[str, object] = {}
-    spec.timings["write_s"] = 0.0
-    run_started = time.perf_counter()
-    _RUNNERS[spec.kind](spec, files, extras)
-    compute_s = time.perf_counter() - run_started - spec.timings["write_s"]
-    extras["timings"] = {key: round(seconds, 4)
-                         for key, seconds in {**spec.timings, "compute_s": compute_s}.items()}
+    compute_started = time.perf_counter()
+    curves = _RUNNERS[spec.kind](spec, extras)
+    write_started = time.perf_counter()
+    spec.output_dir.mkdir(parents=True, exist_ok=True)
+    files = {name: f"{name}.csv" for name in curves}
+    for name, (x_unit, x, columns) in curves.items():
+        _emit(spec.output_dir / files[name], x_unit, x, **columns)
+    extras["timings"] = {"config_s": round(spec.config_s, 4),
+                         "compute_s": round(write_started - compute_started, 4),
+                         "write_s": round(time.perf_counter() - write_started, 4)}
     manifest = {
         "experiment": {
             "kind": spec.kind,
@@ -399,8 +394,8 @@ def main(argv=None) -> int:
         cfg, resolved = validate_config(raw, args.kind)
         plan = SimPlan(trials=resolved["trials"], seed=resolved["seed"],
                        workers=resolved["workers"])
-        spec = ExperimentSpec(args.kind, cfg, plan, resolved, Path(args.out), not args.no_mc)
-        spec.timings["config_s"] = time.perf_counter() - started
+        spec = ExperimentSpec(args.kind, cfg, plan, resolved, Path(args.out), not args.no_mc,
+                              config_s=time.perf_counter() - started)
         manifest = run_experiment(spec)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

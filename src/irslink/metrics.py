@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special as sc
@@ -70,6 +69,14 @@ def _exp_or_inf(log_value: float) -> float:
         return math.inf
 
 
+def _floor_values(log_floor, gamma_bar):
+    """exp(``log_floor(log gamma_bar)``) at the transmit SNR(s) ``gamma_bar``,
+    a float or an array, point by point with libm's log and exp."""
+    gb = np.asarray(gamma_bar, dtype=float)
+    values = np.array([_exp_or_inf(log_floor(math.log(g))) for g in gb.flat]).reshape(gb.shape)
+    return values if values.ndim else float(values)
+
+
 def _log_omega_op(cfg: SystemConfig) -> tuple[float, float]:
     """(log Omega_op, G_d) for the outage floor Omega_op*(g_th/g_bar)^G_d."""
     m_g, m_h = cfg.g.m, cfg.h.m
@@ -108,23 +115,20 @@ def _log_omega_op(cfg: SystemConfig) -> tuple[float, float]:
     return log_total, g_d
 
 
-def asymptotic_outage(cfg: SystemConfig, gamma_th: float
-                      ) -> tuple[AsymptoticResult, Callable[[float], float]]:
-    """High-SNR outage floor; returns the constants and an evaluator in gamma_bar.
-
-    The evaluator returns inf where the floor exceeds the float64 range.
-    """
+def asymptotic_outage(cfg: SystemConfig, gamma_th: float, gamma_bar
+                      ) -> tuple[AsymptoticResult, float | np.ndarray]:
+    """High-SNR outage floor Omega_op (gamma_th / gamma_bar)^G_d, with its
+    constants, at the transmit SNR(s) ``gamma_bar``, a float or an array; inf
+    where a value exceeds the float64 range.  Raises ``ConfigError`` where the
+    constants are undefined (m_g == m_h, or m_b - m_a <= 1/2)."""
     if gamma_th <= 0:
         raise ValueError("gamma_th must be positive")
     log_om, g_d = _log_omega_op(cfg)
     o_c = math.exp(-math.log(gamma_th) - log_om / g_d)
     g_c = _coding_gain(cfg, log_om, g_d)
-    result = AsymptoticResult(g_d=g_d, log_omega_op=log_om, o_c=o_c, g_c=g_c)
-
-    def evaluator(gamma_bar: float) -> float:
-        return _exp_or_inf(log_om + g_d * (math.log(gamma_th) - math.log(gamma_bar)))
-
-    return result, evaluator
+    return (AsymptoticResult(g_d=g_d, log_omega_op=log_om, o_c=o_c, g_c=g_c),
+            _floor_values(lambda log_gb: log_om + g_d * (math.log(gamma_th) - log_gb),
+                          gamma_bar))
 
 
 def _coding_gain(cfg: SystemConfig, log_om: float, g_d: float) -> float:
@@ -135,25 +139,19 @@ def _coding_gain(cfg: SystemConfig, log_om: float, g_d: float) -> float:
     return math.exp(log_gc)
 
 
-def asymptotic_ser(cfg: SystemConfig
-                   ) -> tuple[AsymptoticResult, Callable[[float], float]]:
-    """High-SNR average-SER floor (G_c * gamma_bar)^-G_d with shared G_d.
-
-    The evaluator returns inf where the floor exceeds the float64 range.
-    """
+def asymptotic_ser(cfg: SystemConfig, gamma_bar
+                   ) -> tuple[AsymptoticResult, float | np.ndarray]:
+    """High-SNR average-SER floor (G_c gamma_bar)^-G_d, with the outage
+    floor's G_d, and its constants, as :func:`asymptotic_outage` has them."""
     log_om, g_d = _log_omega_op(cfg)
     g_c = _coding_gain(cfg, log_om, g_d)
     # Array gain is threshold-specific; report it at unit threshold.
     o_c = math.exp(-log_om / g_d)
-    result = AsymptoticResult(g_d=g_d, log_omega_op=log_om, o_c=o_c, g_c=g_c)
     if not 0.0 < g_c < math.inf:
         raise NumericalConsistencyError(f"coding gain {g_c} leaves the float64 range")
     log_gc = math.log(g_c)
-
-    def evaluator(gamma_bar: float) -> float:
-        return _exp_or_inf(-g_d * (log_gc + math.log(gamma_bar)))
-
-    return result, evaluator
+    return (AsymptoticResult(g_d=g_d, log_omega_op=log_om, o_c=o_c, g_c=g_c),
+            _floor_values(lambda log_gb: -g_d * (log_gc + log_gb), gamma_bar))
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,13 @@ def empirical_cdf(samples: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 def _mean_estimate(values: np.ndarray) -> Estimate:
     n = values.size
     mean = float(values.mean())
-    half = _Z95 * float(values.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    if n < 2:
+        return Estimate(mean, mean, mean)
+    # std of the values scaled by a power of two to below 1, which is exact:
+    # squared deviations of terms below about 1e-154 would underflow
+    exponent = int(np.frexp(np.abs(values).max())[1])
+    std = math.ldexp(float(np.ldexp(values, -exponent).std(ddof=1)), exponent)
+    half = _Z95 * std / math.sqrt(n)
     return Estimate(mean, mean - half, mean + half)
 
 

@@ -45,15 +45,14 @@ def float32_trig_bound(v, reach, per_term):
     return (2.0 * per_term + per_term**2) * (v + reach) ** 2
 
 
-def nakagami_reference(m: float, zeta: float, rng: np.random.Generator, size=None):
+def nakagami_reference(m: float, zeta: float, rng: np.random.Generator, size):
     """Nakagami-m amplitudes in the stream of ``irslink.channel.nakagami_sample``,
     written without blocks: for an integer 1 <= m <= ERLANG_MAX_SHAPE, the root
     of -zeta log of the left-to-right product over the last axis of
     ``1 - rng.random(size + (m,))``; otherwise ``sqrt(rng.gamma(m, zeta, size))``."""
     if not (float(m).is_integer() and 1 <= m <= ERLANG_MAX_SHAPE):
         return np.sqrt(rng.gamma(m, zeta, size))
-    shape = () if size is None else tuple(np.atleast_1d(size))
-    u = 1.0 - rng.random(shape + (int(m),))
+    u = 1.0 - rng.random(tuple(np.atleast_1d(size)) + (int(m),))
     product = u[..., 0]
     for j in range(1, int(m)):
         product = product * u[..., j]

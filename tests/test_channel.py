@@ -83,10 +83,10 @@ class TestNakagamiSampling:
 
     def test_rejects_small_shape(self):
         with pytest.raises(ValueError):
-            nakagami_sample(0.3, 1.0, np.random.default_rng(0))
+            nakagami_sample(0.3, 1.0, np.random.default_rng(0), 10)
 
     @pytest.mark.parametrize("m", [2.5, ERLANG_MAX_SHAPE + 1])
-    @pytest.mark.parametrize("zeta,size", [(0.7, None), (0.7, 1000)])
+    @pytest.mark.parametrize("zeta,size", [(0.7, (40, 3)), (0.7, 1000)])
     def test_stream_equals_gamma_with_scale(self, m, zeta, size):
         # a standard Gamma draw scaled by zeta is how numpy forms gamma(m, zeta)
         drawn = nakagami_sample(m, zeta, np.random.default_rng(3), size)
@@ -101,7 +101,7 @@ class TestNakagamiSampling:
         assert nakagami_draw(m) == draw
 
     @pytest.mark.parametrize("m", ERLANG_SHAPES)
-    @pytest.mark.parametrize("size", [None, 1, 7, (3000, 7)])
+    @pytest.mark.parametrize("size", [(2, 3), 1, 7, (3000, 7)])
     def test_erlang_stream_equals_its_unblocked_reference(self, monkeypatch, m, size):
         # blocks of 5 elements split every size above into several blocks,
         # the last one partial; the real block size must give the same bits
@@ -109,7 +109,7 @@ class TestNakagamiSampling:
             monkeypatch.setattr(channel, "_ERLANG_BLOCK", block)
             drawn = nakagami_sample(m, 0.3, chunk_rng(5, 1), size)
             np.testing.assert_array_equal(drawn, nakagami_reference(m, 0.3, chunk_rng(5, 1), size))
-            assert np.shape(drawn) == np.shape(np.empty(() if size is None else size))
+            assert drawn.shape == np.empty(size).shape
 
     def test_erlang_draw_reads_m_uniforms_per_element(self):
         rng = chunk_rng(9, 0)

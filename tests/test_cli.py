@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import irslink.cli as cli
 import irslink.montecarlo as montecarlo
 from irslink.channel import ERLANG_MAX_SHAPE
+from irslink.errors import NumericalConsistencyError
 from irslink.metrics import outage_probability
 from irslink.montecarlo import (SimPlan, chunk_rng, empirical_ber, empirical_outage,
                                 empirical_rate, simulate_snr_samples)
@@ -420,6 +421,32 @@ def test_ser_interval_stays_inside_the_term_range(tmp_path):
     assert 0.0 == float(row["mc_ci_low"]) <= float(row["mc"]) <= float(row["mc_ci_high"]) <= 1.0
 
 
+def test_ser_interval_of_terms_below_the_square_range_has_width(tmp_path):
+    # at 36 dB the default run's SER terms lie below 1e-154, where their
+    # squared deviations underflow; the estimate rests on a few trials
+    code, out = run_cli(tmp_path, "ser", {"sweep": {"values": [36.0]}})
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(read_csv(out / "ser_mc.csv"))))[0]
+    mc, low, high = (float(row[col]) for col in ("mc", "mc_ci_low", "mc_ci_high"))
+    assert 0.0 < mc < 1e-154
+    assert low < mc < high
+
+
+def test_a_failed_run_writes_no_csv(tmp_path, monkeypatch):
+    bounds = cli.quantized_rate_bounds
+    n_values = cli.DEFAULT_CONFIG["quantization"]["n_values"]
+
+    def fail_at_the_second_n(cfg, bits, gamma_bar):
+        if cfg.n_elements == n_values[1]:
+            raise NumericalConsistencyError("bound out of order")
+        return bounds(cfg, bits, gamma_bar)
+
+    monkeypatch.setattr(cli, "quantized_rate_bounds", fail_at_the_second_n)
+    code, out = run_cli(tmp_path, "quantization", {}, "--no-mc")
+    assert code == 3
+    assert list(out.glob("*.csv")) == [] and not (out / "manifest.json").exists()
+
+
 def _csv_writer_oracle(path, x_unit, rows):
     """The CSV writer the runner used before it wrote whole columns: one
     ``csv.writer`` row per point, each value through format(float(v), ".12g")."""
@@ -438,10 +465,7 @@ def test_emit_writes_the_bytes_of_the_csv_writer(tmp_path):
     x = np.arange(len(values), dtype=float) * 1.5 - 3.0
     columns = {"analytic": values, "asymptotic": None, "mc": values[::-1],
                "lo": [v if v is None else -v for v in values], "hi": np.asarray(values[1:] + [1])}
-    spec = cli.ExperimentSpec("rate", None, None, {}, tmp_path, False)
-    files = {}
-    cli._emit(spec, files, "curve", "gamma_bar_db", x, **columns)
-    assert files == {"curve": "curve.csv"}
+    cli._emit(tmp_path / "curve.csv", "gamma_bar_db", x, **columns)
     _csv_writer_oracle(tmp_path / "oracle.csv", "gamma_bar_db",
                        zip(x, columns["analytic"], [None] * len(x), columns["mc"],
                            columns["lo"], columns["hi"]))
@@ -451,7 +475,7 @@ def test_emit_writes_the_bytes_of_the_csv_writer(tmp_path):
     # None is an empty cell, and -0.0 keeps its sign
     assert b"\r\ngamma_bar_db,-3,,,-inf,,0\r\ngamma_bar_db,-1.5,0,,inf,-0,-0\r\n" in written
     # no points: the header alone
-    cli._emit(spec, files, "empty", "n_elements", [])
+    cli._emit(tmp_path / "empty.csv", "n_elements", [])
     _csv_writer_oracle(tmp_path / "oracle.csv", "n_elements", [])
     assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 

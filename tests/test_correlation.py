@@ -192,7 +192,7 @@ class TestCorrelatedSnr:
         for _ in range(2000):
             g = nakagami_sample(2.0, 1.0, rng, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
             h = nakagami_sample(2.5, 1.0, rng, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-            v_amp = float(nakagami_sample(1.0, 1.0, rng))
+            v_amp = float(nakagami_sample(1.0, 1.0, rng, 1)[0])
             phi_v = float(rng.uniform(-np.pi, np.pi))
             s1 = correlated_snr(v_amp, phi_v, g, h, mats, 1, eta, 1.0)
             s2 = correlated_snr(v_amp, phi_v, g, h, mats, 2, eta, 1.0)

@@ -80,41 +80,55 @@ class TestOutage:
 
 class TestAsymptoticOutage:
     def test_diversity_orders(self):
-        r, _ = asymptotic_outage(figure_config(16, 2.0, 2.0, 3.0), 10.0)
+        r, _ = asymptotic_outage(figure_config(16, 2.0, 2.0, 3.0), 10.0, 1.0)
         assert r.g_d == pytest.approx(34.0, rel=0)
-        r, _ = asymptotic_outage(figure_config(16, 1.0, 1.0, 2.0), 10.0)
+        r, _ = asymptotic_outage(figure_config(16, 1.0, 1.0, 2.0), 10.0, 1.0)
         assert r.g_d == pytest.approx(17.0, rel=0)
 
     def test_rayleigh_reduction_needs_distinct_shapes(self):
         # equal reflected shapes hit the excluded Gamma pole; the rule
         # m_v + min(m)N still gives 1 + N, reported in the error path
         with pytest.raises(ConfigError):
-            asymptotic_outage(unit_config(12, 1.0, 1.0, 1.0), 10.0)
+            asymptotic_outage(unit_config(12, 1.0, 1.0, 1.0), 10.0, 1.0)
 
     def test_diversity_additivity(self):
-        orders = [asymptotic_outage(figure_config(n, 2.0, 2.0, 3.0), 10.0)[0].g_d
+        orders = [asymptotic_outage(figure_config(n, 2.0, 2.0, 3.0), 10.0, 1.0)[0].g_d
                   for n in (4, 5, 6, 7)]
         steps = np.diff(orders)
         assert np.allclose(steps, 2.0)  # min(m_g, m_h) per element
 
     def test_pole_condition_rejected(self):
         with pytest.raises(ConfigError):
-            asymptotic_outage(unit_config(4, 1.0, 1.0, 1.25), 10.0)
+            asymptotic_outage(unit_config(4, 1.0, 1.0, 1.25), 10.0, 1.0)
 
     def test_array_gain_identity(self):
         gamma_th = 10.0 ** 0.7
-        r, _ = asymptotic_outage(figure_config(8, 2.0, 2.0, 3.0), gamma_th)
+        r, _ = asymptotic_outage(figure_config(8, 2.0, 2.0, 3.0), gamma_th, 1.0)
         assert r.o_c == pytest.approx(
             math.exp(-math.log(gamma_th) - r.log_omega_op / r.g_d), rel=1e-12)
 
-    def test_evaluator_is_pure_power_law(self):
-        r, ev = asymptotic_outage(figure_config(8, 2.0, 2.0, 3.0), 10.0)
-        assert ev(200.0) / ev(2000.0) == pytest.approx(10.0 ** r.g_d, rel=1e-9)
+    def test_floor_is_pure_power_law(self):
+        r, floor = asymptotic_outage(figure_config(8, 2.0, 2.0, 3.0), 10.0, [200.0, 2000.0])
+        assert floor[0] / floor[1] == pytest.approx(10.0 ** r.g_d, rel=1e-9)
+
+    def test_floor_points_are_the_scalar_libm_values(self):
+        # an array of gamma_bar gives each point's scalar value bit for bit:
+        # exp(log Omega_op + G_d (log gamma_th - log gamma_bar)) in libm
+        cfg, gamma_th = figure_config(8, 2.0, 2.0, 3.0), 10.0
+        gamma_bars = np.array([0.5, 1.0, 200.0, 1e7])
+        r, floor = asymptotic_outage(cfg, gamma_th, gamma_bars)
+        assert isinstance(floor, np.ndarray) and floor.shape == (4,)
+        expected = [math.exp(r.log_omega_op + r.g_d * (math.log(gamma_th) - math.log(gb)))
+                    for gb in gamma_bars]
+        assert floor.tolist() == expected
+        assert [asymptotic_outage(cfg, gamma_th, float(gb))[1] for gb in gamma_bars] == expected
 
     def test_tangent_to_exact_single_element_distribution(self):
         # exact oracle: direct leg convolved with the exact product density
         cfg = unit_config(1, 1.0, 1.0, 2.0, eta=0.9)
-        r, ev = asymptotic_outage(cfg, 1.0)
+        radii = (0.4, 0.2, 0.1, 0.05)
+        # threshold 1 at the transmit SNR 1 / radius^2
+        r, floor = asymptotic_outage(cfg, 1.0, [1.0 / radius**2 for radius in radii])
         assert r.g_d == pytest.approx(2.0)
         pp = ProductPdfParams(g=cfg.g, h=cfg.h, eta=0.9)
 
@@ -125,10 +139,7 @@ class TestAsymptoticOutage:
             val, _ = quad(outer, 0.0, radius, limit=200)
             return val
 
-        ratios = []
-        for radius in (0.4, 0.2, 0.1, 0.05):
-            gamma_bar = 1.0 / radius**2  # threshold 1 at this transmit SNR
-            ratios.append(ev(gamma_bar) / exact_cdf(radius))
+        ratios = [value / exact_cdf(radius) for value, radius in zip(floor, radii)]
         assert all(b < a for a, b in zip(ratios, ratios[1:]))  # approaching from above
         assert ratios[-1] == pytest.approx(1.0, abs=0.015)
 
@@ -216,23 +227,25 @@ class TestSerBound:
 class TestAsymptoticSer:
     def test_shares_diversity_order(self):
         cfg = figure_config(16, 1.0, 1.0, 2.0)
-        r_out, _ = asymptotic_outage(cfg, 10.0)
-        r_ser, _ = asymptotic_ser(cfg)
+        r_out, _ = asymptotic_outage(cfg, 10.0, 1.0)
+        r_ser, _ = asymptotic_ser(cfg, 1.0)
         assert r_ser.g_d == r_out.g_d == 17.0
 
     def test_loglog_slope(self):
         cfg = figure_config(16, 1.0, 1.0, 2.0)
-        _, ev = asymptotic_ser(cfg)
         xs = np.linspace(35.0, 45.0, 11)
-        slope = fit_loglog_slope(xs, [ev(10 ** (x / 10)) for x in xs], (35.0, 45.0))
+        _, floor = asymptotic_ser(cfg, 10 ** (xs / 10))
+        slope = fit_loglog_slope(xs, floor, (35.0, 45.0))
         assert slope == pytest.approx(-17.0, rel=1e-9)
 
     def test_floor_beyond_float_range_is_inf(self):
         cfg = figure_config(64, 2.0, 3.0, 4.0)
-        _, ser = asymptotic_ser(cfg)
-        _, outage = asymptotic_outage(cfg, 10.0)
-        assert ser(1.0) == math.inf and outage(1e-3) == math.inf
-        assert 0.0 < ser(10.0 ** 1.5) < math.inf and 0.0 < outage(1.0) < math.inf
+        _, ser = asymptotic_ser(cfg, [1.0, 10.0 ** 1.5])
+        _, outage = asymptotic_outage(cfg, 10.0, [1e-3, 1.0])
+        assert ser[0] == math.inf and outage[0] == math.inf
+        assert 0.0 < ser[1] < math.inf and 0.0 < outage[1] < math.inf
+        # a scalar gamma_bar gives a float
+        assert asymptotic_ser(cfg, 1.0)[1] == math.inf
 
     def test_floor_matches_exact_single_element_ser(self):
         # exact oracle: double quadrature over the direct Rayleigh leg and
@@ -240,7 +253,8 @@ class TestAsymptoticSer:
         cfg = SystemConfig(n_elements=1, eta=0.9, v=LinkParams(1.0, 1.0),
                            g=LinkParams(1.0, 1.0), h=LinkParams(2.0, 0.5),
                            modulation=Modulation(1.0, 2.0))
-        result, ev = asymptotic_ser(cfg)
+        gamma_bars = [10 ** (db / 10) for db in (20.0, 30.0)]
+        result, floor = asymptotic_ser(cfg, gamma_bars)
         assert result.g_d == pytest.approx(2.0)
         pp = ProductPdfParams(g=cfg.g, h=cfg.h, eta=0.9)
         from irslink.specfun import gaussian_q
@@ -256,7 +270,7 @@ class TestAsymptoticSer:
             val, _ = quad(inner, 0, np.inf, limit=200)
             return val
 
-        ratios = [ev(10 ** (db / 10)) / exact_ser(10 ** (db / 10)) for db in (20.0, 30.0)]
+        ratios = [value / exact_ser(gb) for value, gb in zip(floor, gamma_bars)]
         assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)  # attaching
         assert ratios[1] == pytest.approx(1.0, abs=0.02)
 

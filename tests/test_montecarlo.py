@@ -250,6 +250,22 @@ class TestEstimators:
         half = 1.959963984540054 * float(np.std(0.5 * (samples == 0.0), ddof=1)) / math.sqrt(1000)
         assert est.ci_high == pytest.approx(est.value + half, rel=1e-12)
 
+    def test_interval_half_width_is_the_plain_std_where_it_does_not_underflow(self):
+        rng = np.random.default_rng(11)
+        for values in (rng.random(5000) * 7.0, rng.random(3000) ** 40 * 1e-90,
+                       np.concatenate([np.zeros(999), [0.3]])):
+            est = montecarlo._mean_estimate(values)
+            half = 1.959963984540054 * float(values.std(ddof=1)) / math.sqrt(values.size)
+            assert (est.ci_low, est.ci_high) == (est.value - half, est.value + half)
+
+    def test_interval_of_terms_below_the_square_range_keeps_its_width(self):
+        # squares of deviations below about 1e-154 underflow: the interval of
+        # these terms is that of the same terms scaled by 2**600, scaled back
+        values = np.concatenate([np.zeros(998), [3e-170, 1e-170]])
+        est, scaled = (montecarlo._mean_estimate(v) for v in (values, values * 2.0**600))
+        assert est.ci_low < est.value < est.ci_high
+        assert est.ci_high - est.value == math.ldexp(scaled.ci_high - scaled.value, -600)
+
     def test_rate_ratio_matches_the_delta_method_by_hand(self):
         # rates log2(1 + snr): reference 1, 2, 3, 4; paired sample 1, 1, 2, 3
         reference = np.array([1.0, 3.0, 7.0, 15.0])

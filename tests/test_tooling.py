@@ -1,7 +1,12 @@
-"""The benchmark tracer's targets and the import path of the CLI."""
+"""The benchmark tracer's targets, the output contract the benchmark checks,
+and the import path of the CLI."""
 
+import contextlib
+import functools
 import importlib
 import importlib.util
+import io
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,16 +14,22 @@ from pathlib import Path
 import pytest
 
 import irslink
+import irslink.cli as cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tracing_targets():
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+@functools.cache
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
-    return [name for _, names, _ in module.TARGETS for name in names]
+    return module
+
+
+def _tracing_targets():
+    return [name for _, names, _ in _bench_module("tracing").TARGETS for name in names]
 
 
 @pytest.mark.parametrize("dotted", _tracing_targets())
@@ -36,3 +47,23 @@ def test_cli_import_leaves_scipy_module_out(module):
     out = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("use_mc", [False, True], ids=["no_mc", "mc"])
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_outputs_meet_the_benchmark_contract(tmp_path, kind, use_mc):
+    # the files and row counts every benchmark invocation is checked against
+    checks = _bench_module("checks")
+    argv = [kind, "--trials", "300", "--out", str(tmp_path)] + ([] if use_mc else ["--no-mc"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    resolved = manifest["experiment"]["config"]
+    if kind == "sweep":  # which the benchmark never runs: the rate files, renamed
+        expected = {f"sweep_{name}": rows
+                    for name, rows in checks.expected_files("rate", resolved, use_mc).items()}
+    else:
+        expected = checks.expected_files(kind, resolved, use_mc)
+    assert manifest["files"] == {name: f"{name}.csv" for name in expected}
+    assert sorted(path.stem for path in tmp_path.glob("*.csv")) == sorted(expected)
+    assert checks.check_files(checks.Output(tmp_path, cli.CSV_HEADER), expected) == []

@@ -46,7 +46,7 @@ import scipy
 
 from . import __version__
 from .channel import SystemConfig, db_to_linear, nakagami_draw
-from .config import DEFAULT_CONFIG, load_config_file, validate_config  # noqa: F401
+from .config import load_config_file, validate_config
 from .cltapprox import w_stats
 from .correlation import AngleSpread, CorrelationConfig, simulate_scheme_rates
 from .errors import ConfigError, NumericalConsistencyError
@@ -57,7 +57,6 @@ from .montecarlo import (BIT_GENERATOR, Estimate, SimPlan, _chunk_size, empirica
                          simulate_snr_samples)
 from .montecarlo import reflected_sum_samples as _reflected_sum_samples
 from .snrdist import SnrCdfParams, snr_cdf
-from .specfun import gaussian_q
 
 CSV_HEADER = ["x_unit", "x", "analytic", "asymptotic", "mc", "mc_ci_low", "mc_ci_high"]
 
@@ -96,21 +95,24 @@ def _git_describe() -> str:
 @functools.cache
 def _simd_dispatch() -> dict:
     """CPU dispatch targets (e.g. ``X86_V4``) of the numpy loops whose bits
-    the MC columns depend on: ``trig_dispatch``, the float32 sin and cos of
-    the phasors, and ``log_dispatch``, the float64 log of the Erlang draws.
-    Both None where numpy predates ``numpy.lib.introspect``.  One
-    ``opt_func_info`` call per process."""
+    reach a CSV: ``trig_dispatch``, the float32 sin and cos of the MC phasors;
+    ``log_dispatch`` and ``exp_dispatch``, the float64 log of the Erlang draws
+    and the float64 exp and log of the analytic cells of ``snrcdf`` and
+    ``outage`` (through ``snrdist._convolve``) and of ``wdist``.  All None
+    where numpy predates ``numpy.lib.introspect``.  One ``opt_func_info``
+    call per process."""
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:
-        return {"trig_dispatch": None, "log_dispatch": None}
-    info = opt_func_info(func_name="^(sin|cos|log)$", signature="^(float32|float64)$")
+        return {"trig_dispatch": None, "log_dispatch": None, "exp_dispatch": None}
+    info = opt_func_info(func_name="^(sin|cos|log|exp)$", signature="^(float32|float64)$")
 
     def targets(funcs, signature):
         return "/".join(sorted({info[func][signature]["current"] for func in funcs}))
 
     return {"trig_dispatch": targets(("sin", "cos"), "ff"),
-            "log_dispatch": targets(("log",), "dd")}
+            "log_dispatch": targets(("log",), "dd"),
+            "exp_dispatch": targets(("exp",), "dd")}
 
 
 def _gamma_bars(sweep) -> np.ndarray:
@@ -157,9 +159,7 @@ def _run_wdist(spec: ExperimentSpec, extras: dict) -> dict:
     tn = w_stats(cfg)
     sd = tn.sigma_bar
     grid = np.linspace(max(1e-9, tn.mu_bar - 5 * sd), tn.mu_bar + 5 * sd, 201)
-    xi_phi = tn.xi / math.sqrt(2 * math.pi * tn.sigma2_bar)
-    pdf = xi_phi * np.exp(-((grid - tn.mu_bar) ** 2) / (2 * tn.sigma2_bar))
-    cdf = 1.0 - tn.xi * gaussian_q((grid - tn.mu_bar) / sd)
+    pdf, cdf = np.exp(tn.log_pdf(grid)), np.exp(tn.log_cdf(grid))
     mc_pdf = mc_cdf = None
     if spec.use_mc:
         samples = _timed_mc(extras, _reflected_sum_samples, cfg, spec.plan)
@@ -350,7 +350,8 @@ def run_experiment(spec: ExperimentSpec) -> Path:
         # MC columns are byte-identical only under the same bit generator,
         # the same numpy (its Gamma sampler, log, sin and cos kernels), the
         # same draw per leg shape (extras.mc.runs) and the same CPU dispatch
-        # level of its float32 sin and cos and float64 log SIMD loops
+        # level of its float32 sin and cos and float64 log SIMD loops; the
+        # analytic cells of snrcdf, outage and wdist need its float64 exp and log
         "artifact": {"build": _git_describe(), "version": __version__,
                      "python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__,

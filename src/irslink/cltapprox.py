@@ -1,12 +1,13 @@
-"""Truncated-normal statistics of the co-phased reflected sum.
+"""Truncated-normal law of the co-phased reflected sum.
 
 The sum W of the amplitude products eta * g_n * h_n of N identical elements
 is approximated, for moderate-to-large element counts, by a normal
 distribution truncated to [0, inf).  This module computes the pre-truncation
 parameters (mu_bar, sigma2_bar), each N times the moment of one product, from
-the leg shapes and spreads, the post-truncation mean/variance/moments, and the
-statistics of the real and imaginary parts under uniformly distributed
-phase-quantization error.
+the leg shapes and spreads; evaluates the law itself (log density, log CDF
+and log tail, :class:`TruncatedNormal`); and gives the post-truncation
+mean/variance/moments and the statistics of the real and imaginary parts
+under uniformly distributed phase-quantization error.
 """
 
 from __future__ import annotations
@@ -66,6 +67,29 @@ class TruncatedNormal:
     def xi(self) -> float:
         return 1.0 / float(gaussian_q(self.z_bar))
 
+    @property
+    def _log_mass(self) -> float:
+        # log P(normal >= 0) = -log xi
+        return float(sc.log_ndtr(-self.z_bar))
+
+    def log_pdf(self, w):
+        """log of the density xi phi((w - mu_bar) / sigma_bar) / sigma_bar, w >= 0."""
+        log_norm = -math.log(self.sigma_bar * math.sqrt(2.0 * math.pi)) - self._log_mass
+        return log_norm - 0.5 * ((w - self.mu_bar) / self.sigma_bar) ** 2
+
+    def log_cdf(self, w):
+        """log of (Phi(a) - Phi(z_bar)) / Q(z_bar), a = (w - mu_bar) / sigma_bar;
+        -inf where the probability is 0 (w <= 0)."""
+        log_phi = sc.log_ndtr((w - self.mu_bar) / self.sigma_bar)
+        log_below = float(sc.log_ndtr(self.z_bar))      # log P(normal < 0)
+        with np.errstate(divide="ignore"):
+            return (log_phi + np.log(-np.expm1(np.minimum(log_below - log_phi, 0.0)))
+                    - self._log_mass)
+
+    def log_sf(self, w):
+        """log of Q(a) / Q(z_bar), a = (w - mu_bar) / sigma_bar."""
+        return sc.log_ndtr((self.mu_bar - w) / self.sigma_bar) - self._log_mass
+
 
 def w_stats(cfg: SystemConfig) -> TruncatedNormal:
     """Pre-truncation mean and variance of the reflected amplitude sum."""
@@ -102,19 +126,15 @@ class QuantizedWStats:
     """Statistics of the reflected sum under b-bit phase quantization.
 
     The real part keeps a lower-truncated normal model; the imaginary part
-    is zero-mean with the degenerate truncation point, xi = 2.  The two
-    variances split the power budget N eta^2 kappa_g kappa_h less the N squared
-    element means: sigma2_R + sigma2_I + mu_R^2 / N equals the budget.
+    is a zero-mean normal of variance ``sigma2_imag`` (0 once tau^2 is below
+    the float epsilon, where sin(2 tau)/(4 tau) rounds to 1/2).  The two variances
+    split the power budget N eta^2 kappa_g kappa_h less the N squared element
+    means: sigma2_R + sigma2_I + mu_R^2 / N equals the budget.
     """
 
     real_part: TruncatedNormal
-    imag_part: TruncatedNormal
+    sigma2_imag: float
     tau: float
-    bits: int
-
-    def __post_init__(self):
-        if self.imag_part.mu_bar != 0.0:
-            raise ValueError("imaginary part must be zero-mean")
 
 
 def quantized_w_stats(cfg: SystemConfig, bits: int) -> QuantizedWStats:
@@ -127,21 +147,12 @@ def quantized_w_stats(cfg: SystemConfig, bits: int) -> QuantizedWStats:
     sin2_mean = 0.5 - math.sin(2.0 * tau) / (4.0 * tau)
 
     n, eta = cfg.n_elements, cfg.eta
-    t = gamma_ratio_t(cfg.g.m, cfg.h.m, 0.5)
-    kgkh = cfg.g.kappa * cfg.h.kappa
-    per_mu = eta * math.sqrt(kgkh / (cfg.g.m * cfg.h.m)) * t * cos_mean
-    power = n * (eta * eta * kgkh)
-
-    # Per-element variance subtraction; subtracting the squared *sum* of
-    # means would go negative for every N > 1.
-    s2_r = cos2_mean * power - n * per_mu**2
-    # sin(2 tau)/(4 tau) rounds to exactly 1/2 once tau^2 is below the
-    # float epsilon; keep the degenerate imaginary spread representable
-    s2_i = max(sin2_mean * power, np.finfo(float).tiny)
+    mu_r = w_stats(cfg).mu_bar * cos_mean
+    power = n * (eta * eta * (cfg.g.kappa * cfg.h.kappa))
+    # Per-element variance subtraction, N (mu_R / N)^2; subtracting the
+    # squared *sum* of means would go negative for every N > 1.
     return QuantizedWStats(
-        real_part=TruncatedNormal(mu_bar=n * per_mu, sigma2_bar=s2_r),
-        imag_part=TruncatedNormal(mu_bar=0.0, sigma2_bar=s2_i),
+        real_part=TruncatedNormal(mu_bar=mu_r, sigma2_bar=cos2_mean * power - mu_r**2 / n),
+        sigma2_imag=sin2_mean * power,
         tau=tau,
-        bits=bits,
     )
-

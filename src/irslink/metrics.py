@@ -167,7 +167,8 @@ class RateBounds:
                 f"rate bounds out of order: {self.lower} > {self.upper}")
 
 
-# libm's log2 elementwise, for the reason specfun takes exp from libm
+# libm's log2 elementwise: the rate bound cells then do not depend on the
+# SIMD level of numpy's log2, as the SER bound's do not on its exp (specfun._exp)
 _libm_log2 = np.frompyfunc(math.log2, 1, 1)
 
 
@@ -285,5 +286,4 @@ def quantized_rate_bounds(cfg: SystemConfig, bits: int, gamma_bar) -> RateBounds
     SNR(s) ``gamma_bar``, a float or an array: W_R keeps the truncated-normal
     moments, W_I is the zero-mean normal of ``quantized_w_stats``."""
     qs = quantized_w_stats(cfg, bits)
-    return _moment_bounds(cfg, _truncated_moments(qs.real_part), qs.imag_part.sigma2_bar,
-                          gamma_bar)
+    return _moment_bounds(cfg, _truncated_moments(qs.real_part), qs.sigma2_imag, gamma_bar)

@@ -4,8 +4,9 @@ Co-phasing turns the received envelope into R = v + W, the Nakagami direct
 amplitude plus the reflected sum, a normal law truncated to [0, inf); the SNR
 is gamma_bar * R^2.  One law serves every m_v in [1/2, 1e12] and N >= 1: the
 positive integral P(R <= r) = int_0^r f_v(x) F_W(r - x) dx, with F_W in log
-space (past the mean of R, one minus the same integral of 1 - F_W), and the
-density likewise with f_W, on fixed Gauss rules vectorized over r.  The paper's
+space as ``TruncatedNormal.log_cdf`` gives it (past the mean of R, one minus
+the same integral of 1 - F_W, ``log_sf``), and the density likewise with f_W
+(``log_pdf``), on fixed Gauss rules vectorized over r.  The paper's
 closed form (``specfun.cal_j``, m_v a multiple of 1/2 only) is the reference
 the tests compare it against (``tests/oracles.py``).
 """
@@ -135,13 +136,7 @@ def _positive_part(r, evaluate):
 
 def envelope_pdf(r, p: SnrCdfParams):
     """PDF of the received envelope R = v + W (zero for r <= 0)."""
-    tn = p.tn
-    log_norm = -math.log(tn.sigma_bar * math.sqrt(2.0 * math.pi)) - float(sc.log_ndtr(-tn.z_bar))
-
-    def log_density_w(w):
-        return log_norm - 0.5 * ((w - tn.mu_bar) / tn.sigma_bar) ** 2
-
-    out = _positive_part(r, lambda rr: _convolve(rr, p, np.zeros(rr.shape), log_density_w))
+    out = _positive_part(r, lambda rr: _convolve(rr, p, np.zeros(rr.shape), p.tn.log_pdf))
     return out if out.shape else float(out)
 
 
@@ -159,18 +154,6 @@ def envelope_cdf(r, p: SnrCdfParams):
     about the mean of R, sqrt(kappa_v) + mu_bar, as a sum of positive terms,
     past it as one minus such a sum for the upper tail."""
     m, kappa, tn = p.m_v, p.kappa_v, p.tn
-    log_mass = float(sc.log_ndtr(-tn.z_bar))      # log P(normal >= 0) = -log xi
-    log_below = float(sc.log_ndtr(tn.z_bar))      # log P(normal < 0)
-
-    def log_cdf_w(w):
-        # log of (Phi(a) - Phi(z_bar)) / Q(z_bar), a = (w - mu_bar) / sigma_bar
-        log_phi = sc.log_ndtr((w - tn.mu_bar) / tn.sigma_bar)
-        return log_phi + np.log(-np.expm1(np.minimum(log_below - log_phi, 0.0))) - log_mass
-
-    def log_sf_w(w):
-        # log of Q(a) / Q(z_bar)
-        return sc.log_ndtr((tn.mu_bar - w) / tn.sigma_bar) - log_mass
-
     def evaluate(rr):
         # below: the Gamma CDF of v where F_W(r - x) = 1, up to r - mu_bar - _REACH
         # sigma_bar (moved to 0 like the other edges), then f_v F_W; past: P(v > r) + f_v (1 - F_W)
@@ -179,8 +162,8 @@ def envelope_cdf(r, p: SnrCdfParams):
         head[upper | (head < _SNAP * tn.sigma_bar)] = 0.0
         small = np.where(upper, sc.gammaincc(m, m / kappa * rr * rr),
                         sc.gammainc(m, m / kappa * head * head))
-        small[~upper] += _convolve(rr[~upper], p, head[~upper], log_cdf_w)
-        small[upper] += _convolve(rr[upper], p, head[upper], log_sf_w)
+        small[~upper] += _convolve(rr[~upper], p, head[~upper], tn.log_cdf)
+        small[upper] += _convolve(rr[upper], p, head[upper], tn.log_sf)
         return np.where(upper, 1.0 - small, small)
 
     out = _check_probability(_positive_part(r, evaluate), "envelope_cdf")

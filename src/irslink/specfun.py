@@ -37,9 +37,10 @@ __all__ = [
 ]
 
 # libm's exp, elementwise.  numpy's own exp (and pow) kernels depend on the
-# SIMD level the host dispatches and can differ from libm in the last bit;
-# the closed forms difference nearby tails, which lifts such a bit into the
-# printed digits, so they take exp from libm and powers from float_power.
+# SIMD level the host dispatches and can differ from libm in the last bit.  The
+# SER bound takes exp from libm so that none of its printed digits depends on
+# that level, as do the closed forms below (the tests' reference), with powers
+# from float_power.
 _libm_exp = np.frompyfunc(math.exp, 1, 1)
 
 

@@ -17,10 +17,12 @@ import scipy
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import irslink.cli as cli
 import irslink.montecarlo as montecarlo
 from irslink.channel import ERLANG_MAX_SHAPE
+from irslink.config import DEFAULT_CONFIG
 from irslink.errors import NumericalConsistencyError
 from irslink.metrics import outage_probability
 from irslink.montecarlo import (SimPlan, chunk_rng, empirical_ber, empirical_outage,
@@ -169,7 +171,7 @@ def test_gamma_sweep_draws_once(tmp_path, monkeypatch):
     calls = count_draws(monkeypatch)
     code, _ = run_cli(tmp_path, "rate", {"trials": 2000})
     assert code == 0
-    assert len(cli.DEFAULT_CONFIG["sweep"]["values"]) == 16
+    assert len(DEFAULT_CONFIG["sweep"]["values"]) == 16
     assert len(calls) == 1
 
 
@@ -231,6 +233,33 @@ def test_wdist_samples_keep_their_stream_for_any_worker_count(monkeypatch):
         expected.append((g * h * cfg.eta).sum(axis=1))
     for run in runs:
         np.testing.assert_array_equal(run, np.concatenate(expected))
+
+
+@pytest.mark.parametrize("config,cdf_rtol", [
+    ({}, 1e-12),
+    ({"n_elements": 4}, 1e-12),
+    ({"n_elements": 64}, 1e-12),
+    # z_bar -2.5 and -3.3: the first cell, w = 1e-9, is Phi(a) - Phi(z_bar)
+    # with a within 1e-9 of z_bar, ill-conditioned in any form
+    ({"n_elements": 1}, 1e-8),
+    ({"n_elements": 2, "fading": {"m_g": 3.0, "m_h": 3.0}}, 1e-8),
+])
+def test_wdist_analytic_columns_match_quadrature(config, cdf_rtol):
+    cfg, resolved = cli.validate_config(config, "wdist")
+    spec = cli.ExperimentSpec("wdist", cfg, SimPlan(trials=10, seed=1), resolved, Path("."),
+                              use_mc=False)
+    curves = cli._run_wdist(spec, {})
+    _, grid, pdf = curves["wdist_pdf"]
+    _, _, cdf = curves["wdist_cdf"]
+    tn = cli.w_stats(cfg)
+    mu, sd, xi = tn.mu_bar, tn.sigma_bar, tn.xi
+
+    def density(w):
+        return xi * math.exp(-0.5 * ((w - mu) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+    np.testing.assert_allclose(pdf["analytic"], [density(w) for w in grid], rtol=1e-12, atol=0)
+    expected = [quad(density, 0.0, w, epsabs=0, epsrel=1e-13, limit=200)[0] for w in grid]
+    np.testing.assert_allclose(cdf["analytic"], expected, rtol=cdf_rtol, atol=0)
 
 
 @pytest.mark.parametrize("kind,config,field", [
@@ -331,8 +360,9 @@ def test_manifest_records_the_numeric_stack(tmp_path):
     assert artifact["scipy"] == scipy.__version__
     assert artifact["bit_generator"] == "SFC64"
     # the CPU level of numpy's float32 sin/cos loops, which the MC phasors use,
-    # and of its float64 log loop, which the Erlang draws use
-    for key in ("trig_dispatch", "log_dispatch"):
+    # of its float64 log loop, which the Erlang draws and the analytic law use,
+    # and of its float64 exp loop, which the analytic law uses
+    for key in ("trig_dispatch", "log_dispatch", "exp_dispatch"):
         assert artifact[key] == cli._simd_dispatch()[key]
         assert artifact[key]
 
@@ -434,7 +464,7 @@ def test_ser_interval_of_terms_below_the_square_range_has_width(tmp_path):
 
 def test_a_failed_run_writes_no_csv(tmp_path, monkeypatch):
     bounds = cli.quantized_rate_bounds
-    n_values = cli.DEFAULT_CONFIG["quantization"]["n_values"]
+    n_values = DEFAULT_CONFIG["quantization"]["n_values"]
 
     def fail_at_the_second_n(cfg, bits, gamma_bar):
         if cfg.n_elements == n_values[1]:
@@ -544,11 +574,11 @@ def _loads_like_safe_load(path: Path):
 
 def test_config_loader_matches_safe_load(tmp_path):
     as_yaml, as_json = tmp_path / "config.yaml", tmp_path / "config.json"
-    as_yaml.write_text(yaml.safe_dump(cli.DEFAULT_CONFIG))
-    as_json.write_text(json.dumps(cli.DEFAULT_CONFIG, indent=2))
+    as_yaml.write_text(yaml.safe_dump(DEFAULT_CONFIG))
+    as_json.write_text(json.dumps(DEFAULT_CONFIG, indent=2))
     _loads_like_safe_load(as_yaml)
     _loads_like_safe_load(as_json)
-    assert cli.load_config_file(str(as_yaml)) == cli.DEFAULT_CONFIG
+    assert cli.load_config_file(str(as_yaml)) == DEFAULT_CONFIG
     scalars = tmp_path / "scalars.yaml"
     scalars.write_text("eta: .5\ngamma_bar_db: 1e1\ngamma_th_db: 1.0e1\n"
                        "fading: {m_v: 2, m_g: .75}\nsweep:\n  values: [.5, 1e1, 2.]\n")
@@ -660,7 +690,7 @@ _CONFIG_SHAPES = [
 
 @pytest.mark.parametrize("kind,raw", _CONFIG_SHAPES)
 def test_validation_leaves_the_defaults_and_the_input_alone(kind, raw):
-    defaults, before = copy.deepcopy(cli.DEFAULT_CONFIG), copy.deepcopy(raw)
+    defaults, before = copy.deepcopy(DEFAULT_CONFIG), copy.deepcopy(raw)
     _, resolved = cli.validate_config(raw, kind)
     # every nested block and list of the result is its own: wiping them all
     # touches neither input
@@ -675,7 +705,7 @@ def test_validation_leaves_the_defaults_and_the_input_alone(kind, raw):
             node[key] = None
     # repr tells 8 from 8.0, which == does not
     assert repr(raw) == repr(before)
-    assert repr(cli.DEFAULT_CONFIG) == repr(defaults)
+    assert repr(DEFAULT_CONFIG) == repr(defaults)
 
 
 @pytest.mark.parametrize("kind,raw", _CONFIG_SHAPES)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import truncnorm
 
 from irslink.channel import LinkParams, SystemConfig
 from irslink.cltapprox import (TruncatedNormal, quantized_w_stats, w_mean_var,
@@ -57,6 +58,35 @@ class TestWStats:
         assert s2 == pytest.approx(2.0 * s1, rel=1e-12)
 
 
+class TestTruncatedNormalLaw:
+    @staticmethod
+    def law(z_bar):
+        # sigma_bar = 1.5, mu_bar placed so the truncation point is z_bar
+        tn = TruncatedNormal(mu_bar=-1.5 * z_bar, sigma2_bar=2.25)
+        return tn, np.linspace(0.0, tn.mu_bar + 8.0 * tn.sigma_bar, 401)
+
+    @pytest.mark.parametrize("z_bar", [0.0, -2.5, -10.0, -20.0])
+    def test_matches_scipy_truncnorm(self, z_bar):
+        tn, w = self.law(z_bar)
+        ref = truncnorm(a=tn.z_bar, b=np.inf, loc=tn.mu_bar, scale=tn.sigma_bar)
+        # 1e-13 relative, plus 1e-14 absolute for the log CDF near 0 at the top
+        # of the range; log_cdf(0) = -inf on both sides
+        for mine, theirs in ((tn.log_pdf(w), ref.logpdf(w)), (tn.log_cdf(w), ref.logcdf(w)),
+                             (tn.log_sf(w), ref.logsf(w))):
+            np.testing.assert_allclose(mine, theirs, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("z_bar", [0.0, -2.5, -10.0, -20.0])
+    def test_cdf_and_tail_sum_to_one(self, z_bar):
+        tn, w = self.law(z_bar)
+        np.testing.assert_allclose(np.logaddexp(tn.log_cdf(w), tn.log_sf(w)), 0.0, atol=1e-15)
+
+    def test_log_cdf_is_minus_inf_at_and_below_zero(self):
+        # the suite turns RuntimeWarnings into errors: log 0 must not warn
+        tn, _ = self.law(-2.5)
+        assert tn.log_cdf(0.0) == -math.inf
+        np.testing.assert_array_equal(tn.log_cdf(np.array([-1.0, 0.0])), -math.inf)
+
+
 class TestWMeanVar:
     def test_half_normal_mean(self):
         mu, var = w_mean_var(TruncatedNormal(mu_bar=0.0, sigma2_bar=1.0))
@@ -109,7 +139,8 @@ class TestQuantizedStats:
         qs = quantized_w_stats(cfg, 40)
         assert qs.real_part.mu_bar == pytest.approx(tn.mu_bar, rel=1e-12)
         assert qs.real_part.sigma2_bar == pytest.approx(tn.sigma2_bar, rel=1e-9)
-        assert qs.imag_part.sigma2_bar == pytest.approx(0.0, abs=1e-12)
+        # sin(2 tau)/(4 tau) rounds to exactly 1/2: no imaginary spread is left
+        assert qs.sigma2_imag == 0.0
 
     def test_single_bit_mean(self):
         cfg = unit_config(8, 1.0, 1.0)
@@ -124,10 +155,8 @@ class TestQuantizedStats:
         assert ratio == pytest.approx(math.sin(math.pi / 16) / (math.pi / 16), rel=1e-12)
         assert ratio == pytest.approx(0.99359, abs=1e-5)
 
-    def test_imaginary_part_shape(self):
+    def test_error_half_width(self):
         qs = quantized_w_stats(unit_config(8, 1.0, 2.0), 2)
-        assert qs.imag_part.mu_bar == 0.0
-        assert qs.imag_part.xi == pytest.approx(2.0, rel=1e-12)
         assert qs.tau == pytest.approx(math.pi / 4.0)
 
     @pytest.mark.parametrize("bits", [1, 2, 3, 4, 6, 8])
@@ -137,11 +166,11 @@ class TestQuantizedStats:
         # the budget N eta^2 kappa_g kappa_h less the N squared element means
         budget = cfg.n_elements * cfg.eta**2 * cfg.g.kappa * cfg.h.kappa
         mean_sq_sum = qs.real_part.mu_bar**2 / cfg.n_elements
-        total = qs.real_part.sigma2_bar + qs.imag_part.sigma2_bar + mean_sq_sum
+        total = qs.real_part.sigma2_bar + qs.sigma2_imag + mean_sq_sum
         assert total == pytest.approx(budget, rel=1e-12)
         assert budget == pytest.approx(32 * 0.9**2 * 1.0 * 1.0, rel=1e-12)
         assert qs.real_part.sigma2_bar > 0
-        assert qs.imag_part.sigma2_bar > 0
+        assert qs.sigma2_imag > 0
 
     @pytest.mark.parametrize("bits", [1, 2, 4])
     def test_single_element_literal_identity(self, bits):
@@ -149,7 +178,7 @@ class TestQuantizedStats:
         cfg = unit_config(1, 2.0, 3.0, eta=0.7)
         qs = quantized_w_stats(cfg, bits)
         total = (qs.real_part.sigma2_bar + qs.real_part.mu_bar**2
-                 + qs.imag_part.sigma2_bar)
+                 + qs.sigma2_imag)
         assert total == pytest.approx(cfg.eta**2 * cfg.g.kappa * cfg.h.kappa, rel=1e-12)
 
     def test_moments_against_mc(self):
@@ -166,7 +195,7 @@ class TestQuantizedStats:
         w_im = (prod * np.sin(eps)).sum(axis=1)
         assert w_re.mean() == pytest.approx(qs.real_part.mu_bar, rel=0.005)
         assert w_re.var() == pytest.approx(qs.real_part.sigma2_bar, rel=0.01)
-        assert w_im.var() == pytest.approx(qs.imag_part.sigma2_bar, rel=0.01)
+        assert w_im.var() == pytest.approx(qs.sigma2_imag, rel=0.01)
 
     def test_rejects_zero_bits(self):
         with pytest.raises(ValueError):

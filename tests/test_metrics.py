@@ -310,6 +310,6 @@ class TestQuantizedRateBounds:
         mu, s2 = qs.real_part.mu_bar, qs.real_part.sigma2_bar
         plain = [1.0, mu, mu**2 + s2, mu**3 + 3.0 * mu * s2,
                  mu**4 + 6.0 * mu**2 * s2 + 3.0 * s2**2]
-        approx = metrics._moment_bounds(cfg, plain, qs.imag_part.sigma2_bar, cfg.gamma_bar)
+        approx = metrics._moment_bounds(cfg, plain, qs.sigma2_imag, cfg.gamma_bar)
         assert approx.lower == pytest.approx(exact.lower, abs=5e-3)
         assert approx.upper == pytest.approx(exact.upper, abs=5e-3)

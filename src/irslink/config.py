@@ -16,11 +16,17 @@ from pathlib import Path
 import yaml
 
 from .channel import LinkParams, Modulation, SystemConfig, db_to_linear, path_loss
+from .correlation import CorrelationConfig
 from .errors import ConfigError
 
 # Largest element count a config may ask for: per-element arrays stay small,
 # and a count beyond it is a typo rather than a surface.
 MAX_ELEMENTS = 1_000_000
+
+# Longest side of the squarest grid of a correlated surface: its factor roots
+# take side^2 entries and O(side^3) time, about 17 s and 0.5 GB at 2039 x 1,
+# where a prime N tiles as N x 1.  Every square count up to MAX_ELEMENTS passes.
+MAX_GRID_SIDE = 2048
 
 # Documented defaults: the standard geometry (source-destination 100 m, surface legs
 # 60 m each), shapes (2, 3, 4), eta 0.9, BPSK, 20 dB transmit SNR, 10 dB outage
@@ -206,6 +212,12 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
             if zeta[path] is None:
                 errors.append(f"distances.{path}: the leg gain at {d} m under pathloss "
                               f"(zeta0_db={zeta0}, exponent={ple}) leaves the float range")
+
+    for n_corr in corr_n or ():
+        n_az, n_el = CorrelationConfig.tiling(n_corr)
+        if n_az > MAX_GRID_SIDE:
+            errors.append(f"correlation.n_values: the squarest grid of {n_corr} elements is "
+                          f"{n_az} x {n_el}, longer than {MAX_GRID_SIDE} on a side")
 
     # the finest element spacing in wavelengths; 0 where a tiny surface meets a
     # long wavelength (an infinite one leaves the correlation factors non-finite)

@@ -6,9 +6,9 @@ separable correlation: a Kronecker product of an azimuth factor and an
 elevation factor, each with unit diagonal.  Channels are correlated by
 multiplying i.i.d. vectors with the Hermitian square roots, and the root of
 a Kronecker product is the Kronecker product of the factors' roots.  Only
-the small factor roots are kept: a row vector is correlated as two small
-matrix products on its (azimuth x elevation) grid, never through an N x N
-matrix.
+the small factor roots are kept, as a plain (azimuth, elevation) pair of
+arrays per side: a row vector is correlated as two small matrix products on
+its (azimuth x elevation) grid, never through an N x N matrix.
 
 Scheme-2 co-phases against the correlated entries (the phases the
 correlation square roots contribute included), achieving the per-element
@@ -16,11 +16,12 @@ modulus sum; Scheme-1 reuses the phases of the uncorrelated draws and pays
 the misalignment penalty.
 
 A Monte-Carlo chunk draws its amplitudes and phases whole, in stream order,
-then evaluates them in blocks of ``montecarlo._BLOCK_ROWS`` trials: the
-phasors, correlated legs and terms of a block live in block-sized buffers,
-so a thread holds the chunk's four draw buffers and at most about 5.5
-(trials x N) float64 buffers in all.  Each SNR is a sum over one row, the
-same reduction on a block as on the whole chunk, so blocking changes no bit.
+from the generator ``montecarlo.map_chunks`` hands it, then evaluates them
+in blocks of ``montecarlo._BLOCK_ROWS`` trials: the phasors, correlated legs
+and terms of a block live in block-sized buffers, so a thread holds the
+chunk's four draw buffers and at most about 5.5 (trials x N) float64
+buffers in all.  Each SNR is a sum over one row, the same reduction on a
+block as on the whole chunk, so blocking changes no bit.
 """
 
 from __future__ import annotations
@@ -33,14 +34,11 @@ import numpy as np
 
 from .channel import SystemConfig, nakagami_sample
 from .errors import NumericalConsistencyError
-from .montecarlo import (_BLOCK_ROWS, Estimate, SimPlan, _mean_estimate, chunk_rng,
-                         map_chunks)
+from .montecarlo import _BLOCK_ROWS, Estimate, SimPlan, empirical_rate, map_chunks
 
 __all__ = [
     "AngleSpread",
     "CorrelationConfig",
-    "KroneckerRoot",
-    "CorrelationMatrices",
     "corr_matrix_azimuth",
     "corr_matrix_elevation",
     "build_correlation",
@@ -88,14 +86,19 @@ class CorrelationConfig:
     def n_total(self) -> int:
         return self.n_az * self.n_el
 
+    @staticmethod
+    def tiling(n_elements: int) -> tuple[int, int]:
+        """Squarest (n_az, n_el) grid of ``n_elements``, n_az >= n_el."""
+        n_el = math.isqrt(n_elements)
+        while n_elements % n_el:
+            n_el -= 1
+        return n_elements // n_el, n_el
+
     @classmethod
     def square_surface(cls, n_elements: int, side_m: float, wavelength_m: float,
                        aoa: AngleSpread, aod: AngleSpread) -> "CorrelationConfig":
         """Squarest n_az x n_el tiling (n_az >= n_el) of a side x side surface."""
-        n_el = int(math.isqrt(n_elements))
-        while n_elements % n_el:
-            n_el -= 1
-        n_az = n_elements // n_el
+        n_az, n_el = cls.tiling(n_elements)
         return cls(n_az=n_az, n_el=n_el,
                    d_az=side_m / n_az / wavelength_m,
                    d_el=side_m / n_el / wavelength_m,
@@ -139,32 +142,16 @@ def _hermitian_sqrt(r: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-@dataclass(frozen=True)
-class KroneckerRoot:
-    """Hermitian root ``kron(az, el)`` of one side's correlation, kept as the
-    Hermitian roots of its azimuth and elevation factors."""
-
-    az: np.ndarray
-    el: np.ndarray
-
-
-@dataclass(frozen=True)
-class CorrelationMatrices:
-    """Roots of the arrival (R_A) and departure (R_D) correlation."""
-
-    arrival: KroneckerRoot
-    departure: KroneckerRoot
-
-
-def build_correlation(cfg: CorrelationConfig) -> CorrelationMatrices:
-    """Hermitian roots of the azimuth and elevation factors of R_A and R_D."""
+def build_correlation(cfg: CorrelationConfig) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``((arrival_az, arrival_el), (departure_az, departure_el))``: the
+    Hermitian roots of the azimuth and elevation factors of R_A and R_D, so
+    that ``kron(az, el)`` is the root of that side's correlation."""
     # a factor beyond the float64 range has non-finite entries, which
     # _hermitian_sqrt rejects
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return CorrelationMatrices(*(
-            KroneckerRoot(az=_hermitian_sqrt(corr_matrix_azimuth(cfg, spread)),
-                          el=_hermitian_sqrt(corr_matrix_elevation(cfg, spread)))
-            for spread in (cfg.aoa, cfg.aod)))
+        return tuple((_hermitian_sqrt(corr_matrix_azimuth(cfg, spread)),
+                      _hermitian_sqrt(corr_matrix_elevation(cfg, spread)))
+                     for spread in (cfg.aoa, cfg.aod))
 
 
 def _kron_right(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -192,8 +179,8 @@ def _turned_leg(u: np.ndarray, amp: np.ndarray, phase: np.ndarray, p: np.ndarray
     return rows
 
 
-def _scheme_snr_chunk(cfg: SystemConfig, mats: CorrelationMatrices, seed: int,
-                      index: int, count: int) -> np.ndarray:
+def _scheme_snr_chunk(cfg: SystemConfig, roots: tuple[tuple[np.ndarray, np.ndarray], ...],
+                      rng: np.random.Generator, count: int) -> np.ndarray:
     """Received SNRs per unit transmit SNR of one chunk, rows (scheme 1, scheme 2).
 
     Scheme 1 turns element n by phi_v - arg g_n - arg h_n of the i.i.d.
@@ -202,23 +189,22 @@ def _scheme_snr_chunk(cfg: SystemConfig, mats: CorrelationMatrices, seed: int,
     g~_n conj(u_g,n) h~_n conj(u_h,n).  Scheme 2 co-phases every term, so its
     SNR takes the moduli of the same terms.
     """
-    rng = chunk_rng(seed, index)
     shape = (count, cfg.n_elements)
     v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
     amp_g = nakagami_sample(cfg.g.m, cfg.g.zeta, rng, shape)
     phase_g = rng.uniform(-math.pi, math.pi, shape)
     amp_h = nakagami_sample(cfg.h.m, cfg.h.zeta, rng, shape)
     phase_h = rng.uniform(-math.pi, math.pi, shape)
-    dep, arr = mats.departure, mats.arrival
+    (arr_az, arr_el), (dep_az, dep_el) = roots
     snr = np.empty((2, count))
     phasor = np.empty((min(count, _BLOCK_ROWS), cfg.n_elements), dtype=np.complex64)
     for start in range(0, count, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         u = phasor[:min(count - start, _BLOCK_ROWS)]
         # rows g^T -> g^T R_D^(1/2)
-        terms = _turned_leg(u, amp_g[block], phase_g[block], dep.az, dep.el)
+        terms = _turned_leg(u, amp_g[block], phase_g[block], dep_az, dep_el)
         # rows h^T -> (R_A^(1/2) h)^T = h^T kron(az, el)^T
-        terms *= _turned_leg(u, amp_h[block], phase_h[block], arr.az.T, arr.el.T)
+        terms *= _turned_leg(u, amp_h[block], phase_h[block], arr_az.T, arr_el.T)
         terms *= cfg.eta
         snr[0, block] = np.abs(v[block] + terms.sum(axis=1)) ** 2
         snr[1, block] = (v[block] + np.abs(terms).sum(axis=1)) ** 2
@@ -230,8 +216,6 @@ def simulate_scheme_rates(cfg: SystemConfig, corr: CorrelationConfig,
     """Average rate of both schemes at ``cfg.gamma_bar`` over shared channel draws."""
     if corr.n_total != cfg.n_elements:
         raise ValueError("correlation grid size must match n_elements")
-    mats = build_correlation(corr)
-    snr = map_chunks(functools.partial(_scheme_snr_chunk, cfg, mats, plan.seed), plan.trials,
-                     cfg.n_elements, plan.workers)
-    rates = np.log2(1.0 + cfg.gamma_bar * snr)
-    return {1: _mean_estimate(rates[0]), 2: _mean_estimate(rates[1])}
+    snr = map_chunks(functools.partial(_scheme_snr_chunk, cfg, build_correlation(corr)), plan,
+                     cfg.n_elements)
+    return {s: empirical_rate(cfg.gamma_bar * snr[s - 1]) for s in (1, 2)}

@@ -1,10 +1,10 @@
 """Monte-Carlo oracle: exact-SNR simulation and plug-in metric estimators.
 
-Sampling is organized in fixed-size chunks of trials.  Chunk ``i`` draws
-from its own generator, seeded by ``(seed, i)`` alone, and the chunk size
-depends only on the element count, so which thread runs a chunk, and how many
-workers there are, never changes a draw: results are bit-identical for any
-worker count and chunks can run on a thread pool.
+Sampling is organized in fixed-size chunks of trials, planned by
+``map_chunks`` alone: it sizes them by the element count, hands chunk ``i`` a
+generator seeded by ``(seed, i)`` alone and runs them in order or on a thread
+pool.  A kernel is a plain function of that generator and a trial count, so
+neither the thread nor the worker count changes a draw or a bit of a result.
 
 A chunk is drawn whole, in stream order, and a kernel with phases then
 evaluates it in blocks of ``_BLOCK_ROWS`` trials, reusing block-sized scratch.
@@ -99,10 +99,10 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _chunk_size(n_elements: int) -> int:
-    """Trials per chunk: each (trials x N) float64 buffer is about 2 MB, so a
-    chunk's draws stay a few MB per thread and a run splits into many chunks
-    that the workers share evenly.  The streams depend on it."""
-    return max(256, (1 << 18) // n_elements)
+    """Trials per chunk: each (trials x N) float64 buffer is about 2 MB, or one
+    trial where that is more, so a chunk's draws stay small per thread and the
+    workers share many chunks evenly.  The streams depend on it."""
+    return max(1, (1 << 18) // n_elements)
 
 
 # Trials per evaluation block of a chunk: a block's scratch is a small part
@@ -111,20 +111,24 @@ def _chunk_size(n_elements: int) -> int:
 _BLOCK_ROWS = 256
 
 
-def map_chunks(kernel: Callable[[int, int], np.ndarray], trials: int, n_elements: int,
-               workers: int) -> np.ndarray:
-    """``kernel(index, count)`` over consecutive chunks of
-    ``_chunk_size(n_elements)`` trials, joined along the last axis.  Chunk
-    ``index`` draws from ``chunk_rng(seed, index)``, so the result does not
-    depend on ``workers``; with more than one worker the chunks run on a
-    thread pool."""
+def map_chunks(kernel: Callable[[np.random.Generator, int], np.ndarray], plan: SimPlan,
+               n_elements: int) -> np.ndarray:
+    """``kernel(chunk_rng(plan.seed, index), count)`` over consecutive chunks
+    of ``_chunk_size(n_elements)`` of the ``plan.trials`` trials, joined along
+    the last axis.  A chunk's draws depend on (seed, index) alone, so the
+    result does not depend on ``plan.workers``; with more than one worker the
+    chunks run on a thread pool."""
     size = _chunk_size(n_elements)
-    bounds = [(i, min(size, trials - start)) for i, start in enumerate(range(0, trials, size))]
-    if workers == 1 or len(bounds) == 1:
-        parts = [kernel(i, c) for i, c in bounds]
+    chunks = range(-(-plan.trials // size))
+
+    def run(index: int) -> np.ndarray:
+        return kernel(chunk_rng(plan.seed, index), min(size, plan.trials - index * size))
+
+    if plan.workers == 1 or len(chunks) == 1:
+        parts = list(map(run, chunks))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda bound: kernel(*bound), bounds))
+        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
+            parts = list(pool.map(run, chunks))
     return np.concatenate(parts, axis=-1)
 
 
@@ -138,12 +142,12 @@ def _reflected_products(cfg: SystemConfig, rng: np.random.Generator, count: int)
 
 def reflected_sum_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
     """Samples of the co-phased reflected sum W; no direct link is drawn."""
-    def chunk(index: int, count: int) -> np.ndarray:
-        return _reflected_products(cfg, chunk_rng(plan.seed, index), count).sum(axis=1)
-    return map_chunks(chunk, plan.trials, cfg.n_elements, plan.workers)
+    return map_chunks(lambda rng, count: _reflected_products(cfg, rng, count).sum(axis=1),
+                      plan, cfg.n_elements)
 
 
-def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) -> np.ndarray:
+def _simulate_chunk(cfg: SystemConfig, widths: tuple[int, ...], rng: np.random.Generator,
+                    count: int) -> np.ndarray:
     """SNR samples per unit transmit SNR of one chunk: (v + W)^2 with continuous
     phases, then (v + W_R)^2 + W_I^2 per quantization width; flat without widths.
 
@@ -154,8 +158,6 @@ def _simulate_chunk(cfg: SystemConfig, plan: SimPlan, index: int, count: int) ->
     The cos and sin run in numpy's float32 SIMD loops, which take the float64
     errors in small cast blocks and widen the result into the float64
     scratch."""
-    rng = chunk_rng(plan.seed, index)
-    widths = plan.quantization_bits
     rows = np.empty((1 + len(widths), count))
     v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
     prod = _reflected_products(cfg, rng, count)
@@ -204,8 +206,8 @@ def simulate_snr_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
     equivalent to a phase perturbation of at most about 2**-22 rad; row 0
     takes no trig and is exact float64.
     """
-    return map_chunks(functools.partial(_simulate_chunk, cfg, plan), plan.trials,
-                      cfg.n_elements, plan.workers)
+    return map_chunks(functools.partial(_simulate_chunk, cfg, plan.quantization_bits), plan,
+                      cfg.n_elements)
 
 
 def empirical_cdf(samples: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

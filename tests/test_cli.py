@@ -23,7 +23,7 @@ import irslink.cli as cli
 import irslink.montecarlo as montecarlo
 from irslink.channel import ERLANG_MAX_SHAPE
 from irslink.config import DEFAULT_CONFIG
-from irslink.errors import NumericalConsistencyError
+from irslink.errors import ConfigError, NumericalConsistencyError
 from irslink.metrics import outage_probability
 from irslink.montecarlo import (SimPlan, chunk_rng, empirical_ber, empirical_outage,
                                 empirical_rate, simulate_snr_samples)
@@ -274,6 +274,20 @@ def test_element_counts_below_one_are_config_errors(tmp_path, capsys, kind, conf
     code, _ = run_cli(tmp_path, kind, {**config, "trials": 100})
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_values", [[999_983], [144, 2053]])
+def test_correlation_grids_too_long_to_factor_are_config_errors(n_values):
+    # a prime count tiles as N x 1, whose factor matrices hold N^2 entries;
+    # only the validator runs, so nothing of that size is allocated
+    with pytest.raises(ConfigError, match=f"grid of {n_values[-1]} elements"):
+        cli.validate_config({"correlation": {"n_values": n_values}}, "correlation")
+
+
+def test_every_square_count_and_the_largest_prime_side_are_accepted():
+    # 1000 x 1000 and 2039 x 1 (the largest prime side within the limit)
+    resolved = cli.validate_config({"correlation": {"n_values": [2039, 10**6]}})[1]
+    assert resolved["correlation"]["n_values"] == [2039, 10**6]
 
 
 @pytest.mark.parametrize("text", ["quantization:\n  bits: &a [1, *a]\n",

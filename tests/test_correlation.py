@@ -6,10 +6,9 @@ import pytest
 
 import irslink.montecarlo as montecarlo
 from irslink.channel import LinkParams, SystemConfig, nakagami_sample
-from irslink.correlation import (AngleSpread, CorrelationConfig, CorrelationMatrices,
-                                 KroneckerRoot, _hermitian_sqrt, _kron_right, _scheme_snr_chunk,
-                                 build_correlation, corr_matrix_azimuth, corr_matrix_elevation,
-                                 simulate_scheme_rates)
+from irslink.correlation import (AngleSpread, CorrelationConfig, _hermitian_sqrt, _kron_right,
+                                 _scheme_snr_chunk, build_correlation, corr_matrix_azimuth,
+                                 corr_matrix_elevation, simulate_scheme_rates)
 from irslink.errors import NumericalConsistencyError
 from irslink.montecarlo import SimPlan, chunk_rng
 from oracles import (BLOCK_EDGE_COUNTS, PHASOR_ERROR, float32_trig_bound, nakagami_reference,
@@ -17,20 +16,21 @@ from oracles import (BLOCK_EDGE_COUNTS, PHASOR_ERROR, float32_trig_bound, nakaga
 
 
 def correlated_snr(v_amp: float, phi_v: float, g_vec: np.ndarray, h_vec: np.ndarray,
-                   matrices: CorrelationMatrices, scheme: int,
+                   roots: tuple, scheme: int,
                    eta: np.ndarray, gamma_bar: float) -> float:
     """Received SNR of one realization under the chosen phase-control scheme.
 
     The per-realization oracle, written from the scheme definitions:
     ``g_vec`` / ``h_vec`` are i.i.d. complex draws; correlation enters
-    through the square-root matrices.  Scheme 2 cancels the full correlated
-    phases; scheme 1 only the phases of the uncorrelated draws.
+    through the factor roots ``((arrival_az, arrival_el), (departure_az,
+    departure_el))`` of ``build_correlation``.  Scheme 2 cancels the full
+    correlated phases; scheme 1 only the phases of the uncorrelated draws.
     """
     if g_vec.shape != h_vec.shape:
         raise ValueError("channel vectors must have equal length")
-    dep, arr = matrices.departure, matrices.arrival
-    g_t = g_vec @ np.kron(dep.az, dep.el)    # row convention: g~^T = g^T R_D^(1/2)
-    h_t = np.kron(arr.az, arr.el) @ h_vec
+    arrival, departure = roots
+    g_t = g_vec @ np.kron(*departure)    # row convention: g~^T = g^T R_D^(1/2)
+    h_t = np.kron(*arrival) @ h_vec
     if scheme == 2:
         theta = phi_v - (np.angle(g_t) + np.angle(h_t))
     elif scheme == 1:
@@ -109,17 +109,15 @@ class TestFactorMatrices:
 class TestBuildCorrelation:
     def test_kronecker_shape(self):
         cfg = small_corr(n_az=5, n_el=3)
-        mats = build_correlation(cfg)
-        for side in (mats.arrival, mats.departure):
-            assert side.az.shape == (5, 5) and side.el.shape == (3, 3)
-            assert np.kron(side.az, side.el).shape == (15, 15)
+        for az, el in build_correlation(cfg):
+            assert az.shape == (5, 5) and el.shape == (3, 3)
+            assert np.kron(az, el).shape == (15, 15)
 
     def test_sqrt_reconstruction(self):
         cfg = small_corr(n_az=5, n_el=3)
-        mats = build_correlation(cfg)
-        for spread, side in ((cfg.aoa, mats.arrival), (cfg.aod, mats.departure)):
+        for spread, side in zip((cfg.aoa, cfg.aod), build_correlation(cfg)):
             r = np.kron(corr_matrix_azimuth(cfg, spread), corr_matrix_elevation(cfg, spread))
-            root = np.kron(side.az, side.el)
+            root = np.kron(*side)
             np.testing.assert_allclose(root, root.conj().T, atol=1e-14)
             err = np.linalg.norm(root @ root - r) / np.linalg.norm(r)
             assert err < 1e-10
@@ -144,11 +142,10 @@ class TestBuildCorrelation:
     @pytest.mark.parametrize("n", [16, 36, 64, 100, 144])
     def test_factored_leg_equals_full_root_product(self, n):
         corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
-        mats = build_correlation(corr)
         rng = np.random.default_rng(n)
         x = rng.standard_normal((300, n)) + 1j * rng.standard_normal((300, n))
-        for side in (mats.arrival, mats.departure):
-            for p, q in ((side.az, side.el), (side.az.T, side.el.T)):
+        for az, el in build_correlation(corr):
+            for p, q in ((az, el), (az.T, el.T)):
                 full = x @ np.kron(p, q)
                 np.testing.assert_allclose(_kron_right(x.copy(), p, q), full,
                                            rtol=1e-12, atol=1e-12 * np.abs(full).max())
@@ -160,11 +157,13 @@ class TestBuildCorrelation:
         cfg = CorrelationConfig.square_surface(50, 1.0, 0.1, spread(), spread())
         assert (cfg.n_az, cfg.n_el) == (10, 5)
         assert cfg.n_total == 50
+        assert [CorrelationConfig.tiling(n) for n in (1, 2039, 999_983, 10**6)] == [
+            (1, 1), (2039, 1), (999_983, 1), (1000, 1000)]
 
 
-def identity_matrices(n):
-    eye = KroneckerRoot(az=np.eye(n, dtype=complex), el=np.eye(1, dtype=complex))
-    return CorrelationMatrices(arrival=eye, departure=eye)
+def identity_roots(n):
+    eye = (np.eye(n, dtype=complex), np.eye(1, dtype=complex))
+    return eye, eye
 
 
 class TestCorrelatedSnr:
@@ -175,16 +174,16 @@ class TestCorrelatedSnr:
         g = nakagami_sample(2.0, 1.0, rng, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
         h = nakagami_sample(3.0, 0.5, rng, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
         v_amp, phi_v = 1.3, 0.4
-        mats = identity_matrices(n)
-        s1 = correlated_snr(v_amp, phi_v, g, h, mats, 1, eta, 2.0)
-        s2 = correlated_snr(v_amp, phi_v, g, h, mats, 2, eta, 2.0)
+        roots = identity_roots(n)
+        s1 = correlated_snr(v_amp, phi_v, g, h, roots, 1, eta, 2.0)
+        s2 = correlated_snr(v_amp, phi_v, g, h, roots, 2, eta, 2.0)
         direct = optimal_snr(v_amp, np.abs(g), np.abs(h), eta, 2.0)
         assert s1 == pytest.approx(direct, rel=1e-12)
         assert s2 == pytest.approx(direct, rel=1e-12)
 
     def test_scheme_two_dominates_every_realization(self):
         cfg = small_corr()
-        mats = build_correlation(cfg)
+        roots = build_correlation(cfg)
         n = cfg.n_total
         rng = np.random.default_rng(7)
         eta = np.full(n, 0.9)
@@ -194,16 +193,15 @@ class TestCorrelatedSnr:
             h = nakagami_sample(2.5, 1.0, rng, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
             v_amp = float(nakagami_sample(1.0, 1.0, rng, 1)[0])
             phi_v = float(rng.uniform(-np.pi, np.pi))
-            s1 = correlated_snr(v_amp, phi_v, g, h, mats, 1, eta, 1.0)
-            s2 = correlated_snr(v_amp, phi_v, g, h, mats, 2, eta, 1.0)
+            s1 = correlated_snr(v_amp, phi_v, g, h, roots, 1, eta, 1.0)
+            s2 = correlated_snr(v_amp, phi_v, g, h, roots, 2, eta, 1.0)
             worst = max(worst, s1 - s2)
         assert worst <= 1e-9
 
     def test_rejects_unknown_scheme(self):
-        mats = identity_matrices(2)
         with pytest.raises(ValueError):
             correlated_snr(1.0, 0.0, np.ones(2, complex), np.ones(2, complex),
-                           mats, 3, np.ones(2), 1.0)
+                           identity_roots(2), 3, np.ones(2), 1.0)
 
 
 def unit_cfg(n, shapes=(1.8, 16.0 / 7.0, 25.0 / 9.0)):
@@ -232,7 +230,7 @@ def chunk_draws(cfg, seed, index, count, trig_dtype=np.float32):
     return v, leg(cfg.g.m, cfg.g.zeta), leg(cfg.h.m, cfg.h.zeta)
 
 
-def full_chunk_snr(cfg, mats, seed, index, count):
+def full_chunk_snr(cfg, roots, seed, index, count):
     """The scheme kernel as plain expressions on the whole chunk at once:
     each leg is one (count x N) complex128 array, drawn, correlated and
     turned back as the blocked kernel does it block by block.  The complex
@@ -252,9 +250,9 @@ def full_chunk_snr(cfg, mats, seed, index, count):
         rows *= np.conjugate(u)
         return rows
 
-    dep, arr = mats.departure, mats.arrival
-    terms = leg(cfg.g.m, cfg.g.zeta, dep.az, dep.el)
-    terms *= leg(cfg.h.m, cfg.h.zeta, arr.az.T, arr.el.T)
+    (arr_az, arr_el), (dep_az, dep_el) = roots
+    terms = leg(cfg.g.m, cfg.g.zeta, dep_az, dep_el)
+    terms *= leg(cfg.h.m, cfg.h.zeta, arr_az.T, arr_el.T)
     terms *= cfg.eta
     return np.stack([np.abs(v + terms.sum(axis=1)) ** 2, (v + np.abs(terms).sum(axis=1)) ** 2])
 
@@ -264,18 +262,18 @@ class TestSchemeKernel:
     @pytest.mark.parametrize("count", BLOCK_EDGE_COUNTS)
     def test_blocked_rows_equal_the_full_chunk_expressions(self, count, n):
         corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
-        cfg, mats = unit_cfg(n), build_correlation(corr)
-        np.testing.assert_array_equal(_scheme_snr_chunk(cfg, mats, 23, 1, count),
-                                      full_chunk_snr(cfg, mats, 23, 1, count))
+        cfg, roots = unit_cfg(n), build_correlation(corr)
+        np.testing.assert_array_equal(_scheme_snr_chunk(cfg, roots, chunk_rng(23, 1), count),
+                                      full_chunk_snr(cfg, roots, 23, 1, count))
 
     @pytest.mark.parametrize("shapes", [(1.8, 16.0 / 7.0, 25.0 / 9.0), (2.0, 3.0, 4.0)],
                              ids=["gamma", "erlang"])
     def test_matches_the_oracle_per_realization(self, shapes):
         corr = small_corr()
-        n, mats = corr.n_total, build_correlation(corr)
+        n, roots = corr.n_total, build_correlation(corr)
         cfg = unit_cfg(n, shapes)
         seed, index, count = 23, 2, 400
-        snr = _scheme_snr_chunk(cfg, mats, seed, index, count)
+        snr = _scheme_snr_chunk(cfg, roots, chunk_rng(seed, index), count)
         v, (a_g, u_g), (a_h, u_h) = chunk_draws(cfg, seed, index, count)
         g, h = a_g * u_g, a_h * u_h
         # the kernel turns each term back by conj(u_g) conj(u_h); rounded to
@@ -284,19 +282,19 @@ class TestSchemeKernel:
         eta = cfg.eta * np.abs(u_g) * np.abs(u_h)
         phi_v = np.random.default_rng(1).uniform(-np.pi, np.pi, count)
         for scheme in (1, 2):  # the kernel's rows are at unit transmit SNR
-            oracle = [correlated_snr(v[r], phi_v[r], g[r], h[r], mats, scheme, eta[r], 1.0)
+            oracle = [correlated_snr(v[r], phi_v[r], g[r], h[r], roots, scheme, eta[r], 1.0)
                       for r in range(count)]
             np.testing.assert_allclose(snr[scheme - 1], oracle, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n", [16, 144])
     def test_float32_phasors_stay_within_their_ulp_bound(self, n):
         corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
-        cfg, mats = unit_cfg(n), build_correlation(corr)
+        cfg, (arrival, departure) = unit_cfg(n), build_correlation(corr)
         seed, index, count = 23, 0, 300
-        fast = _scheme_snr_chunk(cfg, mats, seed, index, count)
+        fast = _scheme_snr_chunk(cfg, (arrival, departure), chunk_rng(seed, index), count)
         v, (a_g, u_g), (a_h, u_h) = chunk_draws(cfg, seed, index, count, np.float64)
-        dep = np.kron(mats.departure.az, mats.departure.el)
-        arr = np.kron(mats.arrival.az, mats.arrival.el).T
+        dep = np.kron(*departure)
+        arr = np.kron(*arrival).T
         terms = cfg.eta * ((a_g * u_g) @ dep * u_g.conj()) * ((a_h * u_h) @ arr * u_h.conj())
         exact = np.array([np.abs(v + terms.sum(axis=1)) ** 2,
                           (v + np.abs(terms).sum(axis=1)) ** 2])

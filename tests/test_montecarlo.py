@@ -60,7 +60,7 @@ class TestSimulation:
         cfg = SystemConfig(n_elements=9, eta=0.75, v=LinkParams(1.5, 0.7),
                            g=LinkParams(2.0, 0.3), h=LinkParams(3.0, 0.2), gamma_bar_db=7.0)
         plan = SimPlan(trials=1, seed=13, quantization_bits=() if bits is None else (bits,))
-        chunk = _simulate_chunk(cfg, plan, 2, 700)
+        chunk = _simulate_chunk(cfg, plan.quantization_bits, chunk_rng(13, 2), 700)
         np.testing.assert_array_equal(chunk if bits is None else chunk[1],
                                       reference_chunk(cfg, plan, 2, 700))
 
@@ -69,7 +69,7 @@ class TestSimulation:
     def test_blocked_rows_equal_the_full_chunk_expressions(self, count, n):
         cfg = unit_config(n, m_v=1.5, m_g=2.0, m_h=3.0, eta=0.75)
         plan = SimPlan(trials=1, seed=13)
-        rows = _simulate_chunk(cfg, replace(plan, quantization_bits=(1, 3)), 2, count)
+        rows = _simulate_chunk(cfg, (1, 3), chunk_rng(13, 2), count)
         np.testing.assert_array_equal(rows[0], reference_chunk(cfg, plan, 2, count))
         for row, bits in zip(rows[1:], (1, 3)):
             np.testing.assert_array_equal(
@@ -79,7 +79,7 @@ class TestSimulation:
     def test_float32_phasors_stay_within_their_ulp_bound(self, bits):
         cfg = unit_config(128, gamma_bar_db=15.0)
         plan = SimPlan(trials=1, seed=31, quantization_bits=(bits,))
-        fast = _simulate_chunk(cfg, plan, 0, 2000)[1]
+        fast = _simulate_chunk(cfg, plan.quantization_bits, chunk_rng(31, 0), 2000)[1]
         exact = reference_chunk(cfg, plan, 0, 2000, trig_dtype=np.float64)
         v, prod, _ = reference_draws(cfg, plan, 0, 2000)
         # each phasor moves by at most sqrt(2) PHASOR_ERROR, so the sum
@@ -163,22 +163,28 @@ class TestChunkLayout:
             6269875958123251405, 7539138899335912499]
 
     def test_chunk_buffers_are_about_two_megabytes(self):
-        for n in (1, 16, 64, 128, 144, 1024):
-            assert _chunk_size(n) * n * 8 <= 2 * 2**20
-            assert _chunk_size(n) * n * 8 > 2**20 or _chunk_size(n) == 256
-        assert _chunk_size(4096) == 256
+        # each (chunk x N) float64 buffer is the largest of at most 2 MiB, or
+        # one trial where a trial alone is more
+        for n in (1, 16, 64, 128, 144, 1024, 1025, 4096, 2**18, 2**18 + 1, 10**6):
+            assert _chunk_size(n) * n * 8 <= max(2 * 2**20, 8 * n)
+            assert (_chunk_size(n) + 1) * n * 8 > 2 * 2**20
+        assert _chunk_size(4096) == 64
+        assert _chunk_size(10**6) == 1
 
+    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    def test_every_kernel_chunks_by_the_shared_size(self, monkeypatch, kernel):
+    def test_every_kernel_chunks_by_the_shared_size(self, monkeypatch, kernel, workers):
+        # map_chunks alone sizes and seeds the chunks: each is asked for once,
+        # by (seed, index), whichever thread runs it
         asked, drawn = [], []
         monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: asked.append(n) or 100)
-        for module in (montecarlo, correlation):
-            monkeypatch.setattr(module, "chunk_rng",
-                                lambda seed, index: drawn.append(index) or chunk_rng(seed, index))
+        monkeypatch.setattr(montecarlo, "chunk_rng", lambda seed, index: (
+            drawn.append((seed, index)) or chunk_rng(seed, index)))
         cfg, _ = cli.validate_config({"n_elements": 16})
-        KERNELS[kernel](cfg, SimPlan(trials=250, seed=3))
+        plan = SimPlan(trials=250, seed=3, workers=workers)
+        KERNELS[kernel](cfg, plan)
         assert asked == [16]
-        assert sorted(drawn) == [0, 1, 2]
+        assert sorted(drawn) == [(plan.seed, i) for i in range(3)]
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_every_kernel_is_identical_for_any_worker_count(self, kernel):
@@ -218,12 +224,12 @@ def test_chunk_working_set_stays_within_its_bound(kernel, n, bound):
     cfg, _ = cli.validate_config({"n_elements": n})
     count = _chunk_size(n)
     if kernel == "correlation":
-        mats = correlation.build_correlation(correlation_config(n))
-        peak = traced_peak(lambda: correlation._scheme_snr_chunk(cfg, mats, 7, 0, count))
+        roots = correlation.build_correlation(correlation_config(n))
+        peak = traced_peak(
+            lambda: correlation._scheme_snr_chunk(cfg, roots, chunk_rng(7, 0), count))
     else:
-        plan = SimPlan(trials=count, seed=7,
-                       quantization_bits=(1, 3) if kernel == "quantized" else ())
-        peak = traced_peak(lambda: _simulate_chunk(cfg, plan, 0, count))
+        widths = (1, 3) if kernel == "quantized" else ()
+        peak = traced_peak(lambda: _simulate_chunk(cfg, widths, chunk_rng(7, 0), count))
     assert peak <= bound * count * n * 8
 
 
@@ -374,8 +380,9 @@ class TestUnitTransmitSnr:
         assert first.tobytes() == second.tobytes()
 
     def test_correlation_scheme_rows(self, links):
-        mats = correlation.build_correlation(correlation_config(16))
-        first, second = (correlation._scheme_snr_chunk(cfg, mats, 8, 1, 700) for cfg in links)
+        roots = correlation.build_correlation(correlation_config(16))
+        first, second = (correlation._scheme_snr_chunk(cfg, roots, chunk_rng(8, 1), 700)
+                         for cfg in links)
         assert first.tobytes() == second.tobytes()
 
     def test_snr_law(self, links):

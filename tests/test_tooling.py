@@ -1,6 +1,7 @@
 """The benchmark tracer's targets, the output contract the benchmark checks,
-and the import path of the CLI."""
+the import path of the CLI and the imports of the library."""
 
+import ast
 import contextlib
 import functools
 import importlib
@@ -67,3 +68,32 @@ def test_outputs_meet_the_benchmark_contract(tmp_path, kind, use_mc):
     assert manifest["files"] == {name: f"{name}.csv" for name in expected}
     assert sorted(path.stem for path in tmp_path.glob("*.csv")) == sorted(expected)
     assert checks.check_files(checks.Output(tmp_path, cli.CSV_HEADER), expected) == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither uses nor lists in ``__all__``;
+    ``__future__`` imports and lines marked ``# noqa: F401`` are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+    imported = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    return [name for name in imported if name not in used]
+
+
+def test_every_library_import_is_used():
+    # __init__.py imports to re-export: it is the package API
+    package = Path(irslink.__file__).resolve().parent
+    unused = {path.name: names for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))}
+    assert unused == {}

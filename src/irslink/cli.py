@@ -52,7 +52,7 @@ from .correlation import AngleSpread, CorrelationConfig, simulate_scheme_rates
 from .errors import ConfigError, NumericalConsistencyError
 from .metrics import (asymptotic_outage, asymptotic_ser, outage_probability,
                       quantized_rate_bounds, rate_bounds, ser_upper_bound)
-from .montecarlo import (BIT_GENERATOR, Estimate, SimPlan, _chunk_size, empirical_ber,
+from .montecarlo import (BIT_GENERATOR, Estimate, SimPlan, chunk_plan, empirical_ber,
                          empirical_cdf, empirical_outage, empirical_rate, empirical_rate_ratio,
                          simulate_snr_samples)
 from .montecarlo import reflected_sum_samples as _reflected_sum_samples
@@ -127,8 +127,7 @@ def _timed_mc(extras: dict, sampler, cfg: SystemConfig, *args):
     started = time.perf_counter()
     result = sampler(cfg, *args)
     seconds = time.perf_counter() - started
-    chunk_trials = _chunk_size(cfg.n_elements)
-    chunks = -(-plan.trials // chunk_trials)
+    chunk_trials, chunks = chunk_plan(plan.trials, cfg.n_elements)
     mc = extras.setdefault("mc", {"workers": plan.workers, "trials": 0, "chunks": 0,
                                   "seconds": 0.0, "runs": []})
     # the W sampler draws no direct link

@@ -16,12 +16,9 @@ modulus sum; Scheme-1 reuses the phases of the uncorrelated draws and pays
 the misalignment penalty.
 
 A Monte-Carlo chunk draws its amplitudes and phases whole, in stream order,
-from the generator ``montecarlo.map_chunks`` hands it, then evaluates them
-in blocks of ``montecarlo._BLOCK_ROWS`` trials: the phasors, correlated legs
-and terms of a block live in block-sized buffers, so a thread holds the
-chunk's four draw buffers and at most about 5.5 (trials x N) float64
-buffers in all.  Each SNR is a sum over one row, the same reduction on a
-block as on the whole chunk, so blocking changes no bit.
+from the generator ``montecarlo.map_chunks`` hands it, and evaluates them
+whole: with the phasors, correlated legs and terms, a thread holds at most
+about 11 (trials x N) float64 buffers of one chunk, each at most 256 KiB.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import numpy as np
 
 from .channel import SystemConfig, nakagami_sample
 from .errors import NumericalConsistencyError
-from .montecarlo import _BLOCK_ROWS, Estimate, SimPlan, empirical_rate, map_chunks
+from .montecarlo import Estimate, SimPlan, empirical_rate, map_chunks
 
 __all__ = [
     "AngleSpread",
@@ -196,19 +193,13 @@ def _scheme_snr_chunk(cfg: SystemConfig, roots: tuple[tuple[np.ndarray, np.ndarr
     amp_h = nakagami_sample(cfg.h.m, cfg.h.zeta, rng, shape)
     phase_h = rng.uniform(-math.pi, math.pi, shape)
     (arr_az, arr_el), (dep_az, dep_el) = roots
-    snr = np.empty((2, count))
-    phasor = np.empty((min(count, _BLOCK_ROWS), cfg.n_elements), dtype=np.complex64)
-    for start in range(0, count, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        u = phasor[:min(count - start, _BLOCK_ROWS)]
-        # rows g^T -> g^T R_D^(1/2)
-        terms = _turned_leg(u, amp_g[block], phase_g[block], dep_az, dep_el)
-        # rows h^T -> (R_A^(1/2) h)^T = h^T kron(az, el)^T
-        terms *= _turned_leg(u, amp_h[block], phase_h[block], arr_az.T, arr_el.T)
-        terms *= cfg.eta
-        snr[0, block] = np.abs(v[block] + terms.sum(axis=1)) ** 2
-        snr[1, block] = (v[block] + np.abs(terms).sum(axis=1)) ** 2
-    return snr
+    u = np.empty(shape, dtype=np.complex64)
+    # rows g^T -> g^T R_D^(1/2)
+    terms = _turned_leg(u, amp_g, phase_g, dep_az, dep_el)
+    # rows h^T -> (R_A^(1/2) h)^T = h^T kron(az, el)^T
+    terms *= _turned_leg(u, amp_h, phase_h, arr_az.T, arr_el.T)
+    terms *= cfg.eta
+    return np.stack([np.abs(v + terms.sum(axis=1)) ** 2, (v + np.abs(terms).sum(axis=1)) ** 2])
 
 
 def simulate_scheme_rates(cfg: SystemConfig, corr: CorrelationConfig,

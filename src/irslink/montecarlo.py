@@ -1,17 +1,17 @@
 """Monte-Carlo oracle: exact-SNR simulation and plug-in metric estimators.
 
-Sampling is organized in fixed-size chunks of trials, planned by
-``map_chunks`` alone: it sizes them by the element count, hands chunk ``i`` a
-generator seeded by ``(seed, i)`` alone and runs them in order or on a thread
-pool.  A kernel is a plain function of that generator and a trial count, so
-neither the thread nor the worker count changes a draw or a bit of a result.
+Sampling is organized in fixed-size chunks of trials: ``chunk_plan`` sizes
+them by the element count, and ``map_chunks`` alone runs that plan, hands
+chunk ``i`` a generator seeded by ``(seed, i)`` alone and runs the chunks in
+order or on a thread pool.  A kernel is a plain function of that generator
+and a trial count, so neither the thread nor the worker count changes a draw
+or a bit of a result.
 
-A chunk is drawn whole, in stream order, and a kernel with phases then
-evaluates it in blocks of ``_BLOCK_ROWS`` trials, reusing block-sized scratch.
-Every per-trial sum is over one row, the same reduction on a block as on the
-whole chunk, so blocking changes no bit, and a thread holds little beyond the
-chunk's draws: with quantization widths, at most 2.5 (trials x N) float64
-buffers.
+The chunk is the one unit of seeding, scheduling and evaluation: a kernel
+draws it whole, in stream order, and evaluates it whole.  Each (trials x N)
+float64 buffer of a chunk is at most 256 KiB, so a thread's draws and
+scratch stay small: a chunk holds at most about 4.6 such buffers at once
+with quantization widths, and 3.1 without.
 
 Unit phasors (the cos and sin of a phase) are evaluated at float32 precision
 and widened into float64 buffers; every draw, product and sum stays float64.
@@ -25,6 +25,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from queue import SimpleQueue
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "SimPlan",
     "Estimate",
     "chunk_rng",
+    "chunk_plan",
     "map_chunks",
     "simulate_snr_samples",
     "reflected_sum_samples",
@@ -99,36 +101,50 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _chunk_size(n_elements: int) -> int:
-    """Trials per chunk: each (trials x N) float64 buffer is about 2 MB, or one
-    trial where that is more, so a chunk's draws stay small per thread and the
-    workers share many chunks evenly.  The streams depend on it."""
-    return max(1, (1 << 18) // n_elements)
+    """Trials per chunk: each (trials x N) float64 buffer is at most 256 KiB,
+    or one trial where that is more, so a chunk is drawn and evaluated whole
+    in little memory per thread and the workers share many chunks evenly.
+    The streams depend on it."""
+    return max(1, (1 << 15) // n_elements)
 
 
-# Trials per evaluation block of a chunk: a block's scratch is a small part
-# of the chunk's buffers and stays in cache while its rows are evaluated.
-# Outputs do not depend on it.
-_BLOCK_ROWS = 256
+def chunk_plan(trials: int, n_elements: int) -> tuple[int, int]:
+    """``(chunk_trials, chunks)``: the trials per chunk and the number of
+    chunks in which ``map_chunks`` runs ``trials`` trials of N elements."""
+    size = _chunk_size(n_elements)
+    return size, -(-trials // size)
 
 
 def map_chunks(kernel: Callable[[np.random.Generator, int], np.ndarray], plan: SimPlan,
                n_elements: int) -> np.ndarray:
-    """``kernel(chunk_rng(plan.seed, index), count)`` over consecutive chunks
-    of ``_chunk_size(n_elements)`` of the ``plan.trials`` trials, joined along
-    the last axis.  A chunk's draws depend on (seed, index) alone, so the
-    result does not depend on ``plan.workers``; with more than one worker the
-    chunks run on a thread pool."""
-    size = _chunk_size(n_elements)
-    chunks = range(-(-plan.trials // size))
+    """``kernel(chunk_rng(plan.seed, index), count)`` over the consecutive
+    chunks of ``chunk_plan(plan.trials, n_elements)``, joined along the last
+    axis; the kernel draws and evaluates each chunk whole.  A chunk's draws
+    depend on (seed, index) alone, so the result does not depend on
+    ``plan.workers``.
 
-    def run(index: int) -> np.ndarray:
-        return kernel(chunk_rng(plan.seed, index), min(size, plan.trials - index * size))
+    With more than one worker, each of ``plan.workers`` threads takes chunk
+    indices from one queue until it is empty.  The caller waits on the
+    workers, not on every chunk, whose wake-ups would contend with the
+    workers for the interpreter lock."""
+    size, count = chunk_plan(plan.trials, n_elements)
+    parts = [None] * count
 
-    if plan.workers == 1 or len(chunks) == 1:
-        parts = list(map(run, chunks))
+    def work(indices) -> None:
+        for index in indices:
+            parts[index] = kernel(chunk_rng(plan.seed, index),
+                                  min(size, plan.trials - index * size))
+
+    if plan.workers == 1 or count == 1:
+        work(range(count))
     else:
+        indices = SimpleQueue()
+        for index in [*range(count), *[None] * plan.workers]:  # one end mark per worker
+            indices.put(index)
         with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            parts = list(pool.map(run, chunks))
+            for future in [pool.submit(work, iter(indices.get, None))
+                           for _ in range(plan.workers)]:
+                future.result()
     return np.concatenate(parts, axis=-1)
 
 
@@ -151,13 +167,10 @@ def _simulate_chunk(cfg: SystemConfig, widths: tuple[int, ...], rng: np.random.G
     """SNR samples per unit transmit SNR of one chunk: (v + W)^2 with continuous
     phases, then (v + W_R)^2 + W_I^2 per quantization width; flat without widths.
 
-    The phase errors are evaluated in blocks of ``_BLOCK_ROWS`` trials: per
-    block and width, the scaled errors and their cos, then sin, go through
-    two block-sized float64 scratch buffers.  The fewest bits, the drawn
-    interval, scale by 1, so their cos and sin read the drawn block itself.
-    The cos and sin run in numpy's float32 SIMD loops, which take the float64
-    errors in small cast blocks and widen the result into the float64
-    scratch."""
+    Per width, the scaled phase errors and their cos, then sin, go through
+    two chunk-sized float64 scratch buffers; the fewest bits (the drawn
+    interval) scale by 1 and read the drawn errors themselves.  The cos and
+    sin run in numpy's float32 SIMD loops, widened into the scratch."""
     rows = np.empty((1 + len(widths), count))
     v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
     prod = _reflected_products(cfg, rng, count)
@@ -170,25 +183,20 @@ def _simulate_chunk(cfg: SystemConfig, widths: tuple[int, ...], rng: np.random.G
         base = min(widths)
         tau = math.pi / 2**base
         widest = rng.uniform(-tau, tau, (count, cfg.n_elements))
-        eps = np.empty((min(count, _BLOCK_ROWS), cfg.n_elements))
-        trig = np.empty_like(eps)
-        for start in range(0, count, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            size = min(count - start, _BLOCK_ROWS)
-            t = trig[:size]
-            for row, bits in enumerate(widths, 1):
-                if bits == base:  # the scale is 2**0: the drawn block itself
-                    e = widest[block]
-                else:
-                    e = eps[:size]
-                    np.multiply(widest[block], 2.0 ** (base - bits), out=e)
-                np.cos(e, out=t, dtype=np.float32, casting="same_kind")
-                t *= prod[block]
-                w_re = t.sum(axis=1)
-                np.sin(e, out=t, dtype=np.float32, casting="same_kind")
-                t *= prod[block]
-                w_im = t.sum(axis=1)
-                rows[row, block] = (v[block] + w_re) ** 2 + w_im**2
+        eps = np.empty_like(widest)
+        trig = np.empty_like(widest)
+        for row, bits in enumerate(widths, 1):
+            if bits == base:  # the scale is 2**0: the drawn errors themselves
+                e = widest
+            else:
+                e = np.multiply(widest, 2.0 ** (base - bits), out=eps)
+            np.cos(e, out=trig, dtype=np.float32, casting="same_kind")
+            trig *= prod
+            w_re = trig.sum(axis=1)
+            np.sin(e, out=trig, dtype=np.float32, casting="same_kind")
+            trig *= prod
+            w_im = trig.sum(axis=1)
+            rows[row] = (v + w_re) ** 2 + w_im**2
     return rows if widths else rows[0]
 
 

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 
 from irslink.channel import ERLANG_MAX_SHAPE, LinkParams, SystemConfig
 from irslink.cltapprox import TruncatedNormal, w_stats
-from irslink.montecarlo import _BLOCK_ROWS
 from irslink.errors import NumericalConsistencyError
 from irslink.snrdist import SnrCdfParams, _check_probability, envelope_pdf
 from irslink.specfun import (JParams, _exp, cal_i, cal_j, cal_j_between, gamma_upper,
@@ -24,9 +23,17 @@ from irslink.specfun import (JParams, _exp, cal_i, cal_j, cal_j_between, gamma_u
 # below 1 in magnitude.  Widening to float64 is exact.  Together: below 2**-22.
 PHASOR_ERROR = 2.0**-22
 
-# Chunk sizes at which a blocked kernel must equal its full-chunk expressions:
-# one trial, each side of one block, and chunks that end in a partial block.
-BLOCK_EDGE_COUNTS = [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 700, 1820]
+# Trial counts around a chunk edge of map_chunks, as offsets from two full
+# chunks: a last chunk one trial short of full, two full chunks, and a last
+# chunk of one trial.
+CHUNK_EDGE_OFFSETS = [-1, 0, 1]
+
+
+def chunk_counts(trials: int, size: int) -> list[tuple[int, int]]:
+    """(index, trial count) of each chunk when ``trials`` trials run in
+    consecutive chunks of ``size``."""
+    return [(index, min(size, trials - start))
+            for index, start in enumerate(range(0, trials, size))]
 
 
 def rician_to_nakagami(k_factor: float) -> float:

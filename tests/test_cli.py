@@ -414,7 +414,8 @@ def test_manifest_records_where_the_time_went(tmp_path):
             == manifest["experiment"])
 
 
-@pytest.mark.parametrize("kind,config,runs", [
+# (kind, config, the surface sizes of its Monte-Carlo runs in order)
+MC_RUNS = [
     ("wdist", {}, [16]),
     ("snrcdf", {}, [16]),
     ("outage", {}, [16]),
@@ -423,7 +424,10 @@ def test_manifest_records_where_the_time_went(tmp_path):
     ("sweep", {"sweep": {"variable": "n_elements", "values": [4, 64]}}, [4, 64]),
     ("quantization", {"quantization": {"bits": [1], "n_values": [8, 32]}}, [8, 32]),
     ("correlation", {"correlation": {"n_values": [16, 64]}}, [16, 64]),
-])
+]
+
+
+@pytest.mark.parametrize("kind,config,runs", MC_RUNS)
 def test_manifest_records_the_monte_carlo_runs(tmp_path, kind, config, runs):
     code, out = run_cli(tmp_path, kind, {"trials": 5000, "workers": 2,
                                          "sweep": {"values": [0.0, 20.0]}, **config})
@@ -439,6 +443,24 @@ def test_manifest_records_the_monte_carlo_runs(tmp_path, kind, config, runs):
     assert mc["chunks"] == sum(run["chunks"] for run in mc["runs"])
     assert mc["seconds"] > 0
     assert mc["trials_per_s"] == round(mc["trials"] / mc["seconds"])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("kind,config,runs", MC_RUNS)
+def test_manifest_chunks_are_the_chunks_map_chunks_ran(tmp_path, monkeypatch, kind, config,
+                                                       runs, workers):
+    # the manifest takes its chunk plan from montecarlo, which runs it: each
+    # run's chunks are the generators map_chunks asked for
+    drawn = []
+    monkeypatch.setattr(montecarlo, "chunk_rng", lambda seed, index: (
+        drawn.append(index) or chunk_rng(seed, index)))
+    code, out = run_cli(tmp_path, kind, {"trials": 5000, "workers": workers,
+                                         "sweep": {"values": [0.0, 20.0]}, **config})
+    assert code == 0
+    mc = json.loads((out / "manifest.json").read_text())["extras"]["mc"]
+    assert len(mc["runs"]) == len(runs)
+    assert mc["chunks"] == len(drawn)
+    assert sorted(drawn) == sorted(i for run in mc["runs"] for i in range(run["chunks"]))
 
 
 def test_no_mc_run_records_no_monte_carlo(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -11,8 +12,8 @@ from irslink.correlation import (AngleSpread, CorrelationConfig, _hermitian_sqrt
                                  corr_matrix_elevation, simulate_scheme_rates)
 from irslink.errors import NumericalConsistencyError
 from irslink.montecarlo import SimPlan, chunk_rng
-from oracles import (BLOCK_EDGE_COUNTS, PHASOR_ERROR, float32_trig_bound, nakagami_reference,
-                     optimal_snr)
+from oracles import (CHUNK_EDGE_OFFSETS, PHASOR_ERROR, chunk_counts, float32_trig_bound,
+                     nakagami_reference, optimal_snr)
 
 
 def correlated_snr(v_amp: float, phi_v: float, g_vec: np.ndarray, h_vec: np.ndarray,
@@ -233,9 +234,9 @@ def chunk_draws(cfg, seed, index, count, trig_dtype=np.float32):
 def full_chunk_snr(cfg, roots, seed, index, count):
     """The scheme kernel as plain expressions on the whole chunk at once:
     each leg is one (count x N) complex128 array, drawn, correlated and
-    turned back as the blocked kernel does it block by block.  The complex
-    products stay in place where the kernel's are: numpy's complex multiply
-    can round the last bit differently in place than into a new array."""
+    turned back as the kernel does it.  The complex products stay in place
+    where the kernel's are: numpy's complex multiply can round the last bit
+    differently in place than into a new array."""
     rng = chunk_rng(seed, index)
     shape = (count, cfg.n_elements)
     v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
@@ -258,13 +259,19 @@ def full_chunk_snr(cfg, roots, seed, index, count):
 
 
 class TestSchemeKernel:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("offset", CHUNK_EDGE_OFFSETS)
     @pytest.mark.parametrize("n", [15, 144])
-    @pytest.mark.parametrize("count", BLOCK_EDGE_COUNTS)
-    def test_blocked_rows_equal_the_full_chunk_expressions(self, count, n):
+    def test_chunk_edges_join_the_full_chunk_expressions(self, n, offset, workers):
         corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
         cfg, roots = unit_cfg(n), build_correlation(corr)
-        np.testing.assert_array_equal(_scheme_snr_chunk(cfg, roots, chunk_rng(23, 1), count),
-                                      full_chunk_snr(cfg, roots, 23, 1, count))
+        size = montecarlo._chunk_size(n)
+        trials = 2 * size + offset
+        snr = montecarlo.map_chunks(functools.partial(_scheme_snr_chunk, cfg, roots),
+                                    SimPlan(trials=trials, seed=23, workers=workers), n)
+        np.testing.assert_array_equal(snr, np.concatenate(
+            [full_chunk_snr(cfg, roots, 23, index, count)
+             for index, count in chunk_counts(trials, size)], axis=1))
 
     @pytest.mark.parametrize("shapes", [(1.8, 16.0 / 7.0, 25.0 / 9.0), (2.0, 3.0, 4.0)],
                              ids=["gamma", "erlang"])

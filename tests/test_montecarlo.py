@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -17,8 +18,8 @@ from irslink.montecarlo import (Estimate, SimPlan, _chunk_size, _simulate_chunk,
                                 empirical_rate, empirical_rate_ratio, simulate_snr_samples)
 from irslink.snrdist import SnrCdfParams
 from irslink.specfun import gaussian_q
-from oracles import (BLOCK_EDGE_COUNTS, PHASOR_ERROR, fit_loglog_slope, float32_trig_bound,
-                     nakagami_reference)
+from oracles import (CHUNK_EDGE_OFFSETS, PHASOR_ERROR, chunk_counts, fit_loglog_slope,
+                     float32_trig_bound, nakagami_reference)
 
 
 def unit_config(n, m_v=1.0, m_g=1.0, m_h=2.0, eta=0.9, gamma_bar_db=0.0):
@@ -64,16 +65,19 @@ class TestSimulation:
         np.testing.assert_array_equal(chunk if bits is None else chunk[1],
                                       reference_chunk(cfg, plan, 2, 700))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("offset", CHUNK_EDGE_OFFSETS)
     @pytest.mark.parametrize("n", [9, 128])
-    @pytest.mark.parametrize("count", BLOCK_EDGE_COUNTS)
-    def test_blocked_rows_equal_the_full_chunk_expressions(self, count, n):
+    def test_chunk_edges_join_the_per_chunk_expressions(self, n, offset, workers):
         cfg = unit_config(n, m_v=1.5, m_g=2.0, m_h=3.0, eta=0.75)
-        plan = SimPlan(trials=1, seed=13)
-        rows = _simulate_chunk(cfg, (1, 3), chunk_rng(13, 2), count)
-        np.testing.assert_array_equal(rows[0], reference_chunk(cfg, plan, 2, count))
-        for row, bits in zip(rows[1:], (1, 3)):
-            np.testing.assert_array_equal(
-                row, reference_chunk(cfg, replace(plan, quantization_bits=(bits,)), 2, count))
+        trials = 2 * _chunk_size(n) + offset
+        plan = SimPlan(trials=trials, seed=13, workers=workers)
+        rows = simulate_snr_samples(cfg, replace(plan, quantization_bits=(1, 3)))
+        chunks = chunk_counts(trials, _chunk_size(n))
+        for row, bits in zip(rows, (None, 1, 3)):
+            single = replace(plan, quantization_bits=() if bits is None else (bits,))
+            np.testing.assert_array_equal(row, np.concatenate(
+                [reference_chunk(cfg, single, index, count) for index, count in chunks]))
 
     @pytest.mark.parametrize("bits", [1, 3])
     def test_float32_phasors_stay_within_their_ulp_bound(self, bits):
@@ -137,6 +141,10 @@ class TestSimulation:
         assert observed == pytest.approx(mu_w, rel=0.005)
 
 
+# Bytes of one (chunk x N) float64 buffer at most, where a trial is smaller
+CHUNK_BUFFER = 2**18
+
+
 def correlation_config(n):
     resolved = cli.validate_config({})[1]
     return cli._correlation_config(resolved, n)
@@ -162,13 +170,13 @@ class TestChunkLayout:
             8639067809840361249, 18085651635250726842,
             6269875958123251405, 7539138899335912499]
 
-    def test_chunk_buffers_are_about_two_megabytes(self):
-        # each (chunk x N) float64 buffer is the largest of at most 2 MiB, or
+    def test_chunk_buffers_are_at_most_256_kib(self):
+        # each (chunk x N) float64 buffer is the largest of at most 256 KiB, or
         # one trial where a trial alone is more
         for n in (1, 16, 64, 128, 144, 1024, 1025, 4096, 2**18, 2**18 + 1, 10**6):
-            assert _chunk_size(n) * n * 8 <= max(2 * 2**20, 8 * n)
-            assert (_chunk_size(n) + 1) * n * 8 > 2 * 2**20
-        assert _chunk_size(4096) == 64
+            assert _chunk_size(n) * n * 8 <= max(CHUNK_BUFFER, 8 * n)
+            assert (_chunk_size(n) + 1) * n * 8 > CHUNK_BUFFER
+        assert _chunk_size(4096) == 8
         assert _chunk_size(10**6) == 1
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -185,6 +193,25 @@ class TestChunkLayout:
         KERNELS[kernel](cfg, plan)
         assert asked == [16]
         assert sorted(drawn) == [(plan.seed, i) for i in range(3)]
+
+    def test_each_chunk_runs_once_under_frequent_thread_switches(self, monkeypatch):
+        # more workers than cores take chunk indices from one queue while the
+        # interpreter switches threads as often as it can: a chunk taken
+        # twice or never shows in the indices drawn and in the samples
+        monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: 1)
+        drawn = []
+        monkeypatch.setattr(montecarlo, "chunk_rng", lambda seed, index: (
+            drawn.append(index) or chunk_rng(seed, index)))
+        cfg = unit_config(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [simulate_snr_samples(cfg, SimPlan(trials=400, seed=8, workers=w))
+                    for w in (1, 7)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(drawn) == sorted([*range(400), *range(400)])
+        np.testing.assert_array_equal(runs[1], runs[0])
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_every_kernel_is_identical_for_any_worker_count(self, kernel):
@@ -214,9 +241,13 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-# (kernel, N, most (chunk x N) float64 buffers alive at once in one chunk)
-WORKING_SETS = [("correlation", 64, 5.5), ("correlation", 144, 5.5),
-                ("quantized", 128, 2.5), ("continuous", 128, 2.2)]
+# (kernel, N, most bytes one chunk holds at once): about 11 (chunk x N)
+# float64 buffers for correlation, 4.6 for two quantization widths and 3.1
+# for continuous phases
+WORKING_SETS = [("correlation", 16, 12 * CHUNK_BUFFER), ("correlation", 64, 12 * CHUNK_BUFFER),
+                ("correlation", 144, 12 * CHUNK_BUFFER), ("quantized", 16, 5 * CHUNK_BUFFER),
+                ("quantized", 128, 5 * CHUNK_BUFFER), ("continuous", 16, 3.5 * CHUNK_BUFFER),
+                ("continuous", 128, 3.5 * CHUNK_BUFFER)]
 
 
 @pytest.mark.parametrize("kernel,n,bound", WORKING_SETS)
@@ -230,7 +261,18 @@ def test_chunk_working_set_stays_within_its_bound(kernel, n, bound):
     else:
         widths = (1, 3) if kernel == "quantized" else ()
         peak = traced_peak(lambda: _simulate_chunk(cfg, widths, chunk_rng(7, 0), count))
-    assert peak <= bound * count * n * 8
+    assert peak <= bound
+
+
+def test_threaded_scheme_rates_hold_one_chunk_per_worker():
+    # two workers each hold one correlation chunk (at most 12 buffers, above)
+    # beside the (2, trials) SNRs and their rate terms, about 6.1 MB in all
+    n = 144
+    cfg, _ = cli.validate_config({"n_elements": n})
+    corr = correlation_config(n)
+    peak = traced_peak(
+        lambda: simulate_scheme_rates(cfg, corr, SimPlan(trials=20_000, seed=3, workers=2)))
+    assert peak <= 7 * 2**20
 
 
 class TestEstimators:

@@ -148,9 +148,11 @@ def _mc_columns(estimates) -> dict:
             "hi": [e.ci_high for e in estimates]}
 
 
-def _mc_sweep(gamma_bars: np.ndarray, unit_samples: np.ndarray, estimator) -> dict:
-    """MC columns of ``estimator(gamma_bar * unit_samples)`` at each transmit SNR."""
-    return _mc_columns([estimator(gb * unit_samples) for gb in gamma_bars])
+def _estimates(gamma_bars, unit_samples: np.ndarray, estimator) -> list[Estimate]:
+    """``estimator(gamma_bar * unit_samples)`` at each transmit SNR.  Callers
+    pass the samples straight from the sampler, so they are freed on return,
+    before the next draw."""
+    return [estimator(gb * unit_samples) for gb in np.atleast_1d(gamma_bars)]
 
 
 def _run_wdist(spec: ExperimentSpec, extras: dict) -> dict:
@@ -225,20 +227,26 @@ def _floor_curves(spec: ExperimentSpec, extras: dict, kind: str, name: str,
         extras.update({key: get(result) for key, get in report.items()})
     finite = np.isfinite(values)
     extras["asymptotic_blank_points"] = int(np.count_nonzero(~finite))
+    extras["asymptotic_above_one_points"] = int(np.count_nonzero(finite & (values > 1.0)))
     curves = {f"{kind}_{name}": ("gamma_bar_db", sweep, {"analytic": analytic(gamma_bars)}),
               f"{kind}_asymptotic": ("gamma_bar_db", sweep, {
                   "asymptotic": [v if ok else None for v, ok in zip(values, finite)]})}
     if spec.use_mc:
-        curves[f"{kind}_mc"] = ("gamma_bar_db", sweep, _mc_sweep(gamma_bars, _timed_mc(
-            extras, simulate_snr_samples, spec.config, spec.plan), estimator))
+        curves[f"{kind}_mc"] = ("gamma_bar_db", sweep, _mc_columns(_estimates(
+            gamma_bars, _timed_mc(extras, simulate_snr_samples, spec.config, spec.plan),
+            estimator)))
     return curves
 
 
-def _rate_percent(snr_pair: np.ndarray) -> Estimate:
-    """Quantized rate as a percentage of the unquantized one, from the paired
-    rows (continuous, quantized) of one draw."""
-    ratio = empirical_rate_ratio(snr_pair[1], snr_pair[0])
-    return Estimate(100.0 * ratio.value, 100.0 * ratio.ci_low, 100.0 * ratio.ci_high)
+def _rate_percents(gamma_bars: np.ndarray, rows: np.ndarray) -> list[dict]:
+    """MC columns of each quantized row's rate as a percentage of the
+    continuous one, at each transmit SNR, from the rows (continuous, then one
+    per width) of one draw."""
+    def percent(gb, k):
+        ratio = empirical_rate_ratio(gb * rows[k], gb * rows[0])
+        return Estimate(100.0 * ratio.value, 100.0 * ratio.ci_low, 100.0 * ratio.ci_high)
+
+    return [_mc_columns([percent(gb, k) for gb in gamma_bars]) for k in range(1, len(rows))]
 
 
 def _run_quantization(spec: ExperimentSpec, extras: dict) -> dict:
@@ -247,18 +255,17 @@ def _run_quantization(spec: ExperimentSpec, extras: dict) -> dict:
     curves = {}
     for n in quant["n_values"]:
         cfg_n = replace(spec.config, n_elements=n)
-        if spec.use_mc:
-            # one draw per N: row 0 with continuous phases, row k at widths[k-1]
-            rows = _timed_mc(extras, simulate_snr_samples, cfg_n,
-                             replace(spec.plan, quantization_bits=widths))
+        # one draw per N, freed before the next: row 0 with continuous
+        # phases, row k at widths[k-1]
+        mc = (_rate_percents(gamma_bars, _timed_mc(extras, simulate_snr_samples, cfg_n,
+                                                   replace(spec.plan, quantization_bits=widths)))
+              if spec.use_mc else [{}] * len(widths))
         cb = rate_bounds(cfg_n, gamma_bars)
-        for k, bits in enumerate(widths, 1):
-            qb, mc = quantized_rate_bounds(cfg_n, bits, gamma_bars), {}
+        for bits, mc_bits in zip(widths, mc):
+            qb = quantized_rate_bounds(cfg_n, bits, gamma_bars)
             analytic = 100.0 * (qb.lower + qb.upper) / (cb.lower + cb.upper)
-            if spec.use_mc:
-                mc = _mc_sweep(gamma_bars, rows[[0, k]], _rate_percent)
             curves[f"quantization_b{bits}_n{n}"] = ("gamma_bar_db", sweep,
-                                                     {"analytic": analytic, **mc})
+                                                     {"analytic": analytic, **mc_bits})
     return curves
 
 
@@ -294,8 +301,8 @@ def _rate_curves(spec: ExperimentSpec, extras: dict, prefix: str) -> dict:
     if spec.use_mc:
         estimates = []
         for c, gamma_bars in points:
-            unit_samples = _timed_mc(extras, simulate_snr_samples, c, spec.plan)
-            estimates += [empirical_rate(gb * unit_samples) for gb in np.atleast_1d(gamma_bars)]
+            estimates += _estimates(gamma_bars, _timed_mc(extras, simulate_snr_samples, c,
+                                                          spec.plan), empirical_rate)
         curves[f"{prefix}_mc"] = (unit, sweep, _mc_columns(estimates))
     return curves
 

@@ -15,10 +15,13 @@ correlation square roots contribute included), achieving the per-element
 modulus sum; Scheme-1 reuses the phases of the uncorrelated draws and pays
 the misalignment penalty.
 
-A Monte-Carlo chunk draws its amplitudes and phases whole, in stream order,
-from the generator ``montecarlo.map_chunks`` hands it, and evaluates them
-whole: with the phasors, correlated legs and terms, a thread holds at most
-about 11 (trials x N) float64 buffers of one chunk, each at most 256 KiB.
+A Monte-Carlo chunk draws and evaluates one leg at a time, in stream order
+(v, then amplitudes and phases of g, then of h), from the generator
+``montecarlo.map_chunks`` hands it, and writes its two SNR rows into the
+slice of the run's output it is handed.  A leg's draws are dropped before
+its correlation products, so with the phasors, correlated legs and terms a
+thread holds at most about 7 (trials x N) float64 buffers of one chunk,
+each at most 256 KiB; the calling thread is one of the workers.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemConfig, nakagami_sample
+from .channel import LinkParams, SystemConfig, nakagami_sample
 from .errors import NumericalConsistencyError
 from .montecarlo import Estimate, SimPlan, empirical_rate, map_chunks
 
@@ -160,25 +163,34 @@ def _kron_right(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return grid.reshape(x.shape)
 
 
-def _turned_leg(u: np.ndarray, amp: np.ndarray, phase: np.ndarray, p: np.ndarray,
-                q: np.ndarray) -> np.ndarray:
-    """Rows ``x = amp * u`` of one leg, u the unit phasors of ``phase``,
-    correlated as ``x @ kron(p, q)`` and turned back by ``conj(u)``.
+def _turned_leg(leg: LinkParams, rng: np.random.Generator, shape: tuple[int, int],
+                p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rows ``x = amp * u`` of one leg, drawn from ``rng`` as its Nakagami
+    amplitudes, then its phases uniform on [-pi, pi) with u their unit
+    phasors, correlated as ``x @ kron(p, q)`` and turned back by ``conj(u)``.
 
-    u is evaluated at float32 precision (numpy's float32 SIMD cos/sin) into
-    the complex64 scratch ``u``, which holds it exactly, and widened where it
-    multiplies; that is equivalent to perturbing each phase by at most about
-    2**-22 rad, while draws and products stay float64."""
+    The amplitudes and phases are dropped once x is formed.  u is evaluated
+    at float32 precision (numpy's float32 SIMD cos/sin) into a complex64
+    array, which holds it exactly, and widened where it multiplies; that is
+    equivalent to perturbing each phase by at most about 2**-22 rad, while
+    draws and products stay float64."""
+    amp = nakagami_sample(leg.m, leg.zeta, rng, shape)
+    phase = rng.uniform(-math.pi, math.pi, shape)
+    u = np.empty(shape, dtype=np.complex64)
     np.cos(phase, out=u.real, dtype=np.float32, casting="same_kind")
     np.sin(phase, out=u.imag, dtype=np.float32, casting="same_kind")
-    rows = _kron_right(u * amp, p, q)
+    del phase
+    x = u * amp
+    del amp
+    rows = _kron_right(x, p, q)
     rows *= np.conjugate(u, out=u)
     return rows
 
 
 def _scheme_snr_chunk(cfg: SystemConfig, roots: tuple[tuple[np.ndarray, np.ndarray], ...],
-                      rng: np.random.Generator, count: int) -> np.ndarray:
-    """Received SNRs per unit transmit SNR of one chunk, rows (scheme 1, scheme 2).
+                      rng: np.random.Generator, out: np.ndarray) -> None:
+    """Received SNRs per unit transmit SNR of one chunk, written into the
+    rows (scheme 1, scheme 2) of ``out``.
 
     Scheme 1 turns element n by phi_v - arg g_n - arg h_n of the i.i.d.
     draws.  The direct-link phase phi_v is common to every term and cancels
@@ -186,20 +198,17 @@ def _scheme_snr_chunk(cfg: SystemConfig, roots: tuple[tuple[np.ndarray, np.ndarr
     g~_n conj(u_g,n) h~_n conj(u_h,n).  Scheme 2 co-phases every term, so its
     SNR takes the moduli of the same terms.
     """
+    count = out.shape[-1]
     shape = (count, cfg.n_elements)
     v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
-    amp_g = nakagami_sample(cfg.g.m, cfg.g.zeta, rng, shape)
-    phase_g = rng.uniform(-math.pi, math.pi, shape)
-    amp_h = nakagami_sample(cfg.h.m, cfg.h.zeta, rng, shape)
-    phase_h = rng.uniform(-math.pi, math.pi, shape)
     (arr_az, arr_el), (dep_az, dep_el) = roots
-    u = np.empty(shape, dtype=np.complex64)
     # rows g^T -> g^T R_D^(1/2)
-    terms = _turned_leg(u, amp_g, phase_g, dep_az, dep_el)
+    terms = _turned_leg(cfg.g, rng, shape, dep_az, dep_el)
     # rows h^T -> (R_A^(1/2) h)^T = h^T kron(az, el)^T
-    terms *= _turned_leg(u, amp_h, phase_h, arr_az.T, arr_el.T)
+    terms *= _turned_leg(cfg.h, rng, shape, arr_az.T, arr_el.T)
     terms *= cfg.eta
-    return np.stack([np.abs(v + terms.sum(axis=1)) ** 2, (v + np.abs(terms).sum(axis=1)) ** 2])
+    out[0] = np.abs(v + terms.sum(axis=1)) ** 2
+    out[1] = (v + np.abs(terms).sum(axis=1)) ** 2
 
 
 def simulate_scheme_rates(cfg: SystemConfig, corr: CorrelationConfig,
@@ -208,5 +217,5 @@ def simulate_scheme_rates(cfg: SystemConfig, corr: CorrelationConfig,
     if corr.n_total != cfg.n_elements:
         raise ValueError("correlation grid size must match n_elements")
     snr = map_chunks(functools.partial(_scheme_snr_chunk, cfg, build_correlation(corr)), plan,
-                     cfg.n_elements)
+                     cfg.n_elements, (2,))
     return {s: empirical_rate(cfg.gamma_bar * snr[s - 1]) for s in (1, 2)}

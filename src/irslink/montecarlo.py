@@ -1,17 +1,21 @@
 """Monte-Carlo oracle: exact-SNR simulation and plug-in metric estimators.
 
 Sampling is organized in fixed-size chunks of trials: ``chunk_plan`` sizes
-them by the element count, and ``map_chunks`` alone runs that plan, hands
-chunk ``i`` a generator seeded by ``(seed, i)`` alone and runs the chunks in
-order or on a thread pool.  A kernel is a plain function of that generator
-and a trial count, so neither the thread nor the worker count changes a draw
-or a bit of a result.
+them by the element count, and ``map_chunks`` alone runs that plan.  It
+allocates the run's output once and hands chunk ``i`` a generator seeded by
+``(seed, i)`` alone together with the chunk's slice of that output.  A
+kernel is a plain function of that generator and slice that writes its
+results into the slice, so neither the thread nor the worker count changes
+a draw or a bit of a result, and every sample is held once.
 
 The chunk is the one unit of seeding, scheduling and evaluation: a kernel
 draws it whole, in stream order, and evaluates it whole.  Each (trials x N)
 float64 buffer of a chunk is at most 256 KiB, so a thread's draws and
 scratch stay small: a chunk holds at most about 4.6 such buffers at once
-with quantization widths, and 3.1 without.
+with quantization widths, and 3.1 without.  With more than one worker the
+calling thread runs chunks beside the pool's threads, so a run with ``w``
+workers holds at most ``w`` chunks at once and starts at most ``w - 1``
+threads.
 
 Unit phasors (the cos and sin of a phase) are evaluated at float32 precision
 and widened into float64 buffers; every draw, product and sum stays float64.
@@ -115,37 +119,40 @@ def chunk_plan(trials: int, n_elements: int) -> tuple[int, int]:
     return size, -(-trials // size)
 
 
-def map_chunks(kernel: Callable[[np.random.Generator, int], np.ndarray], plan: SimPlan,
-               n_elements: int) -> np.ndarray:
-    """``kernel(chunk_rng(plan.seed, index), count)`` over the consecutive
-    chunks of ``chunk_plan(plan.trials, n_elements)``, joined along the last
-    axis; the kernel draws and evaluates each chunk whole.  A chunk's draws
-    depend on (seed, index) alone, so the result does not depend on
+def map_chunks(kernel: Callable[[np.random.Generator, np.ndarray], None], plan: SimPlan,
+               n_elements: int, rows: tuple[int, ...] = ()) -> np.ndarray:
+    """Run the chunks of ``chunk_plan(plan.trials, n_elements)`` into one
+    ``rows + (plan.trials,)`` array: ``kernel(chunk_rng(plan.seed, index),
+    out[..., start:stop])`` draws and evaluates each chunk of consecutive
+    trials whole and writes it into its own slice of that output.  A chunk's
+    draws depend on (seed, index) alone, so the result does not depend on
     ``plan.workers``.
 
-    With more than one worker, each of ``plan.workers`` threads takes chunk
-    indices from one queue until it is empty.  The caller waits on the
-    workers, not on every chunk, whose wake-ups would contend with the
-    workers for the interpreter lock."""
+    With more than one worker, ``min(plan.workers, chunks)`` threads take
+    chunk indices from one queue until it is empty: the caller is one of
+    them and a pool holds the others.  So no thread idles while the others
+    work, and no caller wakes per chunk to contend with the workers for the
+    interpreter lock."""
     size, count = chunk_plan(plan.trials, n_elements)
-    parts = [None] * count
+    out = np.empty(rows + (plan.trials,))
 
     def work(indices) -> None:
         for index in indices:
-            parts[index] = kernel(chunk_rng(plan.seed, index),
-                                  min(size, plan.trials - index * size))
+            kernel(chunk_rng(plan.seed, index), out[..., index * size:(index + 1) * size])
 
-    if plan.workers == 1 or count == 1:
+    threads = min(plan.workers, count)
+    if threads == 1:
         work(range(count))
-    else:
-        indices = SimpleQueue()
-        for index in [*range(count), *[None] * plan.workers]:  # one end mark per worker
-            indices.put(index)
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            for future in [pool.submit(work, iter(indices.get, None))
-                           for _ in range(plan.workers)]:
-                future.result()
-    return np.concatenate(parts, axis=-1)
+        return out
+    indices = SimpleQueue()
+    for index in [*range(count), *[None] * threads]:  # one end mark per thread
+        indices.put(index)
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        futures = [pool.submit(work, iter(indices.get, None)) for _ in range(threads - 1)]
+        work(iter(indices.get, None))
+        for future in futures:
+            future.result()
+    return out
 
 
 def _reflected_products(cfg: SystemConfig, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -158,20 +165,23 @@ def _reflected_products(cfg: SystemConfig, rng: np.random.Generator, count: int)
 
 def reflected_sum_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
     """Samples of the co-phased reflected sum W; no direct link is drawn."""
-    return map_chunks(lambda rng, count: _reflected_products(cfg, rng, count).sum(axis=1),
-                      plan, cfg.n_elements)
+    return map_chunks(
+        lambda rng, out: np.sum(_reflected_products(cfg, rng, out.size), axis=1, out=out),
+        plan, cfg.n_elements)
 
 
 def _simulate_chunk(cfg: SystemConfig, widths: tuple[int, ...], rng: np.random.Generator,
-                    count: int) -> np.ndarray:
-    """SNR samples per unit transmit SNR of one chunk: (v + W)^2 with continuous
-    phases, then (v + W_R)^2 + W_I^2 per quantization width; flat without widths.
+                    out: np.ndarray) -> None:
+    """SNR samples per unit transmit SNR of one chunk, written into ``out``:
+    (v + W)^2 with continuous phases in row 0, then (v + W_R)^2 + W_I^2 per
+    quantization width; ``out`` is flat without widths.
 
     Per width, the scaled phase errors and their cos, then sin, go through
     two chunk-sized float64 scratch buffers; the fewest bits (the drawn
     interval) scale by 1 and read the drawn errors themselves.  The cos and
     sin run in numpy's float32 SIMD loops, widened into the scratch."""
-    rows = np.empty((1 + len(widths), count))
+    rows = out if widths else out[np.newaxis]
+    count = out.shape[-1]
     v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
     prod = _reflected_products(cfg, rng, count)
     rows[0] = (v + prod.sum(axis=1)) ** 2
@@ -197,7 +207,6 @@ def _simulate_chunk(cfg: SystemConfig, widths: tuple[int, ...], rng: np.random.G
             trig *= prod
             w_im = trig.sum(axis=1)
             rows[row] = (v + w_re) ** 2 + w_im**2
-    return rows if widths else rows[0]
 
 
 def simulate_snr_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
@@ -214,8 +223,9 @@ def simulate_snr_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
     equivalent to a phase perturbation of at most about 2**-22 rad; row 0
     takes no trig and is exact float64.
     """
-    return map_chunks(functools.partial(_simulate_chunk, cfg, plan.quantization_bits), plan,
-                      cfg.n_elements)
+    widths = plan.quantization_bits
+    return map_chunks(functools.partial(_simulate_chunk, cfg, widths), plan, cfg.n_elements,
+                      (1 + len(widths),) if widths else ())
 
 
 def empirical_cdf(samples: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -274,15 +284,19 @@ def empirical_rate_ratio(samples: np.ndarray, reference: np.ndarray) -> Estimate
     R = mean(y) / mean(x) with variance var(y - R x) / (n mean(x)^2).
     Identical samples give R = 1 with a zero-width interval.
     """
-    y = np.log2(1.0 + np.asarray(samples, dtype=float))
-    x = np.log2(1.0 + np.asarray(reference, dtype=float))
+    y = 1.0 + np.asarray(samples, dtype=float)
+    x = 1.0 + np.asarray(reference, dtype=float)
     if x.size == 0 or x.shape != y.shape:
         raise ValueError("empirical_rate_ratio requires two nonempty samples of one shape")
+    np.log2(y, out=y)
+    np.log2(x, out=x)
     mean_x = float(x.mean())
     ratio = float(y.mean()) / mean_x
     n = x.size
-    half = (_Z95 * float((y - ratio * x).std(ddof=1)) / (math.sqrt(n) * mean_x)
-            if n > 1 else 0.0)
+    if n < 2:
+        return Estimate(ratio, ratio, ratio)
+    y -= np.multiply(ratio, x, out=x)  # y - R x
+    half = _Z95 * float(y.std(ddof=1)) / (math.sqrt(n) * mean_x)
     return Estimate(ratio, ratio - half, ratio + half)
 
 

@@ -36,6 +36,14 @@ def chunk_counts(trials: int, size: int) -> list[tuple[int, int]]:
             for index, start in enumerate(range(0, trials, size))]
 
 
+def chunk_output(kernel, rng: np.random.Generator, count: int, rows: tuple[int, ...] = ()):
+    """The ``rows + (count,)`` array one call ``kernel(rng, out)`` of a chunk
+    kernel writes, as ``montecarlo.map_chunks`` calls it."""
+    out = np.empty(rows + (count,))
+    kernel(rng, out)
+    return out
+
+
 def rician_to_nakagami(k_factor: float) -> float:
     """Shape of the Nakagami approximation to Rician fading with factor K."""
     if k_factor < 0:

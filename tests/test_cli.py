@@ -9,6 +9,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,43 @@ def test_ser_floor_beyond_float_range_is_left_blank(tmp_path):
     assert manifest["extras"]["asymptotic_blank_points"] == 1
 
 
+@pytest.mark.parametrize("kind,above", [("outage", 8), ("ser", 9)])
+def test_manifest_counts_the_asymptote_points_above_one(tmp_path, kind, above):
+    # the high-SNR floor is no probability at low gamma_bar: the default
+    # outage floor reads 1.5e13 at 21 dB
+    code, out = run_cli(tmp_path, kind, {}, "--no-mc")
+    assert code == 0
+    rows = csv.DictReader(io.StringIO(read_csv(out / f"{kind}_asymptotic.csv")))
+    cells = [float(r["asymptotic"]) for r in rows if r["asymptotic"]]
+    extras = json.loads((out / "manifest.json").read_text())["extras"]
+    assert extras["asymptotic_above_one_points"] == sum(c > 1.0 for c in cells) == above
+
+
+@pytest.mark.parametrize("kind,config,rows", [
+    ("quantization", {"quantization": {"bits": [1, 2, 4], "n_values": [16, 32]}}, 4),
+    ("sweep", {"sweep": {"variable": "n_elements", "values": [16, 32]}}, 1)])
+def test_a_two_n_run_holds_one_n_of_samples_at_a_time(tmp_path, monkeypatch, kind, config,
+                                                      rows):
+    # the bytes traced when each N's draw starts: the first N's samples are
+    # released before the second N is drawn
+    held = []
+
+    def sampler(cfg, plan):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return simulate_snr_samples(cfg, plan)
+
+    monkeypatch.setattr(cli, "simulate_snr_samples", sampler)
+    trials = 100_000
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(tmp_path, kind, {"trials": trials, **config})
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(held) == 2
+    assert held[1] - held[0] < rows * trials * 8 / 4
+
+
 def test_build_id_is_resolved_once_from_the_package(tmp_path, monkeypatch):
     seen = []
 
@@ -315,6 +353,7 @@ def test_undefined_asymptote_is_left_blank(tmp_path, kind, fading):
     assert extras["diversity_order"] is None
     assert "constants" in extras["asymptote_unavailable"]
     assert extras["asymptotic_blank_points"] == 2
+    assert extras["asymptotic_above_one_points"] == 0
     if kind == "outage":
         # the closed-form and MC curves are written as for any other shapes
         cfg, _ = cli.validate_config(config, kind)

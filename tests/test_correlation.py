@@ -12,8 +12,8 @@ from irslink.correlation import (AngleSpread, CorrelationConfig, _hermitian_sqrt
                                  corr_matrix_elevation, simulate_scheme_rates)
 from irslink.errors import NumericalConsistencyError
 from irslink.montecarlo import SimPlan, chunk_rng
-from oracles import (CHUNK_EDGE_OFFSETS, PHASOR_ERROR, chunk_counts, float32_trig_bound,
-                     nakagami_reference, optimal_snr)
+from oracles import (CHUNK_EDGE_OFFSETS, PHASOR_ERROR, chunk_counts, chunk_output,
+                     float32_trig_bound, nakagami_reference, optimal_snr)
 
 
 def correlated_snr(v_amp: float, phi_v: float, g_vec: np.ndarray, h_vec: np.ndarray,
@@ -268,7 +268,7 @@ class TestSchemeKernel:
         size = montecarlo._chunk_size(n)
         trials = 2 * size + offset
         snr = montecarlo.map_chunks(functools.partial(_scheme_snr_chunk, cfg, roots),
-                                    SimPlan(trials=trials, seed=23, workers=workers), n)
+                                    SimPlan(trials=trials, seed=23, workers=workers), n, (2,))
         np.testing.assert_array_equal(snr, np.concatenate(
             [full_chunk_snr(cfg, roots, 23, index, count)
              for index, count in chunk_counts(trials, size)], axis=1))
@@ -280,7 +280,8 @@ class TestSchemeKernel:
         n, roots = corr.n_total, build_correlation(corr)
         cfg = unit_cfg(n, shapes)
         seed, index, count = 23, 2, 400
-        snr = _scheme_snr_chunk(cfg, roots, chunk_rng(seed, index), count)
+        snr = chunk_output(functools.partial(_scheme_snr_chunk, cfg, roots),
+                           chunk_rng(seed, index), count, (2,))
         v, (a_g, u_g), (a_h, u_h) = chunk_draws(cfg, seed, index, count)
         g, h = a_g * u_g, a_h * u_h
         # the kernel turns each term back by conj(u_g) conj(u_h); rounded to
@@ -298,7 +299,8 @@ class TestSchemeKernel:
         corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
         cfg, (arrival, departure) = unit_cfg(n), build_correlation(corr)
         seed, index, count = 23, 0, 300
-        fast = _scheme_snr_chunk(cfg, (arrival, departure), chunk_rng(seed, index), count)
+        fast = chunk_output(functools.partial(_scheme_snr_chunk, cfg, (arrival, departure)),
+                            chunk_rng(seed, index), count, (2,))
         v, (a_g, u_g), (a_h, u_h) = chunk_draws(cfg, seed, index, count, np.float64)
         dep = np.kron(*departure)
         arr = np.kron(*arrival).T

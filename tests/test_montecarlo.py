@@ -1,5 +1,7 @@
+import functools
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -18,8 +20,8 @@ from irslink.montecarlo import (Estimate, SimPlan, _chunk_size, _simulate_chunk,
                                 empirical_rate, empirical_rate_ratio, simulate_snr_samples)
 from irslink.snrdist import SnrCdfParams
 from irslink.specfun import gaussian_q
-from oracles import (CHUNK_EDGE_OFFSETS, PHASOR_ERROR, chunk_counts, fit_loglog_slope,
-                     float32_trig_bound, nakagami_reference)
+from oracles import (CHUNK_EDGE_OFFSETS, PHASOR_ERROR, chunk_counts, chunk_output,
+                     fit_loglog_slope, float32_trig_bound, nakagami_reference)
 
 
 def unit_config(n, m_v=1.0, m_g=1.0, m_h=2.0, eta=0.9, gamma_bar_db=0.0):
@@ -61,7 +63,9 @@ class TestSimulation:
         cfg = SystemConfig(n_elements=9, eta=0.75, v=LinkParams(1.5, 0.7),
                            g=LinkParams(2.0, 0.3), h=LinkParams(3.0, 0.2), gamma_bar_db=7.0)
         plan = SimPlan(trials=1, seed=13, quantization_bits=() if bits is None else (bits,))
-        chunk = _simulate_chunk(cfg, plan.quantization_bits, chunk_rng(13, 2), 700)
+        widths = plan.quantization_bits
+        chunk = chunk_output(functools.partial(_simulate_chunk, cfg, widths), chunk_rng(13, 2),
+                             700, (1 + len(widths),) if widths else ())
         np.testing.assert_array_equal(chunk if bits is None else chunk[1],
                                       reference_chunk(cfg, plan, 2, 700))
 
@@ -83,7 +87,8 @@ class TestSimulation:
     def test_float32_phasors_stay_within_their_ulp_bound(self, bits):
         cfg = unit_config(128, gamma_bar_db=15.0)
         plan = SimPlan(trials=1, seed=31, quantization_bits=(bits,))
-        fast = _simulate_chunk(cfg, plan.quantization_bits, chunk_rng(31, 0), 2000)[1]
+        fast = chunk_output(functools.partial(_simulate_chunk, cfg, plan.quantization_bits),
+                            chunk_rng(31, 0), 2000, (2,))[1]
         exact = reference_chunk(cfg, plan, 0, 2000, trig_dtype=np.float64)
         v, prod, _ = reference_draws(cfg, plan, 0, 2000)
         # each phasor moves by at most sqrt(2) PHASOR_ERROR, so the sum
@@ -213,6 +218,33 @@ class TestChunkLayout:
         assert sorted(drawn) == sorted([*range(400), *range(400)])
         np.testing.assert_array_equal(runs[1], runs[0])
 
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_the_caller_and_no_more_threads_than_chunks_run_the_chunks(self, monkeypatch,
+                                                                      workers):
+        # three chunks: each of min(workers, 3) threads, the caller among
+        # them, holds one chunk at the barrier, and no other thread starts
+        threads = min(workers, 3)
+        barrier = threading.Barrier(threads, timeout=30)
+        ran, alive = [], []
+
+        def rng(seed, index):
+            ran.append(threading.get_ident())
+            alive.append(threading.active_count())
+            barrier.wait()
+            return chunk_rng(seed, index)
+
+        monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: 100)
+        monkeypatch.setattr(montecarlo, "chunk_rng", rng)
+        cfg, before = unit_config(4), threading.active_count()
+        samples = simulate_snr_samples(cfg, SimPlan(trials=300, seed=8, workers=workers))
+        assert len(ran) == 3
+        assert len(set(ran)) == threads
+        assert threading.get_ident() in ran
+        assert max(alive) == before + threads - 1
+        monkeypatch.setattr(montecarlo, "chunk_rng", chunk_rng)
+        np.testing.assert_array_equal(samples,
+                                      simulate_snr_samples(cfg, SimPlan(trials=300, seed=8)))
+
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_every_kernel_is_identical_for_any_worker_count(self, kernel):
         cfg, _ = cli.validate_config({"n_elements": 64, "gamma_bar_db": 0.0})
@@ -241,11 +273,11 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-# (kernel, N, most bytes one chunk holds at once): about 11 (chunk x N)
-# float64 buffers for correlation, 4.6 for two quantization widths and 3.1
-# for continuous phases
-WORKING_SETS = [("correlation", 16, 12 * CHUNK_BUFFER), ("correlation", 64, 12 * CHUNK_BUFFER),
-                ("correlation", 144, 12 * CHUNK_BUFFER), ("quantized", 16, 5 * CHUNK_BUFFER),
+# (kernel, N, most bytes one chunk holds at once beside its output): about 7
+# (chunk x N) float64 buffers for correlation, 4.6 for two quantization
+# widths and 3.1 for continuous phases
+WORKING_SETS = [("correlation", 16, 8 * CHUNK_BUFFER), ("correlation", 64, 8 * CHUNK_BUFFER),
+                ("correlation", 144, 8 * CHUNK_BUFFER), ("quantized", 16, 5 * CHUNK_BUFFER),
                 ("quantized", 128, 5 * CHUNK_BUFFER), ("continuous", 16, 3.5 * CHUNK_BUFFER),
                 ("continuous", 128, 3.5 * CHUNK_BUFFER)]
 
@@ -253,26 +285,36 @@ WORKING_SETS = [("correlation", 16, 12 * CHUNK_BUFFER), ("correlation", 64, 12 *
 @pytest.mark.parametrize("kernel,n,bound", WORKING_SETS)
 def test_chunk_working_set_stays_within_its_bound(kernel, n, bound):
     cfg, _ = cli.validate_config({"n_elements": n})
-    count = _chunk_size(n)
     if kernel == "correlation":
         roots = correlation.build_correlation(correlation_config(n))
-        peak = traced_peak(
-            lambda: correlation._scheme_snr_chunk(cfg, roots, chunk_rng(7, 0), count))
+        run, rows = functools.partial(correlation._scheme_snr_chunk, cfg, roots), (2,)
     else:
         widths = (1, 3) if kernel == "quantized" else ()
-        peak = traced_peak(lambda: _simulate_chunk(cfg, widths, chunk_rng(7, 0), count))
-    assert peak <= bound
+        run = functools.partial(_simulate_chunk, cfg, widths)
+        rows = (1 + len(widths),) if widths else ()
+    out = np.empty(rows + (_chunk_size(n),))
+    assert traced_peak(lambda: run(chunk_rng(7, 0), out)) <= bound
 
 
 def test_threaded_scheme_rates_hold_one_chunk_per_worker():
-    # two workers each hold one correlation chunk (at most 12 buffers, above)
-    # beside the (2, trials) SNRs and their rate terms, about 6.1 MB in all
+    # two workers each hold one correlation chunk (at most 8 buffers, above)
+    # beside the (2, trials) SNRs and their rate terms, about 4.0 MB in all
     n = 144
     cfg, _ = cli.validate_config({"n_elements": n})
     corr = correlation_config(n)
     peak = traced_peak(
         lambda: simulate_scheme_rates(cfg, corr, SimPlan(trials=20_000, seed=3, workers=2)))
-    assert peak <= 7 * 2**20
+    assert peak <= 4.5 * 2**20
+
+
+def test_samples_are_held_once():
+    # the chunks write into the one output: the peak is that output plus
+    # one quantized chunk per worker, where joining separate chunk results
+    # held the output twice
+    cfg, _ = cli.validate_config({"n_elements": 16})
+    plan = SimPlan(trials=400_000, seed=3, workers=2, quantization_bits=(1, 3))
+    output = 3 * plan.trials * 8
+    assert traced_peak(lambda: simulate_snr_samples(cfg, plan)) <= output + 2 * 5 * CHUNK_BUFFER
 
 
 class TestEstimators:
@@ -319,6 +361,9 @@ class TestEstimators:
         reference = np.array([1.0, 3.0, 7.0, 15.0])
         samples = np.array([1.0, 1.0, 3.0, 7.0])
         est = empirical_rate_ratio(samples, reference)
+        # the rates are formed in the estimator's own arrays
+        assert samples.tolist() == [1.0, 1.0, 3.0, 7.0]
+        assert reference.tolist() == [1.0, 3.0, 7.0, 15.0]
         # R = 1.75 / 2.5 = 0.7; y - R x = 0.3, -0.4, -0.1, 0.2, whose sample
         # variance is 0.3 / 3 = 0.1; se = sqrt(0.1 / 4) / 2.5
         half = 1.959963984540054 * math.sqrt(0.1 / 4) / 2.5
@@ -423,7 +468,8 @@ class TestUnitTransmitSnr:
 
     def test_correlation_scheme_rows(self, links):
         roots = correlation.build_correlation(correlation_config(16))
-        first, second = (correlation._scheme_snr_chunk(cfg, roots, chunk_rng(8, 1), 700)
+        first, second = (chunk_output(functools.partial(correlation._scheme_snr_chunk, cfg, roots),
+                                      chunk_rng(8, 1), 700, (2,))
                          for cfg in links)
         assert first.tobytes() == second.tobytes()
 

@@ -93,26 +93,28 @@ def _git_describe() -> str:
 
 
 @functools.cache
-def _simd_dispatch() -> dict:
-    """CPU dispatch targets (e.g. ``X86_V4``) of the numpy loops whose bits
-    reach a CSV: ``trig_dispatch``, the float32 sin and cos of the MC phasors;
-    ``log_dispatch`` and ``exp_dispatch``, the float64 log of the Erlang draws
-    and the float64 exp and log of the analytic cells of ``snrcdf`` and
-    ``outage`` (through ``snrdist._convolve``) and of ``wdist``.  All None
-    where numpy predates ``numpy.lib.introspect``.  One ``opt_func_info``
-    call per process."""
+def _simd_dispatch() -> dict | None:
+    """CPU dispatch target (e.g. ``X86_V4``) of each numpy loop whose bits
+    reach a CSV, keyed ``"<ufunc>/<dtype>"``: float32 sin and cos (the MC
+    phasors); float64 exp and log (the Erlang draws and the analytic law),
+    expm1 (its log CDF), log1p and exp (the SER bound), log2 (the MC rates) and
+    power (the azimuth correlation); complex128 absolute (the scheme SNRs).
+    None for a loop numpy does not report, and for the whole map where numpy
+    predates ``numpy.lib.introspect``.  One ``opt_func_info`` call per process."""
+    loops = ((np.sin, "float32"), (np.cos, "float32"), (np.exp, "float64"),
+             (np.expm1, "float64"), (np.log, "float64"), (np.log1p, "float64"),
+             (np.log2, "float64"), (np.power, "float64"), (np.absolute, "complex128"))
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:
-        return {"trig_dispatch": None, "log_dispatch": None, "exp_dispatch": None}
-    info = opt_func_info(func_name="^(sin|cos|log|exp)$", signature="^(float32|float64)$")
+        return None
+    info = opt_func_info(func_name=f"^({'|'.join(f.__name__ for f, _ in loops)})$")
 
-    def targets(funcs, signature):
-        return "/".join(sorted({info[func][signature]["current"] for func in funcs}))
+    def target(ufunc, dtype):
+        types = ufunc.resolve_dtypes((np.dtype(dtype),) * ufunc.nin + (None,))
+        return info.get(ufunc.__name__, {}).get("".join(t.char for t in types), {}).get("current")
 
-    return {"trig_dispatch": targets(("sin", "cos"), "ff"),
-            "log_dispatch": targets(("log",), "dd"),
-            "exp_dispatch": targets(("exp",), "dd")}
+    return {f"{ufunc.__name__}/{dtype}": target(ufunc, dtype) for ufunc, dtype in loops}
 
 
 def _gamma_bars(sweep) -> np.ndarray:
@@ -353,16 +355,15 @@ def run_experiment(spec: ExperimentSpec) -> Path:
             "config": spec.resolved,
             "no_mc": not spec.use_mc,
         },
-        # MC columns are byte-identical only under the same bit generator,
-        # the same numpy (its Gamma sampler, log, sin and cos kernels), the
-        # same draw per leg shape (extras.mc.runs) and the same CPU dispatch
-        # level of its float32 sin and cos and float64 log SIMD loops; the
-        # analytic cells of snrcdf, outage and wdist need its float64 exp and log
+        # CSVs are byte-identical only under the same bit generator, the same
+        # numpy and scipy (numpy's Gamma sampler and ufunc kernels), the same
+        # draw per leg shape (extras.mc.runs) and the same CPU dispatch level
+        # of every SIMD loop in simd_dispatch
         "artifact": {"build": _git_describe(), "version": __version__,
                      "python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "bit_generator": BIT_GENERATOR.__name__,
-                     **_simd_dispatch()},
+                     "simd_dispatch": _simd_dispatch()},
         "wall_clock_seconds": round(time.time() - started, 3),
         "files": files,
         "extras": extras,

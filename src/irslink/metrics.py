@@ -2,8 +2,8 @@
 
 Outage probability and its high-SNR asymptote (diversity order, array and
 coding gains), Jensen rate bounds and their large-array limit under the
-1/N^2 power-scaling law, the single-point upper bound on the average symbol
-error rate, and the rate bounds under quantized reflection phases.
+1/N^2 power-scaling law, the single-point SER bound (the peak of one concave
+log-integrand), and the rate bounds under quantized reflection phases.
 
 Every asymptotic constant is assembled in log space: the outage-floor
 constant grows like a Gamma-function power of the element count and
@@ -12,6 +12,7 @@ overflows float64 well below the element counts of interest.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,6 @@ from .cltapprox import (TruncatedNormal, gamma_ratio_t, quantized_w_stats, w_mea
                         w_moment, w_stats)
 from .errors import ConfigError, NumericalConsistencyError
 from .snrdist import SnrCdfParams, snr_cdf
-from .specfun import _exp, log_gaussian_q
 
 __all__ = [
     "AsymptoticResult",
@@ -167,8 +167,8 @@ class RateBounds:
                 f"rate bounds out of order: {self.lower} > {self.upper}")
 
 
-# libm's log2 elementwise: the rate bound cells then do not depend on the
-# SIMD level of numpy's log2, as the SER bound's do not on its exp (specfun._exp)
+# libm's log2 elementwise: with the cube as two IEEE products, no rate bound
+# cell depends on the SIMD level of numpy's log2 or power loops
 _libm_log2 = np.frompyfunc(math.log2, 1, 1)
 
 
@@ -194,7 +194,7 @@ def _moment_bounds(cfg: SystemConfig, e_r: list[float], s2_i: float, gamma_bar) 
     gb = np.asarray(gamma_bar, dtype=float)
     mean_snr = gb * (e_vr2 + s2_i)
     mean_sq = gb * gb * (e_vr4 + 2.0 * e_vr2 * s2_i + 3.0 * s2_i**2)
-    lower = np.asarray(_libm_log2(1.0 + np.float_power(mean_snr, 3) / mean_sq), dtype=float)
+    lower = np.asarray(_libm_log2(1.0 + mean_snr * mean_snr * mean_snr / mean_sq), dtype=float)
     upper = np.asarray(_libm_log2(1.0 + mean_snr), dtype=float)
     if not gb.ndim:
         lower, upper = float(lower), float(upper)
@@ -221,63 +221,62 @@ def asymptotic_rate(cfg: SystemConfig, energy_scaled_snr: float) -> float:
     return math.log2(1.0 + energy_scaled_snr * mu_inf_sq)
 
 
-def _ser_log_objective(theta, beta_gb, cfg: SystemConfig, tn: TruncatedNormal):
-    """Log of the single-angle integrand whose maximum gives the SER bound;
-    ``theta`` and ``beta_gb`` (beta * gamma_bar) broadcast against each other."""
-    m_v, kappa_v = cfg.v.m, cfg.v.kappa
-    s2 = tn.sigma2_bar
-    u1 = m_v / kappa_v + beta_gb / (2.0 * np.sin(theta) ** 2)
-    z1 = 0.5 / s2 + beta_gb / (2.0 * np.cos(theta) ** 2)
-    z2 = tn.mu_bar / (2.0 * s2)
-    return (z2 * z2 / z1 - m_v * np.log(u1) - 0.5 * np.log(z1)
-            + log_gaussian_q(-z2 * np.sqrt(2.0 / z1)))
+def _ser_log_objective(s, b, cfg: SystemConfig, tn: TruncatedNormal):
+    """Log of the SER integrand at s = sin^2(theta), constants included, for
+    B = ``b`` = beta gamma_bar / 2.  With A = m_v / kappa_v,
+    C = 1 / (2 sigma2_bar), z = mu_bar C, t = 1 - s and D = B / C:
+
+        L(s) = log(alpha/2) + log xi - m_v log1p(B / (A s)) - log1p(B / (C t)) / 2
+               - z^2 B / (C (C t + B)) + log Phi(z sqrt(2 t / (C t + B))),
+
+    where the fourth term is the theta form's z^2 / z1 - z^2 / C, z1 = C + B / t,
+    in closed form.  The last two terms round least as -mu_bar^2 B / (t + D)
+    and log Phi((mu_bar / sigma_bar) sqrt(t / (t + D))).  Each term is concave in s:
+    log1p(B / (A s)), log1p(B / (C t)) and B / (C t + B) are convex, and log Phi
+    is concave and increasing in an argument concave and increasing in t (z >= 0).
+    So L has one maximum, interior for B > 0 (L' falls from +inf at s = 0 to
+    -inf at s = 1); at B = 0, L = log(alpha/2), the zero-SNR cap."""
+    a, t, d = cfg.v.m / cfg.v.kappa, 1.0 - s, 2.0 * tn.sigma2_bar * b
+    td = t + d
+    return (math.log(cfg.modulation.alpha / 2.0) + math.log(tn.xi)
+            - cfg.v.m * np.log1p(b / (a * s)) - 0.5 * np.log1p(d / t)
+            - tn.mu_bar**2 * b / td + sc.log_ndtr(-tn.z_bar * np.sqrt(t / td)))
 
 
-def _maximize_objective(fun, params: np.ndarray, lo: float, hi: float, grid: int = 2048,
+def _maximize_objective(fun, params: np.ndarray, lo: float, hi: float,
                         tol: float = 1e-10) -> np.ndarray:
-    """Maximizers over [lo, hi] of ``fun(theta, p)`` for every entry p of
-    ``params``: a grid scan of all entries as one (entries x grid) array, then
-    rescans of each entry's best bracket [x[i-1], x[i+1]] on 64 nodes, all
-    entries in one (entries x 64) array per level, until every bracket is at
-    most ``tol`` wide (about 5 levels from the scan).  Returns the midpoints
-    of the last brackets."""
-    xs = np.linspace(lo, hi, grid)
-    vals = fun(xs, params[:, None])
-    if not np.all(np.isfinite(vals)):
-        raise NumericalConsistencyError("SER bound objective is not finite on the scan grid")
-    i = np.argmax(vals, axis=1)
-    a, b = xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, grid - 1)]
+    """Maximizers over (lo, hi) of ``fun(x, p)``, concave in x, for every entry
+    p of ``params``.  Each level scans every entry's bracket on 64 nodes, all
+    entries in one (entries x 64) array, and keeps [x[i-1], x[i+1]] around the
+    best node x[i], which holds a concave function's maximizer; 7 levels take
+    [lo, hi] below ``tol``.  ``lo`` and ``hi`` may evaluate to -inf, any other
+    node must be finite.  Returns the midpoints of the last brackets."""
+    a, b = np.full(params.size, float(lo)), np.full(params.size, float(hi))
     nodes, rows = np.linspace(0.0, 1.0, 64), np.arange(params.size)
     while np.any(b - a > tol):
         xs = a[:, None] + (b - a)[:, None] * nodes
-        i = np.argmax(fun(xs, params[:, None]), axis=1)
+        vals = fun(xs, params[:, None])
+        if not np.all(np.isfinite(vals[:, 1:-1])):
+            raise NumericalConsistencyError("SER bound objective is not finite on a scan")
+        i = np.argmax(vals, axis=1)
         a, b = xs[rows, np.maximum(i - 1, 0)], xs[rows, np.minimum(i + 1, nodes.size - 1)]
     return 0.5 * (a + b)
 
 
 def ser_upper_bound(cfg: SystemConfig, gamma_bar):
     """Single-point upper bound on the average symbol error rate at the
-    transmit SNR(s) ``gamma_bar``, a float or an array.
-
-    Bounds the exact half-axis angular integral of the SER by the peak of
-    its integrand; exact at zero SNR where the bound equals alpha/2.
-    """
+    transmit SNR(s) ``gamma_bar``, a float or an array: the peak of the SER
+    integrand, exp(max_s L(s)) of ``_ser_log_objective`` capped at 1, which
+    bounds its integral over the half axis and equals alpha/2 at zero SNR."""
     tn = w_stats(cfg)
     gb = np.asarray(gamma_bar, dtype=float)
-    eps = 1e-9
-    # the scan rejects an objective that is not finite on its grid
+    # the ends s = 0 and s = 1 of the first scan divide by zero into L = -inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        beta_gb = cfg.modulation.beta * gb.reshape(-1)
-        theta_u = _maximize_objective(lambda theta, bg: _ser_log_objective(theta, bg, cfg, tn),
-                                      beta_gb, eps, math.pi / 2.0 - eps)
-    s2 = tn.sigma2_bar
-    log_bound = (math.log(cfg.modulation.alpha / 2.0) + math.log(tn.xi)
-                 + cfg.v.m * math.log(cfg.v.m / cfg.v.kappa)
-                 - 0.5 * math.log(2.0 * s2)
-                 - tn.mu_bar**2 / (2.0 * s2)
-                 + _ser_log_objective(theta_u, beta_gb, cfg, tn))
+        half_beta_gb = 0.5 * cfg.modulation.beta * gb.reshape(-1)
+        fun = functools.partial(_ser_log_objective, cfg=cfg, tn=tn)
+        log_bound = fun(_maximize_objective(fun, half_beta_gb, 0.0, 1.0), half_beta_gb)
     # min(exp(x), 1) as exp(min(x, 0)): equal, and it cannot overflow
-    bound = _exp(np.minimum(log_bound, 0.0)).reshape(gb.shape)
+    bound = np.exp(np.minimum(log_bound, 0.0)).reshape(gb.shape)
     return bound if bound.ndim else float(bound)
 
 

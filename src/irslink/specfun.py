@@ -36,11 +36,10 @@ __all__ = [
     "cal_j_between",
 ]
 
-# libm's exp, elementwise.  numpy's own exp (and pow) kernels depend on the
-# SIMD level the host dispatches and can differ from libm in the last bit.  The
-# SER bound takes exp from libm so that none of its printed digits depends on
-# that level, as do the closed forms below (the tests' reference), with powers
-# from float_power.
+# libm's exp, elementwise: numpy's exp kernel depends on the host's SIMD level
+# and can differ from libm in the last bit.  The closed forms below (the tests'
+# reference) take exp from libm and powers from float_power, so that an array
+# of limits gives each limit's scalar value bit for bit.
 _libm_exp = np.frompyfunc(math.exp, 1, 1)
 
 

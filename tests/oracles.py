@@ -204,6 +204,43 @@ def ser_upper_bound_scalar(cfg: SystemConfig) -> float:
     return min(math.exp(log_bound), 1.0)
 
 
+def ser_upper_bound_mpmath(cfg: SystemConfig, dps: int = 40) -> float:
+    """The SER bound exp(min(max_s L(s), 0)) with L, the log-integrand in
+    s = sin^2(theta) of ``metrics._ser_log_objective``, written in mpmath at
+    ``dps`` digits and maximized by golden section over (0, 1) to a bracket
+    of 1e-30.  Needs mpmath."""
+    import mpmath as mp
+
+    tn = w_stats(cfg)
+    with mp.workdps(dps):
+        a = mp.mpf(cfg.v.m) / cfg.v.kappa
+        b = mp.mpf(cfg.modulation.beta) * cfg.gamma_bar / 2
+        c = 1 / (2 * mp.mpf(tn.sigma2_bar))
+        z = mp.mpf(tn.mu_bar) * c
+        log_xi = -mp.log(mp.ncdf(mp.mpf(tn.mu_bar) / mp.sqrt(tn.sigma2_bar)))
+        head = mp.log(mp.mpf(cfg.modulation.alpha) / 2) + log_xi
+
+        def objective(s):
+            t = 1 - s
+            return (head - cfg.v.m * mp.log1p(b / (a * s)) - mp.log1p(b / (c * t)) / 2
+                    - z * z * b / (c * (c * t + b))
+                    + mp.log(mp.ncdf(z * mp.sqrt(2 * t / (c * t + b)))))
+
+        lo, hi, invphi = mp.mpf(0), mp.mpf(1), (mp.sqrt(5) - 1) / 2
+        x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        f1, f2 = objective(x1), objective(x2)
+        while hi - lo > mp.mpf("1e-30"):
+            if f1 > f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - invphi * (hi - lo)
+                f1 = objective(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + invphi * (hi - lo)
+                f2 = objective(x2)
+        return float(mp.exp(min(objective((lo + hi) / 2), 0)))
+
+
 def cal_i_scalar(k: int, x: float) -> float:
     """``specfun.cal_i`` at one point, branching on the sign of x."""
     q = (k + 1) / 2.0

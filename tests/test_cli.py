@@ -412,12 +412,15 @@ def test_manifest_records_the_numeric_stack(tmp_path):
     assert artifact["numpy"] == np.__version__
     assert artifact["scipy"] == scipy.__version__
     assert artifact["bit_generator"] == "SFC64"
-    # the CPU level of numpy's float32 sin/cos loops, which the MC phasors use,
-    # of its float64 log loop, which the Erlang draws and the analytic law use,
-    # and of its float64 exp loop, which the analytic law uses
-    for key in ("trig_dispatch", "log_dispatch", "exp_dispatch"):
-        assert artifact[key] == cli._simd_dispatch()[key]
-        assert artifact[key]
+    # the CPU level of every numpy SIMD loop whose bits reach a CSV: the float32
+    # sin/cos of the MC phasors, the float64 exp, expm1, log, log1p, log2 and
+    # power of the draws and the analytic cells, the complex128 absolute
+    dispatch = artifact["simd_dispatch"]
+    assert dispatch == cli._simd_dispatch()
+    assert sorted(dispatch) == sorted(["sin/float32", "cos/float32", "exp/float64",
+                                       "expm1/float64", "log/float64", "log1p/float64",
+                                       "log2/float64", "power/float64", "absolute/complex128"])
+    assert all(dispatch.values())
 
 
 _ERLANG = {"v": "erlang", "g": "erlang", "h": "erlang"}
@@ -433,7 +436,7 @@ def test_manifest_names_the_draw_of_each_leg(tmp_path, kind, fading, draws):
                                          "sweep": {"values": [0.0]}})
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["artifact"]["log_dispatch"] == cli._simd_dispatch()["log_dispatch"]
+    assert manifest["artifact"]["simd_dispatch"] == cli._simd_dispatch()
     assert [run["draws"] for run in manifest["extras"]["mc"]["runs"]] == [draws]
 
 

@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from irslink.channel import LinkParams, Modulation, SystemConfig, path_loss
 from irslink import metrics
-from irslink.cltapprox import quantized_w_stats
+from irslink.cltapprox import quantized_w_stats, w_stats
+from irslink.config import validate_config
 from irslink.errors import ConfigError, NumericalConsistencyError
 from irslink.metrics import (asymptotic_outage, asymptotic_rate, asymptotic_ser,
                              outage_probability, quantized_rate_bounds, rate_bounds,
@@ -15,8 +18,8 @@ from irslink.metrics import (asymptotic_outage, asymptotic_rate, asymptotic_ser,
 from irslink.montecarlo import (SimPlan, empirical_ber, empirical_outage, empirical_rate,
                                 simulate_snr_samples)
 from irslink.snrdist import SnrCdfParams, snr_cdf
-from oracles import (ProductPdfParams, fit_loglog_slope, product_pdf, ser_upper_bound_scalar,
-                     truncated_normal_sample)
+from oracles import (ProductPdfParams, fit_loglog_slope, product_pdf, ser_upper_bound_mpmath,
+                     ser_upper_bound_scalar, truncated_normal_sample)
 
 
 def unit_config(n, m_v, m_g, m_h, eta=0.9, gamma_bar_db=0.0, alpha=1.0, beta=2.0):
@@ -151,6 +154,23 @@ class TestRateBounds:
                 b = rate_bounds(figure_config(n, 2.0, 3.0, 4.0), 10 ** (db / 10))
                 assert 0.0 <= b.lower <= b.upper
 
+    def test_points_are_the_scalar_libm_values(self):
+        # an array of gamma_bar gives the Jensen formula of each point in Python
+        # floats bit for bit: IEEE products and libm's log2, no SIMD loop
+        cfg = figure_config(16, 2.0, 3.0, 4.0)
+        gamma_bars = 10 ** (np.linspace(-10.0, 60.0, 29) / 10)
+        e_v = [1.0] + [metrics._direct_moment(cfg, j) for j in (1, 2, 3, 4)]
+        e_r = metrics._truncated_moments(w_stats(cfg))
+        e_vr2 = e_v[2] + 2.0 * e_v[1] * e_r[1] + e_r[2]
+        e_vr4 = sum(math.comb(4, j) * e_v[j] * e_r[4 - j] for j in range(5))
+        lower, upper = [], []
+        for gb in gamma_bars.tolist():
+            mean_snr, mean_sq = gb * e_vr2, gb * gb * e_vr4
+            lower.append(math.log2(1.0 + mean_snr * mean_snr * mean_snr / mean_sq))
+            upper.append(math.log2(1.0 + mean_snr))
+        b = rate_bounds(cfg, gamma_bars)
+        assert b.lower.tolist() == lower and b.upper.tolist() == upper
+
     @pytest.mark.slow
     def test_monte_carlo_rate_inside_bounds(self):
         for n in (8, 16, 32, 64, 128):
@@ -222,6 +242,44 @@ class TestSerBound:
         bound = ser_upper_bound(cfg, cfg.gamma_bar)
         assert bound <= cfg.modulation.alpha / 2.0 + 1e-9
         assert bound == pytest.approx(cfg.modulation.alpha / 2.0, rel=1e-3)
+
+    @given(n=st.integers(1, 10**6), m_v=st.floats(0.5, 1000.0), m_g=st.floats(0.5, 1000.0),
+           m_h=st.floats(0.5, 1000.0), eta=st.floats(0.01, 1.0),
+           gamma_bar_db=st.floats(-60.0, 60.0), beta=st.floats(0.01, 10.0),
+           d_sd=st.floats(1.0, 1000.0), d_si=st.floats(1.0, 1000.0))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_log_objective_is_concave(self, n, m_v, m_g, m_h, eta, gamma_bar_db, beta,
+                                      d_sd, d_si):
+        # one maximum: the second differences of L on a uniform s grid stay
+        # within rounding of 0 from below
+        cfg, _ = validate_config({"n_elements": n, "eta": eta, "gamma_bar_db": gamma_bar_db,
+                                  "fading": {"m_v": m_v, "m_g": m_g, "m_h": m_h},
+                                  "distances": {"d_sd_m": d_sd, "d_si_m": d_si},
+                                  "modulation": {"beta": beta}}, "ser")
+        s = np.linspace(0.0, 1.0, 1001)[1:-1]
+        log_integrand = metrics._ser_log_objective(
+            s, 0.5 * cfg.modulation.beta * cfg.gamma_bar, cfg, w_stats(cfg))
+        assert np.all(np.isfinite(log_integrand))
+        second = log_integrand[:-2] - 2.0 * log_integrand[1:-1] + log_integrand[2:]
+        assert second.max() <= 1e-13 * np.abs(log_integrand).max()
+
+    # (N, m_v, m_g, m_h, gamma_bar_db), with bounds from 0.5 down to 1e-201
+    @pytest.mark.parametrize("n,m_v,m_g,m_h,db", [
+        (1, 0.5, 0.5, 0.5, 0.0), (1, 2.0, 3.0, 4.0, 30.0), (1, 1000.0, 3.0, 4.0, 20.0),
+        (2, 1.5, 0.5, 1.0, -10.0), (4, 1.0, 1.0, 2.0, 10.0), (4, 0.5, 10.0, 100.0, 60.0),
+        (16, 2.0, 3.0, 4.0, 20.0), (16, 2.5, 3.0, 4.0, 45.0), (16, 1000.0, 3.0, 4.0, 25.0),
+        (64, 0.75, 1.0, 4.0, 5.0), (64, 1000.0, 3.0, 100.0, 0.0), (256, 7.0, 1.0, 100.0, 10.0),
+        (1000, 2.5, 3.0, 4.0, -5.0), (10**4, 3.0, 2.0, 2.0, -20.0),
+        (10**5, 50.0, 10.0, 0.5, -45.0), (10**5, 50.0, 10.0, 0.5, -50.0),
+        (10**5, 1000.0, 0.5, 4.0, -35.0), (10**6, 0.5, 0.5, 0.5, -45.0),
+        (10**6, 1.0, 1.0, 1.0, -50.0), (10**6, 2.0, 3.0, 4.0, -65.0)])
+    def test_matches_high_precision_maximum(self, n, m_v, m_g, m_h, db):
+        pytest.importorskip("mpmath")
+        cfg, _ = validate_config({"n_elements": n, "gamma_bar_db": db,
+                                  "fading": {"m_v": m_v, "m_g": m_g, "m_h": m_h}}, "ser")
+        reference = ser_upper_bound_mpmath(cfg)
+        assert reference > 0.0
+        assert ser_upper_bound(cfg, cfg.gamma_bar) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 class TestAsymptoticSer:

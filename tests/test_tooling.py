@@ -114,5 +114,4 @@ def test_no_library_module_imports_another_modules_private_name():
     package = Path(irslink.__file__).resolve().parent
     private = {path.name: names for path in sorted(package.glob("*.py"))
                if (names := _private_imports(path.read_text()))}
-    # the one exception until the closed form leaves specfun
-    assert private == {"metrics.py": ["specfun._exp"]}
+    assert private == {}

@@ -33,6 +33,28 @@ __all__ = [
 ]
 
 
+# TruncatedNormal.log_cdf integrates the density where its exponent moves by
+# at most _NEAR_ZERO_REACH over [0, w]; past that, Phi(a) - Phi(z_bar) loses
+# at most a few ulps times |log Phi(a)|.
+_NEAR_ZERO_REACH = 0.25
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _near_zero_mean(z: float, d: np.ndarray) -> np.ndarray:
+    """Mean of exp(-z s - s^2 / 2) over s in [0, d] for d (|z| + d) <=
+    _NEAR_ZERO_REACH: sum_k a_k d^k / (k + 1), a_k the Taylor coefficients
+    of that exponential (a_0 = 1, a_1 = -z, (k + 1) a_(k+1) = -z a_k -
+    a_(k-1)).  23 terms leave a remainder far below an ulp."""
+    a = [1.0, -z]
+    for k in range(1, 22):
+        a.append((-z * a[k] - a[k - 1]) / (k + 1))
+    mean = np.full_like(d, a[-1] / len(a))
+    for k in range(len(a) - 2, -1, -1):  # Horner
+        mean *= d
+        mean += a[k] / (k + 1)
+    return mean
+
+
 def gamma_ratio_t(a: float, b: float, i: float) -> float:
     """Gamma(a+i)Gamma(b+i) / (Gamma(a)Gamma(b)), evaluated in log space."""
     return math.exp(sc.gammaln(a + i) + sc.gammaln(b + i) - sc.gammaln(a) - sc.gammaln(b))
@@ -79,12 +101,25 @@ class TruncatedNormal:
 
     def log_cdf(self, w):
         """log of (Phi(a) - Phi(z_bar)) / Q(z_bar), a = (w - mu_bar) / sigma_bar;
-        -inf where the probability is 0 (w <= 0)."""
-        log_phi = sc.log_ndtr((w - self.mu_bar) / self.sigma_bar)
-        log_below = float(sc.log_ndtr(self.z_bar))      # log P(normal < 0)
+        -inf where the probability is 0 (w <= 0).
+
+        The difference cancels where a is near z_bar, so for 0 < w <= d_0
+        sigma_bar, with d_0 (|z_bar| + d_0) = _NEAR_ZERO_REACH, the probability
+        is instead the integral of the density over [0, w]: phi(z_bar) d M /
+        Q(z_bar), d = w / sigma_bar and M the mean of exp(-z_bar s - s^2 / 2)
+        over s in [0, d], a polynomial in d (``_near_zero_mean``)."""
+        w = np.asarray(w, dtype=float)
+        z, sigma, log_mass = self.z_bar, self.sigma_bar, self._log_mass
+        log_phi = sc.log_ndtr((w - self.mu_bar) / sigma)
+        log_below = float(sc.log_ndtr(z))      # log P(normal < 0)
         with np.errstate(divide="ignore"):
-            return (log_phi + np.log(-np.expm1(np.minimum(log_below - log_phi, 0.0)))
-                    - self._log_mass)
+            out = np.asarray(log_phi + np.log(-np.expm1(np.minimum(log_below - log_phi, 0.0)))
+                             - log_mass)
+        reach = 2.0 * _NEAR_ZERO_REACH / (abs(z) + math.sqrt(z * z + 4.0 * _NEAR_ZERO_REACH))
+        near = (w > 0.0) & (w <= reach * sigma)
+        d = w[near] / sigma
+        out[near] = np.log(d * _near_zero_mean(z, d)) - (0.5 * z * z + _LOG_SQRT_2PI + log_mass)
+        return out[()]
 
     def log_sf(self, w):
         """log of Q(a) / Q(z_bar), a = (w - mu_bar) / sigma_bar."""

@@ -7,8 +7,15 @@ elevation factor, each with unit diagonal.  Channels are correlated by
 multiplying i.i.d. vectors with the Hermitian square roots, and the root of
 a Kronecker product is the Kronecker product of the factors' roots.  Only
 the small factor roots are kept, as a plain (azimuth, elevation) pair of
-arrays per side: a row vector is correlated as two small matrix products on
-its (azimuth x elevation) grid, never through an N x N matrix.
+arrays per side, and a chunk's rows are correlated per axis on their
+(azimuth x elevation) grids, never through an N x N matrix: the elevation
+root as products batched over the azimuth index, then the azimuth root as
+products batched over the elevation index, about a + b BLAS calls for an
+a x b grid.  On grids at least two wide the products are cut into slabs of
+at most 2**15 complex multiply-adds (one row where a^2 is more), below the
+size at which OpenBLAS splits a product over threads of its own that contend
+with the Monte-Carlo workers; a one-wide grid is the one product of its rows
+with the azimuth root.
 
 Scheme-2 co-phases against the correlated entries (the phases the
 correlation square roots contribute included), achieving the per-element
@@ -154,12 +161,41 @@ def build_correlation(cfg: CorrelationConfig) -> tuple[tuple[np.ndarray, np.ndar
                      for spread in (cfg.aoa, cfg.aod))
 
 
+# Most complex multiply-adds in one product of ``_kron_right`` on a grid at
+# least two wide: OpenBLAS (0.3.31) hands a complex product of 2**16 or more
+# to threads of its own, which then contend with the Monte-Carlo workers.
+_PRODUCT_CAP = 1 << 15
+
+
 def _kron_right(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``x @ kron(p, q)`` for the rows of ``x``, written over ``x``: each row,
-    laid out as its (len(p) x len(q)) grid X, becomes p^T X q, two small
-    matrix products."""
-    grid = x.reshape(x.shape[0], p.shape[0], q.shape[0])
-    np.matmul(p.T, grid @ q, out=grid)
+    """``x @ kron(p, q)`` for the rows of ``x``, with p and q the roots of
+    two unit-diagonal factors; x is spent.
+
+    Each row, laid out as its (a x b) grid X with a = len(p) and b = len(q),
+    becomes p^T X q, applied per axis to every row at once: q as a products
+    (rows x b) @ q batched over the azimuth index, whose result is copied
+    transposed into x's own buffer as (b, rows, a), then p as products
+    (rows x a) @ p batched over the elevation index, copied back in (rows,
+    a, b) order.  So a chunk makes about a + b BLAS calls, not two per row,
+    and holds one scratch array of x's size.  The products batched over the
+    elevation index are split into slabs of at most ``_PRODUCT_CAP``
+    multiply-adds (one row where a^2 is more), which keeps them off
+    OpenBLAS's threads; a square grid's full chunk needs no split.  A
+    one-wide grid (b = 1) has q = [[1]], the root of a 1 x 1 unit factor,
+    and is the single product x @ p, which ran faster than any split of it.
+    """
+    count, a, b = x.shape[0], p.shape[0], q.shape[0]
+    if b == 1:
+        return x @ p
+    grid = x.reshape(count, a, b)
+    by_az = np.matmul(grid.transpose(1, 0, 2), q)
+    by_el = grid.reshape(b, count, a)
+    by_el[...] = by_az.transpose(2, 1, 0)
+    out = by_az.reshape(b, count, a)
+    slab = max(1, _PRODUCT_CAP // (a * a))
+    for start in range(0, count, slab):
+        np.matmul(by_el[:, start:start + slab], p, out=out[:, start:start + slab])
+    grid[...] = out.transpose(1, 2, 0)
     return grid.reshape(x.shape)
 
 

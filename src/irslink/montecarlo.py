@@ -242,16 +242,26 @@ def empirical_cdf(samples: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _mean_estimate(values: np.ndarray) -> Estimate:
+    """Mean of ``values`` with its normal 95% interval; ``values`` is the
+    caller's own array of terms, spent as the scratch of the std."""
     n = values.size
     mean = float(values.mean())
     if n < 2:
         return Estimate(mean, mean, mean)
     # std of the values scaled by a power of two to below 1, which is exact:
     # squared deviations of terms below about 1e-154 would underflow
-    exponent = int(np.frexp(np.abs(values).max())[1])
-    std = math.ldexp(float(np.ldexp(values, -exponent).std(ddof=1)), exponent)
+    exponent = int(np.frexp(max(values.max(), -values.min()))[1])
+    std = math.ldexp(_spent_std(np.ldexp(values, -exponent, out=values)), exponent)
     half = _Z95 * std / math.sqrt(n)
     return Estimate(mean, mean - half, mean + half)
+
+
+def _spent_std(values: np.ndarray) -> float:
+    """``values.std(ddof=1)``, the same operations in the same order, with
+    ``values`` itself as the scratch of the deviations."""
+    values -= values.sum() / values.size
+    np.multiply(values, values, out=values)
+    return math.sqrt(float(values.sum()) / (values.size - 1))
 
 
 def empirical_outage(samples: np.ndarray, gamma_th: float) -> Estimate:
@@ -273,7 +283,8 @@ def empirical_rate(samples: np.ndarray) -> Estimate:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("empirical_rate requires a nonempty sample")
-    return _mean_estimate(np.log2(1.0 + samples))
+    terms = np.add(1.0, samples)
+    return _mean_estimate(np.log2(terms, out=terms))
 
 
 def empirical_rate_ratio(samples: np.ndarray, reference: np.ndarray) -> Estimate:
@@ -296,7 +307,7 @@ def empirical_rate_ratio(samples: np.ndarray, reference: np.ndarray) -> Estimate
     if n < 2:
         return Estimate(ratio, ratio, ratio)
     y -= np.multiply(ratio, x, out=x)  # y - R x
-    half = _Z95 * float(y.std(ddof=1)) / (math.sqrt(n) * mean_x)
+    half = _Z95 * _spent_std(y) / (math.sqrt(n) * mean_x)
     return Estimate(ratio, ratio - half, ratio + half)
 
 
@@ -308,5 +319,7 @@ def empirical_ber(samples: np.ndarray, alpha: float, beta: float) -> Estimate:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("empirical_ber requires a nonempty sample")
-    est = _mean_estimate(alpha * gaussian_q(np.sqrt(beta * samples)))
+    terms = np.multiply(beta, samples)
+    np.sqrt(terms, out=terms)
+    est = _mean_estimate(np.multiply(alpha, gaussian_q(terms, out=terms), out=terms))
     return Estimate(est.value, max(est.ci_low, 0.0), min(est.ci_high, alpha))

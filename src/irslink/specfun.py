@@ -90,9 +90,14 @@ def _gamma_tail(q: float, z):
     return sc.gammaincc(q, z) * sc.gamma(q)
 
 
-def gaussian_q(x):
-    """Standard normal tail probability P(Z > x)."""
-    return 0.5 * sc.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+def gaussian_q(x, out=None):
+    """Standard normal tail probability P(Z > x), written into the float64
+    array ``out`` if it is given (``out`` may be ``x`` itself)."""
+    if out is None:  # no out= keywords: they would double the cost of a scalar call
+        return 0.5 * sc.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    sc.erfc(np.divide(x, math.sqrt(2.0), out=out), out=out)
+    out *= 0.5
+    return out
 
 
 def log_gaussian_q(x):

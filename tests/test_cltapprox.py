@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
 from irslink.channel import LinkParams, SystemConfig
+from irslink.cli import validate_config
 from irslink.cltapprox import (TruncatedNormal, quantized_w_stats, w_mean_var,
                                w_moment, w_stats)
 from irslink.montecarlo import SimPlan, reflected_sum_samples
@@ -79,6 +81,23 @@ class TestTruncatedNormalLaw:
     def test_cdf_and_tail_sum_to_one(self, z_bar):
         tn, w = self.law(z_bar)
         np.testing.assert_allclose(np.logaddexp(tn.log_cdf(w), tn.log_sf(w)), 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n,m_g,m_h", [(1, 3.0, 4.0), (2, 3.0, 3.0), (1, 0.5, 0.5)])
+    def test_cdf_near_zero_matches_quadrature(self, n, m_g, m_h):
+        # the wdist CDF grid starts at w = 1e-9, where Phi(a) - Phi(z_bar)
+        # cancels to about 1e-9 relative; w = 1e-9 and points either side of
+        # d (|z_bar| + d) = 1/4, d = w / sigma_bar, where log_cdf changes form
+        cfg, _ = validate_config({"n_elements": n, "fading": {"m_g": m_g, "m_h": m_h}})
+        tn = w_stats(cfg)
+        z = abs(tn.z_bar)
+        reach = [(math.sqrt(z * z + 4.0 * t) - z) / 2.0 for t in (1e-6, 0.1, 0.249, 0.251, 1.0)]
+        with mpmath.workdps(40):
+            mu, sd = mpmath.mpf(tn.mu_bar), mpmath.sqrt(mpmath.mpf(tn.sigma2_bar))
+            mass = mpmath.ncdf(mu / sd)
+            for w in [1e-9] + [d * tn.sigma_bar for d in reach]:
+                exact = mpmath.quad(lambda t: mpmath.npdf(t, mu, sd), [0, w]) / mass
+                assert float(np.exp(tn.log_cdf(w))) == pytest.approx(
+                    float(exact), rel=1e-14, abs=0.0), w
 
     def test_log_cdf_is_minus_inf_at_and_below_zero(self):
         # the suite turns RuntimeWarnings into errors: log 0 must not warn

@@ -140,16 +140,43 @@ class TestBuildCorrelation:
         with pytest.raises(NumericalConsistencyError):
             build_correlation(cfg)
 
-    @pytest.mark.parametrize("n", [16, 36, 64, 100, 144])
+    # square, rectangular (50 -> 10 x 5, 96 -> 12 x 8), two-wide (122 -> 61 x 2)
+    # and one-wide (127 -> 127 x 1) tilings
+    @pytest.mark.parametrize("n", [16, 36, 64, 100, 144, 50, 96, 122, 127])
     def test_factored_leg_equals_full_root_product(self, n):
         corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
         rng = np.random.default_rng(n)
-        x = rng.standard_normal((300, n)) + 1j * rng.standard_normal((300, n))
-        for az, el in build_correlation(corr):
-            for p, q in ((az, el), (az.T, el.T)):
-                full = x @ np.kron(p, q)
-                np.testing.assert_allclose(_kron_right(x.copy(), p, q), full,
-                                           rtol=1e-12, atol=1e-12 * np.abs(full).max())
+        # one row; 300 rows, which split grids of 12 or more on the azimuth
+        # axis into slabs; 1000 rows, which leave a partial last slab on every
+        # grid at least two wide but 4 x 4
+        for rows in (1, 300, 1000):
+            x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+            for az, el in build_correlation(corr):
+                for p, q in ((az, el), (az.T, el.T)):
+                    full = x @ np.kron(p, q)
+                    np.testing.assert_allclose(_kron_right(x.copy(), p, q), full,
+                                               rtol=1e-12, atol=1e-12 * np.abs(full).max())
+
+    @pytest.mark.parametrize("n", [16, 50, 96, 122, 144])
+    def test_chunk_products_stay_within_the_cap(self, n, monkeypatch):
+        # every product a chunk makes on a grid at least two wide stays at or
+        # below 2**15 multiply-adds, where OpenBLAS keeps it on the calling
+        # thread, in about a + b calls
+        sizes = []
+
+        def matmul(a, b, **kwargs):
+            sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            calls.append(math.prod(a.shape[:-2]))
+            return real_matmul(a, b, **kwargs)
+
+        calls, real_matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul", matmul)
+        (n_az, n_el), count = CorrelationConfig.tiling(n), montecarlo._chunk_size(n)
+        p, q = np.eye(n_az, dtype=complex), np.eye(n_el, dtype=complex)
+        _kron_right(np.ones((count, n), dtype=complex), p, q)
+        assert max(sizes) <= 1 << 15
+        slabs = -(-count // max(1, (1 << 15) // n_az**2))
+        assert sum(calls) == n_az + n_el * slabs < 2 * count
 
     def test_square_surface_factorization(self):
         cfg = CorrelationConfig.square_surface(36, 1.0, 0.1, spread(), spread())

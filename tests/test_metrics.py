@@ -226,8 +226,9 @@ class TestSerBound:
     def test_matches_scalar_scan(self, m_v, n):
         for db in (0.0, 15.0, 30.0, 45.0):
             cfg = figure_config(n, m_v, 3.0, 4.0, gamma_bar_db=db)
+            # abs=0: pytest's default abs=1e-12 would void the check for bounds below it
             assert ser_upper_bound(cfg, cfg.gamma_bar) == pytest.approx(
-                ser_upper_bound_scalar(cfg), rel=1e-12), db
+                ser_upper_bound_scalar(cfg), rel=1e-12, abs=0.0), db
 
     def test_non_finite_scan_grid_raises(self):
         # a NaN beta passes the Modulation check and poisons the objective

@@ -344,7 +344,7 @@ class TestEstimators:
         rng = np.random.default_rng(11)
         for values in (rng.random(5000) * 7.0, rng.random(3000) ** 40 * 1e-90,
                        np.concatenate([np.zeros(999), [0.3]])):
-            est = montecarlo._mean_estimate(values)
+            est = montecarlo._mean_estimate(values.copy())  # it spends its argument
             half = 1.959963984540054 * float(values.std(ddof=1)) / math.sqrt(values.size)
             assert (est.ci_low, est.ci_high) == (est.value - half, est.value + half)
 
@@ -355,6 +355,39 @@ class TestEstimators:
         est, scaled = (montecarlo._mean_estimate(v) for v in (values, values * 2.0**600))
         assert est.ci_low < est.value < est.ci_high
         assert est.ci_high - est.value == math.ldexp(scaled.ci_high - scaled.value, -600)
+
+    @pytest.mark.parametrize("estimator,owned", [
+        (lambda s, r: empirical_rate(s), 1), (lambda s, r: empirical_ber(s, 1.0, 2.0), 1),
+        (lambda s, r: empirical_ber(s, 0.5, 0.3), 1), (empirical_rate_ratio, 2)],
+        ids=["rate", "ber", "ber-scaled", "rate-ratio"])
+    def test_estimators_hold_one_array_per_input(self, estimator, owned):
+        # the terms are formed in arrays the estimator owns, and the std is
+        # taken over them in place: nothing else of the sample's size is held
+        rng = np.random.default_rng(4)
+        samples, reference = rng.exponential(3.0, 200_000), rng.exponential(3.0, 200_000)
+        peak = traced_peak(lambda: estimator(samples, reference))
+        assert peak <= owned * samples.nbytes + 4096
+
+    def test_estimates_match_the_plain_expressions(self):
+        # forming the terms in place moves no bit of an estimate
+        rng = np.random.default_rng(8)
+        samples, reference = rng.exponential(40.0, 30_001), rng.exponential(40.0, 30_001)
+
+        def plain(values):
+            mean = float(values.mean())
+            half = 1.959963984540054 * float(values.std(ddof=1)) / math.sqrt(values.size)
+            return mean - half, mean, mean + half
+
+        rate = empirical_rate(samples)
+        assert (rate.ci_low, rate.value, rate.ci_high) == plain(np.log2(1.0 + samples))
+        ber = empirical_ber(samples, 0.75, 0.3)
+        assert (ber.ci_low, ber.value, ber.ci_high) == plain(
+            0.75 * gaussian_q(np.sqrt(0.3 * samples)))
+        y, x = np.log2(1.0 + samples), np.log2(1.0 + reference)
+        r = float(y.mean()) / float(x.mean())
+        half = (1.959963984540054 * float((y - r * x).std(ddof=1))
+                / (math.sqrt(x.size) * float(x.mean())))
+        assert empirical_rate_ratio(samples, reference) == Estimate(r, r - half, r + half)
 
     def test_rate_ratio_matches_the_delta_method_by_hand(self):
         # rates log2(1 + snr): reference 1, 2, 3, 4; paired sample 1, 1, 2, 3

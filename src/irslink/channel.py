@@ -3,11 +3,12 @@
 A link leg is described by its Nakagami shape ``m`` and large-scale linear
 gain ``zeta``; the spread parameter is always the derived product
 ``kappa = m * zeta`` and is never entered independently.  Amplitudes are
-sampled as the square root of a Gamma variate with shape ``m`` and scale
-``zeta``, so the second moment of the amplitude equals ``kappa`` exactly.
-An integer shape up to ``ERLANG_MAX_SHAPE`` draws that Gamma power as
--log of a product of ``m`` uniforms (an Erlang draw); every other shape
-takes numpy's Gamma sampler (see :func:`nakagami_sample`).
+sampled as the root of ``zeta`` times a unit-scale Gamma(m) power
+(:func:`gamma_power`), so the second moment of the amplitude equals
+``kappa`` exactly.  An integer shape up to ``ERLANG_MAX_SHAPE`` draws that
+power as -log of a product of ``m`` uniform arrays (an Erlang draw), which
+holds the output and one uniform array of its size; every other shape takes
+numpy's Gamma sampler.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ __all__ = [
     "db_to_linear",
     "path_loss",
     "nakagami_draw",
+    "gamma_power",
+    "uniform_phase",
     "nakagami_sample",
     "ERLANG_MAX_SHAPE",
 ]
@@ -32,11 +35,6 @@ __all__ = [
 # it, that draw is faster than ``rng.standard_gamma``'s rejection sampler
 # (CHANGES.md has the per-shape timing).  The MC streams depend on it.
 ERLANG_MAX_SHAPE = 4
-
-# Elements per block of an Erlang draw: the uniform scratch is at most
-# ERLANG_MAX_SHAPE x 8192 float64s, 256 KB, and stays in cache while its
-# products, logs and roots are formed.  Outputs do not depend on it.
-_ERLANG_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -120,48 +118,47 @@ def nakagami_draw(m: float) -> str:
     return "erlang" if float(m).is_integer() and 1 <= m <= ERLANG_MAX_SHAPE else "gamma"
 
 
+def gamma_power(m: float, rng: np.random.Generator, size) -> np.ndarray:
+    """Unit-scale Gamma(shape m) draws, an array of shape ``size``.
+
+    An integer shape 1 <= m <= ``ERLANG_MAX_SHAPE`` draws -log(U_1 ... U_m),
+    an Erlang draw: each U_j is a whole array ``1 - rng.random(size)`` on
+    (0, 1], drawn after U_{j-1} (a component-major stream), multiplied in
+    left to right, then one log.  A sum of m unit exponentials -log U_j is
+    Gamma(m, 1) exactly (Devroye, *Non-Uniform Random Variate Generation*,
+    1986, ch. IX), so no draw is rejected.  Every other shape is
+    ``rng.standard_gamma(m, size)``.
+    """
+    if nakagami_draw(m) == "gamma":
+        return rng.standard_gamma(m, size)
+    power = rng.random(size)
+    np.subtract(1.0, power, out=power)
+    u = np.empty_like(power) if m > 1 else None
+    for _ in range(1, int(m)):
+        power *= np.subtract(1.0, rng.random(out=u), out=u)
+    return np.negative(np.log(power, out=power), out=power)
+
+
+def uniform_phase(tau: float, rng: np.random.Generator, size) -> np.ndarray:
+    """Draws uniform on [-tau, tau), ``rng.uniform(-tau, tau, size)`` bit for
+    bit (numpy forms it as -tau + 2 tau u), in two whole-array operations."""
+    draw = rng.random(size)
+    draw *= 2.0 * tau
+    draw -= tau
+    return draw
+
+
 def nakagami_sample(m: float, zeta: float, rng: np.random.Generator, size) -> np.ndarray:
-    """Nakagami-m amplitude draws with E[X^2] = m * zeta, an array of shape ``size``.
-
-    The square of the amplitude, the power, is Gamma(shape m, scale zeta),
-    which is the Gamma identity the analytic moments rely on.
-
-    - An integer shape 1 <= m <= ``ERLANG_MAX_SHAPE`` (``nakagami_draw(m) ==
-      "erlang"``) draws the power as -zeta log(U_1 ... U_m), with the U_j
-      uniform on (0, 1] as ``1 - rng.random()`` and the product taken left
-      to right.  Each -log U_j is a unit exponential and a sum of m
-      independent ones is Gamma(m, 1) exactly (Devroye, *Non-Uniform Random
-      Variate Generation*, 1986, ch. IX), so the draw is exact in
-      distribution and needs no rejection.  The stream is element-major:
-      each element takes m consecutive uniforms, which is the stream of
-      ``rng.random(size + (m,))``.  The draw runs over blocks of
-      ``_ERLANG_BLOCK`` elements, so its scratch stays in cache; the block
-      changes no bit.  This is not ``rng.gamma``'s stream.
-    - Every other shape draws a standard Gamma variate and scales it by
-      zeta, which is how numpy forms ``rng.gamma(m, zeta)``: that stream is
-      ``rng.gamma``'s bit for bit.
+    """Nakagami-m amplitudes, an array of shape ``size``: ``sqrt(zeta *
+    gamma_power(m, rng, size))``.  The power is Gamma(shape m, scale zeta),
+    the identity the analytic moments rely on, so E[X^2] = m * zeta; where
+    numpy's Gamma sampler draws it, it is ``rng.gamma(m, zeta, size)`` bit
+    for bit.
     """
     if m < 0.5:
         raise ValueError(f"Nakagami shape must satisfy m >= 0.5, got {m}")
     if zeta <= 0:
         raise ValueError("zeta must be positive")
-    if nakagami_draw(m) == "gamma":
-        power = rng.standard_gamma(m, size)
-        power *= zeta
-        return np.sqrt(power, out=power)
-    k = int(m)
-    power = np.empty(size)
-    flat = power.reshape(-1)
-    uniforms = np.empty((min(flat.size, _ERLANG_BLOCK), k))
-    for start in range(0, flat.size, _ERLANG_BLOCK):
-        block = flat[start:start + _ERLANG_BLOCK]
-        u = uniforms[:block.size]
-        rng.random(out=u)
-        np.subtract(1.0, u, out=u)
-        np.copyto(block, u[:, 0])
-        for j in range(1, k):
-            block *= u[:, j]
-        np.log(block, out=block)
-        block *= -zeta
-        np.sqrt(block, out=block)
-    return power
+    power = gamma_power(m, rng, size)
+    power *= zeta
+    return np.sqrt(power, out=power)

@@ -31,6 +31,7 @@ an empty cell.  No cell needs quoting.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -115,6 +116,21 @@ def _simd_dispatch() -> dict | None:
         return info.get(ufunc.__name__, {}).get("".join(t.char for t in types), {}).get("current")
 
     return {f"{ufunc.__name__}/{dtype}": target(ufunc, dtype) for ufunc, dtype in loops}
+
+
+@functools.cache
+def _blas() -> dict:
+    """numpy's BLAS: ``name`` and ``version`` from numpy's build configuration,
+    which names the build host's core, and ``core``, the one OpenBLAS chose
+    at run time where numpy's bundled OpenBLAS reports it (None otherwise)."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    core, libs = None, Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas*"):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return {"name": blas.get("name"), "version": blas.get("version"), "core": core}
 
 
 def _gamma_bars(sweep) -> np.ndarray:
@@ -357,13 +373,14 @@ def run_experiment(spec: ExperimentSpec) -> Path:
         },
         # CSVs are byte-identical only under the same bit generator, the same
         # numpy and scipy (numpy's Gamma sampler and ufunc kernels), the same
-        # draw per leg shape (extras.mc.runs) and the same CPU dispatch level
-        # of every SIMD loop in simd_dispatch
+        # draw per leg shape (extras.mc.runs), the same CPU dispatch level
+        # of every SIMD loop in simd_dispatch and the same BLAS core (the
+        # eigh and matmul of the law's rule and of the correlation kernel)
         "artifact": {"build": _git_describe(), "version": __version__,
                      "python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "bit_generator": BIT_GENERATOR.__name__,
-                     "simd_dispatch": _simd_dispatch()},
+                     "simd_dispatch": _simd_dispatch(), "blas": _blas()},
         "wall_clock_seconds": round(time.time() - started, 3),
         "files": files,
         "extras": extras,

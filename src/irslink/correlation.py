@@ -23,12 +23,13 @@ modulus sum; Scheme-1 reuses the phases of the uncorrelated draws and pays
 the misalignment penalty.
 
 A Monte-Carlo chunk draws and evaluates one leg at a time, in stream order
-(v, then amplitudes and phases of g, then of h), from the generator
-``montecarlo.map_chunks`` hands it, and writes its two SNR rows into the
-slice of the run's output it is handed.  A leg's draws are dropped before
-its correlation products, so with the phasors, correlated legs and terms a
-thread holds at most about 7 (trials x N) float64 buffers of one chunk,
-each at most 256 KiB; the calling thread is one of the workers.
+(v, then the uniform arrays of g's Gamma power, component-major, and g's
+phases, then the same of h), from the generator ``montecarlo.map_chunks``
+hands it, and writes its two SNR rows into the slice of the run's output it
+is handed.  A leg's draws are dropped before its correlation products, so
+with the phasors, correlated legs and terms a thread holds at most about 7
+(trials x N) float64 buffers of one chunk, each at most 256 KiB; the calling
+thread is one of the workers.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkParams, SystemConfig, nakagami_sample
+from .channel import LinkParams, SystemConfig, nakagami_sample, uniform_phase
 from .errors import NumericalConsistencyError
 from .montecarlo import Estimate, SimPlan, empirical_rate, map_chunks
 
@@ -211,7 +212,7 @@ def _turned_leg(leg: LinkParams, rng: np.random.Generator, shape: tuple[int, int
     equivalent to perturbing each phase by at most about 2**-22 rad, while
     draws and products stay float64."""
     amp = nakagami_sample(leg.m, leg.zeta, rng, shape)
-    phase = rng.uniform(-math.pi, math.pi, shape)
+    phase = uniform_phase(math.pi, rng, shape)
     u = np.empty(shape, dtype=np.complex64)
     np.cos(phase, out=u.real, dtype=np.float32, casting="same_kind")
     np.sin(phase, out=u.imag, dtype=np.float32, casting="same_kind")

@@ -9,10 +9,13 @@ results into the slice, so neither the thread nor the worker count changes
 a draw or a bit of a result, and every sample is held once.
 
 The chunk is the one unit of seeding, scheduling and evaluation: a kernel
-draws it whole, in stream order, and evaluates it whole.  Each (trials x N)
-float64 buffer of a chunk is at most 256 KiB, so a thread's draws and
-scratch stay small: a chunk holds at most about 4.6 such buffers at once
-with quantization widths, and 3.1 without.  With more than one worker the
+draws it whole, in stream order, and evaluates it whole.  Its stream is v,
+then the uniform arrays of g's Gamma power, then h's (component-major, see
+:func:`irslink.channel.gamma_power`), then the widest phase errors.  Each
+(trials x N) float64 buffer of a chunk is at most 256 KiB, so a thread's
+draws and scratch stay small: h's draw holds 3 such buffers (g's power, its
+own and one uniform array), and a chunk holds at most about 4.5 at once with
+two quantization widths, and 3.1 without.  With more than one worker the
 calling thread runs chunks beside the pool's threads, so a run with ``w``
 workers holds at most ``w`` chunks at once and starts at most ``w - 1``
 threads.
@@ -35,7 +38,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import betaincinv
 
-from .channel import SystemConfig, nakagami_sample
+from .channel import SystemConfig, gamma_power, nakagami_sample, uniform_phase
+from .errors import NumericalConsistencyError
 from .specfun import gaussian_q
 
 __all__ = [
@@ -156,10 +160,13 @@ def map_chunks(kernel: Callable[[np.random.Generator, np.ndarray], None], plan: 
 
 
 def _reflected_products(cfg: SystemConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, N) per-element amplitude products eta g_n h_n of one chunk."""
-    prod = nakagami_sample(cfg.g.m, cfg.g.zeta, rng, (count, cfg.n_elements))
-    prod *= nakagami_sample(cfg.h.m, cfg.h.zeta, rng, (count, cfg.n_elements))
-    prod *= cfg.eta
+    """(count, N) per-element products eta g_n h_n of one chunk, from the
+    unit-scale Gamma powers P_g, then P_h, as eta sqrt(zeta_g zeta_h) sqrt(P_g
+    P_h): one root, then one scale, which keeps the leg gains' product in range."""
+    prod = gamma_power(cfg.g.m, rng, (count, cfg.n_elements))
+    prod *= gamma_power(cfg.h.m, rng, prod.shape)
+    np.sqrt(prod, out=prod)
+    prod *= cfg.eta * math.sqrt(cfg.g.zeta) * math.sqrt(cfg.h.zeta)
     return prod
 
 
@@ -191,8 +198,7 @@ def _simulate_chunk(cfg: SystemConfig, widths: tuple[int, ...], rng: np.random.G
         # scaling by a power of two gives bit for bit the draw a run with
         # that width alone makes after the amplitude draws.
         base = min(widths)
-        tau = math.pi / 2**base
-        widest = rng.uniform(-tau, tau, (count, cfg.n_elements))
+        widest = uniform_phase(math.pi / 2**base, rng, (count, cfg.n_elements))
         eps = np.empty_like(widest)
         trig = np.empty_like(widest)
         for row, bits in enumerate(widths, 1):
@@ -293,7 +299,9 @@ def empirical_rate_ratio(samples: np.ndarray, reference: np.ndarray) -> Estimate
     Trial i of ``samples`` and of ``reference`` share their draws, so the
     interval is the delta-method one of a ratio of paired means:
     R = mean(y) / mean(x) with variance var(y - R x) / (n mean(x)^2).
-    Identical samples give R = 1 with a zero-width interval.
+    Identical samples give R = 1 with a zero-width interval.  A mean
+    reference rate of 0 (every reference SNR below about 2**-53) leaves R
+    undefined and raises NumericalConsistencyError.
     """
     y = 1.0 + np.asarray(samples, dtype=float)
     x = 1.0 + np.asarray(reference, dtype=float)
@@ -302,6 +310,8 @@ def empirical_rate_ratio(samples: np.ndarray, reference: np.ndarray) -> Estimate
     np.log2(y, out=y)
     np.log2(x, out=x)
     mean_x = float(x.mean())
+    if mean_x == 0.0:
+        raise NumericalConsistencyError("the mean reference rate is 0: no rate ratio")
     ratio = float(y.mean()) / mean_x
     n = x.size
     if n < 2:

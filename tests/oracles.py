@@ -60,18 +60,40 @@ def float32_trig_bound(v, reach, per_term):
     return (2.0 * per_term + per_term**2) * (v + reach) ** 2
 
 
+def erlang_reference(m: int, rng: np.random.Generator, size):
+    """Unit-scale Erlang(m) powers in the stream of ``irslink.channel.gamma_power``,
+    written as plain expressions: -log of the left-to-right product of m
+    arrays ``1 - rng.random(size)``, drawn one after another."""
+    product = 1.0 - rng.random(size)
+    for _ in range(1, m):
+        product = product * (1.0 - rng.random(size))
+    return -np.log(product)
+
+
+def gamma_power_reference(m: float, rng: np.random.Generator, size):
+    """``irslink.channel.gamma_power``: ``erlang_reference`` for an integer
+    1 <= m <= ERLANG_MAX_SHAPE, ``rng.gamma(m, 1.0, size)`` otherwise."""
+    if float(m).is_integer() and 1 <= m <= ERLANG_MAX_SHAPE:
+        return erlang_reference(int(m), rng, size)
+    return rng.gamma(m, 1.0, size)
+
+
 def nakagami_reference(m: float, zeta: float, rng: np.random.Generator, size):
-    """Nakagami-m amplitudes in the stream of ``irslink.channel.nakagami_sample``,
-    written without blocks: for an integer 1 <= m <= ERLANG_MAX_SHAPE, the root
-    of -zeta log of the left-to-right product over the last axis of
-    ``1 - rng.random(size + (m,))``; otherwise ``sqrt(rng.gamma(m, zeta, size))``."""
+    """Nakagami-m amplitudes in the stream of ``irslink.channel.nakagami_sample``:
+    ``sqrt(zeta * erlang_reference(m, rng, size))`` for an integer
+    1 <= m <= ERLANG_MAX_SHAPE, ``sqrt(rng.gamma(m, zeta, size))`` otherwise."""
     if not (float(m).is_integer() and 1 <= m <= ERLANG_MAX_SHAPE):
         return np.sqrt(rng.gamma(m, zeta, size))
-    u = 1.0 - rng.random(tuple(np.atleast_1d(size)) + (int(m),))
-    product = u[..., 0]
-    for j in range(1, int(m)):
-        product = product * u[..., j]
-    return np.sqrt(-np.log(product) * zeta)
+    return np.sqrt(zeta * erlang_reference(int(m), rng, size))
+
+
+def reflected_reference(cfg: SystemConfig, rng: np.random.Generator, shape):
+    """Products eta g h in the stream of ``irslink.montecarlo._reflected_products``:
+    the root of the product of the unit-scale Gamma powers of g, then h,
+    times eta sqrt(zeta_g) sqrt(zeta_h)."""
+    power = (gamma_power_reference(cfg.g.m, rng, shape)
+             * gamma_power_reference(cfg.h.m, rng, shape))
+    return np.sqrt(power) * (cfg.eta * math.sqrt(cfg.g.zeta) * math.sqrt(cfg.h.zeta))
 
 
 def optimal_phases(phi_v: float, phi_g, phi_h):

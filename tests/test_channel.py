@@ -5,12 +5,12 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
-import irslink.channel as channel
 from irslink.channel import (ERLANG_MAX_SHAPE, LinkParams, Modulation, SystemConfig,
-                             nakagami_draw, nakagami_sample, path_loss)
+                             gamma_power, nakagami_draw, nakagami_sample, path_loss,
+                             uniform_phase)
 from irslink.config import validate_config
 from irslink.montecarlo import chunk_rng
-from oracles import nakagami_reference, rician_to_nakagami
+from oracles import erlang_reference, nakagami_reference, rician_to_nakagami
 
 ERLANG_SHAPES = range(1, ERLANG_MAX_SHAPE + 1)
 
@@ -102,14 +102,13 @@ class TestNakagamiSampling:
 
     @pytest.mark.parametrize("m", ERLANG_SHAPES)
     @pytest.mark.parametrize("size", [(2, 3), 1, 7, (3000, 7)])
-    def test_erlang_stream_equals_its_unblocked_reference(self, monkeypatch, m, size):
-        # blocks of 5 elements split every size above into several blocks,
-        # the last one partial; the real block size must give the same bits
-        for block in (5, channel._ERLANG_BLOCK):
-            monkeypatch.setattr(channel, "_ERLANG_BLOCK", block)
-            drawn = nakagami_sample(m, 0.3, chunk_rng(5, 1), size)
-            np.testing.assert_array_equal(drawn, nakagami_reference(m, 0.3, chunk_rng(5, 1), size))
-            assert drawn.shape == np.empty(size).shape
+    def test_erlang_stream_equals_its_unblocked_reference(self, m, size):
+        # component-major: the m uniform arrays of the whole size, one after another
+        drawn = nakagami_sample(m, 0.3, chunk_rng(5, 1), size)
+        np.testing.assert_array_equal(drawn, nakagami_reference(m, 0.3, chunk_rng(5, 1), size))
+        assert drawn.shape == np.empty(size).shape
+        np.testing.assert_array_equal(gamma_power(m, chunk_rng(5, 1), size),
+                                      erlang_reference(m, chunk_rng(5, 1), size))
 
     def test_erlang_draw_reads_m_uniforms_per_element(self):
         rng = chunk_rng(9, 0)
@@ -135,6 +134,7 @@ class TestNakagamiSampling:
     def test_erlang_power_stays_finite_at_the_uniform_ends(self, m, uniform):
         class ConstantUniforms:
             def random(self, size=None, out=None):
+                out = np.empty(size) if out is None else out
                 out[...] = uniform
                 return out
 
@@ -144,6 +144,17 @@ class TestNakagamiSampling:
         # the largest power, -m log 2**-53
         expected = 0.0 if uniform == 0.0 else m * 53 * math.log(2.0)
         np.testing.assert_allclose(power, expected, rtol=1e-15, atol=0)
+
+
+# tau of every phase draw: pi for the correlated legs' phases, pi / 2**bits
+# for the phase errors at every width validate_config accepts
+PHASE_TAUS = [math.pi] + [math.pi / 2**bits for bits in range(1, 65)]
+
+
+@pytest.mark.parametrize("tau", PHASE_TAUS)
+def test_phase_draws_equal_numpys_uniform(tau):
+    drawn = uniform_phase(tau, chunk_rng(6, 2), (500, 200))
+    np.testing.assert_array_equal(drawn, chunk_rng(6, 2).uniform(-tau, tau, (500, 200)))
 
 
 class TestRicianMap:

@@ -28,7 +28,7 @@ from irslink.errors import ConfigError, NumericalConsistencyError
 from irslink.metrics import outage_probability
 from irslink.montecarlo import (SimPlan, chunk_rng, empirical_ber, empirical_outage,
                                 empirical_rate, simulate_snr_samples)
-from oracles import nakagami_reference
+from oracles import reflected_reference
 
 SWEEP = [0.0, 12.0, 24.0, 45.0]
 
@@ -266,9 +266,7 @@ def test_wdist_samples_keep_their_stream_for_any_worker_count(monkeypatch):
     expected = []
     for index, start in enumerate(range(0, 3000, 1024)):
         count, rng = min(1024, 3000 - start), chunk_rng(4, index)
-        g = nakagami_reference(cfg.g.m, cfg.g.zeta, rng, (count, 8))
-        h = nakagami_reference(cfg.h.m, cfg.h.zeta, rng, (count, 8))
-        expected.append((g * h * cfg.eta).sum(axis=1))
+        expected.append(reflected_reference(cfg, rng, (count, 8)).sum(axis=1))
     for run in runs:
         np.testing.assert_array_equal(run, np.concatenate(expected))
 
@@ -421,6 +419,11 @@ def test_manifest_records_the_numeric_stack(tmp_path):
                                        "expm1/float64", "log/float64", "log1p/float64",
                                        "log2/float64", "power/float64", "absolute/complex128"])
     assert all(dispatch.values())
+    # numpy's BLAS, with the core OpenBLAS chose at run time where it reports one
+    blas = artifact["blas"]
+    assert blas == cli._blas()
+    assert sorted(blas) == ["core", "name", "version"]
+    assert all(value is None or isinstance(value, str) for value in blas.values())
 
 
 _ERLANG = {"v": "erlang", "g": "erlang", "h": "erlang"}
@@ -552,6 +555,16 @@ def test_a_failed_run_writes_no_csv(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "quantized_rate_bounds", fail_at_the_second_n)
     code, out = run_cli(tmp_path, "quantization", {}, "--no-mc")
     assert code == 3
+    assert list(out.glob("*.csv")) == [] and not (out / "manifest.json").exists()
+
+
+def test_a_zero_mean_reference_rate_exits_3(tmp_path, capsys):
+    # at -400 dB every reference SNR is below 2**-53, so every rate term is 0
+    config = {"trials": 2000, "sweep": {"values": [-400.0]},
+              "quantization": {"bits": [1], "n_values": [8]}}
+    code, out = run_cli(tmp_path, "quantization", config)
+    assert code == 3
+    assert "mean reference rate is 0" in capsys.readouterr().err
     assert list(out.glob("*.csv")) == [] and not (out / "manifest.json").exists()
 
 

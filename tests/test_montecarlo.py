@@ -15,13 +15,16 @@ import irslink.montecarlo as montecarlo
 from irslink.channel import LinkParams, SystemConfig
 from irslink.cltapprox import w_mean_var, w_stats
 from irslink.correlation import simulate_scheme_rates
+from irslink.errors import NumericalConsistencyError
 from irslink.montecarlo import (Estimate, SimPlan, _chunk_size, _simulate_chunk,
                                 chunk_rng, empirical_ber, empirical_cdf, empirical_outage,
-                                empirical_rate, empirical_rate_ratio, simulate_snr_samples)
+                                empirical_rate, empirical_rate_ratio, reflected_sum_samples,
+                                simulate_snr_samples)
 from irslink.snrdist import SnrCdfParams
 from irslink.specfun import gaussian_q
 from oracles import (CHUNK_EDGE_OFFSETS, PHASOR_ERROR, chunk_counts, chunk_output,
-                     fit_loglog_slope, float32_trig_bound, nakagami_reference)
+                     fit_loglog_slope, float32_trig_bound, nakagami_reference,
+                     reflected_reference)
 
 
 def unit_config(n, m_v=1.0, m_g=1.0, m_h=2.0, eta=0.9, gamma_bar_db=0.0):
@@ -37,13 +40,12 @@ def reference_draws(cfg, plan, index, count):
     rng = chunk_rng(plan.seed, index)
     n = cfg.n_elements
     v = nakagami_reference(cfg.v.m, cfg.v.zeta, rng, count)
-    g = nakagami_reference(cfg.g.m, cfg.g.zeta, rng, (count, n))
-    h = nakagami_reference(cfg.h.m, cfg.h.zeta, rng, (count, n))
+    prod = reflected_reference(cfg, rng, (count, n))
     if not plan.quantization_bits:
-        return v, g * h * cfg.eta, None
+        return v, prod, None
     (bits,) = plan.quantization_bits
     tau = math.pi / 2**bits
-    return v, g * h * cfg.eta, rng.uniform(-tau, tau, (count, n))
+    return v, prod, rng.uniform(-tau, tau, (count, n))
 
 
 def reference_chunk(cfg, plan, index, count, trig_dtype=np.float32):
@@ -144,6 +146,30 @@ class TestSimulation:
         e_v = math.exp(math.lgamma(1.5)) * math.sqrt(1.0)  # Rayleigh direct mean
         observed = np.mean(np.sqrt(snr)) - e_v
         assert observed == pytest.approx(mu_w, rel=0.005)
+
+    @pytest.mark.parametrize("shapes", [(2, 3, 4), (2.5, 0.5, 1.5)], ids=["erlang", "gamma"])
+    @pytest.mark.parametrize("n", [1, 16, 128])
+    def test_sampler_means_match_the_exact_moments(self, shapes, n):
+        # E W = N E X and E W^2 = N E X^2 + N (N - 1) (E X)^2 for the i.i.d.
+        # terms X = eta g h, with E X^2 = eta^2 kappa_g kappa_h; a wrong scale
+        # of the products (eta, a leg gain or a root) moves both means
+        m_v, m_g, m_h = shapes
+        cfg = SystemConfig(n_elements=n, eta=0.7, v=LinkParams(m_v, 0.5),
+                           g=LinkParams(m_g, 0.3), h=LinkParams(m_h, 2.0))
+
+        def amplitude_mean(leg):  # Gamma(m + 1/2) / Gamma(m) (kappa / m)^(1/2)
+            log_ratio = math.lgamma(leg.m + 0.5) - math.lgamma(leg.m)
+            return math.exp(log_ratio) * math.sqrt(leg.kappa / leg.m)
+
+        e_x = cfg.eta * amplitude_mean(cfg.g) * amplitude_mean(cfg.h)
+        e_w = n * e_x
+        e_w2 = n * cfg.eta**2 * cfg.g.kappa * cfg.h.kappa + n * (n - 1) * e_x**2
+        e_snr = cfg.v.kappa + 2.0 * amplitude_mean(cfg.v) * e_w + e_w2
+        plan = SimPlan(trials=40_000, seed=17)
+        for samples, exact in ((reflected_sum_samples(cfg, plan), e_w),
+                               (simulate_snr_samples(cfg, plan), e_snr)):
+            standard_error = samples.std(ddof=1) / math.sqrt(samples.size)
+            assert abs(samples.mean() - exact) <= 4.0 * standard_error
 
 
 # Bytes of one (chunk x N) float64 buffer at most, where a trial is smaller
@@ -407,6 +433,11 @@ class TestEstimators:
     def test_rate_ratio_of_identical_rows_has_zero_width(self):
         rows = simulate_snr_samples(unit_config(8), SimPlan(trials=5000, seed=2))
         assert empirical_rate_ratio(rows, rows.copy()) == Estimate(1.0, 1.0, 1.0)
+
+    def test_rate_ratio_of_a_zero_reference_rate_raises(self):
+        # 1 + 1e-17 rounds to 1, so every reference rate term is 0
+        with pytest.raises(NumericalConsistencyError, match="mean reference rate is 0"):
+            empirical_rate_ratio(np.full(10, 1e-17), np.full(10, 1e-17))
 
     def test_rate_ratio_rejects_unpaired_samples(self):
         with pytest.raises(ValueError):

@@ -7,9 +7,10 @@ configuration error, 3 numerical consistency failure.
 
 Configuration is a nested YAML file.  :mod:`irslink.config` is its one
 reader: it checks every field and returns the link plus the resolved mapping
-with each value cast, which the runners read as it stands.  An empty (or
-missing) file yields the documented default configuration; a previously
-written manifest can be passed back through ``--config`` to reproduce a run
+with each value cast, which the runners read as it stands.  An empty file (or
+no ``--config``) yields the documented default configuration, and one that
+cannot be read or parsed is a configuration error; a previously written
+manifest can be passed back through ``--config`` to reproduce a run
 byte-for-byte.
 
 Each kind's runner, ``_run_<kind>(spec, extras)``, computes its curves and
@@ -17,9 +18,10 @@ returns them as ``{name: (x_unit, x, columns)}``, adding what it reports to
 the manifest's ``extras``; no runner writes a file.  :func:`run_experiment`
 is the one writer: once the runner has returned it writes each curve to
 ``<name>.csv``, then the manifest, which lists them, so a run that fails
-writes no CSV and no manifest.  ``extras.timings`` has ``config_s`` (reading
-and checking the config), ``compute_s`` (the runner: closed forms and
-Monte-Carlo) and ``write_s`` (the CSVs).
+writes no CSV and no manifest; an ``--out`` that cannot be made a directory
+or written is a configuration error.  ``extras.timings`` has ``config_s``
+(reading and checking the config), ``compute_s`` (the runner: closed forms
+and Monte-Carlo) and ``write_s`` (the CSVs).
 
 Every CSV has the header ``CSV_HEADER`` and one row per sweep point; cells are
 comma-separated and lines end in CRLF.  The ``x_unit`` cell names the sweep
@@ -195,16 +197,17 @@ def _run_wdist(spec: ExperimentSpec, extras: dict) -> dict:
 def _run_snrcdf(spec: ExperimentSpec, extras: dict) -> dict:
     cfg = spec.config
     params = SnrCdfParams.from_config(cfg)
-    mean_db = 10 * math.log10(cfg.gamma_bar * (params.tn.mu_bar**2 + 1e-300))
-    grid_db = np.linspace(mean_db - 12.0, mean_db + 6.0, 121)
-    y = 10 ** (grid_db / 10)
-    analytic = snr_cdf(y / cfg.gamma_bar, params)
+    # y = snr / gamma_bar in dB about the square of about the mean of R (as
+    # envelope_cdf has it): no transmit SNR can under- or overflow the grid
+    mean_db = 20 * math.log10(params.tn.mu_bar + math.sqrt(params.kappa_v))
+    y_db = np.linspace(mean_db - 12.0, mean_db + 6.0, 121)
+    y = 10 ** (y_db / 10)
+    analytic = snr_cdf(y, params)
     mc = None
     if spec.use_mc:
-        samples = cfg.gamma_bar * _timed_mc(extras, simulate_snr_samples, cfg, spec.plan)
-        mc = empirical_cdf(samples)(y)
+        mc = empirical_cdf(_timed_mc(extras, simulate_snr_samples, cfg, spec.plan))(y)
         extras["ks_distance"] = float(np.max(np.abs(mc - analytic)))
-    return {"snrcdf": ("gamma_db", grid_db, {"analytic": analytic, "mc": mc})}
+    return {"snrcdf": ("gamma_db", cfg.gamma_bar_db + y_db, {"analytic": analytic, "mc": mc})}
 
 
 def _run_outage(spec: ExperimentSpec, extras: dict) -> dict:
@@ -212,9 +215,7 @@ def _run_outage(spec: ExperimentSpec, extras: dict) -> dict:
     return _floor_curves(spec, extras, "outage", "analytic",
                          lambda gamma_bars: outage_probability(cfg, gamma_th, gamma_bars),
                          lambda gamma_bars: asymptotic_outage(cfg, gamma_th, gamma_bars),
-                         lambda snr: empirical_outage(snr, gamma_th),
-                         diversity_order=lambda r: r.g_d,
-                         log10_omega_op=lambda r: r.log_omega_op / math.log(10))
+                         lambda snr: empirical_outage(snr, gamma_th))
 
 
 def _run_ser(spec: ExperimentSpec, extras: dict) -> dict:
@@ -222,27 +223,27 @@ def _run_ser(spec: ExperimentSpec, extras: dict) -> dict:
     return _floor_curves(spec, extras, "ser", "bound",
                          lambda gamma_bars: ser_upper_bound(cfg, gamma_bars),
                          lambda gamma_bars: asymptotic_ser(cfg, gamma_bars),
-                         lambda snr: empirical_ber(snr, mod.alpha, mod.beta),
-                         diversity_order=lambda r: r.g_d, coding_gain=lambda r: r.g_c)
+                         lambda snr: empirical_ber(snr, mod.alpha, mod.beta))
 
 
 def _floor_curves(spec: ExperimentSpec, extras: dict, kind: str, name: str,
-                  analytic, floor, estimator, **report) -> dict:
+                  analytic, floor, estimator) -> dict:
     """Curves of one metric over the gamma_bar sweep: ``analytic(gamma_bars)``,
     the high-SNR floor ``floor(gamma_bars) -> (result, values)`` and the MC
-    estimate; ``report`` maps manifest keys to functions of the floor's result.
-    The floor is blank where it exceeds the float64 range, and everywhere, with
-    the reported keys null and the reason recorded, where its constants are
-    undefined (m_g == m_h, or m_b - m_a <= 1/2) or leave the float64 range."""
+    estimate; the manifest records the floor's constants.  The floor is blank
+    where it exceeds the float64 range, and everywhere, with the constants null
+    and the reason recorded, where they are undefined (m_g == m_h, or
+    m_b - m_a <= 1/2) or leave the float64 range."""
     sweep = spec.resolved["sweep"]["values"]
     gamma_bars = _gamma_bars(sweep)
     try:
         result, values = floor(gamma_bars)
+        extras.update(diversity_order=result.g_d, coding_gain=result.g_c,
+                      log10_omega_op=result.log_omega_op / math.log(10))
     except (ConfigError, NumericalConsistencyError) as exc:
-        extras.update(dict.fromkeys(report), asymptote_unavailable=str(exc))
+        extras.update(dict.fromkeys(("diversity_order", "coding_gain", "log10_omega_op")),
+                      asymptote_unavailable=str(exc))
         values = np.full(len(gamma_bars), math.inf)
-    else:
-        extras.update({key: get(result) for key, get in report.items()})
     finite = np.isfinite(values)
     extras["asymptotic_blank_points"] = int(np.count_nonzero(~finite))
     extras["asymptotic_above_one_points"] = int(np.count_nonzero(finite & (values > 1.0)))
@@ -352,42 +353,46 @@ _RUNNERS = {kind: globals()[f"_run_{kind}"] for kind in KINDS}
 
 def run_experiment(spec: ExperimentSpec) -> Path:
     """Execute one experiment: run its runner, then write its CSVs and the
-    manifest; returns the manifest path."""
+    manifest; returns the manifest path.  An output directory that cannot be
+    made or written is a ConfigError."""
     started = time.time()
     extras: dict[str, object] = {}
     compute_started = time.perf_counter()
     curves = _RUNNERS[spec.kind](spec, extras)
     write_started = time.perf_counter()
-    spec.output_dir.mkdir(parents=True, exist_ok=True)
-    files = {name: f"{name}.csv" for name in curves}
-    for name, (x_unit, x, columns) in curves.items():
-        _emit(spec.output_dir / files[name], x_unit, x, **columns)
-    extras["timings"] = {"config_s": round(spec.config_s, 4),
-                         "compute_s": round(write_started - compute_started, 4),
-                         "write_s": round(time.perf_counter() - write_started, 4)}
-    manifest = {
-        "experiment": {
-            "kind": spec.kind,
-            "config": spec.resolved,
-            "no_mc": not spec.use_mc,
-        },
-        # CSVs are byte-identical only under the same bit generator, the same
-        # numpy and scipy (numpy's Gamma sampler and ufunc kernels), the same
-        # draw per leg shape (extras.mc.runs), the same CPU dispatch level
-        # of every SIMD loop in simd_dispatch and the same BLAS core (the
-        # eigh and matmul of the law's rule and of the correlation kernel)
-        "artifact": {"build": _git_describe(), "version": __version__,
-                     "python": platform.python_version(), "numpy": np.__version__,
-                     "scipy": scipy.__version__,
-                     "bit_generator": BIT_GENERATOR.__name__,
-                     "simd_dispatch": _simd_dispatch(), "blas": _blas()},
-        "wall_clock_seconds": round(time.time() - started, 3),
-        "files": files,
-        "extras": extras,
-    }
-    path = spec.output_dir / "manifest.json"
-    # one line: without indent, json.dumps runs the C encoder
-    path.write_text(json.dumps(manifest, sort_keys=True, default=float) + "\n")
+    try:
+        spec.output_dir.mkdir(parents=True, exist_ok=True)
+        files = {name: f"{name}.csv" for name in curves}
+        for name, (x_unit, x, columns) in curves.items():
+            _emit(spec.output_dir / files[name], x_unit, x, **columns)
+        extras["timings"] = {"config_s": round(spec.config_s, 4),
+                             "compute_s": round(write_started - compute_started, 4),
+                             "write_s": round(time.perf_counter() - write_started, 4)}
+        manifest = {
+            "experiment": {
+                "kind": spec.kind,
+                "config": spec.resolved,
+                "no_mc": not spec.use_mc,
+            },
+            # CSVs are byte-identical only under the same bit generator, the same
+            # numpy and scipy (numpy's Gamma sampler and ufunc kernels), the same
+            # draw per leg shape (extras.mc.runs), the same CPU dispatch level
+            # of every SIMD loop in simd_dispatch and the same BLAS core (the
+            # eigh and matmul of the law's rule and of the correlation kernel)
+            "artifact": {"build": _git_describe(), "version": __version__,
+                         "python": platform.python_version(), "numpy": np.__version__,
+                         "scipy": scipy.__version__,
+                         "bit_generator": BIT_GENERATOR.__name__,
+                         "simd_dispatch": _simd_dispatch(), "blas": _blas()},
+            "wall_clock_seconds": round(time.time() - started, 3),
+            "files": files,
+            "extras": extras,
+        }
+        path = spec.output_dir / "manifest.json"
+        # one line: without indent, json.dumps runs the C encoder
+        path.write_text(json.dumps(manifest, sort_keys=True, default=float) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output directory {spec.output_dir}: {exc}") from None
     return path
 
 

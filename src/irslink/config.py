@@ -243,11 +243,14 @@ def load_config_file(path: str | None) -> dict:
     """YAML config or a previously written JSON manifest (re-ingestion)."""
     if path is None:
         return {}
-    text = Path(path).read_text()
-    if not text.strip():
-        return {}
-    # libyaml's parser where PyYAML was built with it; same safe constructors
-    data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    try:
+        text = Path(path).read_text()
+        if not text.strip():
+            return {}
+        # libyaml's parser where PyYAML was built with it; same safe constructors
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError([f"cannot read {path}: {exc}"]) from None
     if not isinstance(data, dict):
         raise ConfigError(["configuration root must be a mapping"])
     if "experiment" in data and isinstance(data["experiment"], dict):

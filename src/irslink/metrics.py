@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special as sc
 
 from .channel import SystemConfig
-from .cltapprox import (TruncatedNormal, gamma_ratio_t, quantized_w_stats, w_mean_var,
-                        w_moment, w_stats)
+from .cltapprox import TruncatedNormal, gamma_ratio_t, quantized_w_stats, w_moment, w_stats
+# Not called here: the benchmark tracer wraps this name in this module.
+from .cltapprox import w_mean_var  # noqa: F401
 from .errors import ConfigError, NumericalConsistencyError
 from .snrdist import SnrCdfParams, snr_cdf
 
@@ -77,8 +78,9 @@ def _floor_values(log_floor, gamma_bar):
     return values if values.ndim else float(values)
 
 
-def _log_omega_op(cfg: SystemConfig) -> tuple[float, float]:
-    """(log Omega_op, G_d) for the outage floor Omega_op*(g_th/g_bar)^G_d."""
+def _asymptote(cfg: SystemConfig) -> AsymptoticResult:
+    """The constants of both high-SNR floors: G_d = m_v + m_a N, Omega_op, the
+    array gain O_c at unit threshold and the coding gain G_c."""
     m_g, m_h = cfg.g.m, cfg.h.m
     if m_g == m_h:
         raise ConfigError(
@@ -112,46 +114,38 @@ def _log_omega_op(cfg: SystemConfig) -> tuple[float, float]:
                       + sc.gammaln(2.0 * m_a) + sc.gammaln(2.0 * m_b - 2.0 * m_a)
                       - sc.gammaln(m_b - m_a + 0.5))
     log_total -= sc.gammaln(2.0 * g_d + 1.0)
-    return log_total, g_d
+
+    alpha, beta = cfg.modulation.alpha, cfg.modulation.beta
+    log_gc = math.log(beta) - (math.log(alpha) + (g_d - 1.0) * math.log(2.0)
+                               + log_total + sc.gammaln(g_d + 0.5)
+                               - 0.5 * math.log(math.pi)) / g_d
+    return AsymptoticResult(g_d=g_d, log_omega_op=log_total, o_c=math.exp(-log_total / g_d),
+                            g_c=math.exp(log_gc))
 
 
 def asymptotic_outage(cfg: SystemConfig, gamma_th: float, gamma_bar
                       ) -> tuple[AsymptoticResult, float | np.ndarray]:
     """High-SNR outage floor Omega_op (gamma_th / gamma_bar)^G_d, with its
-    constants, at the transmit SNR(s) ``gamma_bar``, a float or an array; inf
-    where a value exceeds the float64 range.  Raises ``ConfigError`` where the
-    constants are undefined (m_g == m_h, or m_b - m_a <= 1/2)."""
+    constants (O_c at gamma_th), at the transmit SNR(s) ``gamma_bar``, a float or
+    an array; inf where a value exceeds the float64 range.  Raises ``ConfigError``
+    where the constants are undefined (m_g == m_h, or m_b - m_a <= 1/2)."""
     if gamma_th <= 0:
         raise ValueError("gamma_th must be positive")
-    log_om, g_d = _log_omega_op(cfg)
-    o_c = math.exp(-math.log(gamma_th) - log_om / g_d)
-    g_c = _coding_gain(cfg, log_om, g_d)
-    return (AsymptoticResult(g_d=g_d, log_omega_op=log_om, o_c=o_c, g_c=g_c),
-            _floor_values(lambda log_gb: log_om + g_d * (math.log(gamma_th) - log_gb),
-                          gamma_bar))
-
-
-def _coding_gain(cfg: SystemConfig, log_om: float, g_d: float) -> float:
-    alpha, beta = cfg.modulation.alpha, cfg.modulation.beta
-    log_gc = math.log(beta) - (math.log(alpha) + (g_d - 1.0) * math.log(2.0)
-                               + log_om + sc.gammaln(g_d + 0.5)
-                               - 0.5 * math.log(math.pi)) / g_d
-    return math.exp(log_gc)
+    result = _asymptote(cfg)
+    log_om, g_d = result.log_omega_op, result.g_d
+    return (replace(result, o_c=math.exp(-math.log(gamma_th) - log_om / g_d)),
+            _floor_values(lambda log_gb: log_om + g_d * (math.log(gamma_th) - log_gb), gamma_bar))
 
 
 def asymptotic_ser(cfg: SystemConfig, gamma_bar
                    ) -> tuple[AsymptoticResult, float | np.ndarray]:
     """High-SNR average-SER floor (G_c gamma_bar)^-G_d, with the outage
-    floor's G_d, and its constants, as :func:`asymptotic_outage` has them."""
-    log_om, g_d = _log_omega_op(cfg)
-    g_c = _coding_gain(cfg, log_om, g_d)
-    # Array gain is threshold-specific; report it at unit threshold.
-    o_c = math.exp(-log_om / g_d)
-    if not 0.0 < g_c < math.inf:
-        raise NumericalConsistencyError(f"coding gain {g_c} leaves the float64 range")
-    log_gc = math.log(g_c)
-    return (AsymptoticResult(g_d=g_d, log_omega_op=log_om, o_c=o_c, g_c=g_c),
-            _floor_values(lambda log_gb: -g_d * (log_gc + log_gb), gamma_bar))
+    floor's G_d, and its constants (O_c at unit threshold)."""
+    result = _asymptote(cfg)
+    if not 0.0 < result.g_c < math.inf:
+        raise NumericalConsistencyError(f"coding gain {result.g_c} leaves the float64 range")
+    g_d, log_gc = result.g_d, math.log(result.g_c)
+    return result, _floor_values(lambda log_gb: -g_d * (log_gc + log_gb), gamma_bar)
 
 
 @dataclass(frozen=True)
@@ -179,8 +173,7 @@ def _direct_moment(cfg: SystemConfig, alpha: int) -> float:
 
 def _truncated_moments(tn: TruncatedNormal) -> list[float]:
     """E[W^j] for j = 0..4 of the truncated normal ``tn``."""
-    mu, s2 = w_mean_var(tn)
-    return [1.0, mu, mu**2 + s2, w_moment(tn, 3), w_moment(tn, 4)]
+    return [1.0] + [w_moment(tn, j) for j in (1, 2, 3, 4)]
 
 
 def _moment_bounds(cfg: SystemConfig, e_r: list[float], s2_i: float, gamma_bar) -> RateBounds:

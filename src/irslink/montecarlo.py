@@ -36,11 +36,10 @@ from queue import SimpleQueue
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaincinv
+from scipy.special import betaincinv, erfc
 
 from .channel import SystemConfig, gamma_power, nakagami_sample, uniform_phase
 from .errors import NumericalConsistencyError
-from .specfun import gaussian_q
 
 __all__ = [
     "BIT_GENERATOR",
@@ -329,7 +328,9 @@ def empirical_ber(samples: np.ndarray, alpha: float, beta: float) -> Estimate:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("empirical_ber requires a nonempty sample")
+    # alpha Q(x) = (alpha / 2) erfc(x / sqrt 2), x = sqrt(beta snr)
     terms = np.multiply(beta, samples)
     np.sqrt(terms, out=terms)
-    est = _mean_estimate(np.multiply(alpha, gaussian_q(terms, out=terms), out=terms))
+    erfc(np.divide(terms, math.sqrt(2.0), out=terms), out=terms)
+    est = _mean_estimate(np.multiply(0.5 * alpha, terms, out=terms))
     return Estimate(est.value, max(est.ci_low, 0.0), min(est.ci_high, alpha))

@@ -8,7 +8,7 @@ space as ``TruncatedNormal.log_cdf`` gives it (past the mean of R, one minus
 the same integral of 1 - F_W, ``log_sf``), and the density likewise with f_W
 (``log_pdf``), on fixed Gauss rules vectorized over r.  The paper's
 closed form (``specfun.cal_j``, m_v a multiple of 1/2 only) is the reference
-the tests compare it against (``tests/oracles.py``).
+the tests compare it against (``tests/oracles.py``); no run calls it.
 """
 
 from __future__ import annotations

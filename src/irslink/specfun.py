@@ -1,9 +1,10 @@
 """Numerically robust special functions and custom Gaussian-tail integrals.
 
-The metrics use the Gaussian tail probability ``gaussian_q`` (and its stable
-log) and ``cal_i(k, x)``, the integral of t^k exp(-t^2) over [x, inf), for
-the truncated-normal moments.  The rest builds the paper's closed form of the
-SNR law, which the tests use as the reference for ``irslink.snrdist``:
+No run of the package calls into this module: it holds the references the
+tests check the library against.  ``gaussian_q`` is the Gaussian tail
+probability (and ``log_gaussian_q`` its stable log), ``cal_i(k, x)`` the
+integral of t^k exp(-t^2) over [x, inf), and the rest builds the paper's
+closed form of the SNR law, the reference for ``irslink.snrdist``:
 
 * the upper incomplete gamma integral ``gamma_upper``,
 * ``cal_j(k, z)``  = integral of t^(mt-k) exp(-Delta t^2) Gamma((k+1)/2, t^2)

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import irslink
 import irslink.cli as cli
 import irslink.montecarlo as montecarlo
 from irslink.channel import ERLANG_MAX_SHAPE
@@ -378,10 +380,22 @@ def test_large_direct_link_shapes_give_a_valid_law(tmp_path, m_v):
     assert code == 0
     cdf = analytic_column(out, "snrcdf")
     assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= 0.0)
+    # the grid is centred on the square of about the mean of R, not of the
+    # reflected mean alone, so it reaches the top of the law
+    assert cdf[-1] > 0.99
     code, out = run_cli(tmp_path, "outage", config, "--no-mc")
     assert code == 0
     outage = analytic_column(out, "outage_analytic")
     assert np.all((outage >= 0.0) & (outage <= 1.0)) and np.all(np.diff(outage) <= 0.0)
+
+
+def test_the_snr_cdf_grid_of_the_lowest_transmit_snr_is_finite(tmp_path):
+    # gamma_bar = 1e-323: the old centre, log10(gamma_bar mu_bar^2), underflowed
+    code, out = run_cli(tmp_path, "snrcdf", {"gamma_bar_db": -3230.0}, "--no-mc")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(read_csv(out / "snrcdf.csv"))))
+    assert all(math.isfinite(float(r["x"])) for r in rows)
+    assert analytic_column(out, "snrcdf")[-1] > 0.99
 
 
 @pytest.mark.parametrize("kind", ["snrcdf", "outage"])
@@ -389,17 +403,23 @@ def test_shapes_past_the_checked_range_exit_3(tmp_path, kind):
     assert run_cli(tmp_path, kind, {"fading": {"m_v": 1e13}}, "--no-mc")[0] == 3
 
 
-@pytest.mark.parametrize("kind", ["snrcdf", "outage", "rate", "ser"])
-def test_no_analytic_kind_runs_the_closed_form(tmp_path, monkeypatch, kind):
-    # the paper's closed form is a test reference only: one law serves every run
+@pytest.mark.parametrize("flags", [["--no-mc"], ["--trials", "300"]], ids=["no_mc", "mc"])
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_no_analytic_kind_runs_the_closed_form(tmp_path, monkeypatch, kind, flags):
+    # the paper's closed form and its special functions are test references
+    # only: every binding of a specfun function in the package raises
     def closed_form(*args, **kwargs):
-        raise AssertionError("the closed form ran")
+        raise AssertionError("a specfun function ran")
 
-    for name in ("cal_j", "cal_j_between", "cal_i"):
-        monkeypatch.setattr(f"irslink.snrdist.{name}", closed_form)
+    for name, module in list(sys.modules.items()):
+        if name == "irslink" or name.startswith("irslink."):
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value.__module__ == "irslink.specfun":
+                    monkeypatch.setattr(module, attr, closed_form)
+    assert irslink.specfun.cal_i is closed_form and irslink.cltapprox.cal_i is closed_form
     for m_v in (2.0, 2.5, 0.75):
         config = {"n_elements": 8, "fading": {"m_v": m_v}}
-        assert run_cli(tmp_path, kind, config, "--no-mc")[0] == 0
+        assert run_cli(tmp_path, kind, config, *flags)[0] == 0
 
 
 def test_manifest_records_the_numeric_stack(tmp_path):
@@ -558,6 +578,17 @@ def test_a_failed_run_writes_no_csv(tmp_path, monkeypatch):
     assert list(out.glob("*.csv")) == [] and not (out / "manifest.json").exists()
 
 
+def test_an_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "below"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["rate", "--no-mc", "--out", str(out)]) == 2
+        assert f"configuration error: cannot write the output directory {out}" in (
+            capsys.readouterr().err)
+    assert taken.read_text() == "" and list(tmp_path.iterdir()) == [taken]
+
+
 def test_a_zero_mean_reference_rate_exits_3(tmp_path, capsys):
     # at -400 dB every reference SNR is below 2**-53, so every rate term is 0
     config = {"trials": 2000, "sweep": {"values": [-400.0]},
@@ -657,6 +688,23 @@ def test_help_exits_0_and_names_every_kind(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert all(kind in out for kind in cli.KINDS) and "--no-mc" in out
+
+
+@pytest.mark.parametrize("content", [b"a: [1, 2", b"a: !!python/object:os.system x",
+                                     b"\xff\xfe\x00", None, "directory"],
+                         ids=["parser", "constructor", "encoding", "missing", "directory"])
+def test_a_config_file_that_cannot_be_read_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "config.yaml"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["rate", "--no-mc", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"configuration error: cannot read {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _loads_like_safe_load(path: Path):

@@ -151,6 +151,24 @@ class TestWMoment:
                 w_moment(tn, bad)
 
 
+@pytest.mark.parametrize("sigma2", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("ratio", [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0])
+def test_moments_and_variance_match_quadrature(ratio, sigma2):
+    # mu_bar / sigma_bar = ratio; the variance of w_mean_var does not cancel
+    # where mu_bar >> sigma_bar, as E[W^2] - E[W]^2 in float64 would
+    tn = TruncatedNormal(mu_bar=ratio * math.sqrt(sigma2), sigma2_bar=sigma2)
+    with mpmath.workdps(40):
+        mu, sd = mpmath.mpf(tn.mu_bar), mpmath.sqrt(mpmath.mpf(tn.sigma2_bar))
+        edges = sorted({mpmath.mpf(0), max(mpmath.mpf(0), mu - 30 * sd), mu, mu + 30 * sd})
+        moments = [mpmath.quad(lambda w: w**k * mpmath.npdf(w, mu, sd), edges + [mpmath.inf])
+                   for k in range(5)]
+        moments = [float(m / moments[0]) for m in moments] + [
+            float((moments[2] * moments[0] - moments[1] ** 2) / moments[0] ** 2)]
+    for alpha in (1, 2, 3, 4):
+        assert w_moment(tn, alpha) == pytest.approx(moments[alpha], rel=1e-15, abs=0.0), alpha
+    assert w_mean_var(tn) == pytest.approx((moments[1], moments[5]), rel=1e-15, abs=0.0)
+
+
 class TestQuantizedStats:
     def test_many_bits_recovers_unquantized(self):
         cfg = unit_config(24, 3.0, 4.0, eta=0.9)

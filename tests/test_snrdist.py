@@ -232,7 +232,7 @@ class TestSnrCdf:
         # leaves [0, 1] beyond the slack on the same grid
         cfg, _ = validate_config({"n_elements": 1, "fading": {"m_v": m_v}}, "snrcdf")
         params = SnrCdfParams.from_config(cfg)
-        ys = snrcdf_grid(cfg, params)
+        ys = snrcdf_grid(params)
         cdf = snr_cdf(ys, params)
         assert np.all(cdf > 0.0) and np.all(np.diff(cdf) > 0.0) and cdf[-1] < 1.0
         assert snr_cdf(1e6 * ys[-1], params) == pytest.approx(1.0, abs=1e-12)
@@ -323,10 +323,10 @@ def default_law(n, m_v, **fading):
     return cfg, SnrCdfParams.from_config(cfg)
 
 
-def snrcdf_grid(cfg, params):
+def snrcdf_grid(params):
     """The y = snr / gamma_bar points of the ``snrcdf`` curve of ``cfg``."""
-    mean_db = 10 * math.log10(cfg.gamma_bar * params.tn.mu_bar**2)
-    return 10 ** (np.linspace(mean_db - 12.0, mean_db + 6.0, 121) / 10) / cfg.gamma_bar
+    mean_db = 20 * math.log10(envelope_scale(params))
+    return 10 ** (np.linspace(mean_db - 12.0, mean_db + 6.0, 121) / 10)
 
 
 def envelope_scale(params):
@@ -343,9 +343,9 @@ class TestLawAgainstClosedForm:
         # where xi - 1 is below the float resolution the closed form is the
         # same law; it takes the difference of two tails of order one, so it
         # carries an absolute error of some 1e-17 next to the law's 1e-12 relative
-        cfg, params = default_law(n, m_v, m_g=m_g, m_h=m_h)
+        _, params = default_law(n, m_v, m_g=m_g, m_h=m_h)
         assert params.tn.xi - 1.0 < 1e-15
-        ys = snrcdf_grid(cfg, params)
+        ys = snrcdf_grid(params)
         closed = closed_snr_cdf(ys, ClosedForm(params))
         body = (closed >= 1e-6) & (closed <= 1.0 - 1e-6)
         assert body.sum() >= 10

@@ -115,3 +115,19 @@ def test_no_library_module_imports_another_modules_private_name():
     private = {path.name: names for path in sorted(package.glob("*.py"))
                if (names := _private_imports(path.read_text()))}
     assert private == {}
+
+
+def test_every_specfun_import_is_an_unused_binding():
+    # nothing a run executes calls into specfun: what the package imports from
+    # it is bound for the benchmark tracer or re-exported, never called
+    package = Path(irslink.__file__).resolve().parent
+    called = []
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "specfun"
+                    and not any("# noqa: F401" in line
+                                for line in lines[node.lineno - 1:node.end_lineno])):
+                called.append(f"{path.name}:{node.lineno}")
+    assert called == []

@@ -33,6 +33,7 @@ an empty cell.  No cell needs quoting.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import json
@@ -178,8 +179,9 @@ def _estimates(gamma_bars, unit_samples: np.ndarray, estimator) -> list[Estimate
 def _run_wdist(spec: ExperimentSpec, extras: dict) -> dict:
     cfg = spec.config
     tn = w_stats(cfg)
-    sd = tn.sigma_bar
-    grid = np.linspace(max(1e-9, tn.mu_bar - 5 * sd), tn.mu_bar + 5 * sd, 201)
+    lo, hi = tn.mu_bar - 5 * tn.sigma_bar, tn.mu_bar + 5 * tn.sigma_bar
+    # off W = 0 by at least 1e-9, unless the whole grid lies below that
+    grid = np.linspace(max(1e-9 if hi > 1e-9 else 0.0, lo), hi, 201)
     pdf, cdf = np.exp(tn.log_pdf(grid)), np.exp(tn.log_cdf(grid))
     mc_pdf = mc_cdf = None
     if spec.use_mc:
@@ -230,17 +232,20 @@ def _floor_curves(spec: ExperimentSpec, extras: dict, kind: str, name: str,
                   analytic, floor, estimator) -> dict:
     """Curves of one metric over the gamma_bar sweep: ``analytic(gamma_bars)``,
     the high-SNR floor ``floor(gamma_bars) -> (result, values)`` and the MC
-    estimate; the manifest records the floor's constants.  The floor is blank
-    where it exceeds the float64 range, and everywhere, with the constants null
-    and the reason recorded, where they are undefined (m_g == m_h, or
-    m_b - m_a <= 1/2) or leave the float64 range."""
+    estimate; the manifest records the floor's constants, the coding gain null
+    where it leaves the float64 range.  The floor is blank where it exceeds the
+    float64 range, and everywhere, with the constants null and the reason
+    recorded, where they are undefined (m_g == m_h, or m_b - m_a <= 1/2)."""
     sweep = spec.resolved["sweep"]["values"]
     gamma_bars = _gamma_bars(sweep)
     try:
         result, values = floor(gamma_bars)
-        extras.update(diversity_order=result.g_d, coding_gain=result.g_c,
+        coding_gain = None
+        with contextlib.suppress(OverflowError):
+            coding_gain = math.exp(result.log_g_c) or None
+        extras.update(diversity_order=result.g_d, coding_gain=coding_gain,
                       log10_omega_op=result.log_omega_op / math.log(10))
-    except (ConfigError, NumericalConsistencyError) as exc:
+    except ConfigError as exc:
         extras.update(dict.fromkeys(("diversity_order", "coding_gain", "log10_omega_op")),
                       asymptote_unavailable=str(exc))
         values = np.full(len(gamma_bars), math.inf)
@@ -280,9 +285,12 @@ def _run_quantization(spec: ExperimentSpec, extras: dict) -> dict:
                                                    replace(spec.plan, quantization_bits=widths)))
               if spec.use_mc else [{}] * len(widths))
         cb = rate_bounds(cfg_n, gamma_bars)
+        continuous = cb.lower + cb.upper
+        if not np.all(continuous > 0.0):
+            raise NumericalConsistencyError("the continuous rate bounds are 0: no rate ratio")
         for bits, mc_bits in zip(widths, mc):
             qb = quantized_rate_bounds(cfg_n, bits, gamma_bars)
-            analytic = 100.0 * (qb.lower + qb.upper) / (cb.lower + cb.upper)
+            analytic = 100.0 * (qb.lower + qb.upper) / continuous
             curves[f"quantization_b{bits}_n{n}"] = ("gamma_bar_db", sweep,
                                                      {"analytic": analytic, **mc_bits})
     return curves

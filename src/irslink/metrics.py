@@ -1,20 +1,22 @@
 """Closed-form link performance metrics.
 
-Outage probability and its high-SNR asymptote (diversity order, array and
-coding gains), Jensen rate bounds and their large-array limit under the
-1/N^2 power-scaling law, the single-point SER bound (the peak of one concave
-log-integrand), and the rate bounds under quantized reflection phases.
+Outage probability and its high-SNR floor, Jensen rate bounds and their
+large-array limit under the 1/N^2 power-scaling law, the single-point SER
+bound (the peak of one concave log-integrand) and its high-SNR floor, and the
+rate bounds under quantized reflection phases.
 
-Every asymptotic constant is assembled in log space: the outage-floor
-constant grows like a Gamma-function power of the element count and
-overflows float64 well below the element counts of interest.
+The floors' constants (``AsymptoticResult``) stay logs from start to finish,
+and only the floor evaluator exponentiates: Omega_op grows like a
+Gamma-function power of the element count and overflows float64 well below
+the element counts of interest.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sc
@@ -50,37 +52,31 @@ def outage_probability(cfg: SystemConfig, gamma_th, gamma_bar):
 
 @dataclass(frozen=True)
 class AsymptoticResult:
-    """Diversity order plus the gain constants of the high-SNR floor.
-
-    Omega_op is kept as its natural log: it can overflow float64 for large
-    element counts.
-    """
+    """Diversity order G_d plus the natural logs of the high-SNR floors'
+    constants, Omega_op (outage) and the coding gain G_c (SER), either of which
+    can leave the float64 range where the floor itself does not."""
 
     g_d: float
     log_omega_op: float
-    o_c: float
-    g_c: float
-
-
-def _exp_or_inf(log_value: float) -> float:
-    """exp of a log-space quantity; inf where it exceeds the float64 range."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
+    log_g_c: float
 
 
 def _floor_values(log_floor, gamma_bar):
     """exp(``log_floor(log gamma_bar)``) at the transmit SNR(s) ``gamma_bar``,
-    a float or an array, point by point with libm's log and exp."""
+    a float or an array, point by point with libm's log and exp; inf where a
+    value exceeds the float64 range."""
     gb = np.asarray(gamma_bar, dtype=float)
-    values = np.array([_exp_or_inf(log_floor(math.log(g))) for g in gb.flat]).reshape(gb.shape)
+    values = np.full(gb.shape, math.inf)
+    for i, g in enumerate(gb.flat):
+        with contextlib.suppress(OverflowError):
+            values.flat[i] = math.exp(log_floor(math.log(g)))
     return values if values.ndim else float(values)
 
 
 def _asymptote(cfg: SystemConfig) -> AsymptoticResult:
-    """The constants of both high-SNR floors: G_d = m_v + m_a N, Omega_op, the
-    array gain O_c at unit threshold and the coding gain G_c."""
+    """The constants of both high-SNR floors, G_d = m_v + m_a N, log Omega_op
+    and log G_c, each formed in log space.  Raises ``ConfigError`` where they
+    are undefined (m_g == m_h, or m_b - m_a <= 1/2)."""
     m_g, m_h = cfg.g.m, cfg.h.m
     if m_g == m_h:
         raise ConfigError(
@@ -101,50 +97,44 @@ def _asymptote(cfg: SystemConfig) -> AsymptoticResult:
                  - sc.gammaln(m_v) - m_v * math.log(kappa_v))
     # Coefficient of one element's product-amplitude transform tail; the
     # kappa product is symmetric in which leg is weaker.
-    eta, kk = cfg.eta, cfg.g.kappa * cfg.h.kappa
-    if not (eta * eta * kk > 0 and math.isfinite(kk)):
-        raise NumericalConsistencyError("eta^2 kappa_g kappa_h leaves the float64 range")
+    log_eta2_kk = 2.0 * math.log(cfg.eta) + math.log(cfg.g.kappa) + math.log(cfg.h.kappa)
     m_c = 0.5 * (m_a + m_b)
-    log_psi = (math.log(4.0) + m_c * math.log(m_a * m_b)
-               - m_c * math.log(eta * eta * kk)
+    log_psi = (math.log(4.0) + m_c * math.log(m_a * m_b) - m_c * log_eta2_kk
                - sc.gammaln(m_a) - sc.gammaln(m_b))
-    tau = 2.0 * math.sqrt(m_a * m_b / (kk * eta * eta))
-    log_total += n * (0.5 * math.log(math.pi) + log_psi
-                      + (m_a - m_b) * math.log(2.0 * tau)
+    # 2 tau = 4 sqrt(m_a m_b / (eta^2 kappa_g kappa_h))
+    log_2tau = math.log(4.0) + 0.5 * (math.log(m_a * m_b) - log_eta2_kk)
+    log_total += n * (0.5 * math.log(math.pi) + log_psi + (m_a - m_b) * log_2tau
                       + sc.gammaln(2.0 * m_a) + sc.gammaln(2.0 * m_b - 2.0 * m_a)
                       - sc.gammaln(m_b - m_a + 0.5))
     log_total -= sc.gammaln(2.0 * g_d + 1.0)
 
     alpha, beta = cfg.modulation.alpha, cfg.modulation.beta
-    log_gc = math.log(beta) - (math.log(alpha) + (g_d - 1.0) * math.log(2.0)
-                               + log_total + sc.gammaln(g_d + 0.5)
-                               - 0.5 * math.log(math.pi)) / g_d
-    return AsymptoticResult(g_d=g_d, log_omega_op=log_total, o_c=math.exp(-log_total / g_d),
-                            g_c=math.exp(log_gc))
+    log_g_c = math.log(beta) - (math.log(alpha) + (g_d - 1.0) * math.log(2.0)
+                                + log_total + sc.gammaln(g_d + 0.5)
+                                - 0.5 * math.log(math.pi)) / g_d
+    return AsymptoticResult(g_d=g_d, log_omega_op=log_total, log_g_c=log_g_c)
 
 
 def asymptotic_outage(cfg: SystemConfig, gamma_th: float, gamma_bar
                       ) -> tuple[AsymptoticResult, float | np.ndarray]:
     """High-SNR outage floor Omega_op (gamma_th / gamma_bar)^G_d, with its
-    constants (O_c at gamma_th), at the transmit SNR(s) ``gamma_bar``, a float or
-    an array; inf where a value exceeds the float64 range.  Raises ``ConfigError``
-    where the constants are undefined (m_g == m_h, or m_b - m_a <= 1/2)."""
+    constants, at the transmit SNR(s) ``gamma_bar``, a float or an array; inf
+    where a value exceeds the float64 range.  Raises ``ConfigError`` where the
+    constants are undefined (m_g == m_h, or m_b - m_a <= 1/2)."""
     if gamma_th <= 0:
         raise ValueError("gamma_th must be positive")
     result = _asymptote(cfg)
     log_om, g_d = result.log_omega_op, result.g_d
-    return (replace(result, o_c=math.exp(-math.log(gamma_th) - log_om / g_d)),
-            _floor_values(lambda log_gb: log_om + g_d * (math.log(gamma_th) - log_gb), gamma_bar))
+    return result, _floor_values(lambda log_gb: log_om + g_d * (math.log(gamma_th) - log_gb),
+                                 gamma_bar)
 
 
 def asymptotic_ser(cfg: SystemConfig, gamma_bar
                    ) -> tuple[AsymptoticResult, float | np.ndarray]:
     """High-SNR average-SER floor (G_c gamma_bar)^-G_d, with the outage
-    floor's G_d, and its constants (O_c at unit threshold)."""
+    floor's G_d, and its constants; inf where a value exceeds the float64 range."""
     result = _asymptote(cfg)
-    if not 0.0 < result.g_c < math.inf:
-        raise NumericalConsistencyError(f"coding gain {result.g_c} leaves the float64 range")
-    g_d, log_gc = result.g_d, math.log(result.g_c)
+    g_d, log_gc = result.g_d, result.log_g_c
     return result, _floor_values(lambda log_gb: -g_d * (log_gc + log_gb), gamma_bar)
 
 
@@ -167,8 +157,9 @@ _libm_log2 = np.frompyfunc(math.log2, 1, 1)
 
 
 def _direct_moment(cfg: SystemConfig, alpha: int) -> float:
+    # Gamma(m + alpha/2) / Gamma(m): exp of a log-Gamma difference loses digits at large m
     m, kappa = cfg.v.m, cfg.v.kappa
-    return math.exp(sc.gammaln(m + alpha / 2.0) - sc.gammaln(m)) * (kappa / m) ** (alpha / 2.0)
+    return float(sc.poch(m, alpha / 2.0)) * (kappa / m) ** (alpha / 2.0)
 
 
 def _truncated_moments(tn: TruncatedNormal) -> list[float]:
@@ -231,7 +222,7 @@ def _ser_log_objective(s, b, cfg: SystemConfig, tn: TruncatedNormal):
     -inf at s = 1); at B = 0, L = log(alpha/2), the zero-SNR cap."""
     a, t, d = cfg.v.m / cfg.v.kappa, 1.0 - s, 2.0 * tn.sigma2_bar * b
     td = t + d
-    return (math.log(cfg.modulation.alpha / 2.0) + math.log(tn.xi)
+    return (math.log(cfg.modulation.alpha) - math.log(2.0) + math.log(tn.xi)
             - cfg.v.m * np.log1p(b / (a * s)) - 0.5 * np.log1p(d / t)
             - tn.mu_bar**2 * b / td + sc.log_ndtr(-tn.z_bar * np.sqrt(t / td)))
 

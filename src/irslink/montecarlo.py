@@ -250,13 +250,14 @@ def _mean_estimate(values: np.ndarray) -> Estimate:
     """Mean of ``values`` with its normal 95% interval; ``values`` is the
     caller's own array of terms, spent as the scratch of the std."""
     n = values.size
-    mean = float(values.mean())
+    # mean and std of the values scaled exactly by a power of two to below 1: sums of
+    # terms near 1e308 would overflow, squared deviations of terms below 1e-154 underflow
+    exponent = int(np.frexp(max(values.max(), -values.min()))[1])
+    np.ldexp(values, -exponent, out=values)
+    mean = math.ldexp(float(values.mean()), exponent)
     if n < 2:
         return Estimate(mean, mean, mean)
-    # std of the values scaled by a power of two to below 1, which is exact:
-    # squared deviations of terms below about 1e-154 would underflow
-    exponent = int(np.frexp(max(values.max(), -values.min()))[1])
-    std = math.ldexp(_spent_std(np.ldexp(values, -exponent, out=values)), exponent)
+    std = math.ldexp(_spent_std(values), exponent)
     half = _Z95 * std / math.sqrt(n)
     return Estimate(mean, mean - half, mean + half)
 

@@ -777,6 +777,10 @@ def run_yaml(tmp_path, kind, config, mc=False):
     ("rate", {"pathloss": {"zeta0_db": -1e6}}, 2),
     ("rate", {"gamma_bar_db": 1e6}, 2),
     ("ser", {"modulation": {"beta": 1e308}}, 3),
+    ("ser", {"modulation": {"alpha": 5e-324}}, 0),
+    ("outage", {"modulation": {"alpha": 1e-300, "beta": 1e308}}, 0),
+    ("rate", {"fading": {"m_v": 1e12}}, 0),
+    ("quantization", {"fading": {"m_v": 1e12}}, 0),
     ("sweep", {"sweep": {"variable": "n_elements", "values": [1.5, 2.5]}}, 2),
     ("rate", {"n_elements": 16.5}, 2),
     ("rate", {"n_elements": 10**7}, 2),
@@ -800,6 +804,37 @@ def run_yaml(tmp_path, kind, config, mc=False):
 ])
 def test_hostile_configs_exit_cleanly(tmp_path, kind, config, code):
     assert run_yaml(tmp_path, kind, config) == code
+
+
+def test_outage_records_a_coding_gain_past_the_float_range_as_null(tmp_path):
+    # the outage floor never reads the modulation, whose coding gain overflows
+    code, out = run_cli(tmp_path, "outage", {"modulation": {"alpha": 1e-300, "beta": 1e308}},
+                        "--no-mc")
+    assert code == 0
+    extras = json.loads((out / "manifest.json").read_text())["extras"]
+    assert extras["coding_gain"] is None
+    assert extras["diversity_order"] == 50.0 and math.isfinite(extras["log10_omega_op"])
+    assert "asymptote_unavailable" not in extras
+
+
+@pytest.mark.parametrize("config", [{"sweep": {"values": [-300.0, 0.0]}},
+                                   {"pathloss": {"zeta0_db": 300.0}}])
+def test_quantization_with_zero_continuous_rate_bounds_exits_3(tmp_path, capsys, config):
+    # both continuous bounds round to 0: the percentage is 0 / 0
+    code, out = run_cli(tmp_path, "quantization", config, "--no-mc")
+    assert code == 3
+    assert "the continuous rate bounds are 0" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_wdist_grid_below_the_floor_of_1e9_increases(tmp_path):
+    # the reflected sum is about 3e-35: the grid cannot start at 1e-9
+    assert run_yaml(tmp_path, "wdist", {"pathloss": {"zeta0_db": 300.0}, "trials": 2000},
+                    mc=True) == 0
+    rows = list(csv.DictReader(io.StringIO(read_csv(tmp_path / "out" / "wdist_pdf.csv"))))
+    w = [float(r["x"]) for r in rows]
+    assert 0.0 <= w[0] < w[-1] < 1e-9 and all(a < b for a, b in zip(w, w[1:]))
+    assert all(r["mc"] for r in rows)
 
 
 @pytest.mark.parametrize("correlation", [{"wavelength_m": 1e-300},

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,11 +105,27 @@ class TestAsymptoticOutage:
         with pytest.raises(ConfigError):
             asymptotic_outage(unit_config(4, 1.0, 1.0, 1.25), 10.0, 1.0)
 
-    def test_array_gain_identity(self):
-        gamma_th = 10.0 ** 0.7
-        r, _ = asymptotic_outage(figure_config(8, 2.0, 2.0, 3.0), gamma_th, 1.0)
-        assert r.o_c == pytest.approx(
-            math.exp(-math.log(gamma_th) - r.log_omega_op / r.g_d), rel=1e-12)
+    @given(alpha=st.floats(5e-324, 1e308), beta=st.floats(5e-324, 1e308))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_floor_does_not_read_the_modulation(self, alpha, beta):
+        # the SER coding gain is formed too, as a log: no modulation can make
+        # the outage floor fail or move
+        cfg, gamma_bars = figure_config(16, 2.0, 2.0, 3.0), [1e-3, 1.0, 1e4]
+        r, floor = asymptotic_outage(cfg, 10.0, gamma_bars)
+        r_mod, floor_mod = asymptotic_outage(
+            replace(cfg, modulation=Modulation(alpha, beta)), 10.0, gamma_bars)
+        assert (r_mod.g_d, r_mod.log_omega_op) == (r.g_d, r.log_omega_op)
+        assert floor_mod.tolist() == floor.tolist()
+        assert math.isfinite(r_mod.log_g_c)
+
+    def test_leg_gains_past_the_float_range_give_finite_log_constants(self):
+        # eta^2 kappa_g kappa_h = 0.81 * 6e400 overflows; its log does not
+        cfg = replace(figure_config(16, 2.0, 2.0, 3.0), g=LinkParams(2.0, 1e200),
+                      h=LinkParams(3.0, 1e200))
+        assert cfg.g.kappa * cfg.h.kappa == math.inf
+        for r, _ in (asymptotic_outage(cfg, 10.0, 1.0), asymptotic_ser(cfg, 1.0)):
+            assert r.g_d == 34.0
+            assert math.isfinite(r.log_omega_op) and math.isfinite(r.log_g_c)
 
     def test_floor_is_pure_power_law(self):
         r, floor = asymptotic_outage(figure_config(8, 2.0, 2.0, 3.0), 10.0, [200.0, 2000.0])
@@ -148,6 +165,18 @@ class TestAsymptoticOutage:
 
 
 class TestRateBounds:
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 2.5, 7.0, 19.5, 20.0, 33.3, 1e3, 9.9e4,
+                                   1e5, 3.3e7, 1e9, 1e12])
+    def test_direct_moments_match_mpmath(self, m):
+        # the Gamma ratio keeps its digits up to the largest checked shape,
+        # where a difference of log-Gammas loses 2.4e-3
+        cfg = unit_config(4, m, 2.0, 3.0)
+        for j in (1, 2, 3, 4):
+            with mp.workdps(50):
+                ratio = mp.exp(mp.loggamma(mp.mpf(m) + mp.mpf(j) / 2) - mp.loggamma(mp.mpf(m)))
+                expected = float(ratio * (mp.mpf(cfg.v.kappa) / mp.mpf(m)) ** (mp.mpf(j) / 2))
+            assert metrics._direct_moment(cfg, j) == pytest.approx(expected, rel=1e-11, abs=0)
+
     def test_jensen_ordering_matrix(self):
         for n in (8, 16, 32):
             for db in (0.0, 10.0, 20.0, 30.0):

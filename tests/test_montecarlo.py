@@ -366,6 +366,13 @@ class TestEstimators:
         half = 1.959963984540054 * float(np.std(0.5 * (samples == 0.0), ddof=1)) / math.sqrt(1000)
         assert est.ci_high == pytest.approx(est.value + half, rel=1e-12)
 
+    def test_ber_mean_of_terms_near_the_float_maximum_is_finite(self):
+        # ten terms of alpha / 2 = 5e307 sum past the float maximum unscaled
+        est = empirical_ber(np.zeros(10), 1e308, 2.0)
+        assert math.isfinite(est.value)
+        assert est.value == pytest.approx(5e307, rel=1e-15)
+        assert est.ci_low <= est.value <= est.ci_high
+
     def test_interval_half_width_is_the_plain_std_where_it_does_not_underflow(self):
         rng = np.random.default_rng(11)
         for values in (rng.random(5000) * 7.0, rng.random(3000) ** 40 * 1e-90,

@@ -131,3 +131,16 @@ def test_every_specfun_import_is_an_unused_binding():
                                 for line in lines[node.lineno - 1:node.end_lineno])):
                 called.append(f"{path.name}:{node.lineno}")
     assert called == []
+
+
+def test_only_the_floor_evaluator_of_metrics_exponentiates_a_log():
+    # the floors' constants stay logs from start to finish: an exp anywhere
+    # else can leave the float64 range where the floor value does not
+    source = (Path(irslink.__file__).resolve().parent / "metrics.py").read_text()
+    callers = sorted({func.name for func in ast.walk(ast.parse(source))
+                      if isinstance(func, ast.FunctionDef)
+                      for node in ast.walk(func)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "exp" and isinstance(node.func.value, ast.Name)
+                      and node.func.value.id == "math"})
+    assert callers == ["_floor_values"]

@@ -5,10 +5,20 @@ gain ``zeta``; the spread parameter is always the derived product
 ``kappa = m * zeta`` and is never entered independently.  Amplitudes are
 sampled as the root of ``zeta`` times a unit-scale Gamma(m) power
 (:func:`gamma_power`), so the second moment of the amplitude equals
-``kappa`` exactly.  An integer shape up to ``ERLANG_MAX_SHAPE`` draws that
-power as -log of a product of ``m`` uniform arrays (an Erlang draw), which
-holds the output and one uniform array of its size; every other shape takes
-numpy's Gamma sampler.
+``kappa`` exactly.
+
+This module is the one uniform source of the Monte-Carlo streams.  Every
+uniform is a 32-bit half of a raw word of the generator's bit generator:
+each word gives its low, then its high half, and each half x, with bit 0
+set, is the uniform x 2**-32 on the midpoints of a 2**-31 grid, strictly
+inside (0, 1).  A draw of n values takes its uniforms in whole blocks of
+ceil(n / 2) words, one block per component:
+
+- an integer shape m up to ``ERLANG_MAX_SHAPE`` draws the power as -log of
+  the product of m such blocks (an Erlang draw), holding the float64
+  product and one block of words, half its size;
+- :func:`uniform_phase` draws one block;
+- every other shape takes numpy's Gamma sampler, ``rng.standard_gamma``.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ __all__ = [
     "path_loss",
     "nakagami_draw",
     "gamma_power",
+    "gamma_power_product",
     "uniform_phase",
     "nakagami_sample",
     "ERLANG_MAX_SHAPE",
@@ -34,7 +45,7 @@ __all__ = [
 # The largest integer shape drawn as -log of a product of uniforms: up to
 # it, that draw is faster than ``rng.standard_gamma``'s rejection sampler
 # (CHANGES.md has the per-shape timing).  The MC streams depend on it.
-ERLANG_MAX_SHAPE = 4
+ERLANG_MAX_SHAPE = 8
 
 
 @dataclass(frozen=True)
@@ -118,47 +129,93 @@ def nakagami_draw(m: float) -> str:
     return "erlang" if float(m).is_integer() and 1 <= m <= ERLANG_MAX_SHAPE else "gamma"
 
 
-def gamma_power(m: float, rng: np.random.Generator, size) -> np.ndarray:
-    """Unit-scale Gamma(shape m) draws, an array of shape ``size``.
+def _uniform_halves(rng: np.random.Generator, size) -> np.ndarray:
+    """The next n uniforms of ``rng``'s stream, n the element count of
+    ``size``, as a flat array of odd uint32 halves.
 
-    An integer shape 1 <= m <= ``ERLANG_MAX_SHAPE`` draws -log(U_1 ... U_m),
-    an Erlang draw: each U_j is a whole array ``1 - rng.random(size)`` on
-    (0, 1], drawn after U_{j-1} (a component-major stream), multiplied in
-    left to right, then one log.  A sum of m unit exponentials -log U_j is
-    Gamma(m, 1) exactly (Devroye, *Non-Uniform Random Variate Generation*,
-    1986, ch. IX), so no draw is rejected.  Every other shape is
-    ``rng.standard_gamma(m, size)``.
+    ceil(n / 2) raw words of the bit generator, each split into its low, then
+    its high 32 bits (on any host), with bit 0 set: a half x is the uniform
+    x 2**-32 on the midpoints of a 2**-31 grid, strictly inside (0, 1).  The
+    halves are the words' own buffer; an odd n drops the last high half.
+    """
+    count = int(np.prod(size))
+    words = rng.bit_generator.random_raw(-(-count // 2))
+    halves = words.astype("<u8", copy=False).view("<u4")[:count]
+    halves |= 1
+    return halves
+
+
+def _signed_power(m: float, rng: np.random.Generator, size) -> tuple[np.ndarray, float]:
+    """``(draws, sign)`` with ``sign * draws`` unit-scale Gamma(m) powers of
+    shape ``size``, so a caller folds the sign into a scale or a product it
+    forms anyway.
+
+    An integer shape 1 <= m <= ``ERLANG_MAX_SHAPE`` returns log(U_1 ... U_m)
+    <= 0 with sign -1, an Erlang draw: a sum of m unit exponentials -log U_j
+    is Gamma(m, 1) exactly (Devroye, *Non-Uniform Random Variate Generation*,
+    1986, ch. IX), so no draw is rejected.  Each U_j is a whole block of
+    :func:`_uniform_halves` of the size, drawn after U_{j-1} (a
+    component-major stream).  The halves are multiplied left to right
+    straight into the float64 product, numpy casting them inside the loop,
+    and the product's whole scale 2**(-32 m) enters with the first
+    component; every partial product stays at or above 2**(-32 m), far
+    inside the normal range, so that scale is exact.  Then one log: the
+    product is never formed as a constant minus a log, which would lose the
+    relative accuracy of small powers.  Every other shape is
+    ``rng.standard_gamma(m, size)`` with sign +1.
     """
     if nakagami_draw(m) == "gamma":
-        return rng.standard_gamma(m, size)
-    power = rng.random(size)
-    np.subtract(1.0, power, out=power)
-    u = np.empty_like(power) if m > 1 else None
+        return rng.standard_gamma(m, size), 1.0
+    power = np.multiply(_uniform_halves(rng, size), 2.0 ** (-32 * int(m)))
     for _ in range(1, int(m)):
-        power *= np.subtract(1.0, rng.random(out=u), out=u)
-    return np.negative(np.log(power, out=power), out=power)
+        power *= _uniform_halves(rng, size)
+    return np.log(power, out=power).reshape(size), -1.0
+
+
+def gamma_power(m: float, rng: np.random.Generator, size) -> np.ndarray:
+    """Unit-scale Gamma(shape m) draws, an array of shape ``size``: for an
+    integer 1 <= m <= ``ERLANG_MAX_SHAPE`` the Erlang draw -log(U_1 ... U_m)
+    of :func:`_signed_power`, otherwise ``rng.standard_gamma(m, size)``."""
+    power, sign = _signed_power(m, rng, size)
+    return power if sign > 0 else np.negative(power, out=power)
+
+
+def gamma_power_product(m_g: float, m_h: float, rng: np.random.Generator,
+                        size) -> np.ndarray:
+    """Products P_g P_h of unit-scale Gamma powers of shapes ``m_g``, then
+    ``m_h``, drawn whole one after the other as :func:`gamma_power` draws
+    them.  Two Erlang log-products multiply directly, (-P_g)(-P_h), which is
+    P_g P_h exactly; only a mixed pair takes a negation."""
+    prod, sign = _signed_power(m_g, rng, size)
+    other, other_sign = _signed_power(m_h, rng, size)
+    prod *= other
+    return prod if sign == other_sign else np.negative(prod, out=prod)
 
 
 def uniform_phase(tau: float, rng: np.random.Generator, size) -> np.ndarray:
-    """Draws uniform on [-tau, tau), ``rng.uniform(-tau, tau, size)`` bit for
-    bit (numpy forms it as -tau + 2 tau u), in two whole-array operations."""
-    draw = rng.random(size)
-    draw *= 2.0 * tau
-    draw -= tau
-    return draw
+    """Draws uniform on (-tau, tau), an array of shape ``size``: (x 2**-31 - 1)
+    tau of the next :func:`_uniform_halves` x.
+
+    x - 2**31 is an odd integer of magnitude below 2**31 and tau 2**-31 is
+    exact, so (x - 2**31) (tau 2**-31) is that value with its one rounding.
+    Scaling tau by a power of two therefore scales every draw exactly, and
+    the draws lie strictly inside (-tau, tau)."""
+    draw = np.subtract(_uniform_halves(rng, size), 2.0**31)
+    draw *= tau * 2.0**-31
+    return draw.reshape(size)
 
 
 def nakagami_sample(m: float, zeta: float, rng: np.random.Generator, size) -> np.ndarray:
     """Nakagami-m amplitudes, an array of shape ``size``: ``sqrt(zeta *
-    gamma_power(m, rng, size))``.  The power is Gamma(shape m, scale zeta),
-    the identity the analytic moments rely on, so E[X^2] = m * zeta; where
-    numpy's Gamma sampler draws it, it is ``rng.gamma(m, zeta, size)`` bit
-    for bit.
+    gamma_power(m, rng, size))``, the sign of an Erlang log-product folded
+    into the scale.  The power is Gamma(shape m, scale zeta), the identity
+    the analytic moments rely on, so E[X^2] = m * zeta; where numpy's Gamma
+    sampler draws it, it is ``rng.gamma(m, zeta, size)`` bit for bit.
     """
     if m < 0.5:
         raise ValueError(f"Nakagami shape must satisfy m >= 0.5, got {m}")
     if zeta <= 0:
         raise ValueError("zeta must be positive")
-    power = gamma_power(m, rng, size)
-    power *= zeta
+    power, sign = _signed_power(m, rng, size)
+    power *= sign * zeta
     return np.sqrt(power, out=power)

@@ -180,8 +180,9 @@ def _run_wdist(spec: ExperimentSpec, extras: dict) -> dict:
     cfg = spec.config
     tn = w_stats(cfg)
     lo, hi = tn.mu_bar - 5 * tn.sigma_bar, tn.mu_bar + 5 * tn.sigma_bar
-    # off W = 0 by at least 1e-9, unless the whole grid lies below that
-    grid = np.linspace(max(1e-9 if hi > 1e-9 else 0.0, lo), hi, 201)
+    # off W = 0 by at least 1e-9, or by a thousandth of the top of the grid
+    # where that is less, so the grid spans the law at any gain
+    grid = np.linspace(max(min(1e-9, 1e-3 * hi), lo), hi, 201)
     pdf, cdf = np.exp(tn.log_pdf(grid)), np.exp(tn.log_cdf(grid))
     mc_pdf = mc_cdf = None
     if spec.use_mc:

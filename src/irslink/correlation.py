@@ -23,13 +23,15 @@ modulus sum; Scheme-1 reuses the phases of the uncorrelated draws and pays
 the misalignment penalty.
 
 A Monte-Carlo chunk draws and evaluates one leg at a time, in stream order
-(v, then the uniform arrays of g's Gamma power, component-major, and g's
-phases, then the same of h), from the generator ``montecarlo.map_chunks``
-hands it, and writes its two SNR rows into the slice of the run's output it
-is handed.  A leg's draws are dropped before its correlation products, so
-with the phasors, correlated legs and terms a thread holds at most about 7
-(trials x N) float64 buffers of one chunk, each at most 256 KiB; the calling
-thread is one of the workers.
+(v, then the uniform components of g's Gamma power and g's phases, then the
+same of h), from the generator ``montecarlo.map_chunks`` hands it, and
+writes its two SNR rows into the slice of the run's output it is handed.
+Each component of n values is one block of ceil(n / 2) raw words, whose
+32-bit halves are uniforms on the midpoints of a 2**-31 grid (see
+:mod:`irslink.channel`).  A leg's draws are dropped before its correlation
+products, so with the phasors, correlated legs and terms a thread holds at
+most about 7 (trials x N) float64 buffers of one chunk, each at most
+256 KiB; the calling thread is one of the workers.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ def _kron_right(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _turned_leg(leg: LinkParams, rng: np.random.Generator, shape: tuple[int, int],
                 p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Rows ``x = amp * u`` of one leg, drawn from ``rng`` as its Nakagami
-    amplitudes, then its phases uniform on [-pi, pi) with u their unit
+    amplitudes, then its phases uniform on (-pi, pi) with u their unit
     phasors, correlated as ``x @ kron(p, q)`` and turned back by ``conj(u)``.
 
     The amplitudes and phases are dropped once x is formed.  u is evaluated

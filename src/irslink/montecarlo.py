@@ -10,15 +10,16 @@ a draw or a bit of a result, and every sample is held once.
 
 The chunk is the one unit of seeding, scheduling and evaluation: a kernel
 draws it whole, in stream order, and evaluates it whole.  Its stream is v,
-then the uniform arrays of g's Gamma power, then h's (component-major, see
-:func:`irslink.channel.gamma_power`), then the widest phase errors.  Each
-(trials x N) float64 buffer of a chunk is at most 256 KiB, so a thread's
-draws and scratch stay small: h's draw holds 3 such buffers (g's power, its
-own and one uniform array), and a chunk holds at most about 4.5 at once with
-two quantization widths, and 3.1 without.  With more than one worker the
-calling thread runs chunks beside the pool's threads, so a run with ``w``
-workers holds at most ``w`` chunks at once and starts at most ``w - 1``
-threads.
+then the uniform components of g's Gamma power, then h's, then the widest
+phase errors; each component of n values is one block of ceil(n / 2) raw
+words, whose 32-bit halves are uniforms on the midpoints of a 2**-31 grid
+(see :mod:`irslink.channel`).  Each (trials x N) float64 buffer of a chunk
+is at most 256 KiB, so a thread's draws and scratch stay small: h's draw
+holds 2.5 such buffers (g's power, its own and one block of words), and a
+chunk holds at most about 4.5 at once with two quantization widths, and 2.8
+without.  With more than one worker the calling thread runs chunks beside
+the pool's threads, so a run with ``w`` workers holds at most ``w`` chunks
+at once and starts at most ``w - 1`` threads.
 
 Unit phasors (the cos and sin of a phase) are evaluated at float32 precision
 and widened into float64 buffers; every draw, product and sum stays float64.
@@ -38,7 +39,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betaincinv, erfc
 
-from .channel import SystemConfig, gamma_power, nakagami_sample, uniform_phase
+from .channel import SystemConfig, gamma_power_product, nakagami_sample, uniform_phase
 from .errors import NumericalConsistencyError
 
 __all__ = [
@@ -162,8 +163,7 @@ def _reflected_products(cfg: SystemConfig, rng: np.random.Generator, count: int)
     """(count, N) per-element products eta g_n h_n of one chunk, from the
     unit-scale Gamma powers P_g, then P_h, as eta sqrt(zeta_g zeta_h) sqrt(P_g
     P_h): one root, then one scale, which keeps the leg gains' product in range."""
-    prod = gamma_power(cfg.g.m, rng, (count, cfg.n_elements))
-    prod *= gamma_power(cfg.h.m, rng, prod.shape)
+    prod = gamma_power_product(cfg.g.m, cfg.h.m, rng, (count, cfg.n_elements))
     np.sqrt(prod, out=prod)
     prod *= cfg.eta * math.sqrt(cfg.g.zeta) * math.sqrt(cfg.h.zeta)
     return prod
@@ -192,10 +192,10 @@ def _simulate_chunk(cfg: SystemConfig, widths: tuple[int, ...], rng: np.random.G
     prod = _reflected_products(cfg, rng, count)
     rows[0] = (v + prod.sum(axis=1)) ** 2
     if widths:
-        # One draw at the widest interval serves every width:
-        # uniform(-tau, tau) is -tau + 2 tau u with tau = pi / 2**bits, so
-        # scaling by a power of two gives bit for bit the draw a run with
-        # that width alone makes after the amplitude draws.
+        # One draw at the widest interval serves every width: a power of two
+        # in tau = pi / 2**bits scales every uniform_phase draw exactly, so
+        # it gives bit for bit the draw a run with that width alone makes
+        # after the amplitude draws.
         base = min(widths)
         widest = uniform_phase(math.pi / 2**base, rng, (count, cfg.n_elements))
         eps = np.empty_like(widest)
@@ -222,7 +222,7 @@ def simulate_snr_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
     result is the (trials,) continuous-phase sample.  With widths ``bits`` it
     is a (1 + len(bits), trials) array: row 0 with continuous phases, row k
     with phases quantized to ``bits[k-1]``, where each element gets a phase
-    error uniform on [-tau, tau), tau = pi / 2**bits.  Each row equals bit for
+    error uniform on (-tau, tau), tau = pi / 2**bits.  Each row equals bit for
     bit the row of a run with that width alone, for any worker count.  The
     phase-error phasors are evaluated at float32 precision, which is
     equivalent to a phase perturbation of at most about 2**-22 rad; row 0

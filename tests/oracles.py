@@ -60,14 +60,33 @@ def float32_trig_bound(v, reach, per_term):
     return (2.0 * per_term + per_term**2) * (v + reach) ** 2
 
 
+def uniform_reference(rng: np.random.Generator, size):
+    """The next uniforms of ``irslink.channel``'s stream, an array of shape
+    ``size``: the 32-bit halves of ``rng``'s raw words, each word's low half
+    ``words & 0xFFFFFFFF``, then its high half ``words >> 32``, with bit 0
+    set, times 2**-32; ceil(n / 2) words for n uniforms."""
+    count = int(np.prod(size))
+    words = rng.bit_generator.random_raw((count + 1) // 2)
+    halves = np.empty(2 * words.size, dtype=np.uint64)
+    halves[0::2] = words & 0xFFFFFFFF
+    halves[1::2] = words >> 32
+    return ((halves[:count] | 1) * 2.0**-32).reshape(size)
+
+
 def erlang_reference(m: int, rng: np.random.Generator, size):
     """Unit-scale Erlang(m) powers in the stream of ``irslink.channel.gamma_power``,
     written as plain expressions: -log of the left-to-right product of m
-    arrays ``1 - rng.random(size)``, drawn one after another."""
-    product = 1.0 - rng.random(size)
+    arrays ``uniform_reference(rng, size)``, drawn one after another."""
+    product = uniform_reference(rng, size)
     for _ in range(1, m):
-        product = product * (1.0 - rng.random(size))
+        product = product * uniform_reference(rng, size)
     return -np.log(product)
+
+
+def phase_reference(tau: float, rng: np.random.Generator, size):
+    """Phases in the stream of ``irslink.channel.uniform_phase``: (2 u - 1) tau
+    of the uniforms u of ``uniform_reference``."""
+    return (2.0 * uniform_reference(rng, size) - 1.0) * tau
 
 
 def gamma_power_reference(m: float, rng: np.random.Generator, size):

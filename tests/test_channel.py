@@ -10,7 +10,7 @@ from irslink.channel import (ERLANG_MAX_SHAPE, LinkParams, Modulation, SystemCon
                              uniform_phase)
 from irslink.config import validate_config
 from irslink.montecarlo import chunk_rng
-from oracles import erlang_reference, nakagami_reference, rician_to_nakagami
+from oracles import erlang_reference, nakagami_reference, phase_reference, rician_to_nakagami
 
 ERLANG_SHAPES = range(1, ERLANG_MAX_SHAPE + 1)
 
@@ -110,12 +110,14 @@ class TestNakagamiSampling:
         np.testing.assert_array_equal(gamma_power(m, chunk_rng(5, 1), size),
                                       erlang_reference(m, chunk_rng(5, 1), size))
 
-    def test_erlang_draw_reads_m_uniforms_per_element(self):
+    @pytest.mark.parametrize("size", [(100, 4), 7])
+    def test_erlang_draw_reads_one_block_of_words_per_component(self, size):
+        # each of the m components is one block of ceil(n / 2) raw words
         rng = chunk_rng(9, 0)
-        nakagami_sample(3, 1.0, rng, (100, 4))
+        nakagami_sample(3, 1.0, rng, size)
         again = chunk_rng(9, 0)
-        again.random(100 * 4 * 3)
-        assert rng.random() == again.random()
+        again.bit_generator.random_raw(3 * -(-int(np.prod(size)) // 2))
+        assert rng.bit_generator.random_raw() == again.bit_generator.random_raw()
 
     @pytest.mark.parametrize("m", ERLANG_SHAPES)
     def test_erlang_power_is_gamma_distributed(self, m):
@@ -130,20 +132,28 @@ class TestNakagamiSampling:
         assert abs(power.var() - law.var()) <= 3.0 * spread
 
     @pytest.mark.parametrize("m", ERLANG_SHAPES)
-    @pytest.mark.parametrize("uniform", [0.0, 1.0 - 2.0**-53])
-    def test_erlang_power_stays_finite_at_the_uniform_ends(self, m, uniform):
-        class ConstantUniforms:
-            def random(self, size=None, out=None):
-                out = np.empty(size) if out is None else out
-                out[...] = uniform
-                return out
+    @pytest.mark.parametrize("word", [0, 2**64 - 1])
+    def test_erlang_power_stays_finite_at_the_extreme_words(self, m, word):
+        # all-zero words give every uniform 2**-32, the largest power
+        # -m log 2**-32; all-one words give 1 - 2**-32, the smallest, about
+        # m 2**-32, still above 0
+        power = gamma_power(m, ExtremeWords(word), 10)
+        assert np.all(np.isfinite(power)) and np.all(power > 0.0)
+        expected = 32 * m * math.log(2.0) if word == 0 else m * 2.0**-32
+        np.testing.assert_allclose(power, expected, rtol=1e-9, atol=0)
+        amplitude = nakagami_sample(m, 1.0, ExtremeWords(word), 10)
+        np.testing.assert_array_equal(amplitude, np.sqrt(power))
 
-        power = nakagami_sample(m, 1.0, ConstantUniforms(), 10) ** 2
-        assert np.all(np.isfinite(power))
-        # 1 - u lies in (0, 1]: u = 0 gives -log 1 = 0, the largest u gives
-        # the largest power, -m log 2**-53
-        expected = 0.0 if uniform == 0.0 else m * 53 * math.log(2.0)
-        np.testing.assert_allclose(power, expected, rtol=1e-15, atol=0)
+
+class ExtremeWords:
+    """A generator whose bit generator returns one raw word again and again."""
+
+    def __init__(self, word: int):
+        self.bit_generator = self
+        self.word = word
+
+    def random_raw(self, size=None):
+        return np.full(size, self.word, dtype=np.uint64)
 
 
 # tau of every phase draw: pi for the correlated legs' phases, pi / 2**bits
@@ -151,10 +161,38 @@ class TestNakagamiSampling:
 PHASE_TAUS = [math.pi] + [math.pi / 2**bits for bits in range(1, 65)]
 
 
-@pytest.mark.parametrize("tau", PHASE_TAUS)
-def test_phase_draws_equal_numpys_uniform(tau):
-    drawn = uniform_phase(tau, chunk_rng(6, 2), (500, 200))
-    np.testing.assert_array_equal(drawn, chunk_rng(6, 2).uniform(-tau, tau, (500, 200)))
+class TestUniformPhase:
+    @pytest.mark.parametrize("tau", PHASE_TAUS)
+    def test_phase_stream_equals_its_plain_reference(self, tau):
+        for size in ((500, 201), 7):
+            np.testing.assert_array_equal(uniform_phase(tau, chunk_rng(6, 2), size),
+                                          phase_reference(tau, chunk_rng(6, 2), size))
+
+    def test_a_power_of_two_in_tau_scales_every_draw_exactly(self):
+        # what lets one draw at the widest interval serve every narrower width
+        widest = uniform_phase(math.pi, chunk_rng(6, 3), (200, 50))
+        for bits in range(1, 65):
+            np.testing.assert_array_equal(
+                uniform_phase(math.pi / 2**bits, chunk_rng(6, 3), (200, 50)),
+                widest * 2.0**-bits)
+
+    @pytest.mark.parametrize("tau", PHASE_TAUS)
+    def test_phases_lie_strictly_inside_the_interval_at_the_extreme_words(self, tau):
+        for word in (0, 2**64 - 1):
+            drawn = uniform_phase(tau, ExtremeWords(word), 9)
+            assert np.all(-tau < drawn) and np.all(drawn < tau)
+
+    @pytest.mark.parametrize("bits", [0, 1])
+    def test_phases_are_uniform(self, bits):
+        # KS against uniform(-tau, tau), and the mean and variance within 3
+        # standard errors: Var(sample variance) ~ (mu_4 - sigma^4) / n with
+        # mu_4 = tau^4 / 5 and sigma^2 = tau^2 / 3; each width its own stream
+        n, tau = 10**6, math.pi / 2**bits
+        drawn = uniform_phase(tau, chunk_rng(40, bits), n)
+        assert stats.kstest(drawn, stats.uniform(-tau, 2.0 * tau).cdf).pvalue > 1e-3
+        assert abs(drawn.mean()) <= 3.0 * math.sqrt(tau**2 / 3.0 / n)
+        spread = math.sqrt((tau**4 / 5.0 - tau**4 / 9.0) / n)
+        assert abs(drawn.var() - tau**2 / 3.0) <= 3.0 * spread
 
 
 class TestRicianMap:

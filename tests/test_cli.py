@@ -837,6 +837,18 @@ def test_wdist_grid_below_the_floor_of_1e9_increases(tmp_path):
     assert all(r["mc"] for r in rows)
 
 
+@pytest.mark.parametrize("config", [{"pathloss": {"zeta0_db": 44.5}},
+                                    {"n_elements": 1, "pathloss": {"zeta0_db": 60.0}}])
+def test_wdist_grid_spans_the_law_where_its_top_is_below_1e6(tmp_path, config):
+    # mu_bar 9.8e-10 at 44.5 dB: a floor of 1e-9 started the grid at 0.566
+    # of the law; a thousandth of the top of the grid starts it in the tail
+    assert run_yaml(tmp_path, "wdist", config) == 0
+    rows = list(csv.DictReader(io.StringIO(read_csv(tmp_path / "out" / "wdist_cdf.csv"))))
+    w, cdf = ([float(r[name]) for r in rows] for name in ("x", "analytic"))
+    assert 0.999e-3 * w[-1] < w[0] < w[-1] < 1e-6
+    assert cdf[0] < 1e-3 and cdf[-1] > 1.0 - 1e-3
+
+
 @pytest.mark.parametrize("correlation", [{"wavelength_m": 1e-300},
                                          {"aoa": {"std_el_deg": 1e308}}])
 def test_correlation_factors_beyond_the_float_range_exit_3(tmp_path, capsys, correlation):

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 import irslink.montecarlo as montecarlo
-from irslink.channel import LinkParams, SystemConfig, nakagami_sample
+from irslink.channel import LinkParams, SystemConfig, nakagami_sample, uniform_phase
 from irslink.correlation import (AngleSpread, CorrelationConfig, _hermitian_sqrt, _kron_right,
                                  _scheme_snr_chunk, build_correlation, corr_matrix_azimuth,
                                  corr_matrix_elevation, simulate_scheme_rates)
 from irslink.errors import NumericalConsistencyError
 from irslink.montecarlo import SimPlan, chunk_rng
 from oracles import (CHUNK_EDGE_OFFSETS, PHASOR_ERROR, chunk_counts, chunk_output,
-                     float32_trig_bound, nakagami_reference, optimal_snr)
+                     float32_trig_bound, nakagami_reference, optimal_snr, phase_reference)
 
 
 def correlated_snr(v_amp: float, phi_v: float, g_vec: np.ndarray, h_vec: np.ndarray,
@@ -250,7 +250,7 @@ def chunk_draws(cfg, seed, index, count, trig_dtype=np.float32):
 
     def leg(m, zeta):
         amp = nakagami_reference(m, zeta, rng, shape)
-        phase = rng.uniform(-np.pi, np.pi, shape)
+        phase = phase_reference(np.pi, rng, shape)
         u = np.empty(shape, dtype=complex)
         u.real, u.imag = np.cos(phase, dtype=trig_dtype), np.sin(phase, dtype=trig_dtype)
         return amp, u
@@ -270,7 +270,7 @@ def full_chunk_snr(cfg, roots, seed, index, count):
 
     def leg(m, zeta, p, q):
         amp = nakagami_sample(m, zeta, rng, shape)
-        phase = rng.uniform(-math.pi, math.pi, shape)
+        phase = uniform_phase(math.pi, rng, shape)
         u = np.empty(shape, dtype=complex)
         np.cos(phase, out=u.real, dtype=np.float32, casting="same_kind")
         np.sin(phase, out=u.imag, dtype=np.float32, casting="same_kind")

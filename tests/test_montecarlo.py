@@ -24,7 +24,7 @@ from irslink.snrdist import SnrCdfParams
 from irslink.specfun import gaussian_q
 from oracles import (CHUNK_EDGE_OFFSETS, PHASOR_ERROR, chunk_counts, chunk_output,
                      fit_loglog_slope, float32_trig_bound, nakagami_reference,
-                     reflected_reference)
+                     phase_reference, reflected_reference)
 
 
 def unit_config(n, m_v=1.0, m_g=1.0, m_h=2.0, eta=0.9, gamma_bar_db=0.0):
@@ -45,7 +45,7 @@ def reference_draws(cfg, plan, index, count):
         return v, prod, None
     (bits,) = plan.quantization_bits
     tau = math.pi / 2**bits
-    return v, prod, rng.uniform(-tau, tau, (count, n))
+    return v, prod, phase_reference(tau, rng, (count, n))
 
 
 def reference_chunk(cfg, plan, index, count, trig_dtype=np.float32):
@@ -299,13 +299,14 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-# (kernel, N, most bytes one chunk holds at once beside its output): about 7
-# (chunk x N) float64 buffers for correlation, 4.6 for two quantization
-# widths and 3.1 for continuous phases
+# (kernel, N, most bytes one chunk holds at once beside its output): about 7.1
+# (chunk x N) float64 buffers for correlation, 4.5 for two quantization
+# widths and 2.8 for continuous phases (g's power, h's, half a buffer of
+# h's raw words and numpy's cast buffer)
 WORKING_SETS = [("correlation", 16, 8 * CHUNK_BUFFER), ("correlation", 64, 8 * CHUNK_BUFFER),
                 ("correlation", 144, 8 * CHUNK_BUFFER), ("quantized", 16, 5 * CHUNK_BUFFER),
-                ("quantized", 128, 5 * CHUNK_BUFFER), ("continuous", 16, 3.5 * CHUNK_BUFFER),
-                ("continuous", 128, 3.5 * CHUNK_BUFFER)]
+                ("quantized", 128, 5 * CHUNK_BUFFER), ("continuous", 16, 3.0 * CHUNK_BUFFER),
+                ("continuous", 128, 3.0 * CHUNK_BUFFER)]
 
 
 @pytest.mark.parametrize("kernel,n,bound", WORKING_SETS)

@@ -144,3 +144,16 @@ def test_only_the_floor_evaluator_of_metrics_exponentiates_a_log():
                       and node.func.attr == "exp" and isinstance(node.func.value, ast.Name)
                       and node.func.value.id == "math"})
     assert callers == ["_floor_values"]
+
+
+def test_only_channel_draws_from_a_generator():
+    # channel alone defines the uniform stream: a draw anywhere else would
+    # take words of a chunk's stream outside its documented order
+    package = Path(irslink.__file__).resolve().parent
+    draws = {"random_raw", "random", "uniform", "standard_gamma"}
+    callers = sorted(f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+                     if path.name != "channel.py"
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr in draws)
+    assert callers == []

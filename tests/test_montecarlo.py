@@ -12,7 +12,7 @@ from scipy.stats import beta
 import irslink.cli as cli
 import irslink.correlation as correlation
 import irslink.montecarlo as montecarlo
-from irslink.channel import LinkParams, SystemConfig
+from irslink.channel import ERLANG_MAX_SHAPE, LinkParams, SystemConfig, nakagami_sample
 from irslink.cltapprox import w_mean_var, w_stats
 from irslink.correlation import simulate_scheme_rates
 from irslink.errors import NumericalConsistencyError
@@ -321,6 +321,14 @@ def test_chunk_working_set_stays_within_its_bound(kernel, n, bound):
         rows = (1 + len(widths),) if widths else ()
     out = np.empty(rows + (_chunk_size(n),))
     assert traced_peak(lambda: run(chunk_rng(7, 0), out)) <= bound
+
+
+@pytest.mark.parametrize("m", range(1, ERLANG_MAX_SHAPE + 1))
+def test_erlang_draw_holds_its_power_and_one_block_of_words(m):
+    # at any shape: the float64 power, one block of raw words (half a buffer)
+    # and numpy's 64 KiB cast buffer, not a float64 array per component
+    peak = traced_peak(lambda: nakagami_sample(m, 1.0, chunk_rng(7, m), CHUNK_BUFFER // 8))
+    assert peak <= 1.8 * CHUNK_BUFFER
 
 
 def test_threaded_scheme_rates_hold_one_chunk_per_worker():

@@ -23,6 +23,15 @@ or written is a configuration error.  ``extras.timings`` has ``config_s``
 (reading and checking the config), ``compute_s`` (the runner: closed forms
 and Monte-Carlo) and ``write_s`` (the CSVs).
 
+Monte-Carlo runs on one worker per CPU this process may run on unless the
+config or ``--workers`` names a count (:mod:`irslink.config`); no count
+changes a draw.  :func:`main` first holds numpy's bundled OpenBLAS to one
+thread, which leaves every bit as it is: an OpenBLAS pool busy-waits on the
+CPUs the workers need for about 100 ms after each threaded call (the SNR
+law's Gauss-rule ``eigh``, the correlation roots and products).  The hold
+lasts for the process; importing :mod:`irslink` leaves the BLAS alone, and
+``artifact.blas.threads`` records the count a run saw.
+
 Every CSV has the header ``CSV_HEADER`` and one row per sweep point; cells are
 comma-separated and lines end in CRLF.  The ``x_unit`` cell names the sweep
 variable, every other cell is a number written with ``%.12g``, and a value
@@ -122,18 +131,41 @@ def _simd_dispatch() -> dict | None:
 
 
 @functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled scipy-openblas, opened once per process; None where
+    numpy bundles none (its name is ``numpy.libs/libscipy_openblas*``)."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    return next((ctypes.CDLL(str(lib)) for lib in libs.glob("libscipy_openblas*")), None)
+
+
+def _openblas_function(name: str, restype, *argtypes):
+    """The C function ``name`` of numpy's bundled OpenBLAS with its types
+    set, or None where the library or the symbol is absent."""
+    fn = getattr(_openblas(), name, None)
+    if fn is not None:
+        fn.restype, fn.argtypes = restype, list(argtypes)
+    return fn
+
+
+def _hold_blas_to_one_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread (same bits, no pool spinning
+    on the workers' CPUs); a no-op where the library or symbol is absent."""
+    set_threads = _openblas_function("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    if set_threads is not None:
+        set_threads(1)
+
+
 def _blas() -> dict:
     """numpy's BLAS: ``name`` and ``version`` from numpy's build configuration,
-    which names the build host's core, and ``core``, the one OpenBLAS chose
-    at run time where numpy's bundled OpenBLAS reports it (None otherwise)."""
+    which names the build host's core; ``core``, the one OpenBLAS chose at run
+    time, and ``threads``, its thread count now, where numpy's bundled
+    OpenBLAS reports them (None otherwise)."""
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
-    core, libs = None, Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in libs.glob("libscipy_openblas*"):
-        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            core = corename().decode()
-    return {"name": blas.get("name"), "version": blas.get("version"), "core": core}
+    corename = _openblas_function("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    threads = _openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            "core": corename().decode() if corename is not None else None,
+            "threads": threads() if threads is not None else None}
 
 
 def _gamma_bars(sweep) -> np.ndarray:
@@ -410,11 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irslink",
         description="Analytic + Monte-Carlo performance curves for a surface-aided link")
-    parser.add_argument("kind", choices=KINDS, help="experiment to run")
+    parser.add_argument("kind", choices=KINDS, help=(
+        "experiment to run; sweep over n_elements is its own, and sweep over "
+        "gamma_bar_db is rate with the sweep_ file prefix"))
     parser.add_argument("--config", help="YAML config (or a manifest.json to reproduce)")
     parser.add_argument("--seed", type=int, help="override the RNG seed")
     parser.add_argument("--trials", type=int, help="override the Monte-Carlo trial count")
-    parser.add_argument("--workers", type=int, help="override the worker count")
+    parser.add_argument("--workers", type=int, help=(
+        "override the Monte-Carlo worker count (default: one per CPU this process "
+        "may run on); it changes no output bit"))
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
     parser.add_argument("--no-mc", action="store_true",
                         help="emit analytic curves only, leaving MC columns empty")
@@ -423,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _hold_blas_to_one_thread()
     try:
         started = time.perf_counter()
         raw = load_config_file(args.config)

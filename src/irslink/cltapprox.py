@@ -58,8 +58,11 @@ def _near_zero_mean(z: float, d: np.ndarray) -> np.ndarray:
 
 
 def gamma_ratio_t(a: float, b: float, i: float) -> float:
-    """Gamma(a+i)Gamma(b+i) / (Gamma(a)Gamma(b)), evaluated in log space."""
-    return math.exp(sc.gammaln(a + i) + sc.gammaln(b + i) - sc.gammaln(a) - sc.gammaln(b))
+    """Gamma(a+i)Gamma(b+i) / (Gamma(a)Gamma(b)), evaluated in log space; nan
+    where a shape's log-Gamma overflows (inf - inf), which the callers' range
+    checks report."""
+    with np.errstate(invalid="ignore"):
+        return math.exp(sc.gammaln(a + i) + sc.gammaln(b + i) - sc.gammaln(a) - sc.gammaln(b))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,17 @@ violation is collected into one :class:`ConfigError`.  Every field a run
 reads is checked here and written back cast (integers as ``int``, reals as
 ``float``), so the runners read the resolved mapping as it stands.  dB
 quantities carry a ``_db`` key suffix, angles a ``_deg`` one.
+
+A config without ``workers`` runs one Monte-Carlo worker per CPU this
+process may run on (:func:`usable_cpus`), and the resolved mapping records
+that count; an explicit ``workers`` is kept as it is.  The worker count
+changes no draw and no output bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import yaml
@@ -34,6 +40,7 @@ MAX_GRID_SIDE = 2048
 # and 28 dB (100 m), the mean reflected SNR of the default surface is about
 # gamma_bar - 7 dB, and so the 0-45 dB sweep crosses the outage threshold.  A
 # physical reference loss of 30-40 dB would move every curve 72-82 dB right.
+# workers is None here: a config without it resolves to usable_cpus().
 DEFAULT_CONFIG = {
     "n_elements": 16,
     "eta": 0.9,
@@ -45,7 +52,7 @@ DEFAULT_CONFIG = {
     "modulation": {"alpha": 1.0, "beta": 2.0},
     "trials": 100_000,
     "seed": 1,
-    "workers": 1,
+    "workers": None,
     "sweep": {"variable": "gamma_bar_db", "values": [float(x) for x in range(0, 46, 3)]},
     "quantization": {"bits": [1, 2, 4], "n_values": [32, 64, 128]},
     "correlation": {
@@ -56,6 +63,15 @@ DEFAULT_CONFIG = {
         "aod": {"mean_az_deg": -30.0, "std_az_deg": 5.7, "mean_el_deg": 75.0, "std_el_deg": 5.7},
     },
 }
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where the
+    platform reports one, else ``os.cpu_count()``, else 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _copy(value):
@@ -124,7 +140,8 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
     Every field a run of ``kind`` reads is checked and written back cast into
     the resolved mapping, whose dicts and lists are all new, so it shares no
     container with ``raw`` or ``DEFAULT_CONFIG``; every violation is
-    aggregated into one ConfigError.
+    aggregated into one ConfigError.  Without ``workers`` in ``raw`` the
+    resolved count is ``usable_cpus()``.
     """
     if raw is None:
         raw = {}
@@ -135,6 +152,8 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
     except RecursionError:
         # a YAML alias can put a node inside itself
         raise ConfigError(["configuration contains itself or nests too deeply"]) from None
+    if "workers" not in raw:
+        resolved["workers"] = usable_cpus()
     errors = []
 
     def grab(path, cast, check=None, message=None, many=False):

@@ -175,11 +175,14 @@ def _moment_bounds(cfg: SystemConfig, e_r: list[float], s2_i: float, gamma_bar) 
     e_v = [1.0] + [_direct_moment(cfg, j) for j in (1, 2, 3, 4)]
     e_vr2 = e_v[2] + 2.0 * e_v[1] * e_r[1] + e_r[2]
     e_vr4 = sum(math.comb(4, j) * e_v[j] * e_r[4 - j] for j in range(5))
+    e_2 = e_vr2 + s2_i
+    e_4 = e_vr4 + 2.0 * e_vr2 * s2_i + 3.0 * s2_i**2
+    # E[snr]^3 / E[snr^2] = gamma_bar e_2 (e_2^2 / e_4), formed without gamma_bar:
+    # e_2^2 <= e_4 (Cauchy-Schwarz), so it is finite wherever gamma_bar e_2 is
+    jensen = e_2 * (e_2 * e_2 / e_4)
     gb = np.asarray(gamma_bar, dtype=float)
-    mean_snr = gb * (e_vr2 + s2_i)
-    mean_sq = gb * gb * (e_vr4 + 2.0 * e_vr2 * s2_i + 3.0 * s2_i**2)
-    lower = np.asarray(_libm_log2(1.0 + mean_snr * mean_snr * mean_snr / mean_sq), dtype=float)
-    upper = np.asarray(_libm_log2(1.0 + mean_snr), dtype=float)
+    lower = np.asarray(_libm_log2(1.0 + gb * jensen), dtype=float)
+    upper = np.asarray(_libm_log2(1.0 + gb * e_2), dtype=float)
     if not gb.ndim:
         lower, upper = float(lower), float(upper)
     return RateBounds(lower=lower, upper=upper)

@@ -19,7 +19,11 @@ holds 2.5 such buffers (g's power, its own and one block of words), and a
 chunk holds at most about 4.5 at once with two quantization widths, and 2.8
 without.  With more than one worker the calling thread runs chunks beside
 the pool's threads, so a run with ``w`` workers holds at most ``w`` chunks
-at once and starts at most ``w - 1`` threads.
+at once and starts at most ``w - 1`` threads.  A ``SimPlan`` runs one
+worker unless told otherwise; a CLI run without ``workers`` in its config
+runs one per CPU this process may run on (:mod:`irslink.config`), with
+numpy's OpenBLAS held to one thread so that no BLAS pool spins on the
+workers' CPUs (:mod:`irslink.cli`).
 
 Unit phasors (the cos and sin of a phase) are evaluated at float32 precision
 and widened into float64 buffers; every draw, product and sum stays float64.

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import math
+import os
 import platform
 import shutil
 import subprocess
@@ -439,11 +440,109 @@ def test_manifest_records_the_numeric_stack(tmp_path):
                                        "expm1/float64", "log/float64", "log1p/float64",
                                        "log2/float64", "power/float64", "absolute/complex128"])
     assert all(dispatch.values())
-    # numpy's BLAS, with the core OpenBLAS chose at run time where it reports one
+    # numpy's BLAS, with the core OpenBLAS chose at run time and its thread
+    # count where it reports them
     blas = artifact["blas"]
     assert blas == cli._blas()
-    assert sorted(blas) == ["core", "name", "version"]
-    assert all(value is None or isinstance(value, str) for value in blas.values())
+    assert sorted(blas) == ["core", "name", "threads", "version"]
+    assert blas["threads"] is None or isinstance(blas["threads"], int)
+    assert all(blas[key] is None or isinstance(blas[key], str)
+               for key in ("core", "name", "version"))
+
+
+# numpy's bundled OpenBLAS, found as cli._openblas finds it, with its thread
+# count read before importing irslink, after it, and after one cli.main
+_BLAS_PROBE = """
+import contextlib, ctypes, io, sys
+from pathlib import Path
+import numpy as np
+libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas*"))))
+threads = lib.scipy_openblas_get_num_threads64_
+lib.scipy_openblas_set_num_threads64_(2)
+before = threads()
+import irslink, irslink.cli
+imported = threads()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = irslink.cli.main(["rate", "--no-mc", "--out", sys.argv[1]])
+print(before, imported, threads(), code)
+"""
+
+
+def test_main_holds_blas_to_one_thread_and_import_does_not(tmp_path):
+    if cli._openblas() is None:
+        pytest.skip("numpy bundles no scipy-openblas")
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(tmp_path / "out")], cwd=src,
+                         capture_output=True, text=True, check=True)
+    before, imported, after, code = map(int, out.stdout.split())
+    assert imported == before and (after, code) == (1, 0)
+
+
+def test_a_cli_run_records_the_blas_threads_it_ran_with(tmp_path):
+    code, out = run_cli(tmp_path, "rate", {"trials": 300})
+    assert code == 0
+    blas = json.loads((out / "manifest.json").read_text())["artifact"]["blas"]
+    assert blas["threads"] == (None if cli._openblas() is None else 1)
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def test_the_default_worker_count_is_the_usable_cpus(tmp_path):
+    assert cli.validate_config({})[1]["workers"] == _usable_cpus()
+    assert cli.validate_config({"workers": 3})[1]["workers"] == 3
+    for config, workers in (({"trials": 300}, _usable_cpus()), ({"trials": 300, "workers": 3}, 3)):
+        code, out = run_cli(tmp_path, "rate", config)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["experiment"]["config"]["workers"] == workers
+        assert manifest["extras"]["mc"]["workers"] == workers
+
+
+def test_without_an_affinity_mask_the_workers_are_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert cli.validate_config({})[1]["workers"] == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli.validate_config({})[1]["workers"] == 1
+
+
+def test_an_explicit_null_worker_count_is_a_config_error():
+    with pytest.raises(ConfigError, match="workers: missing or malformed"):
+        cli.validate_config({"workers": None})
+
+
+@pytest.mark.parametrize("kind", ["rate", "quantization", "sweep"])
+def test_a_transmit_snr_near_the_float_maximum_gives_ordered_rate_bounds(tmp_path, kind):
+    # gamma_bar = 1e104: E[snr]^3 / E[snr^2] formed with gamma_bar^3 overflowed
+    code, out = run_cli(tmp_path, kind, {"trials": 2000, "sweep": {"values": [1040.0]},
+                                         "quantization": {"bits": [1], "n_values": [8]}})
+    assert code == 0
+    if kind == "quantization":
+        analytic = analytic_column(out, "quantization_b1_n8")
+        assert all(math.isfinite(a) and 0.0 < a <= 100.0 for a in analytic)
+    else:
+        prefix = "rate" if kind == "rate" else "sweep_rate"
+        lower, upper = (analytic_column(out, f"{prefix}_{side}") for side in ("lower", "upper"))
+        assert all(math.isfinite(u) and 0.0 <= lo <= u for lo, u in zip(lower, upper))
+
+
+def test_a_leg_shape_near_the_float_maximum_exits_3_with_one_line(tmp_path):
+    # gammaln(1e308) overflows, and the log-Gamma ratio is inf - inf: no
+    # RuntimeWarning may reach stderr beside the failure
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fading": {"m_g": 1.0e308}}))
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-m", "irslink.cli", "rate", "--no-mc", "--config",
+                          str(config), "--out", str(tmp_path / "out")], cwd=src,
+                         capture_output=True, text=True)
+    assert out.returncode == 3
+    assert out.stderr == ("numerical consistency failure: reflected-sum statistics out of "
+                          "the float64 range: nan, nan\n")
 
 
 _ERLANG = {"v": "erlang", "g": "erlang", "h": "erlang"}
@@ -526,6 +625,21 @@ def test_manifest_chunks_are_the_chunks_map_chunks_ran(tmp_path, monkeypatch, ki
     assert len(mc["runs"]) == len(runs)
     assert mc["chunks"] == len(drawn)
     assert sorted(drawn) == sorted(i for run in mc["runs"] for i in range(run["chunks"]))
+
+
+@pytest.mark.parametrize("kind,config,runs", MC_RUNS)
+def test_the_default_worker_count_writes_the_bytes_of_one_worker(tmp_path, small_chunks, kind,
+                                                                  config, runs):
+    config = {"trials": 3000, "sweep": {"values": [0.0, 20.0]}, **config}
+    (tmp_path / "default").mkdir()
+    (tmp_path / "one").mkdir()
+    code, out = run_cli(tmp_path / "default", kind, config)
+    assert code == 0
+    code, one = run_cli(tmp_path / "one", kind, {**config, "workers": 1})
+    assert code == 0
+    csvs = {name: data for name, data in _run_outputs(out).items() if name != "manifest"}
+    assert csvs and csvs == {name: data for name, data in _run_outputs(one).items()
+                             if name != "manifest"}
 
 
 def test_no_mc_run_records_no_monte_carlo(tmp_path):

@@ -10,12 +10,15 @@ import io
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import irslink
 import irslink.cli as cli
+import irslink.montecarlo as montecarlo
+from irslink.errors import NumericalConsistencyError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,6 +71,36 @@ def test_outputs_meet_the_benchmark_contract(tmp_path, kind, use_mc):
     assert manifest["files"] == {name: f"{name}.csv" for name in expected}
     assert sorted(path.stem for path in tmp_path.glob("*.csv")) == sorted(expected)
     assert checks.check_files(checks.Output(tmp_path, cli.CSV_HEADER), expected) == []
+
+
+def _failing_chunk_rng(seed, index, chunk_rng=montecarlo.chunk_rng):
+    if index == 1:
+        raise NumericalConsistencyError("chunk 1 failed")
+    return chunk_rng(seed, index)
+
+
+# (kind, config, chunk generator, exit code): 10000 trials are several chunks
+# at N = 16 and N = 8, so three workers all start
+_THREADED_RUNS = [
+    ("rate", {}, None, 0),
+    ("quantization", {"sweep": {"values": [-400.0]}}, None, 3),  # zero mean reference rate
+    ("outage", {}, _failing_chunk_rng, 3),  # a chunk fails while three threads draw
+]
+
+
+@pytest.mark.parametrize("kind,config,chunk_rng,code", _THREADED_RUNS,
+                         ids=["ok", "exit3", "exit3_in_a_worker"])
+def test_no_thread_outlives_a_run(tmp_path, monkeypatch, kind, config, chunk_rng, code):
+    # every worker a run starts is joined before main returns, failed or not
+    if chunk_rng is not None:
+        monkeypatch.setattr(montecarlo, "chunk_rng", chunk_rng)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"trials": 10_000, "workers": 3,
+                                "quantization": {"bits": [1], "n_values": [8]}, **config}))
+    before = threading.active_count()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main([kind, "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    assert threading.active_count() == before
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -18,5 +18,3 @@ from .metrics import (AsymptoticResult, RateBounds, asymptotic_outage, asymptoti
 from .montecarlo import (Estimate, SimPlan, empirical_ber, empirical_cdf, empirical_outage,
                          empirical_rate, empirical_rate_ratio, simulate_snr_samples)
 from .snrdist import SnrCdfParams, envelope_pdf, snr_cdf, snr_pdf
-# Re-exported, not called: no run computes through specfun.
-from .specfun import gaussian_q  # noqa: F401

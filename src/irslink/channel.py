@@ -4,7 +4,7 @@ A link leg is described by its Nakagami shape ``m`` and large-scale linear
 gain ``zeta``; the spread parameter is always the derived product
 ``kappa = m * zeta`` and is never entered independently.  Amplitudes are
 sampled as the root of ``zeta`` times a unit-scale Gamma(m) power
-(:func:`gamma_power`), so the second moment of the amplitude equals
+(:func:`nakagami_sample`), so the second moment of the amplitude equals
 ``kappa`` exactly.
 
 This module is the one uniform source of the Monte-Carlo streams.  Every
@@ -35,7 +35,6 @@ __all__ = [
     "db_to_linear",
     "path_loss",
     "nakagami_draw",
-    "gamma_power",
     "gamma_power_product",
     "uniform_phase",
     "nakagami_sample",
@@ -172,20 +171,12 @@ def _signed_power(m: float, rng: np.random.Generator, size) -> tuple[np.ndarray,
     return np.log(power, out=power).reshape(size), -1.0
 
 
-def gamma_power(m: float, rng: np.random.Generator, size) -> np.ndarray:
-    """Unit-scale Gamma(shape m) draws, an array of shape ``size``: for an
-    integer 1 <= m <= ``ERLANG_MAX_SHAPE`` the Erlang draw -log(U_1 ... U_m)
-    of :func:`_signed_power`, otherwise ``rng.standard_gamma(m, size)``."""
-    power, sign = _signed_power(m, rng, size)
-    return power if sign > 0 else np.negative(power, out=power)
-
-
 def gamma_power_product(m_g: float, m_h: float, rng: np.random.Generator,
                         size) -> np.ndarray:
     """Products P_g P_h of unit-scale Gamma powers of shapes ``m_g``, then
-    ``m_h``, drawn whole one after the other as :func:`gamma_power` draws
-    them.  Two Erlang log-products multiply directly, (-P_g)(-P_h), which is
-    P_g P_h exactly; only a mixed pair takes a negation."""
+    ``m_h``, each drawn whole by :func:`_signed_power`, one after the other.
+    Two Erlang log-products multiply directly, (-P_g)(-P_h), which is P_g P_h
+    exactly; only a mixed pair takes a negation."""
     prod, sign = _signed_power(m_g, rng, size)
     other, other_sign = _signed_power(m_h, rng, size)
     prod *= other
@@ -206,11 +197,11 @@ def uniform_phase(tau: float, rng: np.random.Generator, size) -> np.ndarray:
 
 
 def nakagami_sample(m: float, zeta: float, rng: np.random.Generator, size) -> np.ndarray:
-    """Nakagami-m amplitudes, an array of shape ``size``: ``sqrt(zeta *
-    gamma_power(m, rng, size))``, the sign of an Erlang log-product folded
-    into the scale.  The power is Gamma(shape m, scale zeta), the identity
-    the analytic moments rely on, so E[X^2] = m * zeta; where numpy's Gamma
-    sampler draws it, it is ``rng.gamma(m, zeta, size)`` bit for bit.
+    """Nakagami-m amplitudes, an array of shape ``size``: sqrt(zeta P) of the
+    unit-scale Gamma(m) powers P of :func:`_signed_power`, its sign folded into
+    the scale.  The power is Gamma(shape m, scale zeta), the identity the
+    analytic moments rely on, so E[X^2] = m * zeta; where numpy's Gamma sampler
+    draws it, it is ``rng.gamma(m, zeta, size)`` bit for bit.
     """
     if m < 0.5:
         raise ValueError(f"Nakagami shape must satisfy m >= 0.5, got {m}")

@@ -57,12 +57,12 @@ def _near_zero_mean(z: float, d: np.ndarray) -> np.ndarray:
     return mean
 
 
-def gamma_ratio_t(a: float, b: float, i: float) -> float:
-    """Gamma(a+i)Gamma(b+i) / (Gamma(a)Gamma(b)), evaluated in log space; nan
-    where a shape's log-Gamma overflows (inf - inf), which the callers' range
-    checks report."""
+def gamma_ratio_t(a: float, b: float) -> float:
+    """Gamma(a+1/2)Gamma(b+1/2) / (Gamma(a)Gamma(b)), evaluated in log space;
+    nan where a shape's log-Gamma overflows (inf - inf), which the callers'
+    range checks report."""
     with np.errstate(invalid="ignore"):
-        return math.exp(sc.gammaln(a + i) + sc.gammaln(b + i) - sc.gammaln(a) - sc.gammaln(b))
+        return math.exp(sc.gammaln(a + 0.5) + sc.gammaln(b + 0.5) - sc.gammaln(a) - sc.gammaln(b))
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class TruncatedNormal:
 def w_stats(cfg: SystemConfig) -> TruncatedNormal:
     """Pre-truncation mean and variance of the reflected amplitude sum."""
     n, eta = cfg.n_elements, cfg.eta
-    t = gamma_ratio_t(cfg.g.m, cfg.h.m, 0.5)
+    t = gamma_ratio_t(cfg.g.m, cfg.h.m)
     kgkh = cfg.g.kappa * cfg.h.kappa
     mu = n * (eta * math.sqrt(kgkh / (cfg.g.m * cfg.h.m))) * t
     s2 = n * (eta * eta * kgkh) * (1.0 - t * t / (cfg.g.m * cfg.h.m))

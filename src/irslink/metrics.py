@@ -203,7 +203,7 @@ def asymptotic_rate(cfg: SystemConfig, energy_scaled_snr: float) -> float:
     """
     if energy_scaled_snr < 0:
         raise ValueError("energy_scaled_snr must be nonnegative")
-    t = gamma_ratio_t(cfg.g.m, cfg.h.m, 0.5)
+    t = gamma_ratio_t(cfg.g.m, cfg.h.m)
     mu_inf_sq = cfg.eta**2 * cfg.g.kappa * cfg.h.kappa * t * t / (cfg.g.m * cfg.h.m)
     return math.log2(1.0 + energy_scaled_snr * mu_inf_sq)
 

@@ -136,11 +136,11 @@ def map_chunks(kernel: Callable[[np.random.Generator, np.ndarray], None], plan: 
     draws depend on (seed, index) alone, so the result does not depend on
     ``plan.workers``.
 
-    With more than one worker, ``min(plan.workers, chunks)`` threads take
-    chunk indices from one queue until it is empty: the caller is one of
-    them and a pool holds the others.  So no thread idles while the others
-    work, and no caller wakes per chunk to contend with the workers for the
-    interpreter lock."""
+    ``min(plan.workers, chunks)`` threads take chunk indices from one queue
+    until it is empty: the caller is one of them and a pool holds the
+    others, so one worker runs every chunk on the calling thread and starts
+    none.  No thread idles while the others work, and no caller wakes per
+    chunk to contend with the workers for the interpreter lock."""
     size, count = chunk_plan(plan.trials, n_elements)
     out = np.empty(rows + (plan.trials,))
 
@@ -149,13 +149,12 @@ def map_chunks(kernel: Callable[[np.random.Generator, np.ndarray], None], plan: 
             kernel(chunk_rng(plan.seed, index), out[..., index * size:(index + 1) * size])
 
     threads = min(plan.workers, count)
-    if threads == 1:
-        work(range(count))
-        return out
     indices = SimpleQueue()
     for index in [*range(count), *[None] * threads]:  # one end mark per thread
         indices.put(index)
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+    # the pool starts at most one thread per submitted task: threads - 1 in
+    # all, and none for one worker (max_workers must be positive)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(work, iter(indices.get, None)) for _ in range(threads - 1)]
         work(iter(indices.get, None))
         for future in futures:

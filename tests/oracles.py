@@ -74,7 +74,8 @@ def uniform_reference(rng: np.random.Generator, size):
 
 
 def erlang_reference(m: int, rng: np.random.Generator, size):
-    """Unit-scale Erlang(m) powers in the stream of ``irslink.channel.gamma_power``,
+    """Unit-scale Erlang(m) powers in the stream of the Erlang draw of
+    ``irslink.channel._signed_power``, the negated log-products it returns,
     written as plain expressions: -log of the left-to-right product of m
     arrays ``uniform_reference(rng, size)``, drawn one after another."""
     product = uniform_reference(rng, size)
@@ -90,7 +91,9 @@ def phase_reference(tau: float, rng: np.random.Generator, size):
 
 
 def gamma_power_reference(m: float, rng: np.random.Generator, size):
-    """``irslink.channel.gamma_power``: ``erlang_reference`` for an integer
+    """Unit-scale Gamma(m) powers in the stream of one factor of
+    ``irslink.channel.gamma_power_product``, the signed draw ``sign * draws``
+    of ``irslink.channel._signed_power``: ``erlang_reference`` for an integer
     1 <= m <= ERLANG_MAX_SHAPE, ``rng.gamma(m, 1.0, size)`` otherwise."""
     if float(m).is_integer() and 1 <= m <= ERLANG_MAX_SHAPE:
         return erlang_reference(int(m), rng, size)

@@ -18,8 +18,8 @@ from irslink.correlation import simulate_scheme_rates
 from irslink.errors import NumericalConsistencyError
 from irslink.montecarlo import (Estimate, SimPlan, _chunk_size, _simulate_chunk,
                                 chunk_rng, empirical_ber, empirical_cdf, empirical_outage,
-                                empirical_rate, empirical_rate_ratio, reflected_sum_samples,
-                                simulate_snr_samples)
+                                empirical_rate, empirical_rate_ratio, map_chunks,
+                                reflected_sum_samples, simulate_snr_samples)
 from irslink.snrdist import SnrCdfParams
 from irslink.specfun import gaussian_q
 from oracles import (CHUNK_EDGE_OFFSETS, PHASOR_ERROR, chunk_counts, chunk_output,
@@ -282,6 +282,27 @@ class TestChunkLayout:
                 assert other == runs[0]
             else:
                 np.testing.assert_array_equal(other, runs[0])
+
+    def test_one_worker_evaluates_every_chunk_on_the_calling_thread(self):
+        # the one scheduling path at one worker: the caller takes every chunk
+        # from the queue, no thread starts, and the samples are those of 2
+        # and 3 workers
+        cfg, _ = cli.validate_config({"n_elements": 64, "gamma_bar_db": 0.0})
+        trials = 3 * _chunk_size(64) + 100  # four chunks of the real size
+        ran, alive, before = [], [], threading.active_count()
+
+        def kernel(rng, out):
+            ran.append(threading.get_ident())
+            alive.append(threading.active_count())
+            _simulate_chunk(cfg, (1, 3), rng, out)
+
+        samples = map_chunks(kernel, SimPlan(trials=trials, seed=29), 64, (3,))
+        assert ran == [threading.get_ident()] * 4
+        assert alive == [before] * 4
+        assert threading.active_count() == before
+        for workers in (2, 3):
+            np.testing.assert_array_equal(
+                samples, KERNELS["snr"](cfg, SimPlan(trials=trials, seed=29, workers=workers)))
 
 
 def traced_peak(run) -> int:

@@ -103,16 +103,21 @@ def test_no_thread_outlives_a_run(tmp_path, monkeypatch, kind, config, chunk_rng
     assert threading.active_count() == before
 
 
+def _public_names(tree: ast.Module) -> list[str]:
+    """The names a module lists in ``__all__``."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names a module imports but neither uses nor lists in ``__all__``;
     ``__future__`` imports and lines marked ``# noqa: F401`` are exempt."""
     tree = ast.parse(source)
     lines = source.splitlines()
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
-            used.update(ast.literal_eval(node.value))
+    used.update(_public_names(tree))
     imported = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -148,6 +153,44 @@ def test_no_library_module_imports_another_modules_private_name():
     private = {path.name: names for path in sorted(package.glob("*.py"))
                if (names := _private_imports(path.read_text()))}
     assert private == {}
+
+
+def _references(tree: ast.Module) -> set[tuple[str, str | None]]:
+    """(name, top-level definition it appears in, None at module level) of
+    each name a module loads, reads as an attribute or imports."""
+    found = set()
+
+    def visit(node, owner):
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add((node.id, owner))
+        elif isinstance(node, ast.Attribute):
+            found.add((node.attr, owner))
+        elif isinstance(node, ast.ImportFrom):
+            found.update((alias.name, owner) for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_public_name_has_a_library_caller():
+    # a public name only tests use is test code in the library: it goes, or
+    # moves to the tests; the package API is what __init__.py re-exports.
+    # specfun is exempt until its closed form moves to tests/oracles.py
+    package = Path(irslink.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    exported = {(node.module, alias.name) for node in trees.pop("__init__").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    references = {(name, (module, owner)) for module, tree in trees.items()
+                  for name, owner in _references(tree)}
+    uncalled = [f"{module}.{name}" for module, tree in trees.items() if module != "specfun"
+                for name in _public_names(tree)
+                if (module, name) not in exported
+                and not any(ref == name and where != (module, name) for ref, where in references)]
+    assert uncalled == []
 
 
 def test_every_specfun_import_is_an_unused_binding():

@@ -57,12 +57,35 @@ def _near_zero_mean(z: float, d: np.ndarray) -> np.ndarray:
     return mean
 
 
+# log rho_m (_log_rho) is its series in 1/m from this shape on.  Against
+# mpmath, the difference of log-Gammas below it loses at most 5.4e-14 of the
+# value (relative), and the series from it on 4.5e-14.
+_SERIES_FROM = 6.0
+# c_1, c_3, ..., c_19 of that series, sum c_k m^-k over odd k: c_k = 2 (2^-k
+# - 2) B_(k+1) / (k (k+1)), B_n the Bernoulli numbers, from the asymptotic
+# expansion of log Gamma(m + 1/2) - log Gamma(m) - log(m) / 2, doubled.
+_LOG_RHO_SERIES = (-1 / 4, 1 / 96, -1 / 320, 17 / 7168, -31 / 9216, 691 / 90112,
+                   -5461 / 212992, 929569 / 7864320, -3202291 / 4456448,
+                   221930581 / 39845888)
+
+
+def _log_rho(m: float) -> float:
+    """log rho_m, rho_m = Gamma(m+1/2)^2 / (m Gamma(m)^2) = E[a]^2 / E[a^2] of
+    a Nakagami-m amplitude a: 2 lgamma(m+1/2) - 2 lgamma(m) - log m, which
+    cancels as m grows (it is -1/(4m) + ...), so from ``_SERIES_FROM`` on it
+    is the series of ``_LOG_RHO_SERIES``."""
+    if m < _SERIES_FROM:
+        return float(2.0 * sc.gammaln(m + 0.5) - 2.0 * sc.gammaln(m)) - math.log(m)
+    x = 1.0 / m
+    total = 0.0
+    for c in reversed(_LOG_RHO_SERIES):  # Horner in x^2
+        total = total * (x * x) + c
+    return total * x
+
+
 def gamma_ratio_t(a: float, b: float) -> float:
-    """Gamma(a+1/2)Gamma(b+1/2) / (Gamma(a)Gamma(b)), evaluated in log space;
-    nan where a shape's log-Gamma overflows (inf - inf), which the callers'
-    range checks report."""
-    with np.errstate(invalid="ignore"):
-        return math.exp(sc.gammaln(a + 0.5) + sc.gammaln(b + 0.5) - sc.gammaln(a) - sc.gammaln(b))
+    """Gamma(a+1/2)Gamma(b+1/2) / (Gamma(a)Gamma(b)) = sqrt(a rho_a b rho_b)."""
+    return math.sqrt(a) * math.sqrt(b) * math.exp(0.5 * (_log_rho(a) + _log_rho(b)))
 
 
 @dataclass(frozen=True)
@@ -132,12 +155,16 @@ class TruncatedNormal:
 
 
 def w_stats(cfg: SystemConfig) -> TruncatedNormal:
-    """Pre-truncation mean and variance of the reflected amplitude sum."""
+    """Pre-truncation mean and variance of the reflected amplitude sum: N
+    times those of one product eta g h, whose second moment is the power
+    eta^2 kappa_g kappa_h and whose squared mean is rho_g rho_h times it.
+    1 - rho_g rho_h is -expm1(log rho_g + log rho_h), which keeps its digits
+    at any shapes, as the difference of the two moments would not."""
     n, eta = cfg.n_elements, cfg.eta
-    t = gamma_ratio_t(cfg.g.m, cfg.h.m)
+    log_rho = _log_rho(cfg.g.m) + _log_rho(cfg.h.m)
     kgkh = cfg.g.kappa * cfg.h.kappa
-    mu = n * (eta * math.sqrt(kgkh / (cfg.g.m * cfg.h.m))) * t
-    s2 = n * (eta * eta * kgkh) * (1.0 - t * t / (cfg.g.m * cfg.h.m))
+    mu = n * (eta * math.sqrt(kgkh)) * math.exp(0.5 * log_rho)
+    s2 = n * (eta * eta * kgkh) * -math.expm1(log_rho)
     return TruncatedNormal(mu_bar=mu, sigma2_bar=s2)
 
 
@@ -184,13 +211,15 @@ def quantized_w_stats(cfg: SystemConfig, bits: int) -> QuantizedWStats:
     cos2_mean = 0.5 + math.sin(2.0 * tau) / (4.0 * tau)
     sin2_mean = 0.5 - math.sin(2.0 * tau) / (4.0 * tau)
 
-    n, eta = cfg.n_elements, cfg.eta
-    mu_r = w_stats(cfg).mu_bar * cos_mean
-    power = n * (eta * eta * (cfg.g.kappa * cfg.h.kappa))
-    # Per-element variance subtraction, N (mu_R / N)^2; subtracting the
-    # squared *sum* of means would go negative for every N > 1.
+    tn = w_stats(cfg)
+    power = cfg.n_elements * (cfg.eta * cfg.eta * (cfg.g.kappa * cfg.h.kappa))
+    # Per element, Var(X cos e) = E X^2 Var(cos e) + Var(X) (E cos e)^2: the
+    # variance of the N elements' sum without the difference of E X^2 E cos^2 e
+    # and (E X E cos e)^2, which cancels as the shapes grow.
     return QuantizedWStats(
-        real_part=TruncatedNormal(mu_bar=mu_r, sigma2_bar=cos2_mean * power - mu_r**2 / n),
+        real_part=TruncatedNormal(
+            mu_bar=tn.mu_bar * cos_mean,
+            sigma2_bar=(cos2_mean - cos_mean**2) * power + cos_mean**2 * tn.sigma2_bar),
         sigma2_imag=sin2_mean * power,
         tau=tau,
     )

@@ -177,6 +177,8 @@ def _moment_bounds(cfg: SystemConfig, e_r: list[float], s2_i: float, gamma_bar) 
     e_vr4 = sum(math.comb(4, j) * e_v[j] * e_r[4 - j] for j in range(5))
     e_2 = e_vr2 + s2_i
     e_4 = e_vr4 + 2.0 * e_vr2 * s2_i + 3.0 * s2_i**2
+    if not math.isfinite(e_4):
+        raise NumericalConsistencyError(f"rate moments out of the float64 range: {e_2}, {e_4}")
     # E[snr]^3 / E[snr^2] = gamma_bar e_2 (e_2^2 / e_4), formed without gamma_bar:
     # e_2^2 <= e_4 (Cauchy-Schwarz), so it is finite wherever gamma_bar e_2 is
     jensen = e_2 * (e_2 * e_2 / e_4)

@@ -532,8 +532,9 @@ def test_a_transmit_snr_near_the_float_maximum_gives_ordered_rate_bounds(tmp_pat
 
 
 def test_a_leg_shape_near_the_float_maximum_exits_3_with_one_line(tmp_path):
-    # gammaln(1e308) overflows, and the log-Gamma ratio is inf - inf: no
-    # RuntimeWarning may reach stderr beside the failure
+    # W's mean and variance are finite (kappa_g = 1e308 zeta_g), and the
+    # fourth moment of the SNR overflows: no RuntimeWarning may reach stderr
+    # beside the failure
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"fading": {"m_g": 1.0e308}}))
     src = Path(cli.__file__).resolve().parents[1]
@@ -541,8 +542,8 @@ def test_a_leg_shape_near_the_float_maximum_exits_3_with_one_line(tmp_path):
                           str(config), "--out", str(tmp_path / "out")], cwd=src,
                          capture_output=True, text=True)
     assert out.returncode == 3
-    assert out.stderr == ("numerical consistency failure: reflected-sum statistics out of "
-                          "the float64 range: nan, nan\n")
+    assert out.stderr == ("numerical consistency failure: rate moments out of the float64 "
+                          "range: 7.020931196935667e+306, inf\n")
 
 
 _ERLANG = {"v": "erlang", "g": "erlang", "h": "erlang"}

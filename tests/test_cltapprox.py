@@ -21,6 +21,24 @@ def unit_config(n, m_g, m_h, eta=1.0, kappa_g=None, kappa_h=None):
                         g=LinkParams(m_g, zg), h=LinkParams(m_h, zh))
 
 
+# Leg shapes of the moment checks: 0.5 to 1e8, with 3.98, 5.93 and 7.69 where
+# the difference of log-Gammas in log rho_m loses the most, and 6, the first
+# shape of its series
+MOMENT_SHAPES = [0.5, 0.75, 1.0, 2.5, 3.98, 5.93, 6.0, 7.69, 30.0, 40.0, 1e3, 1e4, 1e6, 1e8]
+
+
+def exact_w_moments(n, m_g, m_h, eta):
+    """(mu_bar, sigma2_bar) of ``unit_config(n, m_g, m_h, eta)`` in 40-digit
+    mpmath, unit spreads: N eta E[g] E[h] and N eta^2 (1 - (E[g] E[h])^2),
+    E[a] = Gamma(m+1/2) / (Gamma(m) sqrt(m)) of a Nakagami-m amplitude of unit
+    second moment."""
+    with mpmath.workdps(40):
+        mean = mpmath.mpf(1)
+        for m in (mpmath.mpf(m_g), mpmath.mpf(m_h)):
+            mean *= mpmath.exp(mpmath.loggamma(m + 0.5) - mpmath.loggamma(m)) / mpmath.sqrt(m)
+        return n * eta * mean, n * mpmath.mpf(eta)**2 * (1 - mean**2)
+
+
 def reflected_sums(cfg, trials, seed=0):
     return reflected_sum_samples(cfg, SimPlan(trials, seed, workers=2))
 
@@ -53,6 +71,19 @@ class TestWStats:
         samples = reflected_sums(cfg, 10**6, seed=n + int(m_g))
         assert samples.mean() == pytest.approx(tn.mu_bar, rel=0.01)
         assert samples.var() == pytest.approx(tn.sigma2_bar, rel=0.01)
+
+    @pytest.mark.parametrize("n", [1, 16, 10**6])
+    def test_mean_and_variance_match_mpmath_at_every_shape(self, n):
+        # 1 - rho_g rho_h, rho_m = Gamma(m+1/2)^2 / (m Gamma(m)^2), cancels as
+        # the shapes grow: a difference of the moments lost a factor of 87 of
+        # sigma2_bar at m_g = m_h = 1e8.  Shapes on both sides of the switch
+        # to the series of log rho_m, where each side loses the most
+        for m_g in MOMENT_SHAPES:
+            for m_h in MOMENT_SHAPES:
+                tn = w_stats(unit_config(n, m_g, m_h, eta=0.9))
+                mu, s2 = exact_w_moments(n, m_g, m_h, 0.9)
+                assert tn.mu_bar == pytest.approx(mu, rel=1e-13, abs=0)
+                assert tn.sigma2_bar == pytest.approx(s2, rel=1e-13, abs=0)
 
     def test_variance_doubles_with_elements(self):
         s1 = w_stats(unit_config(8, 2.0, 3.0)).sigma2_bar
@@ -233,6 +264,23 @@ class TestQuantizedStats:
         assert w_re.mean() == pytest.approx(qs.real_part.mu_bar, rel=0.005)
         assert w_re.var() == pytest.approx(qs.real_part.sigma2_bar, rel=0.01)
         assert w_im.var() == pytest.approx(qs.sigma2_imag, rel=0.01)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_real_part_variance_matches_mpmath_at_every_shape(self, bits):
+        # E X^2 E cos^2 - (E X E cos)^2 of an element X = eta g h cancels as
+        # the shapes grow
+        n, eta = 16, 0.9
+        with mpmath.workdps(40):
+            tau = mpmath.pi / 2**bits
+            cos_mean = mpmath.sin(tau) / tau
+            cos_var = mpmath.mpf(1) / 2 + mpmath.sin(2 * tau) / (4 * tau) - cos_mean**2
+        for m_g in MOMENT_SHAPES:
+            for m_h in MOMENT_SHAPES:
+                qs = quantized_w_stats(unit_config(n, m_g, m_h, eta=eta), bits)
+                _, s2 = exact_w_moments(n, m_g, m_h, eta)
+                power = n * eta**2
+                expected = float(cos_var * power + cos_mean**2 * s2)
+                assert qs.real_part.sigma2_bar == pytest.approx(expected, rel=1e-11, abs=0)
 
     def test_rejects_zero_bits(self):
         with pytest.raises(ValueError):

@@ -36,7 +36,7 @@ def exact_w_moments(n, m_g, m_h, eta):
         mean = mpmath.mpf(1)
         for m in (mpmath.mpf(m_g), mpmath.mpf(m_h)):
             mean *= mpmath.exp(mpmath.loggamma(m + 0.5) - mpmath.loggamma(m)) / mpmath.sqrt(m)
-        return n * eta * mean, n * mpmath.mpf(eta)**2 * (1 - mean**2)
+        return n * mpmath.mpf(eta) * mean, n * mpmath.mpf(eta)**2 * (1 - mean**2)
 
 
 def reflected_sums(cfg, trials, seed=0):
@@ -81,7 +81,7 @@ class TestWStats:
         for m_g in MOMENT_SHAPES:
             for m_h in MOMENT_SHAPES:
                 tn = w_stats(unit_config(n, m_g, m_h, eta=0.9))
-                mu, s2 = exact_w_moments(n, m_g, m_h, 0.9)
+                mu, s2 = map(float, exact_w_moments(n, m_g, m_h, 0.9))
                 assert tn.mu_bar == pytest.approx(mu, rel=1e-13, abs=0)
                 assert tn.sigma2_bar == pytest.approx(s2, rel=1e-13, abs=0)
 
@@ -270,16 +270,15 @@ class TestQuantizedStats:
         # E X^2 E cos^2 - (E X E cos)^2 of an element X = eta g h cancels as
         # the shapes grow
         n, eta = 16, 0.9
-        with mpmath.workdps(40):
-            tau = mpmath.pi / 2**bits
-            cos_mean = mpmath.sin(tau) / tau
-            cos_var = mpmath.mpf(1) / 2 + mpmath.sin(2 * tau) / (4 * tau) - cos_mean**2
         for m_g in MOMENT_SHAPES:
             for m_h in MOMENT_SHAPES:
                 qs = quantized_w_stats(unit_config(n, m_g, m_h, eta=eta), bits)
-                _, s2 = exact_w_moments(n, m_g, m_h, eta)
-                power = n * eta**2
-                expected = float(cos_var * power + cos_mean**2 * s2)
+                with mpmath.workdps(40):
+                    tau = mpmath.pi / 2**bits
+                    cos_mean = mpmath.sin(tau) / tau
+                    cos_var = mpmath.mpf(1) / 2 + mpmath.sin(2 * tau) / (4 * tau) - cos_mean**2
+                    _, s2 = exact_w_moments(n, m_g, m_h, eta)
+                    expected = float(cos_var * n * mpmath.mpf(eta)**2 + cos_mean**2 * s2)
                 assert qs.real_part.sigma2_bar == pytest.approx(expected, rel=1e-11, abs=0)
 
     def test_rejects_zero_bits(self):

@@ -159,20 +159,15 @@ def _references(tree: ast.Module) -> set[tuple[str, str | None]]:
     """(name, top-level definition it appears in, None at module level) of
     each name a module loads, reads as an attribute or imports."""
     found = set()
-
-    def visit(node, owner):
-        if owner is None and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            owner = node.name
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add((node.id, owner))
-        elif isinstance(node, ast.Attribute):
-            found.add((node.attr, owner))
-        elif isinstance(node, ast.ImportFrom):
-            found.update((alias.name, owner) for alias in node.names)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(tree, None)
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                found.add((node.attr, owner))
+            elif isinstance(node, ast.ImportFrom):
+                found.update((alias.name, owner) for alias in node.names)
     return found
 
 

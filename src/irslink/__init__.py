@@ -13,8 +13,9 @@ from .cltapprox import (QuantizedWStats, TruncatedNormal, quantized_w_stats, w_m
                         w_moment, w_stats)
 from .errors import ConfigError, IrsLinkError, NumericalConsistencyError
 from .metrics import (AsymptoticResult, RateBounds, asymptotic_outage, asymptotic_rate,
-                      asymptotic_ser, outage_probability, quantized_rate_bounds,
-                      rate_bounds, ser_upper_bound)
-from .montecarlo import (Estimate, SimPlan, empirical_ber, empirical_cdf, empirical_outage,
-                         empirical_rate, empirical_rate_ratio, simulate_snr_samples)
+                      asymptotic_ser, outage_probability, quantized_control_means,
+                      quantized_rate_bounds, rate_bounds, ser_upper_bound)
+from .montecarlo import (ControlVariates, Estimate, SimPlan, empirical_ber, empirical_cdf,
+                         empirical_outage, empirical_rate, empirical_rate_ratio,
+                         simulate_snr_samples)
 from .snrdist import SnrCdfParams, envelope_pdf, snr_cdf, snr_pdf

@@ -38,6 +38,7 @@ __all__ = [
     "ser_upper_bound",
     "asymptotic_ser",
     "quantized_rate_bounds",
+    "quantized_control_means",
 ]
 
 
@@ -151,9 +152,17 @@ class RateBounds:
                 f"rate bounds out of order: {self.lower} > {self.upper}")
 
 
-# libm's log2 elementwise: with the cube as two IEEE products, no rate bound
-# cell depends on the SIMD level of numpy's log2 or power loops
-_libm_log2 = np.frompyfunc(math.log2, 1, 1)
+def _log2_1p_product(gamma_bar: np.ndarray, e: float) -> np.ndarray:
+    """log2(1 + gamma_bar e) point by point in IEEE float arithmetic and libm's
+    log2, so no rate bound cell depends on the SIMD level of numpy's log2 or
+    power loops; where gamma_bar e leaves the float64 range, log2(gamma_bar) +
+    log2(e), to which it rounds there."""
+    values = []
+    for g in gamma_bar.flat:
+        product = float(g) * e  # Python floats: inf where it overflows, no warning
+        values.append(math.log2(g) + math.log2(e) if product == math.inf
+                      else math.log2(1.0 + product))
+    return np.array(values).reshape(gamma_bar.shape)
 
 
 def _direct_moment(cfg: SystemConfig, alpha: int) -> float:
@@ -183,8 +192,7 @@ def _moment_bounds(cfg: SystemConfig, e_r: list[float], s2_i: float, gamma_bar) 
     # e_2^2 <= e_4 (Cauchy-Schwarz), so it is finite wherever gamma_bar e_2 is
     jensen = e_2 * (e_2 * e_2 / e_4)
     gb = np.asarray(gamma_bar, dtype=float)
-    lower = np.asarray(_libm_log2(1.0 + gb * jensen), dtype=float)
-    upper = np.asarray(_libm_log2(1.0 + gb * e_2), dtype=float)
+    lower, upper = _log2_1p_product(gb, jensen), _log2_1p_product(gb, e_2)
     if not gb.ndim:
         lower, upper = float(lower), float(upper)
     return RateBounds(lower=lower, upper=upper)
@@ -275,3 +283,20 @@ def quantized_rate_bounds(cfg: SystemConfig, bits: int, gamma_bar) -> RateBounds
     moments, W_I is the zero-mean normal of ``quantized_w_stats``."""
     qs = quantized_w_stats(cfg, bits)
     return _moment_bounds(cfg, _truncated_moments(qs.real_part), qs.sigma2_imag, gamma_bar)
+
+
+def quantized_control_means(cfg: SystemConfig, bits: int) -> tuple[float, ...]:
+    """Exact means of R, R^2, A, A^2 and B^2: R = v + W with continuous
+    phases, and A = v + W_R, B = W_I with phase errors uniform on (-tau, tau),
+    tau = pi / 2^bits.  The untruncated means and variances of W (``w_stats``)
+    and of W_R and W_I (``quantized_w_stats``) are those of the simulated sums
+    of N products exactly, so E Y = E v + mu and E Y^2 = kappa_v + 2 E v mu +
+    sigma^2 + mu^2 for Y = v + (a sum of mean mu and variance sigma^2)."""
+    e_v, kappa_v = _direct_moment(cfg, 1), cfg.v.kappa
+    tn, qs = w_stats(cfg), quantized_w_stats(cfg, bits)
+
+    def first_two(mu: float, s2: float) -> tuple[float, float]:
+        return e_v + mu, kappa_v + 2.0 * e_v * mu + s2 + mu * mu
+
+    return (*first_two(tn.mu_bar, tn.sigma2_bar),
+            *first_two(qs.real_part.mu_bar, qs.real_part.sigma2_bar), qs.sigma2_imag)

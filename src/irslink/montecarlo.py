@@ -27,8 +27,19 @@ workers' CPUs (:mod:`irslink.cli`).
 
 Unit phasors (the cos and sin of a phase) are evaluated at float32 precision
 and widened into float64 buffers; every draw, product and sum stays float64.
-That is equivalent to perturbing each phase by at most about 2**-22 rad, and
-being elementwise it keeps results identical for any worker count.
+That moves each component of a phasor by at most about 2**-22, and being
+elementwise it keeps results identical for any worker count.  It is not a
+phase perturbation near 0: the float32 cos of a phase error below about
+2**-12 rad is 1, so from about 12 bits on the quantized rows lose none of
+the real part's loss to the phase errors.
+
+The estimators are plug-in means with normal 95% intervals, and the rate
+ratio can take control variates with exact means (:class:`ControlVariates`,
+fitted once per draw for every transmit SNR): ``quantization`` draws the
+trials it needs for a precision (:mod:`irslink.cli`), not a fixed count.
+Their sums are numpy's pairwise ones, never a BLAS product, whose order
+would follow the alignment of the arrays: an estimate is the same in every
+run.
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ __all__ = [
     "BIT_GENERATOR",
     "SimPlan",
     "Estimate",
+    "ControlVariates",
     "chunk_rng",
     "chunk_plan",
     "map_chunks",
@@ -181,9 +193,9 @@ def reflected_sum_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
 
 def _simulate_chunk(cfg: SystemConfig, widths: tuple[int, ...], rng: np.random.Generator,
                     out: np.ndarray) -> None:
-    """SNR samples per unit transmit SNR of one chunk, written into ``out``:
-    (v + W)^2 with continuous phases in row 0, then (v + W_R)^2 + W_I^2 per
-    quantization width; ``out`` is flat without widths.
+    """One chunk's samples per unit transmit SNR, written into ``out``: the
+    flat SNR (v + W)^2 without widths; with widths, R = v + W with continuous
+    phases in row 0, then A = v + W_R and B = W_I per quantization width.
 
     Per width, the scaled phase errors and their cos, then sin, go through
     two chunk-sized float64 scratch buffers; the fewest bits (the drawn
@@ -193,8 +205,10 @@ def _simulate_chunk(cfg: SystemConfig, widths: tuple[int, ...], rng: np.random.G
     count = out.shape[-1]
     v = nakagami_sample(cfg.v.m, cfg.v.zeta, rng, count)
     prod = _reflected_products(cfg, rng, count)
-    rows[0] = (v + prod.sum(axis=1)) ** 2
-    if widths:
+    np.add(v, prod.sum(axis=1), out=rows[0])
+    if not widths:
+        np.square(rows[0], out=rows[0])
+    else:
         # One draw at the widest interval serves every width: a power of two
         # in tau = pi / 2**bits scales every uniform_phase draw exactly, so
         # it gives bit for bit the draw a run with that width alone makes
@@ -203,7 +217,7 @@ def _simulate_chunk(cfg: SystemConfig, widths: tuple[int, ...], rng: np.random.G
         widest = uniform_phase(math.pi / 2**base, rng, (count, cfg.n_elements))
         eps = np.empty_like(widest)
         trig = np.empty_like(widest)
-        for row, bits in enumerate(widths, 1):
+        for k, bits in enumerate(widths):
             if bits == base:  # the scale is 2**0: the drawn errors themselves
                 e = widest
             else:
@@ -214,7 +228,8 @@ def _simulate_chunk(cfg: SystemConfig, widths: tuple[int, ...], rng: np.random.G
             np.sin(e, out=trig, dtype=np.float32, casting="same_kind")
             trig *= prod
             w_im = trig.sum(axis=1)
-            rows[row] = (v + w_re) ** 2 + w_im**2
+            np.add(v, w_re, out=rows[1 + 2 * k])
+            rows[2 + 2 * k] = w_im
 
 
 def simulate_snr_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
@@ -222,18 +237,21 @@ def simulate_snr_samples(cfg: SystemConfig, plan: SimPlan) -> np.ndarray:
     continuous and quantized phases: no draw reads gamma_bar.
 
     Every trial draws fresh leg amplitudes.  Without quantization widths the
-    result is the (trials,) continuous-phase sample.  With widths ``bits`` it
-    is a (1 + len(bits), trials) array: row 0 with continuous phases, row k
-    with phases quantized to ``bits[k-1]``, where each element gets a phase
-    error uniform on (-tau, tau), tau = pi / 2**bits.  Each row equals bit for
-    bit the row of a run with that width alone, for any worker count.  The
-    phase-error phasors are evaluated at float32 precision, which is
-    equivalent to a phase perturbation of at most about 2**-22 rad; row 0
-    takes no trig and is exact float64.
+    result is the (trials,) continuous-phase SNR sample.  With widths ``bits``
+    it is the (1 + 2 len(bits), trials) array of the amplitudes the SNRs are
+    the squares of: R = v + W with continuous phases in row 0, then the real
+    part A = v + W_R and the imaginary part B = W_I of the sum with phases
+    quantized to ``bits[k]`` in rows 1 + 2k and 2 + 2k, where each element
+    gets a phase error uniform on (-tau, tau), tau = pi / 2**bits.  R**2 is
+    the continuous SNR and A**2 + B**2 the quantized one, and the rows of a
+    width equal bit for bit those of a run with that width alone, for any
+    worker count.  The phase-error phasors are evaluated at float32 precision,
+    which moves each of their components by at most about 2**-22 (see the
+    module docstring); R takes no trig and is exact float64.
     """
     widths = plan.quantization_bits
     return map_chunks(functools.partial(_simulate_chunk, cfg, widths), plan, cfg.n_elements,
-                      (1 + len(widths),) if widths else ())
+                      (1 + 2 * len(widths),) if widths else ())
 
 
 def empirical_cdf(samples: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -265,12 +283,30 @@ def _mean_estimate(values: np.ndarray) -> Estimate:
     return Estimate(mean, mean - half, mean + half)
 
 
-def _spent_std(values: np.ndarray) -> float:
-    """``values.std(ddof=1)``, the same operations in the same order, with
+def _spent_std(values: np.ndarray, ddof: int = 1) -> float:
+    """``values.std(ddof=ddof)``, the same operations in the same order, with
     ``values`` itself as the scratch of the deviations."""
     values -= values.sum() / values.size
     np.multiply(values, values, out=values)
-    return math.sqrt(float(values.sum()) / (values.size - 1))
+    return math.sqrt(float(values.sum()) / (values.size - ddof))
+
+
+# A control is dropped where the controls kept before it explain all but this
+# share of its sample variance: it adds nothing they do not, and its
+# coefficient would be noise.  From about 10 bits on, A is R but for a few
+# float32 ulps of cos per element, and from about 12 bits on it is R.
+_COLLINEAR = 1e-10
+
+
+def _sweep(gram: np.ndarray, k: int) -> None:
+    """Sweep the symmetric ``gram`` on pivot k in place: once a set K of
+    pivots is swept, ``gram[K][:, K]`` is minus the inverse of their block, and
+    ``gram[j, j]`` of a j outside K the part of its variance they leave."""
+    pivot = gram[k, k]
+    col = gram[:, k] / pivot
+    gram -= np.outer(gram[:, k], col)
+    gram[k] = gram[:, k] = col
+    gram[k, k] = -1.0 / pivot
 
 
 def empirical_outage(samples: np.ndarray, gamma_th: float) -> Estimate:
@@ -296,31 +332,116 @@ def empirical_rate(samples: np.ndarray) -> Estimate:
     return _mean_estimate(np.log2(terms, out=terms))
 
 
-def empirical_rate_ratio(samples: np.ndarray, reference: np.ndarray) -> Estimate:
+@dataclass(frozen=True)
+class ControlVariates:
+    """Controls of one draw, fitted once for the estimates of any number of
+    responses of that draw (:func:`empirical_rate_ratio`).
+
+    ``scaled`` holds one row per kept control, centred on its sample mean and
+    scaled to unit norm; ``offsets`` are the sample means less the exact
+    means, in the same scale; ``inverse`` is the inverse of the kept rows'
+    Gram matrix (their correlation matrix).  Build it with :meth:`fit`.
+    """
+
+    scaled: np.ndarray
+    offsets: np.ndarray
+    inverse: np.ndarray
+
+    @classmethod
+    def fit(cls, matrix: np.ndarray, means) -> ControlVariates:
+        """Fit the controls ``matrix`` (one row per control, one column per
+        trial) with exact means ``means``; ``matrix`` is spent as scratch.
+
+        Controls are kept in row order.  One is dropped where it has no
+        spread or a value or mean that is not finite, where the ones kept
+        before it explain all but ``_COLLINEAR`` of its variance, and once
+        trials - 2 are kept, so the residual keeps a degree of freedom."""
+        means = np.asarray(means, dtype=float)
+        trials = matrix.shape[1]
+        centre = matrix.mean(axis=1)
+        with np.errstate(invalid="ignore"):  # a row with an infinity, dropped below
+            matrix -= centre[:, np.newaxis]
+            # by the largest magnitude first, so no square of a row leaves the float64 range
+            spread = np.abs(matrix).max(axis=1, initial=0.0)
+        usable = np.flatnonzero(np.isfinite(spread) & (spread > 0.0) & np.isfinite(means))
+        scaled = matrix[usable]
+        scaled /= spread[usable, np.newaxis]
+        norms = np.sqrt([_dot(row, row) for row in scaled])
+        scaled /= norms[:, np.newaxis]
+        scale = spread[usable] * norms
+        gram = np.array([[_dot(row, other) for other in scaled] for row in scaled])
+        gram.shape = (len(usable), len(usable))
+        kept = []
+        for j in range(len(usable)):
+            if gram[j, j] > _COLLINEAR and len(kept) < trials - 2:
+                _sweep(gram, j)
+                kept.append(j)
+        return cls(scaled=scaled[kept],
+                   offsets=(centre[usable] - means[usable])[kept] / scale[kept],
+                   inverse=-gram[np.ix_(kept, kept)])
+
+    def coefficients(self, response: np.ndarray) -> np.ndarray:
+        """Least-squares coefficients of ``response`` on the scaled controls."""
+        products = np.array([_dot(row, response) for row in self.scaled])
+        return (self.inverse * products).sum(axis=1)
+
+    def subtract(self, response: np.ndarray, coefficients: np.ndarray) -> None:
+        """Subtract from ``response``, in place, the scaled controls weighted
+        by ``coefficients``."""
+        scratch = np.empty_like(response)
+        for coefficient, row in zip(coefficients, self.scaled):
+            response -= np.multiply(coefficient, row, out=scratch)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The sum of the products of two 1-d arrays, as numpy's pairwise sum
+    takes it: in one order at any address, where a BLAS kernel's order
+    follows the alignment of its operands, and so would move bits from one
+    run to the next."""
+    return float(np.multiply(a, b).sum())
+
+
+def empirical_rate_ratio(samples: np.ndarray, reference: np.ndarray,
+                         controls: ControlVariates | None = None) -> Estimate:
     """Ratio of the mean rates log2(1 + snr) of two paired samples.
 
     Trial i of ``samples`` and of ``reference`` share their draws, so the
     interval is the delta-method one of a ratio of paired means:
     R = mean(y) / mean(x) with variance var(y - R x) / (n mean(x)^2).
-    Identical samples give R = 1 with a zero-width interval.  A mean
-    reference rate of 0 (every reference SNR below about 2**-53) leaves R
-    undefined and raises NumericalConsistencyError.
+    ``controls``, fitted on the same trials, replaces each mean by its
+    control-variate estimate, mean(y) - b_y . (mean(C) - E C) with b_y the
+    least-squares coefficients of y on the controls C, and var(y - R x) by
+    the variance of its residual on them, with one degree of freedom less
+    per control; without controls (or with none kept) it is the plain
+    estimate.  Identical samples give R = 1 with a zero-width interval.  A
+    mean reference rate of 0 (every reference SNR below about 2**-53) leaves
+    R undefined and raises NumericalConsistencyError.
     """
     y = 1.0 + np.asarray(samples, dtype=float)
     x = 1.0 + np.asarray(reference, dtype=float)
     if x.size == 0 or x.shape != y.shape:
         raise ValueError("empirical_rate_ratio requires two nonempty samples of one shape")
+    if controls is not None and controls.scaled.shape[1:] != x.shape:
+        raise ValueError("empirical_rate_ratio requires controls of the samples' trials")
     np.log2(y, out=y)
     np.log2(x, out=x)
-    mean_x = float(x.mean())
+    mean_x, mean_y = float(x.mean()), float(y.mean())
+    if controls is not None:
+        b_y, b_x = controls.coefficients(y), controls.coefficients(x)
+        mean_y -= float((b_y * controls.offsets).sum())
+        mean_x -= float((b_x * controls.offsets).sum())
     if mean_x == 0.0:
         raise NumericalConsistencyError("the mean reference rate is 0: no rate ratio")
-    ratio = float(y.mean()) / mean_x
+    ratio = mean_y / mean_x
     n = x.size
     if n < 2:
         return Estimate(ratio, ratio, ratio)
     y -= np.multiply(ratio, x, out=x)  # y - R x
-    half = _Z95 * _spent_std(y) / (math.sqrt(n) * mean_x)
+    ddof = 1
+    if controls is not None:
+        controls.subtract(y, b_y - ratio * b_x)
+        ddof += len(controls.offsets)
+    half = _Z95 * _spent_std(y, ddof) / (math.sqrt(n) * mean_x)
     return Estimate(ratio, ratio - half, ratio + half)
 
 

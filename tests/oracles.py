@@ -44,6 +44,46 @@ def chunk_output(kernel, rng: np.random.Generator, count: int, rows: tuple[int, 
     return out
 
 
+def amplitude_mean(leg: LinkParams) -> float:
+    """E a of a Nakagami amplitude: Gamma(m + 1/2) / Gamma(m) (kappa / m)^(1/2)."""
+    return math.exp(math.lgamma(leg.m + 0.5) - math.lgamma(leg.m)) * math.sqrt(leg.kappa / leg.m)
+
+
+def control_means_reference(cfg: SystemConfig, bits: int) -> tuple[float, ...]:
+    """E of R, R^2, A, A^2 and B^2, R = v + sum X_n, A = v + sum X_n cos e_n
+    and B = sum X_n sin e_n, from the moments of one element X = eta g h and
+    of a phase error e uniform on (-tau, tau), tau = pi / 2^bits: E cos e =
+    sin(tau) / tau, E cos^2 e = 1/2 + sin(2 tau) / (4 tau), E sin e = 0."""
+    n, e_v = cfg.n_elements, amplitude_mean(cfg.v)
+    e_x = cfg.eta * amplitude_mean(cfg.g) * amplitude_mean(cfg.h)
+    e_x2 = cfg.eta**2 * cfg.g.kappa * cfg.h.kappa
+    tau = math.pi / 2**bits
+    cos2 = 0.5 + math.sin(2.0 * tau) / (4.0 * tau)
+
+    def first_two(m1, m2):  # E[Y], E[Y^2] of Y = v + a sum of n terms of moments m1, m2
+        mean, var = n * m1, n * (m2 - m1 * m1)
+        return e_v + mean, cfg.v.kappa + 2.0 * e_v * mean + var + mean * mean
+
+    return (*first_two(e_x, e_x2), *first_two(e_x * math.sin(tau) / tau, e_x2 * cos2),
+            n * e_x2 * (1.0 - cos2))
+
+
+def control_variate_ratio(y: np.ndarray, x: np.ndarray, controls: np.ndarray, means):
+    """(ratio, 95% half-width) of the mean of y over the mean of x, each
+    mean the intercept of a least-squares fit (``np.linalg.lstsq``) on the
+    controls (one row each) less their exact ``means``; the half-width is the
+    delta-method one, 1.96 sd(e_y - ratio e_x) / (sqrt(n) mean_x) with the
+    fits' residuals e and one degree of freedom per control and intercept."""
+    n = y.size
+    design = np.column_stack([np.ones(n), (controls - np.asarray(means)[:, None]).T])
+    coef_y = np.linalg.lstsq(design, y, rcond=None)[0]
+    coef_x = np.linalg.lstsq(design, x, rcond=None)[0]
+    ratio = coef_y[0] / coef_x[0]
+    residual = (y - design @ coef_y) - ratio * (x - design @ coef_x)
+    sd = math.sqrt(float(residual @ residual) / (n - design.shape[1]))
+    return ratio, 1.959963984540054 * sd / (math.sqrt(n) * coef_x[0])
+
+
 def rician_to_nakagami(k_factor: float) -> float:
     """Shape of the Nakagami approximation to Rician fading with factor K."""
     if k_factor < 0:

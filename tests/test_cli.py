@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,13 @@ from scipy.integrate import quad
 import irslink
 import irslink.cli as cli
 import irslink.montecarlo as montecarlo
-from irslink.channel import ERLANG_MAX_SHAPE
+from irslink.channel import ERLANG_MAX_SHAPE, db_to_linear
 from irslink.config import DEFAULT_CONFIG
 from irslink.errors import ConfigError, NumericalConsistencyError
-from irslink.metrics import outage_probability
+from irslink.metrics import outage_probability, quantized_control_means
 from irslink.montecarlo import (SimPlan, chunk_rng, empirical_ber, empirical_outage,
-                                empirical_rate, simulate_snr_samples)
-from oracles import reflected_reference
+                                empirical_rate, empirical_rate_ratio, simulate_snr_samples)
+from oracles import control_means_reference, control_variate_ratio, reflected_reference
 
 SWEEP = [0.0, 12.0, 24.0, 45.0]
 
@@ -74,17 +75,16 @@ def per_point(cfg, plan, estimator, xs):
 
 
 def quantized_percent(cfg, plan, bits, xs):
-    """Percentage of the paired mean rates, with the delta-method interval of
-    a ratio of paired means."""
+    """Percentage of the paired mean rates with its 95% interval, by the
+    least-squares control-variate oracle on the amplitudes of the same draws
+    (controls R, R^2, A, A^2 and B^2 with their exact means)."""
+    r, a, b = simulate_snr_samples(cfg, dataclasses.replace(plan, quantization_bits=(bits,)))
+    controls, means = np.stack([r, r * r, a, a * a, b * b]), control_means_reference(cfg, bits)
     for db in xs:
-        c = dataclasses.replace(cfg, gamma_bar_db=db)
-        x = np.log2(1.0 + snr_samples(c, plan))
-        y = np.log2(1.0 + snr_samples(
-            c, SimPlan(trials=plan.trials, seed=plan.seed, workers=plan.workers,
-                       quantization_bits=(bits,)))[1])
-        ratio = y.mean() / x.mean()
-        half = 1.959963984540054 * (y - ratio * x).std(ddof=1) / (math.sqrt(x.size) * x.mean())
-        yield 100.0 * ratio, 100.0 * (ratio - half), 100.0 * (ratio + half)
+        gb = db_to_linear(db)
+        ratio, half = control_variate_ratio(np.log2(1.0 + gb * (a * a + b * b)),
+                                            np.log2(1.0 + gb * (r * r)), controls, means)
+        yield 100.0 * ratio, 100.0 * half
 
 
 @pytest.fixture
@@ -145,19 +145,22 @@ class TestMonteCarloColumnsMatchPerPointOracle:
         self.expect(tmp_path, "sweep", config, "sweep_rate_mc.csv", "n_elements", oracle)
 
     def test_quantization(self, tmp_path, small_chunks, workers):
+        # 3000 trials are below the floor of the first draw: every trial is drawn
         config = self.config(workers, quantization={"bits": [1, 3], "n_values": [4, 8]})
         cfg, plan = self.spec("quantization", config)
         code, out = run_cli(tmp_path, "quantization", config)
         assert code == 0
         for n in (4, 8):
             for bits in (1, 3):
-                rows = list(csv.reader(io.StringIO(
+                rows = list(csv.DictReader(io.StringIO(
                     read_csv(out / f"quantization_b{bits}_n{n}.csv"))))
                 cfg_n = dataclasses.replace(cfg, n_elements=n)
-                oracle = list(csv.reader(io.StringIO(oracle_csv(
-                    "gamma_bar_db", SWEEP, quantized_percent(cfg_n, plan, bits, SWEEP)))))
-                # the analytic column is not the oracle's concern
-                assert [r[:2] + r[3:] for r in rows] == [r[:2] + r[3:] for r in oracle]
+                assert [float(row["x"]) for row in rows] == SWEEP
+                for row, (value, half) in zip(rows, quantized_percent(cfg_n, plan, bits, SWEEP)):
+                    mc, low, high = (float(row[c]) for c in ("mc", "mc_ci_low", "mc_ci_high"))
+                    assert mc == pytest.approx(value, rel=1e-10)
+                    assert high - mc == pytest.approx(half, rel=1e-6)
+                    assert mc - low == pytest.approx(half, rel=1e-6)
 
 
 def count_draws(monkeypatch):
@@ -940,6 +943,129 @@ def test_quantization_with_zero_continuous_rate_bounds_exits_3(tmp_path, capsys,
     assert code == 3
     assert "the continuous rate bounds are 0" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def test_rate_bounds_past_the_product_range_are_finite(tmp_path):
+    # at 3080 dB, gamma_bar E[snr] leaves the float64 range: the bounds are
+    # formed in log space there, with no warning, and every other cell is as it was
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, "quantization", {"sweep": {"values": [3000.0, 3080.0]}},
+                            "--no-mc")
+    assert code == 0
+    n_values = DEFAULT_CONFIG["quantization"]["n_values"]
+    cells = [analytic_column(out, f"quantization_b{bits}_n{n}")
+             for bits in DEFAULT_CONFIG["quantization"]["bits"] for n in n_values]
+    assert len(cells) == 9
+    assert all(math.isfinite(cell) and 0.0 < cell <= 100.0 for column in cells for cell in column)
+
+
+def quantization_manifest(out):
+    return json.loads((out / "manifest.json").read_text())["extras"]["mc"]
+
+
+def test_quantization_draws_the_floor_where_it_is_precise_enough(tmp_path):
+    # 100k trials: the first 16384 give every cell a narrower interval than
+    # plain MC's at 100k, and the manifest records the run as drawn
+    code, out = run_cli(tmp_path, "quantization",
+                        {"trials": 100_000,
+                         "quantization": {"bits": [1, 2, 4], "n_values": [8, 32]}})
+    assert code == 0
+    mc = quantization_manifest(out)
+    assert [run["trials"] for run in mc["runs"]] == [cli.CV_FLOOR_TRIALS] * 2
+    assert mc["trials"] == 2 * cli.CV_FLOOR_TRIALS
+    for run in mc["runs"]:
+        record = run["control_variates"]
+        assert record["floor_trials"] == cli.CV_FLOOR_TRIALS
+        assert record["extension"] is False
+        assert [w["bits"] for w in record["widths"]] == [1, 2, 4]
+        for width in record["widths"]:
+            assert 0.0 < width["max_half_width_ratio"] <= 1.0
+            assert width["min_variance_ratio"] > 100_000 / cli.CV_FLOOR_TRIALS
+
+
+def test_quantization_intervals_are_no_wider_than_plain_at_the_configured_trials(tmp_path):
+    # every cell against the plain interval of a run of the configured trials
+    config = {"trials": 60_000, "sweep": {"values": [0.0, 21.0, 45.0]},
+              "quantization": {"bits": [1, 3], "n_values": [1, 8]}}
+    code, out = run_cli(tmp_path, "quantization", config)
+    assert code == 0
+    cfg, _ = cli.validate_config(config, "quantization")
+    for n in (1, 8):
+        rows = simulate_snr_samples(dataclasses.replace(cfg, n_elements=n),
+                                    SimPlan(trials=60_000, seed=1, quantization_bits=(1, 3)))
+        reference = rows[0] ** 2
+        for k, bits in enumerate((1, 3)):
+            samples = rows[1 + 2 * k] ** 2 + rows[2 + 2 * k] ** 2
+            cells = csv.DictReader(io.StringIO(read_csv(out / f"quantization_b{bits}_n{n}.csv")))
+            for row in cells:
+                gb = db_to_linear(float(row["x"]))
+                plain = empirical_rate_ratio(gb * samples, gb * reference)
+                assert (float(row["mc_ci_high"]) - float(row["mc_ci_low"])
+                        <= 100.0 * (plain.ci_high - plain.ci_low))
+
+
+@pytest.mark.parametrize("floor_chunks", [None, 2], ids=["floor", "extended"])
+def test_quantization_columns_are_the_same_for_any_worker_count(tmp_path, monkeypatch,
+                                                                small_chunks, floor_chunks):
+    # a floor of two chunks is too few for these cells: the run extends its
+    # first draw, from decisions on chunk prefixes alone
+    if floor_chunks is not None:
+        monkeypatch.setattr(cli, "CV_FLOOR_TRIALS", floor_chunks * 1024)
+    config = {"trials": 200_000, "sweep": {"values": [0.0, 45.0]},
+              "quantization": {"bits": [1, 3], "n_values": [1, 4]}}
+    outputs = []
+    for workers in (None, 1, 2, 3):
+        run_dir = tmp_path / f"w{workers}"
+        run_dir.mkdir()
+        code, out = run_cli(run_dir, "quantization",
+                            config if workers is None else {**config, "workers": workers})
+        assert code == 0
+        outputs.append({name: data for name, data in _run_outputs(out).items()
+                        if name != "manifest"})
+        runs = quantization_manifest(out)["runs"]
+        assert any(run["control_variates"]["extension"] for run in runs) == (
+            floor_chunks is not None)
+    assert len(outputs[0]) == 4
+    assert all(other == outputs[0] for other in outputs[1:])
+
+
+def test_quantization_at_the_finest_widths_reads_one_hundred_percent(tmp_path):
+    # at 20 and 64 bits the float32 cos of every phase error rounds to 1, so A
+    # equals R: the fit drops A and A^2 and still runs
+    code, out = run_cli(tmp_path, "quantization",
+                        {"trials": 20_000, "sweep": {"values": [0.0, 45.0]},
+                         "quantization": {"bits": [20, 64], "n_values": [1, 16]}})
+    assert code == 0
+    for name in ("b20_n1", "b20_n16", "b64_n1", "b64_n16"):
+        for row in csv.DictReader(io.StringIO(read_csv(out / f"quantization_{name}.csv"))):
+            low, mc, high = (float(row[c]) for c in ("mc_ci_low", "mc", "mc_ci_high"))
+            assert low <= mc <= high
+            assert low - 1e-9 <= 100.0 <= high + 1e-9
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_floor_intervals_cover_a_million_trial_reference(n):
+    # 400 seeds of the first draw: each cell's 95% interval covers the
+    # estimate of 2^20 trials (four draws of 2^18) at a rate of at least 0.92
+    widths, gamma_bars = (1, 3), cli._gamma_bars([0.0, 15.0, 45.0])
+    cfg, _ = cli.validate_config({"n_elements": n})
+    means = [quantized_control_means(cfg, bits) for bits in widths]
+    chunk_trials, _ = montecarlo.chunk_plan(1, n)
+    floor = -(-cli.CV_FLOOR_TRIALS // chunk_trials) * chunk_trials
+    assert floor == cli.CV_FLOOR_TRIALS
+
+    def cells(trials, seed):  # (width, value / low / high, point)
+        plan = SimPlan(trials=trials, seed=seed, workers=2, quantization_bits=widths)
+        columns, _ = cli._quantization_draw({}, cfg, plan, gamma_bars, means)
+        return np.array([[c["mc"], c["lo"], c["hi"]] for c in columns])
+
+    reference = np.mean([cells(2**18, 10_000 + i)[:, 0] for i in range(4)], axis=0)
+    covered = np.zeros(reference.shape)
+    for seed in range(400):
+        est = cells(floor, seed)
+        covered += (est[:, 1] <= reference) & (reference <= est[:, 2])
+    assert np.all(covered / 400 >= 0.92)
 
 
 def test_wdist_grid_below_the_floor_of_1e9_increases(tmp_path):

@@ -201,6 +201,16 @@ class TestRateBounds:
         b = rate_bounds(cfg, gamma_bars)
         assert b.lower.tolist() == lower and b.upper.tolist() == upper
 
+    def test_bounds_past_the_product_range_are_formed_in_log_space(self):
+        # gamma_bar E[snr] overflows at 3080 dB: there log2(1 + gamma_bar e)
+        # is log2(gamma_bar) + log2(e), 80 dB (80 log2 10 / 10 bits) above 3000 dB
+        cfg = figure_config(128, 2.0, 3.0, 4.0)
+        b = rate_bounds(cfg, np.array([1e300, 1e308]))
+        for side in (b.lower, b.upper):
+            assert np.all(np.isfinite(side))
+            assert side[1] - side[0] == pytest.approx(8.0 * math.log2(10.0), rel=1e-12)
+        assert rate_bounds(cfg, 1e308).upper == b.upper[1]
+
     @pytest.mark.slow
     def test_monte_carlo_rate_inside_bounds(self):
         for n in (8, 16, 32, 64, 128):
@@ -385,8 +395,9 @@ class TestQuantizedRateBounds:
     def test_brackets_quantized_monte_carlo(self):
         cfg = figure_config(32, 2.0, 3.0, 4.0)
         q = quantized_rate_bounds(cfg, 2, cfg.gamma_bar)
-        est = empirical_rate(cfg.gamma_bar * simulate_snr_samples(
-            cfg, SimPlan(trials=2 * 10**5, seed=9, quantization_bits=(2,)))[1])
+        _, a, b = simulate_snr_samples(cfg, SimPlan(trials=2 * 10**5, seed=9,
+                                                    quantization_bits=(2,)))
+        est = empirical_rate(cfg.gamma_bar * (a * a + b * b))
         slack = (est.ci_high - est.ci_low) / 2.0
         assert q.lower - slack <= est.value <= q.upper + slack
 

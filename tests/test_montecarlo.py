@@ -16,13 +16,15 @@ from irslink.channel import ERLANG_MAX_SHAPE, LinkParams, SystemConfig, nakagami
 from irslink.cltapprox import w_mean_var, w_stats
 from irslink.correlation import simulate_scheme_rates
 from irslink.errors import NumericalConsistencyError
-from irslink.montecarlo import (Estimate, SimPlan, _chunk_size, _simulate_chunk,
-                                chunk_rng, empirical_ber, empirical_cdf, empirical_outage,
-                                empirical_rate, empirical_rate_ratio, map_chunks,
-                                reflected_sum_samples, simulate_snr_samples)
+from irslink.metrics import quantized_control_means
+from irslink.montecarlo import (ControlVariates, Estimate, SimPlan, _chunk_size,
+                                _simulate_chunk, chunk_rng, empirical_ber, empirical_cdf,
+                                empirical_outage, empirical_rate, empirical_rate_ratio,
+                                map_chunks, reflected_sum_samples, simulate_snr_samples)
 from irslink.snrdist import SnrCdfParams
 from irslink.specfun import gaussian_q
-from oracles import (CHUNK_EDGE_OFFSETS, PHASOR_ERROR, chunk_counts, chunk_output,
+from oracles import (CHUNK_EDGE_OFFSETS, PHASOR_ERROR, amplitude_mean, chunk_counts,
+                     chunk_output, control_means_reference, control_variate_ratio,
                      fit_loglog_slope, float32_trig_bound, nakagami_reference,
                      phase_reference, reflected_reference)
 
@@ -50,13 +52,15 @@ def reference_draws(cfg, plan, index, count):
 
 def reference_chunk(cfg, plan, index, count, trig_dtype=np.float32):
     """The chunk kernel written as plain expressions, one array per term, at
-    unit transmit SNR; the phase-error cos and sin are evaluated in ``trig_dtype``."""
+    unit transmit SNR: the SNR (v + W)^2 without a width, and the rows R = v +
+    W, A = v + W_R and B = W_I at the one width of ``plan``; the phase-error
+    cos and sin are evaluated in ``trig_dtype``."""
     v, prod, eps = reference_draws(cfg, plan, index, count)
     if eps is None:
         return (v + prod.sum(axis=1)) ** 2
     w_re = (prod * np.cos(eps, dtype=trig_dtype)).sum(axis=1)
     w_im = (prod * np.sin(eps, dtype=trig_dtype)).sum(axis=1)
-    return (v + w_re) ** 2 + w_im**2
+    return np.stack([v + prod.sum(axis=1), v + w_re, w_im])
 
 
 class TestSimulation:
@@ -67,9 +71,8 @@ class TestSimulation:
         plan = SimPlan(trials=1, seed=13, quantization_bits=() if bits is None else (bits,))
         widths = plan.quantization_bits
         chunk = chunk_output(functools.partial(_simulate_chunk, cfg, widths), chunk_rng(13, 2),
-                             700, (1 + len(widths),) if widths else ())
-        np.testing.assert_array_equal(chunk if bits is None else chunk[1],
-                                      reference_chunk(cfg, plan, 2, 700))
+                             700, (3,) if widths else ())
+        np.testing.assert_array_equal(chunk, reference_chunk(cfg, plan, 2, 700))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("offset", CHUNK_EDGE_OFFSETS)
@@ -80,18 +83,22 @@ class TestSimulation:
         plan = SimPlan(trials=trials, seed=13, workers=workers)
         rows = simulate_snr_samples(cfg, replace(plan, quantization_bits=(1, 3)))
         chunks = chunk_counts(trials, _chunk_size(n))
-        for row, bits in zip(rows, (None, 1, 3)):
-            single = replace(plan, quantization_bits=() if bits is None else (bits,))
-            np.testing.assert_array_equal(row, np.concatenate(
-                [reference_chunk(cfg, single, index, count) for index, count in chunks]))
+        np.testing.assert_array_equal(rows[0] ** 2, np.concatenate(
+            [reference_chunk(cfg, plan, index, count) for index, count in chunks]))
+        for k, bits in enumerate((1, 3)):
+            single = replace(plan, quantization_bits=(bits,))
+            np.testing.assert_array_equal(rows[[0, 1 + 2 * k, 2 + 2 * k]], np.concatenate(
+                [reference_chunk(cfg, single, index, count) for index, count in chunks], axis=1))
 
     @pytest.mark.parametrize("bits", [1, 3])
     def test_float32_phasors_stay_within_their_ulp_bound(self, bits):
         cfg = unit_config(128, gamma_bar_db=15.0)
         plan = SimPlan(trials=1, seed=31, quantization_bits=(bits,))
         fast = chunk_output(functools.partial(_simulate_chunk, cfg, plan.quantization_bits),
-                            chunk_rng(31, 0), 2000, (2,))[1]
+                            chunk_rng(31, 0), 2000, (3,))
         exact = reference_chunk(cfg, plan, 0, 2000, trig_dtype=np.float64)
+        # the quantized SNRs |v + S|^2 = A^2 + B^2
+        fast, exact = fast[1] ** 2 + fast[2] ** 2, exact[1] ** 2 + exact[2] ** 2
         v, prod, _ = reference_draws(cfg, plan, 0, 2000)
         # each phasor moves by at most sqrt(2) PHASOR_ERROR, so the sum
         # S = sum prod_n u_n by at most that times sum prod_n
@@ -105,11 +112,13 @@ class TestSimulation:
         plan = SimPlan(trials=3000, seed=17, workers=workers)  # three chunks
         widths = (3, 1, 8, 2)  # the widest interval (1 bit) is not the first
         rows = simulate_snr_samples(cfg, replace(plan, quantization_bits=widths))
-        assert rows.shape == (5, 3000)
-        np.testing.assert_array_equal(rows[0], simulate_snr_samples(cfg, plan))
-        for row, bits in zip(rows[1:], widths):
+        assert rows.shape == (9, 3000)
+        # R^2 is the continuous SNR of a run without widths, bit for bit
+        np.testing.assert_array_equal(rows[0] ** 2, simulate_snr_samples(cfg, plan))
+        for k, bits in enumerate(widths):
             np.testing.assert_array_equal(
-                row, simulate_snr_samples(cfg, replace(plan, quantization_bits=(bits,)))[1])
+                rows[[0, 1 + 2 * k, 2 + 2 * k]],
+                simulate_snr_samples(cfg, replace(plan, quantization_bits=(bits,))))
 
     def test_deterministic_across_worker_counts(self):
         cfg = unit_config(6)
@@ -134,9 +143,9 @@ class TestSimulation:
     def test_quantized_path_lowers_snr(self):
         cfg = unit_config(32)
         base = simulate_snr_samples(cfg, SimPlan(trials=50_000, seed=4))
-        rough = simulate_snr_samples(cfg, SimPlan(trials=50_000, seed=4,
-                                                  quantization_bits=(1,)))[1]
-        assert rough.mean() < base.mean()
+        _, a, b = simulate_snr_samples(cfg, SimPlan(trials=50_000, seed=4,
+                                                     quantization_bits=(1,)))
+        assert (a * a + b * b).mean() < base.mean()
 
     def test_reflected_mean_matches_truncation_model(self):
         cfg = unit_config(64)
@@ -156,11 +165,6 @@ class TestSimulation:
         m_v, m_g, m_h = shapes
         cfg = SystemConfig(n_elements=n, eta=0.7, v=LinkParams(m_v, 0.5),
                            g=LinkParams(m_g, 0.3), h=LinkParams(m_h, 2.0))
-
-        def amplitude_mean(leg):  # Gamma(m + 1/2) / Gamma(m) (kappa / m)^(1/2)
-            log_ratio = math.lgamma(leg.m + 0.5) - math.lgamma(leg.m)
-            return math.exp(log_ratio) * math.sqrt(leg.kappa / leg.m)
-
         e_x = cfg.eta * amplitude_mean(cfg.g) * amplitude_mean(cfg.h)
         e_w = n * e_x
         e_w2 = n * cfg.eta**2 * cfg.g.kappa * cfg.h.kappa + n * (n - 1) * e_x**2
@@ -170,6 +174,27 @@ class TestSimulation:
                                (simulate_snr_samples(cfg, plan), e_snr)):
             standard_error = samples.std(ddof=1) / math.sqrt(samples.size)
             assert abs(samples.mean() - exact) <= 4.0 * standard_error
+
+
+    @pytest.mark.parametrize("shapes", [(2, 3, 4), (2.5, 0.5, 1.5)], ids=["erlang", "gamma"])
+    @pytest.mark.parametrize("n", [1, 16, 128])
+    def test_amplitude_rows_have_the_exact_control_means(self, shapes, n):
+        # the sample means of R, R^2, A, A^2 and B^2 lie within 4 SE of their
+        # exact means, and those of B and A B within 4 SE of 0
+        m_v, m_g, m_h = shapes
+        cfg = SystemConfig(n_elements=n, eta=0.7, v=LinkParams(m_v, 0.5),
+                           g=LinkParams(m_g, 0.3), h=LinkParams(m_h, 2.0))
+        widths = (1, 2, 3, 4)
+        rows = simulate_snr_samples(cfg, SimPlan(trials=40_000, seed=23, workers=2,
+                                                 quantization_bits=widths))
+        r = rows[0]
+        for k, bits in enumerate(widths):
+            a, b = rows[1 + 2 * k], rows[2 + 2 * k]
+            exact = quantized_control_means(cfg, bits)
+            assert exact == pytest.approx(control_means_reference(cfg, bits), rel=1e-12)
+            for sample, mean in zip((r, r * r, a, a * a, b * b, b, a * b), (*exact, 0.0, 0.0)):
+                standard_error = sample.std(ddof=1) / math.sqrt(sample.size)
+                assert abs(sample.mean() - mean) <= 4.0 * standard_error
 
 
 # Bytes of one (chunk x N) float64 buffer at most, where a trial is smaller
@@ -296,7 +321,7 @@ class TestChunkLayout:
             alive.append(threading.active_count())
             _simulate_chunk(cfg, (1, 3), rng, out)
 
-        samples = map_chunks(kernel, SimPlan(trials=trials, seed=29), 64, (3,))
+        samples = map_chunks(kernel, SimPlan(trials=trials, seed=29), 64, (5,))
         assert ran == [threading.get_ident()] * 4
         assert alive == [before] * 4
         assert threading.active_count() == before
@@ -339,7 +364,7 @@ def test_chunk_working_set_stays_within_its_bound(kernel, n, bound):
     else:
         widths = (1, 3) if kernel == "quantized" else ()
         run = functools.partial(_simulate_chunk, cfg, widths)
-        rows = (1 + len(widths),) if widths else ()
+        rows = (1 + 2 * len(widths),) if widths else ()
     out = np.empty(rows + (_chunk_size(n),))
     assert traced_peak(lambda: run(chunk_rng(7, 0), out)) <= bound
 
@@ -369,7 +394,7 @@ def test_samples_are_held_once():
     # held the output twice
     cfg, _ = cli.validate_config({"n_elements": 16})
     plan = SimPlan(trials=400_000, seed=3, workers=2, quantization_bits=(1, 3))
-    output = 3 * plan.trials * 8
+    output = 5 * plan.trials * 8
     assert traced_peak(lambda: simulate_snr_samples(cfg, plan)) <= output + 2 * 5 * CHUNK_BUFFER
 
 
@@ -545,6 +570,93 @@ class TestEstimators:
         cdf = empirical_cdf(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(cdf(np.array([0.5, 1.0, 2.5, 9.0])),
                                    [0.0, 1 / 3, 2 / 3, 1.0])
+
+
+def paired_rates(trials, seed=5):
+    """SNRs of a reference and a paired sample, and five controls that
+    explain most of their rates, with the controls' exact means."""
+    rng = np.random.default_rng(seed)
+    r = rng.gamma(4.0, 0.5, trials)
+    a = r * rng.uniform(0.8, 1.0, trials)
+    b = rng.normal(0.0, 0.3, trials)
+    controls = np.stack([r, r * r, a, a * a, b * b])
+    # E r = 2, E r^2 = 5; E u = 0.9, E u^2 = 0.81 + 0.02^2 / 3; E b^2 = 0.09
+    means = (2.0, 5.0, 1.8, 5.0 * (0.81 + 0.04 / 12), 0.09)
+    return 30.0 * (a * a + b * b), 30.0 * r * r, controls, means
+
+
+class TestControlVariates:
+    def test_rate_ratio_matches_the_least_squares_oracle(self):
+        samples, reference, controls, means = paired_rates(5000)
+        fit = ControlVariates.fit(controls.copy(), means)
+        est = empirical_rate_ratio(samples, reference, fit)
+        ratio, half = control_variate_ratio(np.log2(1.0 + samples), np.log2(1.0 + reference),
+                                            controls, means)
+        assert est.value == pytest.approx(ratio, rel=1e-12)
+        assert est.ci_high - est.value == pytest.approx(half, rel=1e-8)
+        assert est.value - est.ci_low == pytest.approx(half, rel=1e-8)
+        plain = empirical_rate_ratio(samples, reference)
+        assert est.ci_high - est.ci_low < 0.6 * (plain.ci_high - plain.ci_low)
+
+    def test_no_kept_control_is_the_plain_estimate_bit_for_bit(self):
+        samples, reference, _, _ = paired_rates(3001)
+        plain = empirical_rate_ratio(samples, reference)
+        for fit in (ControlVariates.fit(np.empty((0, 3001)), ()),
+                    ControlVariates.fit(np.ones((2, 3001)), (1.0, 1.0))):  # no spread
+            assert len(fit.offsets) == 0
+            assert empirical_rate_ratio(samples, reference, fit) == plain
+
+    def test_redundant_and_unusable_controls_are_dropped(self):
+        samples, reference, controls, means = paired_rates(4000)
+        r = controls[0]
+        # r again, an affine copy of r, a constant, a row with an infinity and a
+        # control without a finite mean: only r and r^2 stay
+        extra = np.stack([r, 2.0 * r + 1.0, np.full_like(r, 3.0), np.where(r > 3.0, np.inf, r),
+                          r**3])
+        fit = ControlVariates.fit(np.vstack([controls[:2], extra]),
+                                  (*means[:2], 2.0, 5.0, 3.0, 2.0, math.nan))
+        assert len(fit.offsets) == 2
+        kept = ControlVariates.fit(controls[:2].copy(), means[:2])
+        assert empirical_rate_ratio(samples, reference, fit) == empirical_rate_ratio(
+            samples, reference, kept)
+
+    @pytest.mark.parametrize("trials,kept", [(1, 0), (2, 0), (3, 1), (7, 5)])
+    def test_a_residual_keeps_a_degree_of_freedom(self, trials, kept):
+        samples, reference, controls, means = paired_rates(trials)
+        fit = ControlVariates.fit(controls, means)
+        assert len(fit.offsets) == kept
+        est = empirical_rate_ratio(samples, reference, fit)
+        assert all(math.isfinite(v) for v in (est.value, est.ci_low, est.ci_high))
+
+    def test_a_control_that_is_the_reference_rate_gives_its_exact_mean(self):
+        samples, reference, _, _ = paired_rates(2000)
+        x = np.log2(1.0 + reference)
+        fit = ControlVariates.fit(x[np.newaxis].copy(), (4.0,))
+        est = empirical_rate_ratio(samples, reference, fit)
+        y = np.log2(1.0 + samples)
+        beta = np.cov(y, x)[0, 1] / np.var(x, ddof=1)
+        assert est.value == pytest.approx((y.mean() - beta * (x.mean() - 4.0)) / 4.0, rel=1e-12)
+
+    def test_estimates_do_not_depend_on_where_the_arrays_lie(self):
+        # the sums are numpy's pairwise ones, not a BLAS kernel's, whose order
+        # follows the alignment of its operands
+        samples, reference, controls, means = paired_rates(10_001)
+        expect = empirical_rate_ratio(samples, reference,
+                                      ControlVariates.fit(controls.copy(), means))
+        for shift in (1, 3):
+            def moved(a):
+                out = np.empty(a.size + shift)[shift:].reshape(a.shape)
+                out[...] = a
+                return out
+
+            fit = ControlVariates.fit(np.stack([moved(row) for row in controls]), means)
+            assert empirical_rate_ratio(moved(samples), moved(reference), fit) == expect
+
+    def test_controls_of_other_trials_are_refused(self):
+        samples, reference, controls, means = paired_rates(100)
+        fit = ControlVariates.fit(controls[:, :99].copy(), means)
+        with pytest.raises(ValueError):
+            empirical_rate_ratio(samples, reference, fit)
 
 
 class TestUnitTransmitSnr:

@@ -23,12 +23,17 @@ or written is a configuration error.  ``extras.timings`` has ``config_s``
 (reading and checking the config), ``compute_s`` (the runner: closed forms
 and Monte-Carlo) and ``write_s`` (the CSVs).
 
-Every kind but ``quantization`` draws ``trials`` trials.  For
-``quantization``, ``trials`` is a precision and a cap: each N first draws
-the first whole chunks of at least ``CV_FLOOR_TRIALS`` trials, estimates
-each rate ratio with control variates of exact means, and draws more, up to
-``trials``, only where an interval is wider than plain Monte-Carlo's at
-``trials`` (``_quantization_percents``).
+Every kind but ``quantization`` and ``correlation`` draws ``trials``
+trials.  For those two, ``trials`` is a precision and a cap: each N first
+draws the first whole chunks of at least ``montecarlo.CV_FLOOR_TRIALS``
+trials, estimates each rate (quantization: each rate ratio) with control
+variates of exact means, and draws more, up to ``trials``, only where an
+interval is wider than plain Monte-Carlo's at ``trials``
+(``montecarlo.draw_to_precision``); each draw's run in the manifest records
+its precision under ``control_variates``.  The runners pass the sampler
+they look up in this module when they run, so a wrapper set on
+``irslink.cli.simulate_snr_samples`` or ``simulate_scheme_rates`` sees every
+draw.
 
 Monte-Carlo runs on one worker per CPU this process may run on unless the
 config or ``--workers`` names a count (:mod:`irslink.config`); no count
@@ -68,14 +73,15 @@ from . import __version__
 from .channel import SystemConfig, db_to_linear, nakagami_draw
 from .config import load_config_file, validate_config
 from .cltapprox import w_stats
-from .correlation import AngleSpread, CorrelationConfig, simulate_scheme_rates
+from .correlation import (AngleSpread, CorrelationConfig, build_correlation, fit_scheme_rates,
+                          scheme1_rate_bound, scheme_control_means, simulate_scheme_rates)
 from .errors import ConfigError, NumericalConsistencyError
 from .metrics import (asymptotic_outage, asymptotic_ser, outage_probability,
                       quantized_control_means, quantized_rate_bounds, rate_bounds,
                       ser_upper_bound)
 from .montecarlo import (BIT_GENERATOR, ControlVariates, Estimate, SimPlan, chunk_plan,
-                         empirical_ber, empirical_cdf, empirical_outage, empirical_rate,
-                         empirical_rate_ratio, simulate_snr_samples)
+                         draw_to_precision, empirical_ber, empirical_cdf, empirical_outage,
+                         empirical_rate, empirical_rate_ratio, simulate_snr_samples)
 from .montecarlo import reflected_sum_samples as _reflected_sum_samples
 from .snrdist import SnrCdfParams, snr_cdf
 
@@ -303,97 +309,47 @@ def _floor_curves(spec: ExperimentSpec, extras: dict, kind: str, name: str,
     return curves
 
 
-# Trials of the first draw of each N of a quantization run, rounded up to
-# whole chunks: 95% intervals of its control-variate fit hold their coverage
-# from here on.  A run of at most this many trials draws them all.
-CV_FLOOR_TRIALS = 16_384
-# A draw that extends the first aims every half-width at this share of the
-# plain one: the ratio read from the first draw moves by a few percent.
-CV_EXTENSION_TARGET = 0.9
+def _to_precision(extras: dict, groups: tuple, fit, sampler, cfg: SystemConfig, *args):
+    """``montecarlo.draw_to_precision`` of ``sampler(cfg, *args)``, whose
+    last argument is the plan: each draw is timed and recorded as a run of
+    the manifest (``_timed_mc``), which also records the draw's precision
+    under ``control_variates``."""
+    *head, plan = args
+    estimates, records = draw_to_precision(
+        lambda draw_plan: _timed_mc(extras, sampler, cfg, *head, draw_plan), plan,
+        cfg.n_elements, fit, groups)
+    for run, record in zip(extras["mc"]["runs"][-len(records):], records):
+        run["control_variates"] = record
+    return estimates
 
 
-def _quantization_draw(extras: dict, cfg: SystemConfig, plan: SimPlan, gamma_bars,
-                       means) -> tuple[list[dict], list[list[tuple[float, float]]]]:
-    """One draw of ``plan.trials`` trials: the MC columns of each width's rate
-    as a percentage of the continuous one, and per width and transmit SNR the
-    control-variate and the plain interval half-widths.  Each width fits the
-    controls R, R^2, A, A^2 and B^2 of its amplitudes once, with the exact
-    means ``means[k]``; each transmit SNR then costs matrix-vector products."""
-    amplitudes = _timed_mc(extras, simulate_snr_samples, cfg, plan)
-    r = amplitudes[0]
-    reference = r * r
-    columns, halves = [], []
-    for k, means_k in enumerate(means):
-        a, b = amplitudes[1 + 2 * k], amplitudes[2 + 2 * k]
-        samples = a * a + b * b
-        controls = ControlVariates.fit(np.stack([r, reference, a, a * a, b * b]), means_k)
-        estimates, halves_k = [], []
-        for gb in gamma_bars:
-            cv = empirical_rate_ratio(gb * samples, gb * reference, controls)
-            plain = empirical_rate_ratio(gb * samples, gb * reference)
-            estimates.append(Estimate(100.0 * cv.value, 100.0 * cv.ci_low, 100.0 * cv.ci_high))
-            halves_k.append((cv.ci_high - cv.value, plain.ci_high - plain.value))
-        columns.append(_mc_columns(estimates))
-        halves.append(halves_k)
-    return columns, halves
-
-
-def _quantization_percents(spec: ExperimentSpec, extras: dict, cfg: SystemConfig,
-                           gamma_bars: np.ndarray, widths: tuple[int, ...]) -> list[dict]:
-    """MC columns of each quantized row's rate as a percentage of the
-    continuous one, at each transmit SNR, from the fewest trials that give
-    every cell a control-variate interval no wider than plain MC's at
-    ``spec.plan.trials``, and never more than those trials.
-
-    The first draw is the first whole chunks of at least ``CV_FLOOR_TRIALS``
-    trials, or every trial where that is more.  Where a cell's half-width is
-    wider than the plain half-width projected to the configured trials, the
-    run draws again from chunk 0, at the whole chunks projected to bring the
-    widest cell to ``CV_EXTENSION_TARGET`` of it (the ratio read from one
-    draw moves by a few percent in the next), and where a cell is still
-    wider, at the configured trials.  Each decision reads a prefix of the
-    chunks alone, so the columns are the same for any worker count.
-
-    Each draw's run in the manifest records the floor, whether it extends an
-    earlier draw, and per width the least variance ratio (plain over
-    control-variate, at the same trials) and the greatest half-width ratio
-    (control-variate over plain at the configured trials); a ratio over a
-    zero half-width is left out."""
-    trials = spec.plan.trials
-    chunk_trials, _ = chunk_plan(trials, cfg.n_elements)
-    drawn = min(trials, -(-CV_FLOOR_TRIALS // chunk_trials) * chunk_trials)
+def _quantization_fit(cfg: SystemConfig, gamma_bars, widths: tuple[int, ...]):
+    """The fit of one quantization draw (``draw_to_precision``): per width,
+    the ratio of its mean rate to the continuous one at each transmit SNR,
+    as a control-variate estimate and a plain half-width.  Each width fits
+    the controls R, R^2, A, A^2 and B^2 of its amplitudes once, with the
+    exact means of ``quantized_control_means``; each transmit SNR then costs
+    matrix-vector products."""
     means = [quantized_control_means(cfg, bits) for bits in widths]
-    plan = replace(spec.plan, quantization_bits=widths)
-    extension = False
-    while True:
-        columns, halves = _quantization_draw(extras, cfg, replace(plan, trials=drawn),
-                                             gamma_bars, means)
-        projected = math.sqrt(drawn / trials)
-        # on the run _timed_mc recorded for this draw
-        extras["mc"]["runs"][-1]["control_variates"] = {
-            "floor_trials": CV_FLOOR_TRIALS, "extension": extension,
-            "widths": [_cv_record(bits, halves_k, projected)
-                       for bits, halves_k in zip(widths, halves)]}
-        wider = [cv / (plain * projected) if plain > 0.0 else math.inf
-                 for halves_k in halves for cv, plain in halves_k if cv > plain * projected]
-        if not wider or drawn == trials:
-            return columns
-        if extension or max(wider) == math.inf:
-            drawn = trials
-        else:
-            target = drawn * (max(wider) / CV_EXTENSION_TARGET) ** 2
-            drawn = min(trials, math.ceil(target / chunk_trials) * chunk_trials)
-        extension = True
 
+    def fit(amplitudes: np.ndarray) -> list[list[tuple[Estimate, float]]]:
+        r = amplitudes[0]
+        reference = r * r
+        cells = []
+        for k, means_k in enumerate(means):
+            a, b = amplitudes[1 + 2 * k], amplitudes[2 + 2 * k]
+            samples = a * a + b * b
+            controls = ControlVariates.fit(np.stack([r, reference, a, a * a, b * b]), means_k)
+            width = []
+            for gb in gamma_bars:
+                snr, reference_snr = gb * samples, gb * reference
+                plain = empirical_rate_ratio(snr, reference_snr)
+                width.append((empirical_rate_ratio(snr, reference_snr, controls),
+                              plain.ci_high - plain.value))
+            cells.append(width)
+        return cells
 
-def _cv_record(bits: int, halves: list[tuple[float, float]], projected: float) -> dict:
-    """The manifest's record of one width of one draw (_quantization_percents)
-    from its cells' (control-variate, plain) half-widths; None where no cell
-    gives a ratio."""
-    variance = [(plain / cv) ** 2 for cv, plain in halves if cv > 0.0]
-    half = [cv / (plain * projected) for cv, plain in halves if plain > 0.0]
-    return {"bits": bits, "min_variance_ratio": min(variance, default=None),
-            "max_half_width_ratio": max(half, default=None)}
+    return fit
 
 
 def _run_quantization(spec: ExperimentSpec, extras: dict) -> dict:
@@ -402,8 +358,14 @@ def _run_quantization(spec: ExperimentSpec, extras: dict) -> dict:
     curves = {}
     for n in quant["n_values"]:
         cfg_n = replace(spec.config, n_elements=n)
-        mc = (_quantization_percents(spec, extras, cfg_n, gamma_bars, widths)
-              if spec.use_mc else [{}] * len(widths))
+        mc = [{}] * len(widths)
+        if spec.use_mc:
+            ratios = _to_precision(extras, ("widths", "bits", widths),
+                                   _quantization_fit(cfg_n, gamma_bars, widths),
+                                   simulate_snr_samples, cfg_n,
+                                   replace(spec.plan, quantization_bits=widths))
+            mc = [_mc_columns([Estimate(100.0 * e.value, 100.0 * e.ci_low, 100.0 * e.ci_high)
+                               for e in width]) for width in ratios]
         cb = rate_bounds(cfg_n, gamma_bars)
         continuous = cb.lower + cb.upper
         if not np.all(continuous > 0.0):
@@ -426,13 +388,32 @@ def _correlation_config(resolved: dict, n: int) -> CorrelationConfig:
 
 
 def _run_correlation(spec: ExperimentSpec, extras: dict) -> dict:
+    """Scheme 1's Jensen bound (``scheme1_rate_bound``) and both schemes'
+    control-variate rates, per N; scheme 2 has no analytic column.  Where a
+    factor root leaves the float64 range a run without MC leaves the bound
+    blank, with the reason in the manifest, and a run with MC exits 3."""
     n_values = spec.resolved["correlation"]["n_values"]
-    rates = [_timed_mc(extras, simulate_scheme_rates, replace(spec.config, n_elements=n),
-                       _correlation_config(spec.resolved, n), spec.plan)
-             for n in n_values] if spec.use_mc else []
-    return {f"correlation_scheme{s}": ("n_elements", n_values,
-                                       _mc_columns([r[s] for r in rates]) if spec.use_mc else {})
-            for s in (1, 2)}
+    bounds, rates = [], []
+    for n in n_values:
+        cfg, corr = replace(spec.config, n_elements=n), _correlation_config(spec.resolved, n)
+        try:
+            means = scheme_control_means(cfg, build_correlation(corr))
+        except NumericalConsistencyError as exc:
+            if spec.use_mc:
+                raise
+            extras["analytic_unavailable"] = str(exc)
+            bounds.append(None)
+            continue
+        bounds.append(scheme1_rate_bound(cfg, means))
+        if spec.use_mc:
+            rates.append(_to_precision(extras, ("schemes", "scheme", (1, 2)),
+                                       functools.partial(fit_scheme_rates, cfg, means),
+                                       simulate_scheme_rates, cfg, corr, spec.plan))
+    # each N's estimates are one group per scheme of one cell
+    mc = [_mc_columns([schemes[k][0] for schemes in rates]) if spec.use_mc else {}
+          for k in (0, 1)]
+    return {"correlation_scheme1": ("n_elements", n_values, {"analytic": bounds, **mc[0]}),
+            "correlation_scheme2": ("n_elements", n_values, mc[1])}
 
 
 def _rate_curves(spec: ExperimentSpec, extras: dict, prefix: str) -> dict:
@@ -535,8 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="YAML config (or a manifest.json to reproduce)")
     parser.add_argument("--seed", type=int, help="override the RNG seed")
     parser.add_argument("--trials", type=int, help=(
-        "override the Monte-Carlo trial count; quantization draws at most this many, "
-        "and stops once every interval is as narrow as plain Monte-Carlo's at this count"))
+        "override the Monte-Carlo trial count; quantization and correlation draw at most "
+        "this many, and stop once every interval is as narrow as plain Monte-Carlo's at "
+        "this count"))
     parser.add_argument("--workers", type=int, help=(
         "override the Monte-Carlo worker count (default: one per CPU this process "
         "may run on); it changes no output bit"))

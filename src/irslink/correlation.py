@@ -25,26 +25,35 @@ the misalignment penalty.
 A Monte-Carlo chunk draws and evaluates one leg at a time, in stream order
 (v, then the uniform components of g's Gamma power and g's phases, then the
 same of h), from the generator ``montecarlo.map_chunks`` hands it, and
-writes its two SNR rows into the slice of the run's output it is handed.
-Each component of n values is one block of ceil(n / 2) raw words, whose
-32-bit halves are uniforms on the midpoints of a 2**-31 grid (see
+writes its rows into the slice of the run's output it is handed.  Each
+component of n values is one block of ceil(n / 2) raw words, whose 32-bit
+halves are uniforms on the midpoints of a 2**-31 grid (see
 :mod:`irslink.channel`).  A leg's draws are dropped before its correlation
 products, so with the phasors, correlated legs and terms a thread holds at
 most about 7 (trials x N) float64 buffers of one chunk, each at most
 256 KiB; the calling thread is one of the workers.
+
+The rows are the two SNRs, then v, Re S, sum |t_n|^2 and sum |t_n|^4 of
+the scheme terms t_n and their sum S: the control variates of both schemes'
+rates are formed from those four (:func:`fit_scheme_rates`), and their exact
+means take O(a^2 + b^2) from the factor roots
+(:func:`scheme_control_means`).  Scheme 1's mean SNR follows from them, and
+with it a Jensen bound on its rate (:func:`scheme1_rate_bound`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import LinkParams, SystemConfig, nakagami_sample, uniform_phase
+from .cltapprox import w_stats
 from .errors import NumericalConsistencyError
-from .montecarlo import Estimate, SimPlan, empirical_rate, map_chunks
+from .metrics import direct_moment, log2_1p_product
+from .montecarlo import ControlVariates, Estimate, SimPlan, empirical_rate, map_chunks
 
 __all__ = [
     "AngleSpread",
@@ -53,6 +62,9 @@ __all__ = [
     "corr_matrix_elevation",
     "build_correlation",
     "simulate_scheme_rates",
+    "scheme_control_means",
+    "scheme1_rate_bound",
+    "fit_scheme_rates",
 ]
 
 _EIG_CLIP = -1e-10
@@ -228,14 +240,17 @@ def _turned_leg(leg: LinkParams, rng: np.random.Generator, shape: tuple[int, int
 
 def _scheme_snr_chunk(cfg: SystemConfig, roots: tuple[tuple[np.ndarray, np.ndarray], ...],
                       rng: np.random.Generator, out: np.ndarray) -> None:
-    """Received SNRs per unit transmit SNR of one chunk, written into the
-    rows (scheme 1, scheme 2) of ``out``.
+    """One chunk's rows per unit transmit SNR, written into the rows of
+    ``out``: the SNRs of scheme 1 and scheme 2, then the rows the controls
+    are formed from, v, S_r = Re S, sum |t_n|^2 and sum |t_n|^4.
 
     Scheme 1 turns element n by phi_v - arg g_n - arg h_n of the i.i.d.
     draws.  The direct-link phase phi_v is common to every term and cancels
-    in |.|^2, so it is not drawn; what is left is the sum of
-    g~_n conj(u_g,n) h~_n conj(u_h,n).  Scheme 2 co-phases every term, so its
-    SNR takes the moduli of the same terms.
+    in |.|^2, so it is not drawn; what is left is S, the sum of the terms
+    t_n = eta g~_n conj(u_g,n) h~_n conj(u_h,n), and the SNR |v + S|^2.
+    Scheme 2 co-phases every term, so its SNR (v + sum |t_n|)^2 takes the
+    moduli of the same terms.  Sums of squares that leave the float64 range
+    are infinite, a control the fit drops.
     """
     count = out.shape[-1]
     shape = (count, cfg.n_elements)
@@ -246,15 +261,94 @@ def _scheme_snr_chunk(cfg: SystemConfig, roots: tuple[tuple[np.ndarray, np.ndarr
     # rows h^T -> (R_A^(1/2) h)^T = h^T kron(az, el)^T
     terms *= _turned_leg(cfg.h, rng, shape, arr_az.T, arr_el.T)
     terms *= cfg.eta
-    out[0] = np.abs(v + terms.sum(axis=1)) ** 2
-    out[1] = (v + np.abs(terms).sum(axis=1)) ** 2
+    s = terms.sum(axis=1)
+    out[0] = np.abs(v + s) ** 2
+    moduli = np.abs(terms)
+    out[1] = (v + moduli.sum(axis=1)) ** 2
+    out[2] = v
+    out[3] = s.real
+    with np.errstate(over="ignore"):
+        moduli *= moduli
+        moduli.sum(axis=1, out=out[4])
+        moduli *= moduli
+        moduli.sum(axis=1, out=out[5])
 
 
 def simulate_scheme_rates(cfg: SystemConfig, corr: CorrelationConfig,
-                          plan: SimPlan) -> dict[int, Estimate]:
-    """Average rate of both schemes at ``cfg.gamma_bar`` over shared channel draws."""
+                          plan: SimPlan) -> np.ndarray:
+    """The ``(6, trials)`` rows of one draw that the rates of both schemes
+    are estimated from (:func:`fit_scheme_rates`), per unit transmit SNR:
+    the SNRs of scheme 1 and scheme 2 over shared channel draws, then v,
+    S_r, sum |t_n|^2 and sum |t_n|^4 (``_scheme_snr_chunk``)."""
     if corr.n_total != cfg.n_elements:
         raise ValueError("correlation grid size must match n_elements")
-    snr = map_chunks(functools.partial(_scheme_snr_chunk, cfg, build_correlation(corr)), plan,
-                     cfg.n_elements, (2,))
-    return {s: empirical_rate(cfg.gamma_bar * snr[s - 1]) for s in (1, 2)}
+    return map_chunks(functools.partial(_scheme_snr_chunk, cfg, build_correlation(corr)), plan,
+                      cfg.n_elements, (6,))
+
+
+def _quartic_sums(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_k |K_kn|^4 of each column n of K = kron(p, q): the Kronecker
+    product of the factors' column sums, in O(a^2 + b^2)."""
+    return np.kron((np.abs(p) ** 4).sum(axis=0), (np.abs(q) ** 4).sum(axis=0))
+
+
+def scheme_control_means(cfg: SystemConfig,
+                         roots: tuple[tuple[np.ndarray, np.ndarray], ...]) -> tuple[float, ...]:
+    """Exact means of the controls v, v^2, S_r, v S_r, |S|^2, sum |t_n|^2 and
+    sum |t_n|^4 of a scheme draw (:func:`_scheme_snr_chunk`), from the factor
+    roots of ``build_correlation`` in O(a^2 + b^2), never through an N x N
+    matrix.
+
+    A leg's correlated entry g~_n = sum_k x_k K_kn, with x_k = a_k u_k
+    i.i.d. and circular, has E g~_n conj(u_n) = E a K_nn and, as each column
+    of the root of a unit-diagonal factor has unit norm, E |g~_n|^2 = kappa
+    and E |g~_n|^4 = 2 kappa^2 + sum_k |K_kn|^4 (E a^4 - 2 kappa^2), with
+    E a^4 = kappa^2 (1 + 1/m).  So with c_n = (K_D)_nn (K_A)_nn, E X = eta
+    E g E h and P = eta^2 kappa_g kappa_h: E S = E X sum c_n, E |S|^2 = N P +
+    (E X)^2 ((sum c_n)^2 - sum c_n^2), E sum |t_n|^2 = N P and E sum |t_n|^4
+    = P^2 sum_n (2 + q_g,n (1/m_g - 1)) (2 + q_h,n (1/m_h - 1)), q_n =
+    sum_k |K_kn|^4 of the leg's root.  The diagonal of a Kronecker product is
+    the Kronecker product of the diagonals, and the quartic column sums are
+    those of the factors (``_quartic_sums``)."""
+    (arr_az, arr_el), (dep_az, dep_el) = roots
+    n, g, h = cfg.n_elements, cfg.g, cfg.h
+    c = np.kron(np.diag(dep_az).real * np.diag(arr_az).real,
+                np.diag(dep_el).real * np.diag(arr_el).real)
+    sum_c, sum_c2 = float(c.sum()), float((c * c).sum())
+    e_x = w_stats(replace(cfg, n_elements=1)).mu_bar  # the mean of one product eta g h
+    power = cfg.eta * cfg.eta * (g.kappa * h.kappa)
+    quartic = float(((2.0 + _quartic_sums(dep_az, dep_el) * (1.0 / g.m - 1.0))
+                     * (2.0 + _quartic_sums(arr_az.T, arr_el.T) * (1.0 / h.m - 1.0))).sum())
+    e_v, e_s = direct_moment(cfg, 1), e_x * sum_c
+    return (e_v, cfg.v.kappa, e_s, e_v * e_s, n * power + e_x * e_x * (sum_c * sum_c - sum_c2),
+            n * power, power * power * quartic)
+
+
+def scheme1_rate_bound(cfg: SystemConfig, means: tuple[float, ...]) -> float:
+    """Jensen's upper bound log2(1 + gamma_bar E snr_1) on scheme 1's mean
+    rate at ``cfg.gamma_bar``, with E snr_1 = kappa_v + 2 E v E S + E |S|^2
+    from the control means ``means`` (:func:`scheme_control_means`).
+    Scheme 2 has no such bound here: E snr_2 = E (v + sum |t_n|)^2 needs
+    E |t_n| |t_m|, which has no closed form for correlated legs."""
+    e_snr = means[1] + 2.0 * means[3] + means[4]
+    return float(log2_1p_product(np.asarray(cfg.gamma_bar), e_snr))
+
+
+def fit_scheme_rates(cfg: SystemConfig, means: tuple[float, ...],
+                     rows: np.ndarray) -> list[list[tuple[Estimate, float]]]:
+    """Per scheme, the one cell of a draw of :func:`simulate_scheme_rates`
+    at ``cfg.gamma_bar``: the control-variate estimate of the mean rate and
+    the plain half-width.  The controls v, v^2, S_r, v S_r, |S|^2 =
+    snr_1 - v (v + 2 S_r), sum |t_n|^2 and sum |t_n|^4, with the exact means
+    ``means``, are fitted once and serve both schemes; snr_1 lies in their
+    span, so it is no control of its own."""
+    snr1, snr2, v, s_r, t2, t4 = rows
+    # an infinite or undefined control is dropped by the fit
+    with np.errstate(over="ignore", invalid="ignore"):
+        controls = ControlVariates.fit(
+            np.stack([v, v * v, s_r, v * s_r, snr1 - v * (v + 2.0 * s_r), t2, t4]), means)
+    cells = []
+    for snr in (cfg.gamma_bar * snr1, cfg.gamma_bar * snr2):
+        plain = empirical_rate(snr)
+        cells.append([(empirical_rate(snr, controls), plain.ci_high - plain.value)])
+    return cells

@@ -39,6 +39,8 @@ __all__ = [
     "asymptotic_ser",
     "quantized_rate_bounds",
     "quantized_control_means",
+    "direct_moment",
+    "log2_1p_product",
 ]
 
 
@@ -152,7 +154,7 @@ class RateBounds:
                 f"rate bounds out of order: {self.lower} > {self.upper}")
 
 
-def _log2_1p_product(gamma_bar: np.ndarray, e: float) -> np.ndarray:
+def log2_1p_product(gamma_bar: np.ndarray, e: float) -> np.ndarray:
     """log2(1 + gamma_bar e) point by point in IEEE float arithmetic and libm's
     log2, so no rate bound cell depends on the SIMD level of numpy's log2 or
     power loops; where gamma_bar e leaves the float64 range, log2(gamma_bar) +
@@ -165,8 +167,10 @@ def _log2_1p_product(gamma_bar: np.ndarray, e: float) -> np.ndarray:
     return np.array(values).reshape(gamma_bar.shape)
 
 
-def _direct_moment(cfg: SystemConfig, alpha: int) -> float:
-    # Gamma(m + alpha/2) / Gamma(m): exp of a log-Gamma difference loses digits at large m
+def direct_moment(cfg: SystemConfig, alpha: int) -> float:
+    """E v^alpha of the direct-link amplitude: Gamma(m + alpha/2) / Gamma(m)
+    (kappa / m)^(alpha/2), the Gamma ratio by ``poch``, since exp of a
+    log-Gamma difference loses digits at large m."""
     m, kappa = cfg.v.m, cfg.v.kappa
     return float(sc.poch(m, alpha / 2.0)) * (kappa / m) ** (alpha / 2.0)
 
@@ -181,7 +185,7 @@ def _moment_bounds(cfg: SystemConfig, e_r: list[float], s2_i: float, gamma_bar) 
     for snr/gamma_bar = (v + W_R)^2 + W_I^2, from E[W_R^j] = ``e_r[j]`` (j = 0..4)
     and W_I zero-mean normal of variance ``s2_i``, all independent.  Continuous
     phases are W_R = W and s2_i = 0, which leaves the W_I terms exactly 0."""
-    e_v = [1.0] + [_direct_moment(cfg, j) for j in (1, 2, 3, 4)]
+    e_v = [1.0] + [direct_moment(cfg, j) for j in (1, 2, 3, 4)]
     e_vr2 = e_v[2] + 2.0 * e_v[1] * e_r[1] + e_r[2]
     e_vr4 = sum(math.comb(4, j) * e_v[j] * e_r[4 - j] for j in range(5))
     e_2 = e_vr2 + s2_i
@@ -192,7 +196,7 @@ def _moment_bounds(cfg: SystemConfig, e_r: list[float], s2_i: float, gamma_bar) 
     # e_2^2 <= e_4 (Cauchy-Schwarz), so it is finite wherever gamma_bar e_2 is
     jensen = e_2 * (e_2 * e_2 / e_4)
     gb = np.asarray(gamma_bar, dtype=float)
-    lower, upper = _log2_1p_product(gb, jensen), _log2_1p_product(gb, e_2)
+    lower, upper = log2_1p_product(gb, jensen), log2_1p_product(gb, e_2)
     if not gb.ndim:
         lower, upper = float(lower), float(upper)
     return RateBounds(lower=lower, upper=upper)
@@ -292,7 +296,7 @@ def quantized_control_means(cfg: SystemConfig, bits: int) -> tuple[float, ...]:
     and of W_R and W_I (``quantized_w_stats``) are those of the simulated sums
     of N products exactly, so E Y = E v + mu and E Y^2 = kappa_v + 2 E v mu +
     sigma^2 + mu^2 for Y = v + (a sum of mean mu and variance sigma^2)."""
-    e_v, kappa_v = _direct_moment(cfg, 1), cfg.v.kappa
+    e_v, kappa_v = direct_moment(cfg, 1), cfg.v.kappa
     tn, qs = w_stats(cfg), quantized_w_stats(cfg, bits)
 
     def first_two(mu: float, s2: float) -> tuple[float, float]:

@@ -34,12 +34,15 @@ phase perturbation near 0: the float32 cos of a phase error below about
 the real part's loss to the phase errors.
 
 The estimators are plug-in means with normal 95% intervals, and the rate
-ratio can take control variates with exact means (:class:`ControlVariates`,
-fitted once per draw for every transmit SNR): ``quantization`` draws the
-trials it needs for a precision (:mod:`irslink.cli`), not a fixed count.
-Their sums are numpy's pairwise ones, never a BLAS product, whose order
-would follow the alignment of the arrays: an estimate is the same in every
-run.
+and the rate ratio can take control variates with exact means
+(:class:`ControlVariates`, fitted once per draw for every estimate of that
+draw).  :func:`draw_to_precision` draws the trials such estimates need for
+a precision, not a fixed count: from a floor of ``CV_FLOOR_TRIALS``, it
+extends a draw, from chunk 0, only where an interval is wider than plain
+Monte-Carlo's at the configured trials (``quantization`` and
+``correlation`` in :mod:`irslink.cli`).  The estimators' sums are numpy's
+pairwise ones, never a BLAS product, whose order would follow the alignment
+of the arrays: an estimate is the same in every run.
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from queue import SimpleQueue
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import betaincinv, erfc
@@ -72,6 +75,7 @@ __all__ = [
     "empirical_rate",
     "empirical_rate_ratio",
     "empirical_ber",
+    "draw_to_precision",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -323,13 +327,32 @@ def empirical_outage(samples: np.ndarray, gamma_th: float) -> Estimate:
     return Estimate(float(k) / n, low, high)
 
 
-def empirical_rate(samples: np.ndarray) -> Estimate:
-    """Mean spectral efficiency log2(1 + snr) over the trials."""
+def empirical_rate(samples: np.ndarray, controls: ControlVariates | None = None) -> Estimate:
+    """Mean spectral efficiency log2(1 + snr) over the trials.
+
+    ``controls``, fitted on the same trials, makes it the control-variate
+    estimate mean(y) - b . (mean(C) - E C) of the rates y, with b their
+    least-squares coefficients on the controls C, and its interval that of
+    the residual of y on them, with one degree of freedom less per control
+    (as in :func:`empirical_rate_ratio`); without controls it is the plain
+    estimate."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("empirical_rate requires a nonempty sample")
+    if controls is not None and controls.scaled.shape[1:] != samples.shape:
+        raise ValueError("empirical_rate requires controls of the samples' trials")
     terms = np.add(1.0, samples)
-    return _mean_estimate(np.log2(terms, out=terms))
+    np.log2(terms, out=terms)
+    if controls is None:
+        return _mean_estimate(terms)
+    b = controls.coefficients(terms)
+    mean = float(terms.mean()) - float((b * controls.offsets).sum())
+    n = terms.size
+    if n < 2:
+        return Estimate(mean, mean, mean)
+    controls.subtract(terms, b)
+    half = _Z95 * _spent_std(terms, 1 + len(controls.offsets)) / math.sqrt(n)
+    return Estimate(mean, mean - half, mean + half)
 
 
 @dataclass(frozen=True)
@@ -459,3 +482,73 @@ def empirical_ber(samples: np.ndarray, alpha: float, beta: float) -> Estimate:
     erfc(np.divide(terms, math.sqrt(2.0), out=terms), out=terms)
     est = _mean_estimate(np.multiply(0.5 * alpha, terms, out=terms))
     return Estimate(est.value, max(est.ci_low, 0.0), min(est.ci_high, alpha))
+
+
+# Trials of the first draw of draw_to_precision, rounded up to whole chunks:
+# the 95% intervals of the control-variate fits of quantization and of
+# correlation hold their coverage from here on.  A run of at most this many
+# trials draws them all.
+CV_FLOOR_TRIALS = 4_096
+# A draw that extends the first aims every half-width at this share of the
+# plain one: the ratio read from the first draw moves by a few percent.
+CV_EXTENSION_TARGET = 0.9
+
+
+def draw_to_precision(sample: Callable[[SimPlan], np.ndarray], plan: SimPlan, n_elements: int,
+                      fit: Callable[[np.ndarray], list[list[tuple[Estimate, float]]]],
+                      groups: tuple[str, str, Sequence]) -> tuple[list[list[Estimate]],
+                                                                   list[dict]]:
+    """Control-variate estimates from the fewest trials that give every one
+    an interval no wider than plain Monte-Carlo's at ``plan.trials``, and
+    never more than those trials; with the record of each draw.
+
+    ``sample(p)`` draws the ``p.trials`` trials of N = ``n_elements``
+    elements of the plan ``p``, and ``fit`` turns that draw into groups of
+    cells, each cell a pair (control-variate estimate, plain half-width) at
+    the trials drawn; the draw is passed straight on, so it is freed once
+    fitted.  The first draw is the first whole chunks of at least
+    ``CV_FLOOR_TRIALS`` trials, or every trial where that is more.  Where a
+    cell's half-width is wider than the plain half-width projected to
+    ``plan.trials``, the run draws again from chunk 0, at the whole chunks
+    projected to bring the widest cell to ``CV_EXTENSION_TARGET`` of it,
+    and where a cell is still wider, at ``plan.trials``.  Each decision reads
+    a prefix of the chunks alone, so the estimates are the same for any
+    worker count.
+
+    Returns the last draw's estimates, grouped as ``fit`` groups them, and
+    one record per draw: the floor, whether it extends an earlier draw, and
+    per group the least variance ratio (plain over control-variate, at the
+    same trials) and the greatest half-width ratio (control-variate over
+    plain at ``plan.trials``), None where no cell gives one (a ratio over a
+    zero half-width is left out).  ``groups`` = (name, key, labels) lists
+    them under ``name``, each labelled ``{key: label}``."""
+    trials = plan.trials
+    chunk_trials, _ = chunk_plan(trials, n_elements)
+    drawn = min(trials, -(-CV_FLOOR_TRIALS // chunk_trials) * chunk_trials)
+    name, key, labels = groups
+    records = []
+    while True:
+        cells = fit(sample(replace(plan, trials=drawn)))
+        halves = [[(cv.ci_high - cv.value, plain) for cv, plain in group] for group in cells]
+        projected = math.sqrt(drawn / trials)
+        records.append({"floor_trials": CV_FLOOR_TRIALS, "extension": bool(records),
+                        name: [{key: label, **_precision_record(group, projected)}
+                               for label, group in zip(labels, halves)]})
+        wider = [cv / (plain * projected) if plain > 0.0 else math.inf
+                 for group in halves for cv, plain in group if cv > plain * projected]
+        if not wider or drawn == trials:
+            return [[cv for cv, _ in group] for group in cells], records
+        if len(records) > 1 or max(wider) == math.inf:
+            drawn = trials
+        else:
+            target = drawn * (max(wider) / CV_EXTENSION_TARGET) ** 2
+            drawn = min(trials, math.ceil(target / chunk_trials) * chunk_trials)
+
+
+def _precision_record(halves: list[tuple[float, float]], projected: float) -> dict:
+    """One group's figures in a record of :func:`draw_to_precision`, from its
+    cells' (control-variate, plain) half-widths."""
+    variance = [(plain / cv) ** 2 for cv, plain in halves if cv > 0.0]
+    half = [cv / (plain * projected) for cv, plain in halves if plain > 0.0]
+    return {"min_variance_ratio": min(variance, default=None),
+            "max_half_width_ratio": max(half, default=None)}

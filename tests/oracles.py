@@ -84,6 +84,38 @@ def control_variate_ratio(y: np.ndarray, x: np.ndarray, controls: np.ndarray, me
     return ratio, 1.959963984540054 * sd / (math.sqrt(n) * coef_x[0])
 
 
+def scheme_control_means_reference(cfg: SystemConfig, roots) -> tuple[float, ...]:
+    """E of v, v^2, S_r, v S_r, |S|^2, sum |t_n|^2 and sum |t_n|^4 of the
+    correlated scheme terms t_n = eta G_n H_n, G_n = g~_n conj(u_n) and g~ =
+    x @ K with x_k = a_k u_k i.i.d. and circular, from the dense N x N roots
+    K_D = kron(departure) and K_A = kron(arrival)^T, each expectation taken
+    over the pairs of indices it sums: E G_n conj G_m is (E a)^2 K_nn K_mm
+    off the diagonal and kappa sum_k |K_kn|^2 on it, and E |g~_n|^4 =
+    2 kappa^2 (sum_k |K_kn|^2)^2 + sum_k |K_kn|^4 (E a^4 - 2 kappa^2)."""
+    arrival, departure = roots
+    k_d, k_a = np.kron(*departure), np.kron(*arrival).T
+    e_v = amplitude_mean(cfg.v)
+
+    def second(k, leg):  # E G_n conj G_m
+        d = np.diag(k).real
+        moments = amplitude_mean(leg) ** 2 * np.outer(d, d)
+        np.fill_diagonal(moments, leg.kappa * (np.abs(k) ** 2).sum(axis=0))
+        return moments
+
+    def fourth(k, leg):  # E |g~_n|^4
+        e_a4 = leg.m * (leg.m + 1.0) * leg.zeta**2
+        norms = (np.abs(k) ** 2).sum(axis=0)
+        return 2.0 * leg.kappa**2 * norms**2 + (np.abs(k) ** 4).sum(axis=0) * (
+            e_a4 - 2.0 * leg.kappa**2)
+
+    e_s = cfg.eta * amplitude_mean(cfg.g) * amplitude_mean(cfg.h) * float(
+        (np.diag(k_d).real * np.diag(k_a).real).sum())
+    pairs = second(k_d, cfg.g) * second(k_a, cfg.h)
+    return (e_v, cfg.v.kappa, e_s, e_v * e_s, cfg.eta**2 * float(pairs.sum()),
+            cfg.eta**2 * float(np.trace(pairs)),
+            cfg.eta**4 * float((fourth(k_d, cfg.g) * fourth(k_a, cfg.h)).sum()))
+
+
 def rician_to_nakagami(k_factor: float) -> float:
     """Shape of the Nakagami approximation to Rician fading with factor K."""
     if k_factor < 0:

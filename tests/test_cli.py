@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import functools
 import inspect
 import io
 import json
@@ -28,8 +29,9 @@ import irslink.cli as cli
 import irslink.montecarlo as montecarlo
 from irslink.channel import ERLANG_MAX_SHAPE, db_to_linear
 from irslink.config import DEFAULT_CONFIG
+from irslink.correlation import build_correlation, fit_scheme_rates, scheme_control_means
 from irslink.errors import ConfigError, NumericalConsistencyError
-from irslink.metrics import outage_probability, quantized_control_means
+from irslink.metrics import outage_probability
 from irslink.montecarlo import (SimPlan, chunk_rng, empirical_ber, empirical_outage,
                                 empirical_rate, empirical_rate_ratio, simulate_snr_samples)
 from oracles import control_means_reference, control_variate_ratio, reflected_reference
@@ -597,17 +599,20 @@ MC_RUNS = [
 
 @pytest.mark.parametrize("kind,config,runs", MC_RUNS)
 def test_manifest_records_the_monte_carlo_runs(tmp_path, kind, config, runs):
-    code, out = run_cli(tmp_path, kind, {"trials": 5000, "workers": 2,
+    # fewer trials than the floor of a draw to precision: every kind draws them all
+    trials = 3000
+    assert trials < montecarlo.CV_FLOOR_TRIALS
+    code, out = run_cli(tmp_path, kind, {"trials": trials, "workers": 2,
                                          "sweep": {"values": [0.0, 20.0]}, **config})
     assert code == 0
     mc = json.loads((out / "manifest.json").read_text())["extras"]["mc"]
     assert [run["n_elements"] for run in mc["runs"]] == runs
     for run in mc["runs"]:
-        assert run["trials"] == 5000
+        assert run["trials"] == trials
         assert run["chunk_trials"] == montecarlo._chunk_size(run["n_elements"])
-        assert run["chunks"] == math.ceil(5000 / run["chunk_trials"])
+        assert run["chunks"] == math.ceil(trials / run["chunk_trials"])
     assert mc["workers"] == 2
-    assert mc["trials"] == 5000 * len(runs)
+    assert mc["trials"] == trials * len(runs)
     assert mc["chunks"] == sum(run["chunks"] for run in mc["runs"])
     assert mc["seconds"] > 0
     assert mc["trials_per_s"] == round(mc["trials"] / mc["seconds"])
@@ -658,9 +663,14 @@ def test_correlation_without_mc_runs_no_simulation(tmp_path, monkeypatch):
                         "--no-mc")
     assert code == 0
     assert "mc" not in json.loads((out / "manifest.json").read_text())["extras"]
-    for s in (1, 2):
-        assert read_csv(out / f"correlation_scheme{s}.csv").splitlines() == [
-            ",".join(cli.CSV_HEADER), "n_elements,16,,,,,", "n_elements,64,,,,,"]
+    # scheme 1 has its Jensen bound, scheme 2 no analytic column
+    rows = list(csv.DictReader(io.StringIO(read_csv(out / "correlation_scheme1.csv"))))
+    assert [float(row["x"]) for row in rows] == [16, 64]
+    assert all(math.isfinite(float(row["analytic"])) for row in rows)
+    assert all(row[c] == "" for row in rows for c in ("asymptotic", "mc", "mc_ci_low",
+                                                      "mc_ci_high"))
+    assert read_csv(out / "correlation_scheme2.csv").splitlines() == [
+        ",".join(cli.CSV_HEADER), "n_elements,16,,,,,", "n_elements,64,,,,,"]
 
 
 def test_ser_interval_stays_inside_the_term_range(tmp_path):
@@ -960,28 +970,28 @@ def test_rate_bounds_past_the_product_range_are_finite(tmp_path):
     assert all(math.isfinite(cell) and 0.0 < cell <= 100.0 for column in cells for cell in column)
 
 
-def quantization_manifest(out):
+def mc_extras(out):
     return json.loads((out / "manifest.json").read_text())["extras"]["mc"]
 
 
 def test_quantization_draws_the_floor_where_it_is_precise_enough(tmp_path):
-    # 100k trials: the first 16384 give every cell a narrower interval than
+    # 100k trials: the first 4096 give every cell a narrower interval than
     # plain MC's at 100k, and the manifest records the run as drawn
     code, out = run_cli(tmp_path, "quantization",
                         {"trials": 100_000,
                          "quantization": {"bits": [1, 2, 4], "n_values": [8, 32]}})
     assert code == 0
-    mc = quantization_manifest(out)
-    assert [run["trials"] for run in mc["runs"]] == [cli.CV_FLOOR_TRIALS] * 2
-    assert mc["trials"] == 2 * cli.CV_FLOOR_TRIALS
+    mc = mc_extras(out)
+    assert [run["trials"] for run in mc["runs"]] == [montecarlo.CV_FLOOR_TRIALS] * 2
+    assert mc["trials"] == 2 * montecarlo.CV_FLOOR_TRIALS
     for run in mc["runs"]:
         record = run["control_variates"]
-        assert record["floor_trials"] == cli.CV_FLOOR_TRIALS
+        assert record["floor_trials"] == montecarlo.CV_FLOOR_TRIALS
         assert record["extension"] is False
         assert [w["bits"] for w in record["widths"]] == [1, 2, 4]
         for width in record["widths"]:
             assert 0.0 < width["max_half_width_ratio"] <= 1.0
-            assert width["min_variance_ratio"] > 100_000 / cli.CV_FLOOR_TRIALS
+            assert width["min_variance_ratio"] > 100_000 / montecarlo.CV_FLOOR_TRIALS
 
 
 def test_quantization_intervals_are_no_wider_than_plain_at_the_configured_trials(tmp_path):
@@ -1011,8 +1021,8 @@ def test_quantization_columns_are_the_same_for_any_worker_count(tmp_path, monkey
     # a floor of two chunks is too few for these cells: the run extends its
     # first draw, from decisions on chunk prefixes alone
     if floor_chunks is not None:
-        monkeypatch.setattr(cli, "CV_FLOOR_TRIALS", floor_chunks * 1024)
-    config = {"trials": 200_000, "sweep": {"values": [0.0, 45.0]},
+        monkeypatch.setattr(montecarlo, "CV_FLOOR_TRIALS", floor_chunks * 1024)
+    config = {"trials": 50_000, "sweep": {"values": [0.0, 45.0]},
               "quantization": {"bits": [1, 3], "n_values": [1, 4]}}
     outputs = []
     for workers in (None, 1, 2, 3):
@@ -1023,7 +1033,7 @@ def test_quantization_columns_are_the_same_for_any_worker_count(tmp_path, monkey
         assert code == 0
         outputs.append({name: data for name, data in _run_outputs(out).items()
                         if name != "manifest"})
-        runs = quantization_manifest(out)["runs"]
+        runs = mc_extras(out)["runs"]
         assert any(run["control_variates"]["extension"] for run in runs) == (
             floor_chunks is not None)
     assert len(outputs[0]) == 4
@@ -1050,15 +1060,117 @@ def test_floor_intervals_cover_a_million_trial_reference(n):
     # estimate of 2^20 trials (four draws of 2^18) at a rate of at least 0.92
     widths, gamma_bars = (1, 3), cli._gamma_bars([0.0, 15.0, 45.0])
     cfg, _ = cli.validate_config({"n_elements": n})
-    means = [quantized_control_means(cfg, bits) for bits in widths]
     chunk_trials, _ = montecarlo.chunk_plan(1, n)
-    floor = -(-cli.CV_FLOOR_TRIALS // chunk_trials) * chunk_trials
-    assert floor == cli.CV_FLOOR_TRIALS
+    floor = -(-montecarlo.CV_FLOOR_TRIALS // chunk_trials) * chunk_trials
+    assert floor == montecarlo.CV_FLOOR_TRIALS
+
+    fit = cli._quantization_fit(cfg, gamma_bars, widths)
 
     def cells(trials, seed):  # (width, value / low / high, point)
         plan = SimPlan(trials=trials, seed=seed, workers=2, quantization_bits=widths)
-        columns, _ = cli._quantization_draw({}, cfg, plan, gamma_bars, means)
-        return np.array([[c["mc"], c["lo"], c["hi"]] for c in columns])
+        return np.array([[[e.value for e, _ in width], [e.ci_low for e, _ in width],
+                          [e.ci_high for e, _ in width]]
+                         for width in fit(simulate_snr_samples(cfg, plan))])
+
+    reference = np.mean([cells(2**18, 10_000 + i)[:, 0] for i in range(4)], axis=0)
+    covered = np.zeros(reference.shape)
+    for seed in range(400):
+        est = cells(floor, seed)
+        covered += (est[:, 1] <= reference) & (reference <= est[:, 2])
+    assert np.all(covered / 400 >= 0.92)
+
+
+def correlation_spec(n):
+    """The default link and correlation grid at N = ``n``."""
+    cfg, resolved = cli.validate_config({"n_elements": n}, "correlation")
+    return cfg, cli._correlation_config(resolved, n)
+
+
+def test_correlation_draws_the_floor_and_records_each_scheme(tmp_path):
+    # the benchmark's correlation config: every cell is precise enough at the
+    # floor (the whole chunks of at least 4096 trials), for both schemes
+    code, out = run_cli(tmp_path, "correlation",
+                        {"trials": 20_000, "workers": 2, "correlation": {"n_values": [64, 144]}})
+    assert code == 0
+    runs = json.loads((out / "manifest.json").read_text())["extras"]["mc"]["runs"]
+    assert [(run["n_elements"], run["trials"]) for run in runs] == [(64, 4096), (144, 4313)]
+    for run in runs:
+        record = run["control_variates"]
+        assert record["floor_trials"] == montecarlo.CV_FLOOR_TRIALS
+        assert record["extension"] is False
+        assert [scheme["scheme"] for scheme in record["schemes"]] == [1, 2]
+        for scheme in record["schemes"]:
+            assert 0.0 < scheme["max_half_width_ratio"] <= 1.0
+            assert scheme["min_variance_ratio"] > 20_000 / run["trials"]
+
+
+def test_correlation_intervals_are_no_wider_than_plain_at_the_configured_trials(tmp_path):
+    # every cell against the plain interval of a run of the configured trials;
+    # N = 64 and 144 extend their first draw
+    config = {"trials": 60_000, "correlation": {"n_values": [16, 64, 144]}}
+    code, out = run_cli(tmp_path, "correlation", config)
+    assert code == 0
+    for s in (1, 2):
+        rows = csv.DictReader(io.StringIO(read_csv(out / f"correlation_scheme{s}.csv")))
+        for row in rows:
+            cfg, corr = correlation_spec(int(row["x"]))
+            snr = cli.simulate_scheme_rates(cfg, corr, SimPlan(trials=60_000, seed=1))[s - 1]
+            plain = empirical_rate(cfg.gamma_bar * snr)
+            assert (float(row["mc_ci_high"]) - float(row["mc_ci_low"])
+                    <= plain.ci_high - plain.ci_low)
+
+
+def test_scheme1_bound_lies_above_its_interval(tmp_path):
+    # Jensen's bound log2(1 + gamma_bar E snr_1) over the control-variate interval
+    code, out = run_cli(tmp_path, "correlation", {"correlation": {"n_values": [16, 64, 144]}})
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(read_csv(out / "correlation_scheme1.csv"))))
+    assert [int(row["x"]) for row in rows] == [16, 64, 144]
+    for row in rows:
+        assert float(row["analytic"]) > float(row["mc_ci_high"])
+    scheme2 = csv.DictReader(io.StringIO(read_csv(out / "correlation_scheme2.csv")))
+    assert all(row["analytic"] == "" and row["mc"] for row in scheme2)
+
+
+@pytest.mark.parametrize("floor_chunks", [None, 2], ids=["floor", "extended"])
+def test_correlation_columns_are_the_same_for_any_worker_count(tmp_path, monkeypatch,
+                                                               small_chunks, floor_chunks):
+    # a floor of two chunks is too few for scheme 2 at N = 64: the run
+    # extends its first draw, from decisions on chunk prefixes alone
+    if floor_chunks is not None:
+        monkeypatch.setattr(montecarlo, "CV_FLOOR_TRIALS", floor_chunks * 1024)
+    config = {"trials": 50_000, "correlation": {"n_values": [16, 64]}}
+    outputs = []
+    for workers in (None, 1, 2, 3):
+        run_dir = tmp_path / f"w{workers}"
+        run_dir.mkdir()
+        code, out = run_cli(run_dir, "correlation",
+                            config if workers is None else {**config, "workers": workers})
+        assert code == 0
+        outputs.append({name: data for name, data in _run_outputs(out).items()
+                        if name != "manifest"})
+        runs = mc_extras(out)["runs"]
+        assert any(run["control_variates"]["extension"] for run in runs) == (
+            floor_chunks is not None)
+    assert len(outputs[0]) == 2
+    assert all(other == outputs[0] for other in outputs[1:])
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_correlation_floor_intervals_cover_a_million_trial_reference(n):
+    # 400 seeds of the first draw: each scheme's 95% interval covers the
+    # estimate of 2^20 trials (four draws of 2^18) at a rate of at least 0.92
+    cfg, corr = correlation_spec(n)
+    fit = functools.partial(fit_scheme_rates, cfg,
+                            scheme_control_means(cfg, build_correlation(corr)))
+    chunk_trials, _ = montecarlo.chunk_plan(1, n)
+    floor = -(-montecarlo.CV_FLOOR_TRIALS // chunk_trials) * chunk_trials
+    assert floor == montecarlo.CV_FLOOR_TRIALS
+
+    def cells(trials, seed):  # (scheme, value / low / high)
+        plan = SimPlan(trials=trials, seed=seed, workers=2)
+        return np.array([[e.value, e.ci_low, e.ci_high]
+                         for (e, _), in fit(cli.simulate_scheme_rates(cfg, corr, plan))])
 
     reference = np.mean([cells(2**18, 10_000 + i)[:, 0] for i in range(4)], axis=0)
     covered = np.zeros(reference.shape)

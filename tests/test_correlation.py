@@ -9,11 +9,13 @@ import irslink.montecarlo as montecarlo
 from irslink.channel import LinkParams, SystemConfig, nakagami_sample, uniform_phase
 from irslink.correlation import (AngleSpread, CorrelationConfig, _hermitian_sqrt, _kron_right,
                                  _scheme_snr_chunk, build_correlation, corr_matrix_azimuth,
-                                 corr_matrix_elevation, simulate_scheme_rates)
+                                 corr_matrix_elevation, scheme_control_means,
+                                 simulate_scheme_rates)
 from irslink.errors import NumericalConsistencyError
-from irslink.montecarlo import SimPlan, chunk_rng
+from irslink.montecarlo import SimPlan, chunk_rng, empirical_rate
 from oracles import (CHUNK_EDGE_OFFSETS, PHASOR_ERROR, chunk_counts, chunk_output,
-                     float32_trig_bound, nakagami_reference, optimal_snr, phase_reference)
+                     float32_trig_bound, nakagami_reference, optimal_snr, phase_reference,
+                     scheme_control_means_reference)
 
 
 def correlated_snr(v_amp: float, phi_v: float, g_vec: np.ndarray, h_vec: np.ndarray,
@@ -282,7 +284,10 @@ def full_chunk_snr(cfg, roots, seed, index, count):
     terms = leg(cfg.g.m, cfg.g.zeta, dep_az, dep_el)
     terms *= leg(cfg.h.m, cfg.h.zeta, arr_az.T, arr_el.T)
     terms *= cfg.eta
-    return np.stack([np.abs(v + terms.sum(axis=1)) ** 2, (v + np.abs(terms).sum(axis=1)) ** 2])
+    moduli = np.abs(terms)
+    squares = moduli * moduli
+    return np.stack([np.abs(v + terms.sum(axis=1)) ** 2, (v + moduli.sum(axis=1)) ** 2, v,
+                     terms.sum(axis=1).real, squares.sum(axis=1), (squares * squares).sum(axis=1)])
 
 
 class TestSchemeKernel:
@@ -295,7 +300,7 @@ class TestSchemeKernel:
         size = montecarlo._chunk_size(n)
         trials = 2 * size + offset
         snr = montecarlo.map_chunks(functools.partial(_scheme_snr_chunk, cfg, roots),
-                                    SimPlan(trials=trials, seed=23, workers=workers), n, (2,))
+                                    SimPlan(trials=trials, seed=23, workers=workers), n, (6,))
         np.testing.assert_array_equal(snr, np.concatenate(
             [full_chunk_snr(cfg, roots, 23, index, count)
              for index, count in chunk_counts(trials, size)], axis=1))
@@ -308,7 +313,7 @@ class TestSchemeKernel:
         cfg = unit_cfg(n, shapes)
         seed, index, count = 23, 2, 400
         snr = chunk_output(functools.partial(_scheme_snr_chunk, cfg, roots),
-                           chunk_rng(seed, index), count, (2,))
+                           chunk_rng(seed, index), count, (6,))
         v, (a_g, u_g), (a_h, u_h) = chunk_draws(cfg, seed, index, count)
         g, h = a_g * u_g, a_h * u_h
         # the kernel turns each term back by conj(u_g) conj(u_h); rounded to
@@ -327,7 +332,7 @@ class TestSchemeKernel:
         cfg, (arrival, departure) = unit_cfg(n), build_correlation(corr)
         seed, index, count = 23, 0, 300
         fast = chunk_output(functools.partial(_scheme_snr_chunk, cfg, (arrival, departure)),
-                            chunk_rng(seed, index), count, (2,))
+                            chunk_rng(seed, index), count, (6,))[:2]
         v, (a_g, u_g), (a_h, u_h) = chunk_draws(cfg, seed, index, count, np.float64)
         dep = np.kron(*departure)
         arr = np.kron(*arrival).T
@@ -346,6 +351,12 @@ class TestSchemeKernel:
         assert np.all(np.abs(fast - exact) <= bound)
 
 
+def plain_rates(cfg, corr, plan):
+    """The plain estimates of both schemes' mean rates at ``cfg.gamma_bar``."""
+    rows = simulate_scheme_rates(cfg, corr, plan)
+    return {s: empirical_rate(cfg.gamma_bar * rows[s - 1]) for s in (1, 2)}
+
+
 class TestSchemeRates:
     def test_estimates_do_not_depend_on_workers(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: 512)
@@ -353,12 +364,14 @@ class TestSchemeRates:
         runs = [simulate_scheme_rates(unit_cfg(corr.n_total), corr,
                                       SimPlan(trials=1800, seed=5, workers=w))
                 for w in (1, 2, 3)]  # four chunks
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0].shape == (6, 1800)
+        np.testing.assert_array_equal(runs[1], runs[0])
+        np.testing.assert_array_equal(runs[2], runs[0])
 
     def test_vectorized_dominance_and_separation(self):
         n = 64
         corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
-        rates = simulate_scheme_rates(unit_cfg(n), corr, SimPlan(trials=20_000, seed=11))
+        rates = plain_rates(unit_cfg(n), corr, SimPlan(trials=20_000, seed=11))
         # scheme 2 beats scheme 1 at 3-sigma on a dense packed surface
         gap = rates[2].value - rates[1].value
         noise = ((rates[2].ci_high - rates[2].ci_low)
@@ -369,8 +382,7 @@ class TestSchemeRates:
         gaps = []
         for n in (16, 64, 144):
             corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
-            rates = simulate_scheme_rates(unit_cfg(n), corr,
-                                          SimPlan(trials=8_000, seed=13))
+            rates = plain_rates(unit_cfg(n), corr, SimPlan(trials=8_000, seed=13))
             gaps.append(rates[2].value - rates[1].value)
         assert gaps[0] < gaps[-1]
 
@@ -378,3 +390,32 @@ class TestSchemeRates:
         corr = CorrelationConfig.square_surface(16, 1.0, 0.1, spread(), spread())
         with pytest.raises(ValueError):
             simulate_scheme_rates(unit_cfg(9), corr, SimPlan(trials=10, seed=1))
+
+
+SHAPES = pytest.mark.parametrize("shapes", [(1.8, 16.0 / 7.0, 25.0 / 9.0), (2.0, 3.0, 4.0)],
+                                 ids=["gamma", "erlang"])
+
+
+class TestControlMeans:
+    @SHAPES
+    @pytest.mark.parametrize("corr", [small_corr(n_az=4, n_el=3),
+                                      CorrelationConfig.square_surface(7, 1.0, 0.1, spread(),
+                                                                       spread(-0.4))],
+                             ids=["4x3", "7x1"])
+    def test_factored_means_equal_the_dense_brute_force(self, corr, shapes):
+        cfg, roots = unit_cfg(corr.n_total, shapes), build_correlation(corr)
+        np.testing.assert_allclose(scheme_control_means(cfg, roots),
+                                   scheme_control_means_reference(cfg, roots), rtol=1e-12, atol=0)
+
+    @SHAPES
+    @pytest.mark.parametrize("n", [16, 64, 144])
+    def test_sample_means_of_the_controls_match(self, n, shapes):
+        # each of the 7 controls of a draw within 4 standard errors of its exact mean
+        corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
+        cfg = unit_cfg(n, shapes)
+        snr1, _, v, s_r, t2, t4 = simulate_scheme_rates(cfg, corr,
+                                                        SimPlan(trials=40_000, seed=17, workers=2))
+        controls = (v, v * v, s_r, v * s_r, snr1 - v * (v + 2.0 * s_r), t2, t4)
+        for sample, mean in zip(controls, scheme_control_means(cfg, build_correlation(corr))):
+            standard_error = sample.std(ddof=1) / math.sqrt(sample.size)
+            assert abs(sample.mean() - mean) <= 4.0 * standard_error

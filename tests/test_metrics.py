@@ -175,7 +175,7 @@ class TestRateBounds:
             with mp.workdps(50):
                 ratio = mp.exp(mp.loggamma(mp.mpf(m) + mp.mpf(j) / 2) - mp.loggamma(mp.mpf(m)))
                 expected = float(ratio * (mp.mpf(cfg.v.kappa) / mp.mpf(m)) ** (mp.mpf(j) / 2))
-            assert metrics._direct_moment(cfg, j) == pytest.approx(expected, rel=1e-11, abs=0)
+            assert metrics.direct_moment(cfg, j) == pytest.approx(expected, rel=1e-11, abs=0)
 
     def test_jensen_ordering_matrix(self):
         for n in (8, 16, 32):
@@ -189,7 +189,7 @@ class TestRateBounds:
         # lower bound is gamma_bar times the gamma_bar-free E[snr]^3 / E[snr^2]
         cfg = figure_config(16, 2.0, 3.0, 4.0)
         gamma_bars = 10 ** (np.linspace(-10.0, 60.0, 29) / 10)
-        e_v = [1.0] + [metrics._direct_moment(cfg, j) for j in (1, 2, 3, 4)]
+        e_v = [1.0] + [metrics.direct_moment(cfg, j) for j in (1, 2, 3, 4)]
         e_r = metrics._truncated_moments(w_stats(cfg))
         e_vr2 = e_v[2] + 2.0 * e_v[1] * e_r[1] + e_r[2]
         e_vr4 = sum(math.comb(4, j) * e_v[j] * e_r[4 - j] for j in range(5))

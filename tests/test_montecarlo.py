@@ -303,10 +303,7 @@ class TestChunkLayout:
         runs = [KERNELS[kernel](cfg, SimPlan(trials=trials, seed=29, workers=w))
                 for w in (1, 2, 3)]
         for other in runs[1:]:
-            if kernel == "correlation":
-                assert other == runs[0]
-            else:
-                np.testing.assert_array_equal(other, runs[0])
+            np.testing.assert_array_equal(other, runs[0])
 
     def test_one_worker_evaluates_every_chunk_on_the_calling_thread(self):
         # the one scheduling path at one worker: the caller takes every chunk
@@ -360,7 +357,7 @@ def test_chunk_working_set_stays_within_its_bound(kernel, n, bound):
     cfg, _ = cli.validate_config({"n_elements": n})
     if kernel == "correlation":
         roots = correlation.build_correlation(correlation_config(n))
-        run, rows = functools.partial(correlation._scheme_snr_chunk, cfg, roots), (2,)
+        run, rows = functools.partial(correlation._scheme_snr_chunk, cfg, roots), (6,)
     else:
         widths = (1, 3) if kernel == "quantized" else ()
         run = functools.partial(_simulate_chunk, cfg, widths)
@@ -379,7 +376,7 @@ def test_erlang_draw_holds_its_power_and_one_block_of_words(m):
 
 def test_threaded_scheme_rates_hold_one_chunk_per_worker():
     # two workers each hold one correlation chunk (at most 8 buffers, above)
-    # beside the (2, trials) SNRs and their rate terms, about 4.0 MB in all
+    # beside the (6, trials) rows of the draw, about 4.4 MB in all
     n = 144
     cfg, _ = cli.validate_config({"n_elements": n})
     corr = correlation_config(n)
@@ -682,7 +679,7 @@ class TestUnitTransmitSnr:
     def test_correlation_scheme_rows(self, links):
         roots = correlation.build_correlation(correlation_config(16))
         first, second = (chunk_output(functools.partial(correlation._scheme_snr_chunk, cfg, roots),
-                                      chunk_rng(8, 1), 700, (2,))
+                                      chunk_rng(8, 1), 700, (6,))
                          for cfg in links)
         assert first.tobytes() == second.tobytes()
 

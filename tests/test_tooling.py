@@ -73,6 +73,36 @@ def test_outputs_meet_the_benchmark_contract(tmp_path, kind, use_mc):
     assert checks.check_files(checks.Output(tmp_path, cli.CSV_HEADER), expected) == []
 
 
+# (kind, traced sampler, config): each config extends the first draw of an N
+_DRAWS_TO_PRECISION = [
+    ("quantization", "simulate_snr_samples",
+     {"trials": 200_000, "sweep": {"values": [0.0, 45.0]},
+      "quantization": {"bits": [1, 3], "n_values": [4, 8]}}),
+    ("correlation", "simulate_scheme_rates",
+     {"trials": 100_000, "correlation": {"n_values": [16, 144]}}),
+]
+
+
+@pytest.mark.parametrize("kind,name,config", _DRAWS_TO_PRECISION)
+def test_the_traced_samplers_see_every_draw(tmp_path, monkeypatch, kind, name, config):
+    # the tracer wraps irslink.cli.<name>: a runner that bound the sampler
+    # at import time would draw past the wrapper and leave the layer empty
+    calls, sampler = [], getattr(cli, name)
+
+    def counted(*args):
+        calls.append((args[0].n_elements, args[-1].trials))
+        return sampler(*args)
+
+    monkeypatch.setattr(cli, name, counted)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([kind, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    runs = json.loads((tmp_path / "out" / "manifest.json").read_text())["extras"]["mc"]["runs"]
+    assert calls == [(run["n_elements"], run["trials"]) for run in runs]
+    assert len(calls) > 2  # a draw that extends its first is a call of its own
+
+
 def _failing_chunk_rng(seed, index, chunk_rng=montecarlo.chunk_rng):
     if index == 1:
         raise NumericalConsistencyError("chunk 1 failed")

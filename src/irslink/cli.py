@@ -1,7 +1,8 @@
 """Experiment runner: figure-style sweeps to CSV plus a JSON manifest.
 
 Kinds (the one positional argument): wdist, snrcdf, outage, rate, ser,
-quantization, correlation, sweep.  Output is data only (one CSV per curve,
+quantization, correlation; ``rate`` runs over gamma_bar_db or n_elements, as
+the config's ``sweep.variable`` says.  Output is data only (one CSV per curve,
 fixed column schema), never rendered plots.  Exit codes: 0 success, 2
 configuration error, 3 numerical consistency failure.
 
@@ -23,17 +24,17 @@ or written is a configuration error.  ``extras.timings`` has ``config_s``
 (reading and checking the config), ``compute_s`` (the runner: closed forms
 and Monte-Carlo) and ``write_s`` (the CSVs).
 
-Every kind but ``quantization`` and ``correlation`` draws ``trials``
-trials.  For those two, ``trials`` is a precision and a cap: each N first
-draws the first whole chunks of at least ``montecarlo.CV_FLOOR_TRIALS``
-trials, estimates each rate (quantization: each rate ratio) with control
-variates of exact means, and draws more, up to ``trials``, only where an
-interval is wider than plain Monte-Carlo's at ``trials``
-(``montecarlo.draw_to_precision``); each draw's run in the manifest records
-its precision under ``control_variates``.  The runners pass the sampler
-they look up in this module when they run, so a wrapper set on
-``irslink.cli.simulate_snr_samples`` or ``simulate_scheme_rates`` sees every
-draw.
+``trials`` is a count for ``wdist``, ``snrcdf``, ``outage`` and ``ser``,
+and a precision and a cap for ``rate``, ``quantization`` and
+``correlation``: each of their draws first takes the first whole chunks of
+at least ``montecarlo.CV_FLOOR_TRIALS`` trials, estimates each mean rate
+(quantization: each rate ratio) with control variates of exact means, and
+draws more, up to ``trials``, only where an interval is wider than plain
+Monte-Carlo's at ``trials`` (``montecarlo.draw_to_precision``); each draw's
+run in the manifest records its precision under ``control_variates``.  The
+runners pass the sampler they look up in this module when they run, so a
+wrapper set on ``irslink.cli.simulate_snr_samples`` or
+``simulate_scheme_rates`` sees every draw.
 
 Monte-Carlo runs on one worker per CPU this process may run on unless the
 config or ``--workers`` names a count (:mod:`irslink.config`); no count
@@ -76,18 +77,19 @@ from .cltapprox import w_stats
 from .correlation import (AngleSpread, CorrelationConfig, build_correlation, fit_scheme_rates,
                           scheme1_rate_bound, scheme_control_means, simulate_scheme_rates)
 from .errors import ConfigError, NumericalConsistencyError
-from .metrics import (asymptotic_outage, asymptotic_ser, outage_probability,
-                      quantized_control_means, quantized_rate_bounds, rate_bounds,
-                      ser_upper_bound)
+from .metrics import (asymptotic_outage, asymptotic_ser, continuous_control_means,
+                      outage_probability, quantized_control_means, quantized_rate_bounds,
+                      rate_bounds, ser_upper_bound)
 from .montecarlo import (BIT_GENERATOR, ControlVariates, Estimate, SimPlan, chunk_plan,
-                         draw_to_precision, empirical_ber, empirical_cdf, empirical_outage,
-                         empirical_rate, empirical_rate_ratio, simulate_snr_samples)
+                         control_variate_cells, draw_to_precision, empirical_ber, empirical_cdf,
+                         empirical_outage, empirical_rate, empirical_rate_ratio,
+                         simulate_snr_samples)
 from .montecarlo import reflected_sum_samples as _reflected_sum_samples
 from .snrdist import SnrCdfParams, snr_cdf
 
 CSV_HEADER = ["x_unit", "x", "analytic", "asymptotic", "mc", "mc_ci_low", "mc_ci_high"]
 
-KINDS = ("wdist", "snrcdf", "outage", "rate", "ser", "quantization", "correlation", "sweep")
+KINDS = ("wdist", "snrcdf", "outage", "rate", "ser", "quantization", "correlation")
 
 @dataclass
 class ExperimentSpec:
@@ -215,13 +217,6 @@ def _mc_columns(estimates) -> dict:
             "hi": [e.ci_high for e in estimates]}
 
 
-def _estimates(gamma_bars, unit_samples: np.ndarray, estimator) -> list[Estimate]:
-    """``estimator(gamma_bar * unit_samples)`` at each transmit SNR.  Callers
-    pass the samples straight from the sampler, so they are freed on return,
-    before the next draw."""
-    return [estimator(gb * unit_samples) for gb in np.atleast_1d(gamma_bars)]
-
-
 def _run_wdist(spec: ExperimentSpec, extras: dict) -> dict:
     cfg = spec.config
     tn = w_stats(cfg)
@@ -303,9 +298,9 @@ def _floor_curves(spec: ExperimentSpec, extras: dict, kind: str, name: str,
               f"{kind}_asymptotic": ("gamma_bar_db", sweep, {
                   "asymptotic": [v if ok else None for v, ok in zip(values, finite)]})}
     if spec.use_mc:
-        curves[f"{kind}_mc"] = ("gamma_bar_db", sweep, _mc_columns(_estimates(
-            gamma_bars, _timed_mc(extras, simulate_snr_samples, spec.config, spec.plan),
-            estimator)))
+        samples = _timed_mc(extras, simulate_snr_samples, spec.config, spec.plan)
+        curves[f"{kind}_mc"] = ("gamma_bar_db", sweep,
+                                _mc_columns([estimator(gb * samples) for gb in gamma_bars]))
     return curves
 
 
@@ -323,33 +318,24 @@ def _to_precision(extras: dict, groups: tuple, fit, sampler, cfg: SystemConfig, 
     return estimates
 
 
-def _quantization_fit(cfg: SystemConfig, gamma_bars, widths: tuple[int, ...]):
+def _quantization_fit(means: list[tuple[float, ...]], gamma_bars,
+                      amplitudes: np.ndarray) -> list[list[tuple[Estimate, float]]]:
     """The fit of one quantization draw (``draw_to_precision``): per width,
     the ratio of its mean rate to the continuous one at each transmit SNR,
     as a control-variate estimate and a plain half-width.  Each width fits
-    the controls R, R^2, A, A^2 and B^2 of its amplitudes once, with the
-    exact means of ``quantized_control_means``; each transmit SNR then costs
-    matrix-vector products."""
-    means = [quantized_control_means(cfg, bits) for bits in widths]
-
-    def fit(amplitudes: np.ndarray) -> list[list[tuple[Estimate, float]]]:
-        r = amplitudes[0]
-        reference = r * r
-        cells = []
-        for k, means_k in enumerate(means):
-            a, b = amplitudes[1 + 2 * k], amplitudes[2 + 2 * k]
-            samples = a * a + b * b
-            controls = ControlVariates.fit(np.stack([r, reference, a, a * a, b * b]), means_k)
-            width = []
-            for gb in gamma_bars:
-                snr, reference_snr = gb * samples, gb * reference
-                plain = empirical_rate_ratio(snr, reference_snr)
-                width.append((empirical_rate_ratio(snr, reference_snr, controls),
-                              plain.ci_high - plain.value))
-            cells.append(width)
-        return cells
-
-    return fit
+    the controls R, R^2, A, A^2 and B^2 of its amplitudes once, with its
+    exact means in ``means`` (``quantized_control_means``); each transmit
+    SNR then costs matrix-vector products."""
+    r = amplitudes[0]
+    reference = r * r
+    cells = []
+    for k, means_k in enumerate(means):
+        a, b = amplitudes[1 + 2 * k], amplitudes[2 + 2 * k]
+        samples = a * a + b * b
+        controls = ControlVariates.fit(np.stack([r, reference, a, a * a, b * b]), means_k)
+        cells.append(control_variate_cells(empirical_rate_ratio, controls, (
+            (gb * samples, gb * reference) for gb in gamma_bars)))
+    return cells
 
 
 def _run_quantization(spec: ExperimentSpec, extras: dict) -> dict:
@@ -360,8 +346,9 @@ def _run_quantization(spec: ExperimentSpec, extras: dict) -> dict:
         cfg_n = replace(spec.config, n_elements=n)
         mc = [{}] * len(widths)
         if spec.use_mc:
+            means = [quantized_control_means(cfg_n, bits) for bits in widths]
             ratios = _to_precision(extras, ("widths", "bits", widths),
-                                   _quantization_fit(cfg_n, gamma_bars, widths),
+                                   functools.partial(_quantization_fit, means, gamma_bars),
                                    simulate_snr_samples, cfg_n,
                                    replace(spec.plan, quantization_bits=widths))
             mc = [_mc_columns([Estimate(100.0 * e.value, 100.0 * e.ci_low, 100.0 * e.ci_high)
@@ -416,27 +403,39 @@ def _run_correlation(spec: ExperimentSpec, extras: dict) -> dict:
             "correlation_scheme2": ("n_elements", n_values, mc[1])}
 
 
-def _rate_curves(spec: ExperimentSpec, extras: dict, prefix: str) -> dict:
-    """Jensen rate bounds and the MC rate over the sweep (gamma_bar_db or n_elements)."""
+def _rate_fit(means: tuple[float, float], gamma_bars,
+              snr: np.ndarray) -> list[list[tuple[Estimate, float]]]:
+    """The fit of one rate draw (``draw_to_precision``): the mean rate at
+    each transmit SNR, one group of one cell each, as a control-variate
+    estimate and a plain half-width.  The controls R (the root of the drawn
+    R^2) and R^2 are fitted once per draw, with their exact means ``means``
+    (``continuous_control_means``)."""
+    controls = ControlVariates.fit(np.stack([np.sqrt(snr), snr]), means)
+    return [control_variate_cells(empirical_rate, controls, [(gb * snr,)]) for gb in gamma_bars]
+
+
+def _run_rate(spec: ExperimentSpec, extras: dict) -> dict:
+    """Jensen rate bounds and the control-variate mean rate over the sweep,
+    of gamma_bar_db (one draw) or of n_elements (one draw per N)."""
     cfg, sweep = spec.config, spec.resolved["sweep"]
     unit, sweep = sweep["variable"], sweep["values"]
-    # (link, its transmit SNRs): one link over a gamma_bar sweep, or one per N
-    points = ([(cfg, _gamma_bars(sweep))] if unit == "gamma_bar_db"
-              else [(replace(cfg, n_elements=n), cfg.gamma_bar) for n in sweep])
-    bounds = [rate_bounds(c, gamma_bars) for c, gamma_bars in points]
-    curves = {f"{prefix}_{side}": (unit, sweep, {
+    # (link, its transmit SNRs in dB): one link over a gamma_bar sweep, or one per N
+    points = ([(cfg, sweep)] if unit == "gamma_bar_db"
+              else [(replace(cfg, n_elements=n), [cfg.gamma_bar_db]) for n in sweep])
+    bounds, estimates = [], []
+    for link, dbs in points:
+        gamma_bars = _gamma_bars(dbs)
+        bounds.append(rate_bounds(link, gamma_bars))
+        if spec.use_mc:
+            fit = functools.partial(_rate_fit, continuous_control_means(link), gamma_bars)
+            estimates += [cell for cell, in _to_precision(extras, ("points", "gamma_bar_db", dbs),
+                                                          fit, simulate_snr_samples, link,
+                                                          spec.plan)]
+    curves = {f"rate_{side}": (unit, sweep, {
         "analytic": np.hstack([getattr(b, side) for b in bounds])}) for side in ("lower", "upper")}
     if spec.use_mc:
-        estimates = []
-        for c, gamma_bars in points:
-            estimates += _estimates(gamma_bars, _timed_mc(extras, simulate_snr_samples, c,
-                                                          spec.plan), empirical_rate)
-        curves[f"{prefix}_mc"] = (unit, sweep, _mc_columns(estimates))
+        curves["rate_mc"] = (unit, sweep, _mc_columns(estimates))
     return curves
-
-
-_run_rate = functools.partial(_rate_curves, prefix="rate")
-_run_sweep = functools.partial(_rate_curves, prefix="sweep_rate")
 
 
 _HEADER_LINE = ",".join(CSV_HEADER)
@@ -511,14 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="irslink",
         description="Analytic + Monte-Carlo performance curves for a surface-aided link")
     parser.add_argument("kind", choices=KINDS, help=(
-        "experiment to run; sweep over n_elements is its own, and sweep over "
-        "gamma_bar_db is rate with the sweep_ file prefix"))
+        "experiment to run; rate runs over gamma_bar_db or n_elements, as sweep.variable says"))
     parser.add_argument("--config", help="YAML config (or a manifest.json to reproduce)")
     parser.add_argument("--seed", type=int, help="override the RNG seed")
     parser.add_argument("--trials", type=int, help=(
-        "override the Monte-Carlo trial count; quantization and correlation draw at most "
-        "this many, and stop once every interval is as narrow as plain Monte-Carlo's at "
-        "this count"))
+        "override the Monte-Carlo trials: the count wdist, snrcdf, outage and ser draw; "
+        "rate, quantization and correlation draw at most this many, and stop once every "
+        "interval is as narrow as plain Monte-Carlo's at this count"))
     parser.add_argument("--workers", type=int, help=(
         "override the Monte-Carlo worker count (default: one per CPU this process "
         "may run on); it changes no output bit"))

@@ -134,7 +134,7 @@ _COUNT_RULE = f"element counts must lie in 1..{MAX_ELEMENTS}"
 _LINEAR_RULE = "10^(dB/10) must be a positive finite float"
 
 
-def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig, dict]:
+def validate_config(raw: dict | None, kind: str = "rate") -> tuple[SystemConfig, dict]:
     """The link of ``raw`` merged over the defaults, and the resolved mapping.
 
     Every field a run of ``kind`` reads is checked and written back cast into
@@ -220,8 +220,8 @@ def validate_config(raw: dict | None, kind: str = "sweep") -> tuple[SystemConfig
             errors.append(f"sweep.values: {_COUNT_RULE}")
         if variable == "gamma_bar_db" and not all(map(_linear, values)):
             errors.append(f"sweep.values: {_LINEAR_RULE}")
-    # only the sweep kind runs over n_elements
-    if kind in ("outage", "rate", "ser", "quantization") and variable == "n_elements":
+    # rate runs over either variable; wdist, snrcdf and correlation read no sweep
+    if kind in ("outage", "ser", "quantization") and variable == "n_elements":
         errors.append(f"sweep.variable: {kind} sweeps gamma_bar_db only")
 
     zeta = {}

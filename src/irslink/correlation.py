@@ -9,13 +9,12 @@ a Kronecker product is the Kronecker product of the factors' roots.  Only
 the small factor roots are kept, as a plain (azimuth, elevation) pair of
 arrays per side, and a chunk's rows are correlated per axis on their
 (azimuth x elevation) grids, never through an N x N matrix: the elevation
-root as products batched over the azimuth index, then the azimuth root as
-products batched over the elevation index, about a + b BLAS calls for an
-a x b grid.  On grids at least two wide the products are cut into slabs of
-at most 2**15 complex multiply-adds (one row where a^2 is more), below the
-size at which OpenBLAS splits a product over threads of its own that contend
-with the Monte-Carlo workers; a one-wide grid is the one product of its rows
-with the azimuth root.
+root as one product over every grid line of the chunk, then the azimuth
+root as one more, two BLAS calls per leg.  OpenBLAS splits products that
+large over threads of its own, which contend with the Monte-Carlo workers:
+a caller that runs several workers should hold OpenBLAS to one thread, as
+``cli.main`` does, or the correlation products at N = 128 to 144 run up to
+twice as slow.
 
 Scheme-2 co-phases against the correlated entries (the phases the
 correlation square roots contribute included), achieving the per-element
@@ -53,7 +52,8 @@ from .channel import LinkParams, SystemConfig, nakagami_sample, uniform_phase
 from .cltapprox import w_stats
 from .errors import NumericalConsistencyError
 from .metrics import direct_moment, log2_1p_product
-from .montecarlo import ControlVariates, Estimate, SimPlan, empirical_rate, map_chunks
+from .montecarlo import (ControlVariates, Estimate, SimPlan, control_variate_cells, empirical_rate,
+                         map_chunks)
 
 __all__ = [
     "AngleSpread",
@@ -176,42 +176,24 @@ def build_correlation(cfg: CorrelationConfig) -> tuple[tuple[np.ndarray, np.ndar
                      for spread in (cfg.aoa, cfg.aod))
 
 
-# Most complex multiply-adds in one product of ``_kron_right`` on a grid at
-# least two wide: OpenBLAS (0.3.31) hands a complex product of 2**16 or more
-# to threads of its own, which then contend with the Monte-Carlo workers.
-_PRODUCT_CAP = 1 << 15
-
-
 def _kron_right(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``x @ kron(p, q)`` for the rows of ``x``, with p and q the roots of
     two unit-diagonal factors; x is spent.
 
     Each row, laid out as its (a x b) grid X with a = len(p) and b = len(q),
-    becomes p^T X q, applied per axis to every row at once: q as a products
-    (rows x b) @ q batched over the azimuth index, whose result is copied
-    transposed into x's own buffer as (b, rows, a), then p as products
-    (rows x a) @ p batched over the elevation index, copied back in (rows,
-    a, b) order.  So a chunk makes about a + b BLAS calls, not two per row,
-    and holds one scratch array of x's size.  The products batched over the
-    elevation index are split into slabs of at most ``_PRODUCT_CAP``
-    multiply-adds (one row where a^2 is more), which keeps them off
-    OpenBLAS's threads; a square grid's full chunk needs no split.  A
-    one-wide grid (b = 1) has q = [[1]], the root of a 1 x 1 unit factor,
-    and is the single product x @ p, which ran faster than any split of it.
+    becomes p^T X q, applied per axis to every row at once in two products:
+    the (rows a x b) @ q of every row's grid lines into one scratch array,
+    copied transposed into x's own buffer as (rows, b, a), then the (rows b
+    x a) @ p of those into the scratch, copied back in (rows, a, b) order.
+    So a chunk makes two BLAS calls per leg and holds one scratch array of
+    x's size.
     """
     count, a, b = x.shape[0], p.shape[0], q.shape[0]
-    if b == 1:
-        return x @ p
-    grid = x.reshape(count, a, b)
-    by_az = np.matmul(grid.transpose(1, 0, 2), q)
-    by_el = grid.reshape(b, count, a)
-    by_el[...] = by_az.transpose(2, 1, 0)
-    out = by_az.reshape(b, count, a)
-    slab = max(1, _PRODUCT_CAP // (a * a))
-    for start in range(0, count, slab):
-        np.matmul(by_el[:, start:start + slab], p, out=out[:, start:start + slab])
-    grid[...] = out.transpose(1, 2, 0)
-    return grid.reshape(x.shape)
+    scratch = np.matmul(x.reshape(count * a, b), q)
+    x.reshape(count, b, a)[...] = scratch.reshape(count, a, b).transpose(0, 2, 1)
+    np.matmul(x.reshape(count * b, a), p, out=scratch.reshape(count * b, a))
+    x.reshape(count, a, b)[...] = scratch.reshape(count, b, a).transpose(0, 2, 1)
+    return x
 
 
 def _turned_leg(leg: LinkParams, rng: np.random.Generator, shape: tuple[int, int],
@@ -347,8 +329,5 @@ def fit_scheme_rates(cfg: SystemConfig, means: tuple[float, ...],
     with np.errstate(over="ignore", invalid="ignore"):
         controls = ControlVariates.fit(
             np.stack([v, v * v, s_r, v * s_r, snr1 - v * (v + 2.0 * s_r), t2, t4]), means)
-    cells = []
-    for snr in (cfg.gamma_bar * snr1, cfg.gamma_bar * snr2):
-        plain = empirical_rate(snr)
-        cells.append([(empirical_rate(snr, controls), plain.ci_high - plain.value)])
-    return cells
+    return [control_variate_cells(empirical_rate, controls, [(cfg.gamma_bar * snr,)])
+            for snr in (snr1, snr2)]

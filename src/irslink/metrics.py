@@ -38,6 +38,7 @@ __all__ = [
     "ser_upper_bound",
     "asymptotic_ser",
     "quantized_rate_bounds",
+    "continuous_control_means",
     "quantized_control_means",
     "direct_moment",
     "log2_1p_product",
@@ -289,18 +290,24 @@ def quantized_rate_bounds(cfg: SystemConfig, bits: int, gamma_bar) -> RateBounds
     return _moment_bounds(cfg, _truncated_moments(qs.real_part), qs.sigma2_imag, gamma_bar)
 
 
+def _first_two(cfg: SystemConfig, tn: TruncatedNormal) -> tuple[float, float]:
+    """E Y and E Y^2 = kappa_v + 2 E v mu + sigma^2 + mu^2 of Y = v + a sum of
+    the untruncated mean mu and variance sigma^2 of ``tn``, independent of v."""
+    e_v, mu = direct_moment(cfg, 1), tn.mu_bar
+    return e_v + mu, cfg.v.kappa + 2.0 * e_v * mu + tn.sigma2_bar + mu * mu
+
+
+def continuous_control_means(cfg: SystemConfig) -> tuple[float, float]:
+    """Exact means of R and R^2, R = v + W with continuous phases: the
+    untruncated mean and variance of W (``w_stats``) are those of the
+    simulated sum of N products exactly."""
+    return _first_two(cfg, w_stats(cfg))
+
+
 def quantized_control_means(cfg: SystemConfig, bits: int) -> tuple[float, ...]:
-    """Exact means of R, R^2, A, A^2 and B^2: R = v + W with continuous
-    phases, and A = v + W_R, B = W_I with phase errors uniform on (-tau, tau),
-    tau = pi / 2^bits.  The untruncated means and variances of W (``w_stats``)
-    and of W_R and W_I (``quantized_w_stats``) are those of the simulated sums
-    of N products exactly, so E Y = E v + mu and E Y^2 = kappa_v + 2 E v mu +
-    sigma^2 + mu^2 for Y = v + (a sum of mean mu and variance sigma^2)."""
-    e_v, kappa_v = direct_moment(cfg, 1), cfg.v.kappa
-    tn, qs = w_stats(cfg), quantized_w_stats(cfg, bits)
-
-    def first_two(mu: float, s2: float) -> tuple[float, float]:
-        return e_v + mu, kappa_v + 2.0 * e_v * mu + s2 + mu * mu
-
-    return (*first_two(tn.mu_bar, tn.sigma2_bar),
-            *first_two(qs.real_part.mu_bar, qs.real_part.sigma2_bar), qs.sigma2_imag)
+    """Exact means of R, R^2 (``continuous_control_means``), A, A^2 and B^2:
+    A = v + W_R and B = W_I with phase errors uniform on (-tau, tau), tau =
+    pi / 2^bits, whose untruncated moments (``quantized_w_stats``) are exact
+    likewise."""
+    qs = quantized_w_stats(cfg, bits)
+    return (*continuous_control_means(cfg), *_first_two(cfg, qs.real_part), qs.sigma2_imag)

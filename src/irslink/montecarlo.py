@@ -39,10 +39,12 @@ and the rate ratio can take control variates with exact means
 draw).  :func:`draw_to_precision` draws the trials such estimates need for
 a precision, not a fixed count: from a floor of ``CV_FLOOR_TRIALS``, it
 extends a draw, from chunk 0, only where an interval is wider than plain
-Monte-Carlo's at the configured trials (``quantization`` and
-``correlation`` in :mod:`irslink.cli`).  The estimators' sums are numpy's
-pairwise ones, never a BLAS product, whose order would follow the alignment
-of the arrays: an estimate is the same in every run.
+Monte-Carlo's at the configured trials.  So ``trials`` is a count for the
+``wdist``, ``snrcdf``, ``outage`` and ``ser`` kinds of :mod:`irslink.cli`,
+and a precision and a cap for ``rate``, ``quantization`` and
+``correlation``.  The estimators' sums are numpy's pairwise ones, never a
+BLAS product, whose order would follow the alignment of the arrays: an
+estimate is the same in every run.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from queue import SimpleQueue
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import betaincinv, erfc
@@ -75,6 +77,7 @@ __all__ = [
     "empirical_rate",
     "empirical_rate_ratio",
     "empirical_ber",
+    "control_variate_cells",
     "draw_to_precision",
 ]
 
@@ -484,10 +487,22 @@ def empirical_ber(samples: np.ndarray, alpha: float, beta: float) -> Estimate:
     return Estimate(est.value, max(est.ci_low, 0.0), min(est.ci_high, alpha))
 
 
+def control_variate_cells(estimator: Callable[..., Estimate], controls: ControlVariates,
+                          arguments: Iterable[tuple]) -> list[tuple[Estimate, float]]:
+    """The cells of a fit of :func:`draw_to_precision`, one per argument
+    tuple: the control-variate estimate ``estimator(*args, controls)`` and
+    the half-width of the plain one, ``estimator(*args)``."""
+    cells = []
+    for args in arguments:
+        plain = estimator(*args)
+        cells.append((estimator(*args, controls), plain.ci_high - plain.value))
+    return cells
+
+
 # Trials of the first draw of draw_to_precision, rounded up to whole chunks:
-# the 95% intervals of the control-variate fits of quantization and of
-# correlation hold their coverage from here on.  A run of at most this many
-# trials draws them all.
+# the 95% intervals of the control-variate fits of rate, quantization and
+# correlation hold their coverage from here on.  For those kinds ``trials``
+# is a precision and a cap; a run of at most this many trials draws them all.
 CV_FLOOR_TRIALS = 4_096
 # A draw that extends the first aims every half-width at this share of the
 # plain one: the ratio read from the first draw moves by a few percent.

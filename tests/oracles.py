@@ -84,6 +84,19 @@ def control_variate_ratio(y: np.ndarray, x: np.ndarray, controls: np.ndarray, me
     return ratio, 1.959963984540054 * sd / (math.sqrt(n) * coef_x[0])
 
 
+def control_variate_mean(y: np.ndarray, controls: np.ndarray, means):
+    """(mean, 95% half-width) of y as the intercept of a least-squares fit
+    (``np.linalg.lstsq``) on the controls (one row each) less their exact
+    ``means``; the half-width is 1.96 sd(e) / sqrt(n) of the fit's residual
+    e, with one degree of freedom per control and intercept."""
+    n = y.size
+    design = np.column_stack([np.ones(n), (controls - np.asarray(means)[:, None]).T])
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    residual = y - design @ coef
+    sd = math.sqrt(float(residual @ residual) / (n - design.shape[1]))
+    return coef[0], 1.959963984540054 * sd / math.sqrt(n)
+
+
 def scheme_control_means_reference(cfg: SystemConfig, roots) -> tuple[float, ...]:
     """E of v, v^2, S_r, v S_r, |S|^2, sum |t_n|^2 and sum |t_n|^4 of the
     correlated scheme terms t_n = eta G_n H_n, G_n = g~_n conj(u_n) and g~ =

@@ -34,7 +34,8 @@ from irslink.errors import ConfigError, NumericalConsistencyError
 from irslink.metrics import outage_probability
 from irslink.montecarlo import (SimPlan, chunk_rng, empirical_ber, empirical_outage,
                                 empirical_rate, empirical_rate_ratio, simulate_snr_samples)
-from oracles import control_means_reference, control_variate_ratio, reflected_reference
+from oracles import (control_means_reference, control_variate_mean, control_variate_ratio,
+                     reflected_reference)
 
 SWEEP = [0.0, 12.0, 24.0, 45.0]
 
@@ -76,6 +77,16 @@ def per_point(cfg, plan, estimator, xs):
         yield est.value, est.ci_low, est.ci_high
 
 
+def cv_rates(cfg, plan, xs):
+    """The mean rate at each transmit SNR of ``xs`` (dB) with its 95%
+    half-width, by the least-squares control-variate oracle on one draw's
+    SNRs (controls R and R^2 with their exact means)."""
+    snr = simulate_snr_samples(cfg, plan)
+    controls, means = np.stack([np.sqrt(snr), snr]), control_means_reference(cfg, 1)[:2]
+    for db in xs:
+        yield control_variate_mean(np.log2(1.0 + db_to_linear(db) * snr), controls, means)
+
+
 def quantized_percent(cfg, plan, bits, xs):
     """Percentage of the paired mean rates with its 95% interval, by the
     least-squares control-variate oracle on the amplitudes of the same draws
@@ -106,6 +117,18 @@ class TestMonteCarloColumnsMatchPerPointOracle:
         assert code == 0
         assert read_csv(out / name) == oracle_csv(x_unit, config["sweep"]["values"], oracle)
 
+    def expect_cells(self, out, name, xs, oracle):
+        """The MC cells of ``name`` against the (value, half-width) pairs of a
+        control-variate oracle.  3000 trials are below the floor of a draw to
+        precision, so the run draws every trial, as the oracle does."""
+        rows = list(csv.DictReader(io.StringIO(read_csv(out / name))))
+        assert [float(row["x"]) for row in rows] == xs
+        for row, (value, half) in zip(rows, oracle, strict=True):
+            mc, low, high = (float(row[c]) for c in ("mc", "mc_ci_low", "mc_ci_high"))
+            assert mc == pytest.approx(value, rel=1e-10)
+            assert high - mc == pytest.approx(half, rel=1e-6)
+            assert mc - low == pytest.approx(half, rel=1e-6)
+
     def spec(self, kind, config):
         cfg, _ = cli.validate_config(config, kind)
         return cfg, SimPlan(trials=config["trials"], seed=config["seed"],
@@ -118,11 +141,21 @@ class TestMonteCarloColumnsMatchPerPointOracle:
         self.expect(tmp_path, "outage", config, "outage_mc.csv", "gamma_bar_db",
                     per_point(cfg, plan, lambda s: empirical_outage(s, gamma_th), SWEEP))
 
-    def test_rate(self, tmp_path, small_chunks, workers):
+    def test_rate_over_gamma_bar(self, tmp_path, small_chunks, workers):
         config = self.config(workers)
         cfg, plan = self.spec("rate", config)
-        self.expect(tmp_path, "rate", config, "rate_mc.csv", "gamma_bar_db",
-                    per_point(cfg, plan, empirical_rate, SWEEP))
+        code, out = run_cli(tmp_path, "rate", config)
+        assert code == 0
+        self.expect_cells(out, "rate_mc.csv", SWEEP, cv_rates(cfg, plan, SWEEP))
+
+    def test_rate_over_n_elements(self, tmp_path, small_chunks, workers):
+        config = self.config(workers, sweep={"variable": "n_elements", "values": [2, 8]})
+        cfg, plan = self.spec("rate", config)
+        code, out = run_cli(tmp_path, "rate", config)
+        assert code == 0
+        self.expect_cells(out, "rate_mc.csv", [2, 8], [
+            next(cv_rates(dataclasses.replace(cfg, n_elements=n), plan, [cfg.gamma_bar_db]))
+            for n in (2, 8)])
 
     def test_ser(self, tmp_path, small_chunks, workers):
         config = self.config(workers)
@@ -130,39 +163,16 @@ class TestMonteCarloColumnsMatchPerPointOracle:
         self.expect(tmp_path, "ser", config, "ser_mc.csv", "gamma_bar_db",
                     per_point(cfg, plan, lambda s: empirical_ber(s, 1.0, 2.0), SWEEP))
 
-    def test_sweep_over_gamma_bar(self, tmp_path, small_chunks, workers):
-        config = self.config(workers)
-        cfg, plan = self.spec("sweep", config)
-        self.expect(tmp_path, "sweep", config, "sweep_rate_mc.csv", "gamma_bar_db",
-                    per_point(cfg, plan, empirical_rate, SWEEP))
-
-    def test_sweep_over_n_elements(self, tmp_path, small_chunks, workers):
-        config = self.config(workers, sweep={"variable": "n_elements", "values": [2, 8]})
-        cfg, plan = self.spec("sweep", config)
-        oracle = []
-        for n in (2, 8):
-            cfg_n = dataclasses.replace(cfg, n_elements=n)
-            est = empirical_rate(snr_samples(cfg_n, plan))
-            oracle.append((est.value, est.ci_low, est.ci_high))
-        self.expect(tmp_path, "sweep", config, "sweep_rate_mc.csv", "n_elements", oracle)
-
     def test_quantization(self, tmp_path, small_chunks, workers):
-        # 3000 trials are below the floor of the first draw: every trial is drawn
         config = self.config(workers, quantization={"bits": [1, 3], "n_values": [4, 8]})
         cfg, plan = self.spec("quantization", config)
         code, out = run_cli(tmp_path, "quantization", config)
         assert code == 0
         for n in (4, 8):
             for bits in (1, 3):
-                rows = list(csv.DictReader(io.StringIO(
-                    read_csv(out / f"quantization_b{bits}_n{n}.csv"))))
                 cfg_n = dataclasses.replace(cfg, n_elements=n)
-                assert [float(row["x"]) for row in rows] == SWEEP
-                for row, (value, half) in zip(rows, quantized_percent(cfg_n, plan, bits, SWEEP)):
-                    mc, low, high = (float(row[c]) for c in ("mc", "mc_ci_low", "mc_ci_high"))
-                    assert mc == pytest.approx(value, rel=1e-10)
-                    assert high - mc == pytest.approx(half, rel=1e-6)
-                    assert mc - low == pytest.approx(half, rel=1e-6)
+                self.expect_cells(out, f"quantization_b{bits}_n{n}.csv", SWEEP,
+                                  quantized_percent(cfg_n, plan, bits, SWEEP))
 
 
 def count_draws(monkeypatch):
@@ -218,28 +228,28 @@ def test_manifest_counts_the_asymptote_points_above_one(tmp_path, kind, above):
 
 
 @pytest.mark.parametrize("kind,config,rows", [
-    ("quantization", {"quantization": {"bits": [1, 2, 4], "n_values": [16, 32]}}, 4),
-    ("sweep", {"sweep": {"variable": "n_elements", "values": [16, 32]}}, 1)])
+    ("quantization", {"quantization": {"bits": [1, 2, 4], "n_values": [16, 32]}}, 7),
+    ("rate", {"sweep": {"variable": "n_elements", "values": [16, 32]}}, 1)])
 def test_a_two_n_run_holds_one_n_of_samples_at_a_time(tmp_path, monkeypatch, kind, config,
                                                       rows):
-    # the bytes traced when each N's draw starts: the first N's samples are
-    # released before the second N is drawn
-    held = []
+    # the bytes traced when each N's draw starts: the first N's samples, a
+    # draw of the floor's trials, are released before the second N is drawn
+    held, floor = [], montecarlo.CV_FLOOR_TRIALS
 
     def sampler(cfg, plan):
+        assert plan.trials == floor
         held.append(tracemalloc.get_traced_memory()[0])
         return simulate_snr_samples(cfg, plan)
 
     monkeypatch.setattr(cli, "simulate_snr_samples", sampler)
-    trials = 100_000
     tracemalloc.start()
     try:
-        code, _ = run_cli(tmp_path, kind, {"trials": trials, **config})
+        code, _ = run_cli(tmp_path, kind, {"trials": 100_000, **config})
     finally:
         tracemalloc.stop()
     assert code == 0
     assert len(held) == 2
-    assert held[1] - held[0] < rows * trials * 8 / 4
+    assert held[1] - held[0] < rows * floor * 8 / 2
 
 
 def test_build_id_is_resolved_once_from_the_package(tmp_path, monkeypatch):
@@ -309,8 +319,8 @@ def test_wdist_analytic_columns_match_quadrature(config, cdf_rtol):
 @pytest.mark.parametrize("kind,config,field", [
     ("rate", {"n_elements": 0}, "n_elements"),
     ("outage", {"n_elements": 0}, "n_elements"),
-    ("sweep", {"n_elements": -2}, "n_elements"),
-    ("sweep", {"sweep": {"variable": "n_elements", "values": [0, 4]}}, "sweep.values"),
+    ("rate", {"n_elements": -2}, "n_elements"),
+    ("rate", {"sweep": {"variable": "n_elements", "values": [0, 4]}}, "sweep.values"),
     ("quantization", {"quantization": {"n_values": [0, 8]}}, "quantization.n_values"),
     ("correlation", {"correlation": {"n_values": [0]}}, "correlation.n_values"),
 ])
@@ -521,7 +531,7 @@ def test_an_explicit_null_worker_count_is_a_config_error():
         cli.validate_config({"workers": None})
 
 
-@pytest.mark.parametrize("kind", ["rate", "quantization", "sweep"])
+@pytest.mark.parametrize("kind", ["rate", "quantization"])
 def test_a_transmit_snr_near_the_float_maximum_gives_ordered_rate_bounds(tmp_path, kind):
     # gamma_bar = 1e104: E[snr]^3 / E[snr^2] formed with gamma_bar^3 overflowed
     code, out = run_cli(tmp_path, kind, {"trials": 2000, "sweep": {"values": [1040.0]},
@@ -531,8 +541,7 @@ def test_a_transmit_snr_near_the_float_maximum_gives_ordered_rate_bounds(tmp_pat
         analytic = analytic_column(out, "quantization_b1_n8")
         assert all(math.isfinite(a) and 0.0 < a <= 100.0 for a in analytic)
     else:
-        prefix = "rate" if kind == "rate" else "sweep_rate"
-        lower, upper = (analytic_column(out, f"{prefix}_{side}") for side in ("lower", "upper"))
+        lower, upper = (analytic_column(out, f"rate_{side}") for side in ("lower", "upper"))
         assert all(math.isfinite(u) and 0.0 <= lo <= u for lo, u in zip(lower, upper))
 
 
@@ -591,7 +600,7 @@ MC_RUNS = [
     ("outage", {}, [16]),
     ("rate", {}, [16]),
     ("ser", {}, [16]),
-    ("sweep", {"sweep": {"variable": "n_elements", "values": [4, 64]}}, [4, 64]),
+    ("rate", {"sweep": {"variable": "n_elements", "values": [4, 64]}}, [4, 64]),
     ("quantization", {"quantization": {"bits": [1], "n_values": [8, 32]}}, [8, 32]),
     ("correlation", {"correlation": {"n_values": [16, 64]}}, [16, 64]),
 ]
@@ -909,7 +918,7 @@ def run_yaml(tmp_path, kind, config, mc=False):
     ("outage", {"modulation": {"alpha": 1e-300, "beta": 1e308}}, 0),
     ("rate", {"fading": {"m_v": 1e12}}, 0),
     ("quantization", {"fading": {"m_v": 1e12}}, 0),
-    ("sweep", {"sweep": {"variable": "n_elements", "values": [1.5, 2.5]}}, 2),
+    ("rate", {"sweep": {"variable": "n_elements", "values": [1.5, 2.5]}}, 2),
     ("rate", {"n_elements": 16.5}, 2),
     ("rate", {"n_elements": 10**7}, 2),
     ("rate", {"trials": 100.5}, 2),
@@ -928,7 +937,8 @@ def run_yaml(tmp_path, kind, config, mc=False):
     ("correlation", {"correlation": {"aod": None}}, 2),
     ("correlation", {"correlation": {"wavelength_m": math.nan}}, 2),
     ("correlation", {"correlation": {"surface_side_m": 5e-324, "wavelength_m": 1e300}}, 2),
-    ("rate", {"sweep": {"variable": "n_elements", "values": [4, 8]}}, 2),
+    ("rate", {"sweep": {"variable": "n_elements", "values": [4, 8]}}, 0),
+    ("outage", {"sweep": {"variable": "n_elements", "values": [4, 8]}}, 2),
 ])
 def test_hostile_configs_exit_cleanly(tmp_path, kind, config, code):
     assert run_yaml(tmp_path, kind, config) == code
@@ -1064,7 +1074,8 @@ def test_floor_intervals_cover_a_million_trial_reference(n):
     floor = -(-montecarlo.CV_FLOOR_TRIALS // chunk_trials) * chunk_trials
     assert floor == montecarlo.CV_FLOOR_TRIALS
 
-    fit = cli._quantization_fit(cfg, gamma_bars, widths)
+    fit = functools.partial(cli._quantization_fit,
+                            [cli.quantized_control_means(cfg, bits) for bits in widths], gamma_bars)
 
     def cells(trials, seed):  # (width, value / low / high, point)
         plan = SimPlan(trials=trials, seed=seed, workers=2, quantization_bits=widths)
@@ -1077,6 +1088,30 @@ def test_floor_intervals_cover_a_million_trial_reference(n):
     for seed in range(400):
         est = cells(floor, seed)
         covered += (est[:, 1] <= reference) & (reference <= est[:, 2])
+    assert np.all(covered / 400 >= 0.92)
+
+
+@pytest.mark.parametrize("n", [1, 16, 128])
+def test_rate_floor_intervals_cover_a_million_trial_reference(n):
+    # 400 seeds of the first draw (one chunk of 32768 trials at N = 1, 4096
+    # trials from N = 8 on): each transmit SNR's 95% interval covers the
+    # estimate of 2^20 trials (four draws of 2^18) at a rate of at least 0.92
+    cfg, _ = cli.validate_config({"n_elements": n})
+    fit = functools.partial(cli._rate_fit, cli.continuous_control_means(cfg),
+                            cli._gamma_bars([0.0, 21.0, 45.0]))
+    chunk_trials, _ = montecarlo.chunk_plan(1, n)
+    floor = -(-montecarlo.CV_FLOOR_TRIALS // chunk_trials) * chunk_trials
+
+    def cells(trials, seed):  # (value / low / high, point)
+        plan = SimPlan(trials=trials, seed=seed, workers=2)
+        return np.array([[e.value, e.ci_low, e.ci_high]
+                         for (e, _), in fit(simulate_snr_samples(cfg, plan))]).T
+
+    reference = np.mean([cells(2**18, 10_000 + i)[0] for i in range(4)], axis=0)
+    covered = np.zeros(reference.shape)
+    for seed in range(400):
+        est = cells(floor, seed)
+        covered += (est[1] <= reference) & (reference <= est[2])
     assert np.all(covered / 400 >= 0.92)
 
 
@@ -1222,8 +1257,8 @@ _CONFIG_SHAPES = [
     ("quantization", {"trials": 70_000, "workers": 2, "sweep": {"values": [15.0]},
                       "quantization": {"bits": [1, 3], "n_values": [128]}}),
     ("correlation", {"trials": 20_000, "workers": 2, "correlation": {"n_values": [64, 144]}}),
-    ("sweep", {"n_elements": 8.0, "eta": 1, "sweep": {"variable": "n_elements",
-                                                      "values": [2.0, 8, 32]}}),
+    ("rate", {"n_elements": 8.0, "eta": 1, "sweep": {"variable": "n_elements",
+                                                     "values": [2.0, 8, 32]}}),
 ]
 
 

@@ -148,9 +148,6 @@ class TestBuildCorrelation:
     def test_factored_leg_equals_full_root_product(self, n):
         corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
         rng = np.random.default_rng(n)
-        # one row; 300 rows, which split grids of 12 or more on the azimuth
-        # axis into slabs; 1000 rows, which leave a partial last slab on every
-        # grid at least two wide but 4 x 4
         for rows in (1, 300, 1000):
             x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
             for az, el in build_correlation(corr):
@@ -159,26 +156,23 @@ class TestBuildCorrelation:
                     np.testing.assert_allclose(_kron_right(x.copy(), p, q), full,
                                                rtol=1e-12, atol=1e-12 * np.abs(full).max())
 
-    @pytest.mark.parametrize("n", [16, 50, 96, 122, 144])
-    def test_chunk_products_stay_within_the_cap(self, n, monkeypatch):
-        # every product a chunk makes on a grid at least two wide stays at or
-        # below 2**15 multiply-adds, where OpenBLAS keeps it on the calling
-        # thread, in about a + b calls
-        sizes = []
+    @pytest.mark.parametrize("n", [16, 50, 122, 127, 144])
+    def test_a_leg_is_two_products_over_every_row(self, n, monkeypatch):
+        # the elevation root over every grid line of the chunk, then the
+        # azimuth root over every transposed one: two BLAS calls per leg
+        shapes = []
 
         def matmul(a, b, **kwargs):
-            sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
-            calls.append(math.prod(a.shape[:-2]))
+            shapes.append((a.shape, b.shape))
             return real_matmul(a, b, **kwargs)
 
-        calls, real_matmul = [], np.matmul
+        real_matmul = np.matmul
         monkeypatch.setattr(np, "matmul", matmul)
         (n_az, n_el), count = CorrelationConfig.tiling(n), montecarlo._chunk_size(n)
         p, q = np.eye(n_az, dtype=complex), np.eye(n_el, dtype=complex)
         _kron_right(np.ones((count, n), dtype=complex), p, q)
-        assert max(sizes) <= 1 << 15
-        slabs = -(-count // max(1, (1 << 15) // n_az**2))
-        assert sum(calls) == n_az + n_el * slabs < 2 * count
+        assert shapes == [((count * n_az, n_el), (n_el, n_el)),
+                          ((count * n_el, n_az), (n_az, n_az))]
 
     def test_square_surface_factorization(self):
         cfg = CorrelationConfig.square_surface(36, 1.0, 0.1, spread(), spread())

@@ -53,28 +53,34 @@ def test_cli_import_leaves_scipy_module_out(module):
     assert out.stdout.strip() == "False"
 
 
+# every kind at the default config, and rate over n_elements
+_CONTRACT_RUNS = [(kind, {}) for kind in cli.KINDS] + [
+    ("rate", {"sweep": {"variable": "n_elements", "values": [4, 16]}})]
+
+
 @pytest.mark.parametrize("use_mc", [False, True], ids=["no_mc", "mc"])
-@pytest.mark.parametrize("kind", cli.KINDS)
-def test_outputs_meet_the_benchmark_contract(tmp_path, kind, use_mc):
+@pytest.mark.parametrize("kind,config", _CONTRACT_RUNS)
+def test_outputs_meet_the_benchmark_contract(tmp_path, kind, config, use_mc):
     # the files and row counts every benchmark invocation is checked against
     checks = _bench_module("checks")
-    argv = [kind, "--trials", "300", "--out", str(tmp_path)] + ([] if use_mc else ["--no-mc"])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [kind, "--config", str(config_path), "--trials", "300", "--out", str(out)]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    resolved = manifest["experiment"]["config"]
-    if kind == "sweep":  # which the benchmark never runs: the rate files, renamed
-        expected = {f"sweep_{name}": rows
-                    for name, rows in checks.expected_files("rate", resolved, use_mc).items()}
-    else:
-        expected = checks.expected_files(kind, resolved, use_mc)
+        assert cli.main(argv + ([] if use_mc else ["--no-mc"])) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    expected = checks.expected_files(kind, manifest["experiment"]["config"], use_mc)
     assert manifest["files"] == {name: f"{name}.csv" for name in expected}
-    assert sorted(path.stem for path in tmp_path.glob("*.csv")) == sorted(expected)
-    assert checks.check_files(checks.Output(tmp_path, cli.CSV_HEADER), expected) == []
+    assert sorted(path.stem for path in out.glob("*.csv")) == sorted(expected)
+    assert checks.check_files(checks.Output(out, cli.CSV_HEADER), expected) == []
 
 
 # (kind, traced sampler, config): each config extends the first draw of an N
 _DRAWS_TO_PRECISION = [
+    ("rate", "simulate_snr_samples",  # N = 8 extends, N = 16 does not
+     {"trials": 400_000, "gamma_bar_db": 90.0, "fading": {"m_v": 0.5, "m_g": 0.5, "m_h": 0.5},
+      "sweep": {"variable": "n_elements", "values": [8, 16]}}),
     ("quantization", "simulate_snr_samples",
      {"trials": 200_000, "sweep": {"values": [0.0, 45.0]},
       "quantization": {"bits": [1, 3], "n_values": [4, 8]}}),

@@ -545,6 +545,23 @@ def test_a_transmit_snr_near_the_float_maximum_gives_ordered_rate_bounds(tmp_pat
         assert all(math.isfinite(u) and 0.0 <= lo <= u for lo, u in zip(lower, upper))
 
 
+def test_an_element_sweep_near_the_float_maximum_gives_ordered_rate_bounds(tmp_path):
+    # the n_elements path of rate forms its bounds and its controls' means at
+    # the one transmit SNR gamma_bar = 1e104 for every N of the sweep
+    code, out = run_cli(tmp_path, "rate", {"trials": 2000, "gamma_bar_db": 1040.0,
+                                           "sweep": {"variable": "n_elements",
+                                                     "values": [2, 8, 64]}})
+    assert code == 0
+    lower, upper = (analytic_column(out, f"rate_{side}") for side in ("lower", "upper"))
+    assert len(lower) == 3
+    assert all(math.isfinite(u) and 0.0 <= lo <= u for lo, u in zip(lower, upper))
+    rows = list(csv.DictReader(io.StringIO(read_csv(out / "rate_mc.csv"))))
+    assert [float(row["x"]) for row in rows] == [2.0, 8.0, 64.0]
+    for row in rows:
+        low, mc, high = (float(row[c]) for c in ("mc_ci_low", "mc", "mc_ci_high"))
+        assert math.isfinite(low) and math.isfinite(high) and low <= mc <= high
+
+
 def test_a_leg_shape_near_the_float_maximum_exits_3_with_one_line(tmp_path):
     # W's mean and variance are finite (kappa_g = 1e308 zeta_g), and the
     # fourth moment of the SNR overflows: no RuntimeWarning may reach stderr

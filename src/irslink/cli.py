@@ -191,7 +191,8 @@ def _gamma_bars(sweep) -> np.ndarray:
 
 def _timed_mc(extras: dict, sampler, cfg: SystemConfig, *args):
     """``sampler(cfg, *args)``, whose last argument is the SimPlan, with its
-    trials, chunks and seconds added to the manifest's ``extras.mc``."""
+    trials, chunks (from ``first_chunk`` on) and seconds added to the
+    manifest's ``extras.mc``."""
     plan = args[-1]
     started = time.perf_counter()
     result = sampler(cfg, *args)
@@ -202,7 +203,8 @@ def _timed_mc(extras: dict, sampler, cfg: SystemConfig, *args):
     # the W sampler draws no direct link
     legs = ("g", "h") if sampler is _reflected_sum_samples else ("v", "g", "h")
     mc["runs"].append({"n_elements": cfg.n_elements, "trials": plan.trials,
-                       "chunk_trials": chunk_trials, "chunks": chunks,
+                       "chunk_trials": chunk_trials, "first_chunk": plan.first_chunk,
+                       "chunks": chunks,
                        "draws": {leg: nakagami_draw(getattr(cfg, leg).m) for leg in legs},
                        "seconds": round(seconds, 4)})
     mc["trials"] += plan.trials

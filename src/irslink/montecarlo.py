@@ -38,8 +38,9 @@ and the rate ratio can take control variates with exact means
 (:class:`ControlVariates`, fitted once per draw for every estimate of that
 draw).  :func:`draw_to_precision` draws the trials such estimates need for
 a precision, not a fixed count: from a floor of ``CV_FLOOR_TRIALS``, it
-extends a draw, from chunk 0, only where an interval is wider than plain
-Monte-Carlo's at the configured trials.  So ``trials`` is a count for the
+extends a draw by the chunks that follow it, only where an interval is wider
+than plain Monte-Carlo's at the configured trials, and fits the chunks it
+holds with the new ones, so no chunk is drawn twice.  So ``trials`` is a count for the
 ``wdist``, ``snrcdf``, ``outage`` and ``ser`` kinds of :mod:`irslink.cli`,
 and a precision and a cap for ``rate``, ``quantization`` and
 ``correlation``.  The estimators' sums are numpy's pairwise ones, never a
@@ -96,10 +97,15 @@ class SimPlan:
     seed: int = 0
     workers: int = 1
     quantization_bits: tuple[int, ...] = ()
+    # index of the plan's first chunk: a plan that starts at chunk k draws the
+    # trials that follow the first k whole chunks of a longer draw
+    first_chunk: int = 0
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.first_chunk < 0:
+            raise ValueError("first_chunk must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if any(bits < 1 for bits in self.quantization_bits):
@@ -149,11 +155,12 @@ def chunk_plan(trials: int, n_elements: int) -> tuple[int, int]:
 def map_chunks(kernel: Callable[[np.random.Generator, np.ndarray], None], plan: SimPlan,
                n_elements: int, rows: tuple[int, ...] = ()) -> np.ndarray:
     """Run the chunks of ``chunk_plan(plan.trials, n_elements)`` into one
-    ``rows + (plan.trials,)`` array: ``kernel(chunk_rng(plan.seed, index),
-    out[..., start:stop])`` draws and evaluates each chunk of consecutive
-    trials whole and writes it into its own slice of that output.  A chunk's
-    draws depend on (seed, index) alone, so the result does not depend on
-    ``plan.workers``.
+    ``rows + (plan.trials,)`` array: ``kernel(chunk_rng(plan.seed,
+    plan.first_chunk + i), out[..., start:stop])`` draws and evaluates the
+    i-th chunk of consecutive trials whole and writes it into its own slice
+    of that output.  A chunk's draws depend on (seed, index) alone, so the
+    result does not depend on ``plan.workers``, and a plan that starts at
+    chunk k draws the trials of a longer draw that follow its first k chunks.
 
     ``min(plan.workers, chunks)`` threads take chunk indices from one queue
     until it is empty: the caller is one of them and a pool holds the
@@ -165,7 +172,8 @@ def map_chunks(kernel: Callable[[np.random.Generator, np.ndarray], None], plan: 
 
     def work(indices) -> None:
         for index in indices:
-            kernel(chunk_rng(plan.seed, index), out[..., index * size:(index + 1) * size])
+            kernel(chunk_rng(plan.seed, plan.first_chunk + index),
+                   out[..., index * size:(index + 1) * size])
 
     threads = min(plan.workers, count)
     indices = SimpleQueue()
@@ -518,35 +526,45 @@ def draw_to_precision(sample: Callable[[SimPlan], np.ndarray], plan: SimPlan, n_
     never more than those trials; with the record of each draw.
 
     ``sample(p)`` draws the ``p.trials`` trials of N = ``n_elements``
-    elements of the plan ``p``, and ``fit`` turns that draw into groups of
-    cells, each cell a pair (control-variate estimate, plain half-width) at
-    the trials drawn; the draw is passed straight on, so it is freed once
-    fitted.  The first draw is the first whole chunks of at least
-    ``CV_FLOOR_TRIALS`` trials, or every trial where that is more.  Where a
-    cell's half-width is wider than the plain half-width projected to
-    ``plan.trials``, the run draws again from chunk 0, at the whole chunks
-    projected to bring the widest cell to ``CV_EXTENSION_TARGET`` of it,
-    and where a cell is still wider, at ``plan.trials``.  Each decision reads
-    a prefix of the chunks alone, so the estimates are the same for any
-    worker count.
+    elements of the plan ``p`` from its chunk ``p.first_chunk`` on, and
+    ``fit`` turns the trials drawn so far into groups of cells, each cell a
+    pair (control-variate estimate, plain half-width) at those trials; it
+    must leave them as they are, since an extension fits them again.  The
+    first draw is the first whole chunks of at least ``CV_FLOOR_TRIALS``
+    trials, or every trial where that is more.  Where a cell's half-width is
+    wider than the plain half-width projected to ``plan.trials``, the run
+    draws the chunks that follow, up to the whole chunks projected to bring
+    the widest cell to ``CV_EXTENSION_TARGET`` of it, and fits them with the
+    chunks it holds; where a cell is still wider, it draws on to
+    ``plan.trials``.  Chunk i is always ``chunk_rng(plan.seed, i)``, so every
+    fit sees the rows of one draw of its trials from chunk 0, and each draw
+    draws its chunks once.  Each decision reads a prefix of the chunks alone,
+    so the estimates are the same for any worker count.
 
-    Returns the last draw's estimates, grouped as ``fit`` groups them, and
-    one record per draw: the floor, whether it extends an earlier draw, and
-    per group the least variance ratio (plain over control-variate, at the
-    same trials) and the greatest half-width ratio (control-variate over
-    plain at ``plan.trials``), None where no cell gives one (a ratio over a
-    zero half-width is left out).  ``groups`` = (name, key, labels) lists
-    them under ``name``, each labelled ``{key: label}``."""
+    Returns the last fit's estimates, grouped as ``fit`` groups them, and
+    one record per draw: the floor, the trials fitted after it, whether it
+    extends an earlier draw, and per group the least variance ratio (plain
+    over control-variate, at the same trials) and the greatest half-width
+    ratio (control-variate over plain at ``plan.trials``), None where no cell
+    gives one (a ratio over a zero half-width is left out).  ``groups`` =
+    (name, key, labels) lists them under ``name``, each labelled
+    ``{key: label}``."""
     trials = plan.trials
     chunk_trials, _ = chunk_plan(trials, n_elements)
     drawn = min(trials, -(-CV_FLOOR_TRIALS // chunk_trials) * chunk_trials)
     name, key, labels = groups
-    records = []
+    records, held = [], None
     while True:
-        cells = fit(sample(replace(plan, trials=drawn)))
+        # every draw but the last is whole chunks: the next one starts at a chunk
+        start = 0 if held is None else held.shape[-1]
+        new = sample(replace(plan, trials=drawn - start, first_chunk=start // chunk_trials))
+        held = new if held is None else np.concatenate([held, new], axis=-1)
+        del new
+        cells = fit(held)
         halves = [[(cv.ci_high - cv.value, plain) for cv, plain in group] for group in cells]
         projected = math.sqrt(drawn / trials)
-        records.append({"floor_trials": CV_FLOOR_TRIALS, "extension": bool(records),
+        records.append({"floor_trials": CV_FLOOR_TRIALS, "fitted_trials": drawn,
+                        "extension": bool(records),
                         name: [{key: label, **_precision_record(group, projected)}
                                for label, group in zip(labels, halves)]})
         wider = [cv / (plain * projected) if plain > 0.0 else math.inf

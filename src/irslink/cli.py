@@ -27,14 +27,17 @@ and Monte-Carlo) and ``write_s`` (the CSVs).
 ``trials`` is a count for ``wdist``, ``snrcdf``, ``outage`` and ``ser``,
 and a precision and a cap for ``rate``, ``quantization`` and
 ``correlation``: each of their draws first takes the first whole chunks of
-at least ``montecarlo.CV_FLOOR_TRIALS`` trials, estimates each mean rate
-(quantization: each rate ratio) with control variates of exact means, and
-draws more, up to ``trials``, only where an interval is wider than plain
-Monte-Carlo's at ``trials`` (``montecarlo.draw_to_precision``); each draw's
-run in the manifest records its precision under ``control_variates``.  The
-runners pass the sampler they look up in this module when they run, so a
-wrapper set on ``irslink.cli.simulate_snr_samples`` or
-``simulate_scheme_rates`` sees every draw.
+at least ``montecarlo.CV_FLOOR_TRIALS`` (2,048) trials, estimates each mean
+rate (quantization: each rate ratio) with control variates of exact means,
+and draws the chunks that follow, up to ``trials``, only where an interval
+is wider than plain Monte-Carlo's at ``trials``, fitting them with those it
+holds (``montecarlo.draw_to_precision``).  Each draw is a run of the
+manifest with the chunks and trials it added, so ``extras.mc.trials``
+counts every trial once, and records under ``control_variates`` the trials
+its fit used and its precision.  The runners pass the sampler they look up
+in this module when they run, so a wrapper set on
+``irslink.cli.simulate_snr_samples`` or ``simulate_scheme_rates`` sees
+every draw.
 
 Monte-Carlo runs on one worker per CPU this process may run on unless the
 config or ``--workers`` names a count (:mod:`irslink.config`); no count
@@ -384,9 +387,10 @@ def _run_correlation(spec: ExperimentSpec, extras: dict) -> dict:
     n_values = spec.resolved["correlation"]["n_values"]
     bounds, rates = [], []
     for n in n_values:
-        cfg, corr = replace(spec.config, n_elements=n), _correlation_config(spec.resolved, n)
+        cfg = replace(spec.config, n_elements=n)
         try:
-            means = scheme_control_means(cfg, build_correlation(corr))
+            roots = build_correlation(_correlation_config(spec.resolved, n))
+            means = scheme_control_means(cfg, roots)
         except NumericalConsistencyError as exc:
             if spec.use_mc:
                 raise
@@ -397,7 +401,7 @@ def _run_correlation(spec: ExperimentSpec, extras: dict) -> dict:
         if spec.use_mc:
             rates.append(_to_precision(extras, ("schemes", "scheme", (1, 2)),
                                        functools.partial(fit_scheme_rates, cfg, means),
-                                       simulate_scheme_rates, cfg, corr, spec.plan))
+                                       simulate_scheme_rates, cfg, roots, spec.plan))
     # each N's estimates are one group per scheme of one cell
     mc = [_mc_columns([schemes[k][0] for schemes in rates]) if spec.use_mc else {}
           for k in (0, 1)]

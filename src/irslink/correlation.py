@@ -256,16 +256,17 @@ def _scheme_snr_chunk(cfg: SystemConfig, roots: tuple[tuple[np.ndarray, np.ndarr
         moduli.sum(axis=1, out=out[5])
 
 
-def simulate_scheme_rates(cfg: SystemConfig, corr: CorrelationConfig,
+def simulate_scheme_rates(cfg: SystemConfig, roots: tuple[tuple[np.ndarray, np.ndarray], ...],
                           plan: SimPlan) -> np.ndarray:
     """The ``(6, trials)`` rows of one draw that the rates of both schemes
     are estimated from (:func:`fit_scheme_rates`), per unit transmit SNR:
     the SNRs of scheme 1 and scheme 2 over shared channel draws, then v,
-    S_r, sum |t_n|^2 and sum |t_n|^4 (``_scheme_snr_chunk``)."""
-    if corr.n_total != cfg.n_elements:
+    S_r, sum |t_n|^2 and sum |t_n|^4 (``_scheme_snr_chunk``), with the
+    factor roots ``roots`` of ``build_correlation``."""
+    if any(len(az) * len(el) != cfg.n_elements for az, el in roots):
         raise ValueError("correlation grid size must match n_elements")
-    return map_chunks(functools.partial(_scheme_snr_chunk, cfg, build_correlation(corr)), plan,
-                      cfg.n_elements, (6,))
+    return map_chunks(functools.partial(_scheme_snr_chunk, cfg, roots), plan, cfg.n_elements,
+                      (6,))
 
 
 def _quartic_sums(p: np.ndarray, q: np.ndarray) -> np.ndarray:

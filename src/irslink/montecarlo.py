@@ -509,9 +509,17 @@ def control_variate_cells(estimator: Callable[..., Estimate], controls: ControlV
 
 # Trials of the first draw of draw_to_precision, rounded up to whole chunks:
 # the 95% intervals of the control-variate fits of rate, quantization and
-# correlation hold their coverage from here on.  For those kinds ``trials``
-# is a precision and a cap; a run of at most this many trials draws them all.
-CV_FLOOR_TRIALS = 4_096
+# correlation hold their coverage from here on.  Over 400 seeds, against a
+# 2**20-trial reference, the cells of the coverage tests cover at 0.9375-0.94
+# (rate, N = 16), 0.9525-0.9575 (rate, N = 128), 0.93-0.9625 (quantization,
+# N = 16), 0.92-0.94 (N = 32), 0.92-0.95 (N = 128), 0.9425-0.965
+# (correlation, N = 16), 0.9475-0.9575 (N = 64) and 0.9275-0.945 (N = 144,
+# 2,270 trials); over 1,200 seeds, at 0.936-0.954, 0.938-0.951 and
+# 0.942-0.944 (quantization, N = 16, 32, 128) and 0.946 (correlation,
+# N = 144).  Below N = 16 a chunk holds more than this, so the first draw is
+# one chunk.  For those kinds ``trials`` is a precision and a cap; a run of
+# at most this many trials draws them all.
+CV_FLOOR_TRIALS = 2_048
 # A draw that extends the first aims every half-width at this share of the
 # plain one: the ratio read from the first draw moves by a few percent.
 CV_EXTENSION_TARGET = 0.9

@@ -112,6 +112,12 @@ class TestMonteCarloColumnsMatchPerPointOracle:
         return {"n_elements": 8, "trials": 3000, "seed": 5, "workers": workers,
                 "sweep": {"values": SWEEP}, **extra}
 
+    def cv_config(self, workers, **extra):
+        """A config of 2000 trials, fewer than the floor of a draw to
+        precision: the run draws every trial, as the control-variate oracle
+        does."""
+        return self.config(workers, **{"trials": 2000, **extra})
+
     def expect(self, tmp_path, kind, config, name, x_unit, oracle):
         code, out = run_cli(tmp_path, kind, config)
         assert code == 0
@@ -119,8 +125,7 @@ class TestMonteCarloColumnsMatchPerPointOracle:
 
     def expect_cells(self, out, name, xs, oracle):
         """The MC cells of ``name`` against the (value, half-width) pairs of a
-        control-variate oracle.  3000 trials are below the floor of a draw to
-        precision, so the run draws every trial, as the oracle does."""
+        control-variate oracle, of a run of ``cv_config``."""
         rows = list(csv.DictReader(io.StringIO(read_csv(out / name))))
         assert [float(row["x"]) for row in rows] == xs
         for row, (value, half) in zip(rows, oracle, strict=True):
@@ -142,14 +147,14 @@ class TestMonteCarloColumnsMatchPerPointOracle:
                     per_point(cfg, plan, lambda s: empirical_outage(s, gamma_th), SWEEP))
 
     def test_rate_over_gamma_bar(self, tmp_path, small_chunks, workers):
-        config = self.config(workers)
+        config = self.cv_config(workers)
         cfg, plan = self.spec("rate", config)
         code, out = run_cli(tmp_path, "rate", config)
         assert code == 0
         self.expect_cells(out, "rate_mc.csv", SWEEP, cv_rates(cfg, plan, SWEEP))
 
     def test_rate_over_n_elements(self, tmp_path, small_chunks, workers):
-        config = self.config(workers, sweep={"variable": "n_elements", "values": [2, 8]})
+        config = self.cv_config(workers, sweep={"variable": "n_elements", "values": [2, 8]})
         cfg, plan = self.spec("rate", config)
         code, out = run_cli(tmp_path, "rate", config)
         assert code == 0
@@ -164,7 +169,7 @@ class TestMonteCarloColumnsMatchPerPointOracle:
                     per_point(cfg, plan, lambda s: empirical_ber(s, 1.0, 2.0), SWEEP))
 
     def test_quantization(self, tmp_path, small_chunks, workers):
-        config = self.config(workers, quantization={"bits": [1, 3], "n_values": [4, 8]})
+        config = self.cv_config(workers, quantization={"bits": [1, 3], "n_values": [4, 8]})
         cfg, plan = self.spec("quantization", config)
         code, out = run_cli(tmp_path, "quantization", config)
         assert code == 0
@@ -626,7 +631,7 @@ MC_RUNS = [
 @pytest.mark.parametrize("kind,config,runs", MC_RUNS)
 def test_manifest_records_the_monte_carlo_runs(tmp_path, kind, config, runs):
     # fewer trials than the floor of a draw to precision: every kind draws them all
-    trials = 3000
+    trials = 2000
     assert trials < montecarlo.CV_FLOOR_TRIALS
     code, out = run_cli(tmp_path, kind, {"trials": trials, "workers": 2,
                                          "sweep": {"values": [0.0, 20.0]}, **config})
@@ -659,7 +664,9 @@ def test_manifest_chunks_are_the_chunks_map_chunks_ran(tmp_path, monkeypatch, ki
     mc = json.loads((out / "manifest.json").read_text())["extras"]["mc"]
     assert len(mc["runs"]) == len(runs)
     assert mc["chunks"] == len(drawn)
-    assert sorted(drawn) == sorted(i for run in mc["runs"] for i in range(run["chunks"]))
+    assert sorted(drawn) == sorted(i for run in mc["runs"]
+                                   for i in range(run["first_chunk"],
+                                                  run["first_chunk"] + run["chunks"]))
 
 
 @pytest.mark.parametrize("kind,config,runs", MC_RUNS)
@@ -1001,24 +1008,33 @@ def mc_extras(out):
     return json.loads((out / "manifest.json").read_text())["extras"]["mc"]
 
 
+def first_draw(n):
+    """Trials of the first draw to precision at N = ``n``: the floor rounded
+    up to whole chunks."""
+    chunk_trials, _ = montecarlo.chunk_plan(1, n)
+    return -(-montecarlo.CV_FLOOR_TRIALS // chunk_trials) * chunk_trials
+
+
 def test_quantization_draws_the_floor_where_it_is_precise_enough(tmp_path):
-    # 100k trials: the first 4096 give every cell a narrower interval than
-    # plain MC's at 100k, and the manifest records the run as drawn
+    # 100k trials: the first draw (one chunk of 4096 trials at N = 8, the 2048
+    # of the floor at N = 32) gives every cell a narrower interval than plain
+    # MC's at 100k, and the manifest records the run as drawn
     code, out = run_cli(tmp_path, "quantization",
                         {"trials": 100_000,
                          "quantization": {"bits": [1, 2, 4], "n_values": [8, 32]}})
     assert code == 0
     mc = mc_extras(out)
-    assert [run["trials"] for run in mc["runs"]] == [montecarlo.CV_FLOOR_TRIALS] * 2
-    assert mc["trials"] == 2 * montecarlo.CV_FLOOR_TRIALS
+    assert [run["trials"] for run in mc["runs"]] == [first_draw(8), first_draw(32)] == [4096, 2048]
+    assert mc["trials"] == 4096 + 2048
     for run in mc["runs"]:
         record = run["control_variates"]
         assert record["floor_trials"] == montecarlo.CV_FLOOR_TRIALS
+        assert record["fitted_trials"] == run["trials"]
         assert record["extension"] is False
         assert [w["bits"] for w in record["widths"]] == [1, 2, 4]
         for width in record["widths"]:
             assert 0.0 < width["max_half_width_ratio"] <= 1.0
-            assert width["min_variance_ratio"] > 100_000 / montecarlo.CV_FLOOR_TRIALS
+            assert width["min_variance_ratio"] > 100_000 / run["trials"]
 
 
 def test_quantization_intervals_are_no_wider_than_plain_at_the_configured_trials(tmp_path):
@@ -1042,13 +1058,13 @@ def test_quantization_intervals_are_no_wider_than_plain_at_the_configured_trials
                         <= 100.0 * (plain.ci_high - plain.ci_low))
 
 
-@pytest.mark.parametrize("floor_chunks", [None, 2], ids=["floor", "extended"])
+@pytest.mark.parametrize("floor_chunks", [4, 2], ids=["floor", "extended"])
 def test_quantization_columns_are_the_same_for_any_worker_count(tmp_path, monkeypatch,
                                                                 small_chunks, floor_chunks):
-    # a floor of two chunks is too few for these cells: the run extends its
-    # first draw, from decisions on chunk prefixes alone
-    if floor_chunks is not None:
-        monkeypatch.setattr(montecarlo, "CV_FLOOR_TRIALS", floor_chunks * 1024)
+    # a floor of four chunks is enough for these cells; one of two chunks is
+    # too few: the run extends its first draw, from decisions on chunk
+    # prefixes alone
+    monkeypatch.setattr(montecarlo, "CV_FLOOR_TRIALS", floor_chunks * 1024)
     config = {"trials": 50_000, "sweep": {"values": [0.0, 45.0]},
               "quantization": {"bits": [1, 3], "n_values": [1, 4]}}
     outputs = []
@@ -1061,8 +1077,7 @@ def test_quantization_columns_are_the_same_for_any_worker_count(tmp_path, monkey
         outputs.append({name: data for name, data in _run_outputs(out).items()
                         if name != "manifest"})
         runs = mc_extras(out)["runs"]
-        assert any(run["control_variates"]["extension"] for run in runs) == (
-            floor_chunks is not None)
+        assert any(run["control_variates"]["extension"] for run in runs) == (floor_chunks == 2)
     assert len(outputs[0]) == 4
     assert all(other == outputs[0] for other in outputs[1:])
 
@@ -1081,15 +1096,14 @@ def test_quantization_at_the_finest_widths_reads_one_hundred_percent(tmp_path):
             assert low - 1e-9 <= 100.0 <= high + 1e-9
 
 
-@pytest.mark.parametrize("n", [8, 32])
-def test_floor_intervals_cover_a_million_trial_reference(n):
-    # 400 seeds of the first draw: each cell's 95% interval covers the
-    # estimate of 2^20 trials (four draws of 2^18) at a rate of at least 0.92
+@pytest.mark.parametrize("n,floor", [(8, 4096), (16, 2048), (32, 2048)])
+def test_floor_intervals_cover_a_million_trial_reference(n, floor):
+    # 400 seeds of the first draw (one chunk at N = 8 and 16, the floor at
+    # N = 32): each cell's 95% interval covers the estimate of 2^20 trials
+    # (four draws of 2^18) at a rate of at least 0.92
     widths, gamma_bars = (1, 3), cli._gamma_bars([0.0, 15.0, 45.0])
     cfg, _ = cli.validate_config({"n_elements": n})
-    chunk_trials, _ = montecarlo.chunk_plan(1, n)
-    floor = -(-montecarlo.CV_FLOOR_TRIALS // chunk_trials) * chunk_trials
-    assert floor == montecarlo.CV_FLOOR_TRIALS
+    assert first_draw(n) == floor
 
     fit = functools.partial(cli._quantization_fit,
                             [cli.quantized_control_means(cfg, bits) for bits in widths], gamma_bars)
@@ -1110,14 +1124,13 @@ def test_floor_intervals_cover_a_million_trial_reference(n):
 
 @pytest.mark.parametrize("n", [1, 16, 128])
 def test_rate_floor_intervals_cover_a_million_trial_reference(n):
-    # 400 seeds of the first draw (one chunk of 32768 trials at N = 1, 4096
-    # trials from N = 8 on): each transmit SNR's 95% interval covers the
+    # 400 seeds of the first draw (one chunk of 32768 trials at N = 1, 2048
+    # trials from N = 16 on): each transmit SNR's 95% interval covers the
     # estimate of 2^20 trials (four draws of 2^18) at a rate of at least 0.92
     cfg, _ = cli.validate_config({"n_elements": n})
     fit = functools.partial(cli._rate_fit, cli.continuous_control_means(cfg),
                             cli._gamma_bars([0.0, 21.0, 45.0]))
-    chunk_trials, _ = montecarlo.chunk_plan(1, n)
-    floor = -(-montecarlo.CV_FLOOR_TRIALS // chunk_trials) * chunk_trials
+    floor = first_draw(n)
 
     def cells(trials, seed):  # (value / low / high, point)
         plan = SimPlan(trials=trials, seed=seed, workers=2)
@@ -1140,15 +1153,16 @@ def correlation_spec(n):
 
 def test_correlation_draws_the_floor_and_records_each_scheme(tmp_path):
     # the benchmark's correlation config: every cell is precise enough at the
-    # floor (the whole chunks of at least 4096 trials), for both schemes
+    # floor (the whole chunks of at least 2048 trials), for both schemes
     code, out = run_cli(tmp_path, "correlation",
                         {"trials": 20_000, "workers": 2, "correlation": {"n_values": [64, 144]}})
     assert code == 0
     runs = json.loads((out / "manifest.json").read_text())["extras"]["mc"]["runs"]
-    assert [(run["n_elements"], run["trials"]) for run in runs] == [(64, 4096), (144, 4313)]
+    assert [(run["n_elements"], run["trials"]) for run in runs] == [(64, 2048), (144, 2270)]
     for run in runs:
         record = run["control_variates"]
         assert record["floor_trials"] == montecarlo.CV_FLOOR_TRIALS
+        assert record["fitted_trials"] == run["trials"]
         assert record["extension"] is False
         assert [scheme["scheme"] for scheme in record["schemes"]] == [1, 2]
         for scheme in record["schemes"]:
@@ -1166,7 +1180,8 @@ def test_correlation_intervals_are_no_wider_than_plain_at_the_configured_trials(
         rows = csv.DictReader(io.StringIO(read_csv(out / f"correlation_scheme{s}.csv")))
         for row in rows:
             cfg, corr = correlation_spec(int(row["x"]))
-            snr = cli.simulate_scheme_rates(cfg, corr, SimPlan(trials=60_000, seed=1))[s - 1]
+            snr = cli.simulate_scheme_rates(cfg, build_correlation(corr),
+                                            SimPlan(trials=60_000, seed=1))[s - 1]
             plain = empirical_rate(cfg.gamma_bar * snr)
             assert (float(row["mc_ci_high"]) - float(row["mc_ci_low"])
                     <= plain.ci_high - plain.ci_low)
@@ -1184,13 +1199,13 @@ def test_scheme1_bound_lies_above_its_interval(tmp_path):
     assert all(row["analytic"] == "" and row["mc"] for row in scheme2)
 
 
-@pytest.mark.parametrize("floor_chunks", [None, 2], ids=["floor", "extended"])
+@pytest.mark.parametrize("floor_chunks", [4, 2], ids=["floor", "extended"])
 def test_correlation_columns_are_the_same_for_any_worker_count(tmp_path, monkeypatch,
                                                                small_chunks, floor_chunks):
-    # a floor of two chunks is too few for scheme 2 at N = 64: the run
-    # extends its first draw, from decisions on chunk prefixes alone
-    if floor_chunks is not None:
-        monkeypatch.setattr(montecarlo, "CV_FLOOR_TRIALS", floor_chunks * 1024)
+    # a floor of four chunks is enough for both schemes; one of two chunks is
+    # too few for scheme 2 at N = 64: the run extends its first draw, from
+    # decisions on chunk prefixes alone
+    monkeypatch.setattr(montecarlo, "CV_FLOOR_TRIALS", floor_chunks * 1024)
     config = {"trials": 50_000, "correlation": {"n_values": [16, 64]}}
     outputs = []
     for workers in (None, 1, 2, 3):
@@ -1202,27 +1217,60 @@ def test_correlation_columns_are_the_same_for_any_worker_count(tmp_path, monkeyp
         outputs.append({name: data for name, data in _run_outputs(out).items()
                         if name != "manifest"})
         runs = mc_extras(out)["runs"]
-        assert any(run["control_variates"]["extension"] for run in runs) == (
-            floor_chunks is not None)
+        assert any(run["control_variates"]["extension"] for run in runs) == (floor_chunks == 2)
     assert len(outputs[0]) == 2
     assert all(other == outputs[0] for other in outputs[1:])
 
 
-@pytest.mark.parametrize("n", [16, 64])
-def test_correlation_floor_intervals_cover_a_million_trial_reference(n):
-    # 400 seeds of the first draw: each scheme's 95% interval covers the
-    # estimate of 2^20 trials (four draws of 2^18) at a rate of at least 0.92
+@pytest.mark.parametrize("kind,config", [
+    ("quantization", {"sweep": {"values": [0.0, 45.0]},
+                      "quantization": {"bits": [1, 3], "n_values": [4]}}),
+    ("correlation", {"correlation": {"n_values": [64]}})])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_an_extension_draws_each_chunk_once(tmp_path, monkeypatch, small_chunks, kind, config,
+                                             workers):
+    # a floor of two chunks is too few at this N: the run draws the chunks
+    # that follow its first draw and fits them with it, so its columns are
+    # those of a run whose first draw is every trial it fitted
+    monkeypatch.setattr(montecarlo, "CV_FLOOR_TRIALS", 2 * 1024)
+    config = {"trials": 50_000, "workers": workers, **config}
+    drawn = []
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "chunk_rng", lambda seed, index: (
+            drawn.append(index) or chunk_rng(seed, index)))
+        (tmp_path / "extended").mkdir()
+        code, out = run_cli(tmp_path / "extended", kind, config)
+    assert code == 0
+    mc = mc_extras(out)
+    fitted = mc["runs"][-1]["control_variates"]["fitted_trials"]
+    assert [run["control_variates"]["extension"] for run in mc["runs"]] == [False, True]
+    assert sorted(drawn) == list(range(mc["chunks"]))
+    assert mc["trials"] == fitted == sum(run["trials"] for run in mc["runs"])
+
+    monkeypatch.setattr(montecarlo, "CV_FLOOR_TRIALS", fitted)
+    (tmp_path / "once").mkdir()
+    code, once = run_cli(tmp_path / "once", kind, config)
+    assert code == 0
+    assert [run["trials"] for run in mc_extras(once)["runs"]] == [fitted]
+    outputs = [{name: data for name, data in _run_outputs(run).items() if name != "manifest"}
+               for run in (out, once)]
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("n,floor", [(16, 2048), (64, 2048), (144, 2270)])
+def test_correlation_floor_intervals_cover_a_million_trial_reference(n, floor):
+    # 400 seeds of the first draw (ten chunks of 227 trials at N = 144): each
+    # scheme's 95% interval covers the estimate of 2^20 trials (four draws of
+    # 2^18) at a rate of at least 0.92
     cfg, corr = correlation_spec(n)
-    fit = functools.partial(fit_scheme_rates, cfg,
-                            scheme_control_means(cfg, build_correlation(corr)))
-    chunk_trials, _ = montecarlo.chunk_plan(1, n)
-    floor = -(-montecarlo.CV_FLOOR_TRIALS // chunk_trials) * chunk_trials
-    assert floor == montecarlo.CV_FLOOR_TRIALS
+    roots = build_correlation(corr)
+    fit = functools.partial(fit_scheme_rates, cfg, scheme_control_means(cfg, roots))
+    assert first_draw(n) == floor
 
     def cells(trials, seed):  # (scheme, value / low / high)
         plan = SimPlan(trials=trials, seed=seed, workers=2)
         return np.array([[e.value, e.ci_low, e.ci_high]
-                         for (e, _), in fit(cli.simulate_scheme_rates(cfg, corr, plan))])
+                         for (e, _), in fit(cli.simulate_scheme_rates(cfg, roots, plan))])
 
     reference = np.mean([cells(2**18, 10_000 + i)[:, 0] for i in range(4)], axis=0)
     covered = np.zeros(reference.shape)

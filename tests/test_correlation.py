@@ -347,7 +347,7 @@ class TestSchemeKernel:
 
 def plain_rates(cfg, corr, plan):
     """The plain estimates of both schemes' mean rates at ``cfg.gamma_bar``."""
-    rows = simulate_scheme_rates(cfg, corr, plan)
+    rows = simulate_scheme_rates(cfg, build_correlation(corr), plan)
     return {s: empirical_rate(cfg.gamma_bar * rows[s - 1]) for s in (1, 2)}
 
 
@@ -355,7 +355,7 @@ class TestSchemeRates:
     def test_estimates_do_not_depend_on_workers(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: 512)
         corr = small_corr()
-        runs = [simulate_scheme_rates(unit_cfg(corr.n_total), corr,
+        runs = [simulate_scheme_rates(unit_cfg(corr.n_total), build_correlation(corr),
                                       SimPlan(trials=1800, seed=5, workers=w))
                 for w in (1, 2, 3)]  # four chunks
         assert runs[0].shape == (6, 1800)
@@ -383,7 +383,7 @@ class TestSchemeRates:
     def test_grid_size_mismatch_rejected(self):
         corr = CorrelationConfig.square_surface(16, 1.0, 0.1, spread(), spread())
         with pytest.raises(ValueError):
-            simulate_scheme_rates(unit_cfg(9), corr, SimPlan(trials=10, seed=1))
+            simulate_scheme_rates(unit_cfg(9), build_correlation(corr), SimPlan(trials=10, seed=1))
 
 
 SHAPES = pytest.mark.parametrize("shapes", [(1.8, 16.0 / 7.0, 25.0 / 9.0), (2.0, 3.0, 4.0)],
@@ -406,10 +406,10 @@ class TestControlMeans:
     def test_sample_means_of_the_controls_match(self, n, shapes):
         # each of the 7 controls of a draw within 4 standard errors of its exact mean
         corr = CorrelationConfig.square_surface(n, 1.0, 0.1, spread(), spread(-0.4))
-        cfg = unit_cfg(n, shapes)
-        snr1, _, v, s_r, t2, t4 = simulate_scheme_rates(cfg, corr,
+        cfg, roots = unit_cfg(n, shapes), build_correlation(corr)
+        snr1, _, v, s_r, t2, t4 = simulate_scheme_rates(cfg, roots,
                                                         SimPlan(trials=40_000, seed=17, workers=2))
         controls = (v, v * v, s_r, v * s_r, snr1 - v * (v + 2.0 * s_r), t2, t4)
-        for sample, mean in zip(controls, scheme_control_means(cfg, build_correlation(corr))):
+        for sample, mean in zip(controls, scheme_control_means(cfg, roots)):
             standard_error = sample.std(ddof=1) / math.sqrt(sample.size)
             assert abs(sample.mean() - mean) <= 4.0 * standard_error

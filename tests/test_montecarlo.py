@@ -211,7 +211,7 @@ KERNELS = {
     "snr": lambda cfg, plan: simulate_snr_samples(cfg, replace(plan, quantization_bits=(1, 3))),
     "wdist": cli._reflected_sum_samples,
     "correlation": lambda cfg, plan: simulate_scheme_rates(
-        cfg, correlation_config(cfg.n_elements), plan),
+        cfg, correlation.build_correlation(correlation_config(cfg.n_elements)), plan),
 }
 
 
@@ -379,9 +379,9 @@ def test_threaded_scheme_rates_hold_one_chunk_per_worker():
     # beside the (6, trials) rows of the draw, about 4.4 MB in all
     n = 144
     cfg, _ = cli.validate_config({"n_elements": n})
-    corr = correlation_config(n)
+    roots = correlation.build_correlation(correlation_config(n))
     peak = traced_peak(
-        lambda: simulate_scheme_rates(cfg, corr, SimPlan(trials=20_000, seed=3, workers=2)))
+        lambda: simulate_scheme_rates(cfg, roots, SimPlan(trials=20_000, seed=3, workers=2)))
     assert peak <= 4.5 * 2**20
 
 

@@ -116,9 +116,10 @@ def _failing_chunk_rng(seed, index, chunk_rng=montecarlo.chunk_rng):
 
 
 # (kind, config, chunk generator, exit code): 10000 trials are several chunks
-# at N = 16 and N = 8, so three workers all start
+# at N = 16 and N = 8, and rate's first draw at N = 64 is four, so three
+# workers all start
 _THREADED_RUNS = [
-    ("rate", {}, None, 0),
+    ("rate", {"sweep": {"variable": "n_elements", "values": [64]}}, None, 0),
     ("quantization", {"sweep": {"values": [-400.0]}}, None, 3),  # zero mean reference rate
     ("outage", {}, _failing_chunk_rng, 3),  # a chunk fails while three threads draw
 ]

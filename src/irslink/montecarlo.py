@@ -40,12 +40,12 @@ draw).  :func:`draw_to_precision` draws the trials such estimates need for
 a precision, not a fixed count: from a floor of ``CV_FLOOR_TRIALS``, it
 extends a draw by the chunks that follow it, only where an interval is wider
 than plain Monte-Carlo's at the configured trials, and fits the chunks it
-holds with the new ones, so no chunk is drawn twice.  So ``trials`` is a count for the
-``wdist``, ``snrcdf``, ``outage`` and ``ser`` kinds of :mod:`irslink.cli`,
-and a precision and a cap for ``rate``, ``quantization`` and
-``correlation``.  The estimators' sums are numpy's pairwise ones, never a
-BLAS product, whose order would follow the alignment of the arrays: an
-estimate is the same in every run.
+holds with the new ones, so no chunk is drawn twice.  So ``trials`` is a
+count for the ``wdist``, ``snrcdf``, ``outage`` and ``ser`` kinds of
+:mod:`irslink.cli`, and a precision and a cap for ``rate``,
+``quantization`` and ``correlation``.  The estimators' sums are numpy's
+pairwise ones, never a BLAS product, whose order would follow the
+alignment of the arrays: an estimate is the same in every run.
 """
 
 from __future__ import annotations
@@ -104,12 +104,12 @@ class SimPlan:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.first_chunk < 0:
-            raise ValueError("first_chunk must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if any(bits < 1 for bits in self.quantization_bits):
             raise ValueError("quantization_bits must be >= 1")
+        if self.first_chunk < 0:
+            raise ValueError("first_chunk must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -550,13 +550,13 @@ def draw_to_precision(sample: Callable[[SimPlan], np.ndarray], plan: SimPlan, n_
     so the estimates are the same for any worker count.
 
     Returns the last fit's estimates, grouped as ``fit`` groups them, and
-    one record per draw: the floor, the trials fitted after it, whether it
-    extends an earlier draw, and per group the least variance ratio (plain
-    over control-variate, at the same trials) and the greatest half-width
-    ratio (control-variate over plain at ``plan.trials``), None where no cell
-    gives one (a ratio over a zero half-width is left out).  ``groups`` =
-    (name, key, labels) lists them under ``name``, each labelled
-    ``{key: label}``."""
+    one record per draw: the floor, the trials fitted once it is drawn,
+    whether it extends an earlier draw, and per group the least variance
+    ratio (plain over control-variate, at the same trials) and the greatest
+    half-width ratio (control-variate over plain at ``plan.trials``), None
+    where no cell gives one (a ratio over a zero half-width is left out).
+    ``groups`` = (name, key, labels) lists them under ``name``, each
+    labelled ``{key: label}``."""
     trials = plan.trials
     chunk_trials, _ = chunk_plan(trials, n_elements)
     drawn = min(trials, -(-CV_FLOOR_TRIALS // chunk_trials) * chunk_trials)

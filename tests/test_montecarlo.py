@@ -305,6 +305,17 @@ class TestChunkLayout:
         for other in runs[1:]:
             np.testing.assert_array_equal(other, runs[0])
 
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_a_plan_from_chunk_k_draws_the_tail_of_a_longer_draw(self, kernel):
+        # two chunks of the real size then a partial one, from chunk 1 on: the
+        # trials of a one-shot draw that follow its first chunk, bit for bit
+        cfg, _ = cli.validate_config({"n_elements": 64, "gamma_bar_db": 0.0})
+        size = _chunk_size(64)
+        whole = KERNELS[kernel](cfg, SimPlan(trials=3 * size + 100, seed=31))
+        tail = KERNELS[kernel](cfg, SimPlan(trials=2 * size + 100, seed=31, workers=2,
+                                            first_chunk=1))
+        np.testing.assert_array_equal(tail, whole[..., size:])
+
     def test_one_worker_evaluates_every_chunk_on_the_calling_thread(self):
         # the one scheduling path at one worker: the caller takes every chunk
         # from the queue, no thread starts, and the samples are those of 2
@@ -717,3 +728,5 @@ class TestPlanValidation:
             SimPlan(trials=10, quantization_bits=(0,))
         with pytest.raises(ValueError):
             SimPlan(trials=10, quantization_bits=(2, 0))
+        with pytest.raises(ValueError):
+            SimPlan(trials=10, first_chunk=-1)

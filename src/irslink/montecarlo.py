@@ -91,14 +91,15 @@ class SimPlan:
 
     ``quantization_bits`` lists the phase-quantization widths simulated
     beside continuous (ideal) phases, all from the same amplitude draws.
+    ``first_chunk`` is the index of the plan's first chunk: a plan that
+    starts at chunk k draws the trials that follow the first k whole chunks
+    of a longer draw.
     """
 
     trials: int
     seed: int = 0
     workers: int = 1
     quantization_bits: tuple[int, ...] = ()
-    # index of the plan's first chunk: a plan that starts at chunk k draws the
-    # trials that follow the first k whole chunks of a longer draw
     first_chunk: int = 0
 
     def __post_init__(self):

@@ -34,10 +34,12 @@ is wider than plain Monte-Carlo's at ``trials``, fitting them with those it
 holds (``montecarlo.draw_to_precision``).  Each draw is a run of the
 manifest with the chunks and trials it added, so ``extras.mc.trials``
 counts every trial once, and records under ``control_variates`` the trials
-its fit used and its precision.  The runners pass the sampler they look up
-in this module when they run, so a wrapper set on
-``irslink.cli.simulate_snr_samples`` or ``simulate_scheme_rates`` sees
-every draw.
+its fit used and its precision.  The three fits (``_rate_fit``,
+``_quantization_fit``, ``_correlation_fit``) live here, and the runners and
+fits pass the sampler and estimator they look up in this module when they
+run, so a wrapper set on ``irslink.cli.simulate_snr_samples``,
+``simulate_scheme_rates``, ``empirical_rate`` or ``empirical_rate_ratio``
+sees every draw or estimate.
 
 Monte-Carlo runs on one worker per CPU this process may run on unless the
 config or ``--workers`` names a count (:mod:`irslink.config`); no count
@@ -77,8 +79,8 @@ from . import __version__
 from .channel import SystemConfig, db_to_linear, nakagami_draw
 from .config import load_config_file, validate_config
 from .cltapprox import w_stats
-from .correlation import (AngleSpread, CorrelationConfig, build_correlation, fit_scheme_rates,
-                          scheme1_rate_bound, scheme_control_means, simulate_scheme_rates)
+from .correlation import (AngleSpread, CorrelationConfig, build_correlation, scheme1_rate_bound,
+                          scheme_control_means, simulate_scheme_rates)
 from .errors import ConfigError, NumericalConsistencyError
 from .metrics import (asymptotic_outage, asymptotic_ser, continuous_control_means,
                       outage_probability, quantized_control_means, quantized_rate_bounds,
@@ -323,6 +325,17 @@ def _to_precision(extras: dict, groups: tuple, fit, sampler, cfg: SystemConfig, 
     return estimates
 
 
+def _rate_fit(means: tuple[float, float], gamma_bars,
+              snr: np.ndarray) -> list[list[tuple[Estimate, float]]]:
+    """The fit of one rate draw (``draw_to_precision``): the mean rate at
+    each transmit SNR, one group of one cell each, as a control-variate
+    estimate and a plain half-width.  The controls R (the root of the drawn
+    R^2) and R^2 are fitted once per draw, with their exact means ``means``
+    (``continuous_control_means``)."""
+    controls = ControlVariates.fit(np.stack([np.sqrt(snr), snr]), means)
+    return [control_variate_cells(empirical_rate, controls, [(gb * snr,)]) for gb in gamma_bars]
+
+
 def _quantization_fit(means: list[tuple[float, ...]], gamma_bars,
                       amplitudes: np.ndarray) -> list[list[tuple[Estimate, float]]]:
     """The fit of one quantization draw (``draw_to_precision``): per width,
@@ -341,6 +354,24 @@ def _quantization_fit(means: list[tuple[float, ...]], gamma_bars,
         cells.append(control_variate_cells(empirical_rate_ratio, controls, (
             (gb * samples, gb * reference) for gb in gamma_bars)))
     return cells
+
+
+def _correlation_fit(cfg: SystemConfig, means: tuple[float, ...],
+                     rows: np.ndarray) -> list[list[tuple[Estimate, float]]]:
+    """The fit of one correlation draw (``draw_to_precision``): per scheme,
+    the one cell of the rows of ``simulate_scheme_rates`` at
+    ``cfg.gamma_bar``, the control-variate estimate of the mean rate and the
+    plain half-width.  The controls v, v^2, S_r, v S_r, |S|^2 =
+    snr_1 - v (v + 2 S_r), sum |t_n|^2 and sum |t_n|^4, with the exact means
+    ``means`` (``scheme_control_means``), are fitted once and serve both
+    schemes; snr_1 lies in their span, so it is no control of its own."""
+    snr1, snr2, v, s_r, t2, t4 = rows
+    # an infinite or undefined control is dropped by the fit
+    with np.errstate(over="ignore", invalid="ignore"):
+        controls = ControlVariates.fit(
+            np.stack([v, v * v, s_r, v * s_r, snr1 - v * (v + 2.0 * s_r), t2, t4]), means)
+    return [control_variate_cells(empirical_rate, controls, [(cfg.gamma_bar * snr,)])
+            for snr in (snr1, snr2)]
 
 
 def _run_quantization(spec: ExperimentSpec, extras: dict) -> dict:
@@ -400,24 +431,13 @@ def _run_correlation(spec: ExperimentSpec, extras: dict) -> dict:
         bounds.append(scheme1_rate_bound(cfg, means))
         if spec.use_mc:
             rates.append(_to_precision(extras, ("schemes", "scheme", (1, 2)),
-                                       functools.partial(fit_scheme_rates, cfg, means),
+                                       functools.partial(_correlation_fit, cfg, means),
                                        simulate_scheme_rates, cfg, roots, spec.plan))
     # each N's estimates are one group per scheme of one cell
     mc = [_mc_columns([schemes[k][0] for schemes in rates]) if spec.use_mc else {}
           for k in (0, 1)]
     return {"correlation_scheme1": ("n_elements", n_values, {"analytic": bounds, **mc[0]}),
             "correlation_scheme2": ("n_elements", n_values, mc[1])}
-
-
-def _rate_fit(means: tuple[float, float], gamma_bars,
-              snr: np.ndarray) -> list[list[tuple[Estimate, float]]]:
-    """The fit of one rate draw (``draw_to_precision``): the mean rate at
-    each transmit SNR, one group of one cell each, as a control-variate
-    estimate and a plain half-width.  The controls R (the root of the drawn
-    R^2) and R^2 are fitted once per draw, with their exact means ``means``
-    (``continuous_control_means``)."""
-    controls = ControlVariates.fit(np.stack([np.sqrt(snr), snr]), means)
-    return [control_variate_cells(empirical_rate, controls, [(gb * snr,)]) for gb in gamma_bars]
 
 
 def _run_rate(spec: ExperimentSpec, extras: dict) -> dict:

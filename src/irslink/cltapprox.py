@@ -188,7 +188,8 @@ def w_moment(tn: TruncatedNormal, alpha: int) -> float:
 
 @dataclass(frozen=True)
 class QuantizedWStats:
-    """Statistics of the reflected sum under b-bit phase quantization.
+    """Statistics of the reflected sum under b-bit phase quantization, whose
+    phase errors are uniform on [-tau, tau), tau = pi/2^b.
 
     The real part keeps a lower-truncated normal model; the imaginary part
     is a zero-mean normal of variance ``sigma2_imag`` (0 once tau^2 is below
@@ -199,7 +200,6 @@ class QuantizedWStats:
 
     real_part: TruncatedNormal
     sigma2_imag: float
-    tau: float
 
 
 def quantized_w_stats(cfg: SystemConfig, bits: int) -> QuantizedWStats:
@@ -221,5 +221,4 @@ def quantized_w_stats(cfg: SystemConfig, bits: int) -> QuantizedWStats:
             mu_bar=tn.mu_bar * cos_mean,
             sigma2_bar=(cos2_mean - cos_mean**2) * power + cos_mean**2 * tn.sigma2_bar),
         sigma2_imag=sin2_mean * power,
-        tau=tau,
     )

@@ -34,10 +34,12 @@ most about 7 (trials x N) float64 buffers of one chunk, each at most
 
 The rows are the two SNRs, then v, Re S, sum |t_n|^2 and sum |t_n|^4 of
 the scheme terms t_n and their sum S: the control variates of both schemes'
-rates are formed from those four (:func:`fit_scheme_rates`), and their exact
-means take O(a^2 + b^2) from the factor roots
-(:func:`scheme_control_means`).  Scheme 1's mean SNR follows from them, and
-with it a Jensen bound on its rate (:func:`scheme1_rate_bound`).
+rates are formed from those four, and their exact means take O(a^2 + b^2)
+from the factor roots (:func:`scheme_control_means`).  Scheme 1's mean SNR
+follows from them, and with it a Jensen bound on its rate
+(:func:`scheme1_rate_bound`).  This module is the correlated model alone:
+the estimates are fitted in :mod:`irslink.cli`, beside those of the other
+kinds that draw to precision.
 """
 
 from __future__ import annotations
@@ -52,8 +54,7 @@ from .channel import LinkParams, SystemConfig, nakagami_sample, uniform_phase
 from .cltapprox import w_stats
 from .errors import NumericalConsistencyError
 from .metrics import direct_moment, log2_1p_product
-from .montecarlo import (ControlVariates, Estimate, SimPlan, control_variate_cells, empirical_rate,
-                         map_chunks)
+from .montecarlo import SimPlan, map_chunks
 
 __all__ = [
     "AngleSpread",
@@ -64,7 +65,6 @@ __all__ = [
     "simulate_scheme_rates",
     "scheme_control_means",
     "scheme1_rate_bound",
-    "fit_scheme_rates",
 ]
 
 _EIG_CLIP = -1e-10
@@ -103,10 +103,6 @@ class CorrelationConfig:
             raise ValueError("grid dimensions must be positive")
         if self.d_az <= 0 or self.d_el <= 0:
             raise ValueError("element spacings must be positive")
-
-    @property
-    def n_total(self) -> int:
-        return self.n_az * self.n_el
 
     @staticmethod
     def tiling(n_elements: int) -> tuple[int, int]:
@@ -259,7 +255,7 @@ def _scheme_snr_chunk(cfg: SystemConfig, roots: tuple[tuple[np.ndarray, np.ndarr
 def simulate_scheme_rates(cfg: SystemConfig, roots: tuple[tuple[np.ndarray, np.ndarray], ...],
                           plan: SimPlan) -> np.ndarray:
     """The ``(6, trials)`` rows of one draw that the rates of both schemes
-    are estimated from (:func:`fit_scheme_rates`), per unit transmit SNR:
+    are estimated from (``cli._correlation_fit``), per unit transmit SNR:
     the SNRs of scheme 1 and scheme 2 over shared channel draws, then v,
     S_r, sum |t_n|^2 and sum |t_n|^4 (``_scheme_snr_chunk``), with the
     factor roots ``roots`` of ``build_correlation``."""
@@ -315,20 +311,3 @@ def scheme1_rate_bound(cfg: SystemConfig, means: tuple[float, ...]) -> float:
     E |t_n| |t_m|, which has no closed form for correlated legs."""
     e_snr = means[1] + 2.0 * means[3] + means[4]
     return float(log2_1p_product(np.asarray(cfg.gamma_bar), e_snr))
-
-
-def fit_scheme_rates(cfg: SystemConfig, means: tuple[float, ...],
-                     rows: np.ndarray) -> list[list[tuple[Estimate, float]]]:
-    """Per scheme, the one cell of a draw of :func:`simulate_scheme_rates`
-    at ``cfg.gamma_bar``: the control-variate estimate of the mean rate and
-    the plain half-width.  The controls v, v^2, S_r, v S_r, |S|^2 =
-    snr_1 - v (v + 2 S_r), sum |t_n|^2 and sum |t_n|^4, with the exact means
-    ``means``, are fitted once and serve both schemes; snr_1 lies in their
-    span, so it is no control of its own."""
-    snr1, snr2, v, s_r, t2, t4 = rows
-    # an infinite or undefined control is dropped by the fit
-    with np.errstate(over="ignore", invalid="ignore"):
-        controls = ControlVariates.fit(
-            np.stack([v, v * v, s_r, v * s_r, snr1 - v * (v + 2.0 * s_r), t2, t4]), means)
-    return [control_variate_cells(empirical_rate, controls, [(cfg.gamma_bar * snr,)])
-            for snr in (snr1, snr2)]

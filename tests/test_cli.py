@@ -29,7 +29,7 @@ import irslink.cli as cli
 import irslink.montecarlo as montecarlo
 from irslink.channel import ERLANG_MAX_SHAPE, db_to_linear
 from irslink.config import DEFAULT_CONFIG
-from irslink.correlation import build_correlation, fit_scheme_rates, scheme_control_means
+from irslink.correlation import build_correlation, scheme_control_means
 from irslink.errors import ConfigError, NumericalConsistencyError
 from irslink.metrics import outage_probability
 from irslink.montecarlo import (SimPlan, chunk_rng, empirical_ber, empirical_outage,
@@ -679,9 +679,7 @@ def test_the_default_worker_count_writes_the_bytes_of_one_worker(tmp_path, small
     assert code == 0
     code, one = run_cli(tmp_path / "one", kind, {**config, "workers": 1})
     assert code == 0
-    csvs = {name: data for name, data in _run_outputs(out).items() if name != "manifest"}
-    assert csvs and csvs == {name: data for name, data in _run_outputs(one).items()
-                             if name != "manifest"}
+    assert csv_bytes(out) and csv_bytes(out) == csv_bytes(one)
 
 
 def test_no_mc_run_records_no_monte_carlo(tmp_path):
@@ -808,6 +806,10 @@ def _run_outputs(out: Path) -> dict:
     outputs["manifest"] = (manifest["experiment"], manifest["files"],
                            sorted(manifest["extras"]))
     return outputs
+
+
+def csv_bytes(out: Path) -> dict:
+    return {name: data for name, data in _run_outputs(out).items() if name != "manifest"}
 
 
 @pytest.mark.parametrize("first", [["--no-mc"], ["--seed", "5"]])
@@ -1015,225 +1017,173 @@ def first_draw(n):
     return -(-montecarlo.CV_FLOOR_TRIALS // chunk_trials) * chunk_trials
 
 
-def test_quantization_draws_the_floor_where_it_is_precise_enough(tmp_path):
-    # 100k trials: the first draw (one chunk of 4096 trials at N = 8, the 2048
-    # of the floor at N = 32) gives every cell a narrower interval than plain
-    # MC's at 100k, and the manifest records the run as drawn
-    code, out = run_cli(tmp_path, "quantization",
-                        {"trials": 100_000,
-                         "quantization": {"bits": [1, 2, 4], "n_values": [8, 32]}})
-    assert code == 0
-    mc = mc_extras(out)
-    assert [run["trials"] for run in mc["runs"]] == [first_draw(8), first_draw(32)] == [4096, 2048]
-    assert mc["trials"] == 4096 + 2048
-    for run in mc["runs"]:
-        record = run["control_variates"]
-        assert record["floor_trials"] == montecarlo.CV_FLOOR_TRIALS
-        assert record["fitted_trials"] == run["trials"]
-        assert record["extension"] is False
-        assert [w["bits"] for w in record["widths"]] == [1, 2, 4]
-        for width in record["widths"]:
-            assert 0.0 < width["max_half_width_ratio"] <= 1.0
-            assert width["min_variance_ratio"] > 100_000 / run["trials"]
-
-
-def test_quantization_intervals_are_no_wider_than_plain_at_the_configured_trials(tmp_path):
-    # every cell against the plain interval of a run of the configured trials
-    config = {"trials": 60_000, "sweep": {"values": [0.0, 21.0, 45.0]},
-              "quantization": {"bits": [1, 3], "n_values": [1, 8]}}
-    code, out = run_cli(tmp_path, "quantization", config)
-    assert code == 0
-    cfg, _ = cli.validate_config(config, "quantization")
-    for n in (1, 8):
-        rows = simulate_snr_samples(dataclasses.replace(cfg, n_elements=n),
-                                    SimPlan(trials=60_000, seed=1, quantization_bits=(1, 3)))
-        reference = rows[0] ** 2
-        for k, bits in enumerate((1, 3)):
-            samples = rows[1 + 2 * k] ** 2 + rows[2 + 2 * k] ** 2
-            cells = csv.DictReader(io.StringIO(read_csv(out / f"quantization_b{bits}_n{n}.csv")))
-            for row in cells:
-                gb = db_to_linear(float(row["x"]))
-                plain = empirical_rate_ratio(gb * samples, gb * reference)
-                assert (float(row["mc_ci_high"]) - float(row["mc_ci_low"])
-                        <= 100.0 * (plain.ci_high - plain.ci_low))
-
-
-@pytest.mark.parametrize("floor_chunks", [4, 2], ids=["floor", "extended"])
-def test_quantization_columns_are_the_same_for_any_worker_count(tmp_path, monkeypatch,
-                                                                small_chunks, floor_chunks):
-    # a floor of four chunks is enough for these cells; one of two chunks is
-    # too few: the run extends its first draw, from decisions on chunk
-    # prefixes alone
-    monkeypatch.setattr(montecarlo, "CV_FLOOR_TRIALS", floor_chunks * 1024)
-    config = {"trials": 50_000, "sweep": {"values": [0.0, 45.0]},
-              "quantization": {"bits": [1, 3], "n_values": [1, 4]}}
-    outputs = []
-    for workers in (None, 1, 2, 3):
-        run_dir = tmp_path / f"w{workers}"
-        run_dir.mkdir()
-        code, out = run_cli(run_dir, "quantization",
-                            config if workers is None else {**config, "workers": workers})
-        assert code == 0
-        outputs.append({name: data for name, data in _run_outputs(out).items()
-                        if name != "manifest"})
-        runs = mc_extras(out)["runs"]
-        assert any(run["control_variates"]["extension"] for run in runs) == (floor_chunks == 2)
-    assert len(outputs[0]) == 4
-    assert all(other == outputs[0] for other in outputs[1:])
-
-
-def test_quantization_at_the_finest_widths_reads_one_hundred_percent(tmp_path):
-    # at 20 and 64 bits the float32 cos of every phase error rounds to 1, so A
-    # equals R: the fit drops A and A^2 and still runs
-    code, out = run_cli(tmp_path, "quantization",
-                        {"trials": 20_000, "sweep": {"values": [0.0, 45.0]},
-                         "quantization": {"bits": [20, 64], "n_values": [1, 16]}})
-    assert code == 0
-    for name in ("b20_n1", "b20_n16", "b64_n1", "b64_n16"):
-        for row in csv.DictReader(io.StringIO(read_csv(out / f"quantization_{name}.csv"))):
-            low, mc, high = (float(row[c]) for c in ("mc_ci_low", "mc", "mc_ci_high"))
-            assert low <= mc <= high
-            assert low - 1e-9 <= 100.0 <= high + 1e-9
-
-
-@pytest.mark.parametrize("n,floor", [(8, 4096), (16, 2048), (32, 2048)])
-def test_floor_intervals_cover_a_million_trial_reference(n, floor):
-    # 400 seeds of the first draw (one chunk at N = 8 and 16, the floor at
-    # N = 32): each cell's 95% interval covers the estimate of 2^20 trials
-    # (four draws of 2^18) at a rate of at least 0.92
-    widths, gamma_bars = (1, 3), cli._gamma_bars([0.0, 15.0, 45.0])
-    cfg, _ = cli.validate_config({"n_elements": n})
-    assert first_draw(n) == floor
-
-    fit = functools.partial(cli._quantization_fit,
-                            [cli.quantized_control_means(cfg, bits) for bits in widths], gamma_bars)
-
-    def cells(trials, seed):  # (width, value / low / high, point)
-        plan = SimPlan(trials=trials, seed=seed, workers=2, quantization_bits=widths)
-        return np.array([[[e.value for e, _ in width], [e.ci_low for e, _ in width],
-                          [e.ci_high for e, _ in width]]
-                         for width in fit(simulate_snr_samples(cfg, plan))])
-
-    reference = np.mean([cells(2**18, 10_000 + i)[:, 0] for i in range(4)], axis=0)
-    covered = np.zeros(reference.shape)
-    for seed in range(400):
-        est = cells(floor, seed)
-        covered += (est[:, 1] <= reference) & (reference <= est[:, 2])
-    assert np.all(covered / 400 >= 0.92)
-
-
-@pytest.mark.parametrize("n", [1, 16, 128])
-def test_rate_floor_intervals_cover_a_million_trial_reference(n):
-    # 400 seeds of the first draw (one chunk of 32768 trials at N = 1, 2048
-    # trials from N = 16 on): each transmit SNR's 95% interval covers the
-    # estimate of 2^20 trials (four draws of 2^18) at a rate of at least 0.92
-    cfg, _ = cli.validate_config({"n_elements": n})
-    fit = functools.partial(cli._rate_fit, cli.continuous_control_means(cfg),
-                            cli._gamma_bars([0.0, 21.0, 45.0]))
-    floor = first_draw(n)
-
-    def cells(trials, seed):  # (value / low / high, point)
-        plan = SimPlan(trials=trials, seed=seed, workers=2)
-        return np.array([[e.value, e.ci_low, e.ci_high]
-                         for (e, _), in fit(simulate_snr_samples(cfg, plan))]).T
-
-    reference = np.mean([cells(2**18, 10_000 + i)[0] for i in range(4)], axis=0)
-    covered = np.zeros(reference.shape)
-    for seed in range(400):
-        est = cells(floor, seed)
-        covered += (est[1] <= reference) & (reference <= est[2])
-    assert np.all(covered / 400 >= 0.92)
-
-
 def correlation_spec(n):
     """The default link and correlation grid at N = ``n``."""
     cfg, resolved = cli.validate_config({"n_elements": n}, "correlation")
     return cfg, cli._correlation_config(resolved, n)
 
 
-def test_correlation_draws_the_floor_and_records_each_scheme(tmp_path):
-    # the benchmark's correlation config: every cell is precise enough at the
-    # floor (the whole chunks of at least 2048 trials), for both schemes
-    code, out = run_cli(tmp_path, "correlation",
-                        {"trials": 20_000, "workers": 2, "correlation": {"n_values": [64, 144]}})
+# Each property of a draw to precision (montecarlo.draw_to_precision) is
+# tested once, over the three kinds that draw to it.
+def _rate_sweep(n_values):
+    """A rate sweep over N of the link whose rate the controls R and R^2 fit
+    least well of those tested here."""
+    return {"gamma_bar_db": 90.0, "fading": {"m_v": 0.5, "m_g": 0.5, "m_h": 0.5},
+            "sweep": {"variable": "n_elements", "values": n_values}}
+
+
+# (kind, config whose every cell is precise enough at its first draw, the
+# (N, trials) of its draws, the groups of its records): one chunk of 4096
+# trials at N = 8, ten chunks of 227 at N = 144 (the benchmark's
+# correlation config)
+_AT_THE_FLOOR = [
+    ("rate", {"trials": 100_000, "sweep": {"values": [0.0, 21.0, 45.0]}}, [(16, 2048)],
+     ("points", "gamma_bar_db", [0.0, 21.0, 45.0])),
+    ("quantization", {"trials": 100_000,
+                      "quantization": {"bits": [1, 2, 4], "n_values": [8, 32]}},
+     [(8, 4096), (32, 2048)], ("widths", "bits", [1, 2, 4])),
+    ("correlation", {"trials": 20_000, "workers": 2, "correlation": {"n_values": [64, 144]}},
+     [(64, 2048), (144, 2270)], ("schemes", "scheme", [1, 2])),
+]
+
+
+@pytest.mark.parametrize("kind,config,runs,groups", _AT_THE_FLOOR,
+                         ids=[kind for kind, *_ in _AT_THE_FLOOR])
+def test_a_precise_enough_first_draw_is_the_floor(tmp_path, kind, config, runs, groups):
+    # every cell of the first draw (the whole chunks of at least the floor)
+    # is narrower than plain MC's at the configured trials, and the manifest
+    # records each run as drawn
+    code, out = run_cli(tmp_path, kind, config)
     assert code == 0
-    runs = json.loads((out / "manifest.json").read_text())["extras"]["mc"]["runs"]
-    assert [(run["n_elements"], run["trials"]) for run in runs] == [(64, 2048), (144, 2270)]
-    for run in runs:
+    mc = mc_extras(out)
+    assert [(run["n_elements"], run["trials"]) for run in mc["runs"]] == runs
+    assert [trials for _, trials in runs] == [first_draw(n) for n, _ in runs]
+    assert mc["trials"] == sum(trials for _, trials in runs)
+    name, key, labels = groups
+    for run in mc["runs"]:
         record = run["control_variates"]
         assert record["floor_trials"] == montecarlo.CV_FLOOR_TRIALS
         assert record["fitted_trials"] == run["trials"]
         assert record["extension"] is False
-        assert [scheme["scheme"] for scheme in record["schemes"]] == [1, 2]
-        for scheme in record["schemes"]:
-            assert 0.0 < scheme["max_half_width_ratio"] <= 1.0
-            assert scheme["min_variance_ratio"] > 20_000 / run["trials"]
+        assert [group[key] for group in record[name]] == labels
+        for group in record[name]:
+            assert 0.0 < group["max_half_width_ratio"] <= 1.0
+            assert group["min_variance_ratio"] > config["trials"] / run["trials"]
 
 
-def test_correlation_intervals_are_no_wider_than_plain_at_the_configured_trials(tmp_path):
-    # every cell against the plain interval of a run of the configured trials;
-    # N = 64 and 144 extend their first draw
-    config = {"trials": 60_000, "correlation": {"n_values": [16, 64, 144]}}
-    code, out = run_cli(tmp_path, "correlation", config)
+def _plain_rate(config):
+    cfg, resolved = cli.validate_config(config, "rate")
+    widths = []
+    for n in resolved["sweep"]["values"]:
+        snr = simulate_snr_samples(dataclasses.replace(cfg, n_elements=n),
+                                   SimPlan(trials=config["trials"], seed=1))
+        plain = empirical_rate(cfg.gamma_bar * snr)
+        widths.append(plain.ci_high - plain.ci_low)
+    return {"rate_mc": widths}
+
+
+def _plain_quantization(config):
+    cfg, resolved = cli.validate_config(config, "quantization")
+    bits, widths = tuple(resolved["quantization"]["bits"]), {}
+    for n in resolved["quantization"]["n_values"]:
+        plan = SimPlan(trials=config["trials"], seed=1, quantization_bits=bits)
+        rows = simulate_snr_samples(dataclasses.replace(cfg, n_elements=n), plan)
+        reference = rows[0] ** 2
+        for k, b in enumerate(bits):
+            samples = rows[1 + 2 * k] ** 2 + rows[2 + 2 * k] ** 2
+            plain = [empirical_rate_ratio(gb * samples, gb * reference)
+                     for gb in cli._gamma_bars(resolved["sweep"]["values"])]
+            widths[f"quantization_b{b}_n{n}"] = [100.0 * (p.ci_high - p.ci_low) for p in plain]
+    return widths
+
+
+def _plain_correlation(config):
+    widths = {1: [], 2: []}
+    for n in config["correlation"]["n_values"]:
+        cfg, corr = correlation_spec(n)
+        rows = cli.simulate_scheme_rates(cfg, build_correlation(corr),
+                                         SimPlan(trials=config["trials"], seed=1))
+        for s, width in widths.items():
+            plain = empirical_rate(cfg.gamma_bar * rows[s - 1])
+            width.append(plain.ci_high - plain.ci_low)
+    return {f"correlation_scheme{s}": width for s, width in widths.items()}
+
+
+# (kind, config, the widths of plain MC's intervals at its configured trials
+# per MC curve): rate N = 4 and correlation N = 64 and 144 extend their
+# first draw
+_NO_WIDER = [
+    ("rate", {"trials": 300_000, **_rate_sweep([1, 4])}, _plain_rate),
+    ("quantization", {"trials": 60_000, "sweep": {"values": [0.0, 21.0, 45.0]},
+                      "quantization": {"bits": [1, 3], "n_values": [1, 8]}}, _plain_quantization),
+    ("correlation", {"trials": 60_000, "correlation": {"n_values": [16, 64, 144]}},
+     _plain_correlation),
+]
+
+
+@pytest.mark.parametrize("kind,config,plain_widths", _NO_WIDER,
+                         ids=[kind for kind, *_ in _NO_WIDER])
+def test_intervals_are_no_wider_than_plain_at_the_configured_trials(tmp_path, kind, config,
+                                                                      plain_widths):
+    code, out = run_cli(tmp_path, kind, config)
     assert code == 0
-    for s in (1, 2):
-        rows = csv.DictReader(io.StringIO(read_csv(out / f"correlation_scheme{s}.csv")))
-        for row in rows:
-            cfg, corr = correlation_spec(int(row["x"]))
-            snr = cli.simulate_scheme_rates(cfg, build_correlation(corr),
-                                            SimPlan(trials=60_000, seed=1))[s - 1]
-            plain = empirical_rate(cfg.gamma_bar * snr)
-            assert (float(row["mc_ci_high"]) - float(row["mc_ci_low"])
-                    <= plain.ci_high - plain.ci_low)
+    for name, widths in plain_widths(config).items():
+        rows = csv.DictReader(io.StringIO(read_csv(out / f"{name}.csv")))
+        for row, width in zip(rows, widths, strict=True):
+            assert float(row["mc_ci_high"]) - float(row["mc_ci_low"]) <= width
 
 
-def test_scheme1_bound_lies_above_its_interval(tmp_path):
-    # Jensen's bound log2(1 + gamma_bar E snr_1) over the control-variate interval
-    code, out = run_cli(tmp_path, "correlation", {"correlation": {"n_values": [16, 64, 144]}})
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(read_csv(out / "correlation_scheme1.csv"))))
-    assert [int(row["x"]) for row in rows] == [16, 64, 144]
-    for row in rows:
-        assert float(row["analytic"]) > float(row["mc_ci_high"])
-    scheme2 = csv.DictReader(io.StringIO(read_csv(out / "correlation_scheme2.csv")))
-    assert all(row["analytic"] == "" and row["mc"] for row in scheme2)
+# (kind, config, its CSVs): a floor of four 1024-trial chunks is enough for
+# every cell; one of two chunks is too few for rate and quantization at
+# N = 4 and for scheme 2 at N = 64
+_WORKER_RUNS = [
+    ("rate", {"trials": 80_000, **_rate_sweep([4, 16])}, 3),
+    ("quantization", {"trials": 50_000, "sweep": {"values": [0.0, 45.0]},
+                      "quantization": {"bits": [1, 3], "n_values": [1, 4]}}, 4),
+    ("correlation", {"trials": 50_000, "correlation": {"n_values": [16, 64]}}, 2),
+]
 
 
 @pytest.mark.parametrize("floor_chunks", [4, 2], ids=["floor", "extended"])
-def test_correlation_columns_are_the_same_for_any_worker_count(tmp_path, monkeypatch,
-                                                               small_chunks, floor_chunks):
-    # a floor of four chunks is enough for both schemes; one of two chunks is
-    # too few for scheme 2 at N = 64: the run extends its first draw, from
-    # decisions on chunk prefixes alone
+@pytest.mark.parametrize("kind,config,files", _WORKER_RUNS,
+                         ids=[kind for kind, *_ in _WORKER_RUNS])
+def test_columns_are_the_same_for_any_worker_count(tmp_path, monkeypatch, small_chunks, kind,
+                                                   config, files, floor_chunks):
+    # a run that extends its first draw does so from decisions on chunk
+    # prefixes alone
     monkeypatch.setattr(montecarlo, "CV_FLOOR_TRIALS", floor_chunks * 1024)
-    config = {"trials": 50_000, "correlation": {"n_values": [16, 64]}}
     outputs = []
     for workers in (None, 1, 2, 3):
         run_dir = tmp_path / f"w{workers}"
         run_dir.mkdir()
-        code, out = run_cli(run_dir, "correlation",
+        code, out = run_cli(run_dir, kind,
                             config if workers is None else {**config, "workers": workers})
         assert code == 0
-        outputs.append({name: data for name, data in _run_outputs(out).items()
-                        if name != "manifest"})
+        outputs.append(csv_bytes(out))
         runs = mc_extras(out)["runs"]
         assert any(run["control_variates"]["extension"] for run in runs) == (floor_chunks == 2)
-    assert len(outputs[0]) == 2
+    assert len(outputs[0]) == files
     assert all(other == outputs[0] for other in outputs[1:])
 
 
-@pytest.mark.parametrize("kind,config", [
-    ("quantization", {"sweep": {"values": [0.0, 45.0]},
+# (kind, config of one N whose first draw of two 1024-trial chunks is too few)
+_EXTENDED_ONCE = [
+    ("rate", {"trials": 80_000, **_rate_sweep([4])}),
+    ("quantization", {"trials": 50_000, "sweep": {"values": [0.0, 45.0]},
                       "quantization": {"bits": [1, 3], "n_values": [4]}}),
-    ("correlation", {"correlation": {"n_values": [64]}})])
+    ("correlation", {"trials": 50_000, "correlation": {"n_values": [64]}}),
+]
+
+
+@pytest.mark.parametrize("kind,config", _EXTENDED_ONCE, ids=[kind for kind, _ in _EXTENDED_ONCE])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_an_extension_draws_each_chunk_once(tmp_path, monkeypatch, small_chunks, kind, config,
                                              workers):
-    # a floor of two chunks is too few at this N: the run draws the chunks
-    # that follow its first draw and fits them with it, so its columns are
-    # those of a run whose first draw is every trial it fitted
+    # the run draws the chunks that follow its first draw and fits them with
+    # it, so its columns are those of a run whose first draw is every trial
+    # it fitted
     monkeypatch.setattr(montecarlo, "CV_FLOOR_TRIALS", 2 * 1024)
-    config = {"trials": 50_000, "workers": workers, **config}
+    config = {**config, "workers": workers}
     drawn = []
     with monkeypatch.context() as patch:
         patch.setattr(montecarlo, "chunk_rng", lambda seed, index: (
@@ -1252,25 +1202,54 @@ def test_an_extension_draws_each_chunk_once(tmp_path, monkeypatch, small_chunks,
     code, once = run_cli(tmp_path / "once", kind, config)
     assert code == 0
     assert [run["trials"] for run in mc_extras(once)["runs"]] == [fitted]
-    outputs = [{name: data for name, data in _run_outputs(run).items() if name != "manifest"}
-               for run in (out, once)]
-    assert outputs[0] and outputs[0] == outputs[1]
+    assert csv_bytes(out) and csv_bytes(out) == csv_bytes(once)
 
 
-@pytest.mark.parametrize("n,floor", [(16, 2048), (64, 2048), (144, 2270)])
-def test_correlation_floor_intervals_cover_a_million_trial_reference(n, floor):
-    # 400 seeds of the first draw (ten chunks of 227 trials at N = 144): each
-    # scheme's 95% interval covers the estimate of 2^20 trials (four draws of
-    # 2^18) at a rate of at least 0.92
+def _rate_draw(n):
+    cfg, _ = cli.validate_config({"n_elements": n})
+    return (functools.partial(simulate_snr_samples, cfg),
+            functools.partial(cli._rate_fit, cli.continuous_control_means(cfg),
+                              cli._gamma_bars([0.0, 21.0, 45.0])))
+
+
+def _quantization_draw(n):
+    widths = (1, 3)
+    cfg, _ = cli.validate_config({"n_elements": n})
+    return (lambda plan: simulate_snr_samples(cfg, dataclasses.replace(
+                plan, quantization_bits=widths)),
+            functools.partial(cli._quantization_fit,
+                              [cli.quantized_control_means(cfg, bits) for bits in widths],
+                              cli._gamma_bars([0.0, 15.0, 45.0])))
+
+
+def _correlation_draw(n):
     cfg, corr = correlation_spec(n)
     roots = build_correlation(corr)
-    fit = functools.partial(fit_scheme_rates, cfg, scheme_control_means(cfg, roots))
+    return (functools.partial(cli.simulate_scheme_rates, cfg, roots),
+            functools.partial(cli._correlation_fit, cfg, scheme_control_means(cfg, roots)))
+
+
+# (kind, N, trials of its first draw): one chunk below N = 16, ten chunks of
+# 227 trials at N = 144.  Each case is a link of its own (kind x N), so no
+# two share a reference draw.
+_COVERAGE_GATES = [("rate", 1, 32768), ("rate", 16, 2048), ("rate", 128, 2048),
+                   ("quantization", 8, 4096), ("quantization", 16, 2048),
+                   ("quantization", 32, 2048), ("correlation", 16, 2048),
+                   ("correlation", 64, 2048), ("correlation", 144, 2270)]
+
+
+@pytest.mark.parametrize("kind,n,floor", _COVERAGE_GATES)
+def test_floor_intervals_cover_a_million_trial_reference(kind, n, floor):
+    # 400 seeds of the first draw of the default link at N = n: each cell's
+    # 95% interval (rate at 0, 21 and 45 dB; quantization at 1 and 3 bits,
+    # each at 0, 15 and 45 dB; both correlation schemes) covers the estimate
+    # of 2^20 trials (four draws of 2^18) at a rate of at least 0.92
+    sample, fit = globals()[f"_{kind}_draw"](n)
     assert first_draw(n) == floor
 
-    def cells(trials, seed):  # (scheme, value / low / high)
-        plan = SimPlan(trials=trials, seed=seed, workers=2)
-        return np.array([[e.value, e.ci_low, e.ci_high]
-                         for (e, _), in fit(cli.simulate_scheme_rates(cfg, roots, plan))])
+    def cells(trials, seed):  # (cell, value / low / high)
+        rows = sample(SimPlan(trials=trials, seed=seed, workers=2))
+        return np.array([[e.value, e.ci_low, e.ci_high] for group in fit(rows) for e, _ in group])
 
     reference = np.mean([cells(2**18, 10_000 + i)[:, 0] for i in range(4)], axis=0)
     covered = np.zeros(reference.shape)
@@ -1278,6 +1257,32 @@ def test_correlation_floor_intervals_cover_a_million_trial_reference(n, floor):
         est = cells(floor, seed)
         covered += (est[:, 1] <= reference) & (reference <= est[:, 2])
     assert np.all(covered / 400 >= 0.92)
+
+
+def test_quantization_at_the_finest_widths_reads_one_hundred_percent(tmp_path):
+    # at 20 and 64 bits the float32 cos of every phase error rounds to 1, so A
+    # equals R: the fit drops A and A^2 and still runs
+    code, out = run_cli(tmp_path, "quantization",
+                        {"trials": 20_000, "sweep": {"values": [0.0, 45.0]},
+                         "quantization": {"bits": [20, 64], "n_values": [1, 16]}})
+    assert code == 0
+    for name in ("b20_n1", "b20_n16", "b64_n1", "b64_n16"):
+        for row in csv.DictReader(io.StringIO(read_csv(out / f"quantization_{name}.csv"))):
+            low, mc, high = (float(row[c]) for c in ("mc_ci_low", "mc", "mc_ci_high"))
+            assert low <= mc <= high
+            assert low - 1e-9 <= 100.0 <= high + 1e-9
+
+
+def test_scheme1_bound_lies_above_its_interval(tmp_path):
+    # Jensen's bound log2(1 + gamma_bar E snr_1) over the control-variate interval
+    code, out = run_cli(tmp_path, "correlation", {"correlation": {"n_values": [16, 64, 144]}})
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(read_csv(out / "correlation_scheme1.csv"))))
+    assert [int(row["x"]) for row in rows] == [16, 64, 144]
+    for row in rows:
+        assert float(row["analytic"]) > float(row["mc_ci_high"])
+    scheme2 = csv.DictReader(io.StringIO(read_csv(out / "correlation_scheme2.csv")))
+    assert all(row["analytic"] == "" and row["mc"] for row in scheme2)
 
 
 def test_wdist_grid_below_the_floor_of_1e9_increases(tmp_path):

@@ -224,8 +224,11 @@ class TestQuantizedStats:
         assert ratio == pytest.approx(0.99359, abs=1e-5)
 
     def test_error_half_width(self):
-        qs = quantized_w_stats(unit_config(8, 1.0, 2.0), 2)
-        assert qs.tau == pytest.approx(math.pi / 4.0)
+        # two bits: errors uniform on (-pi/4, pi/4), E sin^2 e = 1/2 - 1/pi
+        cfg = unit_config(8, 1.0, 2.0)
+        qs = quantized_w_stats(cfg, 2)
+        power = cfg.n_elements * cfg.eta**2 * cfg.g.kappa * cfg.h.kappa
+        assert qs.sigma2_imag == pytest.approx((0.5 - 1.0 / math.pi) * power, rel=1e-12)
 
     @pytest.mark.parametrize("bits", [1, 2, 3, 4, 6, 8])
     def test_variance_split_conserves_power(self, bits):
@@ -257,7 +260,8 @@ class TestQuantizedStats:
         trials = 10**6
         g = np.sqrt(rng.gamma(cfg.g.m, cfg.g.zeta, (trials, 16)))
         h = np.sqrt(rng.gamma(cfg.h.m, cfg.h.zeta, (trials, 16)))
-        eps = rng.uniform(-qs.tau, qs.tau, (trials, 16))
+        tau = math.pi / 2**bits
+        eps = rng.uniform(-tau, tau, (trials, 16))
         prod = g * h * 0.9
         w_re = (prod * np.cos(eps)).sum(axis=1)
         w_im = (prod * np.sin(eps)).sum(axis=1)

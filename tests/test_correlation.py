@@ -180,7 +180,7 @@ class TestBuildCorrelation:
         assert cfg.d_az == pytest.approx((1.0 / 6) / 0.1)
         cfg = CorrelationConfig.square_surface(50, 1.0, 0.1, spread(), spread())
         assert (cfg.n_az, cfg.n_el) == (10, 5)
-        assert cfg.n_total == 50
+        assert cfg.n_az * cfg.n_el == 50
         assert [CorrelationConfig.tiling(n) for n in (1, 2039, 999_983, 10**6)] == [
             (1, 1), (2039, 1), (999_983, 1), (1000, 1000)]
 
@@ -208,7 +208,7 @@ class TestCorrelatedSnr:
     def test_scheme_two_dominates_every_realization(self):
         cfg = small_corr()
         roots = build_correlation(cfg)
-        n = cfg.n_total
+        n = cfg.n_az * cfg.n_el
         rng = np.random.default_rng(7)
         eta = np.full(n, 0.9)
         worst = 0.0
@@ -303,7 +303,7 @@ class TestSchemeKernel:
                              ids=["gamma", "erlang"])
     def test_matches_the_oracle_per_realization(self, shapes):
         corr = small_corr()
-        n, roots = corr.n_total, build_correlation(corr)
+        n, roots = corr.n_az * corr.n_el, build_correlation(corr)
         cfg = unit_cfg(n, shapes)
         seed, index, count = 23, 2, 400
         snr = chunk_output(functools.partial(_scheme_snr_chunk, cfg, roots),
@@ -355,7 +355,7 @@ class TestSchemeRates:
     def test_estimates_do_not_depend_on_workers(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_chunk_size", lambda n: 512)
         corr = small_corr()
-        runs = [simulate_scheme_rates(unit_cfg(corr.n_total), build_correlation(corr),
+        runs = [simulate_scheme_rates(unit_cfg(corr.n_az * corr.n_el), build_correlation(corr),
                                       SimPlan(trials=1800, seed=5, workers=w))
                 for w in (1, 2, 3)]  # four chunks
         assert runs[0].shape == (6, 1800)
@@ -397,7 +397,7 @@ class TestControlMeans:
                                                                        spread(-0.4))],
                              ids=["4x3", "7x1"])
     def test_factored_means_equal_the_dense_brute_force(self, corr, shapes):
-        cfg, roots = unit_cfg(corr.n_total, shapes), build_correlation(corr)
+        cfg, roots = unit_cfg(corr.n_az * corr.n_el, shapes), build_correlation(corr)
         np.testing.assert_allclose(scheme_control_means(cfg, roots),
                                    scheme_control_means_reference(cfg, roots), rtol=1e-12, atol=0)
 

@@ -109,6 +109,34 @@ def test_the_traced_samplers_see_every_draw(tmp_path, monkeypatch, kind, name, c
     assert len(calls) > 2  # a draw that extends its first is a call of its own
 
 
+# each precision kind's estimator as cli binds it, and the cells of one draw
+# of its config above: one per N, two widths at two transmit SNRs, two schemes
+_ESTIMATORS = {"rate": ("empirical_rate", 1), "quantization": ("empirical_rate_ratio", 4),
+               "correlation": ("empirical_rate", 2)}
+
+
+@pytest.mark.parametrize("kind,config", [(kind, config) for kind, _, config in _DRAWS_TO_PRECISION],
+                         ids=[kind for kind, *_ in _DRAWS_TO_PRECISION])
+def test_the_estimator_bindings_see_every_fit(tmp_path, monkeypatch, kind, config):
+    # every fit lives in cli and looks its estimator up there when it runs,
+    # so a wrapper on the binding sees the plain and the control-variate
+    # estimate of each cell of each draw
+    estimator, cells = _ESTIMATORS[kind]
+    calls, wrapped = [], getattr(cli, estimator)
+
+    def counted(*args):
+        calls.append(isinstance(args[-1], montecarlo.ControlVariates))
+        return wrapped(*args)
+
+    monkeypatch.setattr(cli, estimator, counted)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([kind, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    runs = json.loads((tmp_path / "out" / "manifest.json").read_text())["extras"]["mc"]["runs"]
+    assert calls.count(False) == calls.count(True) == cells * len(runs)
+
+
 def _failing_chunk_rng(seed, index, chunk_rng=montecarlo.chunk_rng):
     if index == 1:
         raise NumericalConsistencyError("chunk 1 failed")
